@@ -17,11 +17,10 @@
 //! speedup — `BENCH_10.json` records the host's `nproc` alongside every
 //! number for exactly this reason.
 
-use bytes::BytesMut;
 use metronome_dpdk::{Mbuf, Mempool, QueueScatter, RingPath, RssPort};
-use metronome_net::headers::{build_udp_frame, Mac, MIN_FRAME_NO_FCS};
+use metronome_runtime::realtime_runner::flow_templates;
 use metronome_sim::CoarseClock;
-use metronome_traffic::{FlowSet, WallClock};
+use metronome_traffic::WallClock;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
@@ -29,29 +28,8 @@ use std::time::Instant;
 /// Burst size every harness uses, matching the paper's retrieval burst.
 pub const BURST: usize = 32;
 
-/// Flows in the generated population (matches the realtime runner).
-const FLOWS: usize = 256;
-
-/// Destination subnets, matching `L3Fwd::with_sample_routes(4)`.
-const SUBNETS: usize = 4;
-
 /// Descriptors per Rx ring.
 const RING_SIZE: usize = 1024;
-
-/// Routable template frames with their RSS decision resolved once per
-/// flow against `port`, exactly as the realtime runner and the daemon
-/// build their populations.
-fn resolved_templates(port: &RssPort) -> Vec<(BytesMut, usize, u32)> {
-    FlowSet::routable(FLOWS, SUBNETS, 0xB45)
-        .flows()
-        .iter()
-        .map(|t| {
-            let frame = build_udp_frame(Mac::local(1), Mac::local(2), t, &[], MIN_FRAME_NO_FCS);
-            let input = t.rss_input();
-            (frame, port.queue_for(&input), port.rss_hash(&input))
-        })
-        .collect()
-}
 
 /// Mpps of `shards` producer threads pushing a fixed total of accepted
 /// frames through an [`RssPort`] on `path`, drained by one consumer
@@ -83,7 +61,7 @@ pub fn sharded_ingest_mpps(
     );
     let port = Arc::new(RssPort::with_path(n_queues, RING_SIZE, path));
     let pool = Mempool::new(2 * n_queues * RING_SIZE + (shards + 1) * 4 * BURST, 2048);
-    let templates = Arc::new(resolved_templates(&port));
+    let templates = Arc::new(flow_templates(&port, 0xB45));
     let stop = Arc::new(AtomicBool::new(false));
     let barrier = Arc::new(Barrier::new(shards + 2));
     let per_shard = (total_packets / shards as u64).max(1);

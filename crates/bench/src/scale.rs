@@ -105,18 +105,16 @@ pub fn scale_run(n_queues: usize, exec: ExecBackend, per_queue: u64) -> ScalePoi
     // remaining buffers are parked behind workers whose rings are empty,
     // so nothing ever spills back.
     let worker_burst = (cfg.burst as usize).min((POOL_POPULATION / (4 * n_queues)).max(1));
-    let set =
-        WorkerSet::start_discipline_scoped(exec, cfg, DisciplineSpec::Metronome, queues.clone(), {
-            let pool = &pool;
-            move |_worker| {
-                // Per-worker cache, like the realtime runner: a recycled
-                // burst is a thread/task-local stack push. The cache
-                // flushes when the worker is dropped at stop, so the
-                // allocs == frees audit below balances.
-                let mut cache = pool.cache(worker_burst);
-                move |_q: usize, burst: &mut Vec<Mbuf>| {
-                    cache.free_burst(burst.drain(..));
-                }
+    let set = WorkerSet::builder(cfg, DisciplineSpec::Metronome, queues.clone())
+        .exec(exec)
+        .spawn(|_worker| {
+            // Per-worker cache, like the realtime runner: a recycled
+            // burst is a thread/task-local stack push. The cache
+            // flushes when the worker is dropped at stop, so the
+            // allocs == frees audit below balances.
+            let mut cache = pool.cache(worker_burst);
+            move |_q: usize, burst: &mut Vec<Mbuf>| {
+                cache.free_burst(burst.drain(..));
             }
         });
 
@@ -199,13 +197,8 @@ pub fn thread_spawn_probe(n_queues: usize) -> (f64, f64) {
         .map(|_| Arc::new(ArrayQueue::new(8)))
         .collect();
     let t0 = Instant::now();
-    let set = WorkerSet::start_discipline_scoped(
-        ExecBackend::Threads,
-        cfg,
-        DisciplineSpec::Metronome,
-        queues,
-        |_worker| |_q: usize, burst: &mut Vec<u64>| burst.clear(),
-    );
+    let set = WorkerSet::builder(cfg, DisciplineSpec::Metronome, queues)
+        .spawn(|_worker| |_q: usize, burst: &mut Vec<u64>| burst.clear());
     let rss = rss_mb();
     let stats = set.stop();
     assert_eq!(stats.total_processed(), 0);

@@ -28,16 +28,17 @@
 //!   `TS` rule (eq. (13)/(14)) per queue;
 //! * [`predictor`] — closed-form CPU/wake-rate predictions from the same
 //!   renewal structure, validated against the simulation;
-//! * [`realtime`] — the protocol on real `std::thread`s with a
-//!   spin-assisted [`realtime::PreciseSleeper`] standing in for the
-//!   paper's `hr_sleep()` kernel service;
+//! * [`workers`] — the one way to start retrieval workers:
+//!   [`WorkerSet::builder`]`(cfg, spec, queues)`, optionally
+//!   `.exec(..)`, `.telemetry(..)`, `.trace(..)`, then `.spawn(..)`;
+//!   [`ExecBackend`] selects where they run:
+//! * [`realtime`] — one `std::thread` per worker, with a spin-assisted
+//!   [`realtime::PreciseSleeper`] standing in for the paper's
+//!   `hr_sleep()` kernel service;
 //! * [`executor`] — the async backend: the same disciplines as
-//!   cooperative tasks on a vruntime-weighted sharded executor
-//!   ([`executor::AsyncMetronome`]) with a hierarchical
-//!   [`executor::TimerWheel`] and waker-wired doorbells, so 1000+
-//!   queues run on a handful of OS threads
-//!   ([`executor::ExecBackend`] / [`executor::WorkerSet`] select the
-//!   backend at runtime);
+//!   cooperative tasks on a vruntime-ordered sharded executor with a
+//!   hierarchical [`executor::TimerWheel`] and waker-wired doorbells, so
+//!   1000+ queues run on a handful of OS threads;
 //! * [`config`] — tunables with the paper's evaluation defaults
 //!   (`M = 3`, `V̄ = 10 µs`, `TL = 500 µs`, burst 32).
 //!
@@ -48,14 +49,15 @@
 //! ## Quick start (real threads)
 //!
 //! ```
-//! use metronome_core::{config::MetronomeConfig, realtime::Metronome};
+//! use metronome_core::{DisciplineSpec, MetronomeConfig, WorkerSet};
 //! use crossbeam::queue::ArrayQueue;
 //! use std::sync::Arc;
 //!
 //! let queues = vec![Arc::new(ArrayQueue::<u64>::new(1024))];
-//! let m = Metronome::start(MetronomeConfig::default(), queues.clone(), |_q, item| {
-//!     let _ = item; // process the packet
-//! });
+//! let m = WorkerSet::builder(MetronomeConfig::default(), DisciplineSpec::Metronome, queues.clone())
+//!     .spawn(|_worker| |_queue, burst: &mut Vec<u64>| {
+//!         burst.clear(); // process the drained burst
+//!     });
 //! queues[0].push(42).unwrap();
 //! std::thread::sleep(std::time::Duration::from_millis(50));
 //! let stats = m.stop();
@@ -76,6 +78,7 @@ pub mod predictor;
 pub mod realtime;
 pub mod rxqueue;
 pub mod trylock;
+pub mod workers;
 
 pub use config::MetronomeConfig;
 pub use controller::AdaptiveController;
@@ -84,8 +87,9 @@ pub use discipline::{
     MetronomeDiscipline, ModerationConfig, ParkToken, RetrievalDiscipline, Verdict,
 };
 pub use engine::{Backend, EngineOp, MetronomeEngine, StepCosts};
-pub use executor::{AsyncMetronome, ExecBackend, TimerWheel, WorkerSet};
+pub use executor::TimerWheel;
 pub use policy::{Role, ThreadPolicy};
-pub use realtime::{Metronome, PreciseSleeper, RealtimeBackend, RealtimeHarness, RealtimeStats};
+pub use realtime::{PreciseSleeper, RealtimeBackend, RealtimeHarness, RealtimeStats};
 pub use rxqueue::RxQueue;
 pub use trylock::TryLock;
+pub use workers::{ExecBackend, WorkerSet, WorkerSetBuilder};

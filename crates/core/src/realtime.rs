@@ -1,14 +1,13 @@
 //! Real-thread packet retrieval: the paper's Listing 2 — and its
 //! comparative baselines — on actual OS threads.
 //!
-//! This module is the adoptable library surface: it runs a
-//! [`RetrievalDiscipline`] worker set (by default the shared
+//! This module is the thread half of [`crate::workers::WorkerSet`]: it
+//! runs a [`RetrievalDiscipline`] worker set (the shared
 //! [`crate::engine::MetronomeEngine`]: trylock racing, primary/backup
-//! timeouts, adaptive `TS`; via [`Metronome::start_discipline`] also the
-//! BusyPoll / InterruptLike / ConstSleep baselines) with `std::thread`
-//! workers against in-process lock-free queues. Each worker owns a
-//! [`RealtimeBackend`] that realizes the engine's [`Backend`]
-//! capabilities with real primitives:
+//! timeouts, adaptive `TS`; or the BusyPoll / InterruptLike / ConstSleep
+//! baselines) with `std::thread` workers against in-process lock-free
+//! queues. Each worker owns a [`RealtimeBackend`] that realizes the
+//! engine's [`Backend`] capabilities with real primitives:
 //!
 //! | engine capability | simulation realization | real-thread realization |
 //! |---|---|---|
@@ -28,20 +27,19 @@
 
 use crate::config::MetronomeConfig;
 use crate::controller::AdaptiveController;
-use crate::discipline::{DisciplineSpec, Doorbell, RetrievalDiscipline, Verdict};
+use crate::discipline::{AnyDiscipline, Doorbell, RetrievalDiscipline, Verdict};
 use crate::engine::Backend;
 use crate::policy::ThreadPolicy;
 use crate::rxqueue::RxQueue;
 use crate::trylock::TryLock;
 use crossbeam::queue::ArrayQueue;
 use metronome_sim::Nanos;
-use metronome_telemetry::{
-    NullSink, NullTrace, TelemetryHub, TelemetrySink, TraceHub, TraceSink, TraceVerdict, TracedSink,
-};
+use metronome_telemetry::{TelemetrySink, TraceSink, TraceVerdict, TracedSink};
 use parking_lot::Mutex;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How long a parked worker waits on its doorbell before re-checking the
@@ -139,14 +137,9 @@ impl RealtimeStats {
 }
 
 /// Assemble a [`RealtimeStats`] from joined per-worker policies (in
-/// worker order) and the shared state's final counters. Shared by the
-/// thread backend's [`Metronome::stop`] and the async executor's stop so
-/// the two backends report through one code path.
-pub(crate) fn collect_stats(
-    shared: &SharedState,
-    n_queues: usize,
-    policies: Vec<ThreadPolicy>,
-) -> RealtimeStats {
+/// worker order) and the shared state's final counters — the one path
+/// both backends report through.
+pub(crate) fn collect_stats(shared: &SharedState, policies: Vec<ThreadPolicy>) -> RealtimeStats {
     let mut stats = RealtimeStats::default();
     for policy in policies {
         stats.wakes.push(policy.wakes);
@@ -157,11 +150,13 @@ pub(crate) fn collect_stats(
     // was mid-turn when the flag rose finishes its drain first, and
     // those packets must be on the books (the realtime runner asserts
     // offered = processed + dropped against these).
-    stats.processed = (0..n_queues)
-        .map(|q| shared.processed[q].load(Ordering::Relaxed))
+    stats.processed = shared
+        .processed
+        .iter()
+        .map(|p| p.load(Ordering::Relaxed))
         .collect();
     let ctrl = shared.controller.lock();
-    for q in 0..n_queues {
+    for q in 0..shared.processed.len() {
         stats.rho.push(ctrl.rho(q));
         stats.ts.push(ctrl.ts(q));
     }
@@ -169,9 +164,9 @@ pub(crate) fn collect_stats(
     stats
 }
 
-/// State shared by every worker of one [`Metronome`] instance (or one
-/// async-executor worker set — `crate::executor` builds the same state,
-/// which is what keeps the two backends' accounting identical).
+/// State shared by every worker of one [`crate::workers::WorkerSet`], on
+/// either backend — which is what keeps the two backends' accounting
+/// identical.
 pub(crate) struct SharedState {
     pub(crate) controller: Mutex<AdaptiveController>,
     locks: Vec<TryLock>,
@@ -339,9 +334,10 @@ where
 /// A single-threaded harness over the realtime backend components.
 ///
 /// Spawns no threads: it builds the same `SharedState` a running
-/// [`Metronome`] uses and hands out per-worker [`RealtimeBackend`]s that a
-/// test can drive step by step. This is what the sim-vs-realtime parity
-/// test uses to execute both backends under one deterministic schedule.
+/// [`crate::workers::WorkerSet`] uses and hands out per-worker
+/// [`RealtimeBackend`]s that a test can drive step by step. This is what
+/// the sim-vs-realtime parity test uses to execute both backends under
+/// one deterministic schedule.
 pub struct RealtimeHarness<T: Send + 'static, F, Q: RxQueue<T> = Arc<ArrayQueue<T>>> {
     queues: Vec<Q>,
     shared: Arc<SharedState>,
@@ -396,278 +392,40 @@ where
     }
 }
 
-/// A running real-thread Metronome instance over queues of `T`.
-pub struct Metronome<T: Send + 'static, Q: RxQueue<T> = Arc<ArrayQueue<T>>> {
-    queues: Vec<Q>,
-    stop: Arc<AtomicBool>,
-    handles: Vec<std::thread::JoinHandle<ThreadPolicy>>,
-    shared: Arc<SharedState>,
-    cfg: MetronomeConfig,
-    _item: PhantomData<fn() -> T>,
-}
-
-impl<T: Send + 'static, Q: RxQueue<T>> Metronome<T, Q> {
-    /// Start `cfg.m_threads` workers over the given queues, processing
-    /// each item with `process`. Queues must match `cfg.n_queues`.
-    pub fn start<F>(cfg: MetronomeConfig, queues: Vec<Q>, process: F) -> Self
-    where
-        F: Fn(usize, &mut Vec<T>) + Send + Sync + 'static,
-    {
-        Self::start_discipline(cfg, DisciplineSpec::Metronome, queues, process)
-    }
-
-    /// [`Metronome::start`] with telemetry: every worker publishes wakes,
-    /// busy/sleep time, drained bursts and `TS` updates into `hub`
-    /// (relaxed-atomic increments at protocol grain — the hot path takes
-    /// no lock and allocates nothing for telemetry). The hub must have
-    /// `cfg.m_threads` worker slots and `cfg.n_queues` queue slots.
-    pub fn start_with_telemetry<F>(
-        cfg: MetronomeConfig,
-        queues: Vec<Q>,
-        process: F,
-        hub: &Arc<TelemetryHub>,
-    ) -> Self
-    where
-        F: Fn(usize, &mut Vec<T>) + Send + Sync + 'static,
-    {
-        Self::start_discipline_with_telemetry(cfg, DisciplineSpec::Metronome, queues, process, hub)
-    }
-
-    /// Start a worker set running an arbitrary retrieval discipline over
-    /// the queues: `cfg.m_threads` racing workers for
-    /// [`DisciplineSpec::Metronome`], one pinned worker per queue for the
-    /// BusyPoll / InterruptLike / ConstSleep baselines (which ignore the
-    /// trylock layer entirely — classic DPDK and XDP have no queue race).
-    ///
-    /// One `process` closure is shared by every worker. When workers need
-    /// per-thread state (a mempool cache, a flow-table shard), use
-    /// [`Metronome::start_discipline_scoped`] instead.
-    pub fn start_discipline<F>(
-        cfg: MetronomeConfig,
-        spec: DisciplineSpec,
-        queues: Vec<Q>,
-        process: F,
-    ) -> Self
-    where
-        F: Fn(usize, &mut Vec<T>) + Send + Sync + 'static,
-    {
-        let process = Arc::new(process);
-        Self::start_discipline_scoped(cfg, spec, queues, move |_worker| {
-            let process = Arc::clone(&process);
-            move |q: usize, burst: &mut Vec<T>| process(q, burst)
-        })
-    }
-
-    /// [`Metronome::start_discipline`] with telemetry. The hub must have
-    /// one worker slot per spawned worker (`spec.workers(...)`) and
-    /// `cfg.n_queues` queue slots.
-    pub fn start_discipline_with_telemetry<F>(
-        cfg: MetronomeConfig,
-        spec: DisciplineSpec,
-        queues: Vec<Q>,
-        process: F,
-        hub: &Arc<TelemetryHub>,
-    ) -> Self
-    where
-        F: Fn(usize, &mut Vec<T>) + Send + Sync + 'static,
-    {
-        let process = Arc::new(process);
-        Self::start_discipline_scoped_with_telemetry(
-            cfg,
-            spec,
-            queues,
-            move |_worker| {
-                let process = Arc::clone(&process);
-                move |q: usize, burst: &mut Vec<T>| process(q, burst)
-            },
-            hub,
-        )
-    }
-
-    /// [`Metronome::start_discipline`] with a *per-worker* process
-    /// factory: `make_process(worker)` is called once per spawned worker
-    /// and the returned `FnMut` closure is moved onto that worker's
-    /// thread. This is how per-thread state rides into the hot path with
-    /// no synchronization — e.g. each worker owning its own mempool cache
-    /// for lock-free buffer recycling.
-    pub fn start_discipline_scoped<P>(
-        cfg: MetronomeConfig,
-        spec: DisciplineSpec,
-        queues: Vec<Q>,
-        make_process: impl FnMut(usize) -> P,
-    ) -> Self
-    where
-        P: FnMut(usize, &mut Vec<T>) + Send + 'static,
-    {
-        Self::start_with_sinks(
-            cfg,
-            spec,
-            queues,
-            make_process,
-            |_worker| NullSink,
-            |_| NullTrace,
-        )
-    }
-
-    /// [`Metronome::start_discipline_scoped`] with telemetry. The hub
-    /// must have one worker slot per spawned worker (`spec.workers(...)`)
-    /// and `cfg.n_queues` queue slots.
-    pub fn start_discipline_scoped_with_telemetry<P>(
-        cfg: MetronomeConfig,
-        spec: DisciplineSpec,
-        queues: Vec<Q>,
-        make_process: impl FnMut(usize) -> P,
-        hub: &Arc<TelemetryHub>,
-    ) -> Self
-    where
-        P: FnMut(usize, &mut Vec<T>) + Send + 'static,
-    {
-        assert_eq!(
-            hub.n_workers(),
-            spec.workers(cfg.m_threads, cfg.n_queues),
-            "hub/config worker mismatch"
-        );
-        assert_eq!(hub.n_queues(), cfg.n_queues, "hub/config queue mismatch");
-        let hub = Arc::clone(hub);
-        Self::start_with_sinks(
-            cfg,
-            spec,
-            queues,
-            make_process,
-            move |worker| hub.worker_sink(worker),
-            |_| NullTrace,
-        )
-    }
-
-    /// [`Metronome::start_discipline_scoped_with_telemetry`] with
-    /// flight-recorder tracing: each worker additionally records compact
-    /// binary events (turn verdicts, sleep precision, park/unpark,
-    /// drained bursts) into its own lock-free ring inside `trace`, plus
-    /// wake-latency and oversleep histograms. The trace hub must have at
-    /// least one recorder slot per spawned worker; slots beyond the
-    /// worker count stay empty (callers may reserve extras for
-    /// control-plane markers).
-    pub fn start_discipline_scoped_traced<P>(
-        cfg: MetronomeConfig,
-        spec: DisciplineSpec,
-        queues: Vec<Q>,
-        make_process: impl FnMut(usize) -> P,
-        hub: &Arc<TelemetryHub>,
-        trace: &Arc<TraceHub>,
-    ) -> Self
-    where
-        P: FnMut(usize, &mut Vec<T>) + Send + 'static,
-    {
-        let workers = spec.workers(cfg.m_threads, cfg.n_queues);
-        assert_eq!(hub.n_workers(), workers, "hub/config worker mismatch");
-        assert_eq!(hub.n_queues(), cfg.n_queues, "hub/config queue mismatch");
-        assert!(
-            trace.n_recorders() >= workers,
-            "trace hub has {} recorder slots for {workers} workers",
-            trace.n_recorders()
-        );
-        let hub = Arc::clone(hub);
-        let trace = Arc::clone(trace);
-        Self::start_with_sinks(
-            cfg,
-            spec,
-            queues,
-            make_process,
-            move |worker| hub.worker_sink(worker),
-            move |worker| trace.recorder(worker),
-        )
-    }
-
-    /// Shared spawn path: `make_process` builds each worker's owned
-    /// process closure, `make_sink` its telemetry view ([`NullSink`] when
-    /// telemetry is off, so the plain-`start` worker monomorphizes to the
-    /// pre-telemetry loop) and `make_tracer` its flight-recorder view
-    /// ([`NullTrace`] when tracing is off — the untraced worker
-    /// monomorphizes to a loop with zero record-path cost).
-    fn start_with_sinks<P, S, R>(
-        cfg: MetronomeConfig,
-        spec: DisciplineSpec,
-        queues: Vec<Q>,
-        mut make_process: impl FnMut(usize) -> P,
-        make_sink: impl Fn(usize) -> S,
-        make_tracer: impl Fn(usize) -> R,
-    ) -> Self
-    where
-        P: FnMut(usize, &mut Vec<T>) + Send + 'static,
-        S: TelemetrySink + Send + 'static,
-        R: TraceSink + Send + 'static,
-    {
-        cfg.validate().expect("invalid Metronome configuration");
-        assert_eq!(queues.len(), cfg.n_queues, "queue count mismatch");
-        let shared = SharedState::new(&cfg);
-        let stop = Arc::new(AtomicBool::new(false));
-        let sleeper = PreciseSleeper::default();
-        let label = spec.kind().label();
-        let mut handles = Vec::new();
-        for worker in 0..spec.workers(cfg.m_threads, cfg.n_queues) {
-            // The same RealtimeBackend the single-threaded harness hands
-            // out (the parity test drives exactly this substrate), with
-            // this worker's own process closure moved onto its thread.
-            let backend =
-                RealtimeBackend::new(queues.clone(), Arc::clone(&shared), make_process(worker));
-            let stop = Arc::clone(&stop);
+/// Spawn one OS thread per prepared `(discipline, backend)` worker — the
+/// thread half of [`crate::workers::WorkerSet`]. `make_sink(worker)` is
+/// the worker's telemetry view ([`NullSink`](metronome_telemetry::NullSink)
+/// when telemetry is off, so the worker monomorphizes to the
+/// pre-telemetry loop) and `make_tracer(worker)` its flight-recorder view
+/// ([`NullTrace`](metronome_telemetry::NullTrace) when tracing is off —
+/// a loop with zero record-path cost). Joining a handle yields the
+/// worker's final policy counters.
+pub(crate) fn spawn_threads<B, S, R>(
+    label: &str,
+    workers: Vec<(AnyDiscipline, B)>,
+    stop: &Arc<AtomicBool>,
+    make_sink: impl Fn(usize) -> S,
+    make_tracer: impl Fn(usize) -> R,
+) -> Vec<JoinHandle<ThreadPolicy>>
+where
+    B: Backend + Send + 'static,
+    S: TelemetrySink + Send + 'static,
+    R: TraceSink + Send + 'static,
+{
+    let sleeper = PreciseSleeper::default();
+    workers
+        .into_iter()
+        .enumerate()
+        .map(|(worker, (discipline, backend))| {
+            let stop = Arc::clone(stop);
             let sink = make_sink(worker);
             let tracer = make_tracer(worker);
-            let discipline = spec.build(worker, cfg.n_queues, cfg.burst, &shared.doorbells);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("{label}-{worker}"))
-                    .spawn(move || run_worker(discipline, backend, sleeper, sink, tracer, &stop))
-                    .expect("spawn retrieval worker"),
-            );
-        }
-        Metronome {
-            queues,
-            stop,
-            handles,
-            shared,
-            cfg,
-            _item: PhantomData,
-        }
-    }
-
-    /// The Rx queues (for producers to push into).
-    pub fn queues(&self) -> &[Q] {
-        &self.queues
-    }
-
-    /// Queue `q`'s wake-up doorbell. A producer feeding an InterruptLike
-    /// worker set must ring it after enqueuing (once per burst); for the
-    /// other disciplines ringing is harmless and ignored.
-    pub fn doorbell(&self, q: usize) -> &Arc<Doorbell> {
-        &self.shared.doorbells[q]
-    }
-
-    /// Items processed so far on a queue.
-    pub fn processed(&self, queue: usize) -> u64 {
-        self.shared.processed[queue].load(Ordering::Relaxed)
-    }
-
-    /// Current smoothed load estimate of a queue.
-    pub fn rho(&self, queue: usize) -> f64 {
-        self.shared.controller.lock().rho(queue)
-    }
-
-    /// Current adaptive TS of a queue.
-    pub fn ts(&self, queue: usize) -> Nanos {
-        self.shared.controller.lock().ts(queue)
-    }
-
-    /// Stop all workers and collect final statistics.
-    pub fn stop(self) -> RealtimeStats {
-        self.stop.store(true, Ordering::Relaxed);
-        let policies = self
-            .handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect();
-        collect_stats(&self.shared, self.cfg.n_queues, policies)
-    }
+            std::thread::Builder::new()
+                .name(format!("{label}-{worker}"))
+                .spawn(move || run_worker(discipline, backend, sleeper, sink, tracer, &stop))
+                .expect("spawn retrieval worker")
+        })
+        .collect()
 }
 
 /// Drive one retrieval discipline with real sleeps, spins and doorbell
@@ -687,7 +445,8 @@ impl<T: Send + 'static, Q: RxQueue<T>> Metronome<T, Q> {
 /// values the telemetry sink is fed, so trace histograms reconcile with
 /// hub counters), every park/unpark with the wake-to-first-poll latency,
 /// and — via the [`TracedSink`] wrapper around `sink` — every drained
-/// burst the discipline reports. With [`NullTrace`] all of it
+/// burst the discipline reports. With
+/// [`NullTrace`](metronome_telemetry::NullTrace) all of it
 /// monomorphizes away.
 fn run_worker<B, D, S, R>(
     mut discipline: D,
@@ -814,6 +573,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::discipline::DisciplineSpec;
+    use crate::workers::WorkerSet;
 
     #[test]
     fn precise_sleeper_hits_deadline() {
@@ -833,65 +594,13 @@ mod tests {
     }
 
     #[test]
-    fn processes_everything_exactly_once() {
-        let cfg = MetronomeConfig {
-            m_threads: 3,
-            n_queues: 2,
-            ..MetronomeConfig::default()
-        };
-        let queues: Vec<_> = (0..2)
-            .map(|_| Arc::new(ArrayQueue::<u64>::new(4096)))
-            .collect();
-        let seen = Arc::new(AtomicU64::new(0));
-        let sum = Arc::new(AtomicU64::new(0));
-        let m = {
-            let seen = Arc::clone(&seen);
-            let sum = Arc::clone(&sum);
-            Metronome::start(cfg, queues.clone(), move |_q, burst: &mut Vec<u64>| {
-                for item in burst.drain(..) {
-                    seen.fetch_add(1, Ordering::Relaxed);
-                    sum.fetch_add(item, Ordering::Relaxed);
-                }
-            })
-        };
-        // Feed 10k items split across queues.
-        let n: u64 = 10_000;
-        for i in 0..n {
-            let q = (i % 2) as usize;
-            let mut item = i;
-            loop {
-                match m.queues()[q].push(item) {
-                    Ok(()) => break,
-                    Err(v) => {
-                        item = v;
-                        std::thread::yield_now();
-                    }
-                }
-            }
-        }
-        // Wait for drain (bounded).
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while seen.load(Ordering::Relaxed) < n && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let stats = m.stop();
-        assert_eq!(seen.load(Ordering::Relaxed), n, "lost or stalled items");
-        assert_eq!(
-            sum.load(Ordering::Relaxed),
-            n * (n - 1) / 2,
-            "duplicated items"
-        );
-        assert_eq!(stats.total_processed(), n);
-        assert_eq!(stats.wakes.len(), 3);
-    }
-
-    #[test]
     fn adaptation_reacts_to_idle() {
         // With no traffic the estimator must stay at/near zero and TS at
         // its maximal (M·V̄ for single queue) value.
         let cfg = MetronomeConfig::default(); // M=3, N=1, V̄=10µs
         let queues = vec![Arc::new(ArrayQueue::<u64>::new(64))];
-        let m = Metronome::start(cfg.clone(), queues, |_q, _i| {});
+        let m = WorkerSet::builder(cfg, DisciplineSpec::Metronome, queues)
+            .spawn(|_worker| |_q, _burst: &mut Vec<u64>| {});
         std::thread::sleep(Duration::from_millis(300));
         let rho = m.rho(0);
         let ts = m.ts(0);
@@ -919,15 +628,18 @@ mod tests {
             ..MetronomeConfig::default()
         };
         let queues = vec![Arc::new(ArrayQueue::<u64>::new(1024))];
-        let m = Metronome::start(cfg, queues.clone(), |_q, burst: &mut Vec<u64>| {
-            // 50 µs of spinning per item, so the final drain is long.
-            for _ in burst.drain(..) {
-                let t0 = Instant::now();
-                while t0.elapsed() < Duration::from_micros(50) {
-                    std::hint::spin_loop();
+        let m =
+            WorkerSet::builder(cfg, DisciplineSpec::Metronome, queues.clone()).spawn(|_worker| {
+                |_q, burst: &mut Vec<u64>| {
+                    // 50 µs of spinning per item, so the final drain is long.
+                    for _ in burst.drain(..) {
+                        let t0 = Instant::now();
+                        while t0.elapsed() < Duration::from_micros(50) {
+                            std::hint::spin_loop();
+                        }
+                    }
                 }
-            }
-        });
+            });
         let n = 512u64;
         for i in 0..n {
             let _ = queues[0].push(i);
@@ -950,7 +662,8 @@ mod tests {
     fn stats_expose_race_outcomes() {
         let cfg = MetronomeConfig::default();
         let queues = vec![Arc::new(ArrayQueue::<u64>::new(64))];
-        let m = Metronome::start(cfg, queues, |_q, _i| {});
+        let m = WorkerSet::builder(cfg, DisciplineSpec::Metronome, queues)
+            .spawn(|_worker| |_q, _burst: &mut Vec<u64>| {});
         std::thread::sleep(Duration::from_millis(200));
         let stats = m.stop();
         let won: u64 = stats.races_won.iter().sum();
@@ -959,55 +672,6 @@ mod tests {
         assert_eq!(stats.ts.len(), 1);
         let ctrl = stats.controller.expect("controller snapshot");
         assert_eq!(ctrl.queue(0).total_tries, won);
-    }
-
-    #[test]
-    fn telemetry_hub_tracks_a_realtime_run() {
-        let cfg = MetronomeConfig {
-            m_threads: 2,
-            n_queues: 1,
-            ..MetronomeConfig::default()
-        };
-        let hub = TelemetryHub::new(2, 1);
-        let queues = vec![Arc::new(ArrayQueue::<u64>::new(1024))];
-        let m = Metronome::start_with_telemetry(
-            cfg,
-            queues.clone(),
-            |_q, burst: &mut Vec<u64>| {
-                burst.drain(..);
-            },
-            &hub,
-        );
-        let n = 2_000u64;
-        for i in 0..n {
-            let mut item = i;
-            loop {
-                match m.queues()[0].push(item) {
-                    Ok(()) => break,
-                    Err(v) => {
-                        item = v;
-                        std::thread::yield_now();
-                    }
-                }
-            }
-        }
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while m.processed(0) < n && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let stats = m.stop();
-        // The hub saw exactly what the engine processed and how often the
-        // workers woke — same events, counted on two independent paths.
-        assert_eq!(hub.total_retrieved(), stats.total_processed());
-        assert_eq!(hub.total_wakeups(), stats.wakes.iter().sum::<u64>());
-        // Busy/sleep spans were measured and the TS gauge is live.
-        assert!(hub.worker(0).busy_nanos.load(Ordering::Relaxed) > 0);
-        assert!(
-            hub.worker(0).sleep_nanos.load(Ordering::Relaxed)
-                + hub.worker(1).sleep_nanos.load(Ordering::Relaxed)
-                > 0
-        );
-        assert!(hub.queue(0).ts_ns.load(Ordering::Relaxed) > 0);
     }
 
     #[test]
@@ -1024,179 +688,6 @@ mod tests {
             over <= actual.saturating_sub(req) + Duration::from_micros(50),
             "oversleep {over:?} inconsistent with actual {actual:?}"
         );
-    }
-
-    #[test]
-    fn traced_run_reconciles_with_hub_counters() {
-        let cfg = MetronomeConfig {
-            m_threads: 2,
-            n_queues: 1,
-            ..MetronomeConfig::default()
-        };
-        let hub = TelemetryHub::new(2, 1);
-        let trace = Arc::new(TraceHub::new(2, 4096));
-        let queues = vec![Arc::new(ArrayQueue::<u64>::new(1024))];
-        let m = Metronome::start_discipline_scoped_traced(
-            cfg,
-            DisciplineSpec::Metronome,
-            queues.clone(),
-            |_worker| {
-                |_q: usize, burst: &mut Vec<u64>| {
-                    burst.drain(..);
-                }
-            },
-            &hub,
-            &trace,
-        );
-        let n = 2_000u64;
-        for i in 0..n {
-            let mut item = i;
-            loop {
-                match m.queues()[0].push(item) {
-                    Ok(()) => break,
-                    Err(v) => {
-                        item = v;
-                        std::thread::yield_now();
-                    }
-                }
-            }
-        }
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while m.processed(0) < n && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        m.stop();
-        let dump = trace.dump();
-        // Every worker recorded something.
-        assert!(dump.total_events() > 0);
-        for w in &dump.workers {
-            assert!(
-                w.events.len() as u64 + w.dropped > 0,
-                "worker {} recorded nothing",
-                w.worker
-            );
-        }
-        // Burst trace events mirror the hub's bursts counter 1:1, and the
-        // trace oversleep histogram sums to the hub's oversleep counter —
-        // same events, counted on two independent paths.
-        use metronome_telemetry::TraceEventKind;
-        assert_eq!(
-            dump.kind_count(TraceEventKind::Burst),
-            hub.queue(0).bursts.load(Ordering::Relaxed),
-            "burst events must reconcile with the hub counter"
-        );
-        let hub_oversleep: u64 = (0..2)
-            .map(|w| hub.worker(w).oversleep_nanos.load(Ordering::Relaxed))
-            .sum();
-        assert_eq!(dump.oversleep().sum(), hub_oversleep as u128);
-        // Metronome workers sleep between turns: sleep events carry the
-        // requested-vs-actual split.
-        assert!(dump.kind_count(TraceEventKind::Sleep) > 0);
-    }
-
-    /// Run one baseline discipline end-to-end on real threads: feed items,
-    /// assert exactly-once processing, return the final stats.
-    fn run_discipline_once(spec: DisciplineSpec, ring: bool) -> RealtimeStats {
-        let cfg = MetronomeConfig {
-            m_threads: 2,
-            n_queues: 2,
-            ..MetronomeConfig::default()
-        };
-        let queues: Vec<_> = (0..2)
-            .map(|_| Arc::new(ArrayQueue::<u64>::new(4096)))
-            .collect();
-        let seen = Arc::new(AtomicU64::new(0));
-        let m = {
-            let seen = Arc::clone(&seen);
-            Metronome::start_discipline(
-                cfg,
-                spec,
-                queues.clone(),
-                move |_q, burst: &mut Vec<u64>| {
-                    seen.fetch_add(burst.drain(..).count() as u64, Ordering::Relaxed);
-                },
-            )
-        };
-        let n: u64 = 4_000;
-        for i in 0..n {
-            let q = (i % 2) as usize;
-            let mut item = i;
-            loop {
-                match m.queues()[q].push(item) {
-                    Ok(()) => break,
-                    Err(v) => {
-                        item = v;
-                        std::thread::yield_now();
-                    }
-                }
-            }
-            if ring && i % 32 == 0 {
-                m.doorbell(q).ring();
-            }
-        }
-        if ring {
-            m.doorbell(0).ring();
-            m.doorbell(1).ring();
-        }
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while seen.load(Ordering::Relaxed) < n && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let stats = m.stop();
-        assert_eq!(seen.load(Ordering::Relaxed), n, "lost or stalled items");
-        assert_eq!(stats.total_processed(), n);
-        stats
-    }
-
-    #[test]
-    fn busy_poll_discipline_processes_on_real_threads() {
-        let stats = run_discipline_once(DisciplineSpec::BusyPoll, false);
-        // Busy pollers never sleep, so they record no wakes.
-        assert_eq!(stats.wakes.iter().sum::<u64>(), 0);
-        assert_eq!(stats.processed.len(), 2);
-    }
-
-    #[test]
-    fn const_sleep_discipline_processes_on_real_threads() {
-        let stats = run_discipline_once(DisciplineSpec::ConstSleep(Nanos::from_micros(200)), false);
-        // Fixed-period retrieval wakes on its timer.
-        assert!(stats.wakes.iter().sum::<u64>() > 0);
-    }
-
-    #[test]
-    fn interrupt_discipline_parks_and_wakes_on_doorbell() {
-        let stats = run_discipline_once(
-            DisciplineSpec::InterruptLike(crate::discipline::ModerationConfig::default()),
-            true,
-        );
-        // Every retrieval episode was interrupt-initiated.
-        assert!(stats.wakes.iter().sum::<u64>() > 0);
-    }
-
-    #[test]
-    fn interrupt_discipline_stop_while_parked_exits() {
-        // No traffic, no rings: both workers park. stop() must still join
-        // them promptly via the bounded doorbell wait.
-        let cfg = MetronomeConfig {
-            m_threads: 1,
-            n_queues: 1,
-            ..MetronomeConfig::default()
-        };
-        let queues = vec![Arc::new(ArrayQueue::<u64>::new(64))];
-        let m = Metronome::start_discipline(
-            cfg,
-            DisciplineSpec::InterruptLike(crate::discipline::ModerationConfig::default()),
-            queues,
-            |_q, _b: &mut Vec<u64>| {},
-        );
-        std::thread::sleep(Duration::from_millis(50));
-        let t0 = Instant::now();
-        let stats = m.stop();
-        assert!(
-            t0.elapsed() < Duration::from_secs(2),
-            "parked worker did not observe stop"
-        );
-        assert_eq!(stats.total_processed(), 0);
     }
 
     #[test]

@@ -36,12 +36,12 @@ use crate::protocol::{self, DisciplineChoice, ReconfigureSpec, Request, SubmitSp
 use bytes::BytesMut;
 use metronome_apps::processor::PacketProcessor;
 use metronome_core::discipline::{DisciplineSpec, Doorbell, ModerationConfig};
-use metronome_core::executor::WorkerSet;
-use metronome_core::{ExecBackend, MetronomeConfig};
+use metronome_core::{ExecBackend, MetronomeConfig, WorkerSet};
 use metronome_dpdk::shared_ring::RingPath;
 use metronome_dpdk::{Mbuf, Mempool, QueueScatter, RssPort};
-use metronome_net::headers::{build_udp_frame, Mac, MIN_FRAME_NO_FCS};
-use metronome_runtime::realtime_runner::{processor_for, WorkerRing};
+use metronome_runtime::realtime_runner::{
+    flow_templates, processor_for, WorkerRing, FLOWS_PER_RUN, MBUF_DATAROOM,
+};
 use metronome_sim::stats::Histogram;
 use metronome_sim::{Nanos, Rng};
 use metronome_telemetry::export::prometheus::{render, snapshot_metrics};
@@ -49,7 +49,7 @@ use metronome_telemetry::{
     CounterSnapshot, DropCause, Json, MarkerKind, TelemetryHub, TelemetrySink, TraceHub,
     TraceRecorder, TraceSink, DEFAULT_RING_CAPACITY,
 };
-use metronome_traffic::{FaultPlan, FlowSet, WallClock};
+use metronome_traffic::{FaultPlan, WallClock};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -68,15 +68,6 @@ const STALL_POLL: Duration = Duration::from_micros(100);
 /// How long `drain` waits for the workers to catch up with everything
 /// the rings accepted before sweeping leftovers as stranded.
 const DRAIN_GRACE: Duration = Duration::from_secs(5);
-
-/// Flows in the generated population (matches the realtime runner).
-const FLOWS_PER_RUN: usize = 256;
-
-/// Destination subnets, matching `L3Fwd::with_sample_routes(4)`.
-const L3FWD_SUBNETS: usize = 4;
-
-/// Mbuf dataroom of the daemon's pool.
-const MBUF_DATAROOM: usize = 2048;
 
 /// Fixed infrastructure the daemon owns for its whole lifetime.
 #[derive(Clone, Debug)]
@@ -378,10 +369,12 @@ impl ServiceEngine {
         Ok((cfg, spec))
     }
 
-    /// The telemetry hub a worker set of this shape writes into. Created
-    /// by the caller (not by [`ServiceEngine::arm_workers`]) so a re-arm
-    /// can hand the generator the new hub *before* the old one is folded
-    /// — no drop is ever mirrored into an already-folded hub.
+    /// The telemetry hub a worker set of this shape writes into (one
+    /// worker slot per worker, so `hub.n_workers()` is the set's worker
+    /// count). Created by the caller (not by
+    /// [`ServiceEngine::arm_workers`]) so a re-arm can hand the generator
+    /// the new hub *before* the old one is folded — no drop is ever
+    /// mirrored into an already-folded hub.
     fn hub_for(
         &self,
         choice: DisciplineChoice,
@@ -437,30 +430,16 @@ impl ServiceEngine {
                 }
             }
         };
-        let workers = match trace {
-            Some(trace) => WorkerSet::start_discipline_scoped_traced(
-                exec,
-                cfg,
-                spec.clone(),
-                consumers,
-                make_process,
-                &hub,
-                trace,
-            ),
-            None => WorkerSet::start_discipline_scoped_with_telemetry(
-                exec,
-                cfg,
-                spec.clone(),
-                consumers,
-                make_process,
-                &hub,
-            ),
-        };
+        let interrupt_driven = matches!(spec, DisciplineSpec::InterruptLike(_));
+        let mut builder = WorkerSet::builder(cfg, spec, consumers)
+            .exec(exec)
+            .telemetry(&hub);
+        if let Some(trace) = trace {
+            builder = builder.trace(trace);
+        }
+        let workers = builder.spawn(make_process);
         for (q, slot) in bells.iter().enumerate() {
-            *slot.lock() = match spec {
-                DisciplineSpec::InterruptLike(_) => Some(Arc::clone(workers.doorbell(q))),
-                _ => None,
-            };
+            *slot.lock() = interrupt_driven.then(|| Arc::clone(workers.doorbell(q)));
         }
         Arm {
             workers,
@@ -531,12 +510,9 @@ impl ServiceEngine {
         );
         let stall = Arc::new(AtomicBool::new(false));
         let hub = self.hub_for(spec.discipline, &cfg, &disc_spec);
-        let trace = spec.trace.then(|| {
-            TraceArm::new(
-                WorkerSet::<Mbuf, WorkerRing>::trace_recorders(spec.exec, &cfg, disc_spec.clone()),
-                &spec.name,
-            )
-        });
+        let trace = spec
+            .trace
+            .then(|| TraceArm::new(spec.exec.trace_slots(hub.n_workers()), &spec.name));
         if let Some(trace) = &trace {
             // Stamp the armed fault plan into the recorder so a later
             // dump shows what was scheduled before what happened.
@@ -558,20 +534,7 @@ impl ServiceEngine {
         );
         let gen_hub = Arc::new(Mutex::new(Arc::clone(&arm.hub)));
 
-        // Frame templates: routable flows, RSS resolved once per flow.
-        let flows = FlowSet::routable(FLOWS_PER_RUN, L3FWD_SUBNETS, spec.seed);
-        let templates: Arc<Vec<(BytesMut, usize, u32)>> = Arc::new(
-            flows
-                .flows()
-                .iter()
-                .map(|t| {
-                    let frame =
-                        build_udp_frame(Mac::local(1), Mac::local(2), t, &[], MIN_FRAME_NO_FCS);
-                    let input = t.rss_input();
-                    (frame, port.queue_for(&input), port.rss_hash(&input))
-                })
-                .collect(),
-        );
+        let templates = Arc::new(flow_templates(&port, spec.seed));
 
         let gen_jitter: Arc<Vec<Mutex<Histogram>>> = Arc::new(
             (0..gen_shards)
@@ -600,7 +563,7 @@ impl ServiceEngine {
             .with("discipline", spec.discipline.label())
             .with("exec", spec.exec.label())
             .with("ring_path", ring_path.label())
-            .with("workers", arm.workers_len() as u64)
+            .with("workers", arm.hub.n_workers() as u64)
             .with("gen_shards", gen_shards as u64)
             .with("rate_pps", spec.rate_pps)
             .with("fault_events", spec.faults.len() as u64)
@@ -681,6 +644,25 @@ impl ServiceEngine {
                  across re-arms; drain and submit with \"ring_path\": \"mpsc\" or \"locked\"",
             );
         }
+        // The same goes for the worker shape: resolve it first, so a
+        // rejected `m` cannot leave a new rate behind.
+        let rearm = if spec.discipline.is_some() || spec.m_threads.is_some() || spec.exec.is_some()
+        {
+            let old = run
+                .arm
+                .as_ref()
+                .expect("running scenario always has an arm");
+            let choice = spec.discipline.unwrap_or(old.discipline);
+            let m_threads = spec.m_threads.unwrap_or(old.m_threads);
+            match self.worker_shape(choice, m_threads) {
+                Ok((cfg, disc_spec)) => {
+                    Some((choice, spec.exec.unwrap_or(old.exec), cfg, disc_spec))
+                }
+                Err(e) => return protocol::err(e),
+            }
+        } else {
+            None
+        };
         let mut changed: Vec<&'static str> = Vec::new();
 
         if let Some(rate) = spec.rate_pps {
@@ -690,20 +672,8 @@ impl ServiceEngine {
             }
         }
 
-        let rearm = spec.discipline.is_some() || spec.m_threads.is_some() || spec.exec.is_some();
-        if rearm {
+        if let Some((choice, exec, cfg, disc_spec)) = rearm {
             let old = run.arm.take().expect("running scenario always has an arm");
-            let choice = spec.discipline.unwrap_or(old.discipline);
-            let m_threads = spec.m_threads.unwrap_or(old.m_threads);
-            let exec = spec.exec.unwrap_or(old.exec);
-            let (cfg, disc_spec) = match self.worker_shape(choice, m_threads) {
-                Ok(pair) => pair,
-                Err(e) => {
-                    // Invalid request: keep the old arm running untouched.
-                    run.arm = Some(old);
-                    return protocol::err(e);
-                }
-            };
             // Re-arm sequence, ordered so no count is ever lost:
             // 1. swap the generator onto the fresh hub (its next mirrored
             // drop lands there), 2. let mid-stall workers fall through,
@@ -721,8 +691,7 @@ impl ServiceEngine {
             // history survive; the fresh workers take recorders over the
             // same slots) — unless the new shape needs more slots than
             // the hub has, in which case it is rebuilt larger.
-            let recorders =
-                WorkerSet::<Mbuf, WorkerRing>::trace_recorders(exec, &cfg, disc_spec.clone());
+            let recorders = exec.trace_slots(new_hub.n_workers());
             if let Some(trace) = &run.trace {
                 if trace.worker_slots() < recorders {
                     run.trace = Some(TraceArm::new(recorders, &run.name));
@@ -1089,15 +1058,6 @@ impl ServiceEngine {
             "running"
         } else {
             "idle"
-        }
-    }
-}
-
-impl Arm {
-    fn workers_len(&self) -> usize {
-        match self.discipline {
-            DisciplineChoice::Metronome => self.m_threads,
-            _ => self.hub.n_queues(),
         }
     }
 }

@@ -222,6 +222,28 @@ fn reconfigure_under_load_keeps_counters_monotone() {
 }
 
 #[test]
+fn rejected_reconfigure_changes_nothing() {
+    let daemon = TestDaemon::start("reconf-atomic");
+    let mut c = daemon.connect();
+    assert_ok(&c.send(
+        r#"{"cmd":"submit","name":"atomic","rate_pps":30000,"discipline":"metronome","m":2}"#,
+    ));
+    // M < N on the default 2-queue daemon: the whole request is refused,
+    // including the rate that came with it.
+    assert_err(&c.send(r#"{"cmd":"reconfigure","rate_pps":5e5,"m":1}"#));
+    let stats = c.send(r#"{"cmd":"stats"}"#);
+    assert_ok(&stats);
+    assert_eq!(stats.get("rate_pps").and_then(Json::as_f64), Some(30000.0));
+    assert_eq!(stats.get("m").and_then(Json::as_u64), Some(2));
+    assert_eq!(
+        stats.get("discipline").and_then(Json::as_str),
+        Some("metronome")
+    );
+    assert_ok(&c.send(r#"{"cmd":"drain"}"#));
+    daemon.finish();
+}
+
+#[test]
 fn sharded_generation_conserves_and_reconfigures() {
     let daemon = TestDaemon::start("gen-shards");
     let mut c = daemon.connect();

@@ -72,9 +72,8 @@ use crate::scenario::{Scenario, SystemKind};
 use metronome_apps::processor::PacketProcessor;
 use metronome_apps::{FloWatcher, IpsecGateway, L3Fwd};
 use metronome_core::discipline::{DisciplineSpec, ModerationConfig};
-use metronome_core::executor::WorkerSet;
 use metronome_core::rxqueue::RxQueue;
-use metronome_core::{AdaptiveController, MetronomeConfig};
+use metronome_core::{AdaptiveController, MetronomeConfig, WorkerSet};
 use metronome_dpdk::{Mbuf, Mempool, QueueScatter, RingConsumer, RingPath, RssPort};
 use metronome_net::headers::{build_udp_frame, Mac, MIN_FRAME_NO_FCS};
 use metronome_sim::stats::Histogram;
@@ -92,14 +91,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Flows in the generated population (enough for RSS to spread evenly).
-const FLOWS_PER_RUN: usize = 256;
+pub const FLOWS_PER_RUN: usize = 256;
 
 /// Destination subnets, matching `L3Fwd::with_sample_routes(4)`.
 const L3FWD_SUBNETS: usize = 4;
 
 /// Mbuf dataroom of the run's pool (DPDK's default; far above the
 /// templates' minimal frames).
-const MBUF_DATAROOM: usize = 2048;
+pub const MBUF_DATAROOM: usize = 2048;
 
 /// Largest arrival batch the generator requests from the pool at once
 /// (bounds how many buffers a catch-up backlog can demand before any
@@ -198,6 +197,24 @@ impl RxQueue<Mbuf> for WorkerRing {
     fn pop_burst(&self, out: &mut Vec<Mbuf>, max: usize) -> usize {
         self.0.pop_burst(out, max)
     }
+}
+
+/// The generated flow population as refill templates: [`FLOWS_PER_RUN`]
+/// routable flows (destinations inside the sample `l3fwd` routes) seeded
+/// by `seed`, each as its minimal Ethernet/IPv4/UDP frame with the RSS
+/// decision resolved once against `port` — `(frame, queue, rss_hash)`.
+/// The runner, the daemon's generator and the ingest bench all produce
+/// from this one population.
+pub fn flow_templates(port: &RssPort, seed: u64) -> Vec<(bytes::BytesMut, usize, u32)> {
+    FlowSet::routable(FLOWS_PER_RUN, L3FWD_SUBNETS, seed)
+        .flows()
+        .iter()
+        .map(|t| {
+            let frame = build_udp_frame(Mac::local(1), Mac::local(2), t, &[], MIN_FRAME_NO_FCS);
+            let input = t.rss_input();
+            (frame, port.queue_for(&input), port.rss_hash(&input))
+        })
+        .collect()
 }
 
 /// Per-queue application state: the processor plus its latency histogram,
@@ -329,17 +346,7 @@ pub fn try_run_realtime_with(
     });
     let pool = Mempool::new(population, MBUF_DATAROOM);
 
-    // ---- frame templates: routable flows, RSS resolved once per flow -----
-    let flows = FlowSet::routable(FLOWS_PER_RUN, L3FWD_SUBNETS, sc.seed);
-    let templates: Vec<(bytes::BytesMut, usize, u32)> = flows
-        .flows()
-        .iter()
-        .map(|t| {
-            let frame = build_udp_frame(Mac::local(1), Mac::local(2), t, &[], MIN_FRAME_NO_FCS);
-            let input = t.rss_input();
-            (frame, port.queue_for(&input), port.rss_hash(&input))
-        })
-        .collect();
+    let templates = flow_templates(&port, sc.seed);
 
     // ---- per-queue functional applications -------------------------------
     let apps: Arc<Vec<Mutex<QueueApp>>> = Arc::new(
@@ -381,17 +388,16 @@ pub fn try_run_realtime_with(
     let measure_latency = sc.latency_stride > 0;
     let run_start = Instant::now();
     // Flight-recorder tracing (opt-in): one ring per worker on the thread
-    // backend, one per shard on the executor. The untraced start path
-    // passes NullTrace, so a `trace: false` scenario records nothing and
+    // backend, one per shard on the executor. An untraced worker set runs
+    // over NullTrace, so a `trace: false` scenario records nothing and
     // pays nothing on the record path.
-    let trace_hub: Option<Arc<TraceHub>> = match (&dispatch, sc.trace) {
-        (Some((cfg, spec)), true) => Some(Arc::new(TraceHub::labeled(
-            WorkerSet::<Mbuf, WorkerRing>::trace_recorders(sc.exec, cfg, spec.clone()),
+    let trace_hub: Option<Arc<TraceHub>> = (sc.trace && dispatch.is_some()).then(|| {
+        Arc::new(TraceHub::labeled(
+            sc.exec.trace_slots(n_workers),
             DEFAULT_RING_CAPACITY,
             sc.system.label(),
-        ))),
-        _ => None,
-    };
+        ))
+    });
     let metronome = dispatch.map(|(cfg, spec)| {
         let worker_burst = cfg.burst as usize;
         let make_process = {
@@ -428,30 +434,19 @@ pub fn try_run_realtime_with(
             }
         };
         let consumers: Vec<WorkerRing> = port.consumers().into_iter().map(WorkerRing).collect();
-        let worker_set = match &trace_hub {
-            Some(trace) => WorkerSet::start_discipline_scoped_traced(
-                sc.exec,
-                cfg,
-                spec.clone(),
-                consumers,
-                make_process,
-                &hub,
-                trace,
-            ),
-            None => WorkerSet::start_discipline_scoped_with_telemetry(
-                sc.exec,
-                cfg,
-                spec.clone(),
-                consumers,
-                make_process,
-                &hub,
-            ),
-        };
+        let interrupt_driven = matches!(spec, DisciplineSpec::InterruptLike(_));
+        let mut builder = WorkerSet::builder(cfg, spec, consumers)
+            .exec(sc.exec)
+            .telemetry(&hub);
+        if let Some(trace) = &trace_hub {
+            builder = builder.trace(trace);
+        }
+        let worker_set = builder.spawn(make_process);
         // Interrupt-driven workers park on per-queue doorbells; arm the
         // RSS port's producer-side hook so every accepted burst rings the
         // queue's bell (the "raise the IRQ" edge). The hook is installed
         // before generation starts, so no accepted frame can pre-date it.
-        if matches!(spec, DisciplineSpec::InterruptLike(_)) {
+        if interrupt_driven {
             for q in 0..sc.n_queues {
                 let bell = Arc::clone(worker_set.doorbell(q));
                 port.set_wake_hook(q, Arc::new(move || bell.ring()));

@@ -11,7 +11,7 @@
 //! ```
 
 use crossbeam::queue::ArrayQueue;
-use metronome_repro::core::{config::MetronomeConfig, realtime::Metronome};
+use metronome_repro::core::{DisciplineSpec, MetronomeConfig, WorkerSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -26,11 +26,13 @@ fn main() {
     let queues = vec![Arc::new(ArrayQueue::<u64>::new(4096))];
     let cfg = MetronomeConfig::default(); // M = 3, V̄ = 10 µs, TL = 500 µs
 
-    let m = Metronome::start(cfg, queues.clone(), |_queue, burst: &mut Vec<u64>| {
-        // A real application would forward/inspect the burst here (the
-        // worker hands over each drained burst in one call, DPDK-style).
-        for packet in burst.drain(..) {
-            std::hint::black_box(packet);
+    let m = WorkerSet::builder(cfg, DisciplineSpec::Metronome, queues.clone()).spawn(|_worker| {
+        |_queue, burst: &mut Vec<u64>| {
+            // A real application would forward/inspect the burst here (the
+            // worker hands over each drained burst in one call, DPDK-style).
+            for packet in burst.drain(..) {
+                std::hint::black_box(packet);
+            }
         }
     });
 

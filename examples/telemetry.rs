@@ -11,7 +11,7 @@
 //! cargo run --release --example telemetry
 //! ```
 
-use metronome_repro::core::{config::MetronomeConfig, realtime::Metronome};
+use metronome_repro::core::{DisciplineSpec, MetronomeConfig, WorkerSet};
 use metronome_repro::sim::Nanos;
 use metronome_repro::telemetry::{
     CounterSnapshot, CsvExporter, Exporter, JsonExporter, PrometheusExporter, Sampler, TelemetryHub,
@@ -32,14 +32,9 @@ fn main() {
     };
     let hub = TelemetryHub::new(cfg.m_threads, cfg.n_queues);
     let queues = vec![Arc::new(ArrayQueue::<u64>::new(4096))];
-    let metronome = Metronome::start_with_telemetry(
-        cfg,
-        queues.clone(),
-        |_q, burst: &mut Vec<u64>| {
-            burst.drain(..);
-        },
-        &hub,
-    );
+    let metronome = WorkerSet::builder(cfg, DisciplineSpec::Metronome, queues.clone())
+        .telemetry(&hub)
+        .spawn(|_worker| |_q, burst: &mut Vec<u64>| burst.clear());
 
     println!("live series: one row per {WINDOW:?} window (load steps up at window 5)\n");
     println!(

@@ -49,8 +49,7 @@
 //! assert!(report.cpu_total_pct < 100.0); // line rate on less than a core
 //! ```
 //!
-//! Real threads: see [`core::realtime::Metronome`] and
-//! `examples/quickstart.rs`.
+//! Real threads: see [`core::WorkerSet`] and `examples/quickstart.rs`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -6,7 +6,7 @@ mod common;
 
 use common::{push_all, serial};
 use crossbeam::queue::ArrayQueue;
-use metronome_repro::core::{config::MetronomeConfig, realtime::Metronome};
+use metronome_repro::core::{DisciplineSpec, MetronomeConfig, WorkerSet};
 use metronome_repro::sim::Nanos;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -28,10 +28,14 @@ fn multiqueue_processes_exactly_once() {
     let m = {
         let count = Arc::clone(&count);
         let xor = Arc::clone(&xor);
-        Metronome::start(cfg, queues.clone(), move |_q, burst: &mut Vec<u64>| {
-            for item in burst.drain(..) {
-                count.fetch_add(1, Ordering::Relaxed);
-                xor.fetch_xor(item, Ordering::Relaxed);
+        WorkerSet::builder(cfg, DisciplineSpec::Metronome, queues.clone()).spawn(move |_worker| {
+            let count = Arc::clone(&count);
+            let xor = Arc::clone(&xor);
+            move |_q, burst: &mut Vec<u64>| {
+                for item in burst.drain(..) {
+                    count.fetch_add(1, Ordering::Relaxed);
+                    xor.fetch_xor(item, Ordering::Relaxed);
+                }
             }
         })
     };
@@ -76,13 +80,15 @@ fn rho_tracks_offered_load_up_and_down() {
         ..MetronomeConfig::default()
     };
     let queues = vec![Arc::new(ArrayQueue::<u64>::new(8192))];
-    let m = Metronome::start(cfg, queues.clone(), |_q, burst: &mut Vec<u64>| {
-        for item in burst.drain(..) {
-            let t = Instant::now();
-            while t.elapsed() < Duration::from_micros(20) {
-                std::hint::spin_loop();
+    let m = WorkerSet::builder(cfg, DisciplineSpec::Metronome, queues.clone()).spawn(|_worker| {
+        |_q, burst: &mut Vec<u64>| {
+            for item in burst.drain(..) {
+                let t = Instant::now();
+                while t.elapsed() < Duration::from_micros(20) {
+                    std::hint::spin_loop();
+                }
+                std::hint::black_box(item);
             }
-            std::hint::black_box(item);
         }
     });
     let sleeper = metronome_repro::core::PreciseSleeper::default();
@@ -143,7 +149,8 @@ fn stop_is_clean_under_load() {
     let queues: Vec<_> = (0..2)
         .map(|_| Arc::new(ArrayQueue::<u64>::new(1024)))
         .collect();
-    let m = Metronome::start(cfg, queues.clone(), |_q, _i| {});
+    let m = WorkerSet::builder(cfg, DisciplineSpec::Metronome, queues.clone())
+        .spawn(|_worker| |_q, _burst: &mut Vec<u64>| {});
     for q in &queues {
         push_all(q, 0..512);
     }

@@ -133,6 +133,16 @@ pub trait Backend {
         let _ = q;
     }
 
+    /// Hook invoked by a realtime driver before each turn with its latest
+    /// clock stamp, in nanoseconds on the worker set's shared epoch: on
+    /// the turns that follow a wake, the stamp at which the worker's sleep
+    /// or timer returned. A backend may use it in place of a clock read of
+    /// its own, in that turn only. Clockless backends (the simulation)
+    /// ignore it.
+    fn before_turn(&mut self, now: Nanos) {
+        let _ = now;
+    }
+
     /// Current adaptive short timeout of queue `q`.
     fn ts(&self, q: usize) -> Nanos;
 
@@ -188,6 +198,10 @@ impl<B: Backend> Backend for &mut B {
 
     fn before_contend(&mut self, q: usize) {
         (**self).before_contend(q)
+    }
+
+    fn before_turn(&mut self, now: Nanos) {
+        (**self).before_turn(now)
     }
 
     fn ts(&self, q: usize) -> Nanos {

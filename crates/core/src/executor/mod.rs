@@ -51,7 +51,8 @@ pub use wheel::{TimerEntry, TimerWheel};
 use crate::discipline::{AnyDiscipline, ParkToken, RetrievalDiscipline, Verdict};
 use crate::engine::Backend;
 use crate::policy::ThreadPolicy;
-use metronome_sim::Nanos;
+use crate::realtime::publish_sleep;
+use metronome_sim::{CoarseClock, Nanos};
 use metronome_telemetry::{TelemetrySink, TraceSink, TraceVerdict, TracedSink};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -61,8 +62,13 @@ use std::task::{Wake, Waker};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Wheel tick: ≈16 µs coalescing grain, fine enough that Metronome's
-/// adaptive `TS` (tens of µs and up) keeps µs-class resolution.
+/// Wheel tick: ≈16 µs coalescing grain. Deadlines round **up** to a tick
+/// boundary, so a sleep of `d` lasts until the first boundary at or after
+/// its deadline: `d` plus 0–16 µs, and sleeps shorter than a tick —
+/// Metronome's `TS` at `V̄` = 15 µs — last a whole tick or two. That is
+/// why `mq16_async` measures a ≈ 33 µs mean vacation against its 15 µs
+/// target (DESIGN.md §2f); from a few ticks up the rounding is a small
+/// share of the sleep.
 const TICK_NS: u64 = 16_384;
 
 /// Consecutive `Verdict::Continue` turns a task may run before it is
@@ -76,7 +82,7 @@ const TURN_BUDGET: u32 = 64;
 /// shard rather than worker grain.
 ///
 /// [`PreciseSleeper`]: crate::realtime::PreciseSleeper
-const SPIN_WAIT: Duration = Duration::from_micros(120);
+const SPIN_WAIT: Nanos = Nanos::from_micros(120);
 
 /// Upper bound on one idle block (bounds wheel catch-up work and stop
 /// latency even if a notification is somehow missed).
@@ -87,7 +93,7 @@ const MAX_IDLE_WAIT: Duration = Duration::from_millis(20);
 /// wake's generation bump — "cancel on wake") merely bounds the damage
 /// of a producer that forgets to ring. Long on purpose: parked tasks are
 /// supposed to cost ~zero CPU.
-const PARK_RECHECK: Duration = Duration::from_millis(50);
+const PARK_RECHECK: Nanos = Nanos::from_millis(50);
 
 // ---------------------------------------------------------------------------
 // Injector: waker → shard hand-off
@@ -196,7 +202,8 @@ enum RunState {
 }
 
 /// One cooperative task: a discipline state machine plus its private
-/// backend, sink and scheduling bookkeeping.
+/// backend, sink and scheduling bookkeeping. Every stamp is nanoseconds on
+/// the shard's clock.
 struct Task<B, S> {
     /// Global worker index (hub slot / stats order — identical to the
     /// thread backend's worker numbering).
@@ -213,52 +220,46 @@ struct Task<B, S> {
     /// (doorbell wake, new sleep), which is how timers cancel in O(1).
     gen: u64,
     /// When the current idle period (sleep or park) began.
-    idle_from: Option<Instant>,
-    /// Requested wake-up instant of the current sleep, when oversleep is
-    /// part of the verdict's contract (`Sleep` yes, `Wait`/`Park` no).
-    oversleep_deadline: Option<Instant>,
-    /// Requested duration of the current timed sleep (trace event datum;
-    /// `None` while parked or runnable).
-    sleep_requested: Option<Nanos>,
+    idle_from: Option<Nanos>,
+    /// The current timed sleep: its requested duration, and whether
+    /// oversleep is part of the verdict's contract (`Sleep` yes, `Wait`
+    /// no). `None` while parked or runnable.
+    sleep: Option<(Nanos, bool)>,
     /// When the task last became runnable — the scheduler-delay clock a
     /// vruntime pick closes.
-    ready_at: Option<Instant>,
+    ready_at: Option<Nanos>,
     /// The task's next pick follows a doorbell wake: its scheduler delay
     /// is also the wake-to-first-poll latency.
     woke_from_park: bool,
 }
 
 impl<B, S: TelemetrySink> Task<B, S> {
-    /// Close the current idle period: record the slept span and, for
-    /// oversleep-bearing sleeps, how far past the requested deadline the
-    /// task actually woke (the wheel-tick quantization shows up here,
-    /// exactly as `PreciseSleeper` imprecision does on the thread path).
+    /// Close the current idle period at the wake stamp `now`: record the
+    /// slept span and, for oversleep-bearing sleeps, how far past the
+    /// requested deadline the task actually woke (the wheel-tick
+    /// quantization shows up here, exactly as `PreciseSleeper` imprecision
+    /// does on the thread path). The idle period began at the stamp its
+    /// deadline was computed from, so `slept == requested + overslept`
+    /// exactly.
     ///
     /// The tracer sees the same values the sink does: a timed sleep
     /// becomes one sleep event carrying requested/actual/oversleep (so
     /// the trace oversleep histogram sums to the hub counter), a park
     /// becomes an unpark event carrying the parked span.
-    fn finish_idle(&mut self, tracer: &impl TraceSink) {
-        let actual = self.idle_from.take().map(|from| {
-            let slept = Nanos(from.elapsed().as_nanos() as u64);
-            self.sink.slept(slept);
-            slept
-        });
-        let over = self.oversleep_deadline.take().map(|deadline| {
-            let over = Nanos(
-                Instant::now()
-                    .saturating_duration_since(deadline)
-                    .as_nanos() as u64,
-            );
-            self.sink.overslept(over);
-            over
-        });
-        match (self.sleep_requested.take(), actual) {
-            (Some(requested), Some(actual)) => {
-                tracer.sleep(requested, actual, over.unwrap_or(Nanos::ZERO));
+    fn finish_idle(&mut self, now: Nanos, tracer: &impl TraceSink) {
+        let Some(from) = self.idle_from.take() else {
+            return;
+        };
+        let actual = now - from;
+        match self.sleep.take() {
+            Some((requested, oversleep)) => {
+                debug_assert!(actual >= requested, "the wheel fired early");
+                publish_sleep(&self.sink, tracer, requested, actual, oversleep);
             }
-            (None, Some(parked)) if self.state == RunState::Parked => tracer.unpark(parked),
-            _ => {}
+            None => {
+                self.sink.slept(actual);
+                tracer.unpark(actual);
+            }
         }
     }
 }
@@ -273,10 +274,19 @@ enum SliceEnd {
 
 /// Run one task until it yields, sleeps, parks or exhausts its turn
 /// budget; charge the elapsed wall time to its busy telemetry and its
-/// vruntime. The tracer brackets the slice with begin/end events, sees
-/// every turn verdict, and — via the [`TracedSink`] wrapper — every
+/// vruntime. The slice runs from `from`, the shard's pick stamp — which
+/// the backend is handed as the stamp of its acquire — to one tick of
+/// `clock` at its end, which the shard reads back as `clock.cached()`.
+/// The tracer brackets the slice with begin/end events,
+/// sees every turn verdict, and — via the [`TracedSink`] wrapper — every
 /// drained burst the discipline reports inside the slice.
-fn run_slice<B, S, R>(task: &mut Task<B, S>, stop: &AtomicBool, tracer: &R) -> SliceEnd
+fn run_slice<B, S, R>(
+    task: &mut Task<B, S>,
+    from: Nanos,
+    clock: &CoarseClock,
+    stop: &AtomicBool,
+    tracer: &R,
+) -> SliceEnd
 where
     B: Backend,
     S: TelemetrySink,
@@ -284,9 +294,9 @@ where
 {
     tracer.slice_begin(task.id, task.vruntime);
     let sink = TracedSink::new(&task.sink, tracer);
-    let from = Instant::now();
     let mut turns = 0u32;
     let end = loop {
+        task.backend.before_turn(from);
         match task.discipline.turn(&mut task.backend, &sink) {
             Verdict::Continue => {
                 tracer.turn_verdict(TraceVerdict::Continue);
@@ -319,14 +329,24 @@ where
             }
         }
     };
-    let elapsed = from.elapsed().as_nanos() as u64;
-    task.sink.busy(Nanos(elapsed));
-    tracer.slice_end(task.id, Nanos(elapsed));
-    task.vruntime = task.vruntime.saturating_add(elapsed.max(1));
+    let elapsed = clock.tick() - from;
+    task.sink.busy(elapsed);
+    tracer.slice_end(task.id, elapsed);
+    task.vruntime = task.vruntime.saturating_add(elapsed.as_nanos().max(1));
     end
 }
 
 /// One executor shard: the scheduler loop over its owned task set.
+///
+/// **The shard owns the clock** (counting from `epoch`), and a task wake
+/// costs three OS reads: one at the pick (closes the scheduler delay,
+/// starts the slice, is the backend's acquire stamp), the backend's own at
+/// release, and one at the slice's end (busy time and vruntime, the start
+/// of the idle period, the wheel deadline and the oversleep deadline).
+/// That last stamp — or the idle
+/// wait's last, when nothing was runnable — is also the next iteration's
+/// `now`: every doorbell wake and every timer it finds due shares it,
+/// however many tasks one wheel tick fires.
 ///
 /// The shard owns one `tracer` (its flight-recorder ring slot): besides
 /// the per-slice events [`run_slice`] records, the loop itself records
@@ -337,6 +357,7 @@ fn run_shard<B, S, R>(
     mut tasks: Vec<Task<B, S>>,
     injector: Arc<Injector>,
     stop: Arc<AtomicBool>,
+    epoch: Instant,
     tracer: R,
 ) -> Vec<(usize, ThreadPolicy)>
 where
@@ -344,7 +365,8 @@ where
     S: TelemetrySink,
     R: TraceSink,
 {
-    let epoch = Instant::now();
+    let clock = CoarseClock::from_epoch(epoch);
+    let mut now = clock.tick();
     let mut wheel = TimerWheel::new(TICK_NS);
     // Min-heap on (vruntime, local index): the least-served task runs
     // next. A task is in the heap iff its state is Runnable and it is
@@ -362,9 +384,9 @@ where
             let task = &mut tasks[idx];
             if task.state == RunState::Parked {
                 task.gen = task.gen.wrapping_add(1);
-                task.finish_idle(&tracer);
+                task.finish_idle(now, &tracer);
                 task.state = RunState::Runnable;
-                task.ready_at = Some(Instant::now());
+                task.ready_at = Some(now);
                 task.woke_from_park = true;
                 run_queue.push(Reverse((task.vruntime, idx)));
             }
@@ -372,9 +394,7 @@ where
         // 2. Timer expiries (coalesced: every deadline in a tick fires in
         //    one advance).
         let cascaded_before = wheel.cascaded();
-        wheel.advance(epoch.elapsed().as_nanos() as u64, &mut |e| {
-            expired.push(e);
-        });
+        wheel.advance(now.as_nanos(), &mut |e| expired.push(e));
         let cascaded = wheel.cascaded() - cascaded_before;
         if cascaded > 0 {
             tracer.wheel_cascade(cascaded);
@@ -386,50 +406,45 @@ where
             if !live {
                 continue; // cancelled on wake
             }
-            task.finish_idle(&tracer);
+            task.finish_idle(now, &tracer);
             // A fired park-fallback timer is a wake too: its next pick's
             // delay doubles as wake-to-first-poll latency.
             task.woke_from_park = task.state == RunState::Parked;
             task.state = RunState::Runnable;
-            task.ready_at = Some(Instant::now());
+            task.ready_at = Some(now);
             run_queue.push(Reverse((task.vruntime, e.task)));
         }
         // 3. Run the least-served runnable task for one slice.
         let Some(Reverse((_, idx))) = run_queue.pop() else {
-            idle_wait(&wheel, &injector, &stop, epoch);
+            now = idle_wait(&wheel, &injector, &stop, &clock);
             continue;
         };
-        {
-            let task = &mut tasks[idx];
-            if let Some(ready) = task.ready_at.take() {
-                let delay = Nanos(ready.elapsed().as_nanos() as u64);
-                tracer.sched_pick(task.id, delay);
-                if std::mem::take(&mut task.woke_from_park) {
-                    tracer.first_poll(delay);
-                }
+        let task = &mut tasks[idx];
+        let from = clock.tick();
+        if let Some(ready) = task.ready_at.take() {
+            let delay = from - ready;
+            tracer.sched_pick(task.id, delay);
+            if std::mem::take(&mut task.woke_from_park) {
+                tracer.first_poll(delay);
             }
         }
-        let end = run_slice(&mut tasks[idx], &stop, &tracer);
-        let now_ns = epoch.elapsed().as_nanos() as u64;
-        let task = &mut tasks[idx];
+        let end = run_slice(task, from, &clock, &stop, &tracer);
+        now = clock.cached();
         match end {
             SliceEnd::Requeue => {
-                task.ready_at = Some(Instant::now());
+                task.ready_at = Some(now);
                 run_queue.push(Reverse((task.vruntime, idx)));
             }
             SliceEnd::Timed { dur, oversleep } => {
                 if dur.is_zero() {
-                    task.ready_at = Some(Instant::now());
+                    task.ready_at = Some(now);
                     run_queue.push(Reverse((task.vruntime, idx)));
                 } else {
                     task.gen = task.gen.wrapping_add(1);
                     task.state = RunState::Sleeping;
-                    let now = Instant::now();
                     task.idle_from = Some(now);
-                    task.oversleep_deadline =
-                        oversleep.then(|| now + Duration::from_nanos(dur.as_nanos()));
-                    task.sleep_requested = Some(dur);
-                    let deadline_ns = now_ns + dur.as_nanos();
+                    task.sleep = Some((dur, oversleep));
+                    let deadline_ns = (now + dur).as_nanos();
                     tracer.wheel_insert(task.id, deadline_ns);
                     wheel.insert(
                         deadline_ns,
@@ -447,9 +462,9 @@ where
                 if token.subscribe(&task.waker) {
                     task.gen = task.gen.wrapping_add(1);
                     task.state = RunState::Parked;
-                    task.idle_from = Some(Instant::now());
+                    task.idle_from = Some(now);
                     tracer.park();
-                    let deadline_ns = now_ns + PARK_RECHECK.as_nanos() as u64;
+                    let deadline_ns = (now + PARK_RECHECK).as_nanos();
                     tracer.wheel_insert(task.id, deadline_ns);
                     wheel.insert(
                         deadline_ns,
@@ -459,7 +474,7 @@ where
                         },
                     );
                 } else {
-                    task.ready_at = Some(Instant::now());
+                    task.ready_at = Some(now);
                     run_queue.push(Reverse((task.vruntime, idx)));
                 }
             }
@@ -469,16 +484,21 @@ where
     // Stop: mirror the thread backend's exit discipline. A runnable task
     // may sit mid-drain (holding a queue trylock after a budget-exhausted
     // slice); drive it to its next verdict boundary so locks release and
-    // the final drain lands on the books. Idle tasks just close their
-    // sleep accounting.
+    // the final drain lands on the books. Idle tasks put their idle time
+    // on the books and nothing else: a sleep or park that stop cut short
+    // did not complete, so — as on the thread backend, where a parked
+    // worker stops the same way — there is no event to report for it.
     for task in &mut tasks {
+        let from = clock.tick();
         match task.state {
             RunState::Runnable => {
-                let from = Instant::now();
                 while let Verdict::Continue = task.discipline.turn(&mut task.backend, &task.sink) {}
-                task.sink.busy(Nanos(from.elapsed().as_nanos() as u64));
+                task.sink.busy(clock.tick() - from);
             }
-            RunState::Sleeping | RunState::Parked => task.finish_idle(&tracer),
+            RunState::Sleeping | RunState::Parked => {
+                let idle_from = task.idle_from.expect("an idle task has its idle stamp");
+                task.sink.slept(from - idle_from);
+            }
         }
     }
     tasks
@@ -489,25 +509,32 @@ where
 
 /// Empty run queue: block toward the next wheel deadline (or a bounded
 /// default), spinning the final stretch for µs-class wake precision.
-fn idle_wait(wheel: &TimerWheel, injector: &Injector, stop: &AtomicBool, epoch: Instant) {
-    let now_ns = epoch.elapsed().as_nanos() as u64;
-    match wheel.next_deadline_ns() {
-        Some(d) if d <= now_ns => {} // due: return to expire it
-        Some(d) => {
-            let until = Duration::from_nanos(d - now_ns);
-            if until > SPIN_WAIT {
-                injector.wait((until - SPIN_WAIT).min(MAX_IDLE_WAIT));
-            } else {
-                while (epoch.elapsed().as_nanos() as u64) < d {
-                    if injector.is_hot() || stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    std::hint::spin_loop();
+/// `clock.cached()` is taken as the present; returns the stamp at which
+/// the wait ended (the spin's own last read).
+fn idle_wait(
+    wheel: &TimerWheel,
+    injector: &Injector,
+    stop: &AtomicBool,
+    clock: &CoarseClock,
+) -> Nanos {
+    let now = clock.cached();
+    match wheel.next_deadline_ns().map(Nanos) {
+        Some(d) if d <= now + SPIN_WAIT => {
+            while clock.tick() < d {
+                if injector.is_hot() || stop.load(Ordering::Relaxed) {
+                    break;
                 }
+                std::hint::spin_loop();
             }
+            return clock.cached();
+        }
+        Some(d) => {
+            let until = Duration::from_nanos((d - now - SPIN_WAIT).as_nanos());
+            injector.wait(until.min(MAX_IDLE_WAIT));
         }
         None => injector.wait(MAX_IDLE_WAIT),
     }
+    clock.tick()
 }
 
 // ---------------------------------------------------------------------------
@@ -527,7 +554,9 @@ pub(crate) type ShardHandle = JoinHandle<Vec<(usize, ThreadPolicy)>>;
 /// is per *shard*: each shard thread owns one flight-recorder ring and
 /// logs its scheduler events (slices, vruntime picks, wheel activity)
 /// alongside the per-task verdicts, with the global worker id carried in
-/// the event payloads.
+/// the event payloads. Every shard's clock counts from `epoch`, the
+/// worker set's own, so the pick stamps it hands its tasks' backends share
+/// the backends' timeline.
 ///
 /// Returns each shard's injector and join handle. To stop, raise `stop`,
 /// then [`Injector::notify`] every shard (one may be blocked idle), then
@@ -537,6 +566,7 @@ pub(crate) fn spawn_shards<B, S, R>(
     workers: Vec<(AnyDiscipline, B)>,
     shards: usize,
     stop: &Arc<AtomicBool>,
+    epoch: Instant,
     make_sink: impl Fn(usize) -> S,
     make_tracer: impl Fn(usize) -> R,
 ) -> (Vec<Arc<Injector>>, Vec<ShardHandle>)
@@ -564,8 +594,7 @@ where
             vruntime: 0,
             gen: 0,
             idle_from: None,
-            oversleep_deadline: None,
-            sleep_requested: None,
+            sleep: None,
             ready_at: None,
             woke_from_park: false,
         });
@@ -579,9 +608,129 @@ where
             let tracer = make_tracer(s);
             std::thread::Builder::new()
                 .name(format!("{label}-exec-{s}"))
-                .spawn(move || run_shard(tasks, injector, stop, tracer))
+                .spawn(move || run_shard(tasks, injector, stop, epoch, tracer))
                 .expect("spawn executor shard")
         })
         .collect();
     (injectors, handles)
+}
+
+#[cfg(all(test, debug_assertions))]
+mod tests {
+    use super::*;
+    use crate::config::MetronomeConfig;
+    use crate::discipline::MetronomeDiscipline;
+    use crate::realtime::{RealtimeBackend, SharedState};
+    use crossbeam::queue::ArrayQueue;
+    use metronome_sim::time::clock_reads;
+    use metronome_telemetry::NullSink;
+
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Event {
+        Fire,
+        Pick,
+        SliceEnd,
+    }
+
+    /// A shard's scheduler events, each with the number of clock reads the
+    /// shard thread had made when it happened (the tracer runs on the
+    /// shard's own thread, where the thread-local counter counts).
+    #[derive(Clone, Default)]
+    struct ReadLog(Arc<Mutex<Vec<(Event, u64)>>>);
+
+    impl ReadLog {
+        fn push(&self, event: Event) {
+            self.0.lock().unwrap().push((event, clock_reads()));
+        }
+    }
+
+    impl TraceSink for ReadLog {
+        fn wheel_fire(&self, _task: usize, live: bool) {
+            if live {
+                self.push(Event::Fire);
+            }
+        }
+        // Right after the pick's read.
+        fn sched_pick(&self, _task: usize, _delay: Nanos) {
+            self.push(Event::Pick);
+        }
+        // Right after the slice-end read.
+        fn slice_end(&self, _task: usize, _busy: Nanos) {
+            self.push(Event::SliceEnd);
+        }
+    }
+
+    #[test]
+    fn a_task_wake_reads_the_clock_three_times_and_due_timers_share_one_stamp() {
+        // 16 Metronome tasks, an idle queue each, on one real shard: every
+        // wake wins its race, polls nothing, releases and sleeps TS again.
+        const N: usize = 16;
+        let shared = SharedState::new(&MetronomeConfig::multiqueue(N, N));
+        let queues: Vec<_> = (0..N)
+            .map(|_| Arc::new(ArrayQueue::<u64>::new(16)))
+            .collect();
+        let workers = (0..N)
+            .map(|id| {
+                let discipline = AnyDiscipline::Metronome(MetronomeDiscipline::new(id, 32));
+                let backend = RealtimeBackend::new(
+                    queues.clone(),
+                    Arc::clone(&shared),
+                    |_q: usize, _burst: &mut Vec<u64>| {},
+                );
+                (discipline, backend)
+            })
+            .collect();
+        let stop = Arc::new(AtomicBool::new(false));
+        let log = ReadLog::default();
+        let (injectors, handles) = spawn_shards(
+            "reads",
+            workers,
+            1,
+            &stop,
+            shared.epoch,
+            |_| NullSink,
+            |_| log.clone(),
+        );
+        std::thread::sleep(Duration::from_millis(10));
+        // Stop cuts a slice short at its next turn: look only at what was
+        // logged before the flag went up.
+        let logged = log.0.lock().unwrap().len();
+        stop.store(true, Ordering::Relaxed);
+        injectors[0].notify();
+        for handle in handles {
+            handle.join().expect("shard panicked");
+        }
+
+        let log = &log.0.lock().unwrap()[..logged];
+        let (mut slices, mut back_to_back, mut widest_batch, mut batch) = (0, 0, 0, 0);
+        for pair in log.windows(2) {
+            let [(before, reads_before), (after, reads_after)] = [pair[0], pair[1]];
+            let reads = reads_after - reads_before;
+            match (before, after) {
+                // Timers that expire in one iteration are stamped by the
+                // iteration's one `now`: no read between their fires.
+                (Event::Fire, Event::Fire) => {
+                    assert_eq!(reads, 0, "a read between two fires of one iteration");
+                    batch += 1;
+                    widest_batch = widest_batch.max(batch + 1);
+                }
+                // The slice's busy span: the backend's release stamp and
+                // the slice-end stamp.
+                (Event::Pick, Event::SliceEnd) => {
+                    assert_eq!(reads, 2, "reads inside a slice");
+                    slices += 1;
+                }
+                // The next task was already runnable: no idle wait, so the
+                // pick's own read is all there is between two slices.
+                (Event::SliceEnd, Event::Pick) => {
+                    assert_eq!(reads, 1, "reads between two slices");
+                    back_to_back += 1;
+                }
+                _ => batch = 0,
+            }
+        }
+        assert!(slices > 100, "{slices} slices");
+        assert!(back_to_back > 0, "no two slices ran back to back");
+        assert!(widest_batch > 1, "no two timers ever expired together");
+    }
 }

@@ -15,7 +15,7 @@
 //! | receive burst     | counting descriptor ring    | any [`RxQueue`] (locked `ArrayQueue`, lock-free SPSC/MPSC ring consumer) drained batched into a reusable scratch buffer, one app call per burst |
 //! | sleep service     | calibrated `hr_sleep` model | [`PreciseSleeper`]  |
 //! | entropy           | seeded xoshiro stream       | SplitMix64 counter  |
-//! | clock             | virtual `Nanos`             | `std::time::Instant` |
+//! | clock             | virtual `Nanos`             | the driver's [`CoarseClock`]: two OS reads per wake |
 //! | step costs        | calibrated cycle charges    | zero (hardware pays) |
 //!
 //! **`hr_sleep()` substitution.** The paper's precision comes from a custom
@@ -33,7 +33,8 @@ use crate::policy::ThreadPolicy;
 use crate::rxqueue::RxQueue;
 use crate::trylock::TryLock;
 use crossbeam::queue::ArrayQueue;
-use metronome_sim::Nanos;
+use metronome_sim::time::read_clock;
+use metronome_sim::{CoarseClock, Nanos};
 use metronome_telemetry::{TelemetrySink, TraceSink, TraceVerdict, TracedSink};
 use parking_lot::Mutex;
 use std::marker::PhantomData;
@@ -92,15 +93,32 @@ impl PreciseSleeper {
     /// actually returned — so callers can feed telemetry's sleep-
     /// precision counters.
     pub fn sleep(&self, dur: Duration) -> Duration {
-        let start = Instant::now();
-        let deadline = start + dur;
-        if dur > self.spin_threshold {
-            std::thread::sleep(dur - self.spin_threshold);
+        // A fresh clock's cache sits at its epoch: "now" for sleep_until.
+        let dur = Nanos(dur.as_nanos() as u64);
+        let woke = self.sleep_until(&CoarseClock::new(), dur);
+        Duration::from_nanos((woke - dur).as_nanos())
+    }
+
+    /// Sleep until `deadline` on `clock`'s timeline, waking within spin
+    /// precision of it, and return the stamp at which the wait ended: the
+    /// spin loop's own last read (≥ `deadline`), which is also what
+    /// `clock.cached()` holds afterwards. The caller's last tick —
+    /// `clock.cached()` on entry — is taken as the present, so a driver
+    /// pays no clock read to start a sleep and none to learn when it
+    /// ended: slept and overslept follow by subtraction.
+    pub fn sleep_until(&self, clock: &CoarseClock, deadline: Nanos) -> Nanos {
+        let spin = Nanos(self.spin_threshold.as_nanos() as u64);
+        let coarse = deadline.saturating_sub(clock.cached()).saturating_sub(spin);
+        if !coarse.is_zero() {
+            std::thread::sleep(Duration::from_nanos(coarse.as_nanos()));
         }
-        while Instant::now() < deadline {
+        loop {
+            let now = clock.tick();
+            if now >= deadline {
+                return now;
+            }
             std::hint::spin_loop();
         }
-        start.elapsed().saturating_sub(dur)
     }
 }
 
@@ -150,13 +168,11 @@ pub(crate) fn collect_stats(shared: &SharedState, policies: Vec<ThreadPolicy>) -
     // was mid-turn when the flag rose finishes its drain first, and
     // those packets must be on the books (the realtime runner asserts
     // offered = processed + dropped against these).
-    stats.processed = shared
-        .processed
-        .iter()
-        .map(|p| p.load(Ordering::Relaxed))
+    stats.processed = (0..shared.slots.len())
+        .map(|q| shared.processed(q))
         .collect();
     let ctrl = shared.controller.lock();
-    for q in 0..shared.processed.len() {
+    for q in 0..shared.slots.len() {
         stats.rho.push(ctrl.rho(q));
         stats.ts.push(ctrl.ts(q));
     }
@@ -169,10 +185,11 @@ pub(crate) fn collect_stats(shared: &SharedState, policies: Vec<ThreadPolicy>) -
 /// identical.
 pub(crate) struct SharedState {
     pub(crate) controller: Mutex<AdaptiveController>,
-    locks: Vec<TryLock>,
-    /// Instant each queue's lock was last released (vacation measurement).
-    last_release: Vec<Mutex<Option<Instant>>>,
-    pub(crate) processed: Vec<AtomicU64>,
+    slots: Vec<QueueSlot>,
+    /// What every stamp of the set — drivers' wake stamps, backends'
+    /// release stamps — counts nanoseconds from: a vacation runs from one
+    /// worker's release to another's wake.
+    pub(crate) epoch: Instant,
     rand_state: AtomicU64,
     /// `TL` is fixed (§IV-E), so workers read it without the controller
     /// lock.
@@ -183,21 +200,63 @@ pub(crate) struct SharedState {
     pub(crate) doorbells: Vec<Arc<Doorbell>>,
 }
 
+/// One queue's contended words, on a cache line of their own so racing
+/// on one queue never invalidates a neighbour's.
+#[repr(align(64))]
+struct QueueSlot {
+    lock: TryLock,
+    /// When the lock was last released, in nanoseconds since
+    /// [`SharedState::epoch`] ([`NEVER_RELEASED`] before the first
+    /// release) — the start of the vacation the next acquire measures.
+    /// `Relaxed` on both sides: it is written only by the lock's holder
+    /// before `unlock` (a `Release` store) and read only by the next
+    /// holder after `try_lock` (an `Acquire` CMPXCHG), so the trylock
+    /// already orders the two.
+    last_release: AtomicU64,
+    processed: AtomicU64,
+}
+
+const NEVER_RELEASED: u64 = u64::MAX;
+
+/// A vacation shorter than this is measured to its exact end — one clock
+/// read once the race is won — and not to the driver's wake stamp.
+///
+/// The wake stamp precedes the CMPXCHG by the wake path: the sleep's
+/// bookkeeping and the engine's `AfterSleep` turn, some 60 ns (a few
+/// hundred in a debug build). Measured against a vacation of `TS` ≥ `V̄`
+/// that is under a percent, so the stamp stands in for the acquire and
+/// the wake pays no clock read for it. But when another worker
+/// released the queue moments ago — two workers waking in step on an idle
+/// queue, a backup arriving right behind the primary — that stretch would
+/// be a large share of the vacation, and booking it as busy time would
+/// push the load estimate up: those cycles pay the read. So does a
+/// backend stepped without a driver (the parity harness), which has no
+/// wake stamp at all.
+const SHORT_VACATION: Nanos = Nanos::from_micros(4);
+
 impl SharedState {
     pub(crate) fn new(cfg: &MetronomeConfig) -> Arc<Self> {
         Arc::new(SharedState {
             controller: Mutex::new(AdaptiveController::new(cfg.clone())),
-            locks: (0..cfg.n_queues).map(|_| TryLock::new()).collect(),
-            last_release: (0..cfg.n_queues).map(|_| Mutex::new(None)).collect(),
-            processed: (0..cfg.n_queues).map(|_| AtomicU64::new(0)).collect(),
+            slots: (0..cfg.n_queues)
+                .map(|_| QueueSlot {
+                    lock: TryLock::new(),
+                    last_release: AtomicU64::new(NEVER_RELEASED),
+                    processed: AtomicU64::new(0),
+                })
+                .collect(),
+            epoch: Instant::now(),
             rand_state: AtomicU64::new(0x4D3),
             t_long: cfg.t_long,
             doorbells: (0..cfg.n_queues).map(|_| Doorbell::new()).collect(),
         })
     }
-}
 
-impl SharedState {
+    /// Items processed so far on queue `q`.
+    pub(crate) fn processed(&self, q: usize) -> u64 {
+        self.slots[q].processed.load(Ordering::Relaxed)
+    }
+
     /// SplitMix64 over a shared counter — the `rte_random` role.
     fn draw(&self) -> u64 {
         let s = self
@@ -214,11 +273,12 @@ impl SharedState {
 /// The real-thread realization of the engine's [`Backend`] capabilities:
 /// CMPXCHG trylock, [`RxQueue`] receive bursts drained batched into a
 /// reusable scratch buffer and processed one application call per burst,
-/// wall-clock vacation measurement, and a shared SplitMix64 entropy
-/// counter. One backend instance belongs to one worker thread, and its
-/// process closure is `FnMut` *owned by that worker* — per-thread state
-/// (a mempool cache, a flow table shard) lives right in the closure with
-/// no locks around it.
+/// wall-clock vacation measurement from the driver's wake stamp and one
+/// clock read per release, and a shared SplitMix64 entropy counter. One
+/// backend instance belongs to one worker thread, and its process closure
+/// is `FnMut` *owned by that worker* — per-thread state (a mempool cache,
+/// a flow table shard) lives right in the closure with no locks around
+/// it.
 pub struct RealtimeBackend<T: Send + 'static, P, Q: RxQueue<T> = Arc<ArrayQueue<T>>> {
     queues: Vec<Q>,
     shared: Arc<SharedState>,
@@ -227,10 +287,13 @@ pub struct RealtimeBackend<T: Send + 'static, P, Q: RxQueue<T> = Arc<ArrayQueue<
     /// closure, cleared after — the hot path allocates only until the
     /// buffer's capacity has grown to the configured burst size once.
     scratch: Vec<T>,
-    /// Acquire instant of the currently held lock (busy-period start).
-    acquired_at: Option<Instant>,
+    /// The driver's clock stamp for the current turn
+    /// ([`Backend::before_turn`]), until a race consumes it.
+    turn_stamp: Option<Nanos>,
+    /// Acquire stamp of the currently held lock (busy-period start).
+    acquired_at: Option<Nanos>,
     /// Vacation that ended at the current acquire, if measurable.
-    pending_vacation: Option<Duration>,
+    pending_vacation: Option<Nanos>,
 }
 
 impl<T, P, Q> RealtimeBackend<T, P, Q>
@@ -245,6 +308,7 @@ where
             shared,
             process,
             scratch: Vec::new(),
+            turn_stamp: None,
             acquired_at: None,
             pending_vacation: None,
         }
@@ -265,20 +329,34 @@ where
         self.shared.draw()
     }
 
+    fn before_turn(&mut self, now: Nanos) {
+        self.turn_stamp = Some(now);
+    }
+
     fn try_acquire(&mut self, q: usize) -> bool {
-        if !self.shared.locks[q].try_lock() {
+        // Won or lost, the race consumes the turn's stamp.
+        let woke = self.turn_stamp.take();
+        let slot = &self.shared.slots[q];
+        if !slot.lock.try_lock() {
             self.shared.controller.lock().record_busy_try(q);
             return false;
         }
-        // Lock held: measure the vacation that just ended. The controller
-        // is deliberately NOT touched here — contending its mutex while
-        // holding the queue lock would extend the queue's unavailability
-        // and inflate the measured busy period; the acquisition is
-        // recorded in release()'s single critical section instead.
-        let now = Instant::now();
+        // Lock held: the vacation ends and the busy period starts. The
+        // controller is deliberately NOT touched here — contending its
+        // mutex while holding the queue lock would extend the queue's
+        // unavailability and inflate the measured busy period; the
+        // acquisition is recorded in release()'s single critical section
+        // instead.
+        let released = slot.last_release.load(Ordering::Relaxed);
+        let first = released == NEVER_RELEASED;
+        let now = match woke {
+            Some(woke) if first || woke >= Nanos(released) + SHORT_VACATION => woke,
+            _ => read_clock(self.shared.epoch),
+        };
         self.acquired_at = Some(now);
-        self.pending_vacation =
-            (*self.shared.last_release[q].lock()).map(|released| now.duration_since(released));
+        // Saturating, as `Instant::duration_since` is: the release stamp
+        // was read on another thread.
+        self.pending_vacation = (!first).then(|| now.saturating_sub(Nanos(released)));
         true
     }
 
@@ -295,7 +373,9 @@ where
             // The closure may have consumed the items (e.g. recycled them
             // to a mempool); drop whatever it left behind.
             self.scratch.clear();
-            self.shared.processed[q].fetch_add(taken, Ordering::Relaxed);
+            self.shared.slots[q]
+                .processed
+                .fetch_add(taken, Ordering::Relaxed);
         }
         taken
     }
@@ -305,19 +385,17 @@ where
             .acquired_at
             .take()
             .expect("release without matching acquire");
-        let busy = acquired.elapsed();
-        *self.shared.last_release[q].lock() = Some(Instant::now());
-        self.shared.locks[q].unlock();
+        // One read: the busy period's end and the published release stamp.
+        let now = read_clock(self.shared.epoch);
+        let slot = &self.shared.slots[q];
+        slot.last_release.store(now.as_nanos(), Ordering::Relaxed);
+        slot.lock.unlock();
         // One controller critical section per winning turn: record the
         // acquisition and the completed renewal cycle, read the new TS.
         let mut ctrl = self.shared.controller.lock();
         ctrl.record_acquired(q);
         if let Some(vacation) = self.pending_vacation.take() {
-            ctrl.record_cycle(
-                q,
-                Nanos(vacation.as_nanos() as u64),
-                Nanos(busy.as_nanos() as u64),
-            );
+            ctrl.record_cycle(q, vacation, now - acquired);
         }
         ctrl.ts(q)
     }
@@ -378,7 +456,7 @@ where
 
     /// Items processed so far on a queue.
     pub fn processed(&self, queue: usize) -> u64 {
-        self.shared.processed[queue].load(Ordering::Relaxed)
+        self.shared.processed(queue)
     }
 
     /// Successful acquisitions recorded on a queue.
@@ -392,11 +470,36 @@ where
     }
 }
 
+/// Publish one completed timed sleep — `requested`, and `actual` between
+/// the two stamps that bound it — with its oversleep where the verdict's
+/// contract has one (`Sleep` yes, `Wait` no). Sink and tracer see the same
+/// values, so the trace oversleep histogram's sum equals the hub's
+/// oversleep counter, and `actual == requested + overslept` exactly.
+pub(crate) fn publish_sleep(
+    sink: &impl TelemetrySink,
+    tracer: &impl TraceSink,
+    requested: Nanos,
+    actual: Nanos,
+    oversleep: bool,
+) {
+    sink.slept(actual);
+    let over = if oversleep {
+        sink.overslept(actual - requested);
+        actual - requested
+    } else {
+        Nanos::ZERO
+    };
+    tracer.sleep(requested, actual, over);
+}
+
 /// Spawn one OS thread per prepared `(discipline, backend)` worker — the
-/// thread half of [`crate::workers::WorkerSet`]. `make_sink(worker)` is
-/// the worker's telemetry view ([`NullSink`](metronome_telemetry::NullSink)
-/// when telemetry is off, so the worker monomorphizes to the
-/// pre-telemetry loop) and `make_tracer(worker)` its flight-recorder view
+/// thread half of [`crate::workers::WorkerSet`]. Every worker's driver
+/// clock counts from `epoch`, the worker set's own, so the wake stamps it
+/// hands its backend share the backends' timeline. `make_sink(worker)` is
+/// the worker's telemetry view
+/// ([`NullSink`](metronome_telemetry::NullSink) when telemetry is off, so
+/// the worker monomorphizes to the pre-telemetry loop) and
+/// `make_tracer(worker)` its flight-recorder view
 /// ([`NullTrace`](metronome_telemetry::NullTrace) when tracing is off —
 /// a loop with zero record-path cost). Joining a handle yields the
 /// worker's final policy counters.
@@ -404,6 +507,7 @@ pub(crate) fn spawn_threads<B, S, R>(
     label: &str,
     workers: Vec<(AnyDiscipline, B)>,
     stop: &Arc<AtomicBool>,
+    epoch: Instant,
     make_sink: impl Fn(usize) -> S,
     make_tracer: impl Fn(usize) -> R,
 ) -> Vec<JoinHandle<ThreadPolicy>>
@@ -422,7 +526,7 @@ where
             let tracer = make_tracer(worker);
             std::thread::Builder::new()
                 .name(format!("{label}-{worker}"))
-                .spawn(move || run_worker(discipline, backend, sleeper, sink, tracer, &stop))
+                .spawn(move || run_worker(discipline, backend, sleeper, epoch, sink, tracer, &stop))
                 .expect("spawn retrieval worker")
         })
         .collect()
@@ -437,8 +541,18 @@ where
 /// packet); spans of a worker that never reaches a sleep/park boundary —
 /// a spinning busy poller, or any discipline held in a long drain streak
 /// by sustained load — are flushed every `SPAN_FLUSH_MASK + 1` turns so
-/// windowed duty-cycle sampling stays live without an `Instant` read per
-/// turn.
+/// windowed duty-cycle sampling stays live without a clock read per turn.
+///
+/// **The driver owns the clock** (counting from `epoch`). A sleep costs
+/// two stamps: one when the driver decides to sleep — it closes the busy
+/// span and is the sleep's start — and the sleeper's own last spin-loop
+/// read when the sleep returns, which opens the next busy span, gives
+/// `slept` and `overslept` by subtraction (so `slept == requested +
+/// overslept` exactly) and is what the backend is handed before each turn
+/// ([`Backend::before_turn`]) as the stamp of its acquire. With the
+/// backend's one read per release that is two OS clock reads inside the
+/// busy span of an empty Metronome wake, and one in a wake that loses its
+/// race.
 ///
 /// `tracer` is the worker's flight-recorder view. It sees every verdict,
 /// every sleep with its requested/actual/oversleep split (exactly the
@@ -452,6 +566,7 @@ fn run_worker<B, D, S, R>(
     mut discipline: D,
     mut backend: B,
     sleeper: PreciseSleeper,
+    epoch: Instant,
     sink: S,
     tracer: R,
     stop: &AtomicBool,
@@ -469,15 +584,34 @@ where
     // Mirror discipline-internal `retrieved` reports into burst trace
     // events (1:1 with the hub's `bursts` counter by construction).
     let sink = TracedSink::new(sink, &tracer);
-    let mut awake_since = Instant::now();
+    let clock = CoarseClock::from_epoch(epoch);
+    // Close the busy span running since `since` at a fresh stamp, which
+    // the caller makes the start of whatever comes next.
+    let close_span = |since: Nanos| {
+        let now = clock.tick();
+        sink.busy(now - since);
+        now
+    };
+    // Sleep `dur` from the stamp `now`, publish it and return the wake
+    // stamp (`now` itself for an empty sleep).
+    let sleep_from = |now: Nanos, dur: Nanos, oversleep: bool| {
+        if dur.is_zero() {
+            return now;
+        }
+        let woke = sleeper.sleep_until(&clock, now + dur);
+        publish_sleep(&sink, &tracer, dur, woke - now, oversleep);
+        woke
+    };
+    let mut awake_since = clock.tick();
     let mut streak: u32 = 0;
     // Set when a park wake was just recorded; consumed at the top of the
     // next turn as the wake-to-first-poll latency.
-    let mut woke_at: Option<Instant> = None;
+    let mut woke_at: Option<Nanos> = None;
     loop {
         if let Some(woke) = woke_at.take() {
-            tracer.first_poll(Nanos(woke.elapsed().as_nanos() as u64));
+            tracer.first_poll(clock.tick() - woke);
         }
+        backend.before_turn(clock.cached());
         match discipline.turn(&mut backend, &sink) {
             // Real cycles were already spent doing the step; flush the
             // running busy span periodically so a saturated worker's duty
@@ -487,8 +621,7 @@ where
                 tracer.turn_verdict(TraceVerdict::Continue);
                 streak = streak.wrapping_add(1);
                 if streak & SPAN_FLUSH_MASK == 0 {
-                    sink.busy(Nanos(awake_since.elapsed().as_nanos() as u64));
-                    awake_since = Instant::now();
+                    awake_since = close_span(awake_since);
                 }
             }
             Verdict::Yield => {
@@ -496,75 +629,55 @@ where
                 // Spin boundary (busy polling): no queue lock is held, so
                 // exiting here cannot strand anything.
                 if stop.load(Ordering::Relaxed) {
-                    sink.busy(Nanos(awake_since.elapsed().as_nanos() as u64));
+                    close_span(awake_since);
                     return discipline.into_policy();
                 }
                 streak = streak.wrapping_add(1);
                 if streak & SPAN_FLUSH_MASK == 0 {
-                    sink.busy(Nanos(awake_since.elapsed().as_nanos() as u64));
-                    awake_since = Instant::now();
+                    awake_since = close_span(awake_since);
                 }
                 std::hint::spin_loop();
             }
             Verdict::Sleep(dur) => {
                 tracer.turn_verdict(TraceVerdict::Sleep);
-                sink.busy(Nanos(awake_since.elapsed().as_nanos() as u64));
+                let now = close_span(awake_since);
                 // Sleep points are turn boundaries: the queue lock is never
                 // held here, so exiting now cannot strand a TryLock or drop
                 // an in-flight renewal cycle mid-drain.
                 if stop.load(Ordering::Relaxed) {
                     return discipline.into_policy();
                 }
-                if !dur.is_zero() {
-                    let slept_from = Instant::now();
-                    let oversleep = sleeper.sleep(Duration::from_nanos(dur.as_nanos()));
-                    let measured = Nanos(slept_from.elapsed().as_nanos() as u64);
-                    let over = Nanos(oversleep.as_nanos() as u64);
-                    sink.slept(measured);
-                    sink.overslept(over);
-                    // Same values the sink just saw: the trace oversleep
-                    // histogram's sum equals the hub's oversleep counter.
-                    tracer.sleep(dur, measured, over);
-                }
-                awake_since = Instant::now();
+                awake_since = sleep_from(now, dur, true);
             }
             Verdict::Wait(dur) => {
                 tracer.turn_verdict(TraceVerdict::Wait);
                 // Start-up stagger: an exact idle wait with no oversleep
                 // semantics (and none recorded — the trace event carries a
                 // zero oversleep, keeping histogram sums reconciled).
-                sink.busy(Nanos(awake_since.elapsed().as_nanos() as u64));
+                let now = close_span(awake_since);
                 if stop.load(Ordering::Relaxed) {
                     return discipline.into_policy();
                 }
-                if !dur.is_zero() {
-                    let slept_from = Instant::now();
-                    sleeper.sleep(Duration::from_nanos(dur.as_nanos()));
-                    let measured = Nanos(slept_from.elapsed().as_nanos() as u64);
-                    sink.slept(measured);
-                    tracer.sleep(dur, measured, Nanos::ZERO);
-                }
-                awake_since = Instant::now();
+                awake_since = sleep_from(now, dur, false);
             }
             Verdict::Park(token) => {
                 tracer.turn_verdict(TraceVerdict::Park);
-                sink.busy(Nanos(awake_since.elapsed().as_nanos() as u64));
+                let parked_from = close_span(awake_since);
                 tracer.park();
-                let parked_from = Instant::now();
                 loop {
                     if stop.load(Ordering::Relaxed) {
-                        sink.slept(Nanos(parked_from.elapsed().as_nanos() as u64));
+                        sink.slept(clock.tick() - parked_from);
                         return discipline.into_policy();
                     }
                     if token.wait(PARK_STOP_CHECK) {
                         break;
                     }
                 }
-                let parked = Nanos(parked_from.elapsed().as_nanos() as u64);
+                awake_since = clock.tick();
+                let parked = awake_since - parked_from;
                 sink.slept(parked);
                 tracer.unpark(parked);
-                woke_at = Some(Instant::now());
-                awake_since = Instant::now();
+                woke_at = Some(awake_since);
             }
         }
     }
@@ -691,26 +804,155 @@ mod tests {
     }
 
     #[test]
+    fn sleep_until_returns_its_own_last_read() {
+        let s = PreciseSleeper::default();
+        let clock = CoarseClock::new();
+        let from = clock.tick();
+        let deadline = from + Nanos::from_micros(300);
+        let woke = s.sleep_until(&clock, deadline);
+        assert!(woke >= deadline, "woke early: {woke} < {deadline}");
+        assert!(woke < deadline + Nanos::from_millis(20), "woke at {woke}");
+        assert_eq!(clock.cached(), woke, "the wake stamp stays in the clock");
+        // A deadline already behind the clock is one read and no sleep.
+        let again = s.sleep_until(&clock, from);
+        assert!(again >= woke && again < woke + Nanos::from_millis(20));
+    }
+
+    #[test]
     fn backend_is_drivable_single_threaded() {
         // The Backend surface must be usable without spawning threads —
-        // this is what the sim-vs-realtime parity test leans on.
+        // this is what the sim-vs-realtime parity test leans on — and
+        // deterministic in its stamps: over acquire / release / acquire /
+        // release at t0 < t1 < t2 < t3, with the acquires stamped by the
+        // driver and the releases read by the backend, the controller sees
+        // exactly one cycle of vacation t2 − t1 and busy period t3 − t2.
         let queues = vec![Arc::new(ArrayQueue::<u64>::new(16))];
         let harness = RealtimeHarness::new(
             MetronomeConfig::default(),
             queues.clone(),
             |_q, _burst: &mut Vec<u64>| {},
         );
-        let mut b = harness.backend();
+        let now = || read_clock(harness.shared.epoch);
+        let released = || Nanos(harness.shared.slots[0].last_release.load(Ordering::Relaxed));
+        let (mut b, mut other) = (harness.backend(), harness.backend());
         queues[0].push(7).unwrap();
+        let t0 = now();
+        b.before_turn(t0);
         assert!(b.try_acquire(0));
-        assert!(!b.try_acquire(0), "second acquire must lose the race");
+        assert_eq!(b.acquired_at, Some(t0));
+        // A lost race consumes its stamp and leaves nothing behind.
+        other.before_turn(t0);
+        assert!(!other.try_acquire(0), "second acquire must lose the race");
+        assert_eq!((other.turn_stamp, other.acquired_at), (None, None));
         assert_eq!(b.rx_burst(0, 32), 1);
         let ts = b.release(0);
         assert!(!ts.is_zero(), "release must return the adaptive TS");
+        let t1 = released();
+        // No release came before the first acquire: no vacation, no cycle.
+        assert_eq!(harness.shared.controller.lock().queue(0).cycles, 0);
+        // A stamp handed in a turn that only polls (a baseline discipline,
+        // the next slice of a long drain) is replaced by the next turn's.
+        std::thread::sleep(Duration::from_millis(1));
+        b.before_turn(t1);
+        assert_eq!(b.rx_burst(0, 32), 0);
+        let t2 = t1 + Nanos::from_micros(500);
+        b.before_turn(t2);
         assert!(b.try_acquire(0), "released lock must be re-acquirable");
         b.release(0);
+        let t3 = released();
+        assert!(t0 < t1 && t2 < t3, "{t0} {t1} {t2} {t3}");
         assert_eq!(harness.processed(0), 1);
         assert_eq!(harness.total_tries(0), 2);
         assert_eq!(harness.busy_tries(0), 1);
+        {
+            let ctrl = harness.shared.controller.lock();
+            assert_eq!(ctrl.queue(0).cycles, 1);
+            assert_eq!(ctrl.queue(0).vacation_sum, t2 - t1);
+            assert_eq!(ctrl.queue(0).busy_sum, t3 - t2);
+        }
+        // A wake stamp this close behind the last release would take a
+        // good part of the vacation for busy time: the backend reads the
+        // clock instead. So does one that was handed no stamp at all.
+        for stamp in [Some(t3 + Nanos(100)), None] {
+            b.turn_stamp = stamp;
+            let before = now();
+            assert!(b.try_acquire(0));
+            assert!(b.acquired_at.expect("lock held") >= before, "{stamp:?}");
+            b.release(0);
+        }
+    }
+
+    /// Counts the clock reads inside each busy span that follows a sleep,
+    /// and raises `stop` after a few of them.
+    #[cfg(debug_assertions)]
+    struct SpanReads<'a> {
+        stop: &'a AtomicBool,
+        opened_at: std::cell::Cell<Option<u64>>,
+        spans: std::cell::RefCell<Vec<u64>>,
+    }
+
+    #[cfg(debug_assertions)]
+    impl TelemetrySink for SpanReads<'_> {
+        // The driver's first call after the sleeper's last read: the span
+        // is open and nothing has been read inside it yet.
+        fn slept(&self, _dur: Nanos) {
+            self.opened_at.set(Some(metronome_sim::time::clock_reads()));
+        }
+
+        // Called right after the read that closes the span.
+        fn busy(&self, _dur: Nanos) {
+            if let Some(opened_at) = self.opened_at.take() {
+                let mut spans = self.spans.borrow_mut();
+                spans.push(metronome_sim::time::clock_reads() - opened_at);
+                if spans.len() == 8 {
+                    self.stop.store(true, Ordering::Relaxed);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn an_empty_metronome_wake_reads_the_clock_twice_in_its_busy_span() {
+        // The real driver over the real backend, on this thread (the read
+        // counter is thread-local). One worker, one idle queue: every wake
+        // wins the race, polls nothing, releases and sleeps TS again. Its
+        // busy span holds the backend's release stamp and the driver's
+        // span-closing stamp, and no third read. With the queue held by
+        // someone else every wake loses, and only the span-closing stamp
+        // is left.
+        for (queue_held, reads) in [(false, 2), (true, 1)] {
+            let cfg = MetronomeConfig {
+                m_threads: 1,
+                ..MetronomeConfig::default()
+            };
+            let harness = RealtimeHarness::new(
+                cfg,
+                vec![Arc::new(ArrayQueue::<u64>::new(16))],
+                |_q, _burst: &mut Vec<u64>| {},
+            );
+            let mut holder = harness.backend();
+            if queue_held {
+                assert!(holder.try_acquire(0));
+            }
+            let stop = AtomicBool::new(false);
+            let sink = SpanReads {
+                stop: &stop,
+                opened_at: Default::default(),
+                spans: Default::default(),
+            };
+            let policy = run_worker(
+                crate::discipline::MetronomeDiscipline::new(0, 32),
+                harness.backend(),
+                PreciseSleeper::default(),
+                harness.shared.epoch,
+                &sink,
+                metronome_telemetry::NullTrace,
+                &stop,
+            );
+            assert_eq!(*sink.spans.borrow(), [reads; 8], "queue held: {queue_held}");
+            let won = if queue_held { 0 } else { policy.wakes };
+            assert_eq!(policy.races_won, won, "queue held: {queue_held}");
+        }
     }
 }

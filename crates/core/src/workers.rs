@@ -35,6 +35,7 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 /// Which execution backend a worker set runs on: one OS thread per
 /// worker (the paper's model) or cooperative tasks on a sharded async
@@ -148,6 +149,7 @@ impl<T: Send + 'static, Q: RxQueue<T>> WorkerSetBuilder<T, Q> {
             );
         }
         let shared = SharedState::new(&cfg);
+        let epoch = shared.epoch;
         let stop = Arc::new(AtomicBool::new(false));
         // Every worker drives the same RealtimeBackend the single-threaded
         // harness hands out (the parity tests drive exactly this
@@ -166,12 +168,21 @@ impl<T: Send + 'static, Q: RxQueue<T>> WorkerSetBuilder<T, Q> {
             .collect();
         let label = spec.kind().label();
         let joins = match (self.telemetry, self.trace) {
-            (None, None) => start(exec, label, workers, &stop, |_| NullSink, |_| NullTrace),
+            (None, None) => start(
+                exec,
+                label,
+                workers,
+                &stop,
+                epoch,
+                |_| NullSink,
+                |_| NullTrace,
+            ),
             (Some(hub), None) => start(
                 exec,
                 label,
                 workers,
                 &stop,
+                epoch,
                 move |worker| hub.worker_sink(worker),
                 |_| NullTrace,
             ),
@@ -180,6 +191,7 @@ impl<T: Send + 'static, Q: RxQueue<T>> WorkerSetBuilder<T, Q> {
                 label,
                 workers,
                 &stop,
+                epoch,
                 |_| NullSink,
                 move |slot| trace.recorder(slot),
             ),
@@ -188,6 +200,7 @@ impl<T: Send + 'static, Q: RxQueue<T>> WorkerSetBuilder<T, Q> {
                 label,
                 workers,
                 &stop,
+                epoch,
                 move |worker| hub.worker_sink(worker),
                 move |slot| trace.recorder(slot),
             ),
@@ -202,13 +215,15 @@ impl<T: Send + 'static, Q: RxQueue<T>> WorkerSetBuilder<T, Q> {
     }
 }
 
-/// Hand the prepared workers to `exec`'s spawn function. `make_sink` is
-/// called per worker, `make_tracer` per recorder slot.
+/// Hand the prepared workers to `exec`'s spawn function, with the stop
+/// flag and the clock epoch their drivers share with their backends.
+/// `make_sink` is called per worker, `make_tracer` per recorder slot.
 fn start<B, S, R>(
     exec: ExecBackend,
     label: &str,
     workers: Vec<(AnyDiscipline, B)>,
     stop: &Arc<AtomicBool>,
+    epoch: Instant,
     make_sink: impl Fn(usize) -> S,
     make_tracer: impl Fn(usize) -> R,
 ) -> Joins
@@ -218,14 +233,19 @@ where
     R: TraceSink + Send + 'static,
 {
     match exec {
-        ExecBackend::Threads => {
-            Joins::Threads(spawn_threads(label, workers, stop, make_sink, make_tracer))
-        }
+        ExecBackend::Threads => Joins::Threads(spawn_threads(
+            label,
+            workers,
+            stop,
+            epoch,
+            make_sink,
+            make_tracer,
+        )),
         ExecBackend::Async { .. } => {
             // One recorder slot per shard thread: the clamped shard count.
             let shards = exec.trace_slots(workers.len());
             let (injectors, handles) =
-                spawn_shards(label, workers, shards, stop, make_sink, make_tracer);
+                spawn_shards(label, workers, shards, stop, epoch, make_sink, make_tracer);
             Joins::Async { injectors, handles }
         }
     }
@@ -296,7 +316,7 @@ impl<T: Send + 'static, Q: RxQueue<T>> WorkerSet<T, Q> {
 
     /// Items processed so far on a queue.
     pub fn processed(&self, queue: usize) -> u64 {
-        self.shared.processed[queue].load(Ordering::Relaxed)
+        self.shared.processed(queue)
     }
 
     /// Current smoothed load estimate of a queue.
@@ -534,6 +554,103 @@ mod tests {
                             "{case}"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// Always idle: every race is won, every poll is empty, `TS` is
+    /// fixed — and workers start staggered, which the realtime backend
+    /// never asks for, so the drivers' `Wait` path runs too.
+    struct IdleBackend;
+
+    const IDLE_TS: Nanos = Nanos::from_micros(250);
+    const IDLE_STAGGER: Nanos = Nanos::from_micros(777);
+
+    impl Backend for IdleBackend {
+        fn n_queues(&self) -> usize {
+            1
+        }
+        fn draw(&mut self) -> u64 {
+            0
+        }
+        fn try_acquire(&mut self, _q: usize) -> bool {
+            true
+        }
+        fn rx_burst(&mut self, _q: usize, _burst: u32) -> u64 {
+            0
+        }
+        fn release(&mut self, _q: usize) -> Nanos {
+            IDLE_TS
+        }
+        fn ts(&self, _q: usize) -> Nanos {
+            IDLE_TS
+        }
+        fn tl(&self) -> Nanos {
+            Nanos::from_micros(500)
+        }
+        fn stagger(&mut self) -> Nanos {
+            IDLE_STAGGER
+        }
+    }
+
+    /// Keeps every completed timed sleep as the tracer is told of it:
+    /// `(requested, actual, overslept)`.
+    #[derive(Clone, Default)]
+    struct SleepLog(Arc<parking_lot::Mutex<Vec<[Nanos; 3]>>>);
+
+    impl TraceSink for SleepLog {
+        fn sleep(&self, requested: Nanos, actual: Nanos, overslept: Nanos) {
+            self.0.lock().push([requested, actual, overslept]);
+        }
+    }
+
+    #[test]
+    fn every_timed_sleep_is_its_request_plus_its_oversleep() {
+        // One stamp starts a sleep and sets its deadline, one ends it: so
+        // `actual == requested + overslept` exactly, sleep by sleep, on
+        // both drivers. (With a clock read apiece for "slept" and
+        // "overslept" the two disagree by a read or two.)
+        for exec in EXECS {
+            let log = SleepLog::default();
+            // Two workers and sleeps mostly spent in the OS: the suite's
+            // other realtime tests run alongside and need the cores.
+            let workers = (0..2)
+                .map(|w| (DisciplineSpec::Metronome.build(w, 1, 32, &[]), IdleBackend))
+                .collect();
+            let stop = Arc::new(AtomicBool::new(false));
+            let epoch = Instant::now();
+            let joins = start(
+                exec,
+                "idle",
+                workers,
+                &stop,
+                epoch,
+                |_| NullSink,
+                |_| log.clone(),
+            );
+            std::thread::sleep(Duration::from_millis(15));
+            // The scripted workers never touch the set's own state.
+            let set = WorkerSet {
+                queues: queues(8),
+                shared: SharedState::new(&cfg()),
+                stop,
+                joins,
+                _item: PhantomData,
+            };
+            assert_eq!(set.stop().wakes.len(), 2, "{exec:?}");
+            let sleeps = log.0.lock();
+            let staggers = sleeps.iter().filter(|s| s[0] == IDLE_STAGGER).count();
+            assert_eq!(staggers, 2, "{exec:?}: one stagger wait per worker");
+            assert!(sleeps.len() > 20, "{exec:?}: {} sleeps", sleeps.len());
+            for &[requested, actual, overslept] in sleeps.iter() {
+                if requested == IDLE_STAGGER {
+                    // `Wait`: at least as long as asked, no oversleep.
+                    assert!(actual >= requested, "{exec:?}: short stagger");
+                    assert_eq!(overslept, Nanos::ZERO, "{exec:?}");
+                } else {
+                    assert_eq!(requested, IDLE_TS, "{exec:?}");
+                    assert_eq!(actual, requested + overslept, "{exec:?}");
                 }
             }
         }

@@ -267,6 +267,35 @@ impl fmt::Display for Nanos {
     }
 }
 
+/// One precise read of the OS monotonic clock, as nanoseconds since
+/// `epoch` — the single funnel for every clock read on the realtime wake
+/// path ([`CoarseClock::tick`], the sleeper's spin loop, the backend's
+/// release stamp).
+///
+/// In debug builds each call also bumps a thread-local counter
+/// ([`clock_reads`]) — after the read, so the bump never sits inside an
+/// interval the stamp closes — which is how the unit tests pin the wake
+/// path's read budget; release builds compile to the bare read.
+#[inline]
+pub fn read_clock(epoch: std::time::Instant) -> Nanos {
+    let now = Nanos(epoch.elapsed().as_nanos() as u64);
+    #[cfg(debug_assertions)]
+    CLOCK_READS.with(|n| n.set(n.get() + 1));
+    now
+}
+
+#[cfg(debug_assertions)]
+thread_local! {
+    static CLOCK_READS: core::cell::Cell<u64> = const { core::cell::Cell::new(0) };
+}
+
+/// How many [`read_clock`] calls the current thread has made (debug
+/// builds only). Tests take the difference across the code under test.
+#[cfg(debug_assertions)]
+pub fn clock_reads() -> u64 {
+    CLOCK_READS.with(core::cell::Cell::get)
+}
+
 /// An amortized monotonic clock for realtime hot paths.
 ///
 /// Reading the OS monotonic clock (`Instant::now()`) costs a vDSO call —
@@ -312,10 +341,11 @@ impl CoarseClock {
         }
     }
 
-    /// Refresh the cache with one precise clock read and return it.
+    /// Refresh the cache with one precise clock read ([`read_clock`]) and
+    /// return it.
     #[inline]
     pub fn tick(&self) -> Nanos {
-        let now = self.epoch.elapsed().as_nanos() as u64;
+        let now = read_clock(self.epoch).as_nanos();
         // `Instant` is monotone, but guard the cache anyway so `cached()`
         // can never observe a rewind even if the epoch maths ever changes.
         if now > self.cached.get() {
@@ -496,6 +526,19 @@ mod tests {
         let t2 = c.tick();
         assert!(t2 >= t1, "ticks are nondecreasing");
         assert!(t2 > t1, "2ms later the precise read must have advanced");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn every_tick_is_one_counted_read_and_cached_is_none() {
+        let c = CoarseClock::new();
+        let before = clock_reads();
+        c.tick();
+        c.tick();
+        assert_eq!(clock_reads() - before, 2);
+        c.cached();
+        read_clock(c.epoch());
+        assert_eq!(clock_reads() - before, 3);
     }
 
     #[test]

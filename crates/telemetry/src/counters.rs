@@ -14,8 +14,12 @@ use metronome_sim::Nanos;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Per-worker counters (one cache-friendly block per thread).
+/// Per-worker counters: one cache line per thread, so a worker's five
+/// updates per wake never invalidate a neighbour's line. Updates stay
+/// `fetch_add` — [`TelemetryHub::worker_sink`] may be handed out twice for
+/// one slot, so no counter has a single writer by construction.
 #[derive(Debug, Default)]
+#[repr(align(64))]
 pub struct WorkerCounters {
     /// Timer wake-ups.
     pub wakeups: AtomicU64,
@@ -37,8 +41,10 @@ pub struct WorkerCounters {
     pub oversleep_nanos: AtomicU64,
 }
 
-/// Per-queue counters plus the `TS` gauge.
+/// Per-queue counters plus the `TS` gauge, one cache line per queue
+/// (producers write the drop counters, workers the rest).
 #[derive(Debug, Default)]
+#[repr(align(64))]
 pub struct QueueCounters {
     /// Packets retrieved (drained by winners).
     pub retrieved: AtomicU64,
@@ -302,6 +308,13 @@ mod tests {
         assert_eq!(hub.worker(0).busy_nanos.load(Ordering::Relaxed), 5_000);
         assert_eq!(hub.worker(0).sleep_nanos.load(Ordering::Relaxed), 30_000);
         assert_eq!(hub.queue(0).bursts.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn neighbouring_slots_never_share_a_cache_line() {
+        // An alignment of 64 makes the size a multiple of 64 as well.
+        assert_eq!(std::mem::align_of::<WorkerCounters>(), 64);
+        assert_eq!(std::mem::align_of::<QueueCounters>(), 64);
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! lookup and descriptor juggling but not the cipher itself.
 
 use crate::processor::{PacketProcessor, Verdict};
+use bytes::BytesMut;
 use metronome_dpdk::Mbuf;
 use metronome_net::esp::SecurityAssociation;
 use metronome_sim::Rng;
@@ -41,6 +42,20 @@ pub struct IpsecGateway {
     pub processed: u64,
     /// Packets dropped (malformed, wrong SPI, padding errors).
     pub dropped: u64,
+}
+
+/// Put the transformed frame `out` into `mbuf`. It is written back into
+/// the mbuf's own buffer whenever that has the room, as a pooled buffer's
+/// dataroom does: the pool gets back the buffer it handed out, at full
+/// capacity, and `out` is the only heap traffic of the packet. Only a
+/// bare mbuf sized to its plaintext frame (unit tests) is too small for
+/// the ESP result and takes `out` itself.
+fn write_back(mbuf: &mut Mbuf, out: BytesMut) {
+    if out.len() <= mbuf.capacity() {
+        mbuf.refill(&out);
+    } else {
+        mbuf.replace_data(out);
+    }
 }
 
 impl IpsecGateway {
@@ -93,7 +108,7 @@ impl PacketProcessor for IpsecGateway {
                 }
                 match self.sa.encapsulate(mbuf.bytes(), &iv) {
                     Ok(out) => {
-                        mbuf.replace_data(out);
+                        write_back(mbuf, out);
                         self.processed += 1;
                         Verdict::Forward
                     }
@@ -105,7 +120,7 @@ impl PacketProcessor for IpsecGateway {
             }
             Direction::Inbound => match self.sa.decapsulate(mbuf.bytes()) {
                 Ok(out) => {
-                    mbuf.replace_data(out);
+                    write_back(mbuf, out);
                     self.processed += 1;
                     Verdict::Forward
                 }
@@ -160,6 +175,37 @@ mod tests {
         assert_ne!(m.bytes(), &original[..]);
         assert_eq!(inb.process(&mut m), Verdict::Forward);
         assert_eq!(m.bytes(), &original[..]);
+    }
+
+    /// The pool invariant: whatever the gateway does to a pooled frame,
+    /// the buffer that goes back to the pool is the pool's own, dataroom
+    /// intact — or the next `alloc_with` would accept a frame its buffer
+    /// cannot hold without reallocating.
+    #[test]
+    fn pooled_mbufs_keep_their_dataroom_through_both_directions() {
+        use metronome_dpdk::Mempool;
+        let pool = Mempool::new(2, 2048);
+        let frame = plain();
+        let mut out = IpsecGateway::outbound();
+        let mut inb = IpsecGateway::inbound();
+        // More laps than buffers: every pooled buffer goes through both.
+        for _ in 0..4 {
+            let mut m = pool.alloc_with(frame.bytes()).unwrap();
+            let buffer = m.bytes().as_ptr();
+            assert_eq!(out.process(&mut m), Verdict::Forward);
+            assert!(m.len() > frame.len(), "ESP adds tunnel overhead");
+            assert!(m.capacity() >= pool.buf_capacity());
+            assert_eq!(inb.process(&mut m), Verdict::Forward);
+            assert_eq!(m.bytes(), frame.bytes());
+            assert!(m.capacity() >= pool.buf_capacity());
+            assert_eq!(
+                m.bytes().as_ptr(),
+                buffer,
+                "the frame left its pooled buffer"
+            );
+            pool.free(m);
+        }
+        assert_eq!(pool.in_use(), 0);
     }
 
     #[test]

@@ -103,8 +103,11 @@ const PARK_RECHECK: Nanos = Nanos::from_millis(50);
 pub(crate) struct Injector {
     state: Mutex<InjectorState>,
     cv: Condvar,
-    /// Lock-free "something happened" flag for the spin tail of precise
-    /// waits; cleared when the shard drains.
+    /// Lock-free "something is queued or notified" flag: the shard loop
+    /// drains only when it is up, and the spin tail of precise waits
+    /// breaks on it. Written only with `state` locked — raised by every
+    /// push/notify, lowered by the drain before it takes the list — so a
+    /// push can never be left queued behind a lowered flag.
     hot: AtomicBool,
 }
 
@@ -128,8 +131,8 @@ impl Injector {
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
         st.woken.push(task);
         st.notified = true;
-        drop(st);
         self.hot.store(true, Ordering::Release);
+        drop(st);
         self.cv.notify_one();
     }
 
@@ -137,18 +140,19 @@ impl Injector {
     pub(crate) fn notify(&self) {
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
         st.notified = true;
-        drop(st);
         self.hot.store(true, Ordering::Release);
+        drop(st);
         self.cv.notify_one();
     }
 
     /// Move all woken tasks into `out` and re-arm the notification flags.
+    /// `hot` drops inside the critical section, before the list is taken:
+    /// a push that lands after the take raises it again.
     fn drain_into(&self, out: &mut Vec<usize>) {
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        self.hot.store(false, Ordering::Release);
         out.append(&mut st.woken);
         st.notified = false;
-        drop(st);
-        self.hot.store(false, Ordering::Release);
     }
 
     /// Block until something is pushed/notified or `timeout` elapses.
@@ -379,7 +383,11 @@ where
     while !stop.load(Ordering::Relaxed) {
         // 1. Doorbell wakes: parked tasks whose waker fired become
         //    runnable; the generation bump cancels their fallback timer.
-        injector.drain_into(&mut woken);
+        //    Metronome tasks never park, so the common turn pays one load
+        //    here, not the injector's lock.
+        if injector.is_hot() {
+            injector.drain_into(&mut woken);
+        }
         for idx in woken.drain(..) {
             let task = &mut tasks[idx];
             if task.state == RunState::Parked {
@@ -624,6 +632,62 @@ mod tests {
     use crossbeam::queue::ArrayQueue;
     use metronome_sim::time::clock_reads;
     use metronome_telemetry::NullSink;
+
+    #[test]
+    fn a_push_after_a_drain_leaves_the_injector_hot() {
+        let inj = Injector::new();
+        let mut out = Vec::new();
+        assert!(!inj.is_hot());
+        inj.push(3);
+        assert!(inj.is_hot());
+        inj.drain_into(&mut out);
+        assert_eq!(out, vec![3]);
+        assert!(!inj.is_hot(), "a drain lowers the flag");
+        // Ordered after the drain's take: still queued, so still hot.
+        inj.push(4);
+        assert!(inj.is_hot());
+        // A bare notify is hot too (the stop path), and drains to nothing.
+        out.clear();
+        inj.drain_into(&mut out);
+        inj.notify();
+        assert!(inj.is_hot());
+        inj.drain_into(&mut out);
+        assert_eq!(out, vec![4]);
+        assert!(!inj.is_hot());
+    }
+
+    /// The shard loop's gate: draining only when `is_hot()` must never
+    /// strand a push, whatever the interleaving — the flag drops before
+    /// the drain takes the list, under the same lock the push holds.
+    #[test]
+    fn a_drain_gated_on_hot_loses_no_push() {
+        const PUSHES: usize = 200_000;
+        let inj = Injector::new();
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let pusher = {
+            let (inj, start) = (Arc::clone(&inj), Arc::clone(&start));
+            std::thread::spawn(move || {
+                start.wait();
+                for task in 0..PUSHES {
+                    inj.push(task);
+                }
+            })
+        };
+        let mut out = Vec::new();
+        start.wait();
+        while !pusher.is_finished() {
+            if inj.is_hot() {
+                inj.drain_into(&mut out);
+            }
+        }
+        pusher.join().expect("pusher panicked");
+        // Quiescent: whatever is still queued must be behind a raised flag.
+        if inj.is_hot() {
+            inj.drain_into(&mut out);
+        }
+        assert!(!inj.is_hot());
+        assert_eq!(out, (0..PUSHES).collect::<Vec<_>>());
+    }
 
     #[derive(Clone, Copy, Debug, PartialEq)]
     enum Event {

@@ -56,7 +56,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 /// `CachePadded`).
 #[repr(align(64))]
 #[derive(Debug, Default)]
-struct CacheLine<T>(T);
+pub(crate) struct CacheLine<T>(pub(crate) T);
 
 /// A one-word spin guard over one *side* (producer or consumer) of a
 /// ring: acquired once per burst, free in the intended single-owner

@@ -12,22 +12,37 @@
 //! method takes `&self`.
 //!
 //! **Burst discipline.** The freelist sits behind one short-critical-
-//! section lock; all counters are atomics read lock-free. The shared
-//! burst paths — [`Mempool::alloc_burst`] and [`Mempool::free_burst`] —
-//! take the freelist lock *once per burst*.
+//! section lock. The shared burst paths — [`Mempool::alloc_burst`] and
+//! [`Mempool::free_burst`] — take the freelist lock *once per burst*.
 //!
 //! **Per-worker caches.** The lock-free tier above that is
 //! [`MempoolCache`] (`rte_mempool`'s per-lcore cache): each thread owns a
 //! private stack of buffers, so its alloc/free is a plain `Vec` push/pop
-//! plus a handful of relaxed counter updates — no lock, no contention.
-//! The cache refills from and spills to the shared freelist in
-//! cache-sized chunks (refill pulls up to `2C`, spill triggers at `1.5C`
-//! and drains back to `C`, DPDK's flush-threshold scheme), so the lock is
-//! touched once per *C buffers*, not once per burst. Accounting stays
-//! exact: in-flight = population − freelist − Σ cached, and
-//! [`Mempool::available`] counts cached buffers as available, exactly
-//! like `rte_mempool_avail_count`.
+//! and a count kept in the cache itself — no lock, and no store to any
+//! cache line another thread reads or writes. The cache refills from and
+//! spills to the shared freelist in cache-sized chunks (refill pulls up to
+//! `2C`, spill triggers at `1.5C` and drains back to `C`, DPDK's
+//! flush-threshold scheme), so the lock is touched once per *C buffers*,
+//! not once per burst.
+//!
+//! **Accounting settles at the freelist transaction.** Every counter of
+//! the pool lives in one ledger that is written only with the freelist
+//! lock held — once per critical section — and read lock-free. A
+//! direct [`Mempool`] call is its own transaction, so a pool used without
+//! caches is exact after every call. A cache's hits accumulate privately
+//! and reach the ledger with its next refill, spill or flush, so between
+//! those [`Mempool::counters`] lag by the cache's unsettled hits,
+//! [`Mempool::cached`] holds each cache's depth as of its last
+//! transaction, and [`Mempool::in_use`] is off by at most the buffers
+//! that passed through cache hits since (under a cache's capacity each:
+//! over-reading while a recycler's frees are unsettled, under-reading
+//! while an allocator's hits are). Whatever the interleaving,
+//! [`Mempool::available`] and [`Mempool::in_use`] are derived so that
+//! they sum to the population and neither can wrap; once every cache has
+//! flushed (or dropped) every figure is exact — which is when the pool
+//! audits read them.
 
+use crate::fastring::CacheLine;
 use crate::mbuf::Mbuf;
 use bytes::BytesMut;
 use metronome_telemetry::OccupancyProbe;
@@ -54,31 +69,106 @@ pub struct MempoolStats {
 
 /// The sampler-visible gauge of one per-worker cache (how many buffers it
 /// currently parks). Written only by the owning cache thread with plain
-/// relaxed stores; read by anyone.
+/// relaxed stores; read by anyone. On a cache line of its own: the slots
+/// of a run's caches are allocated back to back, and two of them sharing
+/// a line would have the generator and a worker invalidate each other on
+/// every burst.
+#[repr(align(64))]
 struct CacheSlot {
     cached: AtomicU64,
 }
 
-struct PoolShared {
-    free: Mutex<Vec<BytesMut>>,
-    /// Lock-free mirror of `free.len()`, updated inside every freelist
-    /// critical section. Readers get a racy-but-bounded snapshot without
-    /// ever touching the lock (telemetry sampling must not contend with
-    /// the hot path).
+/// The ledger side: every counter, apart from the lock's line so that a
+/// sampler reading it never delays a refill or spill. Written only by
+/// [`PoolShared::settle`] — with the freelist lock held, so plain
+/// load/store pairs suffice — and read lock-free.
+#[repr(align(64))]
+struct Ledger {
+    /// Mirror of the freelist's length.
     free_count: AtomicU64,
-    /// Σ buffers currently parked in per-worker caches (cached buffers
-    /// are *available*, not in flight — `rte_mempool_avail_count`
-    /// semantics).
+    /// Σ buffers parked in per-worker caches, each as of its cache's last
+    /// transaction (cached buffers are *available*, not in flight —
+    /// `rte_mempool_avail_count` semantics).
     cached_total: AtomicU64,
+    allocs: AtomicU64,
+    frees: AtomicU64,
+    alloc_failures: AtomicU64,
+    in_use_peak: AtomicU64,
+}
+
+/// What one freelist critical section adds to the ledger.
+#[derive(Default)]
+struct Settlement {
+    allocs: u64,
+    frees: u64,
+    failures: u64,
+    /// Change in the settling cache's parked depth.
+    cached: i64,
+}
+
+struct PoolShared {
+    /// The freelist side of the pool: the lock and the buffers behind it,
+    /// on a line of their own.
+    freelist: CacheLine<Mutex<Vec<BytesMut>>>,
+    ledger: Ledger,
     /// Live per-cache gauges, for telemetry enumeration.
     caches: Mutex<Vec<Arc<CacheSlot>>>,
     buf_capacity: usize,
     population: usize,
-    in_use: AtomicU64,
-    in_use_peak: AtomicU64,
-    alloc_failures: AtomicU64,
-    allocs: AtomicU64,
-    frees: AtomicU64,
+}
+
+#[cfg(debug_assertions)]
+thread_local! {
+    static SHARED_TOUCHES: core::cell::Cell<u64> = const { core::cell::Cell::new(0) };
+}
+
+/// How many times the current thread has written the pool's shared ledger
+/// (debug builds only): one per freelist critical section, none on a
+/// cache hit. Tests take the difference across the code under test.
+#[cfg(debug_assertions)]
+pub fn shared_touches() -> u64 {
+    SHARED_TOUCHES.with(core::cell::Cell::get)
+}
+
+impl PoolShared {
+    /// Buffers not in flight, as the ledger has them — clamped, because
+    /// the parked depths are as of each cache's last transaction and a
+    /// buffer that has since moved on through cache hits can be counted
+    /// twice (or, between the two loads, a refill can move a chunk).
+    fn available(&self) -> u64 {
+        let idle = self.ledger.free_count.load(Ordering::Relaxed)
+            + self.ledger.cached_total.load(Ordering::Relaxed);
+        idle.min(self.population as u64)
+    }
+
+    /// Apply one freelist critical section to the ledger. `free` is the
+    /// locked freelist as the section leaves it; holding its lock is what
+    /// makes the load/store pairs below race-free.
+    fn settle(&self, free: &[BytesMut], delta: Settlement) {
+        #[cfg(debug_assertions)]
+        SHARED_TOUCHES.with(|n| n.set(n.get() + 1));
+        let bump = |counter: &AtomicU64, by: u64| {
+            counter.store(
+                counter.load(Ordering::Relaxed).wrapping_add(by),
+                Ordering::Relaxed,
+            );
+        };
+        let ledger = &self.ledger;
+        ledger
+            .free_count
+            .store(free.len() as u64, Ordering::Relaxed);
+        // Two's complement: a negative change wraps to the right sum.
+        bump(&ledger.cached_total, delta.cached as u64);
+        bump(&ledger.allocs, delta.allocs);
+        bump(&ledger.frees, delta.frees);
+        bump(&ledger.alloc_failures, delta.failures);
+        // The peak is sampled here, from the same derived figure
+        // `in_use()` reports, so it can never exceed the population.
+        let in_use = self.population as u64 - self.available();
+        if in_use > ledger.in_use_peak.load(Ordering::Relaxed) {
+            ledger.in_use_peak.store(in_use, Ordering::Relaxed);
+        }
+    }
 }
 
 /// Fixed-population shared buffer pool. Cloning the handle shares the
@@ -95,21 +185,22 @@ impl Mempool {
         assert!(population > 0, "empty pool");
         Mempool {
             shared: Arc::new(PoolShared {
-                free: Mutex::new(
+                freelist: CacheLine(Mutex::new(
                     (0..population)
                         .map(|_| BytesMut::with_capacity(buf_capacity))
                         .collect(),
-                ),
-                free_count: AtomicU64::new(population as u64),
-                cached_total: AtomicU64::new(0),
+                )),
+                ledger: Ledger {
+                    free_count: AtomicU64::new(population as u64),
+                    cached_total: AtomicU64::new(0),
+                    allocs: AtomicU64::new(0),
+                    frees: AtomicU64::new(0),
+                    alloc_failures: AtomicU64::new(0),
+                    in_use_peak: AtomicU64::new(0),
+                },
                 caches: Mutex::new(Vec::new()),
                 buf_capacity,
                 population,
-                in_use: AtomicU64::new(0),
-                in_use_peak: AtomicU64::new(0),
-                alloc_failures: AtomicU64::new(0),
-                allocs: AtomicU64::new(0),
-                frees: AtomicU64::new(0),
             }),
         }
     }
@@ -127,20 +218,22 @@ impl Mempool {
     /// Buffers currently available — on the shared freelist or parked in
     /// per-worker caches (`rte_mempool_avail_count` counts both). A
     /// lock-free read: two relaxed loads, never the freelist lock, so
-    /// telemetry sampling cannot contend with the hot path. Concurrent
-    /// refill/spill may skew the snapshot by a chunk transiently.
+    /// telemetry sampling cannot contend with the hot path. Never above
+    /// the population; exact once every cache has flushed, and within the
+    /// caches' unsettled hits before (see the module docs).
     pub fn available(&self) -> usize {
-        (self.shared.free_count.load(Ordering::Relaxed)
-            + self.shared.cached_total.load(Ordering::Relaxed)) as usize
+        self.shared.available() as usize
     }
 
-    /// Buffers currently parked in per-worker caches (lock-free read).
+    /// Buffers parked in per-worker caches, each cache as of its last
+    /// refill, spill or flush (lock-free read).
     pub fn cached(&self) -> usize {
-        self.shared.cached_total.load(Ordering::Relaxed) as usize
+        self.shared.ledger.cached_total.load(Ordering::Relaxed) as usize
     }
 
     /// Per-cache occupancy gauges, one per live [`MempoolCache`], in
-    /// registration order (the telemetry sampler's cache column).
+    /// registration order (the telemetry sampler's cache column). These
+    /// are current: each cache publishes its own depth after every call.
     pub fn cached_per_cache(&self) -> Vec<u64> {
         self.shared
             .caches
@@ -150,38 +243,44 @@ impl Mempool {
             .collect()
     }
 
-    /// Buffers currently handed out.
+    /// Buffers currently handed out: the population less
+    /// [`Mempool::available`], so the two always sum to the population
+    /// and this can read neither negative nor above it.
     pub fn in_use(&self) -> usize {
-        self.shared.in_use.load(Ordering::Relaxed) as usize
+        self.shared.population - self.available()
     }
 
-    /// Highest number of buffers simultaneously handed out so far.
+    /// Highest [`Mempool::in_use`] any freelist transaction has left
+    /// behind. A cache's refill settles as of *after* the allocation that
+    /// caused it, so an allocation that drains the pool registers the full
+    /// population; hits between transactions are not sampled.
     pub fn in_use_peak(&self) -> usize {
-        self.shared.in_use_peak.load(Ordering::Relaxed) as usize
+        self.shared.ledger.in_use_peak.load(Ordering::Relaxed) as usize
     }
 
     /// Times an allocation failed because the pool was empty.
     pub fn alloc_failures(&self) -> u64 {
-        self.shared.alloc_failures.load(Ordering::Relaxed)
+        self.shared.ledger.alloc_failures.load(Ordering::Relaxed)
     }
 
-    /// (allocations, frees) counters.
+    /// (allocations, frees) counters, as settled.
     pub fn counters(&self) -> (u64, u64) {
         (
-            self.shared.allocs.load(Ordering::Relaxed),
-            self.shared.frees.load(Ordering::Relaxed),
+            self.shared.ledger.allocs.load(Ordering::Relaxed),
+            self.shared.ledger.frees.load(Ordering::Relaxed),
         )
     }
 
     /// All counters in one snapshot (for reports).
     pub fn stats(&self) -> MempoolStats {
+        let (allocs, frees) = self.counters();
         MempoolStats {
             population: self.shared.population as u64,
-            allocs: self.shared.allocs.load(Ordering::Relaxed),
-            frees: self.shared.frees.load(Ordering::Relaxed),
-            alloc_failures: self.shared.alloc_failures.load(Ordering::Relaxed),
-            in_use_peak: self.shared.in_use_peak.load(Ordering::Relaxed),
-            cached: self.shared.cached_total.load(Ordering::Relaxed),
+            allocs,
+            frees,
+            alloc_failures: self.alloc_failures(),
+            in_use_peak: self.in_use_peak() as u64,
+            cached: self.cached() as u64,
         }
     }
 
@@ -202,52 +301,27 @@ impl Mempool {
             slot,
             stack: Vec::with_capacity(2 * size),
             size,
-        }
-    }
-
-    /// Record `n` hand-outs. `in_use` RMWs on one atomic serialize in its
-    /// modification order, and every buffer's free (`fetch_sub`) is
-    /// ordered before its next hand-out's `fetch_add` — same thread for a
-    /// cache hit, freelist-lock ordering for a refill — so `in_use` (and
-    /// therefore `in_use_peak`) can never transiently exceed the
-    /// population.
-    fn account_allocs(&self, n: u64) {
-        if n > 0 {
-            self.shared.allocs.fetch_add(n, Ordering::Relaxed);
-            let now = self.shared.in_use.fetch_add(n, Ordering::Relaxed) + n;
-            self.shared.in_use_peak.fetch_max(now, Ordering::Relaxed);
-        }
-    }
-
-    fn account_failures(&self, shortfall: u64) {
-        if shortfall > 0 {
-            self.shared
-                .alloc_failures
-                .fetch_add(shortfall, Ordering::Relaxed);
+            account: CacheAccount::default(),
         }
     }
 
     /// Allocate an empty mbuf, or `None` if the pool is exhausted.
     pub fn alloc(&self) -> Option<Mbuf> {
-        let buf = {
-            let mut free = self.shared.free.lock();
+        let mut buf = {
+            let mut free = self.shared.freelist.0.lock();
             let buf = free.pop();
-            if buf.is_some() {
-                self.shared.free_count.fetch_sub(1, Ordering::Relaxed);
-                self.account_allocs(1);
-            }
+            self.shared.settle(
+                &free,
+                Settlement {
+                    allocs: u64::from(buf.is_some()),
+                    failures: u64::from(buf.is_none()),
+                    ..Settlement::default()
+                },
+            );
             buf
-        };
-        match buf {
-            Some(mut buf) => {
-                buf.clear();
-                Some(Mbuf::from_bytes(buf))
-            }
-            None => {
-                self.account_failures(1);
-                None
-            }
-        }
+        }?;
+        buf.clear();
+        Some(Mbuf::from_bytes(buf))
     }
 
     /// Allocate and fill with `frame` bytes. Fails if the pool is empty or
@@ -266,25 +340,21 @@ impl Mempool {
     /// appending them to `out`. Returns how many were obtained; the
     /// shortfall is counted as exhaustion failures.
     pub fn alloc_burst(&self, n: usize, out: &mut Vec<Mbuf>) -> usize {
-        let mut got = 0usize;
-        {
-            let mut free = self.shared.free.lock();
-            while got < n {
-                match free.pop() {
-                    Some(mut buf) => {
-                        buf.clear();
-                        out.push(Mbuf::from_bytes(buf));
-                        got += 1;
-                    }
-                    None => break,
-                }
-            }
-            self.shared
-                .free_count
-                .fetch_sub(got as u64, Ordering::Relaxed);
-            self.account_allocs(got as u64);
-        }
-        self.account_failures((n - got) as u64);
+        let mut free = self.shared.freelist.0.lock();
+        let got = n.min(free.len());
+        let keep = free.len() - got;
+        out.extend(free.drain(keep..).rev().map(|mut buf| {
+            buf.clear();
+            Mbuf::from_bytes(buf)
+        }));
+        self.shared.settle(
+            &free,
+            Settlement {
+                allocs: got as u64,
+                failures: (n - got) as u64,
+                ..Settlement::default()
+            },
+        );
         got
     }
 
@@ -311,85 +381,38 @@ impl Mempool {
     /// In debug builds, if the freelist would exceed the population
     /// (double free).
     pub fn free_burst(&self, mbufs: impl IntoIterator<Item = Mbuf>) {
-        let mut n = 0u64;
-        {
-            let mut free = self.shared.free.lock();
-            for mut mbuf in mbufs {
-                debug_assert!(
-                    free.len() < self.shared.population,
-                    "mempool over-free (double free?)"
-                );
-                let mut buf = mbuf.take_data();
-                buf.clear();
-                free.push(buf);
-                n += 1;
-            }
-            // Decrement in-use before the lock is released: once the
-            // buffers are re-allocatable, their hand-back has already been
-            // counted, so `in_use` never exceeds true in-flight.
-            if n > 0 {
-                self.shared.free_count.fetch_add(n, Ordering::Relaxed);
-                self.shared.frees.fetch_add(n, Ordering::Relaxed);
-                self.shared.in_use.fetch_sub(n, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Move up to `want` raw buffers from the freelist into a cache stack
-    /// (one critical section). Returns how many moved.
-    fn refill_cache(&self, stack: &mut Vec<BytesMut>, want: usize) -> usize {
-        let mut moved = 0usize;
-        let mut free = self.shared.free.lock();
-        while moved < want {
-            match free.pop() {
-                Some(buf) => {
-                    stack.push(buf);
-                    moved += 1;
-                }
-                None => break,
-            }
-        }
-        // Both gauges move inside the critical section so `available()`
-        // readers see at most one chunk of skew.
-        self.shared
-            .cached_total
-            .fetch_add(moved as u64, Ordering::Relaxed);
-        self.shared
-            .free_count
-            .fetch_sub(moved as u64, Ordering::Relaxed);
-        moved
-    }
-
-    /// Return `count` raw buffers from a cache stack to the freelist (one
-    /// critical section).
-    fn spill_cache(&self, stack: &mut Vec<BytesMut>, count: usize) {
-        let count = count.min(stack.len());
-        if count == 0 {
-            return;
-        }
-        let mut free = self.shared.free.lock();
-        for buf in stack.drain(stack.len() - count..) {
+        let mut free = self.shared.freelist.0.lock();
+        let before = free.len();
+        for mut mbuf in mbufs {
             debug_assert!(
                 free.len() < self.shared.population,
                 "mempool over-free (double free?)"
             );
+            let mut buf = mbuf.take_data();
+            buf.clear();
             free.push(buf);
         }
-        self.shared
-            .free_count
-            .fetch_add(count as u64, Ordering::Relaxed);
-        self.shared
-            .cached_total
-            .fetch_sub(count as u64, Ordering::Relaxed);
+        // The hand-back is on the books before the lock is released: once
+        // the buffers are re-allocatable they no longer count as in use.
+        let frees = (free.len() - before) as u64;
+        if frees > 0 {
+            self.shared.settle(
+                &free,
+                Settlement {
+                    frees,
+                    ..Settlement::default()
+                },
+            );
+        }
     }
 }
 
 /// The sampler-facing gauge view of a pool: "occupancy" is buffers
-/// currently handed out (in use). Reads are atomic loads — the freelist
-/// lock is never taken.
+/// currently handed out ([`Mempool::in_use`]). Reads are atomic loads —
+/// the freelist lock is never taken.
 impl OccupancyProbe for Mempool {
     fn occupancy(&self) -> u64 {
-        self.shared.in_use.load(Ordering::Relaxed)
+        self.in_use() as u64
     }
 
     fn capacity(&self) -> u64 {
@@ -399,21 +422,62 @@ impl OccupancyProbe for Mempool {
 
 /// A per-worker allocation cache (`rte_mempool`'s per-lcore cache): a
 /// thread-private stack of pool buffers. Alloc and free on a warm cache
-/// are a `Vec` pop/push plus relaxed counter updates — no lock. The cache
-/// exchanges buffers with the shared freelist in chunks: an empty cache
-/// refills to `size` beyond the current need; a cache past `1.5 * size`
-/// spills down to `size` (DPDK's flush threshold). Bursts larger than
-/// `2 * size` bypass the cache entirely and hit the shared burst path.
+/// are a `Vec` pop/push and a private count — no lock, no shared cache
+/// line. The cache exchanges buffers with the shared freelist in chunks:
+/// an empty cache refills to `size` beyond the current need; a cache past
+/// `1.5 * size` spills down to `size` (DPDK's flush threshold). Each such
+/// exchange also settles the cache's hits since the last one into the
+/// pool's counters (see the module docs). Bursts larger than `2 * size`
+/// bypass the cache entirely and hit the shared burst path.
 ///
 /// Owned, not clonable: one per thread, like one per lcore. Dropping it
-/// flushes the parked buffers back to the freelist, so a worker that
-/// exits returns everything it held — pool audits (`in_use() == 0` at
-/// quiescence) hold without extra ceremony.
+/// flushes the parked buffers back to the freelist and settles its
+/// account, so a worker that exits returns everything it held — pool
+/// audits (`in_use() == 0` at quiescence) hold without extra ceremony.
 pub struct MempoolCache {
     pool: Mempool,
     slot: Arc<CacheSlot>,
     stack: Vec<BytesMut>,
     size: usize,
+    account: CacheAccount,
+}
+
+/// A cache's private books: what it has served from its stack since it
+/// last took the freelist lock, and what the pool's ledger holds for it.
+#[derive(Default)]
+struct CacheAccount {
+    unsettled_allocs: u64,
+    unsettled_frees: u64,
+    /// The parked depth the ledger's `cached_total` counts for this cache.
+    settled_depth: usize,
+}
+
+impl CacheAccount {
+    /// Settle inside a freelist critical section (`free` is the locked
+    /// list): the unsettled hits, `allocs` more hand-outs the cache is
+    /// about to serve, and the parked `depth` those leave it with.
+    fn settle(
+        &mut self,
+        shared: &PoolShared,
+        free: &[BytesMut],
+        depth: usize,
+        allocs: usize,
+        failures: usize,
+    ) {
+        shared.settle(
+            free,
+            Settlement {
+                allocs: self.unsettled_allocs + allocs as u64,
+                frees: self.unsettled_frees,
+                failures: failures as u64,
+                cached: depth as i64 - self.settled_depth as i64,
+            },
+        );
+        *self = CacheAccount {
+            settled_depth: depth,
+            ..CacheAccount::default()
+        };
+    }
 }
 
 impl MempoolCache {
@@ -433,51 +497,59 @@ impl MempoolCache {
     }
 
     /// Publish the new stack depth to the sampler-visible gauge (a plain
-    /// relaxed store; this thread is the only writer).
+    /// relaxed store to this cache's own line; this thread is the only
+    /// writer).
     fn publish_gauge(&self) {
         self.slot
             .cached
             .store(self.stack.len() as u64, Ordering::Relaxed);
     }
 
-    /// Top up the stack so it holds at least `need` buffers (plus `size`
-    /// headroom beyond the need, so the next bursts are lock-free).
-    /// Returns the buffers actually on hand, which may fall short when
-    /// the pool is drained.
-    fn ensure(&mut self, need: usize) -> usize {
-        if self.stack.len() < need {
-            let want = need + self.size - self.stack.len();
-            self.pool.refill_cache(&mut self.stack, want);
-            self.publish_gauge();
+    /// Account for handing out up to `n` buffers from the top of the
+    /// stack and return how many there are to hand out (fewer than `n`
+    /// only when the pool is drained; the shortfall is counted as
+    /// exhaustion failures). A hit is a private count; a miss refills in
+    /// one freelist critical section — up to `size` beyond the need, so
+    /// the next bursts hit — and settles as of after this hand-out.
+    fn reserve(&mut self, n: usize) -> usize {
+        if self.stack.len() >= n {
+            self.account.unsettled_allocs += n as u64;
+            return n;
         }
-        self.stack.len()
+        let shared = &*self.pool.shared;
+        let mut free = shared.freelist.0.lock();
+        let want = n + self.size - self.stack.len();
+        let keep = free.len().saturating_sub(want);
+        self.stack.extend(free.drain(keep..).rev());
+        let got = n.min(self.stack.len());
+        self.account
+            .settle(shared, &free, self.stack.len() - got, got, n - got);
+        got
     }
 
-    /// Spill down to `size` if the stack has grown past the flush
-    /// threshold (`1.5 * size`).
-    fn maybe_spill(&mut self) {
-        if self.stack.len() > self.size + self.size / 2 {
-            let excess = self.stack.len() - self.size;
-            self.pool.spill_cache(&mut self.stack, excess);
+    /// Return the top `count` buffers of the stack to the freelist and
+    /// settle, in one critical section.
+    fn spill(&mut self, count: usize) {
+        let shared = &*self.pool.shared;
+        let mut free = shared.freelist.0.lock();
+        for buf in self.stack.drain(self.stack.len() - count..) {
+            debug_assert!(
+                free.len() < shared.population,
+                "mempool over-free (double free?)"
+            );
+            free.push(buf);
         }
-        self.publish_gauge();
+        self.account.settle(shared, &free, self.stack.len(), 0, 0);
     }
 
     /// Allocate an empty mbuf from the cache (lock-free when warm), or
     /// `None` if cache and pool are both exhausted.
     pub fn alloc(&mut self) -> Option<Mbuf> {
-        if self.ensure(1) == 0 {
-            self.pool.account_failures(1);
+        if self.reserve(1) == 0 {
             return None;
         }
-        let mut buf = self.stack.pop().expect("ensured non-empty");
+        let mut buf = self.stack.pop().expect("reserved one buffer");
         self.publish_gauge();
-        // Out of the cache = in flight, not available.
-        self.pool
-            .shared
-            .cached_total
-            .fetch_sub(1, Ordering::Relaxed);
-        self.pool.account_allocs(1);
         buf.clear();
         Some(Mbuf::from_bytes(buf))
     }
@@ -501,20 +573,12 @@ impl MempoolCache {
         if n > 2 * self.size {
             return self.pool.alloc_burst(n, out);
         }
-        let have = self.ensure(n);
-        let got = have.min(n);
-        for mut buf in self.stack.drain(have - got..) {
+        let got = self.reserve(n);
+        for mut buf in self.stack.drain(self.stack.len() - got..) {
             buf.clear();
             out.push(Mbuf::from_bytes(buf));
         }
         self.publish_gauge();
-        // Out of the cache = in flight, not available.
-        self.pool
-            .shared
-            .cached_total
-            .fetch_sub(got as u64, Ordering::Relaxed);
-        self.pool.account_allocs(got as u64);
-        self.pool.account_failures((n - got) as u64);
         got
     }
 
@@ -525,35 +589,31 @@ impl MempoolCache {
     }
 
     /// Return any number of mbufs to the cache, spilling past the flush
-    /// threshold in one critical section. Buffers are cleared before they
-    /// re-enter circulation.
+    /// threshold (`1.5 * size`, down to `size`) in one critical section.
+    /// Buffers are cleared before they re-enter circulation.
     pub fn free_burst(&mut self, mbufs: impl IntoIterator<Item = Mbuf>) {
-        let mut n = 0u64;
+        let before = self.stack.len();
         for mut mbuf in mbufs {
             let mut buf = mbuf.take_data();
             buf.clear();
             self.stack.push(buf);
-            n += 1;
         }
-        if n > 0 {
-            // Freed into the cache = no longer in flight: count the
-            // hand-back first (see `Mempool::account_allocs`), then make
-            // the buffers available.
-            self.pool.shared.frees.fetch_add(n, Ordering::Relaxed);
-            self.pool.shared.in_use.fetch_sub(n, Ordering::Relaxed);
-            self.pool
-                .shared
-                .cached_total
-                .fetch_add(n, Ordering::Relaxed);
+        self.account.unsettled_frees += (self.stack.len() - before) as u64;
+        if self.stack.len() > self.size + self.size / 2 {
+            self.spill(self.stack.len() - self.size);
         }
-        self.maybe_spill();
+        self.publish_gauge();
     }
 
-    /// Return every parked buffer to the shared freelist (the cache stays
-    /// usable and will refill on the next alloc).
+    /// Return every parked buffer to the shared freelist and settle this
+    /// cache's account (the cache stays usable and will refill on the
+    /// next alloc).
     pub fn flush(&mut self) {
-        let all = self.stack.len();
-        self.pool.spill_cache(&mut self.stack, all);
+        let account = &self.account;
+        if self.stack.is_empty() && account.unsettled_allocs == 0 && account.unsettled_frees == 0 {
+            return;
+        }
+        self.spill(self.stack.len());
         self.publish_gauge();
     }
 }
@@ -681,42 +741,83 @@ mod tests {
     }
 
     #[test]
-    fn cache_alloc_free_keeps_accounting_exact() {
+    fn cache_hits_settle_at_the_next_transaction() {
         let p = Mempool::new(16, 64);
         let mut c = p.cache(4);
         let m = c.alloc().unwrap();
-        // Refill pulled need + size = 5, handed out 1, parked 4.
+        // The refill pulled need + size = 5 and settled as of after the
+        // hand-out: 1 in flight, 4 parked.
         assert_eq!(p.in_use(), 1);
         assert_eq!(c.cached(), 4);
         assert_eq!(p.cached(), 4);
         assert_eq!(p.available(), 15, "cached buffers stay available");
+        assert_eq!(p.counters(), (1, 0));
+        // The free is a hit: the cache knows, its gauge shows it, the
+        // pool's ledger does not yet — and still adds up.
         c.free(m);
+        assert_eq!(c.cached(), 5);
+        assert_eq!(p.cached_per_cache(), vec![5]);
+        assert_eq!(p.counters(), (1, 0));
+        assert_eq!(p.available() + p.in_use(), 16);
+        c.flush();
         assert_eq!(p.in_use(), 0);
         assert_eq!(p.counters(), (1, 1));
+        assert_eq!(p.cached(), 0);
         assert_eq!(p.available(), 16);
+        // Hits again after the flush, settled by the drop.
+        let m = c.alloc().unwrap();
+        c.free(m);
         drop(c);
         assert_eq!(p.cached(), 0, "drop must flush the cache");
+        assert_eq!(p.counters(), (2, 2));
         assert_eq!(p.available(), 16);
+        assert_eq!(p.in_use_peak(), 1);
     }
 
     #[test]
-    fn cache_burst_hits_are_lock_free_and_exact() {
+    #[cfg(debug_assertions)]
+    fn cache_hits_never_touch_the_shared_ledger() {
         let p = Mempool::new(64, 64);
         let mut c = p.cache(8);
         let mut burst = Vec::new();
+        // Cold: the refill is one settlement.
+        let before = shared_touches();
         assert_eq!(c.alloc_burst(8, &mut burst), 8);
+        assert_eq!(shared_touches() - before, 1);
         assert_eq!(p.in_use(), 8);
         assert_eq!(p.available(), 56);
+        // Handing the burst back to a cache the refill just topped up
+        // spills (16 > 1.5 C): one settlement again.
+        let before = shared_touches();
         c.free_burst(burst.drain(..));
+        assert_eq!(shared_touches() - before, 1);
+        assert_eq!(p.counters(), (8, 8));
+        // Warm: alloc/free pairs of a whole burst are private.
+        let before = shared_touches();
+        for _ in 0..100 {
+            assert_eq!(c.alloc_burst(8, &mut burst), 8);
+            c.free_burst(burst.drain(..));
+        }
+        assert_eq!(shared_touches() - before, 0);
+        assert_eq!(p.counters(), (8, 8), "hits are not on the books yet");
+        // The next spill brings the books up to date.
+        let mut direct = Vec::new();
+        p.alloc_burst(8, &mut direct);
+        assert_eq!(c.cached(), 8);
+        let before = shared_touches();
+        c.free_burst(direct.drain(..));
+        assert_eq!(shared_touches() - before, 1);
+        assert_eq!(c.cached(), 8);
+        assert_eq!(p.counters(), (816, 816));
         assert_eq!(p.in_use(), 0);
+        assert_eq!(p.cached(), 8);
+        // So is a flush; a second one has nothing to settle.
+        let before = shared_touches();
+        c.flush();
+        c.flush();
+        assert_eq!(shared_touches() - before, 1);
         assert_eq!(p.available(), 64);
         assert_eq!(p.in_use_peak(), 8);
-        // Warm cache: the next burst is served without touching the
-        // freelist (observable as the freelist count standing still).
-        let freelist_before = p.shared.free_count.load(Ordering::Relaxed);
-        assert_eq!(c.alloc_burst(8, &mut burst), 8);
-        c.free_burst(burst.drain(..));
-        assert_eq!(p.shared.free_count.load(Ordering::Relaxed), freelist_before);
     }
 
     #[test]
@@ -759,7 +860,10 @@ mod tests {
         assert_eq!(p.alloc_failures(), 3);
         assert!(c.alloc().is_none());
         assert_eq!(p.alloc_failures(), 4);
+        // The allocation that drained the pool registered the ceiling.
+        assert_eq!(p.in_use_peak(), 4);
         c.free_burst(burst.drain(..));
+        c.flush();
         assert_eq!(p.available(), 4);
     }
 
@@ -771,17 +875,44 @@ mod tests {
         let ma = a.alloc().unwrap();
         let mb = b.alloc().unwrap();
         assert_eq!(p.in_use(), 2);
-        assert_eq!(p.cached_per_cache().len(), 2);
+        assert_eq!(p.cached_per_cache(), vec![4, 4]);
         // Cross-cache recycling: a's buffer freed through b.
         b.free(ma);
         a.free(mb);
-        assert_eq!(p.in_use(), 0);
-        assert_eq!(p.available(), 32);
+        assert_eq!(p.cached_per_cache(), vec![5, 5]);
         drop(a);
         assert_eq!(p.cached_per_cache().len(), 1);
         drop(b);
+        assert_eq!(p.in_use(), 0);
+        assert_eq!(p.available(), 32);
         assert_eq!(p.cached(), 0);
         assert_eq!(p.counters(), (2, 2));
+    }
+
+    #[test]
+    fn unsettled_hits_never_push_the_derived_gauges_out_of_range() {
+        // The generator/worker shape: one cache only allocates, the other
+        // only frees, and the recycler settles first — so the ledger
+        // counts the travelled buffers twice until the allocator settles.
+        let p = Mempool::new(16, 64);
+        let mut gen = p.cache(4);
+        let mut worker = p.cache(2);
+        let mut burst = Vec::new();
+        assert_eq!(gen.alloc_burst(1, &mut burst), 1); // refill: 5 out of the freelist
+        assert_eq!(gen.alloc_burst(4, &mut burst), 4); // hits, unsettled
+        worker.free_burst(burst.drain(..)); // 5 > 1.5 C: spills down to 2, settles
+        assert_eq!(p.cached_per_cache(), vec![0, 2]);
+        // Truth: nothing in flight. Ledger: freelist 14 + gen's settled 4
+        // + worker's 2 = 20 > 16 — clamped, never wrapped.
+        assert_eq!(p.available(), 16);
+        assert_eq!(p.in_use(), 0);
+        assert!(p.in_use_peak() <= 16);
+        let (allocs, frees) = p.counters();
+        assert_eq!((allocs, frees), (1, 5), "the allocator's hits lag");
+        drop((gen, worker));
+        assert_eq!(p.counters(), (5, 5));
+        assert_eq!(p.available(), 16);
+        assert_eq!(p.cached(), 0);
     }
 
     #[test]
@@ -792,6 +923,7 @@ mod tests {
         assert_eq!(m.bytes(), b"abc");
         assert!(c.alloc_with(b"way too long for 8").is_none());
         c.free(m);
+        c.flush();
         assert_eq!(p.in_use(), 0);
     }
 

@@ -177,7 +177,12 @@ pub fn default_processor(app_name: &str) -> Box<dyn PacketProcessor> {
 /// glue between `metronome_core`'s [`RxQueue`] seam and
 /// `metronome_dpdk`'s [`RingConsumer`] (a newtype, since both the trait
 /// and the type live in other crates). On the default SPSC ring path a
-/// worker's burst drain is one batched acquire/release index update.
+/// worker's burst drain is one batched acquire/release index update —
+/// followed by a write-intent prefetch of every popped frame's header
+/// ([`Mbuf::prefetch_header`]): the generator core wrote those lines
+/// last, and asking for all of them here puts a burst's worth of
+/// cross-core transfers in flight at once, before the app lock, the
+/// completion stamp and `process_burst` get to the first frame.
 #[derive(Clone, Debug)]
 pub struct WorkerRing(pub RingConsumer);
 
@@ -195,7 +200,11 @@ impl RxQueue<Mbuf> for WorkerRing {
     }
 
     fn pop_burst(&self, out: &mut Vec<Mbuf>, max: usize) -> usize {
-        self.0.pop_burst(out, max)
+        let taken = self.0.pop_burst(out, max);
+        for mbuf in &out[out.len() - taken..] {
+            mbuf.prefetch_header();
+        }
+        taken
     }
 }
 
@@ -422,10 +431,11 @@ pub fn try_run_realtime_with(
                     if measure_latency {
                         if let Some(clock) = clock_cell.get() {
                             let done = clock.now();
-                            for mbuf in burst.iter() {
-                                let lat = done.saturating_sub(mbuf.arrival);
-                                slot.latency_ns.record(lat.as_nanos());
-                            }
+                            slot.latency_ns.record_burst(
+                                burst
+                                    .iter()
+                                    .map(|mbuf| done.saturating_sub(mbuf.arrival).as_nanos()),
+                            );
                         }
                     }
                     drop(slot);

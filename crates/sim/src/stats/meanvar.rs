@@ -26,6 +26,20 @@ impl MeanVar {
         }
     }
 
+    /// An estimator over `count` observations summarized elsewhere: their
+    /// mean, their sum of squared deviations from it (`m2`) and their
+    /// extremes — the right-hand side of a [`MeanVar::merge`] for a caller
+    /// that accumulated a batch in exact integer sums.
+    pub(crate) fn from_moments(count: u64, mean: f64, m2: f64, min: f64, max: f64) -> Self {
+        MeanVar {
+            count,
+            mean,
+            m2,
+            min,
+            max,
+        }
+    }
+
     /// Incorporate one observation.
     pub fn add(&mut self, x: f64) {
         self.count += 1;

@@ -146,23 +146,32 @@ proptest! {
     /// interleavings of cached and direct alloc/free (single and burst,
     /// forcing spills and refills with small cache sizes), with buffers
     /// freed through *any* handle regardless of where they were allocated.
-    /// The exactness contract: `available() + in_use() == population`
-    /// after every op (cached buffers count as available, like
-    /// `rte_mempool_avail_count`), the hand-out counters reconcile, and
-    /// the in-use peak never over-reads the population.
+    /// Cache hits settle into the pool's counters at the cache's next
+    /// freelist transaction, so the contract has two halves. Between
+    /// *every* step, whatever is unsettled: `available() + in_use() ==
+    /// population` (cached buffers count as available, like
+    /// `rte_mempool_avail_count`), no gauge wraps or leaves its range, the
+    /// peak never over-reads the population, the settled counters never
+    /// run ahead of the truth, and `in_use()` is off by less than the
+    /// caches can hold. Once every cache has flushed: every figure exact.
     #[test]
     fn mempool_cached_interleavings_conserve(
         ops in prop::collection::vec((0u8..3, 0u8..5, 1usize..8), 1..200)
     ) {
         let pool = Mempool::new(32, 64);
+        let population = pool.population();
         // Handle 0 is the bare pool; 1 and 2 are worker caches small
         // enough (2, 3) that bursts of up to 7 regularly bypass, refill,
         // and spill.
         let mut caches = vec![pool.cache(2), pool.cache(3)];
+        // A cache parks at most a refill's worth: the need (<= 2C) + C.
+        let cache_room: usize = caches.iter().map(|c| 3 * c.size()).sum();
         let mut held: Vec<metronome_repro::dpdk::Mbuf> = Vec::new();
         let mut scratch = Vec::new();
+        let (mut true_allocs, mut true_frees) = (0u64, 0u64);
         for (which, op, n) in ops {
             let cache = which.checked_sub(1).map(|i| &mut caches[i as usize]);
+            let mut all_flushed = false;
             match op {
                 0 => {
                     let got = match cache {
@@ -172,6 +181,7 @@ proptest! {
                     if let Some(m) = got {
                         prop_assert!(m.is_empty(), "recycled buffer not cleared");
                         held.push(m);
+                        true_allocs += 1;
                     }
                 }
                 1 => {
@@ -180,6 +190,7 @@ proptest! {
                         None => pool.alloc_burst(n, &mut scratch),
                     };
                     prop_assert_eq!(got, scratch.len());
+                    true_allocs += got as u64;
                     held.append(&mut scratch);
                 }
                 2 => {
@@ -188,6 +199,7 @@ proptest! {
                             Some(c) => c.free(m),
                             None => pool.free(m),
                         }
+                        true_frees += 1;
                     }
                 }
                 3 => {
@@ -196,33 +208,54 @@ proptest! {
                         Some(c) => c.free_burst(held.drain(..k)),
                         None => pool.free_burst(held.drain(..k)),
                     }
+                    true_frees += k as u64;
                 }
-                _ => {
-                    if let Some(c) = cache {
+                _ => match cache {
+                    Some(c) => {
                         c.flush();
                         prop_assert_eq!(c.cached(), 0);
                     }
-                }
+                    // Through the bare pool handle: quiesce every cache.
+                    None => {
+                        caches.iter_mut().for_each(|c| c.flush());
+                        all_flushed = true;
+                    }
+                },
             }
-            // Exactness after every op, caches included: every buffer is
-            // in the freelist, in a cache, or held — nowhere else.
-            prop_assert_eq!(pool.in_use(), held.len());
-            prop_assert_eq!(pool.available() + pool.in_use(), pool.population());
-            prop_assert_eq!(
-                pool.cached() as u64,
-                caches.iter().map(|c| c.cached() as u64).sum::<u64>()
-            );
+            // Between every step, settled or not: the derived gauges add
+            // up, stay in range, and lag the truth by a bounded amount.
+            let (in_use, available) = (pool.in_use(), pool.available());
+            prop_assert_eq!(available + in_use, population);
+            prop_assert!(in_use <= population && available <= population);
+            prop_assert!(in_use.abs_diff(held.len()) <= cache_room,
+                "in_use {} vs {} held", in_use, held.len());
+            prop_assert!(pool.cached() <= cache_room, "cached wrapped: {}", pool.cached());
+            prop_assert!(pool.in_use_peak() >= in_use);
+            prop_assert!(pool.in_use_peak() <= population);
             let (allocs, frees) = pool.counters();
-            prop_assert_eq!(allocs - frees, held.len() as u64);
-            prop_assert!(pool.in_use_peak() >= pool.in_use());
-            prop_assert!(pool.in_use_peak() <= pool.population());
+            prop_assert!(allocs <= true_allocs && frees <= true_frees,
+                "settled ({allocs}, {frees}) ahead of ({true_allocs}, {true_frees})");
+            // The per-cache gauges are current, not settled.
+            prop_assert_eq!(
+                pool.cached_per_cache(),
+                caches.iter().map(|c| c.cached() as u64).collect::<Vec<_>>()
+            );
+            if all_flushed {
+                // Every buffer is on the freelist or held — nowhere else.
+                prop_assert_eq!(in_use, held.len());
+                prop_assert_eq!(pool.cached(), 0);
+                prop_assert_eq!((allocs, frees), (true_allocs, true_frees));
+            }
         }
-        // Quiescence: drop the caches (spilling their stacks), return
-        // everything — the freelist is whole and allocs == frees.
+        // Quiescence: drop the caches (spilling their stacks, settling
+        // their accounts), return everything — the freelist is whole and
+        // allocs == frees.
         drop(caches);
         prop_assert_eq!(pool.cached(), 0);
+        prop_assert_eq!(pool.in_use(), held.len());
+        prop_assert_eq!(pool.counters(), (true_allocs, true_frees));
         pool.free_burst(held.drain(..));
-        prop_assert_eq!(pool.available(), pool.population());
+        prop_assert_eq!(pool.available(), population);
         let (allocs, frees) = pool.counters();
         prop_assert_eq!(allocs, frees);
     }

@@ -22,16 +22,14 @@
 //! `examples/bench6.rs` snapshots them into `BENCH_6.json`. The
 //! queue-count scaling harness (thread vs async executor backend) lives
 //! in [`scale`]; `examples/bench8.rs` snapshots it into `BENCH_8.json`.
-//! The sharded-ingest harness (producer shards × ring paths,
-//! scatter-gather vs per-queue staging, amortized vs precise clock)
-//! lives in [`ingest`]; `examples/bench10.rs` snapshots it into
-//! `BENCH_10.json`.
+//! The ingest path has no harness here: `perfbench/` prices it per
+//! workload (`dpdk.alloc/refill/scatter/offer_ns_pkt`,
+//! `sim.coarse_tick_ns`, `traffic.gen_late_*`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod hotpath;
-pub mod ingest;
 pub mod scale;
 
 use metronome_core::MetronomeConfig;

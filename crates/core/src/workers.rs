@@ -370,6 +370,10 @@ mod tests {
         ExecBackend::Async { shards: 2 },
     ];
 
+    /// How long the table test leaves the queues empty between its two
+    /// halves: several times the longest sleep any discipline takes.
+    const IDLE_GAP: Duration = Duration::from_millis(5);
+
     /// M = 3 over N = 2: three racing Metronome workers, or two pinned
     /// baseline workers.
     fn cfg() -> MetronomeConfig {
@@ -460,20 +464,32 @@ mod tests {
                     });
                     assert_eq!(set.exec(), exec, "{case}");
 
-                    for i in 0..n {
-                        let q = (i % 2) as usize;
-                        while set.queues()[q].push(i).is_err() {
-                            std::thread::yield_now();
-                        }
-                        if i % 32 == 0 {
-                            set.doorbell(q).ring();
-                        }
-                    }
-                    set.doorbell(0).ring();
-                    set.doorbell(1).ring();
+                    // Two halves with an idle gap between them, so that a
+                    // wake follows from the test's shape and not from
+                    // scheduling: once the first half is drained the
+                    // queues are empty for longer than the longest sleep
+                    // (TL = 500 µs), so every worker that can sleep or
+                    // park has done so before the second half arrives.
                     let deadline = Instant::now() + Duration::from_secs(10);
-                    while set.processed(0) + set.processed(1) < n && Instant::now() < deadline {
-                        std::thread::sleep(Duration::from_millis(2));
+                    for half in [0..n / 2, n / 2..n] {
+                        let upto = half.end;
+                        for i in half {
+                            let q = (i % 2) as usize;
+                            while set.queues()[q].push(i).is_err() {
+                                std::thread::yield_now();
+                            }
+                            if i % 32 == 0 {
+                                set.doorbell(q).ring();
+                            }
+                        }
+                        set.doorbell(0).ring();
+                        set.doorbell(1).ring();
+                        while set.processed(0) + set.processed(1) < upto
+                            && Instant::now() < deadline
+                        {
+                            std::thread::sleep(Duration::from_millis(2));
+                        }
+                        std::thread::sleep(IDLE_GAP);
                     }
                     let stats = set.stop();
 

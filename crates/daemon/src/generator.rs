@@ -1,0 +1,309 @@
+//! The service's producer side: MoonGen's role as a long-running
+//! process. Each shard paces a [`LiveRate`] source through the same
+//! [`PacedArrivals`] the scenario runner uses and hands every batch to
+//! the one ingest core ([`IngestShard::emit`]); a separate
+//! [`fault_driver`] realizes the fault kinds that act on the world
+//! rather than on the arrival stream.
+
+use metronome_dpdk::{Mbuf, Mempool, RssPort};
+use metronome_runtime::ingest::{IngestShard, GEN_BATCH};
+use metronome_sim::{Nanos, Rng};
+use metronome_telemetry::TelemetryHub;
+use metronome_traffic::{ArrivalProcess, FaultPlan, InjectionStats, PacedArrivals, WallClock};
+use parking_lot::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
+
+/// How far ahead a shard with nothing due looks before re-reading the
+/// live rate and the stop flag, and the fault driver's period: a stop or
+/// a rate change reaches every thread within one tick, even at rate 0.
+const GEN_TICK: Nanos = Nanos::from_micros(500);
+
+/// What the producer threads share with the engine, for the whole run:
+/// the live-reconfigurable rate, and the stop flag that retires one
+/// generation of threads (raised, joined, lowered again before the next
+/// generation spawns — a `gen_shards` reconfigure, or the drain).
+pub(crate) struct GenShared {
+    pub(crate) stop: AtomicBool,
+    /// Offered rate as `f64` bits — reconfiguring the rate is one store.
+    pub(crate) rate_bits: AtomicU64,
+}
+
+impl GenShared {
+    pub(crate) fn new(rate_pps: f64) -> Arc<GenShared> {
+        Arc::new(GenShared {
+            stop: AtomicBool::new(false),
+            rate_bits: AtomicU64::new(rate_pps.to_bits()),
+        })
+    }
+
+    /// The aggregate offered rate, packets per second.
+    pub(crate) fn rate_pps(&self) -> f64 {
+        f64::from_bits(self.rate_bits.load(Ordering::Relaxed))
+    }
+
+    fn stopped(&self) -> bool {
+        self.stop.load(Ordering::Acquire)
+    }
+}
+
+/// One shard's share of a rate that can change while it runs: the
+/// arrival after `t` is scheduled `1 / rate(t)` later, with `rate(t)` the
+/// live aggregate rate × the plan's spike factor at `t` ÷ shards, read
+/// per arrival. The source is the daemon's fault view of the arrival
+/// stream: spikes scale the rate, jitter bursts thin it (counted in an
+/// [`InjectionStats`] the ingest shard mirrors as fault drops). It owes
+/// no backlog across a rate change — the new spacing starts at the last
+/// poll point — and never runs dry until the stop flag is up.
+pub(crate) struct LiveRate {
+    shared: Arc<GenShared>,
+    plan: FaultPlan,
+    rng: Rng,
+    stats: InjectionStats,
+    n_shards: f64,
+    /// The rate `next` was scheduled at.
+    rate: f64,
+    /// The next scheduled arrival (`None` while the rate is zero).
+    next: Option<Nanos>,
+    /// The last instant the pacer drained to.
+    polled: Nanos,
+}
+
+impl LiveRate {
+    /// Shard `shard` of `n_shards`, starting at `start` on the run's
+    /// clock (the plan's windows are relative to that clock's zero).
+    pub(crate) fn new(
+        shared: Arc<GenShared>,
+        plan: FaultPlan,
+        seed: u64,
+        shard: usize,
+        n_shards: usize,
+        start: Nanos,
+    ) -> LiveRate {
+        LiveRate {
+            shared,
+            plan,
+            rng: Rng::new(seed ^ 0x0D4E_3019).stream(7 + shard as u64),
+            stats: InjectionStats::new(),
+            n_shards: n_shards as f64,
+            rate: 0.0,
+            next: None,
+            polled: start,
+        }
+    }
+
+    /// The handle counting what this source thinned away.
+    pub(crate) fn stats(&self) -> InjectionStats {
+        self.stats.clone()
+    }
+
+    fn schedule(&mut self, from: Nanos, rate: f64) {
+        self.rate = rate;
+        // At least 1 ns apart, so an absurd rate still terminates a drain.
+        self.next = (rate > 0.0).then(|| {
+            Nanos(
+                from.as_nanos()
+                    .saturating_add(((1e9 / rate).round() as u64).max(1)),
+            )
+        });
+    }
+}
+
+impl ArrivalProcess for LiveRate {
+    fn drain(&mut self, until: Nanos, mut timestamps: Option<&mut Vec<Nanos>>) -> u64 {
+        if self.shared.stopped() {
+            return 0;
+        }
+        // A reconfigure or a spike window edge since `next` was
+        // scheduled: re-space from the previous poll point.
+        let live = self.rate_pps(until);
+        if live != self.rate {
+            self.schedule(self.polled, live);
+        }
+        let mut kept = 0;
+        while let Some(t) = self.next.filter(|&t| t <= until) {
+            let lost = self
+                .plan
+                .jitter_at(t)
+                .is_some_and(|(_, p)| p > 0.0 && self.rng.chance(p));
+            if lost {
+                self.stats.add_drops(1);
+            } else {
+                kept += 1;
+                if let Some(out) = timestamps.as_deref_mut() {
+                    out.push(t);
+                }
+            }
+            let rate = self.rate_pps(t);
+            self.schedule(t, rate);
+        }
+        self.polled = self.polled.max(until);
+        kept
+    }
+
+    fn peek_next(&mut self) -> Option<Nanos> {
+        if self.shared.stopped() {
+            return None;
+        }
+        let poll = self.polled + GEN_TICK;
+        Some(self.next.map_or(poll, |t| t.min(poll)))
+    }
+
+    fn rate_pps(&self, t: Nanos) -> f64 {
+        self.shared.rate_pps().max(0.0) * self.plan.rate_factor(t) / self.n_shards
+    }
+}
+
+/// One producer shard thread: pace, emit, until the stop flag ends the
+/// source; the shard's cache flushes as it drops. The hub is re-read per
+/// batch because a re-arm swaps it under the generator.
+pub(crate) fn run_shard(
+    source: LiveRate,
+    mut shard: IngestShard,
+    clock: WallClock,
+    port: &RssPort,
+    gen_hub: &Mutex<Arc<TelemetryHub>>,
+) {
+    let mut paced = PacedArrivals::with_clock(Box::new(source), Nanos(u64::MAX), clock)
+        .with_max_batch(GEN_BATCH);
+    while let Some(batch) = paced.next_batch() {
+        let hub = Arc::clone(&gen_hub.lock());
+        shard.emit(batch, port, &hub);
+    }
+    shard.finish(&gen_hub.lock());
+}
+
+/// The fault kinds that are the world's, not the source's, driven off
+/// the run's clock every [`GEN_TICK`] whether or not a packet is due:
+/// `QueueStall` raises the consumer-pause flag `stall` (the atomic the
+/// process closures poll) for its windows, `PoolStarve` confiscates its
+/// fraction of the pool straight from the shared freelist (bypassing
+/// caches, so the count is exact). On stop it releases both, so the
+/// post-drain audit sees the pool whole and the workers unstalled.
+pub(crate) fn fault_driver(
+    shared: &GenShared,
+    stall: &AtomicBool,
+    plan: &FaultPlan,
+    pool: &Mempool,
+    clock: WallClock,
+) {
+    let mut confiscated: Vec<Mbuf> = Vec::new();
+    while !shared.stopped() {
+        let now = clock.now();
+        stall.store(plan.stalled(now), Ordering::Release);
+        let want = (plan.starve_fraction(now) * pool.population() as f64) as usize;
+        if want > confiscated.len() {
+            let _ = pool.alloc_burst(want - confiscated.len(), &mut confiscated);
+        } else {
+            pool.free_burst(confiscated.drain(want..));
+        }
+        std::thread::sleep(Duration::from_nanos(GEN_TICK.as_nanos()));
+    }
+    stall.store(false, Ordering::Release);
+    pool.free_burst(confiscated);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use metronome_traffic::FaultKind;
+
+    fn ms(v: u64) -> Nanos {
+        Nanos::from_millis(v)
+    }
+
+    fn source(rate: f64, plan: FaultPlan, n_shards: usize) -> (Arc<GenShared>, LiveRate) {
+        let shared = GenShared::new(rate);
+        let live = LiveRate::new(Arc::clone(&shared), plan, 1, 0, n_shards, Nanos::ZERO);
+        (shared, live)
+    }
+
+    /// Drive the source the way `PacedArrivals` does — drain to "now",
+    /// peek, jump to the peeked instant — from `from` until `to`.
+    fn pace(live: &mut LiveRate, from: Nanos, to: Nanos) -> Vec<Nanos> {
+        let mut out = Vec::new();
+        let mut now = from;
+        while now < to {
+            live.drain(now, Some(&mut out));
+            now = live.peek_next().expect("running source never ends");
+        }
+        out
+    }
+
+    #[test]
+    fn steady_rate_is_evenly_spaced_and_split_across_shards() {
+        let (_s, mut live) = source(40_000.0, FaultPlan::new(), 2);
+        let ts = pace(&mut live, Nanos::ZERO, ms(100));
+        // 20 kpps per shard: 50 µs apart, 2000 in 100 ms.
+        assert!((ts.len() as i64 - 2000).abs() <= 1, "{}", ts.len());
+        assert!(ts.windows(2).all(|w| w[1] - w[0] == Nanos(50_000)));
+    }
+
+    #[test]
+    fn slow_rates_keep_their_schedule_across_poll_points() {
+        // 100 pps: 10 ms gaps, 20 poll points between arrivals.
+        let (_s, mut live) = source(100.0, FaultPlan::new(), 1);
+        let ts = pace(&mut live, Nanos::ZERO, ms(100));
+        assert_eq!(ts, (1..10).map(|k| ms(10 * k)).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn rate_change_is_seen_within_a_tick_and_owes_no_backlog() {
+        let (shared, mut live) = source(0.0, FaultPlan::new(), 1);
+        // Rate 0: nothing due, yet the source keeps asking to be polled.
+        assert!(pace(&mut live, Nanos::ZERO, ms(50)).is_empty());
+        assert_eq!(live.peek_next(), Some(live.polled + GEN_TICK));
+        // Raise the rate at t = 50 ms: the first arrival lands one gap
+        // after the last poll point, not 50 ms worth of backlog.
+        shared
+            .rate_bits
+            .store(40_000f64.to_bits(), Ordering::Relaxed);
+        let from = live.polled + GEN_TICK;
+        let ts = pace(&mut live, from, from + ms(10));
+        assert!(ts[0] >= from - GEN_TICK && ts[0] <= from + Nanos(25_000));
+        assert!((ts.len() as i64 - 400).abs() <= 25, "{}", ts.len());
+        // Back to zero: dry within a tick.
+        shared.rate_bits.store(0f64.to_bits(), Ordering::Relaxed);
+        let from = live.polled + GEN_TICK;
+        assert!(pace(&mut live, from, from + ms(10)).len() <= 1);
+    }
+
+    #[test]
+    fn spikes_scale_and_jitter_bursts_thin_with_exact_accounting() {
+        let plan = FaultPlan::new()
+            .with(ms(100), ms(100), FaultKind::RateSpike { factor: 3.0 })
+            .with(
+                ms(300),
+                ms(100),
+                FaultKind::JitterBurst {
+                    jitter: Nanos::ZERO,
+                    drop_prob: 0.5,
+                },
+            );
+        let (_s, mut live) = source(10_000.0, plan, 1);
+        let stats = live.stats();
+        let ts = pace(&mut live, Nanos::ZERO, ms(500));
+        let within = |a, b| ts.iter().filter(|&&t| t >= ms(a) && t < ms(b)).count() as f64;
+        assert!((within(0, 100) - 1000.0).abs() <= 2.0);
+        assert!(
+            (within(100, 200) - 3000.0).abs() <= 40.0,
+            "{}",
+            within(100, 200)
+        );
+        assert!((within(200, 300) - 1000.0).abs() <= 40.0);
+        // Thinned packets are scheduled arrivals that were never emitted.
+        assert!((within(300, 400) - 500.0).abs() <= 100.0);
+        assert_eq!(within(300, 400) as u64 + stats.drops(), 1000);
+        assert!(ts.windows(2).all(|w| w[0] <= w[1]), "schedule stepped back");
+    }
+
+    #[test]
+    fn stop_ends_the_source() {
+        let (shared, mut live) = source(40_000.0, FaultPlan::new(), 1);
+        assert!(live.peek_next().is_some());
+        shared.stop.store(true, Ordering::Release);
+        assert_eq!(live.drain(ms(10), None), 0);
+        assert_eq!(live.peek_next(), None);
+    }
+}

@@ -24,13 +24,15 @@
 //! ```text
 //!  UnixListener ──lines──▶ protocol::Request ─▶ ServiceEngine ─▶ reply line
 //!                                                │
-//!                              generator thread ─┤ rate spikes / jitter / starvation
-//!                              worker set (re-armable) ─ stall pauses
+//!                    generator shards (paced) ───┤ rate spikes / jitter thinning
+//!                    fault driver ───────────────┤ stall flag / pool starvation
+//!                    worker set (re-armable) ────┤ stall pauses, latency stamps
 //!                                                │
 //!  TcpListener ──GET /metrics──▶ snapshot ─▶ Prometheus text
 //! ```
 
 pub mod control;
+mod generator;
 pub mod http;
 pub mod protocol;
 pub mod service;

@@ -8,14 +8,15 @@
 //! infrastructure up between scenarios:
 //!
 //! * **Submit** builds a fresh [`RssPort`] and worker set over the shared
-//!   [`Mempool`] and spawns a rate-driven generator thread.
+//!   [`Mempool`], anchors the run's one [`WallClock`], and spawns the
+//!   producer shards (`crate::generator`).
 //! * **Reconfigure** adjusts the offered rate through one atomic store
-//!   (the generator reads it every tick), or re-arms the worker set for a
+//!   (every shard reads it per arrival), or re-arms the worker set for a
 //!   new discipline / `M` without stopping the generator — counters stay
 //!   monotone because the retiring hub's totals fold into a cumulative
 //!   base before the fresh hub takes over.
-//! * **Drain** runs the shutdown state machine: stop the generator (it
-//!   releases any fault state it holds on exit), wait for the workers to
+//! * **Drain** runs the shutdown state machine: stop the producers (the
+//!   fault driver releases what it holds on exit), wait for the workers to
 //!   catch up with everything the rings accepted, join them (their
 //!   mempool caches flush on exit), sweep anything stranded, and audit
 //!   the pool — `in_use == 0`, `cached == 0`, `allocs == frees` — before
@@ -25,42 +26,38 @@
 //! in [`metronome_traffic::PlannedFaults`]; the daemon realizes the same
 //! [`FaultPlan`] against real infrastructure):
 //!
-//! | kind           | realization                                         | shows up as |
-//! |----------------|-----------------------------------------------------|-------------|
-//! | `rate-spike`   | generator multiplies the offered rate               | ring drops under overload |
-//! | `queue-stall`  | workers pause in the process closure; rings back up | ring drops |
-//! | `pool-starve`  | generator confiscates pool buffers for the window   | pool drops |
-//! | `jitter-burst` | generator coin-flips packet suppression             | fault drops |
+//! | kind           | realization                                            | shows up as |
+//! |----------------|--------------------------------------------------------|-------------|
+//! | `rate-spike`   | the arrival source multiplies the offered rate         | ring drops under overload |
+//! | `queue-stall`  | workers pause in the process closure; rings back up    | ring drops |
+//! | `pool-starve`  | the fault driver confiscates pool buffers for the window | pool drops |
+//! | `jitter-burst` | the arrival source coin-flips packet suppression       | fault drops |
 
+use crate::generator::{fault_driver, run_shard, GenShared, LiveRate};
 use crate::protocol::{self, DisciplineChoice, ReconfigureSpec, Request, SubmitSpec};
-use bytes::BytesMut;
-use metronome_apps::processor::PacketProcessor;
 use metronome_core::discipline::{DisciplineSpec, Doorbell, ModerationConfig};
 use metronome_core::{ExecBackend, MetronomeConfig, WorkerSet};
 use metronome_dpdk::shared_ring::RingPath;
-use metronome_dpdk::{Mbuf, Mempool, QueueScatter, RssPort};
+use metronome_dpdk::{Mbuf, Mempool, RssPort};
+use metronome_runtime::ingest::{
+    complete_burst, merged_latency, merged_lateness, producer_ring_path, sweep_stranded,
+    FlowTemplate, IngestShard, QueueApp, GEN_BATCH,
+};
 use metronome_runtime::realtime_runner::{
     flow_templates, processor_for, WorkerRing, FLOWS_PER_RUN, MBUF_DATAROOM,
 };
 use metronome_sim::stats::Histogram;
-use metronome_sim::{Nanos, Rng};
+use metronome_sim::Nanos;
 use metronome_telemetry::export::prometheus::{render, snapshot_metrics};
 use metronome_telemetry::{
-    CounterSnapshot, DropCause, Json, MarkerKind, TelemetryHub, TelemetrySink, TraceHub,
-    TraceRecorder, TraceSink, DEFAULT_RING_CAPACITY,
+    CounterSnapshot, Json, MarkerKind, TelemetryHub, TraceHub, TraceRecorder, TraceSink,
+    DEFAULT_RING_CAPACITY,
 };
 use metronome_traffic::{FaultPlan, WallClock};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Generator wake-up period: batch sizes follow from rate × tick.
-const GEN_TICK: Duration = Duration::from_micros(500);
-
-/// Hard cap on one tick's batch (bounds pool demand during catch-up; the
-/// clipped remainder is shed, not owed — a daemon must not build debt).
-const GEN_MAX_BATCH: usize = 2048;
 
 /// How long the process closure naps between stall-flag polls.
 const STALL_POLL: Duration = Duration::from_micros(100);
@@ -76,7 +73,8 @@ pub struct DaemonConfig {
     pub n_queues: usize,
     /// Descriptors per Rx ring.
     pub ring_size: usize,
-    /// Mbuf pool population (`None`: sized for rings + generator bursts).
+    /// Mbuf pool population (`None`: every ring full twice over plus 16
+    /// producer-shard caches at their `2 × GEN_BATCH` high-water mark).
     pub pool_population: Option<usize>,
     /// App profile every queue processes with (must have a functional
     /// processor — see `processor_for`).
@@ -130,34 +128,23 @@ impl Totals {
     }
 }
 
-/// What the generator shards share with the engine: the stop flag, the
-/// live-reconfigurable rate, and the consumer-pause flag shard 0 drives
-/// from the plan's stall windows (the same atomic the process closures
-/// poll). One instance per generator generation — a `gen_shards`
-/// reconfigure retires it (stop + join) and spawns a fresh one carrying
-/// the live rate over.
-struct GenShared {
-    stop: AtomicBool,
-    /// Offered rate as `f64` bits — reconfiguring the rate is one store.
-    rate_bits: AtomicU64,
-    stall: Arc<AtomicBool>,
+/// The telemetry hub a worker set of this shape writes into, one slot per
+/// worker. Created by the caller, not by `arm_workers`, so a re-arm can
+/// hand the generator the new hub *before* the old one is folded.
+fn hub_for(
+    choice: DisciplineChoice,
+    cfg: &MetronomeConfig,
+    spec: &DisciplineSpec,
+) -> Arc<TelemetryHub> {
+    let n_workers = spec.workers(cfg.m_threads, cfg.n_queues);
+    TelemetryHub::labeled(n_workers, cfg.n_queues, choice.label())
 }
 
-/// Everything one generator shard thread owns: its slice of the flow
-/// population (template index `i % n_shards == shard`), its RNG stream,
-/// and its jitter-histogram slot. Shard 0 additionally realizes the
-/// run-wide fault state (stall flag, pool confiscation).
-struct GenShardCtx {
-    shared: Arc<GenShared>,
-    port: Arc<RssPort>,
-    pool: Mempool,
-    plan: FaultPlan,
-    gen_hub: Arc<Mutex<Arc<TelemetryHub>>>,
-    templates: Arc<Vec<(BytesMut, usize, u32)>>,
-    rng: Rng,
-    shard: usize,
-    n_shards: usize,
-    jitter: Arc<Vec<Mutex<Histogram>>>,
+fn spawn_named(name: String, body: impl FnOnce() + Send + 'static) -> std::thread::JoinHandle<()> {
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(body)
+        .expect("spawn generator thread")
 }
 
 /// One armed worker set (discipline + hub + halt flag), replaced
@@ -221,27 +208,37 @@ struct RunState {
     /// Flight recorder, armed at submit (`None` when the scenario opted
     /// out with `"trace": false`).
     trace: Option<TraceArm>,
-    gen: Option<(Arc<GenShared>, Vec<std::thread::JoinHandle<()>>)>,
+    /// The producers' stop flag and live rate, and the threads reading
+    /// them: one per shard, plus the fault driver when there is a plan.
+    gen: Arc<GenShared>,
+    gen_threads: Vec<std::thread::JoinHandle<()>>,
     /// Producer shard count of the live generator set.
     gen_shards: usize,
     /// Frame templates the generator shards slice up (kept so a
     /// `gen_shards` reconfigure can respawn the set without rebuilding
     /// the flow population).
-    gen_templates: Arc<Vec<(BytesMut, usize, u32)>>,
-    /// The scenario's fault plan (respawned shards re-realize it).
+    gen_templates: Vec<FlowTemplate>,
+    /// The scenario's fault plan, on `clock`'s timeline.
     faults: FaultPlan,
     /// Submit seed (shard RNG streams derive from it).
     seed: u64,
-    /// Per-shard generator tick-lateness histograms, merged into
-    /// `snapshot()` as `gen_jitter`.
-    gen_jitter: Arc<Vec<Mutex<Histogram>>>,
+    /// The run's one clock, anchored at submit and kept across re-arms
+    /// and `gen_shards` respawns: scheduled arrival stamps, completion
+    /// stamps and fault windows all share its zero.
+    clock: WallClock,
+    /// Per-shard per-packet lateness histograms, merged into `snapshot()`
+    /// as `gen_jitter`. Shard `s` records into slot `s`; slots outlive a
+    /// respawn, so the exported histogram stays cumulative for the run.
+    gen_jitter: Vec<Arc<Mutex<Histogram>>>,
     /// The generator's view of the current hub (swapped on re-arm so no
     /// drop is ever counted against a retired hub after it was folded).
     gen_hub: Arc<Mutex<Arc<TelemetryHub>>>,
     /// Per-queue doorbell slots the port's wake hooks ring through
     /// (re-pointed at the new worker set on re-arm).
     bells: Vec<Arc<Mutex<Option<Arc<Doorbell>>>>>,
-    apps: Arc<Vec<Mutex<Box<dyn PacketProcessor>>>>,
+    /// Per-queue processor + packet-latency histogram (outlives re-arms,
+    /// so the histogram is cumulative for the run too).
+    apps: Arc<Vec<Mutex<QueueApp>>>,
     stall: Arc<AtomicBool>,
 }
 
@@ -275,7 +272,7 @@ impl ServiceEngine {
         );
         let population = cfg
             .pool_population
-            .unwrap_or(2 * cfg.n_queues * cfg.ring_size + 4 * GEN_MAX_BATCH);
+            .unwrap_or(2 * cfg.n_queues * cfg.ring_size + 32 * GEN_BATCH);
         let pool = Mempool::new(population, MBUF_DATAROOM);
         ServiceEngine {
             cfg,
@@ -315,7 +312,7 @@ impl ServiceEngine {
         match req {
             Request::Ping => protocol::ok()
                 .with("reply", "pong")
-                .with("state", self.state_label()),
+                .with("state", self.state_label_locked(&self.state.lock())),
             Request::Stats => self.stats_reply(),
             Request::Trace { path } => self.trace_reply(path),
             Request::Submit(spec) => self.submit(spec),
@@ -332,16 +329,6 @@ impl ServiceEngine {
                 self.shutdown.store(true, Ordering::Release);
                 reply.with("shutdown", true)
             }
-        }
-    }
-
-    fn state_label(&self) -> &'static str {
-        if self.is_shutdown() {
-            "shutdown"
-        } else if self.state.lock().run.is_some() {
-            "running"
-        } else {
-            "idle"
         }
     }
 
@@ -369,51 +356,32 @@ impl ServiceEngine {
         Ok((cfg, spec))
     }
 
-    /// The telemetry hub a worker set of this shape writes into (one
-    /// worker slot per worker, so `hub.n_workers()` is the set's worker
-    /// count). Created by the caller (not by
-    /// [`ServiceEngine::arm_workers`]) so a re-arm can hand the generator
-    /// the new hub *before* the old one is folded — no drop is ever
-    /// mirrored into an already-folded hub.
-    fn hub_for(
-        &self,
-        choice: DisciplineChoice,
-        cfg: &MetronomeConfig,
-        spec: &DisciplineSpec,
-    ) -> Arc<TelemetryHub> {
-        let n_workers = spec.workers(cfg.m_threads, cfg.n_queues);
-        TelemetryHub::labeled(n_workers, cfg.n_queues, choice.label())
-    }
-
-    /// Spawn a worker set over `port`'s consumers and point the per-queue
+    /// Spawn a worker set over `run`'s port and point the per-queue
     /// doorbell slots at it. The process closure pauses while the stall
     /// flag is up (unless this arm's halt flag overrides it — see
-    /// [`Arm::halt`]) and recycles every burst through a worker-local
-    /// mempool cache.
-    #[allow(clippy::too_many_arguments)]
+    /// [`Arm::halt`]), then completes the burst exactly as the scenario
+    /// runner does (process, stamp latency against the run's clock,
+    /// recycle through a worker-local mempool cache).
     fn arm_workers(
         &self,
-        port: &Arc<RssPort>,
-        apps: &Arc<Vec<Mutex<Box<dyn PacketProcessor>>>>,
-        stall: &Arc<AtomicBool>,
-        bells: &[Arc<Mutex<Option<Arc<Doorbell>>>>],
+        run: &RunState,
         choice: DisciplineChoice,
         cfg: MetronomeConfig,
         spec: DisciplineSpec,
         hub: Arc<TelemetryHub>,
         exec: ExecBackend,
-        trace: Option<&Arc<TraceHub>>,
     ) -> Arm {
         let halt = Arc::new(AtomicBool::new(false));
         let worker_burst = cfg.burst as usize;
         let m_threads = cfg.m_threads;
-        let consumers: Vec<WorkerRing> = port.consumers().into_iter().map(WorkerRing).collect();
+        let clock = run.clock;
+        let consumers: Vec<WorkerRing> = run.port.consumers().into_iter().map(WorkerRing).collect();
         let make_process = {
             let pool = &self.pool;
             let halt = &halt;
             move |_worker| {
-                let apps = Arc::clone(apps);
-                let stall = Arc::clone(stall);
+                let apps = Arc::clone(&run.apps);
+                let stall = Arc::clone(&run.stall);
                 let halt = Arc::clone(halt);
                 let mut cache = pool.cache(worker_burst);
                 move |q: usize, burst: &mut Vec<Mbuf>| {
@@ -423,10 +391,7 @@ impl ServiceEngine {
                     while stall.load(Ordering::Relaxed) && !halt.load(Ordering::Relaxed) {
                         std::thread::sleep(STALL_POLL);
                     }
-                    let mut slot = apps[q].lock();
-                    let _verdicts = slot.process_burst(burst);
-                    drop(slot);
-                    cache.free_burst(burst.drain(..));
+                    complete_burst(&apps[q], burst, Some(&clock), &mut cache);
                 }
             }
         };
@@ -434,11 +399,11 @@ impl ServiceEngine {
         let mut builder = WorkerSet::builder(cfg, spec, consumers)
             .exec(exec)
             .telemetry(&hub);
-        if let Some(trace) = trace {
-            builder = builder.trace(trace);
+        if let Some(trace) = &run.trace {
+            builder = builder.trace(&trace.hub);
         }
         let workers = builder.spawn(make_process);
-        for (q, slot) in bells.iter().enumerate() {
+        for (q, slot) in run.bells.iter().enumerate() {
             *slot.lock() = interrupt_driven.then(|| Arc::clone(workers.doorbell(q)));
         }
         Arm {
@@ -474,14 +439,7 @@ impl ServiceEngine {
         // Shards split the flow population by template index; more
         // shards than flows would leave producers with nothing to send.
         let gen_shards = spec.gen_shards.clamp(1, FLOWS_PER_RUN);
-        // Concurrent producers need a multi-producer ring: silently
-        // upgrade the default SPSC path (an explicit `locked` is
-        // honored — the caller asked to measure that path).
-        let ring_path = if gen_shards > 1 && spec.ring_path == RingPath::Spsc {
-            RingPath::Mpsc
-        } else {
-            spec.ring_path
-        };
+        let ring_path = producer_ring_path(gen_shards, spec.ring_path);
 
         // Port + doorbell slots. Hooks are installed before the port is
         // shared and ring through a slot, so a re-arm can re-point them
@@ -503,13 +461,16 @@ impl ServiceEngine {
         }
         let port = Arc::new(port);
 
-        let apps: Arc<Vec<Mutex<Box<dyn PacketProcessor>>>> = Arc::new(
+        let apps: Arc<Vec<Mutex<QueueApp>>> = Arc::new(
             (0..self.cfg.n_queues)
-                .map(|_| Mutex::new(processor_for(self.cfg.app).expect("app checked at startup")))
+                .map(|_| {
+                    QueueApp::new(processor_for(self.cfg.app).expect("app checked at startup"))
+                })
                 .collect(),
         );
+        let clock = WallClock::start();
         let stall = Arc::new(AtomicBool::new(false));
-        let hub = self.hub_for(spec.discipline, &cfg, &disc_spec);
+        let hub = hub_for(spec.discipline, &cfg, &disc_spec);
         let trace = spec
             .trace
             .then(|| TraceArm::new(spec.exec.trace_slots(hub.n_workers()), &spec.name));
@@ -520,110 +481,100 @@ impl ServiceEngine {
                 trace.marker(MarkerKind::FaultPlan, spec.faults.len() as u64);
             }
         }
-        let arm = self.arm_workers(
-            &port,
-            &apps,
-            &stall,
-            &bells,
-            spec.discipline,
-            cfg,
-            disc_spec,
-            hub,
-            spec.exec,
-            trace.as_ref().map(|t| &t.hub),
-        );
-        let gen_hub = Arc::new(Mutex::new(Arc::clone(&arm.hub)));
+        let gen_hub = Arc::new(Mutex::new(Arc::clone(&hub)));
+        let gen_templates = flow_templates(&port, spec.seed);
 
-        let templates = Arc::new(flow_templates(&port, spec.seed));
-
-        let gen_jitter: Arc<Vec<Mutex<Histogram>>> = Arc::new(
-            (0..gen_shards)
-                .map(|_| Mutex::new(Histogram::latency()))
-                .collect(),
-        );
-        let shared = Arc::new(GenShared {
-            stop: AtomicBool::new(false),
-            rate_bits: AtomicU64::new(spec.rate_pps.to_bits()),
-            stall: Arc::clone(&stall),
-        });
-        let handles = self.spawn_generators(
-            &shared,
-            &port,
-            &spec.faults,
-            &gen_hub,
-            &templates,
-            &gen_jitter,
-            spec.seed,
-            gen_shards,
-        );
-
-        let name = spec.name.clone();
         let reply = protocol::ok()
-            .with("submitted", name.as_str())
+            .with("submitted", spec.name.as_str())
             .with("discipline", spec.discipline.label())
             .with("exec", spec.exec.label())
             .with("ring_path", ring_path.label())
-            .with("workers", arm.hub.n_workers() as u64)
+            .with("workers", hub.n_workers() as u64)
             .with("gen_shards", gen_shards as u64)
             .with("rate_pps", spec.rate_pps)
             .with("fault_events", spec.faults.len() as u64)
             .with("fault_kinds", spec.faults.distinct_kinds() as u64)
             .with("trace", trace.is_some());
-        st.run = Some(RunState {
-            name,
+        let mut run = RunState {
+            name: spec.name,
             port,
-            arm: Some(arm),
+            arm: None,
             trace,
-            gen: Some((shared, handles)),
+            gen: GenShared::new(spec.rate_pps),
+            gen_threads: Vec::new(),
             gen_shards,
-            gen_templates: templates,
+            gen_templates,
             faults: spec.faults,
             seed: spec.seed,
-            gen_jitter,
+            clock,
+            gen_jitter: Vec::new(),
             gen_hub,
             bells,
             apps,
             stall,
-        });
+        };
+        run.arm = Some(self.arm_workers(&run, spec.discipline, cfg, disc_spec, hub, spec.exec));
+        self.spawn_generators(&mut run);
+        st.run = Some(run);
         reply
     }
 
-    /// Spawn one generator thread per shard, each owning its slice of
-    /// the flow population and producing concurrently onto the port's Rx
-    /// rings (submit with `"ring_path": "mpsc"` or `"locked"` for
-    /// multi-producer offers on shared rings).
-    #[allow(clippy::too_many_arguments)]
-    fn spawn_generators(
-        &self,
-        shared: &Arc<GenShared>,
-        port: &Arc<RssPort>,
-        plan: &FaultPlan,
-        gen_hub: &Arc<Mutex<Arc<TelemetryHub>>>,
-        templates: &Arc<Vec<(BytesMut, usize, u32)>>,
-        jitter: &Arc<Vec<Mutex<Histogram>>>,
-        seed: u64,
-        n_shards: usize,
-    ) -> Vec<std::thread::JoinHandle<()>> {
-        (0..n_shards)
-            .map(|shard| {
-                let ctx = GenShardCtx {
-                    shared: Arc::clone(shared),
-                    port: Arc::clone(port),
-                    pool: self.pool.clone(),
-                    plan: plan.clone(),
-                    gen_hub: Arc::clone(gen_hub),
-                    templates: Arc::clone(templates),
-                    rng: Rng::new(seed ^ 0x0D4E_3019).stream(7 + shard as u64),
-                    shard,
-                    n_shards,
-                    jitter: Arc::clone(jitter),
-                };
-                std::thread::Builder::new()
-                    .name(format!("metronomed-gen{shard}"))
-                    .spawn(move || generator(ctx))
-                    .expect("spawn generator thread")
-            })
-            .collect()
+    /// Spawn `run`'s producer set at its current `gen_shards` width: one
+    /// thread per shard, each owning its slice of the flow population and
+    /// producing concurrently onto the port's Rx rings (submit with
+    /// `"ring_path": "mpsc"` or `"locked"` for multi-producer offers on
+    /// shared rings), plus the fault driver when there is a plan to drive.
+    /// The previous set, if any, has been joined: the stop flag is free.
+    fn spawn_generators(&self, run: &mut RunState) {
+        run.gen.stop.store(false, Ordering::Release);
+        let (shared, n_shards, clock) = (&run.gen, run.gen_shards, run.clock);
+        while run.gen_jitter.len() < n_shards {
+            run.gen_jitter
+                .push(Arc::new(Mutex::new(Histogram::latency())));
+        }
+        let mut handles = Vec::with_capacity(n_shards + 1);
+        for shard in 0..n_shards {
+            let source = LiveRate::new(
+                Arc::clone(shared),
+                run.faults.clone(),
+                run.seed,
+                shard,
+                n_shards,
+                clock.now(),
+            );
+            let ingest = IngestShard::new(
+                shard,
+                n_shards,
+                &run.gen_templates,
+                &run.port,
+                &self.pool,
+                clock,
+                Arc::clone(&run.gen_jitter[shard]),
+            )
+            .mirroring(source.stats());
+            let (port, gen_hub) = (Arc::clone(&run.port), Arc::clone(&run.gen_hub));
+            handles.push(spawn_named(format!("metronomed-gen{shard}"), move || {
+                run_shard(source, ingest, clock, &port, &gen_hub)
+            }));
+        }
+        if !run.faults.is_empty() {
+            let (shared, stall) = (Arc::clone(shared), Arc::clone(&run.stall));
+            let (plan, pool) = (run.faults.clone(), self.pool.clone());
+            handles.push(spawn_named("metronomed-faults".into(), move || {
+                fault_driver(&shared, &stall, &plan, &pool, clock)
+            }));
+        }
+        run.gen_threads = handles;
+    }
+
+    /// Stop and join `run`'s producer set: shard caches flush, the fault
+    /// driver releases the stall flag and its confiscated buffers. (A
+    /// producer that panicked shows up in the drain audit.)
+    fn stop_generators(run: &mut RunState) {
+        run.gen.stop.store(true, Ordering::Release);
+        for handle in run.gen_threads.drain(..) {
+            let _ = handle.join();
+        }
     }
 
     // ---- reconfigure -----------------------------------------------------
@@ -666,10 +617,8 @@ impl ServiceEngine {
         let mut changed: Vec<&'static str> = Vec::new();
 
         if let Some(rate) = spec.rate_pps {
-            if let Some((shared, _)) = &run.gen {
-                shared.rate_bits.store(rate.to_bits(), Ordering::Relaxed);
-                changed.push("rate_pps");
-            }
+            run.gen.rate_bits.store(rate.to_bits(), Ordering::Relaxed);
+            changed.push("rate_pps");
         }
 
         if let Some((choice, exec, cfg, disc_spec)) = rearm {
@@ -680,7 +629,7 @@ impl ServiceEngine {
             // 3. join them — only now is the retired hub quiescent —
             // 4. fold it, 5. spawn the new set over fresh consumer
             // handles, writing into the hub the generator already holds.
-            let new_hub = self.hub_for(choice, &cfg, &disc_spec);
+            let new_hub = hub_for(choice, &cfg, &disc_spec);
             *run.gen_hub.lock() = Arc::clone(&new_hub);
             old.halt.store(true, Ordering::Release);
             let old_hub = Arc::clone(&old.hub);
@@ -697,19 +646,7 @@ impl ServiceEngine {
                     run.trace = Some(TraceArm::new(recorders, &run.name));
                 }
             }
-            let arm = self.arm_workers(
-                &run.port,
-                &run.apps,
-                &run.stall,
-                &run.bells,
-                choice,
-                cfg,
-                disc_spec,
-                new_hub,
-                exec,
-                run.trace.as_ref().map(|t| &t.hub),
-            );
-            run.arm = Some(arm);
+            run.arm = Some(self.arm_workers(run, choice, cfg, disc_spec, new_hub, exec));
             if spec.discipline.is_some() {
                 changed.push("discipline");
             }
@@ -725,50 +662,11 @@ impl ServiceEngine {
             let g = g.clamp(1, FLOWS_PER_RUN);
             let run = st.run.as_mut().expect("checked above");
             if g != run.gen_shards {
-                // Retire the old generator set (stop + join; shard 0
-                // releases confiscated buffers and the stall flag on
-                // exit), then respawn at the new width carrying the live
-                // rate over. Jitter history folds into the new slot 0 so
-                // the exported histogram stays cumulative for the run.
-                let rate_bits = match run.gen.take() {
-                    Some((old, handles)) => {
-                        old.stop.store(true, Ordering::Release);
-                        for h in handles {
-                            let _ = h.join();
-                        }
-                        old.rate_bits.load(Ordering::Relaxed)
-                    }
-                    None => spec
-                        .rate_pps
-                        .unwrap_or(protocol::DEFAULT_RATE_PPS)
-                        .to_bits(),
-                };
-                let jitter: Arc<Vec<Mutex<Histogram>>> =
-                    Arc::new((0..g).map(|_| Mutex::new(Histogram::latency())).collect());
-                {
-                    let mut base = jitter[0].lock();
-                    for shard in run.gen_jitter.iter() {
-                        base.merge(&shard.lock());
-                    }
-                }
-                let shared = Arc::new(GenShared {
-                    stop: AtomicBool::new(false),
-                    rate_bits: AtomicU64::new(rate_bits),
-                    stall: Arc::clone(&run.stall),
-                });
-                let handles = self.spawn_generators(
-                    &shared,
-                    &run.port,
-                    &run.faults,
-                    &run.gen_hub,
-                    &run.gen_templates,
-                    &jitter,
-                    run.seed,
-                    g,
-                );
-                run.gen = Some((shared, handles));
+                // Retire the old producer set, then respawn at the new
+                // width on the same clock and the same live rate.
+                Self::stop_generators(run);
                 run.gen_shards = g;
-                run.gen_jitter = jitter;
+                self.spawn_generators(run);
             }
             changed.push("gen_shards");
         }
@@ -789,12 +687,7 @@ impl ServiceEngine {
             .with("m", arm.m_threads as u64)
             .with("exec", arm.exec.label())
             .with("gen_shards", run.gen_shards as u64)
-            .with(
-                "rate_pps",
-                run.gen.as_ref().map_or(0.0, |(s, _)| {
-                    f64::from_bits(s.rate_bits.load(Ordering::Relaxed))
-                }),
-            )
+            .with("rate_pps", run.gen.rate_pps())
     }
 
     // ---- drain -----------------------------------------------------------
@@ -803,42 +696,29 @@ impl ServiceEngine {
     /// reports the (clean) pool audit and `"state": "idle"`.
     fn drain_locked(&self, st: &mut EngineState) -> Json {
         let Some(mut run) = st.run.take() else {
-            let (allocs, frees) = self.pool.counters();
-            return protocol::ok()
-                .with("state", "idle")
-                .with("already_drained", true)
-                .with("pool_in_use", self.pool.in_use() as u64)
-                .with("pool_cached", self.pool.cached() as u64)
-                .with("allocs", allocs)
-                .with("frees", frees)
-                .with(
-                    "pool_balanced",
-                    self.pool.in_use() == 0 && self.pool.cached() == 0,
-                );
+            return self.with_pool_audit(
+                protocol::ok()
+                    .with("state", "idle")
+                    .with("already_drained", true),
+            );
         };
 
-        // 1. Stop the generator shards; on exit shard 0 frees confiscated
-        //    buffers and clears the stall flag, every shard flushes its
-        //    cache.
-        if let Some((shared, handles)) = run.gen.take() {
-            shared.stop.store(true, Ordering::Release);
-            for handle in handles {
-                let _ = handle.join();
-            }
-        }
+        // 1. Stop the producers: every shard flushes its cache, the fault
+        //    driver frees confiscated buffers and clears the stall flag.
+        Self::stop_generators(&mut run);
 
-        // 2. Generation is over, so `accepted` is final; wait for the
-        //    workers to catch up, bounded by a grace period.
-        let accepted = run.port.total_accepted();
-        if let Some(arm) = &run.arm {
-            let deadline = Instant::now() + DRAIN_GRACE;
-            while arm.hub.total_retrieved() < accepted && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(1));
-            }
+        // 2. Generation is over; wait for the workers to empty the rings,
+        //    bounded by a grace period. (A burst already popped completes
+        //    before its worker joins below. Not `retrieved < accepted`:
+        //    the live hub restarts at zero on every re-arm while the
+        //    port's count does not, so that wait ran out the whole grace
+        //    period after any reconfigure.)
+        let deadline = Instant::now() + DRAIN_GRACE;
+        while run.port.occupancies().iter().any(|&o| o > 0) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
         }
 
         // 3. Join the workers: counters settle, caches flush.
-        let mut stranded = 0u64;
         if let Some(arm) = run.arm.take() {
             arm.halt.store(true, Ordering::Release);
             let hub = Arc::clone(&arm.hub);
@@ -849,24 +729,16 @@ impl ServiceEngine {
         // 4. Sweep anything still queued (only possible if the grace
         //    period expired): accepted but never retrieved, counted as
         //    ring drops so conservation stays exact.
-        let mut scratch: Vec<Mbuf> = Vec::new();
-        for ring in run.port.rings() {
-            while ring.pop_burst(&mut scratch, GEN_MAX_BATCH) > 0 {
-                stranded += scratch.len() as u64;
-                self.pool.free_burst(scratch.drain(..));
-            }
-        }
+        let stranded: u64 = sweep_stranded(&run.port, &self.pool).iter().sum();
         st.base.dropped_ring += stranded;
         st.base.port_offered += run.port.total_offered();
         st.completed += 1;
 
         // 5. Audit: every buffer home, every packet accounted.
-        let (allocs, frees) = self.pool.counters();
         let offered = st.base.port_offered + st.base.dropped_pool + st.base.dropped_fault;
         let dropped = st.base.dropped_ring + st.base.dropped_pool + st.base.dropped_fault;
         let conserved = offered == st.base.retrieved + dropped;
-        let pool_balanced = self.pool.in_use() == 0 && self.pool.cached() == 0 && allocs == frees;
-        protocol::ok()
+        let reply = protocol::ok()
             .with("state", "drained")
             .with("scenario", run.name.as_str())
             .with("offered", offered)
@@ -876,12 +748,24 @@ impl ServiceEngine {
             .with("dropped_pool", st.base.dropped_pool)
             .with("dropped_fault", st.base.dropped_fault)
             .with("stranded", stranded)
-            .with("conserved", conserved)
-            .with("pool_in_use", self.pool.in_use() as u64)
-            .with("pool_cached", self.pool.cached() as u64)
+            .with("conserved", conserved);
+        self.with_pool_audit(reply)
+    }
+
+    /// The pool half of the drain audit: every buffer home, none cached,
+    /// as many frees as allocations.
+    fn with_pool_audit(&self, reply: Json) -> Json {
+        let (allocs, frees) = self.pool.counters();
+        let (in_use, cached) = (self.pool.in_use(), self.pool.cached());
+        reply
+            .with("pool_in_use", in_use as u64)
+            .with("pool_cached", cached as u64)
             .with("allocs", allocs)
             .with("frees", frees)
-            .with("pool_balanced", pool_balanced)
+            .with(
+                "pool_balanced",
+                in_use == 0 && cached == 0 && allocs == frees,
+            )
     }
 
     // ---- observability ---------------------------------------------------
@@ -910,13 +794,12 @@ impl ServiceEngine {
                 snap.oversleep_hist = Some(dump.oversleep());
                 snap.sched_delay = Some(dump.sched_delay());
             }
-            // Generator tick lateness, merged across the producer shards
-            // (`metronome_gen_jitter_seconds` on /metrics).
-            let mut jitter = Histogram::latency();
-            for shard in run.gen_jitter.iter() {
-                jitter.merge(&shard.lock());
-            }
-            snap.gen_jitter = Some(jitter);
+            // Per-packet generator lateness merged across the producer
+            // shards, and scheduled-arrival → completion latency merged
+            // across the queues (`metronome_gen_jitter_seconds` and
+            // `metronome_packet_latency_seconds` on /metrics).
+            snap.gen_jitter = Some(merged_lateness(&run.gen_jitter));
+            snap.latency = Some(merged_latency(&run.apps));
         }
         snap.retrieved += st.base.retrieved;
         snap.wakeups += st.base.wakeups;
@@ -1032,6 +915,11 @@ impl ServiceEngine {
                 "occupancy",
                 Json::Arr(snap.occupancy.iter().map(|&o| o.into()).collect()),
             );
+        if let Some(h) = snap.latency.as_ref().filter(|h| h.count() > 0) {
+            for (key, q) in [("latency_p50_us", 0.5), ("latency_p99_us", 0.99)] {
+                reply.push(key, h.quantile(q).map_or(0.0, |ns| ns as f64 / 1e3));
+            }
+        }
         if let Some(run) = &st.run {
             reply.push("scenario", run.name.as_str());
             reply.push("trace", run.trace.is_some());
@@ -1040,13 +928,8 @@ impl ServiceEngine {
                 reply.push("m", arm.m_threads as u64);
                 reply.push("exec", arm.exec.label());
             }
-            if let Some((shared, _)) = &run.gen {
-                reply.push(
-                    "rate_pps",
-                    f64::from_bits(shared.rate_bits.load(Ordering::Relaxed)),
-                );
-                reply.push("stalled", shared.stall.load(Ordering::Relaxed));
-            }
+            reply.push("rate_pps", run.gen.rate_pps());
+            reply.push("stalled", run.stall.load(Ordering::Relaxed));
         }
         reply
     }
@@ -1060,138 +943,4 @@ impl ServiceEngine {
             "idle"
         }
     }
-}
-
-/// One generator shard thread: MoonGen's role as a long-running service,
-/// split `n_shards` ways by flow. Every tick the shard derives its batch
-/// from the live rate × the plan's spike factor (divided evenly across
-/// shards), suppresses jitter-burst losses with its own RNG stream, and
-/// offers the rest through RSS via a [`QueueScatter`] bucket sort —
-/// mirroring every drop into the current hub by cause. Shard 0
-/// additionally realizes the run-wide fault state (stall flag, pool
-/// confiscation): a single owner keeps those counts exact. On exit
-/// (drain or a `gen_shards` re-arm) every shard releases what it holds
-/// so the pool audit balances.
-fn generator(ctx: GenShardCtx) {
-    let GenShardCtx {
-        shared,
-        port,
-        pool,
-        plan,
-        gen_hub,
-        templates,
-        mut rng,
-        shard,
-        n_shards,
-        jitter,
-    } = ctx;
-    let clock = WallClock::start();
-    let population = pool.population();
-    let mut cache = pool.cache(256);
-    let mut confiscated: Vec<Mbuf> = Vec::new();
-    let mut carry = 0.0f64;
-    let mut last = clock.now();
-    let mut seq = 0usize;
-    // Per-shard batch cap so the aggregate pool demand during catch-up
-    // stays bounded by `GEN_MAX_BATCH` no matter how many shards run.
-    let shard_batch = (GEN_MAX_BATCH / n_shards).max(1);
-    let mut blanks: Vec<Mbuf> = Vec::with_capacity(shard_batch);
-    let mut scatter = QueueScatter::new(port.n_queues());
-    // This shard's slice of the flow population. Flow → shard is a pure
-    // function of the template index, so every flow has exactly one
-    // producer and per-flow order is a single-producer property.
-    let my: Vec<usize> = (0..templates.len())
-        .filter(|i| i % n_shards == shard)
-        .collect();
-    let jitter = &jitter[shard];
-
-    while !shared.stop.load(Ordering::Acquire) {
-        std::thread::sleep(GEN_TICK);
-        let now = clock.now();
-
-        // Fault state first, so this tick's packets see this tick's
-        // world. Shard 0 owns it; the others read the same plan for
-        // their rate factor and jitter windows.
-        if shard == 0 {
-            shared.stall.store(plan.stalled(now), Ordering::Release);
-            let want = (plan.starve_fraction(now) * population as f64) as usize;
-            match want.cmp(&confiscated.len()) {
-                std::cmp::Ordering::Greater => {
-                    // Starvation window (deepening): confiscate straight
-                    // from the shared freelist, bypassing the cache, so
-                    // the count is exact.
-                    let _ = pool.alloc_burst(want - confiscated.len(), &mut confiscated);
-                }
-                std::cmp::Ordering::Less => {
-                    pool.free_burst(confiscated.drain(want..));
-                }
-                std::cmp::Ordering::Equal => {}
-            }
-        }
-
-        let rate = f64::from_bits(shared.rate_bits.load(Ordering::Relaxed)).max(0.0)
-            * plan.rate_factor(now)
-            / n_shards as f64;
-        let dt = now.saturating_sub(last);
-        last = now;
-        // Generator jitter: how far past its nominal period this tick
-        // fired (scheduler preemption, a long previous tick). Recorded
-        // per shard, merged into `metronome_gen_jitter_seconds`.
-        jitter
-            .lock()
-            .record(dt.as_nanos().saturating_sub(GEN_TICK.as_nanos() as u64));
-        let exact = rate * dt.as_secs_f64() + carry;
-        let mut n = exact.floor().max(0.0) as usize;
-        carry = exact - n as f64;
-        if n > shard_batch {
-            n = shard_batch;
-            carry = 0.0;
-        }
-        if n == 0 {
-            continue;
-        }
-
-        let jitter_drop = plan.jitter_at(now).map_or(0.0, |(_, p)| p);
-        let hub = Arc::clone(&gen_hub.lock());
-        cache.alloc_burst(n, &mut blanks);
-        for _ in 0..n {
-            let (frame, q, hash) = &templates[my[seq % my.len()]];
-            seq += 1;
-            // Jitter-burst suppression: offered load that never reaches
-            // the NIC, counted under its own cause so fault windows
-            // reconcile exactly.
-            if jitter_drop > 0.0 && rng.chance(jitter_drop) {
-                hub.dropped(*q, DropCause::Fault, 1);
-                continue;
-            }
-            match blanks.pop() {
-                Some(mut mbuf) => {
-                    mbuf.refill(frame);
-                    mbuf.queue = *q as u16;
-                    mbuf.rss_hash = *hash;
-                    mbuf.arrival = now;
-                    scatter.push(*q, mbuf);
-                }
-                // Pool exhausted (possibly by a starvation window): a
-                // drop cause of its own.
-                None => hub.dropped(*q, DropCause::Pool, 1),
-            }
-        }
-        // Blanks not consumed (jitter suppressions) go straight back.
-        cache.free_burst(blanks.drain(..));
-        scatter.dispatch(|q, frames| {
-            port.offer_burst(q, frames);
-            // Whatever the ring rejected is tail-dropped; recycle.
-            hub.dropped(q, DropCause::Ring, frames.len() as u64);
-            cache.free_burst(frames.drain(..));
-        });
-    }
-
-    // Drain handshake: release everything this thread holds so the
-    // post-drain audit sees the pool whole and the workers unstalled.
-    if shard == 0 {
-        shared.stall.store(false, Ordering::Release);
-    }
-    pool.free_burst(confiscated.drain(..));
-    // `cache` flushes on drop.
 }

@@ -31,6 +31,7 @@
 pub mod apps_profile;
 pub mod behaviors;
 pub mod calib;
+pub mod ingest;
 pub mod realtime_runner;
 pub mod report;
 pub mod runner;

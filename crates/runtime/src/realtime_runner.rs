@@ -17,18 +17,12 @@
 //!   MoonGen's multi-core scaling recipe: flows are partitioned across
 //!   shards, so per-flow order is preserved while shards produce
 //!   concurrently onto the multi-producer ring path) in bounded batches
-//!   against one shared [`WallClock`]. Each arrival takes a pre-allocated
-//!   buffer from the shared [`Mempool`] through a per-shard cache and
-//!   refills it from its flow's template frame — **zero heap allocation
-//!   per packet**; a batch's buffers come out of the pool in one burst
-//!   (`alloc_burst`), an exhausted pool is a counted drop cause of its
-//!   own (distinct from ring tail-drop), and each batch scatters to its
-//!   target queues through a [`QueueScatter`] counting-sort arena in
-//!   `O(batch + touched queues)` — independent of the queue count. Every
-//!   batch also records its offered-vs-scheduled lateness into a
-//!   per-shard jitter histogram (the P4TG-style always-on pacing check),
-//!   timestamped by a [`CoarseClock`] that reads the OS clock once per
-//!   batch, not per packet.
+//!   against one shared [`WallClock`]. Every batch goes through the one
+//!   ingest core, [`IngestShard::emit`] (see [`crate::ingest`]): pooled
+//!   buffers refilled from flow templates — **zero heap allocation per
+//!   packet** — stamped with their scheduled arrival, scattered to their
+//!   RSS queues, with pool exhaustion and ring tail-drop counted as
+//!   distinct causes and per-packet lateness always recorded.
 //! * **RSS dispatch** — the frame's flow steers it through a real Toeplitz
 //!   hash onto one of `N` bounded mbuf rings ([`RssPort`]), offered ring
 //!   by ring in bursts (`offer_burst`); a full ring tail-drops with
@@ -67,6 +61,10 @@
 //! [`RealtimeError`] through [`try_run_realtime`]; the panicking
 //! [`run_realtime`] convenience wrapper merely unwraps it.
 
+use crate::ingest::{
+    complete_burst, merged_latency, merged_lateness, producer_ring_path, sweep_stranded,
+    IngestShard, QueueApp, GEN_BATCH,
+};
 use crate::report::{QueueReport, RunReport};
 use crate::scenario::{Scenario, SystemKind};
 use metronome_apps::processor::PacketProcessor;
@@ -74,17 +72,16 @@ use metronome_apps::{FloWatcher, IpsecGateway, L3Fwd};
 use metronome_core::discipline::{DisciplineSpec, ModerationConfig};
 use metronome_core::rxqueue::RxQueue;
 use metronome_core::{AdaptiveController, MetronomeConfig, WorkerSet};
-use metronome_dpdk::{Mbuf, Mempool, QueueScatter, RingConsumer, RingPath, RssPort};
+use metronome_dpdk::{Mbuf, Mempool, RingConsumer, RssPort};
 use metronome_net::headers::{build_udp_frame, Mac, MIN_FRAME_NO_FCS};
 use metronome_sim::stats::Histogram;
-use metronome_sim::CoarseClock;
 use metronome_sim::Nanos;
 use metronome_sim::Rng;
 use metronome_telemetry::{
     CounterSnapshot, DropCause, Sampler, TelemetryHub, TelemetrySink, TraceHub,
     DEFAULT_RING_CAPACITY,
 };
-use metronome_traffic::{FlowSet, InjectionStats, PacedArrivals, PlannedFaults, WallClock};
+use metronome_traffic::{FlowSet, PacedArrivals, PlannedFaults, WallClock};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -99,11 +96,6 @@ const L3FWD_SUBNETS: usize = 4;
 /// Mbuf dataroom of the run's pool (DPDK's default; far above the
 /// templates' minimal frames).
 pub const MBUF_DATAROOM: usize = 2048;
-
-/// Largest arrival batch the generator requests from the pool at once
-/// (bounds how many buffers a catch-up backlog can demand before any
-/// recycle).
-const GEN_BATCH: usize = 256;
 
 /// How long after the traffic horizon the runner waits for workers to
 /// drain the rings before declaring leftovers stranded.
@@ -212,8 +204,8 @@ impl RxQueue<Mbuf> for WorkerRing {
 /// routable flows (destinations inside the sample `l3fwd` routes) seeded
 /// by `seed`, each as its minimal Ethernet/IPv4/UDP frame with the RSS
 /// decision resolved once against `port` — `(frame, queue, rss_hash)`.
-/// The runner, the daemon's generator and the ingest bench all produce
-/// from this one population.
+/// The runner and the daemon's generator both produce from this one
+/// population.
 pub fn flow_templates(port: &RssPort, seed: u64) -> Vec<(bytes::BytesMut, usize, u32)> {
     FlowSet::routable(FLOWS_PER_RUN, L3FWD_SUBNETS, seed)
         .flows()
@@ -224,15 +216,6 @@ pub fn flow_templates(port: &RssPort, seed: u64) -> Vec<(bytes::BytesMut, usize,
             (frame, port.queue_for(&input), port.rss_hash(&input))
         })
         .collect()
-}
-
-/// Per-queue application state: the processor plus its latency histogram,
-/// behind one mutex taken **once per burst**, not per packet. Uncontended
-/// by construction — only one worker drains a queue at a time (the
-/// Metronome trylock, or 1:1 worker/queue pinning in the baselines).
-struct QueueApp {
-    proc: Box<dyn PacketProcessor>,
-    latency_ns: Histogram,
 }
 
 /// The worker configuration and discipline a [`SystemKind`] maps onto:
@@ -312,18 +295,9 @@ pub fn try_run_realtime_with(
     // population would leave shards with nothing to emit: clamp (a run
     // has FLOWS_PER_RUN flows, far above any sensible shard count).
     let gen_shards = sc.gen_shards.clamp(1, FLOWS_PER_RUN);
-    // Concurrent producers need a multi-producer transport: the default
-    // SPSC path auto-upgrades to the MPSC (Vyukov) path. An explicit
-    // Locked choice is honored — the locked ring is MPMC already. (SPSC
-    // with G > 1 would be *safe* — the producer side is guarded — but
-    // the guard serializes the shards, defeating the point.)
-    let ring_path = if gen_shards > 1 && sc.ring_path == RingPath::Spsc {
-        RingPath::Mpsc
-    } else {
-        sc.ring_path
-    };
 
     // ---- receive side: RSS port over bounded mbuf rings ------------------
+    let ring_path = producer_ring_path(gen_shards, sc.ring_path);
     let mut port = RssPort::with_path(sc.n_queues, sc.ring_size, ring_path);
 
     // ---- worker shape ----------------------------------------------------
@@ -360,12 +334,7 @@ pub fn try_run_realtime_with(
     // ---- per-queue functional applications -------------------------------
     let apps: Arc<Vec<Mutex<QueueApp>>> = Arc::new(
         (0..sc.n_queues)
-            .map(|q| {
-                Mutex::new(QueueApp {
-                    proc: make_app(q),
-                    latency_ns: Histogram::latency(),
-                })
-            })
+            .map(|q| QueueApp::new(make_app(q)))
             .collect(),
     );
 
@@ -381,11 +350,9 @@ pub fn try_run_realtime_with(
     // per packet): each shard locks its own slot once per batch, the
     // sampler and the report merge them. Always on — pacing fidelity is a
     // first-class measurement, not a tracing extra.
-    let gen_jitter: Arc<Vec<Mutex<Histogram>>> = Arc::new(
-        (0..gen_shards)
-            .map(|_| Mutex::new(Histogram::latency()))
-            .collect(),
-    );
+    let gen_jitter: Vec<Arc<Mutex<Histogram>>> = (0..gen_shards)
+        .map(|_| Arc::new(Mutex::new(Histogram::latency())))
+        .collect();
 
     // ---- workers: the scenario's retrieval discipline on real threads ----
     // The latency clock is anchored only after the workers are up (the
@@ -424,22 +391,8 @@ pub fn try_run_realtime_with(
                 // balances.
                 let mut cache = pool.cache(worker_burst);
                 move |q: usize, burst: &mut Vec<Mbuf>| {
-                    // One lock, one process_burst, one histogram pass,
-                    // one free_burst — per burst, never per packet.
-                    let mut slot = apps[q].lock();
-                    let _verdicts = slot.proc.process_burst(burst);
-                    if measure_latency {
-                        if let Some(clock) = clock_cell.get() {
-                            let done = clock.now();
-                            slot.latency_ns.record_burst(
-                                burst
-                                    .iter()
-                                    .map(|mbuf| done.saturating_sub(mbuf.arrival).as_nanos()),
-                            );
-                        }
-                    }
-                    drop(slot);
-                    cache.free_burst(burst.drain(..));
+                    let clock = clock_cell.get().filter(|_| measure_latency);
+                    complete_burst(&apps[q], burst, clock, &mut cache);
                 }
             }
         };
@@ -479,7 +432,7 @@ pub fn try_run_realtime_with(
         let apps = Arc::clone(&apps);
         let stop = Arc::clone(&sampler_stop);
         let trace_hub = trace_hub.clone();
-        let gen_jitter = Arc::clone(&gen_jitter);
+        let gen_jitter = gen_jitter.clone();
         let interval = Duration::from_nanos(every.as_nanos());
         std::thread::Builder::new()
             .name("metronome-sampler".into())
@@ -504,14 +457,7 @@ pub fn try_run_realtime_with(
                     snap.pool_in_use = pool.in_use() as u64;
                     snap.pool_cached = pool.cached() as u64;
                     if measure_latency {
-                        // Merging the per-queue histograms takes each app
-                        // mutex briefly; workers hold it once per burst,
-                        // so contention is rare and bounded.
-                        let mut merged = Histogram::latency();
-                        for app in apps.iter() {
-                            merged.merge(&app.lock().latency_ns);
-                        }
-                        snap.latency = Some(merged);
+                        snap.latency = Some(merged_latency(&apps));
                     }
                     if let Some(trace) = &trace_hub {
                         // Recorders publish opportunistically (every flush
@@ -523,14 +469,8 @@ pub fn try_run_realtime_with(
                         snap.oversleep_hist = Some(dump.oversleep());
                         snap.sched_delay = Some(dump.sched_delay());
                     }
-                    // Generator pacing jitter, merged over shards. Each
-                    // shard's lock is held per batch, so contention here
-                    // is brief and bounded like the app mutexes above.
-                    let mut jitter = Histogram::latency();
-                    for shard in gen_jitter.iter() {
-                        jitter.merge(&shard.lock());
-                    }
-                    snap.gen_jitter = Some(jitter);
+                    // Generator pacing jitter, merged over shards.
+                    snap.gen_jitter = Some(merged_lateness(&gen_jitter));
                     sampler.sample(snap);
                     last = Instant::now();
                     if stopping {
@@ -557,71 +497,63 @@ pub fn try_run_realtime_with(
     clock_cell
         .set(gen_clock)
         .expect("latency clock anchored twice");
-    let mut fault_stats: Vec<InjectionStats> = Vec::new();
-    let pacers: Vec<PacedArrivals> = sc
+    let shards: Vec<(PacedArrivals, IngestShard)> = sc
         .traffic
         .build(gen_shards, &sc.nic, sc.seed)
         .into_iter()
         .enumerate()
         .map(|(s, mut source)| {
+            // Flow → shard assignment: flow `i` belongs to shard `i mod G`
+            // (the same partitioning argument RSS itself makes on the
+            // receive side).
+            let mut shard = IngestShard::new(
+                s,
+                gen_shards,
+                &templates,
+                &port,
+                &pool,
+                gen_clock,
+                Arc::clone(&gen_jitter[s]),
+            );
             if let Some(plan) = &sc.faults {
                 let pf = PlannedFaults::new(
                     source,
                     plan.clone(),
                     Rng::new(sc.seed).stream(0xFA + s as u64),
                 );
-                fault_stats.push(pf.stats());
+                shard = shard.mirroring(pf.stats());
                 source = Box::new(pf);
             }
-            PacedArrivals::with_clock(source, sc.duration, gen_clock).with_max_batch(GEN_BATCH)
+            let paced =
+                PacedArrivals::with_clock(source, sc.duration, gen_clock).with_max_batch(GEN_BATCH);
+            (paced, shard)
         })
         .collect();
 
     // ---- load generation --------------------------------------------------
-    // Flow → shard assignment: flow `i` belongs to shard `i mod G`. Each
-    // flow is produced by exactly one shard and each shard emits its slice
-    // in schedule order, so per-flow packet order is preserved — the same
-    // partitioning argument RSS itself makes on the receive side. `G = 1`
+    // Each shard emits its slice in schedule order to exhaustion. `G = 1`
     // runs inline on this thread (the classic path, no spawn); `G > 1`
     // runs every shard on its own scoped producer thread, all offering
-    // concurrently onto the multi-producer ring path.
-    let shard_templates: Vec<Vec<(bytes::BytesMut, usize, u32)>> = (0..gen_shards)
-        .map(|s| {
-            templates
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| i % gen_shards == s)
-                .map(|(_, t)| t.clone())
-                .collect()
-        })
-        .collect();
-    {
-        let mut shards: Vec<_> = pacers
-            .into_iter()
-            .zip(shard_templates.iter())
-            .enumerate()
-            .map(|(s, (paced, templates))| GenShard {
-                paced,
-                templates,
-                fault_stats: fault_stats.get(s).cloned(),
-                jitter: &gen_jitter[s],
-            })
-            .collect();
-        if gen_shards == 1 {
-            run_gen_shard(shards.pop().expect("one shard"), &port, &pool, &hub);
-        } else {
-            let (port_ref, pool_ref, hub_ref) = (&*port, &pool, &*hub);
-            std::thread::scope(|scope| {
-                for (s, shard) in shards.into_iter().enumerate() {
-                    std::thread::Builder::new()
-                        .name(format!("metronome-gen{s}"))
-                        .spawn_scoped(scope, move || {
-                            run_gen_shard(shard, port_ref, pool_ref, hub_ref);
-                        })
-                        .expect("spawn generator shard");
-                }
-            });
+    // concurrently onto the multi-producer ring path. The shard caches
+    // flush as the shards drop, before the scoped join — the post-run
+    // pool audit sees everything home.
+    let produce = |(mut paced, mut shard): (PacedArrivals, IngestShard)| {
+        while let Some(batch) = paced.next_batch() {
+            shard.emit(batch, &port, &hub);
         }
+        shard.finish(&hub);
+    };
+    if gen_shards == 1 {
+        shards.into_iter().for_each(produce);
+    } else {
+        std::thread::scope(|scope| {
+            for (s, shard) in shards.into_iter().enumerate() {
+                std::thread::Builder::new()
+                    .name(format!("metronome-gen{s}"))
+                    .spawn_scoped(scope, move || produce(shard))
+                    .expect("spawn generator shard");
+            }
+        });
     }
 
     // ---- run out the horizon ----------------------------------------------
@@ -659,25 +591,14 @@ pub fn try_run_realtime_with(
     // if the grace period expired, or always under `Idle`): count it as
     // dropped so conservation stays exact — and recycle the buffers, so
     // the pool audit below still balances.
-    let mut stranded_scratch: Vec<Mbuf> = Vec::new();
-    let stranded: Vec<u64> = port
-        .rings()
-        .iter()
-        .enumerate()
-        .map(|(q, ring)| {
-            let mut n = 0u64;
-            while ring.pop_burst(&mut stranded_scratch, GEN_BATCH) > 0 {
-                n += stranded_scratch.len() as u64;
-                pool.free_burst(stranded_scratch.drain(..));
-            }
-            hub.dropped(q, DropCause::Ring, n);
-            n
-        })
-        .collect();
+    let stranded = sweep_stranded(&port, &pool);
+    for (q, &n) in stranded.iter().enumerate() {
+        hub.dropped(q, DropCause::Ring, n);
+    }
 
     // Every buffer the pool handed out must be home again: the workers
     // recycle after each burst and each generator shard after each offer
-    // (the shard caches flushed when `run_gen_shard` returned, the worker
+    // (the shard caches flushed when the shards finished, the worker
     // caches when their threads exited), so a leak here is a real
     // datapath bug, not a timing artifact.
     debug_assert_eq!(pool.in_use(), 0, "mbuf leak: pool buffers unaccounted");
@@ -762,115 +683,12 @@ pub fn try_run_realtime_with(
     report.busy_try_fraction = ctrl.busy_try_fraction();
     report.total_wakes = stats.wakes.iter().sum();
     if measure_latency {
-        let mut merged = Histogram::latency();
-        for app in apps.iter() {
-            merged.merge(&app.lock().latency_ns);
-        }
-        report.latency_us = merged.boxplot_scaled(1e-3);
+        report.latency_us = merged_latency(&apps).boxplot_scaled(1e-3);
     }
     // Pacing fidelity, merged over generator shards (always measured).
-    let mut jitter_merged = Histogram::latency();
-    for shard in gen_jitter.iter() {
-        jitter_merged.merge(&shard.lock());
-    }
-    report.gen_jitter_us = jitter_merged.boxplot_scaled(1e-3);
+    report.gen_jitter_us = merged_lateness(&gen_jitter).boxplot_scaled(1e-3);
     // Workers joined above, so every recorder has deposited its final
     // ring state: this dump is the complete flight record of the run.
     report.trace = trace_hub.as_ref().map(|t| t.dump());
     Ok(report)
-}
-
-/// One generator shard's working set: its arrival-slice pacer, its flow
-/// templates (the `i mod G == s` partition), its injector stats (when a
-/// fault plan is armed) and its jitter-histogram slot.
-struct GenShard<'a> {
-    paced: PacedArrivals,
-    templates: &'a [(bytes::BytesMut, usize, u32)],
-    fault_stats: Option<InjectionStats>,
-    jitter: &'a Mutex<Histogram>,
-}
-
-/// Produce one shard's arrival slice to exhaustion: pace, stamp, scatter,
-/// offer, recycle. Runs inline for `gen_shards = 1` and on a scoped
-/// producer thread per shard otherwise; every counter it touches is
-/// shard-additive (hub atomics, ring counters, pool accounting), so the
-/// aggregate is exact regardless of interleaving.
-fn run_gen_shard(shard: GenShard<'_>, port: &RssPort, pool: &Mempool, hub: &TelemetryHub) {
-    let GenShard {
-        mut paced,
-        templates,
-        fault_stats,
-        jitter,
-    } = shard;
-    // Per-shard working set: a mempool cache (burst alloc/free is a
-    // thread-local stack drain, no freelist lock), a scatter arena
-    // (counting sort to per-queue runs, no per-queue Vec churn), and a
-    // coarse clock on the pacer's timeline (ONE precise read per batch —
-    // the per-packet jitter stamps reuse it).
-    let mut cache = pool.cache(GEN_BATCH);
-    let mut scatter = QueueScatter::new(port.n_queues());
-    let coarse = CoarseClock::from_epoch(paced.clock().anchor());
-    let mut blanks: Vec<Mbuf> = Vec::with_capacity(GEN_BATCH);
-    let mut seq = 0usize;
-    let mut mirrored_fault = 0u64;
-    while let Some(batch) = paced.next_batch() {
-        // Mirror the injector's suppressions into the hub incrementally,
-        // so a live sampler sees fault drops as they happen rather than
-        // in one end-of-run burst.
-        if let Some(stats) = &fault_stats {
-            let total = stats.drops();
-            if total > mirrored_fault {
-                hub.dropped(0, DropCause::Fault, total - mirrored_fault);
-                mirrored_fault = total;
-            }
-        }
-        // Offered-vs-scheduled lateness of the whole batch against one
-        // amortized timestamp. A batch IS one emission instant — the
-        // per-packet vDSO reads the coarse clock removes were measuring
-        // the clock, not the pacing.
-        let now = coarse.tick();
-        {
-            let mut j = jitter.lock();
-            for &t in batch {
-                j.record(now.saturating_sub(t).as_nanos());
-            }
-        }
-        cache.alloc_burst(batch.len(), &mut blanks);
-        for &t in batch {
-            let (frame, q, hash) = &templates[seq % templates.len()];
-            seq += 1;
-            match blanks.pop() {
-                Some(mut mbuf) => {
-                    mbuf.refill(frame);
-                    mbuf.queue = *q as u16;
-                    mbuf.rss_hash = *hash;
-                    mbuf.arrival = t;
-                    scatter.push(*q, mbuf);
-                }
-                // Pool exhausted: the NIC has a descriptor but no buffer
-                // to DMA into — a drop cause of its own.
-                None => hub.dropped(*q, DropCause::Pool, 1),
-            }
-        }
-        scatter.dispatch(|q, frames| {
-            port.offer_burst(q, frames);
-            // Whatever the ring rejected is tail-dropped (already counted
-            // by the ring; mirrored into the telemetry hub): recycle the
-            // buffers in one cache transaction.
-            hub.dropped(q, DropCause::Ring, frames.len() as u64);
-            cache.free_burst(frames.drain(..));
-        });
-    }
-    // This shard's slice is over: sweep up its injector's remaining
-    // suppressions, plus any packets a queue stall still holds past the
-    // horizon — those are stranded upstream of the NIC and will never be
-    // offered, so they close the conservation identity as fault drops.
-    if let Some(stats) = &fault_stats {
-        let total = stats.drops() + stats.held();
-        if total > mirrored_fault {
-            hub.dropped(0, DropCause::Fault, total - mirrored_fault);
-        }
-    }
-    // The shard cache flushes on drop, before the scoped join — the
-    // post-run pool audit sees everything home.
 }

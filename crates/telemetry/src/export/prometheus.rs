@@ -412,12 +412,21 @@ pub fn snapshot_metrics(snap: &CounterSnapshot) -> Vec<PromMetric> {
             h,
         ));
     }
-    // Generator pacing check (present whenever the wall-clock generator
-    // runs, independent of tracing).
+    // Generator pacing check and end-to-end packet latency (present
+    // whenever the wall-clock generator runs, independent of tracing).
+    // Both are per packet, against the packet's *scheduled* arrival, on
+    // the scenario runner and the daemon alike.
     if let Some(h) = &snap.gen_jitter {
         metrics.extend(histogram_families(
             "metronome_gen_jitter_seconds",
-            "Generator offered-vs-scheduled lateness per packet",
+            "How late each packet was offered, against its scheduled arrival",
+            h,
+        ));
+    }
+    if let Some(h) = &snap.latency {
+        metrics.extend(histogram_families(
+            "metronome_packet_latency_seconds",
+            "Scheduled arrival to processing completion, per packet",
             h,
         ));
     }
@@ -533,8 +542,10 @@ mod tests {
         let bare = render(&snapshot_metrics(&snap));
         assert!(!bare.contains("wake_latency"));
         assert!(!bare.contains("gen_jitter"));
+        assert!(!bare.contains("packet_latency"));
         let mut h = Histogram::latency();
         h.record(3_000);
+        snap.latency = Some(h.clone());
         snap.wake_latency = Some(h.clone());
         snap.oversleep_hist = Some(h.clone());
         snap.sched_delay = Some(h.clone());
@@ -545,6 +556,7 @@ mod tests {
         assert!(text.contains("metronome_oversleep_seconds_sum"));
         assert!(text.contains("metronome_sched_delay_seconds_count"));
         assert!(text.contains("metronome_gen_jitter_seconds_bucket"));
+        assert!(text.contains("metronome_packet_latency_seconds_count"));
         // The oversleep histogram sum reconciles with the counter total.
         let metrics = parse(&text).unwrap();
         let get = |name: &str| {

@@ -15,10 +15,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How far ahead a shard with nothing due looks before re-reading the
-/// live rate and the stop flag, and the fault driver's period: a stop or
-/// a rate change reaches every thread within one tick, even at rate 0.
+/// How long a shard with nothing due naps before re-reading the live
+/// rate and the stop flag (the pacer's poll period), and the fault
+/// driver's period: a stop or a rate change reaches every thread within
+/// one tick, even at rate 0 — where the shard costs one OS sleep a tick.
 const GEN_TICK: Nanos = Nanos::from_micros(500);
+
+/// What [`LiveRate::peek_next`] reports while the rate is zero: nothing
+/// in sight, yet not exhausted — the pacer's poll brings it back.
+const NEVER: Nanos = Nanos(u64::MAX - 1);
 
 /// What the producer threads share with the engine, for the whole run:
 /// the live-reconfigurable rate, and the stop flag that retires one
@@ -54,8 +59,10 @@ impl GenShared {
 /// per arrival. The source is the daemon's fault view of the arrival
 /// stream: spikes scale the rate, jitter bursts thin it (counted in an
 /// [`InjectionStats`] the ingest shard mirrors as fault drops). It owes
-/// no backlog across a rate change — the new spacing starts at the last
-/// poll point — and never runs dry until the stop flag is up.
+/// no backlog: a rate change re-spaces from the last poll point, and a
+/// shard that cannot keep up is handed at most [`GEN_BATCH`] arrivals a
+/// poll and sheds the rest (a service must not build debt — the stop flag
+/// would sit behind it). It never runs dry until the stop flag is up.
 pub(crate) struct LiveRate {
     shared: Arc<GenShared>,
     plan: FaultPlan,
@@ -100,13 +107,9 @@ impl LiveRate {
 
     fn schedule(&mut self, from: Nanos, rate: f64) {
         self.rate = rate;
-        // At least 1 ns apart, so an absurd rate still terminates a drain.
-        self.next = (rate > 0.0).then(|| {
-            Nanos(
-                from.as_nanos()
-                    .saturating_add(((1e9 / rate).round() as u64).max(1)),
-            )
-        });
+        // At least 1 ns apart: an absurd rate still advances the schedule.
+        let gap = ((1e9 / rate).round() as u64).max(1);
+        self.next = (rate > 0.0).then(|| Nanos(from.as_nanos().saturating_add(gap)));
     }
 }
 
@@ -122,7 +125,10 @@ impl ArrivalProcess for LiveRate {
             self.schedule(self.polled, live);
         }
         let mut kept = 0;
-        while let Some(t) = self.next.filter(|&t| t <= until) {
+        for _ in 0..GEN_BATCH {
+            let Some(t) = self.next.filter(|&t| t <= until) else {
+                break;
+            };
             let lost = self
                 .plan
                 .jitter_at(t)
@@ -138,6 +144,11 @@ impl ArrivalProcess for LiveRate {
             let rate = self.rate_pps(t);
             self.schedule(t, rate);
         }
+        // Still due after a full batch: the offered rate is beyond what
+        // this shard emits. Shed the remainder, re-space from now.
+        if self.next.is_some_and(|t| t <= until) {
+            self.schedule(until, self.rate);
+        }
         self.polled = self.polled.max(until);
         kept
     }
@@ -146,8 +157,7 @@ impl ArrivalProcess for LiveRate {
         if self.shared.stopped() {
             return None;
         }
-        let poll = self.polled + GEN_TICK;
-        Some(self.next.map_or(poll, |t| t.min(poll)))
+        Some(self.next.unwrap_or(NEVER))
     }
 
     fn rate_pps(&self, t: Nanos) -> f64 {
@@ -166,7 +176,8 @@ pub(crate) fn run_shard(
     gen_hub: &Mutex<Arc<TelemetryHub>>,
 ) {
     let mut paced = PacedArrivals::with_clock(Box::new(source), Nanos(u64::MAX), clock)
-        .with_max_batch(GEN_BATCH);
+        .with_max_batch(GEN_BATCH)
+        .with_poll(GEN_TICK);
     while let Some(batch) = paced.next_batch() {
         let hub = Arc::clone(&gen_hub.lock());
         shard.emit(batch, port, &hub);
@@ -219,14 +230,19 @@ mod tests {
         (shared, live)
     }
 
-    /// Drive the source the way `PacedArrivals` does — drain to "now",
-    /// peek, jump to the peeked instant — from `from` until `to`.
+    /// Drive the source the way a `PacedArrivals` polling every
+    /// `GEN_TICK` does — drain to "now", peek, jump to the peeked instant
+    /// or nap towards it — from `from` until `to`.
     fn pace(live: &mut LiveRate, from: Nanos, to: Nanos) -> Vec<Nanos> {
         let mut out = Vec::new();
         let mut now = from;
         while now < to {
             live.drain(now, Some(&mut out));
-            now = live.peek_next().expect("running source never ends");
+            let t = live.peek_next().expect("running source never ends");
+            now = match t - now {
+                gap if gap > GEN_TICK => now + GEN_TICK.min(gap - GEN_TICK),
+                _ => t,
+            };
         }
         out
     }
@@ -253,7 +269,7 @@ mod tests {
         let (shared, mut live) = source(0.0, FaultPlan::new(), 1);
         // Rate 0: nothing due, yet the source keeps asking to be polled.
         assert!(pace(&mut live, Nanos::ZERO, ms(50)).is_empty());
-        assert_eq!(live.peek_next(), Some(live.polled + GEN_TICK));
+        assert_eq!(live.peek_next(), Some(NEVER));
         // Raise the rate at t = 50 ms: the first arrival lands one gap
         // after the last poll point, not 50 ms worth of backlog.
         shared
@@ -296,6 +312,29 @@ mod tests {
         assert!((within(300, 400) - 500.0).abs() <= 100.0);
         assert_eq!(within(300, 400) as u64 + stats.drops(), 1000);
         assert!(ts.windows(2).all(|w| w[0] <= w[1]), "schedule stepped back");
+    }
+
+    #[test]
+    fn an_absurd_rate_is_shed_not_owed() {
+        // 1e12 pps: a poll 10 ms on is handed one batch; the other 1e10
+        // arrivals are shed and the schedule restarts at the poll point.
+        let (_s, mut live) = source(1e12, FaultPlan::new(), 1);
+        let mut out = Vec::new();
+        assert_eq!(live.drain(ms(10), Some(&mut out)), GEN_BATCH as u64);
+        assert_eq!(out.len(), GEN_BATCH);
+        assert_eq!(live.peek_next(), Some(ms(10) + Nanos(1)));
+        // Certain loss thins without emitting, and is bounded the same way.
+        let lossy = FaultPlan::new().with(
+            Nanos::ZERO,
+            ms(100),
+            FaultKind::JitterBurst {
+                jitter: Nanos::ZERO,
+                drop_prob: 1.0,
+            },
+        );
+        let (_s, mut live) = source(1e12, lossy, 1);
+        assert_eq!(live.drain(ms(10), None), 0);
+        assert_eq!(live.stats().drops(), GEN_BATCH as u64);
     }
 
     #[test]

@@ -128,25 +128,6 @@ impl Totals {
     }
 }
 
-/// The telemetry hub a worker set of this shape writes into, one slot per
-/// worker. Created by the caller, not by `arm_workers`, so a re-arm can
-/// hand the generator the new hub *before* the old one is folded.
-fn hub_for(
-    choice: DisciplineChoice,
-    cfg: &MetronomeConfig,
-    spec: &DisciplineSpec,
-) -> Arc<TelemetryHub> {
-    let n_workers = spec.workers(cfg.m_threads, cfg.n_queues);
-    TelemetryHub::labeled(n_workers, cfg.n_queues, choice.label())
-}
-
-fn spawn_named(name: String, body: impl FnOnce() + Send + 'static) -> std::thread::JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(name)
-        .spawn(body)
-        .expect("spawn generator thread")
-}
-
 /// One armed worker set (discipline + hub + halt flag), replaced
 /// wholesale on a discipline/M reconfigure.
 struct Arm {
@@ -312,7 +293,7 @@ impl ServiceEngine {
         match req {
             Request::Ping => protocol::ok()
                 .with("reply", "pong")
-                .with("state", self.state_label_locked(&self.state.lock())),
+                .with("state", self.state_label()),
             Request::Stats => self.stats_reply(),
             Request::Trace { path } => self.trace_reply(path),
             Request::Submit(spec) => self.submit(spec),
@@ -329,6 +310,16 @@ impl ServiceEngine {
                 self.shutdown.store(true, Ordering::Release);
                 reply.with("shutdown", true)
             }
+        }
+    }
+
+    fn state_label(&self) -> &'static str {
+        if self.is_shutdown() {
+            "shutdown"
+        } else if self.state.lock().run.is_some() {
+            "running"
+        } else {
+            "idle"
         }
     }
 
@@ -354,6 +345,22 @@ impl ServiceEngine {
         };
         cfg.validate()?;
         Ok((cfg, spec))
+    }
+
+    /// The telemetry hub a worker set of this shape writes into (one
+    /// worker slot per worker, so `hub.n_workers()` is the set's worker
+    /// count). Created by the caller (not by
+    /// [`ServiceEngine::arm_workers`]) so a re-arm can hand the generator
+    /// the new hub *before* the old one is folded — no drop is ever
+    /// mirrored into an already-folded hub.
+    fn hub_for(
+        &self,
+        choice: DisciplineChoice,
+        cfg: &MetronomeConfig,
+        spec: &DisciplineSpec,
+    ) -> Arc<TelemetryHub> {
+        let n_workers = spec.workers(cfg.m_threads, cfg.n_queues);
+        TelemetryHub::labeled(n_workers, cfg.n_queues, choice.label())
     }
 
     /// Spawn a worker set over `run`'s port and point the per-queue
@@ -470,7 +477,7 @@ impl ServiceEngine {
         );
         let clock = WallClock::start();
         let stall = Arc::new(AtomicBool::new(false));
-        let hub = hub_for(spec.discipline, &cfg, &disc_spec);
+        let hub = self.hub_for(spec.discipline, &cfg, &disc_spec);
         let trace = spec
             .trace
             .then(|| TraceArm::new(spec.exec.trace_slots(hub.n_workers()), &spec.name));
@@ -553,16 +560,22 @@ impl ServiceEngine {
             )
             .mirroring(source.stats());
             let (port, gen_hub) = (Arc::clone(&run.port), Arc::clone(&run.gen_hub));
-            handles.push(spawn_named(format!("metronomed-gen{shard}"), move || {
-                run_shard(source, ingest, clock, &port, &gen_hub)
-            }));
+            handles.push(
+                std::thread::Builder::new()
+                    .name(format!("metronomed-gen{shard}"))
+                    .spawn(move || run_shard(source, ingest, clock, &port, &gen_hub))
+                    .expect("spawn generator thread"),
+            );
         }
         if !run.faults.is_empty() {
             let (shared, stall) = (Arc::clone(shared), Arc::clone(&run.stall));
             let (plan, pool) = (run.faults.clone(), self.pool.clone());
-            handles.push(spawn_named("metronomed-faults".into(), move || {
-                fault_driver(&shared, &stall, &plan, &pool, clock)
-            }));
+            handles.push(
+                std::thread::Builder::new()
+                    .name("metronomed-faults".into())
+                    .spawn(move || fault_driver(&shared, &stall, &plan, &pool, clock))
+                    .expect("spawn fault driver thread"),
+            );
         }
         run.gen_threads = handles;
     }
@@ -629,7 +642,7 @@ impl ServiceEngine {
             // 3. join them — only now is the retired hub quiescent —
             // 4. fold it, 5. spawn the new set over fresh consumer
             // handles, writing into the hub the generator already holds.
-            let new_hub = hub_for(choice, &cfg, &disc_spec);
+            let new_hub = self.hub_for(choice, &cfg, &disc_spec);
             *run.gen_hub.lock() = Arc::clone(&new_hub);
             old.halt.store(true, Ordering::Release);
             let old_hub = Arc::clone(&old.hub);
@@ -696,11 +709,18 @@ impl ServiceEngine {
     /// reports the (clean) pool audit and `"state": "idle"`.
     fn drain_locked(&self, st: &mut EngineState) -> Json {
         let Some(mut run) = st.run.take() else {
-            return self.with_pool_audit(
-                protocol::ok()
-                    .with("state", "idle")
-                    .with("already_drained", true),
-            );
+            let (allocs, frees) = self.pool.counters();
+            return protocol::ok()
+                .with("state", "idle")
+                .with("already_drained", true)
+                .with("pool_in_use", self.pool.in_use() as u64)
+                .with("pool_cached", self.pool.cached() as u64)
+                .with("allocs", allocs)
+                .with("frees", frees)
+                .with(
+                    "pool_balanced",
+                    self.pool.in_use() == 0 && self.pool.cached() == 0,
+                );
         };
 
         // 1. Stop the producers: every shard flushes its cache, the fault
@@ -735,10 +755,12 @@ impl ServiceEngine {
         st.completed += 1;
 
         // 5. Audit: every buffer home, every packet accounted.
+        let (allocs, frees) = self.pool.counters();
         let offered = st.base.port_offered + st.base.dropped_pool + st.base.dropped_fault;
         let dropped = st.base.dropped_ring + st.base.dropped_pool + st.base.dropped_fault;
         let conserved = offered == st.base.retrieved + dropped;
-        let reply = protocol::ok()
+        let pool_balanced = self.pool.in_use() == 0 && self.pool.cached() == 0 && allocs == frees;
+        protocol::ok()
             .with("state", "drained")
             .with("scenario", run.name.as_str())
             .with("offered", offered)
@@ -748,24 +770,12 @@ impl ServiceEngine {
             .with("dropped_pool", st.base.dropped_pool)
             .with("dropped_fault", st.base.dropped_fault)
             .with("stranded", stranded)
-            .with("conserved", conserved);
-        self.with_pool_audit(reply)
-    }
-
-    /// The pool half of the drain audit: every buffer home, none cached,
-    /// as many frees as allocations.
-    fn with_pool_audit(&self, reply: Json) -> Json {
-        let (allocs, frees) = self.pool.counters();
-        let (in_use, cached) = (self.pool.in_use(), self.pool.cached());
-        reply
-            .with("pool_in_use", in_use as u64)
-            .with("pool_cached", cached as u64)
+            .with("conserved", conserved)
+            .with("pool_in_use", self.pool.in_use() as u64)
+            .with("pool_cached", self.pool.cached() as u64)
             .with("allocs", allocs)
             .with("frees", frees)
-            .with(
-                "pool_balanced",
-                in_use == 0 && cached == 0 && allocs == frees,
-            )
+            .with("pool_balanced", pool_balanced)
     }
 
     // ---- observability ---------------------------------------------------

@@ -8,18 +8,25 @@ use metronome_telemetry::Json;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+/// One daemon at a time: every scenario runs spinning producer and worker
+/// threads, and the suite's latency and promptness bounds are about the
+/// pipeline — not about a sibling test's threads on the same few cores.
+static HOST: Mutex<()> = Mutex::new(());
 
 struct TestDaemon {
     engine: Arc<ServiceEngine>,
     control: Option<ControlServer>,
     metrics: Option<MetricsServer>,
     socket: PathBuf,
+    _host: MutexGuard<'static, ()>,
 }
 
 impl TestDaemon {
     fn start(name: &str) -> TestDaemon {
+        let host = HOST.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
         let socket = std::env::temp_dir().join(format!(
             "metronomed-test-{}-{name}.sock",
             std::process::id()
@@ -37,6 +44,7 @@ impl TestDaemon {
             control: Some(control),
             metrics: Some(metrics),
             socket,
+            _host: host,
         }
     }
 
@@ -629,6 +637,72 @@ fn packet_latency_survives_rearm_and_respawn_and_drains_from_rate_zero() {
         drain.get("processed").and_then(Json::as_u64),
         Some(processed)
     );
+    assert_eq!(drain.get("conserved").and_then(Json::as_bool), Some(true));
+    assert_eq!(
+        drain.get("pool_balanced").and_then(Json::as_bool),
+        Some(true)
+    );
+    assert_eq!(drain.get("stranded").and_then(Json::as_u64), Some(0));
+    daemon.finish();
+}
+
+/// Resident set of this process, MiB (`/proc/self/statm`, 4 KiB pages).
+fn rss_mib() -> f64 {
+    let statm = std::fs::read_to_string("/proc/self/statm").expect("procfs");
+    let pages: f64 = statm.split_whitespace().nth(1).unwrap().parse().unwrap();
+    pages * 4096.0 / (1 << 20) as f64
+}
+
+#[test]
+fn an_absurd_rate_is_shed_and_the_drain_stays_prompt() {
+    let daemon = TestDaemon::start("absurd-rate");
+    let mut c = daemon.connect();
+    let before = rss_mib();
+    // 1e9 pps is beyond any shard: it emits batch after batch flat out
+    // and sheds the rest. A generator that owed the backlog instead would
+    // queue gigabytes of timestamps and hide the stop flag behind them.
+    assert_ok(&c.send(
+        r#"{"cmd":"submit","name":"absurd","rate_pps":1e9,"discipline":"interrupt","seed":2}"#,
+    ));
+    std::thread::sleep(Duration::from_millis(800));
+    let grown = rss_mib() - before;
+    let t0 = Instant::now();
+    let drain = c.send(r#"{"cmd":"drain"}"#);
+    let took = t0.elapsed();
+    assert_ok(&drain);
+    println!("rss +{grown:.1} MiB, drain {took:?}: {}", drain.render());
+    // The pool alone is 18 MiB once touched, and sibling tests own one
+    // each; an owed backlog grows by hundreds of MiB a second.
+    assert!(grown < 128.0, "rss grew {grown:.1} MiB under overload");
+    assert!(took < Duration::from_secs(1), "drain took {took:?}");
+    assert!(drain.get("offered").and_then(Json::as_u64).unwrap() > 100_000);
+    assert_eq!(drain.get("conserved").and_then(Json::as_bool), Some(true));
+    assert_eq!(
+        drain.get("pool_balanced").and_then(Json::as_bool),
+        Some(true)
+    );
+    assert_eq!(drain.get("stranded").and_then(Json::as_u64), Some(0));
+    daemon.finish();
+}
+
+#[test]
+fn drain_right_after_a_rearm_under_load_is_prompt_and_clean() {
+    let daemon = TestDaemon::start("rearm-drain");
+    let mut c = daemon.connect();
+    assert_ok(&c.send(
+        r#"{"cmd":"submit","name":"rearm-drain","rate_pps":40000,"discipline":"interrupt","seed":6}"#,
+    ));
+    std::thread::sleep(Duration::from_millis(150));
+    // The fresh hub starts at zero while the port's counts carry on, and
+    // packets are in flight on both sides of the swap: the drain must
+    // wait for the rings, not for the live hub to catch the port up.
+    assert_ok(&c.send(r#"{"cmd":"reconfigure","discipline":"metronome","m":2}"#));
+    let t0 = Instant::now();
+    let drain = c.send(r#"{"cmd":"drain"}"#);
+    let took = t0.elapsed();
+    assert_ok(&drain);
+    assert!(took < Duration::from_secs(2), "drain took {took:?}");
+    assert!(drain.get("processed").and_then(Json::as_u64).unwrap() > 2_000);
     assert_eq!(drain.get("conserved").and_then(Json::as_bool), Some(true));
     assert_eq!(
         drain.get("pool_balanced").and_then(Json::as_bool),

@@ -73,6 +73,8 @@ pub struct PacedArrivals {
     cursor: usize,
     /// Largest batch `next_batch` hands out (0 = unlimited).
     max_batch: usize,
+    /// Longest the pacer waits before draining the source again.
+    poll: Option<Nanos>,
 }
 
 impl PacedArrivals {
@@ -97,6 +99,7 @@ impl PacedArrivals {
             buf: Vec::new(),
             cursor: 0,
             max_batch: 0,
+            poll: None,
         }
     }
 
@@ -112,10 +115,16 @@ impl PacedArrivals {
         self
     }
 
-    /// The clock this pacer runs against (share it with consumers so
-    /// arrival timestamps and latency measurements use one timeline).
-    pub fn clock(&self) -> WallClock {
-        self.clock
+    /// Never wait longer than `period` before draining the source again,
+    /// for a source whose schedule can change under it (a live rate, a
+    /// stop flag). While the next arrival is more than a period away the
+    /// pacer naps with a plain OS sleep — nobody is waiting on that wake,
+    /// so it pays no spin tail — for up to one period, always keeping one
+    /// period in hand to absorb the nap's overshoot; that last stretch
+    /// before an arrival is slept precisely as always.
+    pub fn with_poll(mut self, period: Nanos) -> Self {
+        self.poll = Some(period);
+        self
     }
 
     /// Block until at least one arrival is due, then return the batch of
@@ -145,9 +154,13 @@ impl PacedArrivals {
             if now >= self.horizon {
                 return None;
             }
-            match self.source.peek_next() {
-                Some(t) if t < self.horizon => self.clock.sleep_until(t, &self.sleeper),
-                _ => return None,
+            let t = self.source.peek_next().filter(|&t| t < self.horizon)?;
+            match self.poll {
+                Some(period) if t.saturating_sub(now) > period => {
+                    let nap = period.min(t - now - period);
+                    std::thread::sleep(Duration::from_nanos(nap.as_nanos()))
+                }
+                _ => self.clock.sleep_until(t, &self.sleeper),
             }
         }
     }
@@ -248,6 +261,73 @@ mod tests {
         }
         assert_eq!(na, 1000);
         assert_eq!(nb, 1000);
+    }
+
+    #[test]
+    fn polled_pacer_naps_up_to_an_arrival_and_sees_the_source_end() {
+        use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+        use std::sync::Arc;
+        // A live source: one arrival 20 ms out, then nothing in sight
+        // until the stop flag ends it.
+        struct Live {
+            next: Option<Nanos>,
+            stop: Arc<AtomicBool>,
+            drains: Arc<AtomicU64>,
+        }
+        impl ArrivalProcess for Live {
+            fn drain(&mut self, until: Nanos, out: Option<&mut Vec<Nanos>>) -> u64 {
+                self.drains.fetch_add(1, Ordering::Relaxed);
+                match self.next.filter(|&t| t <= until) {
+                    Some(t) => {
+                        out.into_iter().for_each(|o| o.push(t));
+                        self.next = None;
+                        1
+                    }
+                    None => 0,
+                }
+            }
+            fn peek_next(&mut self) -> Option<Nanos> {
+                (!self.stop.load(Ordering::Acquire))
+                    .then(|| self.next.unwrap_or(Nanos(u64::MAX - 1)))
+            }
+            fn rate_pps(&self, _: Nanos) -> f64 {
+                0.0
+            }
+        }
+        let (stop, drains) = (
+            Arc::new(AtomicBool::new(false)),
+            Arc::new(AtomicU64::new(0)),
+        );
+        let due = Nanos::from_millis(20);
+        let live = Live {
+            next: Some(due),
+            stop: Arc::clone(&stop),
+            drains: Arc::clone(&drains),
+        };
+        let clock = WallClock::start();
+        let mut paced = PacedArrivals::with_clock(Box::new(live), Nanos(u64::MAX), clock)
+            .with_poll(Nanos::from_micros(500));
+        // The arrival is released at its instant, never early, after
+        // some 35 naps (fewer on a loaded host) rather than one long sleep
+        // or a busy loop.
+        assert_eq!(paced.next_batch(), Some(&[due][..]));
+        assert!(clock.now() >= due, "released early");
+        let polls = drains.load(Ordering::Relaxed);
+        assert!((3..=120).contains(&polls), "{polls} drains in 20 ms");
+        // Nothing in sight: the pacer keeps polling, and ends once the
+        // flag goes up (generous bound: a loaded host preempts).
+        let stopper = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            stop.store(true, Ordering::Release);
+            Instant::now()
+        });
+        assert!(paced.next_batch().is_none());
+        let seen_after = stopper.join().unwrap().elapsed();
+        assert!(seen_after < Duration::from_secs(2), "{seen_after:?}");
+        assert!(
+            drains.load(Ordering::Relaxed) > polls + 2,
+            "stopped polling"
+        );
     }
 
     #[test]

@@ -26,6 +26,7 @@
 //! One protocol change lands in both runtimes by construction.
 
 use crate::policy::ThreadPolicy;
+use crate::rxqueue::Lookahead;
 use metronome_sim::Nanos;
 use metronome_telemetry::{NullSink, PhaseKind, SleepKind, TelemetrySink};
 
@@ -143,6 +144,18 @@ pub trait Backend {
         let _ = now;
     }
 
+    /// Hook invoked by a realtime driver that knows queue `q` is about to
+    /// be contended by this backend's worker — a turn or two from now, not
+    /// in the current one: start fetching what the poll of its first
+    /// `depth` items will wait for
+    /// ([`crate::rxqueue::RxQueue::lookahead`]). A hint, outside the
+    /// protocol: no race, no poll, no clock read, nothing the statistics
+    /// see. Backends without real memory behind their queues (the
+    /// simulation) ignore it.
+    fn lookahead(&self, q: usize, stage: Lookahead, depth: usize) {
+        let _ = (q, stage, depth);
+    }
+
     /// Current adaptive short timeout of queue `q`.
     fn ts(&self, q: usize) -> Nanos;
 
@@ -202,6 +215,10 @@ impl<B: Backend> Backend for &mut B {
 
     fn before_turn(&mut self, now: Nanos) {
         (**self).before_turn(now)
+    }
+
+    fn lookahead(&self, q: usize, stage: Lookahead, depth: usize) {
+        (**self).lookahead(q, stage, depth)
     }
 
     fn ts(&self, q: usize) -> Nanos {

@@ -49,7 +49,13 @@ pub struct TimerWheel {
     /// The last tick `advance` fully processed.
     current: u64,
     /// `LEVELS × SLOTS` buckets of `(deadline_tick, entry)`, flattened.
+    /// A bucket is emptied in place, so the capacity it grew to is there
+    /// for its next lap: a steady timer load allocates nothing.
     slots: Vec<Vec<(u64, TimerEntry)>>,
+    /// Bit `b` is set iff level-0 bucket `b` holds entries. Between
+    /// `advance` calls those all carry one deadline, the one tick in
+    /// `(current, current + SLOTS)` congruent to `b`.
+    level0: u64,
     pending: usize,
     /// Cumulative count of entries re-placed by cascades (tracing reads
     /// this as a delta across `advance` calls).
@@ -63,6 +69,7 @@ impl TimerWheel {
             tick_ns: tick_ns.max(1),
             current: 0,
             slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+            level0: 0,
             pending: 0,
             cascaded: 0,
         }
@@ -114,6 +121,21 @@ impl TimerWheel {
         };
         let idx = ((slot_tick >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
         self.slots[level * SLOTS + idx].push((deadline_tick, entry));
+        if level == 0 {
+            self.level0 |= 1 << idx;
+        }
+    }
+
+    /// Empty bucket `at` through `each`, which may re-place entries into
+    /// *other* buckets. The bucket's allocation is lifted out for the walk
+    /// and put back after it, so its capacity survives.
+    fn drain_bucket(&mut self, at: usize, mut each: impl FnMut(&mut Self, u64, TimerEntry)) {
+        let mut bucket = std::mem::take(&mut self.slots[at]);
+        for (deadline_tick, entry) in bucket.drain(..) {
+            each(self, deadline_tick, entry);
+        }
+        debug_assert!(self.slots[at].is_empty(), "an entry re-entered its bucket");
+        self.slots[at] = bucket;
     }
 
     /// Process every tick up to `now_ns`, calling `fire` for each entry
@@ -135,44 +157,61 @@ impl TimerWheel {
                     break;
                 }
                 let idx = ((t >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-                let entries = std::mem::take(&mut self.slots[level * SLOTS + idx]);
-                self.cascaded += entries.len() as u64;
-                for (deadline_tick, entry) in entries {
-                    self.place(deadline_tick, entry);
-                }
+                self.cascaded += self.slots[level * SLOTS + idx].len() as u64;
+                self.drain_bucket(level * SLOTS + idx, Self::place);
             }
             let bucket = (t & (SLOTS as u64 - 1)) as usize;
-            if self.slots[bucket].is_empty() {
+            if self.level0 & (1 << bucket) == 0 {
                 continue;
             }
-            let entries = std::mem::take(&mut self.slots[bucket]);
-            for (deadline_tick, entry) in entries {
+            self.level0 &= !(1 << bucket);
+            self.drain_bucket(bucket, |wheel, deadline_tick, entry| {
                 debug_assert!(deadline_tick == t, "level-0 entry fires at its own tick");
-                self.pending -= 1;
+                wheel.pending -= 1;
                 fire(entry);
-            }
+            });
         }
     }
 
     /// The earliest armed deadline in nanoseconds, if any — what the
-    /// shard's idle wait sleeps toward. O(pending) scan; called only
-    /// when the run queue is empty.
+    /// shard's idle wait sleeps toward, after every sweep. Answered from
+    /// the level-0 occupancy word when the first occupied bucket fires
+    /// before the next level-1 cascade: every entry of a higher level is
+    /// due at or after that cascade's tick, so nothing can undercut it.
+    /// Otherwise (level 0 empty, or its first deadline beyond the
+    /// cascade) `scan_deadline_tick` looks at everything.
     pub fn next_deadline_ns(&self) -> Option<u64> {
         if self.pending == 0 {
             return None;
         }
+        let next = self.current + 1;
+        let ahead = self
+            .level0
+            .rotate_right((next % SLOTS as u64) as u32)
+            .trailing_zeros();
+        let cascade = (self.current | (SLOTS as u64 - 1)) + 1;
+        let tick = match next + u64::from(ahead) {
+            tick if self.level0 != 0 && tick < cascade => tick,
+            _ => self.scan_deadline_tick()?,
+        };
+        Some(tick.saturating_mul(self.tick_ns))
+    }
+
+    /// The earliest armed deadline tick by looking at every entry:
+    /// O(buckets + pending).
+    fn scan_deadline_tick(&self) -> Option<u64> {
         self.slots
             .iter()
             .flatten()
             .map(|&(deadline_tick, _)| deadline_tick)
             .min()
-            .map(|tick| tick.saturating_mul(self.tick_ns))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn entry(task: usize, gen: u64) -> TimerEntry {
         TimerEntry { task, gen }
@@ -275,6 +314,86 @@ mod tests {
         w.advance(10_000, &mut |_| fired += 1);
         assert_eq!(fired, 1);
         assert_eq!(w.next_deadline_ns(), Some(90_000));
+    }
+
+    #[test]
+    fn buckets_keep_their_capacity_from_lap_to_lap() {
+        // The shard's steady state: a handful of timers re-armed a tick or
+        // two ahead every tick, for ten laps of level 0 — plus one long
+        // timer per lap, so cascades are drained the same way.
+        let mut w = TimerWheel::new(1_000);
+        let capacities = |w: &TimerWheel| w.slots.iter().map(Vec::capacity).collect::<Vec<_>>();
+        let mut before = capacities(&w);
+        let mut fired = Vec::new();
+        for tick in 0..10 * SLOTS as u64 {
+            for task in 0..5 {
+                w.insert((tick + 1 + task % 2) * 1_000, entry(task as usize, tick));
+            }
+            if tick % SLOTS as u64 == 0 {
+                w.insert((tick + 100) * 1_000, entry(99, tick));
+            }
+            fired.clear();
+            w.advance((tick + 1) * 1_000, &mut |e| fired.push(e));
+            // Nothing is lost or doubled, and a bucket fires in the order
+            // it was filled: the long timer (cascaded into it ticks ago),
+            // last tick's odd tasks (armed two ahead), this tick's even
+            // ones (armed one ahead).
+            let mut expected = Vec::new();
+            if tick >= 99 && (tick - 99) % SLOTS as u64 == 0 {
+                expected.push(entry(99, tick - 99));
+            }
+            if tick > 0 {
+                expected.extend([1, 3].map(|task| entry(task, tick - 1)));
+            }
+            expected.extend([0, 2, 4].map(|task| entry(task, tick)));
+            assert_eq!(fired, expected, "tick {tick}");
+            let after = capacities(&w);
+            for (bucket, (was, is)) in before.iter().zip(&after).enumerate() {
+                assert!(
+                    is >= was,
+                    "tick {tick}: bucket {bucket} shrank {was} -> {is}"
+                );
+            }
+            before = after;
+        }
+        assert_eq!(
+            w.pending(),
+            2 + 1,
+            "the odd tasks armed last, and the long timer"
+        );
+        assert!(before.iter().filter(|&&c| c > 0).count() >= SLOTS);
+    }
+
+    proptest! {
+        /// The occupancy-word answer is the scan's answer, whatever was
+        /// armed and however time moved: deadlines from the next tick to
+        /// beyond the wheel's span, advances from none to many laps.
+        #[test]
+        fn next_deadline_agrees_with_the_scan(
+            ops in prop::collection::vec((any::<bool>(), 0u32..25, 0u64..64), 1..200),
+        ) {
+            let mut w = TimerWheel::new(1_000);
+            let mut now = 0u64;
+            let mut armed = 0usize;
+            let mut fired = 0usize;
+            for (insert, magnitude, jitter) in ops {
+                // 2^magnitude-ish: most mass near, some on every level.
+                let span = (1u64 << magnitude) + jitter;
+                if insert {
+                    w.insert(now + span * 1_000 / 64, entry(armed, 0));
+                    armed += 1;
+                } else {
+                    now += span.min(1 << 14) * 1_000 / 64;
+                    w.advance(now, &mut |_| fired += 1);
+                }
+                let scanned = w.scan_deadline_tick().map(|tick| tick * 1_000);
+                prop_assert_eq!(w.next_deadline_ns(), scanned);
+                prop_assert_eq!(w.pending(), armed - fired);
+                if let Some(deadline) = scanned {
+                    prop_assert!(deadline > now - now % 1_000, "a due timer did not fire");
+                }
+            }
+        }
     }
 
     #[test]

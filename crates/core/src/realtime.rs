@@ -30,7 +30,7 @@ use crate::controller::AdaptiveController;
 use crate::discipline::{AnyDiscipline, Doorbell, RetrievalDiscipline, Verdict};
 use crate::engine::Backend;
 use crate::policy::ThreadPolicy;
-use crate::rxqueue::RxQueue;
+use crate::rxqueue::{Lookahead, RxQueue};
 use crate::trylock::TryLock;
 use crossbeam::queue::ArrayQueue;
 use metronome_sim::time::read_clock;
@@ -331,6 +331,10 @@ where
 
     fn before_turn(&mut self, now: Nanos) {
         self.turn_stamp = Some(now);
+    }
+
+    fn lookahead(&self, q: usize, stage: Lookahead, depth: usize) {
+        self.queues[q].lookahead(stage, depth);
     }
 
     fn try_acquire(&mut self, q: usize) -> bool {

@@ -10,6 +10,21 @@
 use crossbeam::queue::ArrayQueue;
 use std::sync::Arc;
 
+/// One stage of a driver's lookahead: what [`RxQueue::lookahead`] is
+/// asked to get moving for a queue that will be polled shortly. A driver
+/// that knows its next queues (an executor shard sweeping the tasks one
+/// timer tick fired) issues [`Lookahead::Indices`] two polls ahead and
+/// [`Lookahead::Frames`] one poll ahead, so the second stage finds what
+/// the first asked for already there.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Lookahead {
+    /// The queue's own bookkeeping: the lines a pop reads first (a ring's
+    /// producer index and the slots at its head).
+    Indices,
+    /// What the first queued items point to (a frame's header).
+    Frames,
+}
+
 /// A consumer handle on a bounded multi-thread Rx queue.
 ///
 /// Handles are cheap to clone and shareable; every clone drains the same
@@ -45,6 +60,15 @@ pub trait RxQueue<T>: Clone + Send + Sync + 'static {
         }
         taken
     }
+
+    /// A pop is coming: start fetching what it will wait for, for the
+    /// first `depth` queued items. Purely a hint — an implementation may
+    /// prefetch and may look at queued items, but takes none, changes
+    /// nothing a pop or `len` could observe, and never waits (no lock, no
+    /// spin). The default does nothing.
+    fn lookahead(&self, stage: Lookahead, depth: usize) {
+        let _ = (stage, depth);
+    }
 }
 
 impl<T: Send + 'static> RxQueue<T> for Arc<ArrayQueue<T>> {
@@ -79,5 +103,18 @@ mod tests {
         assert_eq!(q.pop_burst(&mut out, 8), 2);
         assert_eq!(RxQueue::pop(&q), None);
         assert!(RxQueue::is_empty(&q));
+    }
+
+    #[test]
+    fn the_default_lookahead_is_a_no_op() {
+        let q = Arc::new(ArrayQueue::new(8));
+        for i in 0..3 {
+            q.push(i).unwrap();
+        }
+        q.lookahead(Lookahead::Indices, 4);
+        q.lookahead(Lookahead::Frames, 4);
+        let mut out = Vec::new();
+        assert_eq!(q.pop_burst(&mut out, 8), 3);
+        assert_eq!(out, vec![0, 1, 2]);
     }
 }

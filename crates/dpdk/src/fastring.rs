@@ -41,7 +41,18 @@
 //! | SPSC pop burst | own head `Relaxed`; tail `Acquire` only on apparent-shortfall | slots plain; head `Release` |
 //! | MPSC push | tail `Relaxed` + CAS; slot seq `Acquire` | value plain; slot seq `Release` |
 //! | MPSC pop | slot seq `Acquire` | slot seq `Release` (reuse), head `Relaxed` |
+//! | index hint (`prefetch_indices`) | head `Relaxed`, unguarded: only picks which slot line to ask for | none |
+//! | SPSC peek (`peek_each`) | consumer guard *tried*, never waited for; own head `Relaxed`; tail `Acquire` | none |
 //! | guards | CAS `Acquire` | `Release` (publishes cached indices to the next owner) |
+//!
+//! **Looking ahead.** A consumer that knows it will drain a ring shortly
+//! (an executor shard, one task ahead of the one it is running) can ask
+//! for the lines the drain will miss on before it gets there:
+//! `prefetch_indices` requests the producer's index line and the slots at
+//! the head, and [`SpscRing::peek_each`] shows the first queued items by
+//! reference, so the caller can request what *they* point to. Neither
+//! moves an index, takes an item or waits for anyone — what the ring
+//! holds before and after is the same, item for item.
 //!
 //! The memory-safety argument is confined to this module; the rest of the
 //! crate remains `#[deny(unsafe_code)]`-clean.
@@ -57,6 +68,28 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 #[repr(align(64))]
 #[derive(Debug, Default)]
 pub(crate) struct CacheLine<T>(pub(crate) T);
+
+/// Ask the CPU to start fetching the cache line holding `*at` — with
+/// write intent, `rte_prefetch0_write`: `_MM_HINT_ET0` becomes `prefetchw`
+/// in a build with the `prfchw` target feature and `prefetcht0` on the
+/// x86-64 baseline (DESIGN.md §2, "What crosses cores per packet"). A
+/// hint: nothing is read or written, so any pointer will do; a no-op off
+/// x86-64. The crate's one prefetch, shared by the rings' index hints and
+/// [`crate::mbuf::Mbuf::prefetch_header`].
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+pub(crate) fn prefetch_line<T>(at: *const T) {
+    use core::arch::x86_64::{_mm_prefetch, _MM_HINT_ET0};
+    // SAFETY: `_mm_prefetch` is `unsafe` only as a `target_feature(sse)`
+    // intrinsic, and SSE is part of the x86-64 baseline. The instruction
+    // is a hint: it never faults, reads or writes memory architecturally,
+    // whatever the address.
+    unsafe { _mm_prefetch::<_MM_HINT_ET0>(at.cast::<i8>()) }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+#[inline(always)]
+pub(crate) fn prefetch_line<T>(_at: *const T) {}
 
 /// A one-word spin guard over one *side* (producer or consumer) of a
 /// ring: acquired once per burst, free in the intended single-owner
@@ -77,9 +110,28 @@ impl SideGuard {
         }
     }
 
+    /// One attempt, no spin: for a caller that would rather go without
+    /// than wait (a hint).
+    #[inline]
+    fn try_acquire(&self) -> bool {
+        self.0
+            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+            .is_ok()
+    }
+
     #[inline]
     fn release(&self) {
         self.0.store(false, Ordering::Release);
+    }
+}
+
+/// Releases a [`SideGuard`] on drop: for the one holder that runs caller
+/// code (a peek's closure), so a panic there cannot leave the side locked.
+struct Held<'a>(&'a SideGuard);
+
+impl Drop for Held<'_> {
+    fn drop(&mut self) {
+        self.0.release();
     }
 }
 
@@ -294,6 +346,52 @@ impl<T> SpscRing<T> {
         side.guard.release();
         result
     }
+
+    /// Hint that a pop is coming: start fetching the two things it will
+    /// miss on when the producer runs on another core — the producer's
+    /// index line, and the line(s) of the first `slots` slots at the head.
+    /// Takes no guard and moves nothing; the head is read `Relaxed` only
+    /// to choose which slots to ask for, so a stale value costs a wasted
+    /// prefetch, never a wrong answer.
+    #[inline]
+    pub fn prefetch_indices(&self, slots: usize) {
+        prefetch_line(&self.prod.0.tail);
+        let head = self.cons.0.head.load(Ordering::Relaxed);
+        for i in 0..slots.min(self.capacity()) {
+            prefetch_line(self.slots[head.wrapping_add(i) & self.mask].get());
+        }
+    }
+
+    /// Show `f` the first queued items, oldest first, up to `max` of
+    /// them, without taking them: what the next pops will return. Returns
+    /// how many were shown — 0 also when the consumer side is in use right
+    /// now, because a peek never waits for a pop to finish. The
+    /// references are good only inside `f`.
+    #[inline]
+    pub fn peek_each(&self, max: usize, mut f: impl FnMut(&T)) -> usize {
+        let side = &self.cons.0;
+        // An empty ring (by the same racy snapshot `len` takes) is not
+        // worth the guard's CAS: an idle poller peeks at nothing for two
+        // loads.
+        if max == 0 || self.is_empty() || !side.guard.try_acquire() {
+            return 0;
+        }
+        let _held = Held(&side.guard);
+        let head = side.head.load(Ordering::Relaxed);
+        let tail = self.prod.0.tail.load(Ordering::Acquire);
+        let n = tail.wrapping_sub(head).min(max);
+        for i in 0..n {
+            // SAFETY: slots [head, head+n) are at or before the
+            // acquire-observed producer tail, so they hold complete,
+            // published values, and the producer does not write a slot
+            // again until the head has moved past it. The head moves only
+            // under the consumer guard, which we hold until `_held` drops
+            // — after the last `&T` handed to `f` is dead. The items are
+            // only borrowed: ownership stays with the ring.
+            f(unsafe { (*self.slots[head.wrapping_add(i) & self.mask].get()).assume_init_ref() });
+        }
+        n
+    }
 }
 
 impl<T> Drop for SpscRing<T> {
@@ -301,11 +399,11 @@ impl<T> Drop for SpscRing<T> {
         // `&mut self`: no concurrent access; drop whatever is still queued.
         let head = self.cons.0.head.load(Ordering::Relaxed);
         let tail = self.prod.0.tail.load(Ordering::Relaxed);
-        for i in head..tail {
+        for i in 0..tail.wrapping_sub(head) {
             // SAFETY: [head, tail) are exactly the initialized,
             // not-yet-consumed slots.
             unsafe {
-                (*self.slots[i & self.mask].get()).assume_init_drop();
+                (*self.slots[head.wrapping_add(i) & self.mask].get()).assume_init_drop();
             }
         }
     }
@@ -489,6 +587,18 @@ impl<T> MpscRing<T> {
         taken
     }
 
+    /// Hint that a pop is coming: start fetching the line(s) of the first
+    /// `slots` slots at the head — sequence number and value share a slot,
+    /// and a pop reads no producer index. Takes no guard and moves
+    /// nothing; see [`SpscRing::prefetch_indices`].
+    #[inline]
+    pub fn prefetch_indices(&self, slots: usize) {
+        let head = self.cons.0.head.load(Ordering::Relaxed);
+        for i in 0..slots.min(self.capacity()) {
+            prefetch_line(&self.slots[head.wrapping_add(i) & self.mask]);
+        }
+    }
+
     /// One dequeue with the consumer guard already held.
     fn pop_locked(&self) -> Option<T> {
         let side = &self.cons.0;
@@ -532,6 +642,8 @@ impl<T> std::fmt::Debug for MpscRing<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
     use std::sync::Arc;
 
     #[test]
@@ -719,5 +831,169 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn spsc_rejects_non_power_of_two() {
         SpscRing::<u32>::new(48);
+    }
+
+    /// An SPSC ring whose indices start `back` items short of wrapping
+    /// `usize`, so a short test crosses the wraparound.
+    fn spsc_near_wrap<T>(capacity: usize, back: usize) -> SpscRing<T> {
+        let r = SpscRing::new(capacity);
+        let start = 0usize.wrapping_sub(back);
+        for index in [&r.prod.0.tail, &r.prod.0.head_cache] {
+            index.store(start, Ordering::Relaxed);
+        }
+        for index in [&r.cons.0.head, &r.cons.0.tail_cache] {
+            index.store(start, Ordering::Relaxed);
+        }
+        r
+    }
+
+    /// What a peek of up to `max` shows.
+    fn peeked(r: &SpscRing<u32>, max: usize) -> Vec<u32> {
+        let mut seen = Vec::new();
+        let shown = r.peek_each(max, |&item| seen.push(item));
+        assert_eq!(shown, seen.len());
+        seen
+    }
+
+    proptest! {
+        /// A hint or a peek never changes what the ring holds: any
+        /// interleaving of push / push_burst / hint / peek / pop /
+        /// pop_burst agrees with a `VecDeque` — same items, same order,
+        /// same `len` — at capacity 2 (full or empty at every step) and
+        /// across the index wraparound.
+        #[test]
+        fn spsc_hints_and_peeks_leave_the_ring_as_the_model_has_it(
+            shape in (0usize..2, 0usize..6),
+            ops in prop::collection::vec((0u8..6, 0usize..7), 1..300),
+        ) {
+            let (capacity, back) = ([2usize, 8][shape.0], shape.1);
+            let r = spsc_near_wrap::<u32>(capacity, back);
+            let mut model: VecDeque<u32> = VecDeque::new();
+            let mut next = 0u32;
+            let mut out = Vec::new();
+            for (op, arg) in ops {
+                match op {
+                    0 => {
+                        let pushed = r.push(next);
+                        prop_assert_eq!(pushed.is_ok(), model.len() < capacity);
+                        if pushed.is_ok() {
+                            model.push_back(next);
+                        }
+                        next += 1;
+                    }
+                    1 => {
+                        let mut src: Vec<u32> = (next..next + arg as u32).collect();
+                        next += arg as u32;
+                        let accepted = r.push_burst(&mut src);
+                        prop_assert_eq!(accepted, arg.min(capacity - model.len()));
+                        model.extend(next - arg as u32..next - (arg - accepted) as u32);
+                    }
+                    2 => r.prefetch_indices(arg),
+                    3 => {
+                        let expected: Vec<u32> = model.iter().copied().take(arg).collect();
+                        prop_assert_eq!(peeked(&r, arg), expected);
+                    }
+                    4 => prop_assert_eq!(r.pop(), model.pop_front()),
+                    _ => {
+                        out.clear();
+                        let taken = r.pop_burst(&mut out, arg);
+                        let expected: Vec<u32> = model.drain(..arg.min(model.len())).collect();
+                        prop_assert_eq!(taken, expected.len());
+                        prop_assert_eq!(&out, &expected);
+                    }
+                }
+                prop_assert_eq!(r.len(), model.len());
+            }
+            // Whatever was peeked along the way is still there to pop.
+            out.clear();
+            r.pop_burst(&mut out, capacity);
+            prop_assert_eq!(out, Vec::from(model));
+        }
+
+        /// The MPSC ring's index hint, likewise.
+        #[test]
+        fn mpsc_index_hints_leave_the_ring_as_the_model_has_it(
+            ops in prop::collection::vec((0u8..5, 0usize..7), 1..300),
+        ) {
+            const CAPACITY: usize = 4;
+            let r = MpscRing::new(CAPACITY);
+            let mut model: VecDeque<u32> = VecDeque::new();
+            let mut next = 0u32;
+            let mut out = Vec::new();
+            for (op, arg) in ops {
+                match op {
+                    0 => {
+                        if r.push(next).is_ok() {
+                            model.push_back(next);
+                        }
+                        next += 1;
+                    }
+                    1 => {
+                        let mut src: Vec<u32> = (next..next + arg as u32).collect();
+                        next += arg as u32;
+                        let accepted = r.push_burst(&mut src);
+                        prop_assert_eq!(accepted, arg.min(CAPACITY - model.len()));
+                        model.extend(next - arg as u32..next - (arg - accepted) as u32);
+                    }
+                    2 => r.prefetch_indices(arg),
+                    3 => prop_assert_eq!(r.pop(), model.pop_front()),
+                    _ => {
+                        out.clear();
+                        r.pop_burst(&mut out, arg);
+                        let expected: Vec<u32> = model.drain(..arg.min(model.len())).collect();
+                        prop_assert_eq!(&out, &expected);
+                    }
+                }
+                prop_assert_eq!(r.len(), model.len());
+            }
+        }
+    }
+
+    #[test]
+    fn a_peeked_item_is_dropped_once_with_the_ring() {
+        let tracker = Arc::new(());
+        {
+            // Five queued across the index wraparound, one popped.
+            let r = spsc_near_wrap(8, 2);
+            for _ in 0..5 {
+                r.push(Arc::clone(&tracker)).unwrap();
+            }
+            let _ = r.pop();
+            let mut shown = 0;
+            // A peek lends: nothing is cloned, nothing moves out.
+            r.peek_each(3, |item| shown += usize::from(Arc::ptr_eq(item, &tracker)));
+            assert_eq!(shown, 3);
+            assert_eq!(
+                Arc::strong_count(&tracker),
+                5,
+                "a peek took or copied an item"
+            );
+        }
+        assert_eq!(
+            Arc::strong_count(&tracker),
+            1,
+            "peeked items leaked or dropped twice"
+        );
+    }
+
+    #[test]
+    fn a_peek_goes_without_when_the_consumer_side_is_in_use() {
+        let r = SpscRing::new(4);
+        r.push(7u32).unwrap();
+        // A pop in progress on another thread, as the peek sees it.
+        r.cons.0.guard.acquire();
+        assert_eq!(
+            peeked(&r, 4),
+            [],
+            "a peek waited for, or ignored, the guard"
+        );
+        r.cons.0.guard.release();
+        assert_eq!(peeked(&r, 4), [7]);
+        // A panic in the caller's closure gives the side back.
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            r.peek_each(4, |_| panic!("caller bug"))
+        }));
+        assert!(caught.is_err());
+        assert_eq!(r.pop(), Some(7), "the consumer side stayed locked");
     }
 }

@@ -35,12 +35,11 @@
 //!   `O(batch + touched_queues)`, independent of the queue count.
 
 #![warn(missing_docs)]
-// Everything except `fastring` and one function in `mbuf` is unsafe-free.
-// `fastring` holds the `rte_ring`-style lock-free rings, whose slot
-// ownership argument the borrow checker cannot express; its invariants are
-// documented inline and it carries `#![allow(unsafe_code)]`. `mbuf`'s
-// `prefetch_write` wraps the one prefetch intrinsic call and carries the
-// allow on that function alone.
+// Everything except `fastring` is unsafe-free. `fastring` holds the
+// `rte_ring`-style lock-free rings, whose slot ownership argument the
+// borrow checker cannot express, and `prefetch_line`, the crate's one
+// prefetch intrinsic call; its invariants are documented inline and it
+// carries `#![allow(unsafe_code)]`.
 #![deny(unsafe_code)]
 
 pub mod ethdev;

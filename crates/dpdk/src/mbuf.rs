@@ -5,6 +5,7 @@
 //! the arrival timestamp (our NIC model timestamps on DMA completion, which
 //! is what MoonGen's hardware timestamping measures against).
 
+use crate::fastring::prefetch_line;
 use bytes::BytesMut;
 use metronome_sim::Nanos;
 
@@ -80,8 +81,8 @@ impl Mbuf {
     pub fn prefetch_header(&self) {
         let header = &self.data[..self.data.len().min(HEADER_BYTES)];
         if let (Some(first), Some(last)) = (header.first(), header.last()) {
-            prefetch_write(first);
-            prefetch_write(last);
+            prefetch_line(first);
+            prefetch_line(last);
         }
     }
 
@@ -110,23 +111,6 @@ impl Mbuf {
         self.data.extend_from_slice(frame);
     }
 }
-
-/// Write-intent prefetch of the cache line holding `byte`.
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-#[inline(always)]
-fn prefetch_write(byte: &u8) {
-    use core::arch::x86_64::{_mm_prefetch, _MM_HINT_ET0};
-    // SAFETY: `_mm_prefetch` is `unsafe` only as a `target_feature(sse)`
-    // intrinsic, and SSE is part of the x86-64 baseline. The instruction
-    // is a hint: it never faults, reads or writes memory architecturally,
-    // whatever the address — and this one comes from a live `&u8`.
-    unsafe { _mm_prefetch::<_MM_HINT_ET0>(std::ptr::from_ref(byte).cast::<i8>()) }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-#[inline(always)]
-fn prefetch_write(_byte: &u8) {}
 
 #[cfg(test)]
 mod tests {

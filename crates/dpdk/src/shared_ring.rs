@@ -175,6 +175,22 @@ impl Backend {
             }
         }
     }
+
+    #[inline]
+    fn prefetch_indices(&self, slots: usize) {
+        match self {
+            Backend::Spsc(r) => r.prefetch_indices(slots),
+            Backend::Mpsc(r) => r.prefetch_indices(slots),
+            Backend::Locked(_) => {}
+        }
+    }
+
+    #[inline]
+    fn prefetch_frames(&self, max: usize) {
+        if let Backend::Spsc(r) = self {
+            r.peek_each(max, Mbuf::prefetch_header);
+        }
+    }
 }
 
 /// A bounded mbuf ring with tail-drop accounting and a [`RingPath`]-chosen
@@ -349,6 +365,28 @@ impl RingConsumer {
     /// were taken — one batched index update on the fast paths.
     pub fn pop_burst(&self, out: &mut Vec<Mbuf>, max: usize) -> usize {
         self.backend.pop_burst(out, max)
+    }
+
+    /// Hint, a little ahead of a pop: start fetching the lines the pop
+    /// will miss on when the producer runs on another core — the
+    /// producer's index line and the first `slots` slots at the head
+    /// (lock-free paths; nothing on the locked one). Moves nothing and
+    /// waits for no one.
+    #[inline]
+    pub fn prefetch_indices(&self, slots: usize) {
+        self.backend.prefetch_indices(slots);
+    }
+
+    /// Hint, just ahead of a pop and after [`Self::prefetch_indices`] has
+    /// had time to land: look at the first queued frames, up to `max`,
+    /// and start fetching each one's header ([`Mbuf::prefetch_header`]),
+    /// so the lines the generator core wrote last are on their way before
+    /// the pop that takes the frames. SPSC path only (the one ring that
+    /// can show its items without taking them); nothing is taken, and if
+    /// a pop is in progress the hint is skipped, not waited for.
+    #[inline]
+    pub fn prefetch_frames(&self, max: usize) {
+        self.backend.prefetch_frames(max);
     }
 
     /// Frames currently queued (racy snapshot).
@@ -595,6 +633,26 @@ mod tests {
             let mut rejected: Vec<Mbuf> = (0..4).map(|_| frame()).collect();
             assert_eq!(r.offer_burst(&mut rejected), 0, "{path:?}");
             assert_eq!(rings.load(Ordering::Relaxed), before, "{path:?}");
+        }
+    }
+
+    #[test]
+    fn lookahead_hints_take_nothing_on_any_path() {
+        for path in ALL_PATHS {
+            let r = SharedRing::with_path(32, path);
+            let q = r.consumer();
+            // Empty, then holding frames: the locked path ignores both
+            // hints, the MPSC path the second.
+            for queued in [0usize, 6] {
+                let mut burst: Vec<Mbuf> = (0..queued).map(|_| frame()).collect();
+                r.offer_burst(&mut burst);
+                q.prefetch_indices(4);
+                q.prefetch_frames(4);
+                assert_eq!(q.len(), queued, "{path:?}");
+            }
+            let mut out = Vec::new();
+            assert_eq!(q.pop_burst(&mut out, 32), 6, "{path:?}");
+            assert!(out.iter().all(|m| m.len() == 60), "{path:?}");
         }
     }
 

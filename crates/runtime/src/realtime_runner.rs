@@ -70,7 +70,7 @@ use crate::scenario::{Scenario, SystemKind};
 use metronome_apps::processor::PacketProcessor;
 use metronome_apps::{FloWatcher, IpsecGateway, L3Fwd};
 use metronome_core::discipline::{DisciplineSpec, ModerationConfig};
-use metronome_core::rxqueue::RxQueue;
+use metronome_core::rxqueue::{Lookahead, RxQueue};
 use metronome_core::{AdaptiveController, MetronomeConfig, WorkerSet};
 use metronome_dpdk::{Mbuf, Mempool, RingConsumer, RssPort};
 use metronome_net::headers::{build_udp_frame, Mac, MIN_FRAME_NO_FCS};
@@ -174,7 +174,11 @@ pub fn default_processor(app_name: &str) -> Box<dyn PacketProcessor> {
 /// ([`Mbuf::prefetch_header`]): the generator core wrote those lines
 /// last, and asking for all of them here puts a burst's worth of
 /// cross-core transfers in flight at once, before the app lock, the
-/// completion stamp and `process_burst` get to the first frame.
+/// completion stamp and `process_burst` get to the first frame. A driver
+/// that knows which ring it drains next (an executor shard's sweep) gets
+/// the same transfers started a task earlier through
+/// [`RxQueue::lookahead`]: the ring's index and head-slot lines two tasks
+/// ahead, the queued frames' headers one task ahead.
 #[derive(Clone, Debug)]
 pub struct WorkerRing(pub RingConsumer);
 
@@ -197,6 +201,13 @@ impl RxQueue<Mbuf> for WorkerRing {
             mbuf.prefetch_header();
         }
         taken
+    }
+
+    fn lookahead(&self, stage: Lookahead, depth: usize) {
+        match stage {
+            Lookahead::Indices => self.0.prefetch_indices(depth),
+            Lookahead::Frames => self.0.prefetch_frames(depth),
+        }
     }
 }
 

@@ -1,5 +1,6 @@
 //! Threaded stress tests for the lock-free hot path: the SPSC/MPSC ring
-//! primitives under real-thread boundary races, and the `SharedRing`
+//! primitives under real-thread boundary races (a consumer that peeks and
+//! hints between its pops included), and the `SharedRing`
 //! wake-hook contract (rung exactly once per accepting burst) on every
 //! ring path.
 //!
@@ -79,6 +80,63 @@ fn spsc_tiny_ring_boundary_stress_keeps_fifo() {
         ring.is_empty(),
         "items left behind after conservation count"
     );
+}
+
+/// A consumer that looks before it takes, against a live producer: every
+/// peek shows exactly what the next pops return — nothing twice, nothing
+/// torn or unpublished, nothing the producer has yet to finish writing —
+/// and the index hint in between changes none of it. Items carry their
+/// sequence number twice over (`i` and `!i`), so a slot read before its
+/// write completed would not check out.
+#[test]
+fn spsc_peek_then_pop_agree_under_a_live_producer() {
+    const ITEMS: u64 = 200_000;
+    for capacity in [2usize, 64] {
+        let ring = Arc::new(SpscRing::<(u64, u64)>::new(capacity));
+        let producer = {
+            let ring = Arc::clone(&ring);
+            std::thread::spawn(move || {
+                let mut batch: Vec<(u64, u64)> = Vec::with_capacity(8);
+                let mut next = 0u64;
+                while next < ITEMS {
+                    batch.clear();
+                    batch.extend((next..(next + 5).min(ITEMS)).map(|i| (i, !i)));
+                    let accepted = ring.push_burst(&mut batch) as u64;
+                    next += accepted;
+                    if accepted == 0 {
+                        std::thread::yield_now();
+                    }
+                }
+            })
+        };
+        let mut expected = 0u64;
+        let mut peeked: Vec<(u64, u64)> = Vec::with_capacity(4);
+        let mut out: Vec<(u64, u64)> = Vec::with_capacity(4);
+        while expected < ITEMS {
+            ring.prefetch_indices(4);
+            peeked.clear();
+            let shown = ring.peek_each(4, |&item| peeked.push(item));
+            assert_eq!(shown, peeked.len());
+            for (k, &(i, check)) in peeked.iter().enumerate() {
+                assert_eq!((i, check), (expected + k as u64, !i), "peeked a bad item");
+            }
+            // The producer may have added more since; what was shown is
+            // still the front of the queue.
+            out.clear();
+            let taken = ring.pop_burst(&mut out, 4);
+            assert!(taken >= shown, "a peeked item vanished before its pop");
+            assert_eq!(&out[..shown], &peeked[..], "pops disagree with the peek");
+            for &(i, check) in &out {
+                assert_eq!((i, check), (expected, !i), "FIFO order violated");
+                expected += 1;
+            }
+            if taken == 0 {
+                std::thread::yield_now();
+            }
+        }
+        producer.join().expect("producer panicked");
+        assert!(ring.is_empty(), "capacity {capacity}: items left behind");
+    }
 }
 
 /// Multi-producer stress on the MPSC ring: every item arrives exactly

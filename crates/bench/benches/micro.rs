@@ -3,10 +3,9 @@
 use bytes::BytesMut;
 use criterion::{criterion_group, criterion_main, Criterion};
 use metronome_apps::processor::PacketProcessor;
-use metronome_apps::{FloWatcher, IpsecGateway, L3Fwd};
+use metronome_apps::{FloWatcher, L3Fwd};
 use metronome_core::TryLock;
 use metronome_dpdk::{Mbuf, RxRingModel};
-use metronome_net::aes::Aes128;
 use metronome_net::checksum::internet_checksum;
 use metronome_net::headers::{build_udp_frame, Mac};
 use metronome_net::lpm::Lpm;
@@ -85,24 +84,6 @@ fn bench_exact_match(c: &mut Criterion) {
     });
 }
 
-fn bench_aes(c: &mut Criterion) {
-    let aes = Aes128::new(&[7u8; 16]);
-    c.bench_function("micro/aes128_block", |b| {
-        let mut block = [0xABu8; 16];
-        b.iter(|| {
-            aes.encrypt_block(&mut block);
-            black_box(block[0])
-        })
-    });
-    c.bench_function("micro/aes128_cbc_1440b", |b| {
-        let mut data = vec![0x5Au8; 1440];
-        b.iter(|| {
-            aes.cbc_encrypt(&[1u8; 16], &mut data);
-            black_box(data[0])
-        })
-    });
-}
-
 fn bench_checksum(c: &mut Criterion) {
     let frame = build_udp_frame(Mac::local(1), Mac::local(2), &tuple(1), &[0u8; 1400], 1458);
     c.bench_function("micro/internet_checksum_1458b", |b| {
@@ -124,13 +105,6 @@ fn bench_apps(c: &mut Criterion) {
         let mut fwd = L3Fwd::with_sample_routes(8);
         let mut m = mk();
         b.iter(|| black_box(fwd.process(&mut m)))
-    });
-    c.bench_function("micro/ipsec_encapsulate", |b| {
-        let mut gw = IpsecGateway::outbound();
-        b.iter(|| {
-            let mut m = mk();
-            black_box(gw.process(&mut m))
-        })
     });
     c.bench_function("micro/flowatcher_process", |b| {
         let mut fw = FloWatcher::new(65_536);
@@ -212,7 +186,6 @@ criterion_group! {
         bench_toeplitz,
         bench_lpm,
         bench_exact_match,
-        bench_aes,
         bench_checksum,
         bench_apps,
         bench_ring,

@@ -331,6 +331,28 @@ proptest! {
         prop_assert_eq!(data, original);
     }
 
+    /// Single blocks invert under any key, and CBC is what its definition
+    /// says: block i is E(plain_i xor cipher_{i-1}), cipher_0 being the IV.
+    #[test]
+    fn aes_blocks_invert_and_cbc_chains_them(
+        key in any::<[u8; 16]>(),
+        iv in any::<[u8; 16]>(),
+        blocks in proptest::collection::vec(any::<[u8; 16]>(), 1..6)
+    ) {
+        let aes = Aes128::new(&key);
+        let mut data: Vec<u8> = blocks.concat();
+        aes.cbc_encrypt(&iv, &mut data);
+        let mut prev = iv;
+        for (plain, cipher) in blocks.iter().zip(data.chunks_exact(16)) {
+            let mut block: [u8; 16] = core::array::from_fn(|i| plain[i] ^ prev[i]);
+            aes.encrypt_block(&mut block);
+            prop_assert_eq!(&block[..], cipher);
+            aes.decrypt_block(&mut block);
+            prop_assert_eq!(block, core::array::from_fn(|i| plain[i] ^ prev[i]));
+            prev.copy_from_slice(cipher);
+        }
+    }
+
     /// Built frames always parse back to their tuple, and the l3fwd
     /// rewrite preserves checksum validity.
     #[test]

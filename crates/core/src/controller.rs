@@ -12,9 +12,10 @@ use metronome_sim::stats::Ewma;
 use metronome_sim::Nanos;
 
 /// Per-queue adaptation state plus run statistics.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct QueueState {
-    rho: Ewma,
+    /// Smoothed load estimate; meaningful once `cycles > 0`.
+    pub(crate) rho: f64,
     /// Successful trylock acquisitions on this queue.
     pub total_tries: u64,
     /// Failed trylock attempts ("busy tries", Figs. 6/7/14, Table III).
@@ -28,20 +29,26 @@ pub struct QueueState {
 }
 
 impl QueueState {
-    fn new(alpha: f64) -> Self {
-        QueueState {
-            rho: Ewma::new(alpha),
-            total_tries: 0,
-            busy_tries: 0,
-            cycles: 0,
-            vacation_sum: Nanos::ZERO,
-            busy_sum: Nanos::ZERO,
+    /// One step of eq. (11): the load estimate after a renewal cycle of
+    /// `vacation` then `busy`, from the estimate before it — `None` before
+    /// the first cycle, whose observation initializes the average
+    /// directly. The one place the estimator's arithmetic lives: the
+    /// `&mut` controller below and the realtime backend's per-queue words
+    /// (`crate::realtime`) both step through it.
+    pub fn rho_step(alpha: f64, prev: Option<f64>, vacation: Nanos, busy: Nanos) -> f64 {
+        let mut rho = Ewma::new(alpha);
+        if let Some(prev) = prev {
+            rho.update(prev);
         }
+        rho.update(model::rho_from_periods(
+            busy.as_secs_f64(),
+            vacation.as_secs_f64(),
+        ))
     }
 
     /// Smoothed load estimate (0 before any observation).
     pub fn rho(&self) -> f64 {
-        self.rho.value_or(0.0)
+        self.rho
     }
 
     /// Mean observed vacation period.
@@ -75,9 +82,14 @@ pub struct AdaptiveController {
 impl AdaptiveController {
     /// Controller for the configured number of queues.
     pub fn new(cfg: MetronomeConfig) -> Self {
-        let queues = (0..cfg.n_queues)
-            .map(|_| QueueState::new(cfg.alpha))
-            .collect();
+        let queues = vec![QueueState::default(); cfg.n_queues];
+        AdaptiveController { cfg, queues }
+    }
+
+    /// A controller holding the given per-queue states: how the realtime
+    /// backend hands its per-queue words out as a snapshot.
+    pub(crate) fn from_queues(cfg: MetronomeConfig, queues: Vec<QueueState>) -> Self {
+        debug_assert_eq!(queues.len(), cfg.n_queues);
         AdaptiveController { cfg, queues }
     }
 
@@ -90,8 +102,8 @@ impl AdaptiveController {
     /// preceded the busy period and the busy period itself (eq. (11)).
     pub fn record_cycle(&mut self, queue: usize, vacation: Nanos, busy: Nanos) {
         let q = &mut self.queues[queue];
-        let sample = model::rho_from_periods(busy.as_secs_f64(), vacation.as_secs_f64());
-        q.rho.update(sample);
+        let prev = (q.cycles > 0).then_some(q.rho);
+        q.rho = QueueState::rho_step(self.cfg.alpha, prev, vacation, busy);
         q.cycles += 1;
         q.vacation_sum += vacation;
         q.busy_sum += busy;
@@ -107,18 +119,24 @@ impl AdaptiveController {
         self.queues[queue].busy_tries += 1;
     }
 
-    /// Current `TS` for `queue` (eq. (13), or eq. (14) when `n_queues > 1`).
-    /// A configured `fixed_ts` short-circuits the adaptive rule.
+    /// Current `TS` for `queue`: [`AdaptiveController::ts_for`] its
+    /// smoothed load.
     pub fn ts(&self, queue: usize) -> Nanos {
-        if let Some(fixed) = self.cfg.fixed_ts {
+        Self::ts_for(&self.cfg, self.queues[queue].rho())
+    }
+
+    /// `TS` under `cfg` for a queue whose smoothed load is `rho` (eq. (13),
+    /// or eq. (14) when `n_queues > 1`). A configured `fixed_ts`
+    /// short-circuits the adaptive rule.
+    pub fn ts_for(cfg: &MetronomeConfig, rho: f64) -> Nanos {
+        if let Some(fixed) = cfg.fixed_ts {
             return fixed;
         }
-        let rho = self.queues[queue].rho();
-        let v = self.cfg.v_target.as_secs_f64();
-        let ts = if self.cfg.n_queues == 1 {
-            model::ts_rule(self.cfg.m_threads, rho, v)
+        let v = cfg.v_target.as_secs_f64();
+        let ts = if cfg.n_queues == 1 {
+            model::ts_rule(cfg.m_threads, rho, v)
         } else {
-            model::ts_rule_multiqueue(self.cfg.m_threads, self.cfg.n_queues, rho, v)
+            model::ts_rule_multiqueue(cfg.m_threads, cfg.n_queues, rho, v)
         };
         Nanos::from_secs_f64(ts)
     }

@@ -124,8 +124,9 @@ pub trait Backend {
     /// Release the owned queue `q`, feed the completed renewal cycle
     /// (vacation + busy period) to the adaptive controller, and return the
     /// queue's resulting adaptive `TS`. Returning `TS` from here lets a
-    /// backend whose controller sits behind a lock update the estimator
-    /// and read the timeout in one critical section per turn.
+    /// backend that shares its controller between threads step the
+    /// estimator and hand out the timeout it leads to while it still owns
+    /// the queue.
     fn release(&mut self, q: usize) -> Nanos;
 
     /// Hook invoked on wake for the queue about to be contended, before

@@ -147,10 +147,20 @@ pub fn ts_rule(m: usize, rho: f64, v_target: f64) -> f64 {
 /// The multiqueue `TS` rule (eq. (14)): per-queue load `rho_i`, with
 /// `M/N` average threads per queue:
 /// `TS_i = (M/N)·(1−ρ_i)/(1−ρ_i^{M/N}) · V̄`.
+///
+/// A whole number of threads per queue is eq. (13) with `M/N` threads —
+/// one thread per queue is `V̄` at any load — so only a fractional ratio
+/// pays for `powf`; a worker evaluates this rule on every release.
 pub fn ts_rule_multiqueue(m: usize, n: usize, rho_i: f64, v_target: f64) -> f64 {
     assert!(m >= 1 && n >= 1);
     assert!(m >= n, "need at least one thread per queue (M ≥ N)");
     assert!(v_target > 0.0);
+    if m == n {
+        return v_target;
+    }
+    if m.is_multiple_of(n) {
+        return ts_rule(m / n, rho_i, v_target);
+    }
     let m_eff = m as f64 / n as f64;
     let rho = rho_i.clamp(0.0, 1.0);
     if (1.0 - rho).abs() < 1e-9 {
@@ -387,6 +397,39 @@ mod tests {
             let a = ts_rule_multiqueue(3, 1, rho, 10e-6);
             let b = ts_rule(3, rho, 10e-6);
             assert!((a - b).abs() / b < 1e-9);
+        }
+    }
+
+    #[test]
+    fn multiqueue_whole_ratios_match_the_powf_form() {
+        // Eq. (14) as written, limits included: what every ratio went
+        // through before whole ones took eq. (13)'s geometric sum.
+        fn powf_form(m_eff: f64, rho: f64, v: f64) -> f64 {
+            if (1.0 - rho).abs() < 1e-9 {
+                v
+            } else if rho < 1e-12 {
+                m_eff * v
+            } else {
+                m_eff * (1.0 - rho) / (1.0 - rho.powf(m_eff)) * v
+            }
+        }
+        let v = 15e-6;
+        let grid = [0.0, 1e-13, 1e-6, 0.1, 0.5, 0.9, 0.999, 1.0 - 1e-10, 1.0];
+        for ratio in 1..=4usize {
+            for n in [1usize, 3, 16] {
+                for rho in grid {
+                    let got = ts_rule_multiqueue(ratio * n, n, rho, v);
+                    let want = powf_form(ratio as f64, rho, v);
+                    assert!(
+                        (got - want).abs() <= 1e-9 * want,
+                        "M/N {ratio}, rho {rho}: {got} vs {want}"
+                    );
+                    if ratio == 1 {
+                        assert_eq!(got, v, "one thread per queue is V̄ exactly (rho {rho})");
+                        assert_eq!(want, v, "and the powf form agreed, bit for bit");
+                    }
+                }
+            }
         }
     }
 

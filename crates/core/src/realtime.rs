@@ -26,7 +26,7 @@
 //! makes in kernel space (documented in DESIGN.md as a substitution).
 
 use crate::config::MetronomeConfig;
-use crate::controller::AdaptiveController;
+use crate::controller::{AdaptiveController, QueueState};
 use crate::discipline::{AnyDiscipline, Doorbell, RetrievalDiscipline, Verdict};
 use crate::engine::Backend;
 use crate::policy::ThreadPolicy;
@@ -35,8 +35,8 @@ use crate::trylock::TryLock;
 use crossbeam::queue::ArrayQueue;
 use metronome_sim::time::read_clock;
 use metronome_sim::{CoarseClock, Nanos};
+use metronome_telemetry::counters::bump;
 use metronome_telemetry::{TelemetrySink, TraceSink, TraceVerdict, TracedSink};
-use parking_lot::Mutex;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -168,15 +168,12 @@ pub(crate) fn collect_stats(shared: &SharedState, policies: Vec<ThreadPolicy>) -
     // was mid-turn when the flag rose finishes its drain first, and
     // those packets must be on the books (the realtime runner asserts
     // offered = processed + dropped against these).
-    stats.processed = (0..shared.slots.len())
-        .map(|q| shared.processed(q))
-        .collect();
-    let ctrl = shared.controller.lock();
     for q in 0..shared.slots.len() {
-        stats.rho.push(ctrl.rho(q));
-        stats.ts.push(ctrl.ts(q));
+        stats.processed.push(shared.processed(q));
+        stats.rho.push(shared.rho(q));
+        stats.ts.push(shared.ts(q));
     }
-    stats.controller = Some(ctrl.clone());
+    stats.controller = Some(shared.controller());
     stats
 }
 
@@ -184,36 +181,64 @@ pub(crate) fn collect_stats(shared: &SharedState, policies: Vec<ThreadPolicy>) -
 /// either backend — which is what keeps the two backends' accounting
 /// identical.
 pub(crate) struct SharedState {
-    pub(crate) controller: Mutex<AdaptiveController>,
+    /// Read-only after construction: `α`, `TL` and what the `TS` rule
+    /// takes.
+    cfg: MetronomeConfig,
     slots: Vec<QueueSlot>,
     /// What every stamp of the set — drivers' wake stamps, backends'
     /// release stamps — counts nanoseconds from: a vacation runs from one
     /// worker's release to another's wake.
     pub(crate) epoch: Instant,
     rand_state: AtomicU64,
-    /// `TL` is fixed (§IV-E), so workers read it without the controller
-    /// lock.
-    t_long: Nanos,
     /// One wake-up doorbell per queue. Only the InterruptLike discipline
     /// parks on them; producers may ring unconditionally (a ring with no
     /// waiter is one uncontended mutex bump).
     pub(crate) doorbells: Vec<Arc<Doorbell>>,
 }
 
-/// One queue's contended words, on a cache line of their own so racing
-/// on one queue never invalidates a neighbour's.
-#[repr(align(64))]
+/// One queue's contended words, on cache lines of their own so racing on
+/// one queue never invalidates a neighbour's.
+///
+/// **The trylock is the only lock.** Every word but `lock` and
+/// `busy_tries` is this queue's share of the adaptive controller
+/// ([`QueueState`] plus the current `TS`) and of the run's books, kept as
+/// `Relaxed` loads and stores with no read-modify-write ([`bump`]): a
+/// word is written only by the trylock's holder, in `release()` *before*
+/// `unlock()` (a `Release` store), or while draining; the next holder
+/// reads it after its `try_lock()` (an `Acquire` CMPXCHG), so it sees
+/// every write of every earlier holder and `load + 1` loses no update.
+/// A baseline discipline never takes the lock but pins one worker to the
+/// queue, which makes `processed` single-writer there too. Readers
+/// outside the lock — [`crate::workers::WorkerSet::rho`] / `ts`, a
+/// telemetry sampler, a loser reading `ts` in the equal-timeouts
+/// ablation — may see a word one cycle stale, never a torn one;
+/// [`SharedState::controller`] reads a consistent set because it runs
+/// after the workers joined.
+///
+/// Laid out as declared: the eight words only a holder writes fill the
+/// first line, and what a loser writes — the failed CMPXCHG takes the
+/// lock's line exclusive, then `busy_tries` — sits on the second, so a
+/// lost race never pulls the state line from under the holder.
+#[repr(C, align(64))]
 struct QueueSlot {
-    lock: TryLock,
     /// When the lock was last released, in nanoseconds since
     /// [`SharedState::epoch`] ([`NEVER_RELEASED`] before the first
     /// release) — the start of the vacation the next acquire measures.
-    /// `Relaxed` on both sides: it is written only by the lock's holder
-    /// before `unlock` (a `Release` store) and read only by the next
-    /// holder after `try_lock` (an `Acquire` CMPXCHG), so the trylock
-    /// already orders the two.
     last_release: AtomicU64,
     processed: AtomicU64,
+    /// ρ̂ as `f64` bits; meaningful once `cycles > 0`.
+    rho: AtomicU64,
+    total_tries: AtomicU64,
+    cycles: AtomicU64,
+    vacation_sum: AtomicU64,
+    busy_sum: AtomicU64,
+    /// The current `TS` in nanoseconds: recomputed when ρ̂ moves, so
+    /// reading it is a load.
+    ts: AtomicU64,
+    lock: TryLock,
+    /// The one word losers write, hence a `fetch_add` — on the path that
+    /// goes back to sleep for `TL`.
+    busy_tries: AtomicU64,
 }
 
 const NEVER_RELEASED: u64 = u64::MAX;
@@ -236,18 +261,25 @@ const SHORT_VACATION: Nanos = Nanos::from_micros(4);
 
 impl SharedState {
     pub(crate) fn new(cfg: &MetronomeConfig) -> Arc<Self> {
+        let idle_ts = AdaptiveController::ts_for(cfg, 0.0).as_nanos();
         Arc::new(SharedState {
-            controller: Mutex::new(AdaptiveController::new(cfg.clone())),
+            cfg: cfg.clone(),
             slots: (0..cfg.n_queues)
                 .map(|_| QueueSlot {
-                    lock: TryLock::new(),
                     last_release: AtomicU64::new(NEVER_RELEASED),
                     processed: AtomicU64::new(0),
+                    rho: AtomicU64::new(0f64.to_bits()),
+                    total_tries: AtomicU64::new(0),
+                    cycles: AtomicU64::new(0),
+                    vacation_sum: AtomicU64::new(0),
+                    busy_sum: AtomicU64::new(0),
+                    ts: AtomicU64::new(idle_ts),
+                    lock: TryLock::new(),
+                    busy_tries: AtomicU64::new(0),
                 })
                 .collect(),
             epoch: Instant::now(),
             rand_state: AtomicU64::new(0x4D3),
-            t_long: cfg.t_long,
             doorbells: (0..cfg.n_queues).map(|_| Doorbell::new()).collect(),
         })
     }
@@ -255,6 +287,33 @@ impl SharedState {
     /// Items processed so far on queue `q`.
     pub(crate) fn processed(&self, q: usize) -> u64 {
         self.slots[q].processed.load(Ordering::Relaxed)
+    }
+
+    /// Smoothed load estimate of queue `q` (0 before any observation).
+    pub(crate) fn rho(&self, q: usize) -> f64 {
+        f64::from_bits(self.slots[q].rho.load(Ordering::Relaxed))
+    }
+
+    /// Current adaptive `TS` of queue `q`.
+    pub(crate) fn ts(&self, q: usize) -> Nanos {
+        Nanos(self.slots[q].ts.load(Ordering::Relaxed))
+    }
+
+    /// The slots' words as the controller the simulation keeps behind
+    /// `&mut`: per-queue try accounting and renewal-cycle sums.
+    pub(crate) fn controller(&self) -> AdaptiveController {
+        let word = |w: &AtomicU64| w.load(Ordering::Relaxed);
+        let queues = (self.slots.iter().enumerate())
+            .map(|(q, slot)| QueueState {
+                rho: self.rho(q),
+                total_tries: word(&slot.total_tries),
+                busy_tries: word(&slot.busy_tries),
+                cycles: word(&slot.cycles),
+                vacation_sum: Nanos(word(&slot.vacation_sum)),
+                busy_sum: Nanos(word(&slot.busy_sum)),
+            })
+            .collect();
+        AdaptiveController::from_queues(self.cfg.clone(), queues)
     }
 
     /// SplitMix64 over a shared counter — the `rte_random` role.
@@ -342,15 +401,12 @@ where
         let woke = self.turn_stamp.take();
         let slot = &self.shared.slots[q];
         if !slot.lock.try_lock() {
-            self.shared.controller.lock().record_busy_try(q);
+            slot.busy_tries.fetch_add(1, Ordering::Relaxed);
             return false;
         }
         // Lock held: the vacation ends and the busy period starts. The
-        // controller is deliberately NOT touched here — contending its
-        // mutex while holding the queue lock would extend the queue's
-        // unavailability and inflate the measured busy period; the
-        // acquisition is recorded in release()'s single critical section
-        // instead.
+        // acquisition goes on the books in release(), past the stamp that
+        // ends the measured busy period.
         let released = slot.last_release.load(Ordering::Relaxed);
         let first = released == NEVER_RELEASED;
         let now = match woke {
@@ -377,9 +433,7 @@ where
             // The closure may have consumed the items (e.g. recycled them
             // to a mempool); drop whatever it left behind.
             self.scratch.clear();
-            self.shared.slots[q]
-                .processed
-                .fetch_add(taken, Ordering::Relaxed);
+            bump(&self.shared.slots[q].processed, taken);
         }
         taken
     }
@@ -391,25 +445,39 @@ where
             .expect("release without matching acquire");
         // One read: the busy period's end and the published release stamp.
         let now = read_clock(self.shared.epoch);
-        let slot = &self.shared.slots[q];
+        let shared = &*self.shared;
+        let slot = &shared.slots[q];
         slot.last_release.store(now.as_nanos(), Ordering::Relaxed);
+        // The controller's turn, all of it before the unlock that
+        // publishes it (see `QueueSlot`): the acquisition, the completed
+        // renewal cycle, and the TS that follows from the new ρ̂.
+        bump(&slot.total_tries, 1);
+        let ts = match self.pending_vacation.take() {
+            Some(vacation) => {
+                let busy = now - acquired;
+                let cycles = slot.cycles.load(Ordering::Relaxed);
+                let prev = (cycles > 0).then(|| shared.rho(q));
+                let rho = QueueState::rho_step(shared.cfg.alpha, prev, vacation, busy);
+                let ts = AdaptiveController::ts_for(&shared.cfg, rho);
+                slot.rho.store(rho.to_bits(), Ordering::Relaxed);
+                slot.cycles.store(cycles + 1, Ordering::Relaxed);
+                bump(&slot.vacation_sum, vacation.as_nanos());
+                bump(&slot.busy_sum, busy.as_nanos());
+                slot.ts.store(ts.as_nanos(), Ordering::Relaxed);
+                ts
+            }
+            None => shared.ts(q),
+        };
         slot.lock.unlock();
-        // One controller critical section per winning turn: record the
-        // acquisition and the completed renewal cycle, read the new TS.
-        let mut ctrl = self.shared.controller.lock();
-        ctrl.record_acquired(q);
-        if let Some(vacation) = self.pending_vacation.take() {
-            ctrl.record_cycle(q, vacation, now - acquired);
-        }
-        ctrl.ts(q)
+        ts
     }
 
     fn ts(&self, q: usize) -> Nanos {
-        self.shared.controller.lock().ts(q)
+        self.shared.ts(q)
     }
 
     fn tl(&self) -> Nanos {
-        self.shared.t_long
+        self.shared.cfg.t_long
     }
 }
 
@@ -465,12 +533,12 @@ where
 
     /// Successful acquisitions recorded on a queue.
     pub fn total_tries(&self, queue: usize) -> u64 {
-        self.shared.controller.lock().queue(queue).total_tries
+        self.shared.slots[queue].total_tries.load(Ordering::Relaxed)
     }
 
     /// Busy tries recorded on a queue.
     pub fn busy_tries(&self, queue: usize) -> u64 {
-        self.shared.controller.lock().queue(queue).busy_tries
+        self.shared.slots[queue].busy_tries.load(Ordering::Relaxed)
     }
 }
 
@@ -822,67 +890,136 @@ mod tests {
         assert!(again >= woke && again < woke + Nanos::from_millis(20));
     }
 
+    /// One winning turn on queue `q` — acquire on `stamp` (or on the
+    /// backend's own read), release — booked on `want` as the stamps the
+    /// backend took say it went. Returns the acquire stamp.
+    fn winning_turn<P: FnMut(usize, &mut Vec<u64>)>(
+        b: &mut RealtimeBackend<u64, P>,
+        want: &mut AdaptiveController,
+        q: usize,
+        stamp: Option<Nanos>,
+    ) -> Nanos {
+        let released =
+            |b: &RealtimeBackend<u64, P>| b.shared.slots[q].last_release.load(Ordering::Relaxed);
+        let before = released(b);
+        b.turn_stamp = stamp;
+        assert!(b.try_acquire(q), "free lock must be acquirable");
+        let acquired = b.acquired_at.expect("lock held");
+        let ts = b.release(q);
+        want.record_acquired(q);
+        if before != NEVER_RELEASED {
+            let vacation = acquired.saturating_sub(Nanos(before));
+            want.record_cycle(q, vacation, Nanos(released(b)) - acquired);
+        }
+        assert_eq!(ts, want.ts(q), "release returns the TS of the new rho");
+        acquired
+    }
+
     #[test]
     fn backend_is_drivable_single_threaded() {
         // The Backend surface must be usable without spawning threads —
         // this is what the sim-vs-realtime parity test leans on — and
-        // deterministic in its stamps: over acquire / release / acquire /
-        // release at t0 < t1 < t2 < t3, with the acquires stamped by the
-        // driver and the releases read by the backend, the controller sees
-        // exactly one cycle of vacation t2 − t1 and busy period t3 − t2.
-        let queues = vec![Arc::new(ArrayQueue::<u64>::new(16))];
-        let harness = RealtimeHarness::new(
+        // deterministic in its stamps: with the acquires stamped by the
+        // driver and the releases read by the backend, a cycle is exactly
+        // the vacation and the busy period those stamps bound. And the
+        // queue's words are a plain `AdaptiveController`'s books, bit for
+        // bit: `want` is fed the same (vacation, busy) sequence through
+        // `&mut`, under eq. (13), eq. (14) at one thread per queue, at a
+        // whole and at a fractional ratio, and under a pinned TS.
+        for cfg in [
             MetronomeConfig::default(),
-            queues.clone(),
-            |_q, _burst: &mut Vec<u64>| {},
-        );
-        let now = || read_clock(harness.shared.epoch);
-        let released = || Nanos(harness.shared.slots[0].last_release.load(Ordering::Relaxed));
-        let (mut b, mut other) = (harness.backend(), harness.backend());
-        queues[0].push(7).unwrap();
-        let t0 = now();
-        b.before_turn(t0);
-        assert!(b.try_acquire(0));
-        assert_eq!(b.acquired_at, Some(t0));
-        // A lost race consumes its stamp and leaves nothing behind.
-        other.before_turn(t0);
-        assert!(!other.try_acquire(0), "second acquire must lose the race");
-        assert_eq!((other.turn_stamp, other.acquired_at), (None, None));
-        assert_eq!(b.rx_burst(0, 32), 1);
-        let ts = b.release(0);
-        assert!(!ts.is_zero(), "release must return the adaptive TS");
-        let t1 = released();
-        // No release came before the first acquire: no vacation, no cycle.
-        assert_eq!(harness.shared.controller.lock().queue(0).cycles, 0);
-        // A stamp handed in a turn that only polls (a baseline discipline,
-        // the next slice of a long drain) is replaced by the next turn's.
-        std::thread::sleep(Duration::from_millis(1));
-        b.before_turn(t1);
-        assert_eq!(b.rx_burst(0, 32), 0);
-        let t2 = t1 + Nanos::from_micros(500);
-        b.before_turn(t2);
-        assert!(b.try_acquire(0), "released lock must be re-acquirable");
-        b.release(0);
-        let t3 = released();
-        assert!(t0 < t1 && t2 < t3, "{t0} {t1} {t2} {t3}");
-        assert_eq!(harness.processed(0), 1);
-        assert_eq!(harness.total_tries(0), 2);
-        assert_eq!(harness.busy_tries(0), 1);
-        {
-            let ctrl = harness.shared.controller.lock();
-            assert_eq!(ctrl.queue(0).cycles, 1);
-            assert_eq!(ctrl.queue(0).vacation_sum, t2 - t1);
-            assert_eq!(ctrl.queue(0).busy_sum, t3 - t2);
-        }
-        // A wake stamp this close behind the last release would take a
-        // good part of the vacation for busy time: the backend reads the
-        // clock instead. So does one that was handed no stamp at all.
-        for stamp in [Some(t3 + Nanos(100)), None] {
-            b.turn_stamp = stamp;
-            let before = now();
-            assert!(b.try_acquire(0));
-            assert!(b.acquired_at.expect("lock held") >= before, "{stamp:?}");
-            b.release(0);
+            MetronomeConfig::multiqueue(2, 2),
+            MetronomeConfig::multiqueue(4, 2),
+            MetronomeConfig::multiqueue(5, 4),
+            MetronomeConfig {
+                fixed_ts: Some(Nanos::from_micros(50)),
+                ..MetronomeConfig::default()
+            },
+        ] {
+            let q = cfg.n_queues - 1;
+            let queues: Vec<_> = (0..cfg.n_queues)
+                .map(|_| Arc::new(ArrayQueue::<u64>::new(16)))
+                .collect();
+            let harness =
+                RealtimeHarness::new(cfg.clone(), queues.clone(), |_q, _burst: &mut Vec<u64>| {});
+            let shared = &harness.shared;
+            let mut want = AdaptiveController::new(cfg);
+            let now = || read_clock(shared.epoch);
+            let released = || Nanos(shared.slots[q].last_release.load(Ordering::Relaxed));
+            let (mut b, mut other) = (harness.backend(), harness.backend());
+            assert_eq!(b.ts(q), want.ts(q), "idle TS before any cycle");
+            queues[q].push(7).unwrap();
+            let t0 = now();
+            b.before_turn(t0);
+            assert!(b.try_acquire(q));
+            assert_eq!(b.acquired_at, Some(t0));
+            // A lost race consumes its stamp and leaves nothing behind.
+            other.before_turn(t0);
+            assert!(!other.try_acquire(q), "second acquire must lose the race");
+            assert_eq!((other.turn_stamp, other.acquired_at), (None, None));
+            want.record_busy_try(q);
+            assert_eq!(b.rx_burst(q, 32), 1);
+            let ts = b.release(q);
+            want.record_acquired(q);
+            assert_eq!(ts, want.ts(q));
+            let t1 = released();
+            // No release came before the first acquire: no vacation, no
+            // cycle.
+            assert_eq!(shared.controller().queue(q).cycles, 0);
+            // A stamp handed in a turn that only polls (a baseline
+            // discipline, the next slice of a long drain) is replaced by
+            // the next turn's.
+            b.before_turn(t1);
+            assert_eq!(b.rx_burst(q, 32), 0);
+            // The script, in µs. The acquire stamp sets the vacation; the
+            // release reads the clock, so the busy period is at least what
+            // the script lets pass and exactly what the stamps say.
+            let script = [
+                (500, 1),
+                (5, 0),
+                (30, 20),
+                (10, 90),
+                (200, 5),
+                (8, 8),
+                (40, 0),
+                (15, 60),
+                (5, 150),
+                (100, 2),
+            ];
+            for (vacation, busy) in script {
+                let stamp = released() + Nanos::from_micros(vacation);
+                while now() < stamp + Nanos::from_micros(busy) {
+                    std::hint::spin_loop();
+                }
+                let cycles = want.queue(q).cycles;
+                let acquired = winning_turn(&mut b, &mut want, q, Some(stamp));
+                assert_eq!(acquired, stamp, "the driver's stamp is the acquire");
+                assert_eq!(want.queue(q).cycles, cycles + 1);
+                assert_eq!(b.ts(q), want.ts(q));
+                assert_eq!(shared.rho(q).to_bits(), want.rho(q).to_bits());
+            }
+            // A wake stamp this close behind the last release would take a
+            // good part of the vacation for busy time: the backend reads
+            // the clock instead. So does one that was handed no stamp.
+            for stamp in [Some(released() + Nanos(100)), None] {
+                let before = now();
+                let acquired = winning_turn(&mut b, &mut want, q, stamp);
+                assert!(acquired >= before, "{stamp:?}");
+            }
+            assert_eq!(harness.processed(q), 1);
+            assert_eq!(harness.total_tries(q), script.len() as u64 + 3);
+            assert_eq!(harness.busy_tries(q), 1);
+            let got = shared.controller();
+            for queue in 0..got.n_queues() {
+                let (g, w) = (got.queue(queue), want.queue(queue));
+                assert_eq!(g.rho().to_bits(), w.rho().to_bits());
+                assert_eq!(
+                    (g.total_tries, g.busy_tries, g.cycles),
+                    (w.total_tries, w.busy_tries, w.cycles)
+                );
+                assert_eq!((g.vacation_sum, g.busy_sum), (w.vacation_sum, w.busy_sum));
+                assert_eq!(shared.ts(queue), want.ts(queue));
+            }
         }
     }
 

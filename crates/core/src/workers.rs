@@ -97,11 +97,12 @@ impl<T: Send + 'static, Q: RxQueue<T>> WorkerSetBuilder<T, Q> {
     }
 
     /// Publish into `hub`: every worker reports wakes, busy/sleep time,
-    /// drained bursts and `TS` updates (relaxed-atomic increments at
-    /// protocol grain — the hot path takes no lock and allocates nothing
-    /// for telemetry). The hub needs one worker slot per worker
-    /// (`spec.workers(..)`, on either backend) and `cfg.n_queues` queue
-    /// slots.
+    /// drained bursts and `TS` updates (relaxed loads and stores at
+    /// protocol grain — the hot path takes no lock, executes no atomic
+    /// read-modify-write and allocates nothing for telemetry). Each
+    /// worker claims its slot of the hub until it exits. The hub needs
+    /// one worker slot per worker (`spec.workers(..)`, on either backend)
+    /// and `cfg.n_queues` queue slots.
     pub fn telemetry(mut self, hub: &Arc<TelemetryHub>) -> Self {
         self.telemetry = Some(Arc::clone(hub));
         self
@@ -321,12 +322,12 @@ impl<T: Send + 'static, Q: RxQueue<T>> WorkerSet<T, Q> {
 
     /// Current smoothed load estimate of a queue.
     pub fn rho(&self, queue: usize) -> f64 {
-        self.shared.controller.lock().rho(queue)
+        self.shared.rho(queue)
     }
 
     /// Current adaptive TS of a queue.
     pub fn ts(&self, queue: usize) -> Nanos {
-        self.shared.controller.lock().ts(queue)
+        self.shared.ts(queue)
     }
 
     /// Stop all workers and collect final statistics, in worker order on
@@ -572,6 +573,85 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The queue words and the telemetry counters are loads and stores
+    /// ordered by the trylock alone (and, for a worker's own block, by
+    /// there being one writer). Racing workers on more than one core, a
+    /// producer pushing a known count: every acquisition, lost race,
+    /// renewal cycle, packet and burst is on the books exactly once.
+    #[test]
+    fn racing_workers_lose_no_update_on_either_backend() {
+        const PUSHED: u64 = 24_000;
+        // Three workers on one queue; four over two, where worker `w`
+        // starts on queue `w % 2` — on the executor that is its shard too,
+        // so there the first shape is the one that races across cores.
+        let shapes = [(3, 1), (4, 2)];
+        let execs = [ExecBackend::Threads, ExecBackend::Async { shards: 2 }];
+        for (exec, (m, n)) in execs.into_iter().flat_map(|e| shapes.map(|s| (e, s))) {
+            let case = format!("{exec:?} M={m} N={n}");
+            let cfg = MetronomeConfig {
+                m_threads: m,
+                n_queues: n,
+                ..MetronomeConfig::default()
+            };
+            let hub = TelemetryHub::new(m, n);
+            let queues: Vec<_> = (0..n).map(|_| Arc::new(ArrayQueue::new(1024))).collect();
+            let set = WorkerSet::builder(cfg, DisciplineSpec::Metronome, queues)
+                .exec(exec)
+                .telemetry(&hub)
+                .spawn(|_worker| {
+                    |_q, burst: &mut Vec<u64>| {
+                        // Hold the queue a while: backups wake into drains.
+                        let t0 = Instant::now();
+                        while t0.elapsed() < Duration::from_micros(5) {
+                            std::hint::spin_loop();
+                        }
+                        burst.clear();
+                    }
+                });
+            // A few packets at a time with a pause between, so the run is
+            // thousands of short renewal cycles and not one long drain.
+            for i in 0..PUSHED {
+                while set.queues()[i as usize % n].push(i).is_err() {
+                    std::thread::yield_now();
+                }
+                if i % 8 == 7 {
+                    let t0 = Instant::now();
+                    while t0.elapsed() < Duration::from_micros(20) {
+                        std::hint::spin_loop();
+                    }
+                }
+            }
+            let deadline = Instant::now() + Duration::from_secs(20);
+            while (0..n).map(|q| set.processed(q)).sum::<u64>() < PUSHED
+                && Instant::now() < deadline
+            {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let stats = set.stop();
+            let ctrl = stats.controller.as_ref().expect("controller snapshot");
+
+            let (mut total, mut busy) = (0, 0);
+            for q in 0..n {
+                let st = ctrl.queue(q);
+                total += st.total_tries;
+                busy += st.busy_tries;
+                assert!(st.total_tries > 100, "{case}: queue {q} barely raced");
+                // Every acquisition but the queue's first closes a cycle.
+                assert_eq!(st.cycles, st.total_tries - 1, "{case}: queue {q}");
+                let qc = hub.queue(q);
+                let retrieved = qc.retrieved.load(Ordering::Relaxed);
+                let bursts = qc.bursts.load(Ordering::Relaxed);
+                assert_eq!(retrieved, stats.processed[q], "{case}: queue {q}");
+                assert!(0 < bursts && bursts <= retrieved, "{case}: queue {q}");
+            }
+            assert_eq!(stats.races_won.iter().sum::<u64>(), total, "{case}");
+            assert_eq!(stats.races_lost.iter().sum::<u64>(), busy, "{case}");
+            assert_eq!(stats.total_processed(), PUSHED, "{case}");
+            assert_eq!(hub.total_retrieved(), PUSHED, "{case}");
+            assert_eq!(hub.total_wakeups(), stats.wakes.iter().sum::<u64>());
         }
     }
 

@@ -1,26 +1,48 @@
-//! Lock-light counters: the hot-path half of the telemetry subsystem.
+//! Lock-free counters: the hot-path half of the telemetry subsystem.
 //!
-//! A [`TelemetryHub`] owns one [`WorkerCounters`] per thread and one
-//! [`QueueCounters`] per Rx queue, all plain `AtomicU64`s updated with
-//! `Ordering::Relaxed`. Workers publish through a per-thread
+//! A [`TelemetryHub`] owns one [`WorkerCounters`] per worker and one
+//! [`QueueCounters`] per Rx queue, all plain `AtomicU64`s accessed with
+//! `Ordering::Relaxed`. Workers publish through a per-worker
 //! [`WorkerTelemetry`] view (which binds the worker index once, so the
 //! sink callbacks carry no identity lookup); the sampler thread reads the
 //! same atomics without ever blocking a worker. Counter reads are
 //! monotone-per-counter but not a consistent cross-counter cut — windowed
 //! deltas absorb that, which is why the sampler works on snapshots.
+//!
+//! **Written by the datapath, never read-modify-written.** A counter the
+//! wake path bumps has one writer at a time, so its update is a load and
+//! a store ([`bump`]) with no `lock` prefix: a worker's own block because
+//! [`TelemetryHub::worker_sink`] hands each slot to one live view, a
+//! queue's retrieval words because only whoever may poll the queue — the
+//! trylock's holder under Metronome, the pinned worker under a baseline —
+//! reports a burst from it. The drop counters have many writers
+//! (producer shards) and stay `fetch_add`.
 
 use crate::sink::{DropCause, PhaseKind, SleepKind, TelemetrySink};
 use metronome_sim::Nanos;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Per-worker counters: one cache line per thread, so a worker's five
-/// updates per wake never invalidate a neighbour's line. Updates stay
-/// `fetch_add` — [`TelemetryHub::worker_sink`] may be handed out twice for
-/// one slot, so no counter has a single writer by construction.
+/// `counter += n` for a counter with one writer at a time: a load and a
+/// store, where `fetch_add` is a `lock`-prefixed read-modify-write. With
+/// two concurrent writers it loses updates — the caller owns the argument
+/// for why there is one (a claimed slot here, the queue's trylock in
+/// `metronome-core`).
+#[inline]
+pub fn bump(counter: &AtomicU64, n: u64) {
+    counter.store(counter.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+}
+
+/// Per-worker counters: one cache line per worker, so a worker's five
+/// updates per wake never invalidate a neighbour's line. Each block has a
+/// single writer by construction — the one live [`WorkerTelemetry`] that
+/// [`TelemetryHub::worker_sink`] let claim it — so every update is a plain
+/// load and store.
 #[derive(Debug, Default)]
 #[repr(align(64))]
 pub struct WorkerCounters {
+    /// Set while a [`WorkerTelemetry`] view of this slot is alive.
+    claimed: AtomicBool,
     /// Timer wake-ups.
     pub wakeups: AtomicU64,
     /// Nanoseconds spent awake (wake → next sleep).
@@ -46,7 +68,8 @@ pub struct WorkerCounters {
 #[derive(Debug, Default)]
 #[repr(align(64))]
 pub struct QueueCounters {
-    /// Packets retrieved (drained by winners).
+    /// Packets retrieved (drained by winners). Written by the queue's
+    /// current poller only, as is `bursts`.
     pub retrieved: AtomicU64,
     /// Non-empty retrieval bursts.
     pub bursts: AtomicU64,
@@ -112,9 +135,19 @@ impl TelemetryHub {
         &self.queues[q]
     }
 
-    /// The per-thread publishing view for worker `w`.
+    /// The publishing view for worker `w`, which claims the slot until it
+    /// is dropped: the view is the slot's one writer.
+    ///
+    /// # Panics
+    /// If `w` is out of range, or slot `w` is claimed by a live view.
     pub fn worker_sink(self: &Arc<Self>, w: usize) -> WorkerTelemetry {
         assert!(w < self.workers.len(), "worker index out of range");
+        // Acquire pairs with the Release in `WorkerTelemetry::drop`: the
+        // next owner of a slot continues from its last owner's counts.
+        assert!(
+            !self.workers[w].claimed.swap(true, Ordering::Acquire),
+            "worker slot {w} is already claimed by a live WorkerTelemetry"
+        );
         WorkerTelemetry {
             hub: Arc::clone(self),
             worker: w,
@@ -185,10 +218,12 @@ impl TelemetryHub {
 /// A queue-level sink over the whole hub (no worker identity): producers
 /// (load generators, NIC models) use this to account drops.
 impl TelemetrySink for TelemetryHub {
+    /// To be called by queue `q`'s current poller only (see the module
+    /// doc).
     fn retrieved(&self, q: usize, n: u64) {
         let qc = &self.queues[q];
-        qc.retrieved.fetch_add(n, Ordering::Relaxed);
-        qc.bursts.fetch_add(1, Ordering::Relaxed);
+        bump(&qc.retrieved, n);
+        bump(&qc.bursts, 1);
     }
 
     fn dropped(&self, q: usize, cause: DropCause, n: u64) {
@@ -209,11 +244,18 @@ impl TelemetrySink for TelemetryHub {
 }
 
 /// Worker `w`'s publishing handle: binds the worker index so every sink
-/// callback is a direct relaxed-atomic bump on pre-resolved counters.
-#[derive(Clone, Debug)]
+/// callback is a direct relaxed load and store on pre-resolved counters.
+/// Not `Clone`: it holds the claim on its slot and releases it on drop.
+#[derive(Debug)]
 pub struct WorkerTelemetry {
     hub: Arc<TelemetryHub>,
     worker: usize,
+}
+
+impl Drop for WorkerTelemetry {
+    fn drop(&mut self) {
+        self.slot().claimed.store(false, Ordering::Release);
+    }
 }
 
 impl WorkerTelemetry {
@@ -226,6 +268,11 @@ impl WorkerTelemetry {
     pub fn worker(&self) -> usize {
         self.worker
     }
+
+    /// The claimed counter block.
+    fn slot(&self) -> &WorkerCounters {
+        &self.hub.workers[self.worker]
+    }
 }
 
 impl TelemetrySink for WorkerTelemetry {
@@ -235,37 +282,29 @@ impl TelemetrySink for WorkerTelemetry {
     }
 
     fn wake(&self) {
-        self.hub.workers[self.worker]
-            .wakeups
-            .fetch_add(1, Ordering::Relaxed);
+        bump(&self.slot().wakeups, 1);
     }
 
     fn sleep_planned(&self, kind: SleepKind, _planned: Nanos) {
-        let w = &self.hub.workers[self.worker];
+        let w = self.slot();
         match kind {
-            SleepKind::Short => w.sleeps_short.fetch_add(1, Ordering::Relaxed),
-            SleepKind::Long => w.sleeps_long.fetch_add(1, Ordering::Relaxed),
-            SleepKind::Fixed => w.sleeps_fixed.fetch_add(1, Ordering::Relaxed),
-            SleepKind::Stagger => 0,
-        };
+            SleepKind::Short => bump(&w.sleeps_short, 1),
+            SleepKind::Long => bump(&w.sleeps_long, 1),
+            SleepKind::Fixed => bump(&w.sleeps_fixed, 1),
+            SleepKind::Stagger => {}
+        }
     }
 
     fn busy(&self, dur: Nanos) {
-        self.hub.workers[self.worker]
-            .busy_nanos
-            .fetch_add(dur.as_nanos(), Ordering::Relaxed);
+        bump(&self.slot().busy_nanos, dur.as_nanos());
     }
 
     fn slept(&self, dur: Nanos) {
-        self.hub.workers[self.worker]
-            .sleep_nanos
-            .fetch_add(dur.as_nanos(), Ordering::Relaxed);
+        bump(&self.slot().sleep_nanos, dur.as_nanos());
     }
 
     fn overslept(&self, dur: Nanos) {
-        self.hub.workers[self.worker]
-            .oversleep_nanos
-            .fetch_add(dur.as_nanos(), Ordering::Relaxed);
+        bump(&self.slot().oversleep_nanos, dur.as_nanos());
     }
 
     fn retrieved(&self, q: usize, n: u64) {
@@ -361,6 +400,23 @@ mod tests {
         assert_eq!(snap.wakeups, 1);
         assert_eq!(snap.dropped_ring, 2);
         assert_eq!(snap.ts_ns, vec![0, 25_000]);
+    }
+
+    #[test]
+    fn a_worker_slot_has_one_live_view() {
+        let hub = TelemetryHub::new(2, 1);
+        let w1 = hub.worker_sink(1);
+        w1.wake();
+        // The neighbouring slot is free; slot 1 is not, and says which.
+        let _w0 = hub.worker_sink(0);
+        let again = std::panic::catch_unwind(|| hub.worker_sink(1));
+        let msg = *again.unwrap_err().downcast::<String>().unwrap();
+        assert!(msg.contains("worker slot 1 is already claimed"), "{msg}");
+        // Dropping the view releases the claim, and the next view goes on
+        // from the counts the last one left.
+        drop(w1);
+        hub.worker_sink(1).wake();
+        assert_eq!(hub.worker(1).wakeups.load(Ordering::Relaxed), 2);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!   default;
 //! * [`counters`] — the hot-path implementation: per-worker and per-queue
 //!   **relaxed-atomic** counters ([`counters::TelemetryHub`]) that never
-//!   lock or allocate on the datapath;
+//!   lock, read-modify-write or allocate on the datapath (each worker
+//!   slot has one claimed writer);
 //! * [`sampler`] — the [`sampler::Sampler`] differences cumulative
 //!   [`sampler::CounterSnapshot`]s into fixed-interval
 //!   [`sampler::Window`]s (duty cycle, throughput, `TS`/ρ trajectory,

@@ -180,10 +180,10 @@ fn sim_and_realtime_backends_agree_on_policy_statistics() {
 
     // Drive every engine to its next turn boundary (a Sleep op) so no
     // turn is left half-recorded: the realtime backend records an
-    // acquisition at release time (one controller critical section per
-    // turn), the sim world at acquire time — at a boundary both have the
-    // full turn on the books. Virtual time stays at the final tick, so no
-    // new arrivals appear on either side.
+    // acquisition at release time (the turn's bookkeeping, past the stamp
+    // that ends its busy period), the sim world at acquire time — at a
+    // boundary both have the full turn on the books. Virtual time stays
+    // at the final tick, so no new arrivals appear on either side.
     let now = Nanos::from_micros(STEPS);
     for i in 0..M_THREADS {
         loop {

@@ -1,6 +1,5 @@
 //! Microbenchmarks of the hot primitives every experiment leans on.
 
-use bytes::BytesMut;
 use criterion::{criterion_group, criterion_main, Criterion};
 use metronome_apps::processor::PacketProcessor;
 use metronome_apps::{FloWatcher, L3Fwd};
@@ -119,17 +118,6 @@ fn bench_ring(c: &mut Criterion) {
         b.iter(|| {
             ring.offer(32);
             black_box(ring.take(32))
-        })
-    });
-    c.bench_function("micro/mbuf_ring_enqueue_dequeue", |b| {
-        let mut ring = metronome_dpdk::Ring::new(512);
-        let mut out = Vec::with_capacity(32);
-        b.iter(|| {
-            for _ in 0..16 {
-                ring.enqueue(Mbuf::from_bytes(BytesMut::new()));
-            }
-            out.clear();
-            black_box(ring.dequeue_burst(16, &mut out))
         })
     });
 }

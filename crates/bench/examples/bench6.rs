@@ -1,10 +1,10 @@
 //! Emit `BENCH_6.json`: the PR 6 lock-free hot-path numbers.
 //!
 //! Runs the [`metronome_bench::hotpath`] harnesses — mempool transaction
-//! scaling at 1/2/4/8/16 workers (locked vs cached), `SharedRing`
-//! producer/consumer pairs per path, and the 8-worker pooled-burst
-//! comparison — and writes the measurements as JSON to the path given as
-//! the first argument (default `BENCH_6.json` in the working directory).
+//! scaling at 1/2/4/8/16 workers (locked vs cached) and `SharedRing`
+//! producer/consumer pairs per path — and writes the measurements as JSON
+//! to the path given as the first argument (default `BENCH_6.json` in the
+//! working directory).
 //!
 //! ```text
 //! cargo run --release -p metronome-bench --example bench6 [-- out.json]
@@ -16,7 +16,6 @@ use metronome_dpdk::RingPath;
 const WORKER_COUNTS: [usize; 5] = [1, 2, 4, 8, 16];
 const POOL_TXNS: u64 = 1_000_000;
 const PAIR_ITEMS: u64 = 2_000_000;
-const WORKER_BURSTS: u64 = 200_000;
 /// Runs per point; the median filters scheduler noise (see
 /// [`hotpath::median_of`]).
 const RUNS: usize = 3;
@@ -58,7 +57,7 @@ fn main() {
 
     eprintln!("measuring ring_path pairs ({PAIR_ITEMS} frames each)...");
     let mut ring_rows = Vec::new();
-    for path in [RingPath::Spsc, RingPath::Mpsc, RingPath::Locked] {
+    for path in [RingPath::Spsc, RingPath::Mpsc] {
         let mpps = hotpath::median_of(RUNS, || hotpath::ring_pair_mpps(path, PAIR_ITEMS));
         eprintln!("  {:<8} {mpps:.2} Mpps", path.label());
         ring_rows.push(format!(
@@ -66,16 +65,6 @@ fn main() {
             path.label()
         ));
     }
-
-    eprintln!("measuring burst_path at 8 workers ({WORKER_BURSTS} bursts)...");
-    let locked8 = hotpath::median_of(RUNS, || {
-        hotpath::burst_workers_mpps(8, false, WORKER_BURSTS)
-    });
-    let cached8 = hotpath::median_of(RUNS, || hotpath::burst_workers_mpps(8, true, WORKER_BURSTS));
-    eprintln!(
-        "  locked {locked8:.2} Mpps, cached {cached8:.2} Mpps, speedup {:.2}x",
-        cached8 / locked8
-    );
 
     let json = format!(
         "{{\n\
@@ -94,12 +83,6 @@ fn main() {
          \x20   \"unit\": \"Mpps through one producer/consumer thread pair\",\n\
          \x20   \"capacity\": 1024,\n\
          \x20   \"points\": [\n{ring_rows}\n    ]\n\
-         \x20 }},\n\
-         \x20 \"burst_path_8_workers\": {{\n\
-         \x20   \"unit\": \"Mpps, pooled l3fwd hot path over one shared pool\",\n\
-         \x20   \"locked_mpps\": {locked8:.3},\n\
-         \x20   \"cached_mpps\": {cached8:.3},\n\
-         \x20   \"speedup\": {speedup:.2}\n\
          \x20 }}\n\
          }}\n",
         note = "single-core host: workers time-slice, so cross-core contention does not \
@@ -108,7 +91,6 @@ fn main() {
         burst = hotpath::BURST,
         pool_rows = pool_rows.join(",\n"),
         ring_rows = ring_rows.join(",\n"),
-        speedup = cached8 / locked8,
     );
     std::fs::write(&out_path, &json).expect("write bench snapshot");
     eprintln!("wrote {out_path}");

@@ -1,15 +1,15 @@
 //! Multi-worker hot-path measurement harness behind the lock-free
-//! refactor: alloc/free-burst transactions at worker counts, SPSC vs
-//! locked ring producer/consumer pairs, and the full pooled-burst worker
-//! loop with a shared locked pool vs per-worker caches.
+//! refactor: alloc/free-burst transactions at worker counts (locked
+//! freelist vs per-worker caches) and SPSC vs MPSC ring producer/consumer
+//! pairs.
 //!
 //! These are wall-clock duration harnesses (fixed total work, measured
 //! elapsed), not Criterion timers: the contention effects under study only
 //! exist across real threads, and the per-op number of interest is
-//! `elapsed / total_ops` summed over all workers. The Criterion bench
-//! targets (`contended_pool`, `ring_path`, `burst_path`) call into this
-//! module for their scaling tables, and `examples/bench6.rs` snapshots the
-//! same measurements into `BENCH_6.json`.
+//! `elapsed / total_ops` summed over all workers. `examples/bench6.rs`
+//! snapshots them into `BENCH_6.json`. The consume body itself (pop →
+//! process → record → free) has no harness here: `perfbench/` prices the
+//! one that runs, stage by stage.
 //!
 //! **Single-core caveat**: on a 1-CPU host the workers time-slice instead
 //! of running concurrently, so a mutex is nearly always free when the
@@ -19,15 +19,7 @@
 //! (lock + shared-freelist traffic vs thread-local stack moves) and
 //! whether the cached path's per-op cost stays flat as workers are added.
 
-use bytes::BytesMut;
-use metronome_apps::processor::PacketProcessor;
-use metronome_apps::L3Fwd;
 use metronome_dpdk::{Mbuf, Mempool, RingPath, SharedRing};
-use metronome_net::headers::{build_udp_frame, Mac, MIN_FRAME_NO_FCS};
-use metronome_sim::stats::Histogram;
-use metronome_telemetry::{NullTrace, TraceSink, TraceVerdict};
-use metronome_traffic::{FlowSet, WallClock};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
@@ -43,17 +35,6 @@ pub fn median_of(n: usize, mut f: impl FnMut() -> f64) -> f64 {
     let mut runs: Vec<f64> = (0..n).map(|_| f()).collect();
     runs.sort_by(|a, b| a.partial_cmp(b).expect("measurement NaN"));
     runs[runs.len() / 2]
-}
-
-const SUBNETS: usize = 4;
-
-/// Routable template frames, like the realtime runner's flow population.
-pub fn templates() -> Vec<BytesMut> {
-    FlowSet::routable(256, SUBNETS, 0xB45)
-        .flows()
-        .iter()
-        .map(|t| build_udp_frame(Mac::local(1), Mac::local(2), t, &[], MIN_FRAME_NO_FCS))
-        .collect()
 }
 
 /// Nanoseconds per buffer alloc+free pair with `workers` threads doing
@@ -178,107 +159,6 @@ pub fn ring_pair_mpps(path: RingPath, target_items: u64) -> f64 {
     target_items as f64 / elapsed.as_secs_f64() / 1e6
 }
 
-/// The per-queue application slot, exactly as the runner holds it:
-/// processor + latency histogram behind one mutex (each worker gets its
-/// own, so the mutex is uncontended — the variable under test is the
-/// pool path).
-struct WorkerApp {
-    proc: Box<dyn PacketProcessor>,
-    latency_ns: Histogram,
-}
-
-/// Mpps of `workers` threads each running the pooled-burst hot path
-/// (alloc burst → refill from templates → `process_burst` → stamp
-/// latency → free burst) against one shared pool — straight through the
-/// locked freelist (`cached = false`, the PR 3 shape) or through a
-/// per-worker cache (`cached = true`).
-pub fn burst_workers_mpps(workers: usize, cached: bool, total_bursts: u64) -> f64 {
-    burst_workers_mpps_traced(workers, cached, total_bursts, |_| NullTrace)
-}
-
-/// [`burst_workers_mpps`] with a flight recorder on the hot path: each
-/// worker records the same per-burst events the realtime worker loop
-/// does (a turn verdict plus a drained-burst event). Monomorphized over
-/// the tracer, so `NullTrace` compiles the record calls away — that
-/// no-op instantiation **is** the untraced harness, which is the bench
-/// guard's disabled-path claim (`BENCH_9.json`).
-pub fn burst_workers_mpps_traced<R>(
-    workers: usize,
-    cached: bool,
-    total_bursts: u64,
-    make_tracer: impl Fn(usize) -> R,
-) -> f64
-where
-    R: TraceSink + Send + 'static,
-{
-    assert!(workers > 0, "need at least one worker");
-    let frames = Arc::new(templates());
-    let pool = Mempool::new(workers * 4 * BURST + 4 * BURST, 2048);
-    let clock = WallClock::start();
-    let barrier = Arc::new(Barrier::new(workers + 1));
-    let bursts = (total_bursts / workers as u64).max(1);
-    let handles: Vec<_> = (0..workers)
-        .map(|w| {
-            let frames = Arc::clone(&frames);
-            let pool = pool.clone();
-            let barrier = Arc::clone(&barrier);
-            let tracer = make_tracer(w);
-            std::thread::spawn(move || {
-                let app = Mutex::new(WorkerApp {
-                    proc: Box::new(L3Fwd::with_sample_routes(SUBNETS)),
-                    latency_ns: Histogram::latency(),
-                });
-                let window = &frames[..BURST];
-                let mut cache = cached.then(|| pool.cache(BURST));
-                let mut burst: Vec<Mbuf> = Vec::with_capacity(BURST);
-                let arrival = clock.now();
-                barrier.wait();
-                let mut forwarded = 0u64;
-                for _ in 0..bursts {
-                    let got = match cache.as_mut() {
-                        Some(c) => c.alloc_burst(BURST, &mut burst),
-                        None => pool.alloc_burst(BURST, &mut burst),
-                    };
-                    debug_assert_eq!(got, BURST, "bench pool must never exhaust");
-                    for (mbuf, frame) in burst.iter_mut().zip(window) {
-                        mbuf.refill(frame);
-                        mbuf.arrival = arrival;
-                    }
-                    let mut slot = app.lock();
-                    let verdicts = slot.proc.process_burst(&mut burst);
-                    let done = clock.now();
-                    for mbuf in burst.iter() {
-                        let lat = done.saturating_sub(mbuf.arrival);
-                        slot.latency_ns.record(lat.as_nanos());
-                    }
-                    drop(slot);
-                    match cache.as_mut() {
-                        Some(c) => c.free_burst(burst.drain(..)),
-                        None => pool.free_burst(burst.drain(..)),
-                    }
-                    forwarded += verdicts.forwarded;
-                    // What the traced worker loop records per drained
-                    // burst: the turn verdict and the burst itself.
-                    tracer.turn_verdict(TraceVerdict::Continue);
-                    tracer.burst(0, BURST as u64);
-                }
-                drop(tracer); // flight recorder flushes on drop
-                forwarded
-            })
-        })
-        .collect();
-    barrier.wait();
-    let t0 = Instant::now();
-    let mut forwarded = 0u64;
-    for h in handles {
-        forwarded += h.join().expect("burst bench worker panicked");
-    }
-    let elapsed = t0.elapsed();
-    assert_eq!(pool.in_use(), 0, "burst bench leaked buffers");
-    assert!(forwarded > 0, "processor forwarded nothing");
-    (bursts * workers as u64 * BURST as u64) as f64 / elapsed.as_secs_f64() / 1e6
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,26 +172,8 @@ mod tests {
 
     #[test]
     fn ring_harness_moves_items_on_every_path() {
-        for path in [RingPath::Spsc, RingPath::Mpsc, RingPath::Locked] {
+        for path in [RingPath::Spsc, RingPath::Mpsc] {
             assert!(ring_pair_mpps(path, 50_000) > 0.0, "{path:?}");
         }
-    }
-
-    #[test]
-    fn burst_harness_measures_both_paths() {
-        assert!(burst_workers_mpps(2, false, 500) > 0.0);
-        assert!(burst_workers_mpps(2, true, 500) > 0.0);
-    }
-
-    #[test]
-    fn traced_burst_harness_records_every_burst() {
-        use metronome_telemetry::{TraceEventKind, TraceHub};
-        let hub = TraceHub::new(2, 4096);
-        let mpps = burst_workers_mpps_traced(2, true, 500, |w| hub.recorder(w));
-        assert!(mpps > 0.0);
-        let dump = hub.dump();
-        // One Burst record per burst iteration, split across 2 workers.
-        assert_eq!(dump.kind_count(TraceEventKind::Burst), 500);
-        assert_eq!(dump.kind_count(TraceEventKind::TurnVerdict), 500);
     }
 }

@@ -10,13 +10,7 @@
 //! * `ablations` — a measurement harness (not a timer) printing the
 //!   design-choice comparisons called out in DESIGN.md §5: diversity vs
 //!   equal timeouts, adaptive vs fixed TS, hr_sleep vs nanosleep, Tx batch
-//!   32 vs 1, burst reactivity vs XDP;
-//! * `burst_path` — per-packet clone vs pooled burst on the l3fwd hot
-//!   path, plus the 8-worker shared-locked vs per-worker-cache comparison;
-//! * `contended_pool` — alloc/free-burst transactions at 1/2/4/8/16
-//!   workers, locked freelist vs per-worker [`hotpath`] caches;
-//! * `ring_path` — SPSC/MPSC/locked `SharedRing` paths, single-thread
-//!   burst round-trips and a real producer/consumer thread pair.
+//!   32 vs 1, burst reactivity vs XDP.
 //!
 //! The multi-thread measurement harnesses live in [`hotpath`];
 //! `examples/bench6.rs` snapshots them into `BENCH_6.json`. The

@@ -29,7 +29,7 @@
 use crate::engine::{Backend, EngineOp, MetronomeEngine};
 use crate::policy::ThreadPolicy;
 use metronome_sim::Nanos;
-use metronome_telemetry::{PhaseKind, SleepKind, TelemetrySink};
+use metronome_telemetry::{SleepKind, TelemetrySink};
 use std::sync::{Arc, Condvar, Mutex};
 use std::task::Waker;
 use std::time::Duration;
@@ -385,7 +385,6 @@ impl RetrievalDiscipline for ConstSleep {
             self.asleep = false;
             self.policy.on_wake();
             sink.wake();
-            sink.phase(PhaseKind::Wake);
         }
         let taken = backend.rx_burst(self.q, self.burst);
         if taken > 0 {
@@ -399,7 +398,6 @@ impl RetrievalDiscipline for ConstSleep {
         self.drained_any = false;
         self.asleep = true;
         sink.sleep_planned(SleepKind::Fixed, self.period);
-        sink.phase(PhaseKind::Sleep);
         Verdict::Sleep(self.period)
     }
 
@@ -504,7 +502,6 @@ impl RetrievalDiscipline for InterruptLike {
             IrqPhase::Wake => {
                 self.policy.on_wake();
                 sink.wake();
-                sink.phase(PhaseKind::Wake);
                 self.phase = IrqPhase::Drain;
                 Verdict::Continue
             }
@@ -518,7 +515,6 @@ impl RetrievalDiscipline for InterruptLike {
                 // holding its IRQ down for the ITR window.
                 self.phase = IrqPhase::Moderate;
                 sink.sleep_planned(SleepKind::Fixed, self.window);
-                sink.phase(PhaseKind::Sleep);
                 Verdict::Sleep(self.window)
             }
             IrqPhase::Moderate => {
@@ -557,7 +553,6 @@ impl RetrievalDiscipline for InterruptLike {
                     }
                     Some(token) => {
                         self.policy.on_empty_poll();
-                        sink.phase(PhaseKind::Sleep);
                         self.phase = IrqPhase::Wake;
                         Verdict::Park(token)
                     }

@@ -28,7 +28,7 @@
 use crate::policy::ThreadPolicy;
 use crate::rxqueue::Lookahead;
 use metronome_sim::Nanos;
-use metronome_telemetry::{NullSink, PhaseKind, SleepKind, TelemetrySink};
+use metronome_telemetry::{NullSink, SleepKind, TelemetrySink};
 
 pub use crate::policy::Role;
 
@@ -318,7 +318,7 @@ impl MetronomeEngine {
         self.step_with(backend, &NullSink)
     }
 
-    /// [`MetronomeEngine::step`] with telemetry: phase transitions,
+    /// [`MetronomeEngine::step`] with telemetry: wakes,
     /// drained-burst counts, `TS` recomputations and sleep intents are
     /// published into `sink` as they happen. `sink` is called at protocol
     /// grain (per turn / per burst, never per packet), so a counter sink
@@ -333,14 +333,12 @@ impl MetronomeEngine {
             Phase::Init => {
                 let stagger = backend.stagger();
                 self.phase = Phase::AfterSleep;
-                sink.phase(PhaseKind::Stagger);
                 sink.sleep_planned(SleepKind::Stagger, stagger);
                 EngineOp::Wait(stagger)
             }
             Phase::AfterSleep => {
                 self.policy.on_wake();
                 sink.wake();
-                sink.phase(PhaseKind::Wake);
                 let q = self.policy.queue_to_contend();
                 backend.before_contend(q);
                 self.phase = Phase::TryAcquire;
@@ -350,7 +348,6 @@ impl MetronomeEngine {
                 let q = self.policy.queue_to_contend();
                 if backend.try_acquire(q) {
                     self.policy.on_race_won();
-                    sink.phase(PhaseKind::Drain);
                     self.phase = Phase::Chunk { q, k: 0 };
                     EngineOp::Work(backend.costs().acquire)
                 } else {
@@ -359,7 +356,6 @@ impl MetronomeEngine {
                     let n_queues = backend.n_queues();
                     let draw = backend.draw();
                     self.policy.on_race_lost(n_queues, draw);
-                    sink.phase(PhaseKind::LostRace);
                     let dur = if backend.equal_timeouts() {
                         backend.ts(q)
                     } else {
@@ -390,7 +386,6 @@ impl MetronomeEngine {
                     }
                     let dur = backend.release(q);
                     sink.ts_update(q, dur);
-                    sink.phase(PhaseKind::Release);
                     debug_assert_eq!(self.policy.role(), Role::Primary);
                     self.phase = Phase::GoSleep {
                         dur,
@@ -403,7 +398,6 @@ impl MetronomeEngine {
             Phase::GoSleep { dur, kind } => {
                 self.phase = Phase::AfterSleep;
                 sink.sleep_planned(kind, dur);
-                sink.phase(PhaseKind::Sleep);
                 EngineOp::Sleep(dur)
             }
         }

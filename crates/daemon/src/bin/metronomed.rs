@@ -14,6 +14,7 @@
 //! ```
 
 use metronome_daemon::{ControlServer, DaemonConfig, MetricsServer, ServiceEngine};
+use metronome_dpdk::ring::valid_ring_size;
 use std::path::PathBuf;
 use std::process::exit;
 use std::sync::Arc;
@@ -46,7 +47,16 @@ fn parse_args() -> Args {
             "--socket" => args.socket = PathBuf::from(value("--socket")),
             "--http" => args.http = value("--http"),
             "--queues" => args.cfg.n_queues = parse_num(&value("--queues"), "--queues"),
-            "--ring" => args.cfg.ring_size = parse_num(&value("--ring"), "--ring"),
+            "--ring" => {
+                args.cfg.ring_size = parse_num(&value("--ring"), "--ring");
+                if !valid_ring_size(args.cfg.ring_size) {
+                    eprintln!(
+                        "metronomed: --ring expects a power of two in 32..=4096, got {}",
+                        args.cfg.ring_size
+                    );
+                    usage()
+                }
+            }
             "--pool" => args.cfg.pool_population = Some(parse_num(&value("--pool"), "--pool")),
             "--seed" => args.cfg.seed = parse_num(&value("--seed"), "--seed") as u64,
             "--help" | "-h" => usage(),

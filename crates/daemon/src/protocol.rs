@@ -23,7 +23,7 @@
 //! `exec` selects the worker backend: `"threads"` (one OS thread per
 //! worker, the default) or `"async"` (cooperative tasks on `shards`
 //! executor threads, default 1). `ring_path` selects the Rx ring
-//! synchronization (`"spsc"` default, `"mpsc"`, `"locked"`) and is
+//! transport, one of two values (`"spsc"` default, `"mpsc"`), and is
 //! **submit-only**: the port persists across re-arms, so a
 //! `reconfigure` naming `ring_path` is a typed error — drain and submit
 //! a new scenario instead.
@@ -279,9 +279,8 @@ fn parse_ring_path(doc: &Json) -> Result<Option<RingPath>, String> {
         },
         Some("spsc") => Ok(Some(RingPath::Spsc)),
         Some("mpsc") => Ok(Some(RingPath::Mpsc)),
-        Some("locked") => Ok(Some(RingPath::Locked)),
         Some(other) => Err(format!(
-            "unknown ring path {other:?} (expected spsc, mpsc, or locked)"
+            "unknown ring path {other:?} (expected \"spsc\" or \"mpsc\")"
         )),
     }
 }
@@ -543,7 +542,7 @@ mod tests {
         assert_eq!(spec.ring_path, RingPath::Mpsc);
 
         let Ok(Request::Submit(spec)) =
-            Request::parse(r#"{"cmd":"submit","exec":"async","ring_path":"locked"}"#)
+            Request::parse(r#"{"cmd":"submit","exec":"async","ring_path":"spsc"}"#)
         else {
             panic!("submit did not parse");
         };
@@ -552,7 +551,7 @@ mod tests {
             ExecBackend::Async { shards: 1 },
             "shards default 1"
         );
-        assert_eq!(spec.ring_path, RingPath::Locked);
+        assert_eq!(spec.ring_path, RingPath::Spsc);
 
         let Ok(Request::Reconfigure(spec)) =
             Request::parse(r#"{"cmd":"reconfigure","exec":"threads"}"#)
@@ -566,6 +565,18 @@ mod tests {
     fn ring_path_on_reconfigure_is_a_typed_error() {
         let err = Request::parse(r#"{"cmd":"reconfigure","ring_path":"mpsc"}"#).unwrap_err();
         assert!(err.contains("drain and submit"), "unexpected error: {err}");
+    }
+
+    #[test]
+    fn unknown_ring_path_error_lists_the_two_transports() {
+        for gone in ["locked", "quantum"] {
+            let err =
+                Request::parse(&format!(r#"{{"cmd":"submit","ring_path":"{gone}"}}"#)).unwrap_err();
+            assert!(
+                err.contains(gone) && err.contains("\"spsc\"") && err.contains("\"mpsc\""),
+                "unexpected error: {err}"
+            );
+        }
     }
 
     #[test]
@@ -596,6 +607,7 @@ mod tests {
             r#"{"cmd":"submit","gen_shards":"many"}"#,
             r#"{"cmd":"reconfigure","gen_shards":0}"#,
             r#"{"cmd":"submit","ring_path":"quantum"}"#,
+            r#"{"cmd":"submit","ring_path":"locked"}"#,
             r#"{"cmd":"submit","ring_path":7}"#,
             r#"{"cmd":"reconfigure","ring_path":"mpsc"}"#,
             r#"{"cmd":"submit","trace":"yes"}"#,

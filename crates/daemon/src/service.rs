@@ -37,6 +37,7 @@ use crate::generator::{fault_driver, run_shard, GenShared, LiveRate};
 use crate::protocol::{self, DisciplineChoice, ReconfigureSpec, Request, SubmitSpec};
 use metronome_core::discipline::{DisciplineSpec, Doorbell, ModerationConfig};
 use metronome_core::{ExecBackend, MetronomeConfig, WorkerSet};
+use metronome_dpdk::ring::valid_ring_size;
 use metronome_dpdk::shared_ring::RingPath;
 use metronome_dpdk::{Mbuf, Mempool, RssPort};
 use metronome_runtime::ingest::{
@@ -242,10 +243,16 @@ pub struct ServiceEngine {
 
 impl ServiceEngine {
     /// Build the engine and its persistent mempool. Panics if `cfg.app`
-    /// has no functional processor — that is a deployment error, not
-    /// request input.
+    /// has no functional processor or `cfg.ring_size` is not a ring size
+    /// — those are deployment errors, not request input, and must not
+    /// wait for the first `submit` to surface.
     pub fn new(cfg: DaemonConfig) -> ServiceEngine {
         assert!(cfg.n_queues > 0, "need at least one queue");
+        assert!(
+            valid_ring_size(cfg.ring_size),
+            "invalid ring size {} (must be a power of two in 32..=4096)",
+            cfg.ring_size
+        );
         assert!(
             processor_for(cfg.app).is_some(),
             "no functional processor wired for app profile '{}'",
@@ -529,8 +536,8 @@ impl ServiceEngine {
     /// Spawn `run`'s producer set at its current `gen_shards` width: one
     /// thread per shard, each owning its slice of the flow population and
     /// producing concurrently onto the port's Rx rings (submit with
-    /// `"ring_path": "mpsc"` or `"locked"` for multi-producer offers on
-    /// shared rings), plus the fault driver when there is a plan to drive.
+    /// `"ring_path": "mpsc"` for multi-producer offers on shared rings),
+    /// plus the fault driver when there is a plan to drive.
     /// The previous set, if any, has been joined: the stop flag is free.
     fn spawn_generators(&self, run: &mut RunState) {
         run.gen.stop.store(false, Ordering::Release);
@@ -605,7 +612,7 @@ impl ServiceEngine {
         if spec.gen_shards.is_some_and(|g| g > 1) && run.port.rings()[0].path() == RingPath::Spsc {
             return protocol::err(
                 "gen_shards > 1 needs a multi-producer ring path and the port persists \
-                 across re-arms; drain and submit with \"ring_path\": \"mpsc\" or \"locked\"",
+                 across re-arms; drain and submit with \"ring_path\": \"mpsc\"",
             );
         }
         // The same goes for the worker shape: resolve it first, so a
@@ -952,5 +959,26 @@ impl ServiceEngine {
         } else {
             "idle"
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_bad_ring_size_is_refused_at_startup_not_at_the_first_submit() {
+        let with_ring = |ring_size| {
+            std::panic::catch_unwind(|| {
+                ServiceEngine::new(DaemonConfig {
+                    ring_size,
+                    ..DaemonConfig::default()
+                })
+            })
+        };
+        for bad in [500, 16, 8192] {
+            assert!(with_ring(bad).is_err(), "accepted --ring {bad}");
+        }
+        assert!(with_ring(512).is_ok());
     }
 }

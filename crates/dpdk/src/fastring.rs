@@ -63,7 +63,7 @@ use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Pad-and-align to a cache line so the producer and consumer indices
-/// never false-share (the `rte_ring` layout; real crossbeam calls this
+/// never false-share (the `rte_ring` layout; elsewhere known as
 /// `CachePadded`).
 #[repr(align(64))]
 #[derive(Debug, Default)]

@@ -11,23 +11,20 @@
 //!   exhaustion accounting: `Arc`-shared handles, atomic counters, and
 //!   burst alloc/free that take the freelist lock once per burst (the
 //!   per-lcore-cache amortization of `rte_mempool`).
-//! * [`ring::Ring`] — Rx descriptor rings with burst dequeue and tail-drop,
-//!   plus [`ring::RxRingModel`], the allocation-free occupancy model the
-//!   discrete-event simulator uses (property-tested to agree with `Ring`).
-//! * [`nic`] — framing math (64 B ⇒ 14.88 Mpps at 10 G), device profiles
-//!   (X520, XL710 with its 37 Mpps silicon cap) and an RSS-dispatching
-//!   functional [`nic::Port`].
-//! * [`ethdev::TxBuffer`] — Tx batching with the exact latency-vs-CPU
-//!   trade-off the paper measures when lowering the batch from 32 to 1.
-//! * [`random::RteRand`] — the lock-free shared PRNG backup threads use to
-//!   pick their next queue (paper Appendix II).
-//! * [`shared_ring`] — the concurrent Rx side for the real-thread
-//!   pipeline: [`shared_ring::SharedRing`] (bounded mbuf ring with
-//!   tail-drop accounting and `offer_burst`/`pop_burst` batch APIs that
-//!   hand rejected buffers back for recycling, lock-free SPSC/MPSC fast
-//!   paths and a locked fallback) and [`shared_ring::RssPort`] (`N`
-//!   rings behind one Toeplitz hasher).
-//! * [`fastring`] — the lock-free bounded rings behind those fast paths
+//! * [`ring`] — [`ring::valid_ring_size`], the one descriptor-count rule,
+//!   and [`ring::RxRingModel`], the allocation-free occupancy model the
+//!   discrete-event simulator uses (property-tested to agree with
+//!   [`shared_ring::SharedRing`]).
+//! * [`nic`] — framing math (64 B ⇒ 14.88 Mpps at 10 G) and device
+//!   profiles (X520, XL710 with its 37 Mpps silicon cap).
+//! * [`shared_ring`] — the Rx side of the real-thread pipeline, and the
+//!   only ring a packet crosses: [`shared_ring::SharedRing`] (bounded mbuf
+//!   ring with tail-drop accounting and `offer_burst`/`pop_burst` batch
+//!   APIs that hand rejected buffers back for recycling, on one of two
+//!   lock-free transports — SPSC or MPSC, each the correct one for its
+//!   producer count) and [`shared_ring::RssPort`] (`N` rings behind one
+//!   Toeplitz hasher).
+//! * [`fastring`] — the lock-free bounded rings behind those transports
 //!   ([`fastring::SpscRing`], [`fastring::MpscRing`]), `rte_ring`'s
 //!   batched acquire/release head/tail design.
 //! * [`scatter::QueueScatter`] — the generator-side scatter arena: one
@@ -42,21 +39,17 @@
 // carries `#![allow(unsafe_code)]`.
 #![deny(unsafe_code)]
 
-pub mod ethdev;
 pub mod fastring;
 pub mod mbuf;
 pub mod mempool;
 pub mod nic;
-pub mod random;
 pub mod ring;
 pub mod scatter;
 pub mod shared_ring;
 
-pub use ethdev::TxBuffer;
 pub use mbuf::Mbuf;
 pub use mempool::{Mempool, MempoolCache, MempoolStats};
-pub use nic::{NicProfile, Port};
-pub use random::RteRand;
-pub use ring::{Ring, RxRingModel};
+pub use nic::NicProfile;
+pub use ring::RxRingModel;
 pub use scatter::QueueScatter;
 pub use shared_ring::{RingConsumer, RingPath, RssPort, SharedRing};

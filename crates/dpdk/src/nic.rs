@@ -1,4 +1,5 @@
-//! NIC models: link framing math, device profiles, RSS dispatch.
+//! NIC models: link framing math and device profiles (RSS dispatch onto
+//! rings is [`crate::shared_ring::RssPort`]).
 //!
 //! The paper evaluates on two devices we reproduce as profiles:
 //!
@@ -11,11 +12,6 @@
 //! Framing math: an Ethernet frame of `len` bytes (FCS included) occupies
 //! `len + 20` bytes on the wire (7 preamble + 1 SFD + 12 IFG), so
 //! 10 Gb/s ÷ (84 B × 8) = 14.88 Mpps at 64 B.
-
-use crate::mbuf::Mbuf;
-use crate::ring::Ring;
-use metronome_net::toeplitz::Toeplitz;
-use metronome_net::FiveTuple;
 
 /// Per-frame wire overhead: preamble (7) + SFD (1) + inter-frame gap (12).
 pub const WIRE_OVERHEAD_BYTES: u64 = 20;
@@ -84,87 +80,9 @@ impl NicProfile {
     }
 }
 
-/// A functional NIC port: RSS-dispatches delivered frames into per-queue
-/// descriptor rings. Used by the functional/real-thread path; the
-/// discrete-event simulator models queues with `RxRingModel` instead.
-pub struct Port {
-    profile: NicProfile,
-    rss: Toeplitz,
-    queues: Vec<Ring>,
-}
-
-impl Port {
-    /// Port with `n_queues` Rx queues of `ring_size` descriptors each.
-    ///
-    /// # Panics
-    /// If `n_queues` is zero or exceeds the profile's queue count.
-    pub fn new(profile: NicProfile, n_queues: usize, ring_size: usize) -> Self {
-        assert!(
-            n_queues >= 1 && n_queues <= profile.max_rx_queues,
-            "queue count {n_queues} unsupported by {}",
-            profile.name
-        );
-        Port {
-            profile,
-            rss: Toeplitz::default(),
-            queues: (0..n_queues).map(|_| Ring::new(ring_size)).collect(),
-        }
-    }
-
-    /// Device profile.
-    pub fn profile(&self) -> &NicProfile {
-        &self.profile
-    }
-
-    /// Number of configured Rx queues.
-    pub fn n_queues(&self) -> usize {
-        self.queues.len()
-    }
-
-    /// The RSS queue a flow maps to.
-    pub fn rss_queue(&self, tuple: &FiveTuple) -> usize {
-        if self.queues.len() == 1 {
-            0
-        } else {
-            self.rss.queue_for(&tuple.rss_input(), self.queues.len())
-        }
-    }
-
-    /// Deliver a received frame: computes RSS, stamps metadata, enqueues
-    /// into the owning queue (tail-dropping if full). Returns the queue
-    /// index, or `None` if the packet was dropped.
-    pub fn deliver(&mut self, mut mbuf: Mbuf, tuple: &FiveTuple) -> Option<usize> {
-        let q = self.rss_queue(tuple);
-        mbuf.queue = q as u16;
-        mbuf.rss_hash = self.rss.hash(&tuple.rss_input());
-        if self.queues[q].enqueue(mbuf) {
-            Some(q)
-        } else {
-            None
-        }
-    }
-
-    /// Burst-receive from a queue (DPDK `rte_eth_rx_burst`).
-    pub fn rx_burst(&mut self, queue: usize, max: usize, out: &mut Vec<Mbuf>) -> usize {
-        self.queues[queue].dequeue_burst(max, out)
-    }
-
-    /// Occupancy of a queue.
-    pub fn queue_len(&self, queue: usize) -> usize {
-        self.queues[queue].len()
-    }
-
-    /// (enqueued, dequeued, dropped) counters of a queue.
-    pub fn queue_counters(&self, queue: usize) -> (u64, u64, u64) {
-        self.queues[queue].counters()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BytesMut;
-    use std::net::Ipv4Addr;
 
     #[test]
     fn line_rate_matches_paper_numbers() {
@@ -190,63 +108,5 @@ mod tests {
         let pps = gbps_to_pps(5.0, 64);
         let gbps = pps_to_gbps(pps, 64);
         assert!((gbps - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn rss_dispatch_is_flow_stable() {
-        let mut port = Port::new(NicProfile::XL710, 4, 512);
-        let t = FiveTuple::udp(
-            Ipv4Addr::new(10, 0, 0, 1),
-            1234,
-            Ipv4Addr::new(10, 0, 0, 2),
-            80,
-        );
-        let q1 = port.rss_queue(&t);
-        let m = Mbuf::from_bytes(BytesMut::from(&[0u8; 60][..]));
-        let q2 = port.deliver(m, &t).unwrap();
-        assert_eq!(q1, q2);
-        // Same flow always lands on the same queue.
-        for _ in 0..10 {
-            assert_eq!(port.rss_queue(&t), q1);
-        }
-    }
-
-    #[test]
-    fn single_queue_skips_rss() {
-        let port = Port::new(NicProfile::X520, 1, 512);
-        let t = FiveTuple::udp(Ipv4Addr::new(1, 2, 3, 4), 9, Ipv4Addr::new(5, 6, 7, 8), 10);
-        assert_eq!(port.rss_queue(&t), 0);
-    }
-
-    #[test]
-    fn rx_burst_drains_fifo() {
-        let mut port = Port::new(NicProfile::X520, 1, 32);
-        let t = FiveTuple::udp(Ipv4Addr::new(10, 0, 0, 1), 1, Ipv4Addr::new(10, 0, 0, 2), 2);
-        for _ in 0..5 {
-            let m = Mbuf::from_bytes(BytesMut::from(&[0u8; 60][..]));
-            port.deliver(m, &t);
-        }
-        let mut out = Vec::new();
-        assert_eq!(port.rx_burst(0, 32, &mut out), 5);
-        assert_eq!(port.queue_len(0), 0);
-    }
-
-    #[test]
-    fn drop_counted_when_ring_full() {
-        let mut port = Port::new(NicProfile::X520, 1, 32);
-        let t = FiveTuple::udp(Ipv4Addr::new(10, 0, 0, 1), 1, Ipv4Addr::new(10, 0, 0, 2), 2);
-        for _ in 0..40 {
-            let m = Mbuf::from_bytes(BytesMut::from(&[0u8; 60][..]));
-            port.deliver(m, &t);
-        }
-        let (enq, _, drop) = port.queue_counters(0);
-        assert_eq!(enq, 32);
-        assert_eq!(drop, 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "unsupported")]
-    fn too_many_queues_rejected() {
-        Port::new(NicProfile::X520, 17, 512);
     }
 }

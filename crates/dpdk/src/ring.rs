@@ -1,104 +1,24 @@
-//! Rx/Tx descriptor rings.
+//! Rx descriptor ring sizing and the simulator's ring model.
 //!
-//! Two views of the same concept live here:
-//!
-//! * [`Ring`] — a real bounded FIFO of [`Mbuf`]s with burst enqueue/dequeue
-//!   and tail-drop, used by the functional path (unit tests, examples, the
-//!   real-thread Metronome runtime).
+//! * [`valid_ring_size`] — the one size rule every ring in the crate
+//!   enforces.
 //! * [`RxRingModel`] — the counting model the discrete-event simulator
 //!   uses: it tracks occupancy, accepted and dropped packets without
 //!   materializing buffers, so line-rate minutes stay cheap. Its semantics
-//!   (tail-drop at capacity, FIFO drain) mirror `Ring` exactly; a property
-//!   test in the runtime crate drives both with the same schedule and
-//!   checks they agree.
+//!   (tail-drop at capacity, FIFO drain) mirror the ring the realtime
+//!   pipeline runs on, [`crate::shared_ring::SharedRing`]; a unit test here
+//!   and a property test in the facade crate drive both with the same
+//!   schedule and check they agree.
 //!
 //! Ring sizes on Intel X520/XL710 are configurable between 32 and 4096
 //! descriptors (paper Appendix II); the evaluation behaviour of Table I
 //! (loss onset between target vacation 10 µs and 20 µs at line rate)
 //! pins the effective size at 512 — see `metronome-runtime::calib`.
 
-use crate::mbuf::Mbuf;
-use std::collections::VecDeque;
-
 /// Supported descriptor-ring sizes: powers of two in 32..=4096 (Intel
 /// X520/XL710 constraint).
 pub fn valid_ring_size(n: usize) -> bool {
     n.is_power_of_two() && (32..=4096).contains(&n)
-}
-
-/// Bounded FIFO of packet buffers with burst operations and drop counting.
-pub struct Ring {
-    queue: VecDeque<Mbuf>,
-    capacity: usize,
-    enqueued: u64,
-    dequeued: u64,
-    dropped: u64,
-}
-
-impl Ring {
-    /// Ring with the given descriptor count.
-    ///
-    /// # Panics
-    /// If `capacity` is not a valid NIC ring size.
-    pub fn new(capacity: usize) -> Self {
-        assert!(valid_ring_size(capacity), "invalid ring size {capacity}");
-        Ring {
-            queue: VecDeque::with_capacity(capacity),
-            capacity,
-            enqueued: 0,
-            dequeued: 0,
-            dropped: 0,
-        }
-    }
-
-    /// Descriptor count.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Occupied descriptors.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// True if no packets are queued.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Free descriptors.
-    pub fn free_slots(&self) -> usize {
-        self.capacity - self.queue.len()
-    }
-
-    /// Enqueue one packet; on a full ring the packet is tail-dropped and
-    /// `false` is returned.
-    pub fn enqueue(&mut self, mbuf: Mbuf) -> bool {
-        if self.queue.len() == self.capacity {
-            self.dropped += 1;
-            false
-        } else {
-            self.queue.push_back(mbuf);
-            self.enqueued += 1;
-            true
-        }
-    }
-
-    /// Dequeue up to `max` packets (DPDK `rx_burst` semantics: returns what
-    /// is there, never blocks).
-    pub fn dequeue_burst(&mut self, max: usize, out: &mut Vec<Mbuf>) -> usize {
-        let n = max.min(self.queue.len());
-        for _ in 0..n {
-            out.push(self.queue.pop_front().expect("len checked"));
-        }
-        self.dequeued += n as u64;
-        n
-    }
-
-    /// (enqueued, dequeued, dropped) counters.
-    pub fn counters(&self) -> (u64, u64, u64) {
-        (self.enqueued, self.dequeued, self.dropped)
-    }
 }
 
 /// Counting model of an Rx descriptor ring for the simulator.
@@ -207,11 +127,9 @@ impl metronome_telemetry::OccupancyProbe for RxRingModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mbuf::Mbuf;
+    use crate::shared_ring::SharedRing;
     use bytes::BytesMut;
-
-    fn mbuf() -> Mbuf {
-        Mbuf::from_bytes(BytesMut::from(&[0u8; 60][..]))
-    }
 
     #[test]
     fn ring_size_validation() {
@@ -222,50 +140,6 @@ mod tests {
         assert!(!valid_ring_size(31));
         assert!(!valid_ring_size(100));
         assert!(!valid_ring_size(8192));
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid ring size")]
-    fn ring_rejects_bad_size() {
-        Ring::new(100);
-    }
-
-    #[test]
-    fn fifo_order() {
-        let mut r = Ring::new(32);
-        for i in 0..3u8 {
-            let mut m = mbuf();
-            m.bytes_mut()[0] = i;
-            r.enqueue(m);
-        }
-        let mut out = Vec::new();
-        assert_eq!(r.dequeue_burst(10, &mut out), 3);
-        let firsts: Vec<u8> = out.iter().map(|m| m.bytes()[0]).collect();
-        assert_eq!(firsts, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn tail_drop_when_full() {
-        let mut r = Ring::new(32);
-        for _ in 0..32 {
-            assert!(r.enqueue(mbuf()));
-        }
-        assert!(!r.enqueue(mbuf()));
-        assert_eq!(r.counters(), (32, 0, 1));
-        assert_eq!(r.free_slots(), 0);
-    }
-
-    #[test]
-    fn burst_respects_max() {
-        let mut r = Ring::new(64);
-        for _ in 0..40 {
-            r.enqueue(mbuf());
-        }
-        let mut out = Vec::new();
-        assert_eq!(r.dequeue_burst(32, &mut out), 32);
-        assert_eq!(r.len(), 8);
-        assert_eq!(r.dequeue_burst(32, &mut out), 8);
-        assert!(r.is_empty());
     }
 
     #[test]
@@ -293,33 +167,33 @@ mod tests {
 
     #[test]
     fn model_matches_ring_on_random_schedule() {
-        // Drive both implementations with the same offer/take schedule.
-        let mut ring = Ring::new(64);
+        // Drive the model and the ring the datapath runs on with the same
+        // offer/take schedule.
+        let ring = SharedRing::new(64);
         let mut model = RxRingModel::new(64);
         let mut seed = 99u64;
         let mut next = || {
             seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
             (seed >> 33) as usize
         };
+        let mut frames = Vec::new();
         let mut out = Vec::new();
+        let mut drained = 0u64;
         for _ in 0..1_000 {
             let n = next() % 20;
-            let mut ring_accepted = 0u64;
-            for _ in 0..n {
-                if ring.enqueue(mbuf()) {
-                    ring_accepted += 1;
-                }
-            }
-            assert_eq!(model.offer(n as u64), ring_accepted);
+            frames.clear();
+            frames.extend((0..n).map(|_| Mbuf::from_bytes(BytesMut::new())));
+            let accepted = ring.offer_burst(&mut frames) as u64;
+            assert_eq!(model.offer(n as u64), accepted);
             let k = next() % 20;
             out.clear();
-            let took = ring.dequeue_burst(k, &mut out) as u64;
+            let took = ring.pop_burst(&mut out, k) as u64;
             assert_eq!(model.take(k as u64), took);
-            assert_eq!(model.occupancy(), ring.len() as u64);
+            drained += took;
+            assert_eq!(model.occupancy(), ring.occupancy() as u64);
         }
-        let (enq, deq, drop) = ring.counters();
-        assert_eq!(model.total_accepted(), enq);
-        assert_eq!(model.total_drained(), deq);
-        assert_eq!(model.total_dropped(), drop);
+        assert_eq!(model.total_accepted(), ring.accepted());
+        assert_eq!(model.total_dropped(), ring.dropped());
+        assert_eq!(model.total_drained(), drained);
     }
 }

@@ -1,17 +1,17 @@
 //! Thread-safe Rx rings for the real-thread pipeline.
 //!
-//! [`crate::ring::Ring`] is the single-threaded descriptor ring; the
-//! realtime pipeline needs the concurrent analogue of `rte_ring` + RSS:
+//! The concurrent analogue of `rte_ring` + RSS, and the only kind of Rx
+//! ring a packet crosses:
 //!
 //! * [`SharedRing`] — a bounded mbuf ring with NIC-style tail-drop
 //!   accounting: a producer that offers into a full ring loses the frame
 //!   and the drop is counted, exactly like descriptors exhausting on an
 //!   X520/XL710. The transport under the accounting is chosen by
-//!   [`RingPath`]: a lock-free SPSC ring (the default — one RSS producer,
-//!   one retrieval consumer at a time, `rte_ring`'s batched
-//!   acquire/release head/tail design), a lock-free MPSC ring (several
-//!   generator threads, the elastic-fleet direction), or the locked MPMC
-//!   queue kept as a fallback. Counters, wake hooks, burst semantics and
+//!   [`RingPath`], one [`crate::fastring`] ring per producer count: the
+//!   lock-free SPSC ring (the default — one RSS producer, one retrieval
+//!   consumer at a time, `rte_ring`'s batched acquire/release head/tail
+//!   design) or the lock-free MPSC ring (several generator threads, the
+//!   elastic-fleet direction). Counters, wake hooks, burst semantics and
 //!   the [`OccupancyProbe`] are identical across paths.
 //! * [`RssPort`] — `N` shared rings behind one Toeplitz hasher: the
 //!   receive side of a NIC port with RSS enabled. The load generator
@@ -27,8 +27,6 @@
 use crate::fastring::{MpscRing, SpscRing};
 use crate::mbuf::Mbuf;
 use crate::ring::valid_ring_size;
-use bytes::BytesMut;
-use crossbeam::queue::ArrayQueue;
 use metronome_net::toeplitz::Toeplitz;
 use metronome_telemetry::OccupancyProbe;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,9 +51,6 @@ pub enum RingPath {
     /// Lock-free multi-producer single-consumer path: several generator
     /// threads feeding one queue (the elastic-fleet direction).
     Mpsc,
-    /// The mutex-protected MPMC queue, kept as a fallback and as the
-    /// contention baseline the `ring_path` bench measures against.
-    Locked,
 }
 
 impl RingPath {
@@ -64,7 +59,6 @@ impl RingPath {
         match self {
             RingPath::Spsc => "spsc",
             RingPath::Mpsc => "mpsc",
-            RingPath::Locked => "locked",
         }
     }
 }
@@ -74,7 +68,6 @@ impl RingPath {
 enum Backend {
     Spsc(Arc<SpscRing<Mbuf>>),
     Mpsc(Arc<MpscRing<Mbuf>>),
-    Locked(Arc<ArrayQueue<Mbuf>>),
 }
 
 impl Backend {
@@ -82,7 +75,6 @@ impl Backend {
         match path {
             RingPath::Spsc => Backend::Spsc(Arc::new(SpscRing::new(capacity))),
             RingPath::Mpsc => Backend::Mpsc(Arc::new(MpscRing::new(capacity))),
-            RingPath::Locked => Backend::Locked(Arc::new(ArrayQueue::new(capacity))),
         }
     }
 
@@ -90,7 +82,6 @@ impl Backend {
         match self {
             Backend::Spsc(_) => RingPath::Spsc,
             Backend::Mpsc(_) => RingPath::Mpsc,
-            Backend::Locked(_) => RingPath::Locked,
         }
     }
 
@@ -98,7 +89,6 @@ impl Backend {
         match self {
             Backend::Spsc(r) => r.len(),
             Backend::Mpsc(r) => r.len(),
-            Backend::Locked(q) => q.len(),
         }
     }
 
@@ -106,7 +96,6 @@ impl Backend {
         match self {
             Backend::Spsc(r) => r.capacity(),
             Backend::Mpsc(r) => r.capacity(),
-            Backend::Locked(q) => q.capacity(),
         }
     }
 
@@ -114,37 +103,15 @@ impl Backend {
         match self {
             Backend::Spsc(r) => r.push(mbuf),
             Backend::Mpsc(r) => r.push(mbuf),
-            Backend::Locked(q) => q.push(mbuf),
         }
     }
 
     /// Move the leading accepted frames of `src` into the ring; the
-    /// rejected remainder stays in `src`. One batched index update on the
-    /// lock-free paths, per-item pushes with in-place compaction on the
-    /// locked path.
+    /// rejected remainder stays in `src`. One batched index update.
     fn push_burst(&self, src: &mut Vec<Mbuf>) -> usize {
         match self {
             Backend::Spsc(r) => r.push_burst(src),
             Backend::Mpsc(r) => r.push_burst(src),
-            Backend::Locked(q) => {
-                // Rejected frames are compacted in place (swap with an
-                // empty, heap-free placeholder): the drop path allocates
-                // nothing, in keeping with the burst discipline.
-                let total = src.len();
-                let mut rejected = 0usize;
-                for read in 0..total {
-                    let m = std::mem::replace(&mut src[read], Mbuf::from_bytes(BytesMut::new()));
-                    match q.push(m) {
-                        Ok(()) => {}
-                        Err(back) => {
-                            src[rejected] = back;
-                            rejected += 1;
-                        }
-                    }
-                }
-                src.truncate(rejected);
-                total - rejected
-            }
         }
     }
 
@@ -152,7 +119,6 @@ impl Backend {
         match self {
             Backend::Spsc(r) => r.pop(),
             Backend::Mpsc(r) => r.pop(),
-            Backend::Locked(q) => q.pop(),
         }
     }
 
@@ -160,19 +126,6 @@ impl Backend {
         match self {
             Backend::Spsc(r) => r.pop_burst(out, max),
             Backend::Mpsc(r) => r.pop_burst(out, max),
-            Backend::Locked(q) => {
-                let mut taken = 0usize;
-                while taken < max {
-                    match q.pop() {
-                        Some(m) => {
-                            out.push(m);
-                            taken += 1;
-                        }
-                        None => break,
-                    }
-                }
-                taken
-            }
         }
     }
 
@@ -181,7 +134,6 @@ impl Backend {
         match self {
             Backend::Spsc(r) => r.prefetch_indices(slots),
             Backend::Mpsc(r) => r.prefetch_indices(slots),
-            Backend::Locked(_) => {}
         }
     }
 
@@ -236,10 +188,10 @@ impl SharedRing {
     }
 
     /// A consumer handle (what a Metronome worker drains). Cheap to
-    /// clone; all clones drain the same ring. On the SPSC/MPSC paths, at
-    /// most one handle may be popping at a time (concurrent pops
-    /// serialize on the consumer guard, they do not corrupt) — which is
-    /// exactly the discipline the per-queue trylock already enforces.
+    /// clone; all clones drain the same ring. At most one handle may be
+    /// popping at a time (concurrent pops serialize on the consumer guard,
+    /// they do not corrupt) — which is exactly the discipline the
+    /// per-queue trylock already enforces.
     pub fn consumer(&self) -> RingConsumer {
         RingConsumer {
             backend: self.backend.clone(),
@@ -334,8 +286,7 @@ impl SharedRing {
 }
 
 /// The sampler-facing gauge view of a ring (see
-/// [`metronome_telemetry::OccupancyProbe`]); reads are lock-free on the
-/// fast paths.
+/// [`metronome_telemetry::OccupancyProbe`]); reads are lock-free.
 impl OccupancyProbe for SharedRing {
     fn occupancy(&self) -> u64 {
         self.backend.len() as u64
@@ -347,9 +298,9 @@ impl OccupancyProbe for SharedRing {
 }
 
 /// The consumer end of a [`SharedRing`]: the handle a retrieval worker
-/// drains. Cheap to clone (an `Arc` under the hood); on the lock-free
-/// paths, concurrent pops from clones serialize on the ring's consumer
-/// guard rather than corrupting state.
+/// drains. Cheap to clone (an `Arc` under the hood); concurrent pops
+/// from clones serialize on the ring's consumer guard rather than
+/// corrupting state.
 #[derive(Clone)]
 pub struct RingConsumer {
     backend: Backend,
@@ -362,16 +313,15 @@ impl RingConsumer {
     }
 
     /// Pop up to `max` frames into `out` (appended), returning how many
-    /// were taken — one batched index update on the fast paths.
+    /// were taken — one batched index update.
     pub fn pop_burst(&self, out: &mut Vec<Mbuf>, max: usize) -> usize {
         self.backend.pop_burst(out, max)
     }
 
     /// Hint, a little ahead of a pop: start fetching the lines the pop
     /// will miss on when the producer runs on another core — the
-    /// producer's index line and the first `slots` slots at the head
-    /// (lock-free paths; nothing on the locked one). Moves nothing and
-    /// waits for no one.
+    /// producer's index line and the first `slots` slots at the head.
+    /// Moves nothing and waits for no one.
     #[inline]
     pub fn prefetch_indices(&self, slots: usize) {
         self.backend.prefetch_indices(slots);
@@ -482,7 +432,7 @@ impl RssPort {
     }
 
     /// Per-queue ring occupancies in one pass (the telemetry sampler's
-    /// gauge column; each read is lock-free on the fast paths).
+    /// gauge column; each read is lock-free).
     pub fn occupancies(&self) -> Vec<u64> {
         self.rings.iter().map(OccupancyProbe::occupancy).collect()
     }
@@ -515,7 +465,7 @@ mod tests {
     use metronome_net::FiveTuple;
     use std::net::Ipv4Addr;
 
-    const ALL_PATHS: [RingPath; 3] = [RingPath::Spsc, RingPath::Mpsc, RingPath::Locked];
+    const ALL_PATHS: [RingPath; 2] = [RingPath::Spsc, RingPath::Mpsc];
 
     fn frame() -> Mbuf {
         Mbuf::from_bytes(BytesMut::from(&[0u8; 60][..]))
@@ -576,12 +526,20 @@ mod tests {
     fn pop_burst_drains_into_scratch() {
         for path in ALL_PATHS {
             let r = SharedRing::with_path(32, path);
-            let mut burst: Vec<Mbuf> = (0..10).map(|_| frame()).collect();
+            let mut burst: Vec<Mbuf> = (0..10u8)
+                .map(|i| {
+                    let mut m = frame();
+                    m.bytes_mut()[0] = i;
+                    m
+                })
+                .collect();
             r.offer_burst(&mut burst);
             let mut out = Vec::new();
             assert_eq!(r.pop_burst(&mut out, 4), 4, "{path:?}");
+            assert_eq!(r.occupancy(), 6, "a burst takes at most max ({path:?})");
             assert_eq!(r.pop_burst(&mut out, 32), 6, "{path:?}");
-            assert_eq!(out.len(), 10, "{path:?}");
+            let firsts: Vec<u8> = out.iter().map(|m| m.bytes()[0]).collect();
+            assert_eq!(firsts, (0..10).collect::<Vec<u8>>(), "FIFO ({path:?})");
             assert_eq!(
                 r.pop_burst(&mut out, 32),
                 0,
@@ -641,8 +599,8 @@ mod tests {
         for path in ALL_PATHS {
             let r = SharedRing::with_path(32, path);
             let q = r.consumer();
-            // Empty, then holding frames: the locked path ignores both
-            // hints, the MPSC path the second.
+            // Empty, then holding frames: the MPSC path ignores the
+            // second hint.
             for queued in [0usize, 6] {
                 let mut burst: Vec<Mbuf> = (0..queued).map(|_| frame()).collect();
                 r.offer_burst(&mut burst);

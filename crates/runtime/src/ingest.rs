@@ -26,8 +26,7 @@ pub const GEN_BATCH: usize = 256;
 
 /// The ring path `gen_shards` concurrent producers need: the default SPSC
 /// path upgrades to MPSC (SPSC under `G > 1` would be *safe* — the
-/// producer side is guarded — but the guard serializes the shards); an
-/// explicit `Locked` is honored, the locked ring is MPMC already.
+/// producer side is guarded — but the guard serializes the shards).
 pub fn producer_ring_path(gen_shards: usize, requested: RingPath) -> RingPath {
     if gen_shards > 1 && requested == RingPath::Spsc {
         RingPath::Mpsc

@@ -269,9 +269,9 @@ pub struct Scenario {
     /// sharded async executor — the 1000+-queue scale path. The
     /// simulation backend models threads and ignores this.
     pub exec: ExecBackend,
-    /// Ring transport under the realtime RSS port (SPSC fast path by
-    /// default; MPSC and the locked fallback are selectable so every
-    /// path is exercised end-to-end). Simulation ignores this.
+    /// Ring transport under the realtime RSS port, one of two values:
+    /// SPSC (the default) or MPSC, selectable so both are exercised
+    /// end-to-end. Simulation ignores this.
     pub ring_path: RingPath,
     /// Flight-recorder tracing of the realtime worker set: per-worker (or
     /// per-shard on the async backend) event rings plus wake-latency /

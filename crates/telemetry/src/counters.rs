@@ -18,7 +18,7 @@
 //! reports a burst from it. The drop counters have many writers
 //! (producer shards) and stay `fetch_add`.
 
-use crate::sink::{DropCause, PhaseKind, SleepKind, TelemetrySink};
+use crate::sink::{DropCause, SleepKind, TelemetrySink};
 use metronome_sim::Nanos;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -276,11 +276,6 @@ impl WorkerTelemetry {
 }
 
 impl TelemetrySink for WorkerTelemetry {
-    fn phase(&self, _phase: PhaseKind) {
-        // Phase transitions are implied by the counter deltas below; a
-        // tracing sink could record them individually.
-    }
-
     fn wake(&self) {
         bump(&self.slot().wakeups, 1);
     }

@@ -6,7 +6,7 @@
 //! observability layer that turns both backends into per-window series:
 //!
 //! * [`sink`] — the [`sink::TelemetrySink`] event trait the execution
-//!   layers publish into (phase transitions, sleeps, drained bursts, `TS`
+//!   layers publish into (wakes, sleeps, drained bursts, `TS`
 //!   updates, drops), with [`sink::NullSink`] as the free disabled
 //!   default;
 //! * [`counters`] — the hot-path implementation: per-worker and per-queue
@@ -63,7 +63,7 @@ pub use export::json::Json;
 pub use export::{CsvExporter, Exporter, JsonExporter, PrometheusExporter};
 pub use probe::OccupancyProbe;
 pub use sampler::{CounterSnapshot, LatencyWindow, Sampler, TimeSeries, Window};
-pub use sink::{DropCause, NullSink, PhaseKind, SleepKind, TelemetrySink};
+pub use sink::{DropCause, NullSink, SleepKind, TelemetrySink};
 pub use trace::{
     MarkerKind, NullTrace, TraceDump, TraceEvent, TraceEventKind, TraceHub, TraceRecorder,
     TraceRing, TraceSink, TraceVerdict, TracedSink, WorkerTrace, DEFAULT_RING_CAPACITY,

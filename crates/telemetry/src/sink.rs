@@ -1,7 +1,7 @@
 //! The event surface the execution layers publish into.
 //!
-//! Everything that happens on a packet-retrieval thread — phase
-//! transitions of the Listing 2 loop, sleeps, drained bursts, `TS`
+//! Everything that happens on a packet-retrieval thread — the wakes
+//! and sleeps of the Listing 2 loop, drained bursts, `TS`
 //! recomputations, drops on the producer side — funnels through one
 //! object-free trait, [`TelemetrySink`]. The contract is deliberately
 //! strict: an implementation must be safe to call from the hot path, so it
@@ -12,24 +12,6 @@
 //! pre-telemetry code).
 
 use metronome_sim::Nanos;
-
-/// Where a Metronome thread is inside the Listing 2 loop, at the grain
-/// telemetry cares about (coarser than the engine's internal state).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PhaseKind {
-    /// Start-up stagger before the first contention.
-    Stagger,
-    /// Woke from a timer sleep, about to race.
-    Wake,
-    /// Won the trylock race; draining the queue.
-    Drain,
-    /// Lost the trylock race; becoming a backup.
-    LostRace,
-    /// Released the queue after draining it dry.
-    Release,
-    /// About to sleep.
-    Sleep,
-}
 
 /// Which timeout a sleep was taken under.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -68,11 +50,6 @@ pub enum DropCause {
 /// updates — no locks, no allocation (the realtime worker calls these
 /// while holding a queue trylock).
 pub trait TelemetrySink {
-    /// The thread entered `phase`.
-    fn phase(&self, phase: PhaseKind) {
-        let _ = phase;
-    }
-
     /// The thread woke from a timer sleep.
     fn wake(&self) {}
 
@@ -123,9 +100,6 @@ impl TelemetrySink for NullSink {}
 /// Sharing a sink by reference is still a sink (lets drivers pass
 /// `&sink` without caring whether the callee wants ownership).
 impl<S: TelemetrySink + ?Sized> TelemetrySink for &S {
-    fn phase(&self, phase: PhaseKind) {
-        (**self).phase(phase)
-    }
     fn wake(&self) {
         (**self).wake()
     }

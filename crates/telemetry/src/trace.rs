@@ -31,7 +31,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::export::json::Json;
-use crate::sink::{DropCause, PhaseKind, SleepKind, TelemetrySink};
+use crate::sink::{DropCause, SleepKind, TelemetrySink};
 use metronome_sim::stats::Histogram;
 use metronome_sim::{CoarseClock, Nanos};
 
@@ -879,9 +879,6 @@ impl<S: TelemetrySink, R: TraceSink> TracedSink<S, R> {
 }
 
 impl<S: TelemetrySink, R: TraceSink> TelemetrySink for TracedSink<S, R> {
-    fn phase(&self, phase: PhaseKind) {
-        self.sink.phase(phase)
-    }
     fn wake(&self) {
         self.sink.wake()
     }

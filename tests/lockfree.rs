@@ -15,7 +15,7 @@ use metronome_repro::dpdk::{Mempool, RingPath, SharedRing};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-const ALL_PATHS: [RingPath; 3] = [RingPath::Spsc, RingPath::Mpsc, RingPath::Locked];
+const ALL_PATHS: [RingPath; 2] = [RingPath::Spsc, RingPath::Mpsc];
 
 /// A capacity-2 SPSC ring forces a full/empty boundary on nearly every
 /// operation: the producer sees "apparently full" and the consumer

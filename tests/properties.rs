@@ -4,7 +4,7 @@
 
 use metronome_repro::core::model;
 use metronome_repro::core::MetronomeConfig;
-use metronome_repro::dpdk::{Mempool, Ring, RxRingModel};
+use metronome_repro::dpdk::{Mbuf, Mempool, RxRingModel, SharedRing};
 use metronome_repro::net::aes::Aes128;
 use metronome_repro::net::checksum::{internet_checksum, verify};
 use metronome_repro::net::headers::{build_udp_frame, l3fwd_rewrite, parse_frame, Mac};
@@ -24,25 +24,25 @@ fn arb_tuple() -> impl Strategy<Value = FiveTuple> {
 }
 
 proptest! {
-    /// The counting ring model and the real mbuf ring agree on any
-    /// offer/take schedule (the hybrid-DES core assumption).
+    /// The counting ring model and the ring the realtime datapath runs on
+    /// agree on any offer/take schedule (the hybrid-DES core assumption).
     #[test]
     fn ring_model_matches_real_ring(ops in prop::collection::vec((0u64..48, 0u64..48), 1..200)) {
-        let mut real = Ring::new(64);
+        let real = SharedRing::new(64);
         let mut model = RxRingModel::new(64);
+        let mut frames = Vec::new();
         let mut out = Vec::new();
         for (offer, take) in ops {
-            let mut accepted = 0;
-            for _ in 0..offer {
-                if real.enqueue(metronome_repro::dpdk::Mbuf::from_bytes(Default::default())) {
-                    accepted += 1;
-                }
-            }
+            frames.clear();
+            frames.extend((0..offer).map(|_| Mbuf::from_bytes(Default::default())));
+            let accepted = real.offer_burst(&mut frames) as u64;
             prop_assert_eq!(model.offer(offer), accepted);
             out.clear();
-            let took = real.dequeue_burst(take as usize, &mut out) as u64;
+            let took = real.pop_burst(&mut out, take as usize) as u64;
             prop_assert_eq!(model.take(take), took);
-            prop_assert_eq!(model.occupancy(), real.len() as u64);
+            prop_assert_eq!(model.occupancy(), real.occupancy() as u64);
+            prop_assert_eq!(model.total_accepted(), real.accepted());
+            prop_assert_eq!(model.total_dropped(), real.dropped());
         }
     }
 

@@ -243,14 +243,13 @@ fn all_disciplines_conserve_and_forward() {
     }
 }
 
-/// Every ring synchronization path carries the same scenario end to end:
-/// the default SPSC fast path, the MPSC compare-exchange path, and the
-/// mutex-serialized reference path all conserve exactly and lose nothing
-/// at this load. One case per [`RingPath`].
+/// Both ring transports carry the same scenario end to end: the default
+/// SPSC path and the MPSC compare-exchange path conserve exactly and lose
+/// nothing at this load. One case per [`RingPath`].
 #[test]
 fn every_ring_path_conserves_end_to_end() {
     let _guard = serial();
-    for path in [RingPath::Spsc, RingPath::Mpsc, RingPath::Locked] {
+    for path in [RingPath::Spsc, RingPath::Mpsc] {
         let cfg = MetronomeConfig::multiqueue(2, 2);
         let sc = Scenario::metronome(
             format!("rt-ring-{}", path.label()),

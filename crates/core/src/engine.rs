@@ -145,6 +145,18 @@ pub trait Backend {
         let _ = now;
     }
 
+    /// Hook invoked by a realtime driver when it closes a busy span — the
+    /// mirror of [`Backend::before_turn`]: the stamp at which the backend's
+    /// last [`Backend::release`] read the clock, on the same epoch, handed
+    /// to the driver exactly once (`None` if nothing was released since the
+    /// previous call). A driver closes the span on it instead of a read of
+    /// its own, so what follows the release — `TS` bookkeeping, the sleep
+    /// verdict — is outside the span. Clockless backends (the simulation)
+    /// have no stamp.
+    fn take_release_stamp(&mut self) -> Option<Nanos> {
+        None
+    }
+
     /// Hook invoked by a realtime driver that knows queue `q` is about to
     /// be contended by this backend's worker — a turn or two from now, not
     /// in the current one: start fetching what the poll of its first
@@ -216,6 +228,10 @@ impl<B: Backend> Backend for &mut B {
 
     fn before_turn(&mut self, now: Nanos) {
         (**self).before_turn(now)
+    }
+
+    fn take_release_stamp(&mut self) -> Option<Nanos> {
+        (**self).take_release_stamp()
     }
 
     fn lookahead(&self, q: usize, stage: Lookahead, depth: usize) {

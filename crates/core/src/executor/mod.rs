@@ -59,7 +59,7 @@ pub use wheel::{TimerEntry, TimerWheel};
 use crate::discipline::{AnyDiscipline, ParkToken, RetrievalDiscipline, Verdict};
 use crate::engine::Backend;
 use crate::policy::ThreadPolicy;
-use crate::realtime::publish_sleep;
+use crate::realtime::{publish_sleep, span_end};
 use crate::rxqueue::Lookahead;
 use metronome_sim::{CoarseClock, Nanos};
 use metronome_telemetry::{TelemetrySink, TraceSink, TraceVerdict, TracedSink};
@@ -295,8 +295,10 @@ enum SliceEnd {
 /// Run one task until it yields, sleeps, parks or exhausts its turn
 /// budget; charge the elapsed wall time to its busy telemetry and its
 /// vruntime. The slice runs from `from`, the shard's pick stamp — which
-/// the backend is handed as the stamp of its acquire — to one tick of
-/// `clock` at its end, which the shard reads back as `clock.cached()`.
+/// the backend is handed as the stamp of its acquire — to its end stamp,
+/// which the shard reads back as `clock.cached()`: the backend's release
+/// stamp when the slice released its queue (no read), one tick of `clock`
+/// otherwise.
 /// The tracer brackets the slice with begin/end events,
 /// sees every turn verdict, and — via the [`TracedSink`] wrapper — every
 /// drained burst the discipline reports inside the slice.
@@ -349,7 +351,7 @@ where
             }
         }
     };
-    let elapsed = clock.tick() - from;
+    let elapsed = span_end(clock, &mut task.backend) - from;
     task.sink.busy(elapsed);
     tracer.slice_end(task.id, elapsed);
     task.vruntime = task.vruntime.saturating_add(elapsed.as_nanos().max(1));
@@ -386,14 +388,15 @@ where
 /// does between its two stamps.
 ///
 /// **The shard owns the clock** (counting from `epoch`), and a task wake
-/// costs three OS reads: one at the pick (closes the scheduler delay,
-/// starts the slice, is the backend's acquire stamp), the backend's own at
-/// release, and one at the slice's end (busy time and vruntime, the start
-/// of the idle period, the wheel deadline and the oversleep deadline).
-/// That last stamp — or the idle
-/// wait's last, when nothing was runnable — is also the next round's
-/// `now`: every doorbell wake and every timer it finds due shares it,
-/// however many tasks one wheel tick fires.
+/// costs two OS reads: one at the pick (closes the scheduler delay,
+/// starts the slice, is the backend's acquire stamp) and the backend's own
+/// at release, which also ends the slice (busy time and vruntime, the
+/// start of the idle period, the wheel deadline and the oversleep
+/// deadline). A slice that released nothing — a lost race, a baseline's
+/// poll, a drain cut at the turn budget — ends on a read of its own. That
+/// end stamp — or the idle wait's last, when nothing was runnable — is
+/// also the next round's `now`: every doorbell wake and every timer it
+/// finds due shares it, however many tasks one wheel tick fires.
 ///
 /// The shard owns one `tracer` (its flight-recorder ring slot): besides
 /// the per-slice events [`run_slice`] records, the loop itself records
@@ -1110,14 +1113,14 @@ mod tests {
         fn sched_pick(&self, _task: usize, _delay: Nanos) {
             self.push(Event::Pick);
         }
-        // Right after the slice-end read.
+        // Right after the slice's end stamp.
         fn slice_end(&self, _task: usize, _busy: Nanos) {
             self.push(Event::SliceEnd);
         }
     }
 
     #[test]
-    fn a_task_wake_reads_the_clock_three_times_and_due_timers_share_one_stamp() {
+    fn a_task_wake_reads_the_clock_twice_and_due_timers_share_one_stamp() {
         // 16 Metronome tasks, an idle queue each, on one real shard: every
         // wake wins its race, polls nothing, releases and sleeps TS again.
         const N: usize = 16;
@@ -1170,10 +1173,10 @@ mod tests {
                     batch += 1;
                     widest_batch = widest_batch.max(batch + 1);
                 }
-                // The slice's busy span: the backend's release stamp and
-                // the slice-end stamp.
+                // The slice's busy span: the backend's release stamp,
+                // which also ends the slice.
                 (Event::Pick, Event::SliceEnd) => {
-                    assert_eq!(reads, 2, "reads inside a slice");
+                    assert_eq!(reads, 1, "reads inside a slice");
                     slices += 1;
                 }
                 // The next task was already runnable: no idle wait, so the

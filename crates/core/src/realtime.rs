@@ -12,10 +12,10 @@
 //! | engine capability | simulation realization | real-thread realization |
 //! |---|---|---|
 //! | race primitive    | owner slot on the sim queue | CMPXCHG [`TryLock`] |
-//! | receive burst     | counting descriptor ring    | any [`RxQueue`] (locked `ArrayQueue`, lock-free SPSC/MPSC ring consumer) drained batched into a reusable scratch buffer, one app call per burst |
+//! | receive burst     | counting descriptor ring    | any [`RxQueue`] (the pipeline's lock-free SPSC/MPSC ring consumer; an `ArrayQueue` in tests) drained batched into a reusable scratch buffer, one app call per burst |
 //! | sleep service     | calibrated `hr_sleep` model | [`PreciseSleeper`]  |
 //! | entropy           | seeded xoshiro stream       | SplitMix64 counter  |
-//! | clock             | virtual `Nanos`             | the driver's [`CoarseClock`]: two OS reads per wake |
+//! | clock             | virtual `Nanos`             | the driver's [`CoarseClock`]: one OS read in an empty wake's busy span, the release stamp that closes it |
 //! | step costs        | calibrated cycle charges    | zero (hardware pays) |
 //!
 //! **`hr_sleep()` substitution.** The paper's precision comes from a custom
@@ -333,7 +333,9 @@ impl SharedState {
 /// CMPXCHG trylock, [`RxQueue`] receive bursts drained batched into a
 /// reusable scratch buffer and processed one application call per burst,
 /// wall-clock vacation measurement from the driver's wake stamp and one
-/// clock read per release, and a shared SplitMix64 entropy counter. One
+/// clock read per release — handed back to the driver to close its busy
+/// span ([`Backend::take_release_stamp`]) — and a shared SplitMix64
+/// entropy counter. One
 /// backend instance belongs to one worker thread, and its process closure
 /// is `FnMut` *owned by that worker* — per-thread state (a mempool cache,
 /// a flow table shard) lives right in the closure with no locks around
@@ -353,6 +355,8 @@ pub struct RealtimeBackend<T: Send + 'static, P, Q: RxQueue<T> = Arc<ArrayQueue<
     acquired_at: Option<Nanos>,
     /// Vacation that ended at the current acquire, if measurable.
     pending_vacation: Option<Nanos>,
+    /// The last release's stamp, until the driver takes it.
+    released_at: Option<Nanos>,
 }
 
 impl<T, P, Q> RealtimeBackend<T, P, Q>
@@ -370,6 +374,7 @@ where
             turn_stamp: None,
             acquired_at: None,
             pending_vacation: None,
+            released_at: None,
         }
     }
 }
@@ -390,6 +395,10 @@ where
 
     fn before_turn(&mut self, now: Nanos) {
         self.turn_stamp = Some(now);
+    }
+
+    fn take_release_stamp(&mut self) -> Option<Nanos> {
+        self.released_at.take()
     }
 
     fn lookahead(&self, q: usize, stage: Lookahead, depth: usize) {
@@ -443,8 +452,10 @@ where
             .acquired_at
             .take()
             .expect("release without matching acquire");
-        // One read: the busy period's end and the published release stamp.
+        // One read: the busy period's end, the published release stamp,
+        // and — handed to the driver — the end of the worker's busy span.
         let now = read_clock(self.shared.epoch);
+        self.released_at = Some(now);
         let shared = &*self.shared;
         let slot = &shared.slots[q];
         slot.last_release.store(now.as_nanos(), Ordering::Relaxed);
@@ -564,6 +575,17 @@ pub(crate) fn publish_sleep(
     tracer.sleep(requested, actual, over);
 }
 
+/// The stamp a driver closes a busy span on: the backend's release stamp
+/// ([`Backend::take_release_stamp`]) when a release came since the last
+/// close — `clock` moved up to it, no read — and one read of `clock`
+/// otherwise.
+pub(crate) fn span_end(clock: &CoarseClock, backend: &mut impl Backend) -> Nanos {
+    match backend.take_release_stamp() {
+        Some(stamp) => clock.advance_to(stamp),
+        None => clock.tick(),
+    }
+}
+
 /// Spawn one OS thread per prepared `(discipline, backend)` worker — the
 /// thread half of [`crate::workers::WorkerSet`]. Every worker's driver
 /// clock counts from `epoch`, the worker set's own, so the wake stamps it
@@ -616,15 +638,19 @@ where
 /// windowed duty-cycle sampling stays live without a clock read per turn.
 ///
 /// **The driver owns the clock** (counting from `epoch`). A sleep costs
-/// two stamps: one when the driver decides to sleep — it closes the busy
-/// span and is the sleep's start — and the sleeper's own last spin-loop
-/// read when the sleep returns, which opens the next busy span, gives
-/// `slept` and `overslept` by subtraction (so `slept == requested +
-/// overslept` exactly) and is what the backend is handed before each turn
-/// ([`Backend::before_turn`]) as the stamp of its acquire. With the
-/// backend's one read per release that is two OS clock reads inside the
-/// busy span of an empty Metronome wake, and one in a wake that loses its
-/// race.
+/// two stamps: one that closes the busy span and is the sleep's start, and
+/// the sleeper's own last spin-loop read when the sleep returns, which
+/// opens the next busy span, gives `slept` and `overslept` by subtraction
+/// (so `slept == requested + overslept` exactly) and is what the backend
+/// is handed before each turn ([`Backend::before_turn`]) as the stamp of
+/// its acquire. The closing stamp is the backend's release stamp when a
+/// release came since the last close ([`Backend::take_release_stamp`]),
+/// and a read of the driver's own otherwise — a lost race, a baseline
+/// discipline, a park. So the busy span of an empty Metronome wake holds
+/// one OS clock read, the release, and so does a wake that loses its race,
+/// the close; what follows the release stamp (the engine's `TS`
+/// bookkeeping and `GoSleep` turn, this dispatch) is the first few
+/// nanoseconds of the sleep.
 ///
 /// `tracer` is the worker's flight-recorder view. It sees every verdict,
 /// every sleep with its requested/actual/oversleep split (exactly the
@@ -657,10 +683,10 @@ where
     // events (1:1 with the hub's `bursts` counter by construction).
     let sink = TracedSink::new(sink, &tracer);
     let clock = CoarseClock::from_epoch(epoch);
-    // Close the busy span running since `since` at a fresh stamp, which
-    // the caller makes the start of whatever comes next.
-    let close_span = |since: Nanos| {
-        let now = clock.tick();
+    // Close the busy span running since `since` (see `span_end`); the
+    // caller makes the closing stamp the start of whatever comes next.
+    let close_span = |since: Nanos, backend: &mut B| {
+        let now = span_end(&clock, backend);
         sink.busy(now - since);
         now
     };
@@ -693,7 +719,7 @@ where
                 tracer.turn_verdict(TraceVerdict::Continue);
                 streak = streak.wrapping_add(1);
                 if streak & SPAN_FLUSH_MASK == 0 {
-                    awake_since = close_span(awake_since);
+                    awake_since = close_span(awake_since, &mut backend);
                 }
             }
             Verdict::Yield => {
@@ -701,18 +727,18 @@ where
                 // Spin boundary (busy polling): no queue lock is held, so
                 // exiting here cannot strand anything.
                 if stop.load(Ordering::Relaxed) {
-                    close_span(awake_since);
+                    close_span(awake_since, &mut backend);
                     return discipline.into_policy();
                 }
                 streak = streak.wrapping_add(1);
                 if streak & SPAN_FLUSH_MASK == 0 {
-                    awake_since = close_span(awake_since);
+                    awake_since = close_span(awake_since, &mut backend);
                 }
                 std::hint::spin_loop();
             }
             Verdict::Sleep(dur) => {
                 tracer.turn_verdict(TraceVerdict::Sleep);
-                let now = close_span(awake_since);
+                let now = close_span(awake_since, &mut backend);
                 // Sleep points are turn boundaries: the queue lock is never
                 // held here, so exiting now cannot strand a TryLock or drop
                 // an in-flight renewal cycle mid-drain.
@@ -726,7 +752,7 @@ where
                 // Start-up stagger: an exact idle wait with no oversleep
                 // semantics (and none recorded — the trace event carries a
                 // zero oversleep, keeping histogram sums reconciled).
-                let now = close_span(awake_since);
+                let now = close_span(awake_since, &mut backend);
                 if stop.load(Ordering::Relaxed) {
                     return discipline.into_policy();
                 }
@@ -734,7 +760,7 @@ where
             }
             Verdict::Park(token) => {
                 tracer.turn_verdict(TraceVerdict::Park);
-                let parked_from = close_span(awake_since);
+                let parked_from = close_span(awake_since, &mut backend);
                 tracer.park();
                 loop {
                     if stop.load(Ordering::Relaxed) {
@@ -963,6 +989,10 @@ mod tests {
             want.record_acquired(q);
             assert_eq!(ts, want.ts(q));
             let t1 = released();
+            // The release stamp is the driver's, once; a lost race has none.
+            assert_eq!(b.take_release_stamp(), Some(t1));
+            assert_eq!(b.take_release_stamp(), None);
+            assert_eq!(other.take_release_stamp(), None);
             // No release came before the first acquire: no vacation, no
             // cycle.
             assert_eq!(shared.controller().queue(q).cycles, 0);
@@ -1054,15 +1084,15 @@ mod tests {
 
     #[test]
     #[cfg(debug_assertions)]
-    fn an_empty_metronome_wake_reads_the_clock_twice_in_its_busy_span() {
+    fn an_empty_metronome_wake_reads_the_clock_once_in_its_busy_span() {
         // The real driver over the real backend, on this thread (the read
         // counter is thread-local). One worker, one idle queue: every wake
         // wins the race, polls nothing, releases and sleeps TS again. Its
-        // busy span holds the backend's release stamp and the driver's
-        // span-closing stamp, and no third read. With the queue held by
-        // someone else every wake loses, and only the span-closing stamp
-        // is left.
-        for (queue_held, reads) in [(false, 2), (true, 1)] {
+        // busy span holds the backend's release stamp, which also closes
+        // it, and no second read. With the queue held by someone else
+        // every wake loses, nothing is released, and the driver's own
+        // span-closing read is all there is.
+        for (queue_held, reads) in [(false, 1), (true, 1)] {
             let cfg = MetronomeConfig {
                 m_threads: 1,
                 ..MetronomeConfig::default()

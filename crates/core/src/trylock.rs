@@ -36,11 +36,18 @@ impl TryLock {
             .is_ok()
     }
 
-    /// Release the lock. The caller must hold it (checked in debug builds).
+    /// Release the lock. The caller must hold it (checked in debug builds,
+    /// by a load ahead of the store). A plain `Release` store — a `mov` on
+    /// x86-64, no bus lock — publishes everything the holder wrote to the
+    /// next `try_lock` winner: only the holder ever stores `false`, so
+    /// there is nothing to read-modify-write.
     #[inline]
     pub fn unlock(&self) {
-        let was = self.locked.swap(false, Ordering::Release);
-        debug_assert!(was, "unlock of an unheld TryLock");
+        debug_assert!(
+            self.locked.load(Ordering::Relaxed),
+            "unlock of an unheld TryLock"
+        );
+        self.locked.store(false, Ordering::Release);
     }
 
     /// Non-atomically observe whether the lock is currently held

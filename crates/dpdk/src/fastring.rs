@@ -31,7 +31,9 @@
 //! uncontended atomic exchange, the same cost DPDK pays to move a head
 //! index — and under misuse the guard serializes instead of corrupting.
 //! This mirrors DPDK's own MP path, where a producer spins waiting for
-//! earlier producers' tail updates.
+//! earlier producers' tail updates. A burst pop that finds the ring empty
+//! says so before taking the guard: it reads two indices and no item, so
+//! the guard has nothing to protect.
 //!
 //! **Ordering contract** (the table DESIGN.md §2 records):
 //!
@@ -40,7 +42,8 @@
 //! | SPSC push burst | own tail `Relaxed`; head `Acquire` only on apparent-full | slots plain; tail `Release` |
 //! | SPSC pop burst | own head `Relaxed`; tail `Acquire` only on apparent-shortfall | slots plain; head `Release` |
 //! | MPSC push | tail `Relaxed` + CAS; slot seq `Acquire` | value plain; slot seq `Release` |
-//! | MPSC pop | slot seq `Acquire` | slot seq `Release` (reuse), head `Relaxed` |
+//! | MPSC pop | slot seq `Acquire` | slot seq `Release` (reuse), head `Release` |
+//! | empty check (`pop_burst`, before the guard) | head `Acquire`, *then* the SPSC tail or the MPSC head slot's seq, `Acquire`; no item read | none: equal means empty, return 0 without the guard |
 //! | index hint (`prefetch_indices`) | head `Relaxed`, unguarded: only picks which slot line to ask for | none |
 //! | SPSC peek (`peek_each`) | consumer guard *tried*, never waited for; own head `Relaxed`; tail `Acquire` | none |
 //! | guards | CAS `Acquire` | `Release` (publishes cached indices to the next owner) |
@@ -296,10 +299,17 @@ impl<T> SpscRing<T> {
     /// and the new head is published with a single release store. Returns
     /// how many items were taken.
     pub fn pop_burst(&self, out: &mut Vec<T>, max: usize) -> usize {
-        if max == 0 {
+        let side = &self.cons.0;
+        // The empty check, before the guard: own head, *then* the producer
+        // tail. The head never passes the tail, so equal values mean the
+        // ring was empty when the tail was read, even with a misused second
+        // consumer moving the head in between. Two plain loads on x86-64
+        // and no slot touched: the poll that ends a drain, and every poll
+        // of an idle queue, pay no locked instruction.
+        let head = side.head.load(Ordering::Acquire);
+        if max == 0 || head == self.prod.0.tail.load(Ordering::Acquire) {
             return 0;
         }
-        let side = &self.cons.0;
         side.guard.acquire();
         let head = side.head.load(Ordering::Relaxed);
         let mut tail = side.tail_cache.load(Ordering::Relaxed);
@@ -572,6 +582,16 @@ impl<T> MpscRing<T> {
     /// guard acquisition. Returns how many were taken.
     pub fn pop_burst(&self, out: &mut Vec<T>, max: usize) -> usize {
         let side = &self.cons.0;
+        // The empty check, before the guard (as `SpscRing::pop_burst`):
+        // the head, *then* its slot's sequence. A head read `Acquire` from
+        // the store that moved it there shows every earlier lap's release
+        // of that slot, so a sequence still short of `head + 1` means
+        // nothing was published at the head when it was read.
+        let head = side.head.load(Ordering::Acquire);
+        let seq = self.slots[head & self.mask].seq.load(Ordering::Acquire);
+        if max == 0 || !published(seq, head) {
+            return 0;
+        }
         side.guard.acquire();
         let mut taken = 0usize;
         while taken < max {
@@ -605,7 +625,7 @@ impl<T> MpscRing<T> {
         let pos = side.head.load(Ordering::Relaxed);
         let slot = &self.slots[pos & self.mask];
         let seq = slot.seq.load(Ordering::Acquire);
-        if (seq as isize).wrapping_sub(pos.wrapping_add(1) as isize) < 0 {
+        if !published(seq, pos) {
             // The producer at `pos` has not published yet: empty (or a
             // claimed slot still being written — same answer).
             return None;
@@ -617,9 +637,20 @@ impl<T> MpscRing<T> {
         let value = unsafe { (*slot.value.get()).assume_init_read() };
         slot.seq
             .store(pos.wrapping_add(self.capacity()), Ordering::Release);
-        side.head.store(pos.wrapping_add(1), Ordering::Relaxed);
+        // `Release` for the unguarded empty check in `pop_burst` (still a
+        // plain store on x86-64).
+        side.head.store(pos.wrapping_add(1), Ordering::Release);
         Some(value)
     }
+}
+
+/// Whether a slot's sequence `seq` has reached `pos + 1`, Vyukov's mark of
+/// the value enqueued at position `pos` — published, or (seen outside the
+/// consumer guard) already taken, since later laps only add. Compared with
+/// wrapping so the indices may roll over.
+#[inline]
+fn published(seq: usize, pos: usize) -> bool {
+    (seq as isize).wrapping_sub(pos.wrapping_add(1) as isize) >= 0
 }
 
 impl<T> Drop for MpscRing<T> {
@@ -974,6 +1005,64 @@ mod tests {
             1,
             "peeked items leaked or dropped twice"
         );
+    }
+
+    /// Run `poll` on a thread of its own; its answer arrives on the
+    /// returned channel. Waited for with a deadline, a poll stuck spinning
+    /// on a held guard fails the test instead of hanging the suite.
+    fn spawn_poll(
+        poll: impl FnOnce() -> usize + Send + 'static,
+    ) -> std::sync::mpsc::Receiver<usize> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(poll());
+        });
+        rx
+    }
+
+    #[test]
+    fn an_empty_poll_never_waits_for_the_consumer_guard() {
+        use std::time::Duration;
+        const DEADLINE: Duration = Duration::from_secs(1);
+        let spsc = Arc::new(SpscRing::<u32>::new(4));
+        let mpsc = Arc::new(MpscRing::<u32>::new(4));
+        // A lap and a half of traffic first, so the heads sit past a slot
+        // whose sequence was already bumped once.
+        let mut out = Vec::new();
+        for i in 0..6 {
+            spsc.push(i).unwrap();
+            mpsc.push(i).unwrap();
+            assert_eq!(spsc.pop_burst(&mut out, 32), 1);
+            assert_eq!(mpsc.pop_burst(&mut out, 32), 1);
+        }
+        let polls = || {
+            let (s, m) = (Arc::clone(&spsc), Arc::clone(&mpsc));
+            [
+                ("spsc", spawn_poll(move || s.pop_burst(&mut Vec::new(), 32))),
+                ("mpsc", spawn_poll(move || m.pop_burst(&mut Vec::new(), 32))),
+            ]
+        };
+        // A pop in progress on another thread, as the polls see it.
+        spsc.cons.0.guard.acquire();
+        mpsc.cons.0.guard.acquire();
+        for (path, answer) in polls() {
+            let answer = answer.recv_timeout(DEADLINE);
+            assert_eq!(answer, Ok(0), "{path}: an empty poll waited for the guard");
+        }
+        // Not vacuous: with an item queued the same poll is a pop, and
+        // waits for the guard like one.
+        spsc.push(7).unwrap();
+        mpsc.push(7).unwrap();
+        let pending = polls();
+        for (path, answer) in &pending {
+            let early = answer.recv_timeout(Duration::from_millis(20));
+            assert!(early.is_err(), "{path}: a pop went past a held guard");
+        }
+        spsc.cons.0.guard.release();
+        mpsc.cons.0.guard.release();
+        for (path, answer) in pending {
+            assert_eq!(answer.recv_timeout(DEADLINE), Ok(1), "{path}");
+        }
     }
 
     #[test]

@@ -345,11 +345,20 @@ impl CoarseClock {
     /// return it.
     #[inline]
     pub fn tick(&self) -> Nanos {
-        let now = read_clock(self.epoch).as_nanos();
-        // `Instant` is monotone, but guard the cache anyway so `cached()`
-        // can never observe a rewind even if the epoch maths ever changes.
-        if now > self.cached.get() {
-            self.cached.set(now);
+        // `Instant` is monotone, but the advance guards the cache anyway so
+        // `cached()` can never observe a rewind even if the epoch maths
+        // ever changes.
+        self.advance_to(read_clock(self.epoch))
+    }
+
+    /// Move the cache forward to `stamp` — a [`read_clock`] taken elsewhere
+    /// on this clock's epoch — with no read of its own, and return the
+    /// cache. Monotone like [`tick`](Self::tick): a stamp behind the cache
+    /// leaves it where it is.
+    #[inline]
+    pub fn advance_to(&self, stamp: Nanos) -> Nanos {
+        if stamp.as_nanos() > self.cached.get() {
+            self.cached.set(stamp.as_nanos());
         }
         Nanos(self.cached.get())
     }
@@ -539,6 +548,22 @@ mod tests {
         c.cached();
         read_clock(c.epoch());
         assert_eq!(clock_reads() - before, 3);
+    }
+
+    #[test]
+    fn advancing_to_a_stamp_reads_nothing_and_never_rewinds() {
+        let c = CoarseClock::new();
+        let t1 = c.tick();
+        #[cfg(debug_assertions)]
+        let before = clock_reads();
+        let later = t1 + Nanos::from_micros(5);
+        assert_eq!(c.advance_to(later), later);
+        assert_eq!(c.cached(), later);
+        assert_eq!(c.advance_to(t1), later, "a stamp behind the cache");
+        assert_eq!(c.cached(), later);
+        #[cfg(debug_assertions)]
+        assert_eq!(clock_reads(), before, "an advance is not a read");
+        assert!(c.tick() >= later, "the next read does not rewind either");
     }
 
     #[test]

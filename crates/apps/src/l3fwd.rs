@@ -3,7 +3,8 @@
 //! The paper's workhorse (§V): "The l3fwd sample application acts as a
 //! software L3 forwarder either through the longest prefix matching (LPM)
 //! mechanism or the exact match (EM) one. We chose the LPM approach as it
-//! is the most computation-expensive one."
+//! is the most computation-expensive one." LPM is the one lookup engine
+//! implemented here.
 //!
 //! Per packet: parse Ethernet/IPv4, look up the destination in the route
 //! table, rewrite MACs, decrement TTL with incremental checksum update,
@@ -21,17 +22,7 @@ use crate::processor::{BurstVerdicts, PacketProcessor, Verdict};
 use metronome_dpdk::Mbuf;
 use metronome_net::headers::{l3fwd_rewrite, parse_frame, Mac};
 use metronome_net::lpm::Lpm;
-use metronome_net::{ExactMatch, FiveTuple};
 use std::net::Ipv4Addr;
-
-/// Which lookup engine the forwarder uses.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum LookupMode {
-    /// Longest prefix match (DIR-24-8) — the paper's choice.
-    Lpm,
-    /// Exact match on the 5-tuple.
-    ExactMatch,
-}
 
 /// A forwarding next hop: egress port and the MACs to write.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,9 +37,7 @@ pub struct NextHop {
 
 /// LPM-based L3 forwarder with per-verdict counters.
 pub struct L3Fwd {
-    mode: LookupMode,
     lpm: Lpm,
-    em: ExactMatch<u16>,
     hops: Vec<NextHop>,
     /// Packets forwarded.
     pub forwarded: u64,
@@ -88,9 +77,7 @@ impl L3Fwd {
             .expect("route");
         }
         L3Fwd {
-            mode: LookupMode::Lpm,
             lpm,
-            em: ExactMatch::with_capacity(1024),
             hops,
             forwarded: 0,
             dropped: 0,
@@ -100,21 +87,12 @@ impl L3Fwd {
         }
     }
 
-    /// Switch to exact-match mode, registering the given flows.
-    pub fn into_exact_match(mut self, flows: &[(FiveTuple, u16)]) -> Self {
-        self.mode = LookupMode::ExactMatch;
-        for &(t, hop) in flows {
-            self.em.insert(t, hop).expect("EM capacity");
-        }
-        self
-    }
-
     /// Next hops table.
     pub fn hops(&self) -> &[NextHop] {
         &self.hops
     }
 
-    /// Look up the next hop for a destination (LPM mode).
+    /// Look up the next hop for a destination.
     pub fn route(&self, dst: Ipv4Addr) -> Option<&NextHop> {
         self.lpm.lookup(dst).and_then(|h| self.hops.get(h as usize))
     }
@@ -122,19 +100,12 @@ impl L3Fwd {
 
 impl PacketProcessor for L3Fwd {
     fn name(&self) -> &'static str {
-        match self.mode {
-            LookupMode::Lpm => "l3fwd-lpm",
-            LookupMode::ExactMatch => "l3fwd-em",
-        }
+        "l3fwd-lpm"
     }
 
     /// See module docs: back-solved from Table I (`µ ≈ 29 Mpps`).
     fn cycles_per_packet(&self) -> u64 {
-        match self.mode {
-            LookupMode::Lpm => 70,
-            // EM is slightly cheaper ("LPM ... most computation-expensive").
-            LookupMode::ExactMatch => 64,
-        }
+        70
     }
 
     fn process(&mut self, mbuf: &mut Mbuf) -> Verdict {
@@ -145,10 +116,7 @@ impl PacketProcessor for L3Fwd {
                 return Verdict::Drop;
             }
         };
-        let hop = match self.mode {
-            LookupMode::Lpm => self.lpm.lookup(parsed.tuple.dst_ip),
-            LookupMode::ExactMatch => self.em.get(&parsed.tuple).copied(),
-        };
+        let hop = self.lpm.lookup(parsed.tuple.dst_ip);
         let Some(hop) = hop.and_then(|h| self.hops.get(h as usize)).copied() else {
             self.dropped += 1;
             return Verdict::Drop;
@@ -168,16 +136,9 @@ impl PacketProcessor for L3Fwd {
     /// then rewrite — so the route table's cache misses are paid once per
     /// burst, back to back, instead of interleaved with header work.
     /// Observably equivalent to the per-packet loop (see the
-    /// `PacketProcessor::process_burst` contract); exact-match mode has no
-    /// bulk lookup and keeps the default loop shape.
+    /// `PacketProcessor::process_burst` contract).
     fn process_burst(&mut self, mbufs: &mut [Mbuf]) -> BurstVerdicts {
         let mut verdicts = BurstVerdicts::default();
-        if self.mode == LookupMode::ExactMatch {
-            for mbuf in mbufs {
-                verdicts.count(self.process(mbuf));
-            }
-            return verdicts;
-        }
         // Stage 1: parse, collecting the destinations of parseable frames.
         self.burst_dsts.clear();
         self.burst_idx.clear();
@@ -221,6 +182,7 @@ impl PacketProcessor for L3Fwd {
 mod tests {
     use super::*;
     use metronome_net::headers::build_udp_frame;
+    use metronome_net::FiveTuple;
 
     fn frame_to(dst: Ipv4Addr) -> Mbuf {
         let t = FiveTuple::udp(Ipv4Addr::new(192, 168, 0, 1), 1000, dst, 2000);
@@ -271,36 +233,6 @@ mod tests {
         // Force TTL to 1.
         m.bytes_mut()[14 + 8] = 1;
         assert_eq!(fwd.process(&mut m), Verdict::Drop);
-    }
-
-    #[test]
-    fn exact_match_mode() {
-        let t = FiveTuple::udp(
-            Ipv4Addr::new(192, 168, 0, 1),
-            1000,
-            Ipv4Addr::new(10, 1, 2, 3),
-            2000,
-        );
-        let mut fwd = L3Fwd::with_sample_routes(4).into_exact_match(&[(t, 1)]);
-        assert_eq!(fwd.name(), "l3fwd-em");
-        let mut m = frame_to(Ipv4Addr::new(10, 1, 2, 3));
-        assert_eq!(fwd.process(&mut m), Verdict::Forward);
-        assert_eq!(m.port, 1);
-        // A flow not in the EM table drops even if LPM would route it.
-        let other = FiveTuple::udp(
-            Ipv4Addr::new(192, 168, 0, 9),
-            1,
-            Ipv4Addr::new(10, 1, 2, 3),
-            2,
-        );
-        let mut m2 = Mbuf::from_bytes(build_udp_frame(
-            Mac::local(1),
-            Mac::local(2),
-            &other,
-            &[],
-            64,
-        ));
-        assert_eq!(fwd.process(&mut m2), Verdict::Drop);
     }
 
     #[test]

@@ -25,18 +25,3 @@
 
 pub mod hotpath;
 pub mod scale;
-
-use metronome_core::MetronomeConfig;
-use metronome_runtime::{run, RunReport, Scenario, TrafficSpec};
-use metronome_sim::Nanos;
-
-/// A short Metronome line-rate run used by several benches.
-pub fn quick_line_rate_run(millis: u64) -> RunReport {
-    let sc = Scenario::metronome(
-        "bench-line",
-        MetronomeConfig::default(),
-        TrafficSpec::CbrGbps(10.0),
-    )
-    .with_duration(Nanos::from_millis(millis));
-    run(&sc)
-}

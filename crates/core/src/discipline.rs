@@ -193,33 +193,6 @@ pub enum Verdict {
     Wait(Nanos),
 }
 
-/// Which retrieval discipline a worker runs — the label shared by
-/// telemetry, reports and thread names.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DisciplineKind {
-    /// The paper's adaptive sleep&wake protocol (Listing 2).
-    Metronome,
-    /// Classic DPDK busy polling (Listing 1).
-    BusyPoll,
-    /// Interrupt-driven retrieval with adaptive moderation (XDP/NAPI).
-    InterruptLike,
-    /// Fixed-period retrieval (the constant `r_sleep` strawman).
-    ConstSleep,
-}
-
-impl DisciplineKind {
-    /// Stable lowercase label ("metronome", "busy-poll", "interrupt",
-    /// "const-sleep") used by telemetry hubs and exported series.
-    pub fn label(self) -> &'static str {
-        match self {
-            DisciplineKind::Metronome => "metronome",
-            DisciplineKind::BusyPoll => "busy-poll",
-            DisciplineKind::InterruptLike => "interrupt",
-            DisciplineKind::ConstSleep => "const-sleep",
-        }
-    }
-}
-
 /// One worker thread's retrieval discipline: a resumable state machine
 /// over the [`Backend`] capability trait.
 ///
@@ -229,9 +202,6 @@ impl DisciplineKind {
 /// publish their own telemetry (retrieved bursts, planned sleeps, phase
 /// transitions) into the sink at protocol grain.
 pub trait RetrievalDiscipline {
-    /// Which discipline this is (telemetry/report label).
-    fn kind(&self) -> DisciplineKind;
-
     /// Advance the protocol by one step.
     fn turn<B: Backend, S: TelemetrySink>(&mut self, backend: &mut B, sink: &S) -> Verdict;
 
@@ -264,10 +234,6 @@ impl MetronomeDiscipline {
 }
 
 impl RetrievalDiscipline for MetronomeDiscipline {
-    fn kind(&self) -> DisciplineKind {
-        DisciplineKind::Metronome
-    }
-
     fn turn<B: Backend, S: TelemetrySink>(&mut self, backend: &mut B, sink: &S) -> Verdict {
         match self.engine.step_with(backend, sink) {
             // Real cycles were already spent doing the step.
@@ -313,10 +279,6 @@ impl BusyPoll {
 }
 
 impl RetrievalDiscipline for BusyPoll {
-    fn kind(&self) -> DisciplineKind {
-        DisciplineKind::BusyPoll
-    }
-
     fn turn<B: Backend, S: TelemetrySink>(&mut self, backend: &mut B, sink: &S) -> Verdict {
         let taken = backend.rx_burst(self.q, self.burst);
         if taken > 0 {
@@ -376,10 +338,6 @@ impl ConstSleep {
 }
 
 impl RetrievalDiscipline for ConstSleep {
-    fn kind(&self) -> DisciplineKind {
-        DisciplineKind::ConstSleep
-    }
-
     fn turn<B: Backend, S: TelemetrySink>(&mut self, backend: &mut B, sink: &S) -> Verdict {
         if self.asleep {
             self.asleep = false;
@@ -493,10 +451,6 @@ impl InterruptLike {
 }
 
 impl RetrievalDiscipline for InterruptLike {
-    fn kind(&self) -> DisciplineKind {
-        DisciplineKind::InterruptLike
-    }
-
     fn turn<B: Backend, S: TelemetrySink>(&mut self, backend: &mut B, sink: &S) -> Verdict {
         match self.phase {
             IrqPhase::Wake => {
@@ -575,9 +529,10 @@ impl RetrievalDiscipline for InterruptLike {
 // ---------------------------------------------------------------------------
 
 /// A discipline choice a runner can make at runtime (the realtime
-/// counterpart of `SystemKind`): how many workers to spawn and which
-/// state machine each runs.
-#[derive(Clone, Debug)]
+/// counterpart of `SystemKind`, and what the daemon's wire protocol
+/// parses into): how many workers to spawn and which state machine each
+/// runs.
+#[derive(Clone, Copy, Debug)]
 pub enum DisciplineSpec {
     /// `M` Metronome threads racing over `N` queues (Listing 2).
     Metronome,
@@ -590,13 +545,16 @@ pub enum DisciplineSpec {
 }
 
 impl DisciplineSpec {
-    /// The discipline this spec builds.
-    pub fn kind(&self) -> DisciplineKind {
+    /// Stable lowercase label ("metronome", "busy-poll", "interrupt",
+    /// "const-sleep"): the discipline's one name on every surface —
+    /// telemetry hubs, exported series, thread names, reports and the
+    /// daemon's wire protocol.
+    pub fn label(&self) -> &'static str {
         match self {
-            DisciplineSpec::Metronome => DisciplineKind::Metronome,
-            DisciplineSpec::BusyPoll => DisciplineKind::BusyPoll,
-            DisciplineSpec::InterruptLike(_) => DisciplineKind::InterruptLike,
-            DisciplineSpec::ConstSleep(_) => DisciplineKind::ConstSleep,
+            DisciplineSpec::Metronome => "metronome",
+            DisciplineSpec::BusyPoll => "busy-poll",
+            DisciplineSpec::InterruptLike(_) => "interrupt",
+            DisciplineSpec::ConstSleep(_) => "const-sleep",
         }
     }
 
@@ -650,15 +608,6 @@ pub enum AnyDiscipline {
 }
 
 impl RetrievalDiscipline for AnyDiscipline {
-    fn kind(&self) -> DisciplineKind {
-        match self {
-            AnyDiscipline::Metronome(d) => d.kind(),
-            AnyDiscipline::BusyPoll(d) => d.kind(),
-            AnyDiscipline::InterruptLike(d) => d.kind(),
-            AnyDiscipline::ConstSleep(d) => d.kind(),
-        }
-    }
-
     fn turn<B: Backend, S: TelemetrySink>(&mut self, backend: &mut B, sink: &S) -> Verdict {
         match self {
             AnyDiscipline::Metronome(d) => d.turn(backend, sink),
@@ -757,7 +706,6 @@ mod tests {
             assert!(matches!(d.turn(&mut b, &NullSink), Verdict::Yield));
         }
         assert_eq!(d.policy().empty_polls, 10);
-        assert_eq!(d.kind().label(), "busy-poll");
     }
 
     #[test]
@@ -980,9 +928,12 @@ mod tests {
         assert_eq!(DisciplineSpec::BusyPoll.workers(5, 2), 2);
         let d =
             DisciplineSpec::InterruptLike(ModerationConfig::default()).build(1, 2, 32, &doorbells);
-        assert_eq!(d.kind(), DisciplineKind::InterruptLike);
-        let d = DisciplineSpec::ConstSleep(Nanos::from_micros(50)).build(0, 2, 32, &doorbells);
-        assert_eq!(d.kind(), DisciplineKind::ConstSleep);
-        assert_eq!(d.kind().label(), "const-sleep");
+        assert!(matches!(d, AnyDiscipline::InterruptLike(_)));
+        let spec = DisciplineSpec::ConstSleep(Nanos::from_micros(50));
+        assert!(matches!(
+            spec.build(0, 2, 32, &doorbells),
+            AnyDiscipline::ConstSleep(_)
+        ));
+        assert_eq!(spec.label(), "const-sleep");
     }
 }

@@ -83,7 +83,7 @@ pub mod workers;
 pub use config::MetronomeConfig;
 pub use controller::AdaptiveController;
 pub use discipline::{
-    AnyDiscipline, BusyPoll, ConstSleep, DisciplineKind, DisciplineSpec, Doorbell, InterruptLike,
+    AnyDiscipline, BusyPoll, ConstSleep, DisciplineSpec, Doorbell, InterruptLike,
     MetronomeDiscipline, ModerationConfig, ParkToken, RetrievalDiscipline, Verdict,
 };
 pub use engine::{Backend, EngineOp, MetronomeEngine, StepCosts};

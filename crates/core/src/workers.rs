@@ -167,7 +167,7 @@ impl<T: Send + 'static, Q: RxQueue<T>> WorkerSetBuilder<T, Q> {
                 )
             })
             .collect();
-        let label = spec.kind().label();
+        let label = spec.label();
         let joins = match (self.telemetry, self.trace) {
             (None, None) => start(
                 exec,
@@ -435,7 +435,7 @@ mod tests {
                 for spec in &specs {
                     let case = format!(
                         "{exec:?} telemetry={telemetry_on} trace={trace_on} {}",
-                        spec.kind().label()
+                        spec.label()
                     );
                     let workers = spec.workers(3, 2);
                     let slots = exec.trace_slots(workers);
@@ -445,8 +445,7 @@ mod tests {
                     let queues = queues(4096);
                     let seen = Arc::new(AtomicU64::new(0));
                     let sum = Arc::new(AtomicU64::new(0));
-                    let mut builder =
-                        WorkerSet::builder(cfg(), spec.clone(), queues.clone()).exec(exec);
+                    let mut builder = WorkerSet::builder(cfg(), *spec, queues.clone()).exec(exec);
                     if telemetry_on {
                         builder = builder.telemetry(&hub);
                     }

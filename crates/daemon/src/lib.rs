@@ -39,5 +39,5 @@ pub mod service;
 
 pub use control::ControlServer;
 pub use http::MetricsServer;
-pub use protocol::{DisciplineChoice, ReconfigureSpec, Request, SubmitSpec};
+pub use protocol::{ReconfigureSpec, Request, SubmitSpec};
 pub use service::{DaemonConfig, ServiceEngine};

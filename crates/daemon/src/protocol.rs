@@ -48,6 +48,7 @@
 //! {"kind": "jitter-burst", "at_ms": 400, "duration_ms": 50, "drop_prob": 0.2}
 //! ```
 
+use metronome_core::discipline::{DisciplineSpec, ModerationConfig};
 use metronome_core::ExecBackend;
 use metronome_dpdk::shared_ring::RingPath;
 use metronome_sim::Nanos;
@@ -56,52 +57,6 @@ use metronome_traffic::{FaultKind, FaultPlan};
 
 /// Default offered rate when `submit` does not name one (packets/s).
 pub const DEFAULT_RATE_PPS: f64 = 50_000.0;
-
-/// Retrieval discipline requested over the wire (the daemon-facing face
-/// of [`metronome_core::discipline::DisciplineSpec`]).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum DisciplineChoice {
-    /// `M` trylock-racing Metronome threads (Listing 2).
-    Metronome,
-    /// One busy-polling worker pinned per queue.
-    BusyPoll,
-    /// One doorbell-parked worker per queue.
-    InterruptLike,
-    /// One fixed-period worker per queue.
-    ConstSleep(Nanos),
-}
-
-impl DisciplineChoice {
-    /// Parse a wire label (plus the `period_us` field `const-sleep`
-    /// requires).
-    pub fn parse(label: &str, period_us: Option<u64>) -> Result<DisciplineChoice, String> {
-        match label {
-            "metronome" => Ok(DisciplineChoice::Metronome),
-            "busy-poll" => Ok(DisciplineChoice::BusyPoll),
-            "interrupt" => Ok(DisciplineChoice::InterruptLike),
-            "const-sleep" => {
-                let us = period_us.ok_or("const-sleep needs \"period_us\"")?;
-                if us == 0 {
-                    return Err("const-sleep period must be positive".into());
-                }
-                Ok(DisciplineChoice::ConstSleep(Nanos::from_micros(us)))
-            }
-            other => Err(format!(
-                "unknown discipline {other:?} (expected metronome, busy-poll, interrupt, or const-sleep)"
-            )),
-        }
-    }
-
-    /// The wire label (inverse of [`DisciplineChoice::parse`]).
-    pub fn label(&self) -> &'static str {
-        match self {
-            DisciplineChoice::Metronome => "metronome",
-            DisciplineChoice::BusyPoll => "busy-poll",
-            DisciplineChoice::InterruptLike => "interrupt",
-            DisciplineChoice::ConstSleep(_) => "const-sleep",
-        }
-    }
-}
 
 /// A parsed `submit` command: everything the engine needs to start a
 /// scenario on its persistent pipeline.
@@ -112,7 +67,7 @@ pub struct SubmitSpec {
     /// Offered rate, packets per second.
     pub rate_pps: f64,
     /// Retrieval discipline to arm.
-    pub discipline: DisciplineChoice,
+    pub discipline: DisciplineSpec,
     /// Metronome thread count `M` (ignored by the 1:1 baselines).
     pub m_threads: usize,
     /// Seed for the generator's flow population and fault coin flips.
@@ -140,7 +95,7 @@ pub struct ReconfigureSpec {
     /// New offered rate, packets per second.
     pub rate_pps: Option<f64>,
     /// New retrieval discipline (re-arms the worker set).
-    pub discipline: Option<DisciplineChoice>,
+    pub discipline: Option<DisciplineSpec>,
     /// New Metronome thread count `M` (re-arms the worker set).
     pub m_threads: Option<usize>,
     /// New execution backend (re-arms the worker set). `ring_path` has
@@ -213,14 +168,44 @@ fn field_u64(doc: &Json, key: &str) -> Result<u64, String> {
         .ok_or(format!("missing non-negative integer field {key:?}"))
 }
 
-fn parse_discipline(doc: &Json) -> Result<Option<DisciplineChoice>, String> {
-    match doc.get("discipline").and_then(Json::as_str) {
-        None => Ok(None),
-        Some(label) => {
-            let period = doc.get("period_us").and_then(Json::as_u64);
-            DisciplineChoice::parse(label, period).map(Some)
+/// A wire duration field, `value` in units of `unit` nanoseconds, as
+/// [`Nanos`] — or, past what `Nanos` holds, an error naming the field
+/// and the largest value it accepts (never an overflow).
+fn to_nanos(key: &str, value: u64, unit: Nanos) -> Result<Nanos, String> {
+    let unit = unit.as_nanos();
+    value
+        .checked_mul(unit)
+        .map(Nanos)
+        .ok_or(format!("{key:?} must be at most {}", u64::MAX / unit))
+}
+
+/// The `discipline` field (plus the `period_us` field `const-sleep`
+/// requires), by its [`DisciplineSpec::label`].
+fn parse_discipline(doc: &Json) -> Result<Option<DisciplineSpec>, String> {
+    let Some(label) = doc.get("discipline").and_then(Json::as_str) else {
+        return Ok(None);
+    };
+    let spec = match label {
+        "metronome" => DisciplineSpec::Metronome,
+        "busy-poll" => DisciplineSpec::BusyPoll,
+        "interrupt" => DisciplineSpec::InterruptLike(ModerationConfig::default()),
+        "const-sleep" => {
+            let us = doc
+                .get("period_us")
+                .and_then(Json::as_u64)
+                .ok_or("const-sleep needs \"period_us\"")?;
+            if us == 0 {
+                return Err("const-sleep period must be positive".into());
+            }
+            DisciplineSpec::ConstSleep(to_nanos("period_us", us, Nanos::from_micros(1))?)
         }
-    }
+        other => {
+            return Err(format!(
+                "unknown discipline {other:?} (expected metronome, busy-poll, interrupt, or const-sleep)"
+            ))
+        }
+    };
+    Ok(Some(spec))
 }
 
 /// Parse the `exec` / `shards` pair into a backend choice. `shards`
@@ -306,7 +291,7 @@ fn parse_submit(doc: &Json) -> Result<Request, String> {
     if !rate_pps.is_finite() || rate_pps < 0.0 {
         return Err("\"rate_pps\" must be finite and non-negative".into());
     }
-    let discipline = parse_discipline(doc)?.unwrap_or(DisciplineChoice::Metronome);
+    let discipline = parse_discipline(doc)?.unwrap_or(DisciplineSpec::Metronome);
     let m_threads = match doc.get("m") {
         None => 0, // engine default: max(n_queues, 1) for Metronome
         Some(v) => v.as_u64().ok_or("\"m\" must be a non-negative integer")? as usize,
@@ -397,8 +382,9 @@ fn parse_faults(doc: &Json) -> Result<FaultPlan, String> {
             .get("kind")
             .and_then(Json::as_str)
             .ok_or_else(|| ctx("missing string field \"kind\"".into()))?;
-        let at = Nanos::from_millis(field_u64(ev, "at_ms").map_err(&ctx)?);
-        let duration = Nanos::from_millis(field_u64(ev, "duration_ms").map_err(&ctx)?);
+        let ms = |key| field_u64(ev, key).and_then(|v| to_nanos(key, v, Nanos::from_millis(1)));
+        let at = ms("at_ms").map_err(&ctx)?;
+        let duration = ms("duration_ms").map_err(&ctx)?;
         if duration.is_zero() {
             return Err(ctx("\"duration_ms\" must be positive".into()));
         }
@@ -425,7 +411,7 @@ fn parse_faults(doc: &Json) -> Result<FaultPlan, String> {
                 }
                 let jitter = ev.get("jitter_us").and_then(Json::as_u64).unwrap_or(0);
                 FaultKind::JitterBurst {
-                    jitter: Nanos::from_micros(jitter),
+                    jitter: to_nanos("jitter_us", jitter, Nanos::from_micros(1)).map_err(&ctx)?,
                     drop_prob,
                 }
             }
@@ -483,7 +469,7 @@ mod tests {
         };
         assert_eq!(spec.name, "soak");
         assert_eq!(spec.rate_pps, 200_000.0);
-        assert_eq!(spec.discipline, DisciplineChoice::Metronome);
+        assert!(matches!(spec.discipline, DisciplineSpec::Metronome));
         assert_eq!(spec.m_threads, 3);
         assert_eq!(spec.seed, 7);
         assert_eq!(spec.faults.len(), 4);
@@ -614,6 +600,43 @@ mod tests {
             r#"{"cmd":"trace","path":42}"#,
         ] {
             assert!(Request::parse(bad).is_err(), "accepted: {bad}");
+        }
+    }
+
+    #[test]
+    fn wire_durations_stop_at_the_largest_nanos() {
+        let (max_us, max_ms) = (u64::MAX / 1_000, u64::MAX / 1_000_000);
+        for (field, line, max) in [
+            (
+                "period_us",
+                r#"{"cmd":"submit","discipline":"const-sleep","period_us":V}"#,
+                max_us,
+            ),
+            (
+                "at_ms",
+                r#"{"cmd":"submit","faults":[{"kind":"queue-stall","at_ms":V,"duration_ms":1}]}"#,
+                max_ms,
+            ),
+            (
+                "duration_ms",
+                r#"{"cmd":"submit","faults":[{"kind":"queue-stall","at_ms":1,"duration_ms":V}]}"#,
+                max_ms,
+            ),
+            (
+                "jitter_us",
+                r#"{"cmd":"submit","faults":[{"kind":"jitter-burst","at_ms":1,"duration_ms":1,"drop_prob":0.1,"jitter_us":V}]}"#,
+                max_us,
+            ),
+        ] {
+            let parse = |v: u64| Request::parse(&line.replace('V', &v.to_string()));
+            assert!(parse(max).is_ok(), "{field} = {max} rejected");
+            for over in [max + 1, u64::MAX] {
+                let err = parse(over).unwrap_err();
+                assert!(
+                    err.contains(field) && err.contains(&max.to_string()),
+                    "{field} = {over}: {err}"
+                );
+            }
         }
     }
 

@@ -5,22 +5,25 @@
 //!
 //! Where [`metronome_runtime::realtime_runner`] executes one scenario
 //! start-to-finish and tears everything down, the engine keeps the
-//! infrastructure up between scenarios:
+//! [`Mempool`] up between scenarios and drives the runner's own
+//! [`Pipeline`] for each one — the engine is "pipeline + re-arm + control
+//! socket":
 //!
-//! * **Submit** builds a fresh [`RssPort`] and worker set over the shared
-//!   [`Mempool`], anchors the run's one [`WallClock`], and spawns the
-//!   producer shards (`crate::generator`).
+//! * **Submit** builds a fresh [`Pipeline`] over the shared pool, arms
+//!   its worker set ([`Pipeline::arm`], which anchors the run's one
+//!   clock), and spawns the producer shards (`crate::generator`).
 //! * **Reconfigure** adjusts the offered rate through one atomic store
 //!   (every shard reads it per arrival), or re-arms the worker set for a
 //!   new discipline / `M` without stopping the generator — counters stay
-//!   monotone because the retiring hub's totals fold into a cumulative
-//!   base before the fresh hub takes over.
+//!   monotone because the retiring hub's totals fold into the scenario's
+//!   before the fresh hub takes over.
 //! * **Drain** runs the shutdown state machine: stop the producers (the
 //!   fault driver releases what it holds on exit), wait for the workers to
-//!   catch up with everything the rings accepted, join them (their
-//!   mempool caches flush on exit), sweep anything stranded, and audit
-//!   the pool — `in_use == 0`, `cached == 0`, `allocs == frees` — before
-//!   reporting exact conservation: `offered == processed + dropped`.
+//!   empty the rings ([`Pipeline::drain`]), join them (their mempool
+//!   caches flush on exit), sweep anything stranded ([`Pipeline::sweep`]),
+//!   and audit the pool — `in_use == 0`, `cached == 0`, `allocs == frees`
+//!   — before reporting exact conservation: `offered == processed +
+//!   dropped`.
 //!
 //! Fault realization in service mode (the arrival-side realization lives
 //! in [`metronome_traffic::PlannedFaults`]; the daemon realizes the same
@@ -34,27 +37,21 @@
 //! | `jitter-burst` | the arrival source coin-flips packet suppression       | fault drops |
 
 use crate::generator::{fault_driver, run_shard, GenShared, LiveRate};
-use crate::protocol::{self, DisciplineChoice, ReconfigureSpec, Request, SubmitSpec};
-use metronome_core::discipline::{DisciplineSpec, Doorbell, ModerationConfig};
+use crate::protocol::{self, ReconfigureSpec, Request, SubmitSpec};
+use metronome_core::discipline::{DisciplineSpec, Doorbell};
 use metronome_core::{ExecBackend, MetronomeConfig, WorkerSet};
 use metronome_dpdk::ring::valid_ring_size;
 use metronome_dpdk::shared_ring::RingPath;
-use metronome_dpdk::{Mbuf, Mempool, RssPort};
-use metronome_runtime::ingest::{
-    complete_burst, merged_latency, merged_lateness, producer_ring_path, sweep_stranded,
-    FlowTemplate, IngestShard, QueueApp, GEN_BATCH,
-};
-use metronome_runtime::realtime_runner::{
-    flow_templates, processor_for, WorkerRing, FLOWS_PER_RUN, MBUF_DATAROOM,
-};
-use metronome_sim::stats::Histogram;
+use metronome_dpdk::{Mbuf, Mempool};
+use metronome_runtime::ingest::GEN_BATCH;
+use metronome_runtime::pipeline::{processor_for, Pipeline, WorkerRing, MBUF_DATAROOM};
 use metronome_sim::Nanos;
 use metronome_telemetry::export::prometheus::{render, snapshot_metrics};
 use metronome_telemetry::{
     CounterSnapshot, Json, MarkerKind, TelemetryHub, TraceHub, TraceRecorder, TraceSink,
     DEFAULT_RING_CAPACITY,
 };
-use metronome_traffic::{FaultPlan, WallClock};
+use metronome_traffic::FaultPlan;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -96,37 +93,28 @@ impl Default for DaemonConfig {
     }
 }
 
-/// Counter totals folded out of retired telemetry hubs and finished
-/// ports, so exported counters stay monotone across reconfigures and
-/// scenarios. All fields are lifetime-cumulative.
-#[derive(Clone, Copy, Debug, Default)]
-struct Totals {
-    retrieved: u64,
-    wakeups: u64,
-    busy_nanos: u64,
-    sleep_nanos: u64,
-    oversleep_nanos: u64,
-    dropped_ring: u64,
-    dropped_pool: u64,
-    dropped_fault: u64,
-    /// Frames offered to retired ports (a port lives for one scenario).
-    port_offered: u64,
+/// Add `from`'s cumulative counters onto `into` (gauges and histograms
+/// are left alone): how retired hubs and closed books fold into the
+/// totals that keep exported counters monotone across re-arms and
+/// scenarios.
+fn accumulate(into: &mut CounterSnapshot, from: &CounterSnapshot) {
+    into.offered += from.offered;
+    into.retrieved += from.retrieved;
+    into.wakeups += from.wakeups;
+    into.busy_nanos += from.busy_nanos;
+    into.sleep_nanos += from.sleep_nanos;
+    into.oversleep_nanos += from.oversleep_nanos;
+    into.dropped_ring += from.dropped_ring;
+    into.dropped_pool += from.dropped_pool;
+    into.dropped_fault += from.dropped_fault;
 }
 
-impl Totals {
-    /// Fold a hub's counters in (call only after its writers stopped).
-    fn fold_hub(&mut self, hub: &TelemetryHub) {
-        let mut snap = CounterSnapshot::new(Nanos::ZERO);
-        hub.fill_snapshot(&mut snap);
-        self.retrieved += snap.retrieved;
-        self.wakeups += snap.wakeups;
-        self.busy_nanos += snap.busy_nanos;
-        self.sleep_nanos += snap.sleep_nanos;
-        self.oversleep_nanos += snap.oversleep_nanos;
-        self.dropped_ring += snap.dropped_ring;
-        self.dropped_pool += snap.dropped_pool;
-        self.dropped_fault += snap.dropped_fault;
-    }
+/// Fold a retired hub's counters into `into` (call only after its writers
+/// stopped). A hub books no offered packets: the pipeline does.
+fn fold_hub(into: &mut CounterSnapshot, hub: &TelemetryHub) {
+    let mut snap = CounterSnapshot::new(Nanos::ZERO);
+    hub.fill_snapshot(&mut snap);
+    accumulate(into, &snap);
 }
 
 /// One armed worker set (discipline + hub + halt flag), replaced
@@ -137,9 +125,49 @@ struct Arm {
     /// Overrides the stall pause so a re-arm can join workers that are
     /// mid-stall without waiting out the fault window.
     halt: Arc<AtomicBool>,
-    discipline: DisciplineChoice,
+    discipline: DisciplineSpec,
     m_threads: usize,
     exec: ExecBackend,
+}
+
+impl Arm {
+    /// Arm `spec` on `run`'s pipeline, publishing into `hub`, and point
+    /// the per-queue doorbell slots at the new set. Before each burst a
+    /// worker naps while the stall flag is up (unless this arm's halt
+    /// flag overrides it): the rings back up behind the nap and
+    /// tail-drop, which is exactly the queue-stall fault.
+    fn new(
+        run: &RunState,
+        cfg: MetronomeConfig,
+        spec: DisciplineSpec,
+        exec: ExecBackend,
+        hub: Arc<TelemetryHub>,
+    ) -> Arm {
+        let halt = Arc::new(AtomicBool::new(false));
+        let stalled = {
+            let (stall, halt) = (Arc::clone(&run.stall), Arc::clone(&halt));
+            move || {
+                while stall.load(Ordering::Relaxed) && !halt.load(Ordering::Relaxed) {
+                    std::thread::sleep(STALL_POLL);
+                }
+            }
+        };
+        let m_threads = cfg.m_threads;
+        let trace = run.trace.as_ref().map(|t| &t.hub);
+        let workers = run.pipeline.arm(cfg, spec, exec, &hub, trace, stalled);
+        let interrupt_driven = matches!(spec, DisciplineSpec::InterruptLike(_));
+        for (q, slot) in run.bells.iter().enumerate() {
+            *slot.lock() = interrupt_driven.then(|| Arc::clone(workers.doorbell(q)));
+        }
+        Arm {
+            workers,
+            hub,
+            halt,
+            discipline: spec,
+            m_threads,
+            exec,
+        }
+    }
 }
 
 /// The flight recorder of a running scenario: the hub the workers'
@@ -185,8 +213,13 @@ impl TraceArm {
 /// A running scenario on the persistent pipeline.
 struct RunState {
     name: String,
-    port: Arc<RssPort>,
+    /// Port, apps, flow templates, lateness slots and the run's one
+    /// clock, kept across re-arms and `gen_shards` respawns.
+    pipeline: Pipeline,
     arm: Option<Arm>,
+    /// The hubs this scenario's re-arms retired (its books close into
+    /// [`EngineState::base`] at drain).
+    folded: CounterSnapshot,
     /// Flight recorder, armed at submit (`None` when the scenario opted
     /// out with `"trace": false`).
     trace: Option<TraceArm>,
@@ -196,37 +229,23 @@ struct RunState {
     gen_threads: Vec<std::thread::JoinHandle<()>>,
     /// Producer shard count of the live generator set.
     gen_shards: usize,
-    /// Frame templates the generator shards slice up (kept so a
-    /// `gen_shards` reconfigure can respawn the set without rebuilding
-    /// the flow population).
-    gen_templates: Vec<FlowTemplate>,
-    /// The scenario's fault plan, on `clock`'s timeline.
+    /// The scenario's fault plan, on the pipeline clock's timeline.
     faults: FaultPlan,
     /// Submit seed (shard RNG streams derive from it).
     seed: u64,
-    /// The run's one clock, anchored at submit and kept across re-arms
-    /// and `gen_shards` respawns: scheduled arrival stamps, completion
-    /// stamps and fault windows all share its zero.
-    clock: WallClock,
-    /// Per-shard per-packet lateness histograms, merged into `snapshot()`
-    /// as `gen_jitter`. Shard `s` records into slot `s`; slots outlive a
-    /// respawn, so the exported histogram stays cumulative for the run.
-    gen_jitter: Vec<Arc<Mutex<Histogram>>>,
     /// The generator's view of the current hub (swapped on re-arm so no
     /// drop is ever counted against a retired hub after it was folded).
     gen_hub: Arc<Mutex<Arc<TelemetryHub>>>,
     /// Per-queue doorbell slots the port's wake hooks ring through
     /// (re-pointed at the new worker set on re-arm).
     bells: Vec<Arc<Mutex<Option<Arc<Doorbell>>>>>,
-    /// Per-queue processor + packet-latency histogram (outlives re-arms,
-    /// so the histogram is cumulative for the run too).
-    apps: Arc<Vec<Mutex<QueueApp>>>,
     stall: Arc<AtomicBool>,
 }
 
 struct EngineState {
     run: Option<RunState>,
-    base: Totals,
+    /// The closed books of every drained scenario.
+    base: CounterSnapshot,
     /// Scenarios drained to completion since startup.
     completed: u64,
 }
@@ -268,7 +287,7 @@ impl ServiceEngine {
             started: Instant::now(),
             state: Mutex::new(EngineState {
                 run: None,
-                base: Totals::default(),
+                base: CounterSnapshot::default(),
                 completed: 0,
             }),
             shutdown: AtomicBool::new(false),
@@ -332,102 +351,25 @@ impl ServiceEngine {
 
     // ---- worker arming ---------------------------------------------------
 
-    fn worker_shape(
+    /// The worker configuration for `m_threads` workers of `spec` over the
+    /// daemon's queues, and the fresh hub such a set publishes into.
+    /// Created before anything is armed, so a re-arm can hand the
+    /// generator the new hub *before* the old one is folded — no drop is
+    /// ever mirrored into an already-folded hub.
+    fn shape(
         &self,
-        choice: DisciplineChoice,
+        spec: &DisciplineSpec,
         m_threads: usize,
-    ) -> Result<(MetronomeConfig, DisciplineSpec), String> {
+    ) -> Result<(MetronomeConfig, Arc<TelemetryHub>), String> {
         let cfg = MetronomeConfig {
             m_threads,
             n_queues: self.cfg.n_queues,
             ..MetronomeConfig::default()
         };
-        let spec = match choice {
-            DisciplineChoice::Metronome => DisciplineSpec::Metronome,
-            DisciplineChoice::BusyPoll => DisciplineSpec::BusyPoll,
-            DisciplineChoice::InterruptLike => {
-                DisciplineSpec::InterruptLike(ModerationConfig::default())
-            }
-            DisciplineChoice::ConstSleep(p) => DisciplineSpec::ConstSleep(p),
-        };
         cfg.validate()?;
-        Ok((cfg, spec))
-    }
-
-    /// The telemetry hub a worker set of this shape writes into (one
-    /// worker slot per worker, so `hub.n_workers()` is the set's worker
-    /// count). Created by the caller (not by
-    /// [`ServiceEngine::arm_workers`]) so a re-arm can hand the generator
-    /// the new hub *before* the old one is folded — no drop is ever
-    /// mirrored into an already-folded hub.
-    fn hub_for(
-        &self,
-        choice: DisciplineChoice,
-        cfg: &MetronomeConfig,
-        spec: &DisciplineSpec,
-    ) -> Arc<TelemetryHub> {
-        let n_workers = spec.workers(cfg.m_threads, cfg.n_queues);
-        TelemetryHub::labeled(n_workers, cfg.n_queues, choice.label())
-    }
-
-    /// Spawn a worker set over `run`'s port and point the per-queue
-    /// doorbell slots at it. The process closure pauses while the stall
-    /// flag is up (unless this arm's halt flag overrides it — see
-    /// [`Arm::halt`]), then completes the burst exactly as the scenario
-    /// runner does (process, stamp latency against the run's clock,
-    /// recycle through a worker-local mempool cache).
-    fn arm_workers(
-        &self,
-        run: &RunState,
-        choice: DisciplineChoice,
-        cfg: MetronomeConfig,
-        spec: DisciplineSpec,
-        hub: Arc<TelemetryHub>,
-        exec: ExecBackend,
-    ) -> Arm {
-        let halt = Arc::new(AtomicBool::new(false));
-        let worker_burst = cfg.burst as usize;
-        let m_threads = cfg.m_threads;
-        let clock = run.clock;
-        let consumers: Vec<WorkerRing> = run.port.consumers().into_iter().map(WorkerRing).collect();
-        let make_process = {
-            let pool = &self.pool;
-            let halt = &halt;
-            move |_worker| {
-                let apps = Arc::clone(&run.apps);
-                let stall = Arc::clone(&run.stall);
-                let halt = Arc::clone(halt);
-                let mut cache = pool.cache(worker_burst);
-                move |q: usize, burst: &mut Vec<Mbuf>| {
-                    // A stall window pauses retrieval mid-pipeline:
-                    // the rings back up behind this nap and tail-drop,
-                    // which is exactly the fault being modeled.
-                    while stall.load(Ordering::Relaxed) && !halt.load(Ordering::Relaxed) {
-                        std::thread::sleep(STALL_POLL);
-                    }
-                    complete_burst(&apps[q], burst, Some(&clock), &mut cache);
-                }
-            }
-        };
-        let interrupt_driven = matches!(spec, DisciplineSpec::InterruptLike(_));
-        let mut builder = WorkerSet::builder(cfg, spec, consumers)
-            .exec(exec)
-            .telemetry(&hub);
-        if let Some(trace) = &run.trace {
-            builder = builder.trace(&trace.hub);
-        }
-        let workers = builder.spawn(make_process);
-        for (q, slot) in run.bells.iter().enumerate() {
-            *slot.lock() = interrupt_driven.then(|| Arc::clone(workers.doorbell(q)));
-        }
-        Arm {
-            workers,
-            hub,
-            halt,
-            discipline: choice,
-            m_threads,
-            exec,
-        }
+        let workers = spec.workers(cfg.m_threads, cfg.n_queues);
+        let hub = TelemetryHub::labeled(workers, cfg.n_queues, spec.label());
+        Ok((cfg, hub))
     }
 
     // ---- submit ----------------------------------------------------------
@@ -445,26 +387,31 @@ impl ServiceEngine {
         } else {
             spec.m_threads
         };
-        let (cfg, disc_spec) = match self.worker_shape(spec.discipline, m_threads) {
-            Ok(pair) => pair,
+        let (cfg, hub) = match self.shape(&spec.discipline, m_threads) {
+            Ok(shape) => shape,
             Err(e) => return protocol::err(e),
         };
 
-        // Shards split the flow population by template index; more
-        // shards than flows would leave producers with nothing to send.
-        let gen_shards = spec.gen_shards.clamp(1, FLOWS_PER_RUN);
-        let ring_path = producer_ring_path(gen_shards, spec.ring_path);
-
-        // Port + doorbell slots. Hooks are installed before the port is
-        // shared and ring through a slot, so a re-arm can re-point them
-        // without `&mut` access to the port.
-        let mut port = RssPort::with_path(self.cfg.n_queues, self.cfg.ring_size, ring_path);
+        let app = self.cfg.app;
+        let gen_shards = Pipeline::producer_shards(spec.gen_shards);
+        let mut pipeline = Pipeline::new(
+            self.cfg.n_queues,
+            self.cfg.ring_size,
+            spec.ring_path,
+            gen_shards,
+            spec.seed,
+            self.pool.clone(),
+            &|_q| processor_for(app).expect("app checked at startup"),
+        );
+        // Doorbell slots. Hooks are installed before the port is shared
+        // and ring through a slot, so a re-arm can re-point them without
+        // `&mut` access to the port.
         let bells: Vec<Arc<Mutex<Option<Arc<Doorbell>>>>> = (0..self.cfg.n_queues)
             .map(|_| Arc::new(Mutex::new(None)))
             .collect();
         for (q, slot) in bells.iter().enumerate() {
             let slot = Arc::clone(slot);
-            port.set_wake_hook(
+            pipeline.port_mut().set_wake_hook(
                 q,
                 Arc::new(move || {
                     if let Some(bell) = slot.lock().as_ref() {
@@ -473,18 +420,6 @@ impl ServiceEngine {
                 }),
             );
         }
-        let port = Arc::new(port);
-
-        let apps: Arc<Vec<Mutex<QueueApp>>> = Arc::new(
-            (0..self.cfg.n_queues)
-                .map(|_| {
-                    QueueApp::new(processor_for(self.cfg.app).expect("app checked at startup"))
-                })
-                .collect(),
-        );
-        let clock = WallClock::start();
-        let stall = Arc::new(AtomicBool::new(false));
-        let hub = self.hub_for(spec.discipline, &cfg, &disc_spec);
         let trace = spec
             .trace
             .then(|| TraceArm::new(spec.exec.trace_slots(hub.n_workers()), &spec.name));
@@ -495,14 +430,12 @@ impl ServiceEngine {
                 trace.marker(MarkerKind::FaultPlan, spec.faults.len() as u64);
             }
         }
-        let gen_hub = Arc::new(Mutex::new(Arc::clone(&hub)));
-        let gen_templates = flow_templates(&port, spec.seed);
 
         let reply = protocol::ok()
             .with("submitted", spec.name.as_str())
             .with("discipline", spec.discipline.label())
             .with("exec", spec.exec.label())
-            .with("ring_path", ring_path.label())
+            .with("ring_path", pipeline.port().rings()[0].path().label())
             .with("workers", hub.n_workers() as u64)
             .with("gen_shards", gen_shards as u64)
             .with("rate_pps", spec.rate_pps)
@@ -511,23 +444,20 @@ impl ServiceEngine {
             .with("trace", trace.is_some());
         let mut run = RunState {
             name: spec.name,
-            port,
+            pipeline,
             arm: None,
+            folded: CounterSnapshot::default(),
             trace,
             gen: GenShared::new(spec.rate_pps),
             gen_threads: Vec::new(),
-            gen_shards,
-            gen_templates,
             faults: spec.faults,
             seed: spec.seed,
-            clock,
-            gen_jitter: Vec::new(),
-            gen_hub,
+            gen_shards,
+            gen_hub: Arc::new(Mutex::new(Arc::clone(&hub))),
             bells,
-            apps,
-            stall,
+            stall: Arc::new(AtomicBool::new(false)),
         };
-        run.arm = Some(self.arm_workers(&run, spec.discipline, cfg, disc_spec, hub, spec.exec));
+        run.arm = Some(Arm::new(&run, cfg, spec.discipline, spec.exec, hub));
         self.spawn_generators(&mut run);
         st.run = Some(run);
         reply
@@ -541,32 +471,22 @@ impl ServiceEngine {
     /// The previous set, if any, has been joined: the stop flag is free.
     fn spawn_generators(&self, run: &mut RunState) {
         run.gen.stop.store(false, Ordering::Release);
-        let (shared, n_shards, clock) = (&run.gen, run.gen_shards, run.clock);
-        while run.gen_jitter.len() < n_shards {
-            run.gen_jitter
-                .push(Arc::new(Mutex::new(Histogram::latency())));
-        }
+        let (n_shards, clock) = (run.gen_shards, run.pipeline.clock());
         let mut handles = Vec::with_capacity(n_shards + 1);
         for shard in 0..n_shards {
             let source = LiveRate::new(
-                Arc::clone(shared),
+                Arc::clone(&run.gen),
                 run.faults.clone(),
                 run.seed,
                 shard,
                 n_shards,
                 clock.now(),
             );
-            let ingest = IngestShard::new(
-                shard,
-                n_shards,
-                &run.gen_templates,
-                &run.port,
-                &self.pool,
-                clock,
-                Arc::clone(&run.gen_jitter[shard]),
-            )
-            .mirroring(source.stats());
-            let (port, gen_hub) = (Arc::clone(&run.port), Arc::clone(&run.gen_hub));
+            let ingest = run
+                .pipeline
+                .ingest_shard(shard, n_shards)
+                .mirroring(source.stats());
+            let (port, gen_hub) = (Arc::clone(run.pipeline.port()), Arc::clone(&run.gen_hub));
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("metronomed-gen{shard}"))
@@ -575,7 +495,7 @@ impl ServiceEngine {
             );
         }
         if !run.faults.is_empty() {
-            let (shared, stall) = (Arc::clone(shared), Arc::clone(&run.stall));
+            let (shared, stall) = (Arc::clone(&run.gen), Arc::clone(&run.stall));
             let (plan, pool) = (run.faults.clone(), self.pool.clone());
             handles.push(
                 std::thread::Builder::new()
@@ -609,7 +529,9 @@ impl ServiceEngine {
         // its ring path cannot follow a widening generator: concurrent
         // producers on SPSC rings would break the single-producer
         // contract.
-        if spec.gen_shards.is_some_and(|g| g > 1) && run.port.rings()[0].path() == RingPath::Spsc {
+        if spec.gen_shards.is_some_and(|g| g > 1)
+            && run.pipeline.port().rings()[0].path() == RingPath::Spsc
+        {
             return protocol::err(
                 "gen_shards > 1 needs a multi-producer ring path and the port persists \
                  across re-arms; drain and submit with \"ring_path\": \"mpsc\"",
@@ -623,12 +545,10 @@ impl ServiceEngine {
                 .arm
                 .as_ref()
                 .expect("running scenario always has an arm");
-            let choice = spec.discipline.unwrap_or(old.discipline);
+            let discipline = spec.discipline.unwrap_or(old.discipline);
             let m_threads = spec.m_threads.unwrap_or(old.m_threads);
-            match self.worker_shape(choice, m_threads) {
-                Ok((cfg, disc_spec)) => {
-                    Some((choice, spec.exec.unwrap_or(old.exec), cfg, disc_spec))
-                }
+            match self.shape(&discipline, m_threads) {
+                Ok((cfg, hub)) => Some((discipline, spec.exec.unwrap_or(old.exec), cfg, hub)),
                 Err(e) => return protocol::err(e),
             }
         } else {
@@ -641,21 +561,19 @@ impl ServiceEngine {
             changed.push("rate_pps");
         }
 
-        if let Some((choice, exec, cfg, disc_spec)) = rearm {
+        if let Some((discipline, exec, cfg, new_hub)) = rearm {
             let old = run.arm.take().expect("running scenario always has an arm");
             // Re-arm sequence, ordered so no count is ever lost:
             // 1. swap the generator onto the fresh hub (its next mirrored
             // drop lands there), 2. let mid-stall workers fall through,
             // 3. join them — only now is the retired hub quiescent —
-            // 4. fold it, 5. spawn the new set over fresh consumer
-            // handles, writing into the hub the generator already holds.
-            let new_hub = self.hub_for(choice, &cfg, &disc_spec);
+            // 4. fold it, 5. spawn the new set through `Pipeline::arm`
+            // over fresh consumer handles, writing into the hub the
+            // generator already holds.
             *run.gen_hub.lock() = Arc::clone(&new_hub);
             old.halt.store(true, Ordering::Release);
-            let old_hub = Arc::clone(&old.hub);
             let _stats = old.workers.stop();
-            st.base.fold_hub(&old_hub);
-            let run = st.run.as_mut().expect("checked above");
+            fold_hub(&mut run.folded, &old.hub);
             // The trace hub persists across re-arms (markers and recent
             // history survive; the fresh workers take recorders over the
             // same slots) — unless the new shape needs more slots than
@@ -666,7 +584,7 @@ impl ServiceEngine {
                     run.trace = Some(TraceArm::new(recorders, &run.name));
                 }
             }
-            run.arm = Some(self.arm_workers(run, choice, cfg, disc_spec, new_hub, exec));
+            run.arm = Some(Arm::new(run, cfg, discipline, exec, new_hub));
             if spec.discipline.is_some() {
                 changed.push("discipline");
             }
@@ -679,8 +597,7 @@ impl ServiceEngine {
         }
 
         if let Some(g) = spec.gen_shards {
-            let g = g.clamp(1, FLOWS_PER_RUN);
-            let run = st.run.as_mut().expect("checked above");
+            let g = Pipeline::producer_shards(g);
             if g != run.gen_shards {
                 // Retire the old producer set, then respawn at the new
                 // width on the same clock and the same live rate.
@@ -691,7 +608,6 @@ impl ServiceEngine {
             changed.push("gen_shards");
         }
 
-        let run = st.run.as_ref().expect("checked above");
         let arm = run.arm.as_ref().expect("re-armed above");
         // Stamp the reconfigure into the flight recorder so a later dump
         // correlates the marker with the behaviour change around it.
@@ -735,47 +651,41 @@ impl ServiceEngine {
         Self::stop_generators(&mut run);
 
         // 2. Generation is over; wait for the workers to empty the rings,
-        //    bounded by a grace period. (A burst already popped completes
-        //    before its worker joins below. Not `retrieved < accepted`:
-        //    the live hub restarts at zero on every re-arm while the
-        //    port's count does not, so that wait ran out the whole grace
-        //    period after any reconfigure.)
-        let deadline = Instant::now() + DRAIN_GRACE;
-        while run.port.occupancies().iter().any(|&o| o > 0) && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        //    bounded by a grace period.
+        run.pipeline.drain(DRAIN_GRACE);
 
-        // 3. Join the workers: counters settle, caches flush.
+        // 3. Join the workers (counters settle, caches flush) of the arm
+        //    whose hub the generator holds.
+        let hub = Arc::clone(&run.gen_hub.lock());
         if let Some(arm) = run.arm.take() {
             arm.halt.store(true, Ordering::Release);
-            let hub = Arc::clone(&arm.hub);
             let _stats = arm.workers.stop();
-            st.base.fold_hub(&hub);
         }
 
         // 4. Sweep anything still queued (only possible if the grace
-        //    period expired): accepted but never retrieved, counted as
-        //    ring drops so conservation stays exact.
-        let stranded: u64 = sweep_stranded(&run.port, &self.pool).iter().sum();
-        st.base.dropped_ring += stranded;
-        st.base.port_offered += run.port.total_offered();
+        //    period expired) as ring drops, and close the scenario's
+        //    books — the same snapshot `stats` shows — into the base.
+        let stranded = run.pipeline.sweep(&hub);
+        fold_hub(&mut run.folded, &hub);
+        run.pipeline.fill_snapshot(&mut run.folded, None);
+        accumulate(&mut st.base, &run.folded);
         st.completed += 1;
 
         // 5. Audit: every buffer home, every packet accounted.
+        let base = &st.base;
         let (allocs, frees) = self.pool.counters();
-        let offered = st.base.port_offered + st.base.dropped_pool + st.base.dropped_fault;
-        let dropped = st.base.dropped_ring + st.base.dropped_pool + st.base.dropped_fault;
-        let conserved = offered == st.base.retrieved + dropped;
+        let dropped = base.dropped_ring + base.dropped_pool + base.dropped_fault;
+        let conserved = base.offered == base.retrieved + dropped;
         let pool_balanced = self.pool.in_use() == 0 && self.pool.cached() == 0 && allocs == frees;
         protocol::ok()
             .with("state", "drained")
             .with("scenario", run.name.as_str())
-            .with("offered", offered)
-            .with("processed", st.base.retrieved)
+            .with("offered", base.offered)
+            .with("processed", base.retrieved)
             .with("dropped", dropped)
-            .with("dropped_ring", st.base.dropped_ring)
-            .with("dropped_pool", st.base.dropped_pool)
-            .with("dropped_fault", st.base.dropped_fault)
+            .with("dropped_ring", base.dropped_ring)
+            .with("dropped_pool", base.dropped_pool)
+            .with("dropped_fault", base.dropped_fault)
             .with("stranded", stranded)
             .with("conserved", conserved)
             .with("pool_in_use", self.pool.in_use() as u64)
@@ -787,48 +697,30 @@ impl ServiceEngine {
 
     // ---- observability ---------------------------------------------------
 
-    /// One coherent counter snapshot: the live hub plus the cumulative
-    /// base, gauges from the live port and pool. This is what both the
+    /// One coherent counter snapshot: the live hub, the hubs the running
+    /// scenario's re-arms retired and everything its pipeline knows, plus
+    /// the books of every drained scenario. This is what both the
     /// `stats` command and the Prometheus endpoint export.
     pub fn snapshot(&self) -> CounterSnapshot {
         let st = self.state.lock();
-        let uptime = Nanos(self.started.elapsed().as_nanos() as u64);
-        let mut snap = CounterSnapshot::new(uptime);
-        let mut port_offered = st.base.port_offered;
-        if let Some(run) = &st.run {
-            if let Some(arm) = &run.arm {
-                arm.hub.fill_snapshot(&mut snap);
-                snap.rho = (0..self.cfg.n_queues).map(|q| arm.workers.rho(q)).collect();
+        let mut snap = CounterSnapshot::new(Nanos(self.started.elapsed().as_nanos() as u64));
+        match &st.run {
+            Some(run) => {
+                if let Some(arm) = &run.arm {
+                    arm.hub.fill_snapshot(&mut snap);
+                    snap.rho = (0..self.cfg.n_queues).map(|q| arm.workers.rho(q)).collect();
+                }
+                accumulate(&mut snap, &run.folded);
+                let trace = run.trace.as_ref().map(|t| &*t.hub);
+                run.pipeline.fill_snapshot(&mut snap, trace);
             }
-            snap.occupancy = run.port.occupancies();
-            port_offered += run.port.total_offered();
-            // Flight-recorder histograms ride along when tracing is
-            // armed, so `/metrics` grows wake-latency / oversleep /
-            // scheduler-delay histogram series mid-run.
-            if let Some(trace) = &run.trace {
-                let dump = trace.hub.dump();
-                snap.wake_latency = Some(dump.wake_latency());
-                snap.oversleep_hist = Some(dump.oversleep());
-                snap.sched_delay = Some(dump.sched_delay());
+            // Between scenarios only the pool is live.
+            None => {
+                snap.pool_in_use = self.pool.in_use() as u64;
+                snap.pool_cached = self.pool.cached() as u64;
             }
-            // Per-packet generator lateness merged across the producer
-            // shards, and scheduled-arrival → completion latency merged
-            // across the queues (`metronome_gen_jitter_seconds` and
-            // `metronome_packet_latency_seconds` on /metrics).
-            snap.gen_jitter = Some(merged_lateness(&run.gen_jitter));
-            snap.latency = Some(merged_latency(&run.apps));
         }
-        snap.retrieved += st.base.retrieved;
-        snap.wakeups += st.base.wakeups;
-        snap.busy_nanos += st.base.busy_nanos;
-        snap.sleep_nanos += st.base.sleep_nanos;
-        snap.oversleep_nanos += st.base.oversleep_nanos;
-        snap.dropped_ring += st.base.dropped_ring;
-        snap.dropped_pool += st.base.dropped_pool;
-        snap.dropped_fault += st.base.dropped_fault;
-        snap.offered = port_offered + snap.dropped_pool + snap.dropped_fault;
-        snap.pool_in_use = self.pool.in_use() as u64;
-        snap.pool_cached = self.pool.cached() as u64;
+        accumulate(&mut snap, &st.base);
         snap
     }
 

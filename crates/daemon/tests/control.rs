@@ -137,6 +137,12 @@ fn malformed_requests_get_typed_errors_and_daemon_stays_up() {
         r#"{"cmd":"submit","faults":[{"kind":"gamma-ray","at_ms":1,"duration_ms":1}]}"#,
         r#"{"cmd":"reconfigure"}"#,
         r#"[1,2,3]"#,
+        // Durations past what a nanosecond count holds: typed errors, not
+        // an overflow in the parser.
+        r#"{"cmd":"submit","discipline":"const-sleep","period_us":18446744073709551615}"#,
+        r#"{"cmd":"submit","faults":[{"kind":"queue-stall","at_ms":18446744073709551615,"duration_ms":1}]}"#,
+        r#"{"cmd":"submit","faults":[{"kind":"queue-stall","at_ms":1,"duration_ms":18446744073709551615}]}"#,
+        r#"{"cmd":"submit","faults":[{"kind":"jitter-burst","at_ms":1,"duration_ms":1,"drop_prob":0.1,"jitter_us":18446744073709551615}]}"#,
     ] {
         let reply = c.send(bad);
         assert_err(&reply);
@@ -726,5 +732,60 @@ fn drain_right_after_a_rearm_under_load_is_prompt_and_clean() {
         Some(true)
     );
     assert_eq!(drain.get("stranded").and_then(Json::as_u64), Some(0));
+    daemon.finish();
+}
+
+#[test]
+fn rearm_into_interrupt_keeps_delivering() {
+    let daemon = TestDaemon::start("rearm-into-interrupt");
+    let mut c = daemon.connect();
+    assert_ok(&c.send(
+        r#"{"cmd":"submit","name":"into-interrupt","rate_pps":40000,"discipline":"metronome","m":2,"seed":8}"#,
+    ));
+    let processed = |c: &mut Client| {
+        let s = c.send(r#"{"cmd":"stats"}"#);
+        assert_ok(&s);
+        s.get("processed").and_then(Json::as_u64).unwrap()
+    };
+    // Wait for `processed` to pass `floor`: only the workers move it.
+    let rises_past = |c: &mut Client, floor: u64| {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let now = processed(c);
+            if now > floor {
+                return now;
+            }
+            assert!(Instant::now() < deadline, "processed stuck at {now}");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    };
+    let before = rises_past(&mut c, 0);
+
+    // The parked discipline is the one whose traffic the re-pointed
+    // doorbell slots carry: a slot left on the retired set would leave
+    // the new workers parked while the rings fill.
+    let reply = c.send(r#"{"cmd":"reconfigure","discipline":"interrupt"}"#);
+    assert_ok(&reply);
+    assert_eq!(
+        reply.get("discipline").and_then(Json::as_str),
+        Some("interrupt")
+    );
+    let after = rises_past(&mut c, before);
+    rises_past(&mut c, after);
+
+    let t0 = Instant::now();
+    let drain = c.send(r#"{"cmd":"drain"}"#);
+    assert_ok(&drain);
+    assert!(
+        t0.elapsed() < Duration::from_secs(2),
+        "drain took {:?}",
+        t0.elapsed()
+    );
+    assert_eq!(drain.get("stranded").and_then(Json::as_u64), Some(0));
+    assert_eq!(drain.get("conserved").and_then(Json::as_bool), Some(true));
+    assert_eq!(
+        drain.get("pool_balanced").and_then(Json::as_bool),
+        Some(true)
+    );
     daemon.finish();
 }

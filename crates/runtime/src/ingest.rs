@@ -11,7 +11,7 @@
 //! and does not know who called it. DESIGN.md §2h walks through it.
 
 use metronome_apps::processor::PacketProcessor;
-use metronome_dpdk::{Mbuf, Mempool, MempoolCache, QueueScatter, RingPath, RssPort};
+use metronome_dpdk::{Mbuf, Mempool, MempoolCache, QueueScatter, RssPort};
 use metronome_sim::stats::Histogram;
 use metronome_sim::{CoarseClock, Nanos};
 use metronome_telemetry::{DropCause, TelemetryHub, TelemetrySink};
@@ -23,17 +23,6 @@ use std::sync::Arc;
 /// size of its mempool cache (bounds how many buffers a catch-up backlog
 /// can demand before any recycle). Callers cap their pacer with it.
 pub const GEN_BATCH: usize = 256;
-
-/// The ring path `gen_shards` concurrent producers need: the default SPSC
-/// path upgrades to MPSC (SPSC under `G > 1` would be *safe* — the
-/// producer side is guarded — but the guard serializes the shards).
-pub fn producer_ring_path(gen_shards: usize, requested: RingPath) -> RingPath {
-    if gen_shards > 1 && requested == RingPath::Spsc {
-        RingPath::Mpsc
-    } else {
-        requested
-    }
-}
 
 /// One refill template: a flow's frame with its RSS decision resolved —
 /// `(frame, queue, rss_hash)`.
@@ -219,45 +208,10 @@ pub fn complete_burst(
     cache.free_burst(burst.drain(..));
 }
 
-/// Pop whatever the rings still hold back into the pool and return the
-/// per-queue counts: frames accepted but never retrieved, which the
-/// caller books as ring drops so conservation stays exact.
-pub fn sweep_stranded(port: &RssPort, pool: &Mempool) -> Vec<u64> {
-    let mut scratch: Vec<Mbuf> = Vec::new();
-    let mut stranded = vec![0; port.n_queues()];
-    for (ring, n) in port.rings().iter().zip(&mut stranded) {
-        while ring.pop_burst(&mut scratch, GEN_BATCH) > 0 {
-            *n += scratch.len() as u64;
-            pool.free_burst(scratch.drain(..));
-        }
-    }
-    stranded
-}
-
-/// The shards' lateness slots merged into one histogram. Each slot is
-/// locked once per batch by its shard, so contention is brief.
-pub fn merged_lateness(slots: &[Arc<Mutex<Histogram>>]) -> Histogram {
-    let mut merged = Histogram::latency();
-    for slot in slots {
-        merged.merge(&slot.lock());
-    }
-    merged
-}
-
-/// The queues' latency histograms merged into one. Workers hold an app
-/// mutex once per burst, so contention is rare and bounded.
-pub fn merged_latency(apps: &[Mutex<QueueApp>]) -> Histogram {
-    let mut merged = Histogram::latency();
-    for app in apps {
-        merged.merge(&app.lock().latency_ns);
-    }
-    merged
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::realtime_runner::{flow_templates, MBUF_DATAROOM};
+    use crate::pipeline::{flow_templates, MBUF_DATAROOM};
     use metronome_dpdk::RingPath;
     use std::collections::HashMap;
     use std::sync::atomic::Ordering;

@@ -32,6 +32,7 @@ pub mod apps_profile;
 pub mod behaviors;
 pub mod calib;
 pub mod ingest;
+pub mod pipeline;
 pub mod realtime_runner;
 pub mod report;
 pub mod runner;

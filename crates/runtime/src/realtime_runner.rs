@@ -2,7 +2,9 @@
 //! `std::thread`s.
 //!
 //! The same [`Scenario`] the discrete-event simulator executes runs here
-//! against the machine instead of a model, stage for stage:
+//! against the machine instead of a model, stage for stage. The runner is
+//! the [`Pipeline`] (built, armed, observed and drained exactly as the
+//! `metronomed` service does it) plus one paced scenario plus the report:
 //!
 //! ```text
 //! ArrivalProcess ──wall-clock──▶ mempool alloc ──Toeplitz RSS──▶ mbuf rings
@@ -17,14 +19,14 @@
 //!   MoonGen's multi-core scaling recipe: flows are partitioned across
 //!   shards, so per-flow order is preserved while shards produce
 //!   concurrently onto the multi-producer ring path) in bounded batches
-//!   against one shared [`WallClock`]. Every batch goes through the one
+//!   against the run's one [`metronome_traffic::WallClock`]. Every batch goes through the one
 //!   ingest core, [`IngestShard::emit`] (see [`crate::ingest`]): pooled
 //!   buffers refilled from flow templates — **zero heap allocation per
 //!   packet** — stamped with their scheduled arrival, scattered to their
 //!   RSS queues, with pool exhaustion and ring tail-drop counted as
 //!   distinct causes and per-packet lateness always recorded.
 //! * **RSS dispatch** — the frame's flow steers it through a real Toeplitz
-//!   hash onto one of `N` bounded mbuf rings ([`RssPort`]), offered ring
+//!   hash onto one of `N` bounded mbuf rings ([`metronome_dpdk::RssPort`]), offered ring
 //!   by ring in bursts (`offer_burst`); a full ring tail-drops with
 //!   per-queue accounting, and the dropped frames' buffers recycle
 //!   straight back to the pool.
@@ -43,7 +45,7 @@
 //! * **Processing & measurement** — each frame passes through a functional
 //!   [`PacketProcessor`] (per-queue instance, so concurrent queues never
 //!   contend), and its scheduled-arrival → completion latency is recorded
-//!   in a per-queue log-linear [`Histogram`] (P4TG-style data-plane
+//!   in a per-queue log-linear [`metronome_sim::stats::Histogram`] (P4TG-style data-plane
 //!   histograms rather than sampled reservoirs: recording is O(1), so
 //!   every packet is measured).
 //!
@@ -52,50 +54,32 @@
 //! run cannot observe documented per field below. Packet conservation is
 //! exact and asserted: `offered = forwarded + dropped`, where `dropped`
 //! breaks down into ring tail-drops, mempool-exhaustion drops, and frames
-//! stranded in rings at shutdown (normally zero — the runner drains
-//! before stopping; under `Idle` every accepted frame is stranded by
-//! construction and counted).
+//! stranded in rings at shutdown (normally zero — the runner waits for
+//! the rings to empty before stopping, [`Pipeline::drain`]; under `Idle`
+//! every accepted frame is stranded by construction and counted).
 //!
 //! A scenario the runner cannot execute (an app profile with no
 //! functional processor, a queue-count mismatch) is rejected with a typed
 //! [`RealtimeError`] through [`try_run_realtime`]; the panicking
 //! [`run_realtime`] convenience wrapper merely unwraps it.
 
-use crate::ingest::{
-    complete_burst, merged_latency, merged_lateness, producer_ring_path, sweep_stranded,
-    IngestShard, QueueApp, GEN_BATCH,
-};
+use crate::ingest::{IngestShard, GEN_BATCH};
+use crate::pipeline::{processor_for, Pipeline, MBUF_DATAROOM};
 use crate::report::{QueueReport, RunReport};
 use crate::scenario::{Scenario, SystemKind};
 use metronome_apps::processor::PacketProcessor;
-use metronome_apps::{FloWatcher, IpsecGateway, L3Fwd};
-use metronome_core::discipline::{DisciplineSpec, ModerationConfig};
-use metronome_core::rxqueue::{Lookahead, RxQueue};
+use metronome_core::discipline::DisciplineSpec;
 use metronome_core::{AdaptiveController, MetronomeConfig, WorkerSet};
-use metronome_dpdk::{Mbuf, Mempool, RingConsumer, RssPort};
-use metronome_net::headers::{build_udp_frame, Mac, MIN_FRAME_NO_FCS};
-use metronome_sim::stats::Histogram;
+use metronome_dpdk::Mempool;
 use metronome_sim::Nanos;
 use metronome_sim::Rng;
 use metronome_telemetry::{
-    CounterSnapshot, DropCause, Sampler, TelemetryHub, TelemetrySink, TraceHub,
-    DEFAULT_RING_CAPACITY,
+    CounterSnapshot, Sampler, TelemetryHub, TraceHub, DEFAULT_RING_CAPACITY,
 };
-use metronome_traffic::{FlowSet, PacedArrivals, PlannedFaults, WallClock};
-use parking_lot::Mutex;
+use metronome_traffic::{PacedArrivals, PlannedFaults};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Flows in the generated population (enough for RSS to spread evenly).
-pub const FLOWS_PER_RUN: usize = 256;
-
-/// Destination subnets, matching `L3Fwd::with_sample_routes(4)`.
-const L3FWD_SUBNETS: usize = 4;
-
-/// Mbuf dataroom of the run's pool (DPDK's default; far above the
-/// templates' minimal frames).
-pub const MBUF_DATAROOM: usize = 2048;
 
 /// How long after the traffic horizon the runner waits for workers to
 /// drain the rings before declaring leftovers stranded.
@@ -143,18 +127,6 @@ impl std::error::Error for RealtimeError {}
 /// per-lcore state.
 pub type ProcessorFactory<'a> = dyn Fn(usize) -> Box<dyn PacketProcessor> + 'a;
 
-/// The functional processor wired to an app profile name, if one exists
-/// (the realtime counterpart of the cost-only
-/// [`crate::apps_profile::AppProfile`]).
-pub fn processor_for(app_name: &str) -> Option<Box<dyn PacketProcessor>> {
-    match app_name {
-        "l3fwd-lpm" => Some(Box::new(L3Fwd::with_sample_routes(L3FWD_SUBNETS))),
-        "ipsec-secgw-out" => Some(Box::new(IpsecGateway::outbound())),
-        "flowatcher" => Some(Box::new(FloWatcher::new(65_536))),
-        _ => None,
-    }
-}
-
 /// [`processor_for`], panicking when the profile has no functional
 /// implementation.
 ///
@@ -165,100 +137,30 @@ pub fn default_processor(app_name: &str) -> Box<dyn PacketProcessor> {
         .unwrap_or_else(|| panic!("no functional processor wired for app profile '{app_name}'"))
 }
 
-/// The Rx-queue capability realized by a DPDK-like ring consumer: the
-/// glue between `metronome_core`'s [`RxQueue`] seam and
-/// `metronome_dpdk`'s [`RingConsumer`] (a newtype, since both the trait
-/// and the type live in other crates). On the default SPSC ring path a
-/// worker's burst drain is one batched acquire/release index update —
-/// followed by a write-intent prefetch of every popped frame's header
-/// ([`Mbuf::prefetch_header`]): the generator core wrote those lines
-/// last, and asking for all of them here puts a burst's worth of
-/// cross-core transfers in flight at once, before the app lock, the
-/// completion stamp and `process_burst` get to the first frame. A driver
-/// that knows which ring it drains next (an executor shard's sweep) gets
-/// the same transfers started a task earlier through
-/// [`RxQueue::lookahead`]: the ring's index and head-slot lines two tasks
-/// ahead, the queued frames' headers one task ahead.
-#[derive(Clone, Debug)]
-pub struct WorkerRing(pub RingConsumer);
-
-impl RxQueue<Mbuf> for WorkerRing {
-    fn pop(&self) -> Option<Mbuf> {
-        self.0.pop()
-    }
-
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    fn pop_burst(&self, out: &mut Vec<Mbuf>, max: usize) -> usize {
-        let taken = self.0.pop_burst(out, max);
-        for mbuf in &out[out.len() - taken..] {
-            mbuf.prefetch_header();
-        }
-        taken
-    }
-
-    fn lookahead(&self, stage: Lookahead, depth: usize) {
-        match stage {
-            Lookahead::Indices => self.0.prefetch_indices(depth),
-            Lookahead::Frames => self.0.prefetch_frames(depth),
-        }
-    }
-}
-
-/// The generated flow population as refill templates: [`FLOWS_PER_RUN`]
-/// routable flows (destinations inside the sample `l3fwd` routes) seeded
-/// by `seed`, each as its minimal Ethernet/IPv4/UDP frame with the RSS
-/// decision resolved once against `port` — `(frame, queue, rss_hash)`.
-/// The runner and the daemon's generator both produce from this one
-/// population.
-pub fn flow_templates(port: &RssPort, seed: u64) -> Vec<(bytes::BytesMut, usize, u32)> {
-    FlowSet::routable(FLOWS_PER_RUN, L3FWD_SUBNETS, seed)
-        .flows()
-        .iter()
-        .map(|t| {
-            let frame = build_udp_frame(Mac::local(1), Mac::local(2), t, &[], MIN_FRAME_NO_FCS);
-            let input = t.rss_input();
-            (frame, port.queue_for(&input), port.rss_hash(&input))
-        })
-        .collect()
-}
-
-/// The worker configuration and discipline a [`SystemKind`] maps onto:
-/// `None` for [`SystemKind::Idle`] (no workers at all).
+/// The worker configuration and discipline a [`SystemKind`] maps onto
+/// (the mapping [`SystemKind::label`] names): `None` for
+/// [`SystemKind::Idle`] (no workers at all).
 fn discipline_for(
     sc: &Scenario,
 ) -> Result<Option<(MetronomeConfig, DisciplineSpec)>, RealtimeError> {
-    let baseline_cfg = || MetronomeConfig {
-        m_threads: sc.n_queues,
-        n_queues: sc.n_queues,
-        ..MetronomeConfig::default()
+    let Some(spec) = sc.system.discipline() else {
+        return Ok(None);
     };
-    match &sc.system {
-        SystemKind::Metronome(cfg) => {
-            if cfg.n_queues != sc.n_queues {
-                return Err(RealtimeError::QueueMismatch {
-                    config: cfg.n_queues,
-                    scenario: sc.n_queues,
-                });
-            }
-            Ok(Some((cfg.clone(), DisciplineSpec::Metronome)))
+    let cfg = match &sc.system {
+        SystemKind::Metronome(cfg) if cfg.n_queues != sc.n_queues => {
+            return Err(RealtimeError::QueueMismatch {
+                config: cfg.n_queues,
+                scenario: sc.n_queues,
+            })
         }
-        SystemKind::StaticDpdk => Ok(Some((baseline_cfg(), DisciplineSpec::BusyPoll))),
-        SystemKind::Xdp => Ok(Some((
-            baseline_cfg(),
-            DisciplineSpec::InterruptLike(ModerationConfig::default()),
-        ))),
-        SystemKind::ConstSleep { period } => {
-            Ok(Some((baseline_cfg(), DisciplineSpec::ConstSleep(*period))))
-        }
-        SystemKind::Idle => Ok(None),
-    }
+        SystemKind::Metronome(cfg) => cfg.clone(),
+        _ => MetronomeConfig {
+            m_threads: sc.n_queues,
+            n_queues: sc.n_queues,
+            ..MetronomeConfig::default()
+        },
+    };
+    Ok(Some((cfg, spec)))
 }
 
 /// Execute a scenario end-to-end on real threads, with the app profile's
@@ -294,22 +196,13 @@ pub fn try_run_realtime(sc: &Scenario) -> Result<RunReport, RealtimeError> {
     try_run_realtime_with(sc, &|_q| default_processor(sc.app.name))
 }
 
-/// Fallible [`run_realtime_with`].
+/// Fallible [`run_realtime_with`]: the [`Pipeline`], one paced scenario
+/// through it, and the report.
 pub fn try_run_realtime_with(
     sc: &Scenario,
     make_app: &ProcessorFactory,
 ) -> Result<RunReport, RealtimeError> {
     let dispatch = discipline_for(sc)?;
-
-    // ---- generator shards -------------------------------------------------
-    // Flows are partitioned across shards, so a shard count above the flow
-    // population would leave shards with nothing to emit: clamp (a run
-    // has FLOWS_PER_RUN flows, far above any sensible shard count).
-    let gen_shards = sc.gen_shards.clamp(1, FLOWS_PER_RUN);
-
-    // ---- receive side: RSS port over bounded mbuf rings ------------------
-    let ring_path = producer_ring_path(gen_shards, sc.ring_path);
-    let mut port = RssPort::with_path(sc.n_queues, sc.ring_size, ring_path);
 
     // ---- worker shape ----------------------------------------------------
     // The worker config sizes the shared state (controller, locks,
@@ -333,21 +226,23 @@ pub fn try_run_realtime_with(
     // size C holds at most 2C before spilling) — generous enough that
     // a correctly sized run never sees pool exhaustion, small enough that
     // a deliberate `with_mbuf_pool` undersizing bites immediately.
+    let gen_shards = Pipeline::producer_shards(sc.gen_shards);
     let population = sc.mbuf_pool.unwrap_or_else(|| {
         2 * sc.n_queues * sc.ring_size
             + gen_shards * 2 * GEN_BATCH
             + n_workers.max(1) * 2 * worker_cfg.burst as usize
     });
     let pool = Mempool::new(population, MBUF_DATAROOM);
-
-    let templates = flow_templates(&port, sc.seed);
-
-    // ---- per-queue functional applications -------------------------------
-    let apps: Arc<Vec<Mutex<QueueApp>>> = Arc::new(
-        (0..sc.n_queues)
-            .map(|q| QueueApp::new(make_app(q)))
-            .collect(),
-    );
+    let mut pipeline = Pipeline::new(
+        sc.n_queues,
+        sc.ring_size,
+        sc.ring_path,
+        gen_shards,
+        sc.seed,
+        pool.clone(),
+        make_app,
+    )
+    .measuring_latency(sc.latency_stride > 0);
 
     // ---- telemetry: counters always on, sampling on request --------------
     // Workers bump the hub's relaxed atomics at protocol grain; the
@@ -356,23 +251,6 @@ pub fn try_run_realtime_with(
     // carries the discipline label so exported series from different
     // systems stay distinguishable.
     let hub = TelemetryHub::labeled(n_workers, sc.n_queues, sc.system.label());
-
-    // Per-shard generator jitter histograms (offered-vs-scheduled lateness
-    // per packet): each shard locks its own slot once per batch, the
-    // sampler and the report merge them. Always on — pacing fidelity is a
-    // first-class measurement, not a tracing extra.
-    let gen_jitter: Vec<Arc<Mutex<Histogram>>> = (0..gen_shards)
-        .map(|_| Arc::new(Mutex::new(Histogram::latency())))
-        .collect();
-
-    // ---- workers: the scenario's retrieval discipline on real threads ----
-    // The latency clock is anchored only after the workers are up (the
-    // cell is filled below): anchoring before the spawn would stamp the
-    // arrivals falling due during thread creation with scheduled times
-    // milliseconds in the past and inflate the latency tail. No packet
-    // can be processed before the cell is set — generation starts after.
-    let clock_cell: Arc<std::sync::OnceLock<WallClock>> = Arc::new(std::sync::OnceLock::new());
-    let measure_latency = sc.latency_stride > 0;
     let run_start = Instant::now();
     // Flight-recorder tracing (opt-in): one ring per worker on the thread
     // backend, one per shard on the executor. An untraced worker set runs
@@ -385,65 +263,71 @@ pub fn try_run_realtime_with(
             sc.system.label(),
         ))
     });
+
+    // ---- workers: the scenario's retrieval discipline on real threads ----
     let metronome = dispatch.map(|(cfg, spec)| {
-        let worker_burst = cfg.burst as usize;
-        let make_process = {
-            let apps = &apps;
-            let clock_cell = &clock_cell;
-            let pool = &pool;
-            move |_worker: usize| {
-                let apps = Arc::clone(apps);
-                let clock_cell = Arc::clone(clock_cell);
-                // Each worker owns a burst-sized mempool cache: a
-                // recycled burst is a thread-local stack push, not a
-                // freelist lock. The cache rides into the worker's
-                // closure and flushes when the thread exits (before
-                // join returns), so the post-run pool audit still
-                // balances.
-                let mut cache = pool.cache(worker_burst);
-                move |q: usize, burst: &mut Vec<Mbuf>| {
-                    let clock = clock_cell.get().filter(|_| measure_latency);
-                    complete_burst(&apps[q], burst, clock, &mut cache);
-                }
-            }
-        };
-        let consumers: Vec<WorkerRing> = port.consumers().into_iter().map(WorkerRing).collect();
-        let interrupt_driven = matches!(spec, DisciplineSpec::InterruptLike(_));
-        let mut builder = WorkerSet::builder(cfg, spec, consumers)
-            .exec(sc.exec)
-            .telemetry(&hub);
-        if let Some(trace) = &trace_hub {
-            builder = builder.trace(trace);
-        }
-        let worker_set = builder.spawn(make_process);
+        let workers = pipeline.arm(cfg, spec, sc.exec, &hub, trace_hub.as_ref(), || {});
         // Interrupt-driven workers park on per-queue doorbells; arm the
         // RSS port's producer-side hook so every accepted burst rings the
         // queue's bell (the "raise the IRQ" edge). The hook is installed
         // before generation starts, so no accepted frame can pre-date it.
-        if interrupt_driven {
+        if matches!(spec, DisciplineSpec::InterruptLike(_)) {
             for q in 0..sc.n_queues {
-                let bell = Arc::clone(worker_set.doorbell(q));
-                port.set_wake_hook(q, Arc::new(move || bell.ring()));
+                let bell = Arc::clone(workers.doorbell(q));
+                pipeline
+                    .port_mut()
+                    .set_wake_hook(q, Arc::new(move || bell.ring()));
             }
         }
-        worker_set
+        workers
     });
-    let port = Arc::new(port);
+
+    // ---- traffic: G flow-sharded arrival slices, wall-clock paced --------
+    // `TrafficSpec::build(gen_shards, ...)` splits the aggregate rate into
+    // `G` phase-staggered slices; every slice paces against the run's ONE
+    // clock, so interleaved arrival timestamps stay mutually comparable
+    // and latency/jitter measurements reference the same zero. Flow `i`
+    // belongs to shard `i mod G` (the same partitioning argument RSS
+    // itself makes on the receive side). Under a fault plan each shard's
+    // source passes through its own seeded injector (independent
+    // sub-streams of the master seed; spikes duplicate, stalls hold,
+    // starvation and jitter suppress), whose suppressions the shard
+    // mirrors into the hub as `DropCause::Fault`.
+    let clock = pipeline.clock();
+    let shards: Vec<(PacedArrivals, IngestShard)> = sc
+        .traffic
+        .build(gen_shards, &sc.nic, sc.seed)
+        .into_iter()
+        .enumerate()
+        .map(|(s, mut source)| {
+            let mut shard = pipeline.ingest_shard(s, gen_shards);
+            if let Some(plan) = &sc.faults {
+                let pf = PlannedFaults::new(
+                    source,
+                    plan.clone(),
+                    Rng::new(sc.seed).stream(0xFA + s as u64),
+                );
+                shard = shard.mirroring(pf.stats());
+                source = Box::new(pf);
+            }
+            let paced =
+                PacedArrivals::with_clock(source, sc.duration, clock).with_max_batch(GEN_BATCH);
+            (paced, shard)
+        })
+        .collect();
+    let pipeline = Arc::new(pipeline);
 
     // ---- sampler thread (the realtime counterpart of the simulation's
     // scheduled sampling events): every `series_every` it snapshots the
-    // hub's cumulative counters plus the ring/pool occupancy gauges, and
+    // hub's cumulative counters plus everything the pipeline knows, and
     // takes one final snapshot after shutdown accounting settles so the
     // windowed series telescopes exactly to the report's totals.
     let sampler_stop = Arc::new(AtomicBool::new(false));
     let sampler_thread = sc.series_every.map(|every| {
         let hub = Arc::clone(&hub);
-        let port = Arc::clone(&port);
-        let pool = pool.clone();
-        let apps = Arc::clone(&apps);
+        let pipeline = Arc::clone(&pipeline);
         let stop = Arc::clone(&sampler_stop);
         let trace_hub = trace_hub.clone();
-        let gen_jitter = gen_jitter.clone();
         let interval = Duration::from_nanos(every.as_nanos());
         std::thread::Builder::new()
             .name("metronome-sampler".into())
@@ -463,25 +347,7 @@ pub fn try_run_realtime_with(
                     let mut snap =
                         CounterSnapshot::new(Nanos(run_start.elapsed().as_nanos() as u64));
                     hub.fill_snapshot(&mut snap);
-                    snap.offered = port.total_offered() + snap.dropped_pool + snap.dropped_fault;
-                    snap.occupancy = port.occupancies();
-                    snap.pool_in_use = pool.in_use() as u64;
-                    snap.pool_cached = pool.cached() as u64;
-                    if measure_latency {
-                        snap.latency = Some(merged_latency(&apps));
-                    }
-                    if let Some(trace) = &trace_hub {
-                        // Recorders publish opportunistically (every flush
-                        // batch and at drop), so a live window sees the
-                        // state as of the last flush; the final snapshot
-                        // after join sees everything.
-                        let dump = trace.dump();
-                        snap.wake_latency = Some(dump.wake_latency());
-                        snap.oversleep_hist = Some(dump.oversleep());
-                        snap.sched_delay = Some(dump.sched_delay());
-                    }
-                    // Generator pacing jitter, merged over shards.
-                    snap.gen_jitter = Some(merged_lateness(&gen_jitter));
+                    pipeline.fill_snapshot(&mut snap, trace_hub.as_deref());
                     sampler.sample(snap);
                     last = Instant::now();
                     if stopping {
@@ -492,55 +358,6 @@ pub fn try_run_realtime_with(
             .expect("spawn sampler thread")
     });
 
-    // ---- traffic: G flow-sharded arrival slices, wall-clock paced --------
-    // `TrafficSpec::build(gen_shards, ...)` splits the aggregate rate into
-    // `G` phase-staggered slices; every slice paces against ONE shared
-    // clock, so interleaved arrival timestamps stay mutually comparable
-    // and latency/jitter measurements reference the same zero. Under a
-    // fault plan each shard's source passes through its own seeded
-    // injector (independent sub-streams of the master seed; spikes
-    // duplicate, stalls hold, starvation and jitter suppress). Suppressed
-    // packets never reach the pool or the rings, so each shard mirrors
-    // its own injector's counts into the hub as `DropCause::Fault`
-    // (attributed to queue 0 — injection happens before RSS picks a
-    // queue).
-    let gen_clock = WallClock::start();
-    clock_cell
-        .set(gen_clock)
-        .expect("latency clock anchored twice");
-    let shards: Vec<(PacedArrivals, IngestShard)> = sc
-        .traffic
-        .build(gen_shards, &sc.nic, sc.seed)
-        .into_iter()
-        .enumerate()
-        .map(|(s, mut source)| {
-            // Flow → shard assignment: flow `i` belongs to shard `i mod G`
-            // (the same partitioning argument RSS itself makes on the
-            // receive side).
-            let mut shard = IngestShard::new(
-                s,
-                gen_shards,
-                &templates,
-                &port,
-                &pool,
-                gen_clock,
-                Arc::clone(&gen_jitter[s]),
-            );
-            if let Some(plan) = &sc.faults {
-                let pf = PlannedFaults::new(
-                    source,
-                    plan.clone(),
-                    Rng::new(sc.seed).stream(0xFA + s as u64),
-                );
-                shard = shard.mirroring(pf.stats());
-                source = Box::new(pf);
-            }
-            let paced =
-                PacedArrivals::with_clock(source, sc.duration, gen_clock).with_max_batch(GEN_BATCH);
-            (paced, shard)
-        })
-        .collect();
-
     // ---- load generation --------------------------------------------------
     // Each shard emits its slice in schedule order to exhaustion. `G = 1`
     // runs inline on this thread (the classic path, no spawn); `G > 1`
@@ -550,7 +367,7 @@ pub fn try_run_realtime_with(
     // pool audit sees everything home.
     let produce = |(mut paced, mut shard): (PacedArrivals, IngestShard)| {
         while let Some(batch) = paced.next_batch() {
-            shard.emit(batch, &port, &hub);
+            shard.emit(batch, pipeline.port(), &hub);
         }
         shard.finish(&hub);
     };
@@ -573,39 +390,27 @@ pub fn try_run_realtime_with(
     // loop for the full configured duration, or idle-cost measurements
     // (wakes, busy fraction) would cover a spawn/teardown window instead
     // of the scenario — the sim runs the same horizon unconditionally.
-    let elapsed = gen_clock.now();
+    let elapsed = clock.now();
     if elapsed < sc.duration {
         std::thread::sleep(Duration::from_nanos((sc.duration - elapsed).as_nanos()));
     }
 
     // ---- drain and stop ---------------------------------------------------
-    // Generation is over, so `accepted` is final; wait for the workers to
-    // catch up before stopping, bounded by a grace period. With no
-    // workers (`Idle`) there is nothing to wait for: everything accepted
-    // is stranded by construction.
-    if let Some(m) = &metronome {
-        let deadline = Instant::now() + DRAIN_GRACE;
-        loop {
-            let processed: u64 = (0..sc.n_queues).map(|q| m.processed(q)).sum();
-            if processed >= port.total_accepted() || Instant::now() >= deadline {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
+    // Generation is over: let the workers empty the rings before stopping
+    // them, bounded by a grace period. With no workers (`Idle`) there is
+    // nothing to wait for: everything accepted is stranded by
+    // construction. Whatever is still queued after the stop was accepted
+    // but never retrieved; the sweep books it as dropped so conservation
+    // stays exact, and recycles the buffers so the pool audit balances.
+    if metronome.is_some() {
+        pipeline.drain(DRAIN_GRACE);
     }
     let stats = metronome.map(WorkerSet::stop).unwrap_or_default();
     // Busy time accrues from worker start to join — including the drain
     // tail past the traffic horizon — so CPU% must be normalized by the
     // same span, not by the scenario duration.
     let actual_wall = run_start.elapsed().as_secs_f64();
-    // Anything still queued was accepted but never retrieved (only possible
-    // if the grace period expired, or always under `Idle`): count it as
-    // dropped so conservation stays exact — and recycle the buffers, so
-    // the pool audit below still balances.
-    let stranded = sweep_stranded(&port, &pool);
-    for (q, &n) in stranded.iter().enumerate() {
-        hub.dropped(q, DropCause::Ring, n);
-    }
+    pipeline.sweep(&hub);
 
     // Every buffer the pool handed out must be home again: the workers
     // recycle after each burst and each generator shard after each offer
@@ -621,9 +426,10 @@ pub fn try_run_realtime_with(
         sampler_stop.store(true, Ordering::Release);
         handle.join().expect("sampler thread panicked")
     });
-    let pool_drops: Vec<u64> = (0..sc.n_queues)
-        .map(|q| hub.queue(q).dropped_pool.load(Ordering::Relaxed))
-        .collect();
+    // The books: the same final snapshot the series telescopes to.
+    let mut books = CounterSnapshot::new(Nanos::ZERO);
+    hub.fill_snapshot(&mut books);
+    pipeline.fill_snapshot(&mut books, None);
 
     // The Metronome discipline snapshots its adaptive controller at stop;
     // the lock-free baselines (and `Idle`) never touch one, so their
@@ -633,30 +439,30 @@ pub fn try_run_realtime_with(
         .clone()
         .unwrap_or_else(|| AdaptiveController::new(worker_cfg.clone()));
     let forwarded = stats.total_processed();
-    let dropped_pool: u64 = pool_drops.iter().sum();
-    let dropped_ring = port.total_dropped() + stranded.iter().sum::<u64>();
-    let dropped_fault: u64 = (0..sc.n_queues)
-        .map(|q| hub.queue(q).dropped_fault.load(Ordering::Relaxed))
-        .sum();
-    let dropped = dropped_ring + dropped_pool + dropped_fault;
-    let offered = port.total_offered() + dropped_pool + dropped_fault;
+    let dropped = books.dropped_ring + books.dropped_pool + books.dropped_fault;
     assert_eq!(
-        offered,
+        books.offered,
         forwarded + dropped,
         "packet conservation violated in the realtime pipeline"
     );
 
     // ---- report: same columns as the simulator ----------------------------
-    let mut report =
-        RunReport::from_counts(sc.name.clone(), sc.duration, offered, forwarded, dropped);
-    report.dropped_ring = dropped_ring;
-    report.dropped_pool = dropped_pool;
-    report.dropped_fault = dropped_fault;
+    let mut report = RunReport::from_counts(
+        sc.name.clone(),
+        sc.duration,
+        books.offered,
+        forwarded,
+        dropped,
+    );
+    report.dropped_ring = books.dropped_ring;
+    report.dropped_pool = books.dropped_pool;
+    report.dropped_fault = books.dropped_fault;
     report.mempool = Some(pool.stats());
     report.timeseries = timeseries;
     report.queues = (0..sc.n_queues)
         .map(|q| {
             let st = ctrl.queue(q);
+            let dropped_pool = hub.queue(q).dropped_pool.load(Ordering::Relaxed);
             QueueReport {
                 mean_vacation_us: st.mean_vacation().map_or(0.0, |v| v.as_micros_f64()),
                 mean_busy_us: st.mean_busy().map_or(0.0, |b| b.as_micros_f64()),
@@ -668,8 +474,8 @@ pub fn try_run_realtime_with(
                 busy_tries: st.busy_tries,
                 busy_try_fraction: st.busy_try_fraction(),
                 drained: stats.processed.get(q).copied().unwrap_or(0),
-                dropped: port.rings()[q].dropped() + stranded[q] + pool_drops[q],
-                dropped_pool: pool_drops[q],
+                dropped: hub.queue(q).dropped_ring.load(Ordering::Relaxed) + dropped_pool,
+                dropped_pool,
             }
         })
         .collect();
@@ -693,11 +499,10 @@ pub fn try_run_realtime_with(
     report.cpu_total_pct = report.cpu_per_thread_pct.iter().sum();
     report.busy_try_fraction = ctrl.busy_try_fraction();
     report.total_wakes = stats.wakes.iter().sum();
-    if measure_latency {
-        report.latency_us = merged_latency(&apps).boxplot_scaled(1e-3);
-    }
-    // Pacing fidelity, merged over generator shards (always measured).
-    report.gen_jitter_us = merged_lateness(&gen_jitter).boxplot_scaled(1e-3);
+    // Packet latency (when measured) and pacing fidelity, merged over
+    // queues and generator shards.
+    report.latency_us = books.latency.and_then(|h| h.boxplot_scaled(1e-3));
+    report.gen_jitter_us = books.gen_jitter.and_then(|h| h.boxplot_scaled(1e-3));
     // Workers joined above, so every recorder has deposited its final
     // ring state: this dump is the complete flight record of the run.
     report.trace = trace_hub.as_ref().map(|t| t.dump());

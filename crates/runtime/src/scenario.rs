@@ -2,7 +2,7 @@
 
 use crate::apps_profile::AppProfile;
 use crate::calib;
-use metronome_core::discipline::DisciplineKind;
+use metronome_core::discipline::{DisciplineSpec, ModerationConfig};
 use metronome_core::{ExecBackend, MetronomeConfig};
 use metronome_dpdk::nic::{gbps_to_pps, NicProfile};
 use metronome_dpdk::shared_ring::RingPath;
@@ -42,17 +42,23 @@ pub enum SystemKind {
 }
 
 impl SystemKind {
-    /// Stable lowercase label shared by telemetry series, reports and
-    /// thread names — the realtime disciplines' own vocabulary
-    /// ([`DisciplineKind::label`]), plus "idle" for the no-system case.
-    pub fn label(&self) -> &'static str {
+    /// The retrieval discipline this system runs on real threads (`None`
+    /// for [`SystemKind::Idle`]: no workers at all).
+    pub(crate) fn discipline(&self) -> Option<DisciplineSpec> {
         match self {
-            SystemKind::Metronome(_) => DisciplineKind::Metronome.label(),
-            SystemKind::StaticDpdk => DisciplineKind::BusyPoll.label(),
-            SystemKind::Xdp => DisciplineKind::InterruptLike.label(),
-            SystemKind::ConstSleep { .. } => DisciplineKind::ConstSleep.label(),
-            SystemKind::Idle => "idle",
+            SystemKind::Metronome(_) => Some(DisciplineSpec::Metronome),
+            SystemKind::StaticDpdk => Some(DisciplineSpec::BusyPoll),
+            SystemKind::Xdp => Some(DisciplineSpec::InterruptLike(ModerationConfig::default())),
+            SystemKind::ConstSleep { period } => Some(DisciplineSpec::ConstSleep(*period)),
+            SystemKind::Idle => None,
         }
+    }
+
+    /// Stable lowercase label shared by telemetry series, reports and
+    /// thread names — the label of the discipline the system maps to
+    /// ([`DisciplineSpec::label`]), plus "idle" for the no-system case.
+    pub fn label(&self) -> &'static str {
+        self.discipline().map_or("idle", |spec| spec.label())
     }
 }
 

@@ -8,27 +8,20 @@
 //! * [`MeanVar`] — Welford online mean/variance with min/max.
 //! * [`Ewma`] — exponentially weighted moving average (the paper's eq. (11)
 //!   load estimator uses exactly this shape).
-//! * [`TimeWeighted`] — time-weighted average of piecewise-constant signals
-//!   (CPU utilization, queue occupancy, core frequency).
 //! * [`Histogram`] — log-linear latency histogram with quantile queries.
 //! * [`Reservoir`] — uniform reservoir sample for exact small-sample
 //!   percentiles (boxplots).
 //! * [`Boxplot`] — five-number summary computed from samples.
-//! * [`Series`] — downsampled (time, value) recorder for time-series plots.
 
 mod ewma;
 mod histogram;
 mod meanvar;
 mod reservoir;
-mod series;
-mod timeweighted;
 
 pub use ewma::Ewma;
 pub use histogram::Histogram;
 pub use meanvar::MeanVar;
 pub use reservoir::{Boxplot, Reservoir};
-pub use series::Series;
-pub use timeweighted::TimeWeighted;
 
 /// Compute the `q`-quantile (0 ≤ q ≤ 1) of a *sorted* slice by linear
 /// interpolation (type-7 estimator, the numpy/R default).

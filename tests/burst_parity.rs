@@ -27,7 +27,7 @@ use metronome_repro::core::MetronomeConfig;
 use metronome_repro::dpdk::{Mbuf, RingPath, RssPort};
 use metronome_repro::net::headers::{build_udp_frame, Mac};
 use metronome_repro::net::FiveTuple;
-use metronome_repro::runtime::realtime_runner::flow_templates;
+use metronome_repro::runtime::pipeline::flow_templates;
 use metronome_repro::runtime::{run_realtime, run_realtime_with, RunReport, Scenario, TrafficSpec};
 use metronome_repro::sim::{Nanos, Rng};
 use std::net::Ipv4Addr;

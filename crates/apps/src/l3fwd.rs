@@ -8,7 +8,10 @@
 //!
 //! Per packet: parse Ethernet/IPv4, look up the destination in the route
 //! table, rewrite MACs, decrement TTL with incremental checksum update,
-//! and emit on the next hop.
+//! and emit on the next hop. A burst is the trait's per-packet loop: a
+//! staged path (parse the burst, one bulk lookup, rewrite) measured slower
+//! at bursts of 1, 2, 3 and 25 packets, since the bulk lookup is the same
+//! loop over [`Lpm::lookup`] and the stages add three scratch passes.
 //!
 //! **Cycle calibration (70 cycles/packet).** Table I of the paper measures
 //! `B ≈ 1.04–1.15 × V` at 14.88 Mpps line rate, i.e. `ρ = B/(V+B) ≈
@@ -18,7 +21,7 @@
 //! drain tail stable under the 1.45× shared-core cache-thrash inflation
 //! (see `PacketProcessor::cycles_per_burst`).
 
-use crate::processor::{BurstVerdicts, PacketProcessor, Verdict};
+use crate::processor::{PacketProcessor, Verdict};
 use metronome_dpdk::Mbuf;
 use metronome_net::headers::{l3fwd_rewrite, parse_frame, Mac};
 use metronome_net::lpm::Lpm;
@@ -43,12 +46,6 @@ pub struct L3Fwd {
     pub forwarded: u64,
     /// Packets dropped (no route, parse error, TTL).
     pub dropped: u64,
-    // Burst-path scratch (reused across bursts so the batched path never
-    // allocates in steady state): destinations of parseable frames, their
-    // indices into the burst, and the bulk-lookup results.
-    burst_dsts: Vec<Ipv4Addr>,
-    burst_idx: Vec<usize>,
-    burst_hops: Vec<Option<u16>>,
 }
 
 impl L3Fwd {
@@ -81,9 +78,6 @@ impl L3Fwd {
             hops,
             forwarded: 0,
             dropped: 0,
-            burst_dsts: Vec::new(),
-            burst_idx: Vec::new(),
-            burst_hops: Vec::new(),
         }
     }
 
@@ -129,52 +123,6 @@ impl PacketProcessor for L3Fwd {
             self.dropped += 1;
             Verdict::Drop
         }
-    }
-
-    /// The batched forwarding path (`rte_lpm_lookup_bulk` style): parse
-    /// the whole burst, resolve every destination in one bulk LPM pass,
-    /// then rewrite — so the route table's cache misses are paid once per
-    /// burst, back to back, instead of interleaved with header work.
-    /// Observably equivalent to the per-packet loop (see the
-    /// `PacketProcessor::process_burst` contract).
-    fn process_burst(&mut self, mbufs: &mut [Mbuf]) -> BurstVerdicts {
-        let mut verdicts = BurstVerdicts::default();
-        // Stage 1: parse, collecting the destinations of parseable frames.
-        self.burst_dsts.clear();
-        self.burst_idx.clear();
-        self.burst_hops.clear();
-        for (i, mbuf) in mbufs.iter().enumerate() {
-            match parse_frame(mbuf.bytes()) {
-                Ok(p) => {
-                    self.burst_dsts.push(p.tuple.dst_ip);
-                    self.burst_idx.push(i);
-                }
-                Err(_) => {
-                    self.dropped += 1;
-                    verdicts.count(Verdict::Drop);
-                }
-            }
-        }
-        // Stage 2: one bulk LPM pass over the burst's destinations.
-        self.lpm.lookup_bulk(&self.burst_dsts, &mut self.burst_hops);
-        // Stage 3: rewrite and count, exactly as the scalar path would.
-        for (k, &i) in self.burst_idx.iter().enumerate() {
-            let mbuf = &mut mbufs[i];
-            let hop = self.burst_hops[k].and_then(|h| self.hops.get(h as usize).copied());
-            let v = match hop {
-                Some(hop) if l3fwd_rewrite(mbuf.bytes_mut(), hop.src_mac, hop.dst_mac) => {
-                    mbuf.port = hop.port;
-                    self.forwarded += 1;
-                    Verdict::Forward
-                }
-                _ => {
-                    self.dropped += 1;
-                    Verdict::Drop
-                }
-            };
-            verdicts.count(v);
-        }
-        verdicts
     }
 }
 
@@ -233,38 +181,6 @@ mod tests {
         // Force TTL to 1.
         m.bytes_mut()[14 + 8] = 1;
         assert_eq!(fwd.process(&mut m), Verdict::Drop);
-    }
-
-    #[test]
-    fn burst_path_matches_per_packet_path() {
-        // Mixed burst: routable, carve-out, unroutable, garbage, TTL=1.
-        let build = || -> Vec<Mbuf> {
-            let mut frames = vec![
-                frame_to(Ipv4Addr::new(10, 2, 1, 1)),
-                frame_to(Ipv4Addr::new(10, 2, 7, 9)),
-                frame_to(Ipv4Addr::new(172, 16, 0, 1)),
-                Mbuf::from_bytes(bytes::BytesMut::from(&[0u8; 20][..])),
-                frame_to(Ipv4Addr::new(10, 1, 1, 1)),
-            ];
-            frames[4].bytes_mut()[14 + 8] = 1; // force TTL expiry
-            frames
-        };
-        let mut scalar = L3Fwd::with_sample_routes(4);
-        let mut scalar_frames = build();
-        let mut scalar_verdicts = BurstVerdicts::default();
-        for m in &mut scalar_frames {
-            scalar_verdicts.count(scalar.process(m));
-        }
-        let mut batched = L3Fwd::with_sample_routes(4);
-        let mut batched_frames = build();
-        let batched_verdicts = batched.process_burst(&mut batched_frames);
-        assert_eq!(batched_verdicts, scalar_verdicts);
-        assert_eq!(batched.forwarded, scalar.forwarded);
-        assert_eq!(batched.dropped, scalar.dropped);
-        for (a, b) in scalar_frames.iter().zip(&batched_frames) {
-            assert_eq!(a.bytes(), b.bytes(), "rewrites must be identical");
-            assert_eq!(a.port, b.port);
-        }
     }
 
     #[test]

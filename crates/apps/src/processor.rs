@@ -81,17 +81,16 @@ pub trait PacketProcessor: Send {
     /// transitions (counters, flow tables, SA sequence numbers advance as
     /// if the packets had been processed one by one). Implementations may
     /// reorder *work* for burst amortization — staged parsing, bulk table
-    /// lookups, deferred rewrites — but never observable effects; the
-    /// burst-vs-per-packet parity test (`tests/burst_parity.rs`) holds
-    /// any override to this.
+    /// lookups, deferred rewrites — but never observable effects.
     ///
     /// The mbufs stay owned by the caller (the retrieval loop recycles
     /// them to the mempool afterwards); an implementation must not assume
     /// it sees a buffer again after returning.
     ///
-    /// The default implementation is the per-packet loop. Override it
-    /// only when the application has a real batched path (as `l3fwd` does
-    /// with bulk LPM lookups) — an override that just loops adds nothing.
+    /// The default implementation is the per-packet loop, and every
+    /// application here uses it. Override it only with a batched path
+    /// measured faster than that loop at the bursts the workers drain (a
+    /// few packets at a time): `l3fwd`'s staged bulk-LPM path was not.
     fn process_burst(&mut self, mbufs: &mut [Mbuf]) -> BurstVerdicts {
         let mut verdicts = BurstVerdicts::default();
         for mbuf in mbufs {

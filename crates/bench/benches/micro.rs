@@ -7,10 +7,8 @@ use metronome_core::TryLock;
 use metronome_dpdk::{Mbuf, RxRingModel};
 use metronome_net::checksum::internet_checksum;
 use metronome_net::headers::{build_udp_frame, Mac};
-use metronome_net::lpm::Lpm;
 use metronome_net::toeplitz::Toeplitz;
 use metronome_net::{ExactMatch, FiveTuple};
-use metronome_sim::stats::Histogram;
 use metronome_sim::{EventQueue, Nanos, Rng};
 use metronome_traffic::{ArrivalProcess, Cbr};
 use std::hint::black_box;
@@ -45,27 +43,6 @@ fn bench_toeplitz(c: &mut Criterion) {
     let input = tuple(7).rss_input();
     c.bench_function("micro/toeplitz_hash_12b", |b| {
         b.iter(|| black_box(tz.hash(black_box(&input))))
-    });
-}
-
-fn bench_lpm(c: &mut Criterion) {
-    let mut lpm = Lpm::with_first_stage_bits(16, 256);
-    let mut rng = Rng::new(5);
-    for hop in 0..1000u16 {
-        let depth = (rng.below(24) + 8) as u8;
-        let _ = lpm.add(Ipv4Addr::from(rng.next_u64() as u32), depth, hop);
-    }
-    let probes: Vec<Ipv4Addr> = (0..256)
-        .map(|_| Ipv4Addr::from(rng.next_u64() as u32))
-        .collect();
-    c.bench_function("micro/lpm_lookup_x256", |b| {
-        b.iter(|| {
-            let mut acc = 0u32;
-            for &p in &probes {
-                acc = acc.wrapping_add(lpm.lookup(p).unwrap_or(0) as u32);
-            }
-            black_box(acc)
-        })
     });
 }
 
@@ -150,14 +127,6 @@ fn bench_arrivals(c: &mut Criterion) {
 }
 
 fn bench_stats(c: &mut Criterion) {
-    c.bench_function("micro/histogram_record", |b| {
-        let mut h = Histogram::latency();
-        let mut x = 1u64;
-        b.iter(|| {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            h.record(x >> 40);
-        })
-    });
     c.bench_function("micro/xoshiro_next", |b| {
         let mut rng = Rng::new(3);
         b.iter(|| black_box(rng.next_u64()))
@@ -172,7 +141,6 @@ criterion_group! {
     targets =
         bench_trylock,
         bench_toeplitz,
-        bench_lpm,
         bench_exact_match,
         bench_checksum,
         bench_apps,

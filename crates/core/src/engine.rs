@@ -146,10 +146,11 @@ pub trait Backend {
     }
 
     /// Hook invoked by a realtime driver when it closes a busy span — the
-    /// mirror of [`Backend::before_turn`]: the stamp at which the backend's
-    /// last [`Backend::release`] read the clock, on the same epoch, handed
-    /// to the driver exactly once (`None` if nothing was released since the
-    /// previous call). A driver closes the span on it instead of a read of
+    /// mirror of [`Backend::before_turn`]: the stamp the backend's last
+    /// [`Backend::release`] closed the busy period on (its own clock read,
+    /// or the completion read of the drain's last burst), on the same
+    /// epoch, handed to the driver exactly once (`None` if nothing was
+    /// released since the previous call). A driver closes the span on it instead of a read of
     /// its own, so what follows the release — `TS` bookkeeping, the sleep
     /// verdict — is outside the span. Clockless backends (the simulation)
     /// have no stamp.

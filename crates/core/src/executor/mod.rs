@@ -695,6 +695,7 @@ mod tests {
     use super::*;
     use crate::config::MetronomeConfig;
     use crate::discipline::{BusyPoll, ConstSleep, MetronomeDiscipline};
+    use crate::realtime::tests::Stamping;
     use crate::realtime::{RealtimeBackend, SharedState};
     use crate::rxqueue::RxQueue;
     use crossbeam::queue::ArrayQueue;
@@ -1093,20 +1094,30 @@ mod tests {
 
     /// A shard's scheduler events, each with the number of clock reads the
     /// shard thread had made when it happened (the tracer runs on the
-    /// shard's own thread, where the thread-local counter counts).
-    #[derive(Clone, Default)]
-    struct ReadLog(Arc<Mutex<Vec<(Event, u64)>>>);
+    /// shard's own thread, where the thread-local counter counts). Every
+    /// live fire also puts `refill` items on the fired task's queue.
+    #[derive(Clone)]
+    struct ReadLog {
+        events: Arc<Mutex<Vec<(Event, u64)>>>,
+        queues: Vec<Arc<ArrayQueue<u64>>>,
+        refill: u64,
+    }
 
     impl ReadLog {
         fn push(&self, event: Event) {
-            self.0.lock().unwrap().push((event, clock_reads()));
+            self.events.lock().unwrap().push((event, clock_reads()));
         }
     }
 
     impl TraceSink for ReadLog {
-        fn wheel_fire(&self, _task: usize, live: bool) {
+        fn wheel_fire(&self, task: usize, live: bool) {
             if live {
                 self.push(Event::Fire);
+                for item in 0..self.refill {
+                    self.queues[task]
+                        .push(item)
+                        .expect("the queue holds a refill");
+                }
             }
         }
         // Right after the pick's read.
@@ -1121,75 +1132,107 @@ mod tests {
 
     #[test]
     fn a_task_wake_reads_the_clock_twice_and_due_timers_share_one_stamp() {
-        // 16 Metronome tasks, an idle queue each, on one real shard: every
-        // wake wins its race, polls nothing, releases and sleeps TS again.
+        // 16 Metronome tasks on one real shard, a queue each, topped up
+        // with `refill` items whenever a task's timer fires (and once
+        // before the start), so every wake wins its race and finds them.
+        // Empty, a wake polls nothing, releases and sleeps TS again: the
+        // slice's busy span holds the backend's release stamp, which also
+        // ends the slice. With one burst queued it holds the burst's
+        // completion read, which the release that follows the empty poll
+        // closes on: two reads a task wake either way, counting the pick.
+        // Two bursts (32 + 1) are two completion reads and nothing at the
+        // release.
         const N: usize = 16;
-        let shared = SharedState::new(&MetronomeConfig::multiqueue(N, N));
-        let queues: Vec<_> = (0..N)
-            .map(|_| Arc::new(ArrayQueue::<u64>::new(16)))
-            .collect();
-        let workers = (0..N)
-            .map(|id| {
-                let discipline = AnyDiscipline::Metronome(MetronomeDiscipline::new(id, 32));
-                let backend = RealtimeBackend::new(
-                    queues.clone(),
-                    Arc::clone(&shared),
-                    |_q: usize, _burst: &mut Vec<u64>| {},
-                );
-                (discipline, backend)
-            })
-            .collect();
-        let stop = Arc::new(AtomicBool::new(false));
-        let log = ReadLog::default();
-        let (injectors, handles) = spawn_shards(
-            "reads",
-            workers,
-            1,
-            &stop,
-            shared.epoch,
-            |_| NullSink,
-            |_| log.clone(),
-        );
-        std::thread::sleep(Duration::from_millis(10));
-        // Stop cuts a slice short at its next turn: look only at what was
-        // logged before the flag went up.
-        let logged = log.0.lock().unwrap().len();
-        stop.store(true, Ordering::Relaxed);
-        injectors[0].notify();
-        for handle in handles {
-            handle.join().expect("shard panicked");
-        }
-
-        let log = &log.0.lock().unwrap()[..logged];
-        let (mut slices, mut back_to_back, mut widest_batch, mut batch) = (0, 0, 0, 0);
-        for pair in log.windows(2) {
-            let [(before, reads_before), (after, reads_after)] = [pair[0], pair[1]];
-            let reads = reads_after - reads_before;
-            match (before, after) {
-                // Timers that expire in one iteration are stamped by the
-                // iteration's one `now`: no read between their fires.
-                (Event::Fire, Event::Fire) => {
-                    assert_eq!(reads, 0, "a read between two fires of one iteration");
-                    batch += 1;
-                    widest_batch = widest_batch.max(batch + 1);
+        for (refill, in_slice) in [(0, 1), (1, 1), (33, 2)] {
+            let shared = SharedState::new(&MetronomeConfig::multiqueue(N, N));
+            let queues: Vec<_> = (0..N)
+                .map(|_| Arc::new(ArrayQueue::<u64>::new(128)))
+                .collect();
+            let workers = (0..N)
+                .map(|id| {
+                    let discipline = AnyDiscipline::Metronome(MetronomeDiscipline::new(id, 32));
+                    let backend = RealtimeBackend::new(
+                        queues.clone(),
+                        Arc::clone(&shared),
+                        Stamping::default(),
+                    );
+                    (discipline, backend)
+                })
+                .collect();
+            for queue in &queues {
+                for item in 0..refill {
+                    queue.push(item).unwrap();
                 }
-                // The slice's busy span: the backend's release stamp,
-                // which also ends the slice.
-                (Event::Pick, Event::SliceEnd) => {
-                    assert_eq!(reads, 1, "reads inside a slice");
-                    slices += 1;
-                }
-                // The next task was already runnable: no idle wait, so the
-                // pick's own read is all there is between two slices.
-                (Event::SliceEnd, Event::Pick) => {
-                    assert_eq!(reads, 1, "reads between two slices");
-                    back_to_back += 1;
-                }
-                _ => batch = 0,
             }
+            let stop = Arc::new(AtomicBool::new(false));
+            let log = ReadLog {
+                events: Arc::default(),
+                queues: queues.clone(),
+                refill,
+            };
+            let (injectors, handles) = spawn_shards(
+                "reads",
+                workers,
+                1,
+                &stop,
+                shared.epoch,
+                |_| NullSink,
+                |_| log.clone(),
+            );
+            std::thread::sleep(Duration::from_millis(10));
+            // Stop cuts a slice short at its next turn: look only at what
+            // was logged before the flag went up.
+            let logged = log.events.lock().unwrap().len();
+            stop.store(true, Ordering::Relaxed);
+            injectors[0].notify();
+            for handle in handles {
+                handle.join().expect("shard panicked");
+            }
+
+            let events = &log.events.lock().unwrap()[..logged];
+            let (mut slices, mut back_to_back, mut widest_batch, mut batch) = (0, 0, 0, 0);
+            for pair in events.windows(2) {
+                let [(before, reads_before), (after, reads_after)] = [pair[0], pair[1]];
+                let reads = reads_after - reads_before;
+                match (before, after) {
+                    // Timers that expire in one iteration are stamped by the
+                    // iteration's one `now`: no read between their fires.
+                    (Event::Fire, Event::Fire) => {
+                        assert_eq!(reads, 0, "a read between two fires of one iteration");
+                        batch += 1;
+                        widest_batch = widest_batch.max(batch + 1);
+                    }
+                    // The slice's busy span: one completion read a burst,
+                    // the last of which is the release stamp that ends the
+                    // slice — or, empty, the release's own read.
+                    (Event::Pick, Event::SliceEnd) => {
+                        assert_eq!(reads, in_slice, "reads inside a slice, refill {refill}");
+                        slices += 1;
+                    }
+                    // The next task was already runnable: no idle wait, so
+                    // the pick's own read is all there is between two
+                    // slices.
+                    (Event::SliceEnd, Event::Pick) => {
+                        assert_eq!(reads, 1, "reads between two slices, refill {refill}");
+                        back_to_back += 1;
+                    }
+                    _ => batch = 0,
+                }
+            }
+            assert!(slices > 100, "refill {refill}: {slices} slices");
+            assert!(
+                back_to_back > 0,
+                "refill {refill}: no two slices ran back to back"
+            );
+            assert!(
+                widest_batch > 1,
+                "refill {refill}: no two timers ever expired together"
+            );
+            let processed: u64 = (0..N).map(|q| shared.processed(q)).sum();
+            assert!(
+                processed >= refill * slices,
+                "refill {refill}: {processed} processed"
+            );
         }
-        assert!(slices > 100, "{slices} slices");
-        assert!(back_to_back > 0, "no two slices ran back to back");
-        assert!(widest_batch > 1, "no two timers ever expired together");
     }
 }

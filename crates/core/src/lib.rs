@@ -90,6 +90,6 @@ pub use engine::{Backend, EngineOp, MetronomeEngine, StepCosts};
 pub use executor::TimerWheel;
 pub use policy::{Role, ThreadPolicy};
 pub use realtime::{PreciseSleeper, RealtimeBackend, RealtimeHarness, RealtimeStats};
-pub use rxqueue::RxQueue;
+pub use rxqueue::{Consume, RxQueue};
 pub use trylock::TryLock;
 pub use workers::{ExecBackend, WorkerSet, WorkerSetBuilder};

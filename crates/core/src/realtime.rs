@@ -15,7 +15,7 @@
 //! | receive burst     | counting descriptor ring    | any [`RxQueue`] (the pipeline's lock-free SPSC/MPSC ring consumer; an `ArrayQueue` in tests) drained batched into a reusable scratch buffer, one app call per burst |
 //! | sleep service     | calibrated `hr_sleep` model | [`PreciseSleeper`]  |
 //! | entropy           | seeded xoshiro stream       | SplitMix64 counter  |
-//! | clock             | virtual `Nanos`             | the driver's [`CoarseClock`]: one OS read in an empty wake's busy span, the release stamp that closes it |
+//! | clock             | virtual `Nanos`             | the driver's [`CoarseClock`]: one OS read in an empty wake's busy span, the release stamp that closes it; in a wake that drains bursts, one per burst, the last of which is also the release stamp |
 //! | step costs        | calibrated cycle charges    | zero (hardware pays) |
 //!
 //! **`hr_sleep()` substitution.** The paper's precision comes from a custom
@@ -30,7 +30,7 @@ use crate::controller::{AdaptiveController, QueueState};
 use crate::discipline::{AnyDiscipline, Doorbell, RetrievalDiscipline, Verdict};
 use crate::engine::Backend;
 use crate::policy::ThreadPolicy;
-use crate::rxqueue::{Lookahead, RxQueue};
+use crate::rxqueue::{Consume, Lookahead, RxQueue};
 use crate::trylock::TryLock;
 use crossbeam::queue::ArrayQueue;
 use metronome_sim::time::read_clock;
@@ -331,21 +331,22 @@ impl SharedState {
 
 /// The real-thread realization of the engine's [`Backend`] capabilities:
 /// CMPXCHG trylock, [`RxQueue`] receive bursts drained batched into a
-/// reusable scratch buffer and processed one application call per burst,
-/// wall-clock vacation measurement from the driver's wake stamp and one
-/// clock read per release — handed back to the driver to close its busy
-/// span ([`Backend::take_release_stamp`]) — and a shared SplitMix64
-/// entropy counter. One
-/// backend instance belongs to one worker thread, and its process closure
-/// is `FnMut` *owned by that worker* — per-thread state (a mempool cache,
-/// a flow table shard) lives right in the closure with no locks around
-/// it.
+/// reusable scratch buffer and handed to the worker's [`Consume`]r one
+/// call per burst, wall-clock vacation measurement from the driver's wake
+/// stamp and one release stamp per release — handed back to the driver to
+/// close its busy span ([`Backend::take_release_stamp`]) — and a shared
+/// SplitMix64 entropy counter. The release stamp is the completion read
+/// of the drain's last burst when the consumer took one
+/// ([`Consume::take_completion`]), and a read of the backend's own
+/// otherwise. One backend instance belongs to one worker thread, and its
+/// consumer is *owned by that worker* — per-thread state (a mempool
+/// cache, a flow table shard) lives right in it with no locks around it.
 pub struct RealtimeBackend<T: Send + 'static, P, Q: RxQueue<T> = Arc<ArrayQueue<T>>> {
     queues: Vec<Q>,
     shared: Arc<SharedState>,
-    process: P,
-    /// Reusable burst buffer: filled by `rx_burst`, handed to the process
-    /// closure, cleared after — the hot path allocates only until the
+    consumer: P,
+    /// Reusable burst buffer: filled by `rx_burst`, handed to the
+    /// consumer, cleared after — the hot path allocates only until the
     /// buffer's capacity has grown to the configured burst size once.
     scratch: Vec<T>,
     /// The driver's clock stamp for the current turn
@@ -355,6 +356,10 @@ pub struct RealtimeBackend<T: Send + 'static, P, Q: RxQueue<T> = Arc<ArrayQueue<
     acquired_at: Option<Nanos>,
     /// Vacation that ended at the current acquire, if measurable.
     pending_vacation: Option<Nanos>,
+    /// The completion read of the last burst drained under the held lock,
+    /// until the release closes on it — or the driver hands down a stamp
+    /// past it, which puts it in a busy span already closed.
+    completed_at: Option<Nanos>,
     /// The last release's stamp, until the driver takes it.
     released_at: Option<Nanos>,
 }
@@ -362,18 +367,19 @@ pub struct RealtimeBackend<T: Send + 'static, P, Q: RxQueue<T> = Arc<ArrayQueue<
 impl<T, P, Q> RealtimeBackend<T, P, Q>
 where
     T: Send + 'static,
-    P: FnMut(usize, &mut Vec<T>),
+    P: Consume<T>,
     Q: RxQueue<T>,
 {
-    pub(crate) fn new(queues: Vec<Q>, shared: Arc<SharedState>, process: P) -> Self {
+    pub(crate) fn new(queues: Vec<Q>, shared: Arc<SharedState>, consumer: P) -> Self {
         RealtimeBackend {
             queues,
             shared,
-            process,
+            consumer,
             scratch: Vec::new(),
             turn_stamp: None,
             acquired_at: None,
             pending_vacation: None,
+            completed_at: None,
             released_at: None,
         }
     }
@@ -382,7 +388,7 @@ where
 impl<T, P, Q> Backend for RealtimeBackend<T, P, Q>
 where
     T: Send + 'static,
-    P: FnMut(usize, &mut Vec<T>),
+    P: Consume<T>,
     Q: RxQueue<T>,
 {
     fn n_queues(&self) -> usize {
@@ -395,6 +401,12 @@ where
 
     fn before_turn(&mut self, now: Nanos) {
         self.turn_stamp = Some(now);
+        // The driver closed a span after that completion (a periodic flush,
+        // a drain cut at a slice's turn budget): a release now would close
+        // a span that does not contain it, so it reads the clock instead.
+        if self.completed_at.is_some_and(|done| done < now) {
+            self.completed_at = None;
+        }
     }
 
     fn take_release_stamp(&mut self) -> Option<Nanos> {
@@ -406,8 +418,10 @@ where
     }
 
     fn try_acquire(&mut self, q: usize) -> bool {
-        // Won or lost, the race consumes the turn's stamp.
+        // Won or lost, the race consumes the turn's stamp; a completion
+        // stamp is only ever one of this acquire's bursts.
         let woke = self.turn_stamp.take();
+        self.completed_at = None;
         let slot = &self.shared.slots[q];
         if !slot.lock.try_lock() {
             slot.busy_tries.fetch_add(1, Ordering::Relaxed);
@@ -438,9 +452,13 @@ where
         debug_assert!(self.scratch.is_empty(), "scratch not cleared");
         let taken = self.queues[q].pop_burst(&mut self.scratch, burst as usize) as u64;
         if taken > 0 {
-            (self.process)(q, &mut self.scratch);
-            // The closure may have consumed the items (e.g. recycled them
-            // to a mempool); drop whatever it left behind.
+            self.consumer.consume(q, &mut self.scratch);
+            // The consumer's completion read, on the set's epoch (exactly:
+            // an `Instant` converts onto any anchor without rounding).
+            self.completed_at = (self.consumer.take_completion())
+                .map(|at| Nanos(at.saturating_duration_since(self.shared.epoch).as_nanos() as u64));
+            // The consumer may have taken the items (e.g. recycled them to
+            // a mempool); drop whatever it left behind.
             self.scratch.clear();
             bump(&self.shared.slots[q].processed, taken);
         }
@@ -452,9 +470,19 @@ where
             .acquired_at
             .take()
             .expect("release without matching acquire");
-        // One read: the busy period's end, the published release stamp,
+        // One stamp: the busy period's end, the published release stamp,
         // and — handed to the driver — the end of the worker's busy span.
-        let now = read_clock(self.shared.epoch);
+        // After a drain it is the completion read of its last burst, which
+        // only the poll that found the queue empty follows; an empty wake
+        // (or a consumer that reads no clock) pays a read here.
+        let now = match self.completed_at.take() {
+            Some(done) => done,
+            None => read_clock(self.shared.epoch),
+        };
+        debug_assert!(
+            now >= acquired,
+            "release stamp {now} before acquire {acquired}"
+        );
         self.released_at = Some(now);
         let shared = &*self.shared;
         let slot = &shared.slots[q];
@@ -648,9 +676,12 @@ where
 /// and a read of the driver's own otherwise — a lost race, a baseline
 /// discipline, a park. So the busy span of an empty Metronome wake holds
 /// one OS clock read, the release, and so does a wake that loses its race,
-/// the close; what follows the release stamp (the engine's `TS`
-/// bookkeeping and `GoSleep` turn, this dispatch) is the first few
-/// nanoseconds of the sleep.
+/// the close; a wake that drains `k` bursts through a consumer that stamps
+/// their completion holds `k`, the last of which is the release stamp too.
+/// What follows the release stamp (the engine's `TS` bookkeeping and
+/// `GoSleep` turn, this dispatch — and after a drain, the rest of the last
+/// burst's consume and the poll that found the queue empty) is the first
+/// few nanoseconds of the sleep.
 ///
 /// `tracer` is the worker's flight-recorder view. It sees every verdict,
 /// every sleep with its requested/actual/oversleep split (exactly the
@@ -782,7 +813,7 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::discipline::DisciplineSpec;
     use crate::workers::WorkerSet;
@@ -1054,10 +1085,13 @@ mod tests {
     }
 
     /// Counts the clock reads inside each busy span that follows a sleep,
-    /// and raises `stop` after a few of them.
+    /// puts `refill` items on `queue` as each span opens, and raises
+    /// `stop` after a few spans.
     #[cfg(debug_assertions)]
     struct SpanReads<'a> {
         stop: &'a AtomicBool,
+        queue: &'a ArrayQueue<u64>,
+        refill: u64,
         opened_at: std::cell::Cell<Option<u64>>,
         spans: std::cell::RefCell<Vec<u64>>,
     }
@@ -1068,6 +1102,9 @@ mod tests {
         // is open and nothing has been read inside it yet.
         fn slept(&self, _dur: Nanos) {
             self.opened_at.set(Some(metronome_sim::time::clock_reads()));
+            for item in 0..self.refill {
+                self.queue.push(item).expect("the queue holds a refill");
+            }
         }
 
         // Called right after the read that closes the span.
@@ -1082,24 +1119,51 @@ mod tests {
         }
     }
 
+    /// A consumer that stamps each burst's completion through the counted
+    /// read and hands it back, as the pipeline's does.
+    #[cfg(debug_assertions)]
+    #[derive(Default)]
+    pub(crate) struct Stamping(Option<Instant>);
+
+    #[cfg(debug_assertions)]
+    impl Consume<u64> for Stamping {
+        fn consume(&mut self, _q: usize, burst: &mut Vec<u64>) {
+            burst.clear();
+            self.0 = Some(metronome_sim::time::read_instant());
+        }
+
+        fn take_completion(&mut self) -> Option<Instant> {
+            self.0.take()
+        }
+    }
+
     #[test]
     #[cfg(debug_assertions)]
-    fn an_empty_metronome_wake_reads_the_clock_once_in_its_busy_span() {
+    fn a_metronome_wake_reads_the_clock_once_per_burst_or_once_if_empty() {
         // The real driver over the real backend, on this thread (the read
-        // counter is thread-local). One worker, one idle queue: every wake
-        // wins the race, polls nothing, releases and sleeps TS again. Its
-        // busy span holds the backend's release stamp, which also closes
-        // it, and no second read. With the queue held by someone else
+        // counter is thread-local). One worker on one queue, topped up with
+        // `refill` items as every wake's span opens, so every wake wins
+        // the race. Empty, it polls nothing, releases and sleeps TS again:
+        // its busy span holds the backend's release stamp, which also
+        // closes it, and no second read. With one burst queued the span
+        // holds the burst's completion read and nothing else: the poll
+        // that finds the queue empty next releases on that stamp, which
+        // closes the span. Two bursts (32 + 1) are two completion reads
+        // and nothing at the release. With the queue held by someone else
         // every wake loses, nothing is released, and the driver's own
         // span-closing read is all there is.
-        for (queue_held, reads) in [(false, 1), (true, 1)] {
+        for (queue_held, refill, reads) in
+            [(false, 0, 1), (false, 1, 1), (false, 33, 2), (true, 0, 1)]
+        {
+            let case = format!("queue held: {queue_held}, refill {refill}");
             let cfg = MetronomeConfig {
                 m_threads: 1,
                 ..MetronomeConfig::default()
             };
+            let queue = Arc::new(ArrayQueue::<u64>::new(64));
             let harness = RealtimeHarness::new(
                 cfg,
-                vec![Arc::new(ArrayQueue::<u64>::new(16))],
+                vec![Arc::clone(&queue)],
                 |_q, _burst: &mut Vec<u64>| {},
             );
             let mut holder = harness.backend();
@@ -1109,21 +1173,30 @@ mod tests {
             let stop = AtomicBool::new(false);
             let sink = SpanReads {
                 stop: &stop,
+                queue: &queue,
+                refill,
                 opened_at: Default::default(),
                 spans: Default::default(),
             };
+            let backend = RealtimeBackend::new(
+                vec![Arc::clone(&queue)],
+                Arc::clone(&harness.shared),
+                Stamping::default(),
+            );
             let policy = run_worker(
                 crate::discipline::MetronomeDiscipline::new(0, 32),
-                harness.backend(),
+                backend,
                 PreciseSleeper::default(),
                 harness.shared.epoch,
                 &sink,
                 metronome_telemetry::NullTrace,
                 &stop,
             );
-            assert_eq!(*sink.spans.borrow(), [reads; 8], "queue held: {queue_held}");
+            assert_eq!(*sink.spans.borrow(), [reads; 8], "{case}");
             let won = if queue_held { 0 } else { policy.wakes };
-            assert_eq!(policy.races_won, won, "queue held: {queue_held}");
+            assert_eq!(policy.races_won, won, "{case}");
+            // Every span but the last one's ran its drain to the end.
+            assert!(harness.processed(0) >= 7 * refill, "{case}");
         }
     }
 }

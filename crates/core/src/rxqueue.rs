@@ -1,14 +1,17 @@
-//! The receive-queue capability: what a retrieval worker drains.
+//! The receive-queue capability: what a retrieval worker drains, and what
+//! it hands each drained burst to.
 //!
 //! The protocol layer does not care what the Rx queue *is* — a locked
 //! MPMC queue, a lock-free SPSC ring, a test double — only that a worker
 //! can pop a burst from it. [`RxQueue`] is that seam: `metronome-core`
 //! stays free of any dependency on the DPDK-like substrate, and the
 //! runtime plugs in `metronome-dpdk`'s ring consumers (via a newtype)
-//! while unit tests keep using plain `ArrayQueue`s.
+//! while unit tests keep using plain `ArrayQueue`s. [`Consume`] is the
+//! other end of the same seam: the application a burst goes to.
 
 use crossbeam::queue::ArrayQueue;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// One stage of a driver's lookahead: what [`RxQueue::lookahead`] is
 /// asked to get moving for a queue that will be polled shortly. A driver
@@ -68,6 +71,35 @@ pub trait RxQueue<T>: Clone + Send + Sync + 'static {
     /// spin). The default does nothing.
     fn lookahead(&self, stage: Lookahead, depth: usize) {
         let _ = (stage, depth);
+    }
+}
+
+/// What a worker hands every burst it drains to: one call per non-empty
+/// burst, on the worker that owns the consumer.
+///
+/// A consumer that reads the clock when a burst is done — a completion
+/// stamp for packet latency — hands that read back through
+/// [`Consume::take_completion`], and the worker's backend closes the
+/// queue's busy period on it when the poll right after the burst finds the
+/// queue empty: one read completes the drain's last burst and releases the
+/// queue. Any `FnMut(queue, &mut burst)` is a consumer that reads no clock.
+pub trait Consume<T> {
+    /// Process one drained burst from queue `q`. The consumer may take the
+    /// items out of `burst`; whatever it leaves there is dropped.
+    fn consume(&mut self, q: usize, burst: &mut Vec<T>);
+
+    /// The clock read that completed the last consumed burst, once: taken
+    /// once the burst is processed and its items let go, through the
+    /// counted [`metronome_sim::time::read_instant`]. `None` when that
+    /// burst read no clock (the default) or the read was already taken.
+    fn take_completion(&mut self) -> Option<Instant> {
+        None
+    }
+}
+
+impl<T, F: FnMut(usize, &mut Vec<T>)> Consume<T> for F {
+    fn consume(&mut self, q: usize, burst: &mut Vec<T>) {
+        self(q, burst)
     }
 }
 

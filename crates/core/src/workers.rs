@@ -27,7 +27,7 @@ use crate::engine::Backend;
 use crate::executor::{spawn_shards, Injector, ShardHandle};
 use crate::policy::ThreadPolicy;
 use crate::realtime::{collect_stats, spawn_threads, RealtimeBackend, RealtimeStats, SharedState};
-use crate::rxqueue::RxQueue;
+use crate::rxqueue::{Consume, RxQueue};
 use crossbeam::queue::ArrayQueue;
 use metronome_sim::Nanos;
 use metronome_telemetry::{NullSink, NullTrace, TelemetryHub, TelemetrySink, TraceHub, TraceSink};
@@ -121,17 +121,18 @@ impl<T: Send + 'static, Q: RxQueue<T>> WorkerSetBuilder<T, Q> {
         self
     }
 
-    /// Start the workers. `make_process(worker)` is called once per
-    /// worker and the returned `FnMut(queue, &mut burst)` is moved onto
-    /// that worker, so per-worker state (a mempool cache, a flow-table
-    /// shard) rides into the hot path with no synchronization.
+    /// Start the workers. `make_consumer(worker)` is called once per
+    /// worker and the returned [`Consume`]r — any `FnMut(queue, &mut
+    /// burst)` is one — is moved onto that worker, so per-worker state (a
+    /// mempool cache, a flow-table shard) rides into the hot path with no
+    /// synchronization.
     ///
     /// # Panics
     /// If the config is invalid, the queue count is not `cfg.n_queues`,
     /// or a telemetry / trace hub is mis-sized for the worker set.
-    pub fn spawn<P>(self, mut make_process: impl FnMut(usize) -> P) -> WorkerSet<T, Q>
+    pub fn spawn<P>(self, mut make_consumer: impl FnMut(usize) -> P) -> WorkerSet<T, Q>
     where
-        P: FnMut(usize, &mut Vec<T>) + Send + 'static,
+        P: Consume<T> + Send + 'static,
     {
         let (cfg, spec, exec) = (self.cfg, self.spec, self.exec);
         cfg.validate().expect("invalid Metronome configuration");
@@ -154,7 +155,7 @@ impl<T: Send + 'static, Q: RxQueue<T>> WorkerSetBuilder<T, Q> {
         let stop = Arc::new(AtomicBool::new(false));
         // Every worker drives the same RealtimeBackend the single-threaded
         // harness hands out (the parity tests drive exactly this
-        // substrate), with its own process closure.
+        // substrate), with its own consumer.
         let workers: Vec<_> = (0..n_workers)
             .map(|worker| {
                 (
@@ -162,7 +163,7 @@ impl<T: Send + 'static, Q: RxQueue<T>> WorkerSetBuilder<T, Q> {
                     RealtimeBackend::new(
                         self.queues.clone(),
                         Arc::clone(&shared),
-                        make_process(worker),
+                        make_consumer(worker),
                     ),
                 )
             })

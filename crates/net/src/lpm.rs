@@ -195,10 +195,9 @@ impl Lpm {
     }
 
     /// Look up a whole burst of destinations, appending one result per
-    /// input to `out` (the `rte_lpm_lookup_bulk` analogue). Keeping the
-    /// first-stage probes in one tight loop is what lets a forwarder pay
-    /// the table's cache misses once per burst instead of interleaving
-    /// them with header parsing and rewriting.
+    /// input to `out` — the `rte_lpm_lookup_bulk` signature, but no
+    /// batching behind it: it is [`Lpm::lookup`] in a loop, so it costs
+    /// what that loop costs (the benchmark's per-lookup price reads it).
     pub fn lookup_bulk(&self, dsts: &[Ipv4Addr], out: &mut Vec<Option<u16>>) {
         out.reserve(dsts.len());
         for &ip in dsts {

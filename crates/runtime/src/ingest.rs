@@ -13,11 +13,13 @@
 use metronome_apps::processor::PacketProcessor;
 use metronome_dpdk::{Mbuf, Mempool, MempoolCache, QueueScatter, RssPort};
 use metronome_sim::stats::Histogram;
+use metronome_sim::time::read_instant;
 use metronome_sim::{CoarseClock, Nanos};
 use metronome_telemetry::{DropCause, TelemetryHub, TelemetrySink};
 use metronome_traffic::{InjectionStats, WallClock};
 use parking_lot::Mutex;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Largest arrival batch a shard requests from the pool at once, and the
 /// size of its mempool cache (bounds how many buffers a catch-up backlog
@@ -184,28 +186,38 @@ impl QueueApp {
     }
 }
 
-/// The consumer end of a burst: one lock, one `process_burst`, one
-/// completion stamp (when `clock` is given), one histogram pass, one
-/// `free_burst` — per burst, never per packet.
+/// The consumer end of a burst, per burst and never per packet, all under
+/// one lock of the queue's app: `process_burst`; when `clock` is given,
+/// the burst's arrival stamps noted in `arrivals` (the caller's, reused);
+/// `free_burst`; then, when `clock` is given, one completion read and one
+/// histogram pass of `done − arrival`. A packet completes once it is
+/// processed *and* its buffer recycled, so only the latency record
+/// follows the read: returned, it can also end the drain the burst belongs
+/// to ([`metronome_core::Consume::take_completion`]).
 #[inline]
 pub fn complete_burst(
     app: &Mutex<QueueApp>,
     burst: &mut Vec<Mbuf>,
     clock: Option<&WallClock>,
     cache: &mut MempoolCache,
-) {
+    arrivals: &mut Vec<Nanos>,
+) -> Option<Instant> {
     let mut slot = app.lock();
     let _verdicts = slot.proc.process_burst(burst);
-    if let Some(clock) = clock {
-        let done = clock.now();
-        slot.latency_ns.record_burst(
-            burst
-                .iter()
-                .map(|mbuf| done.saturating_sub(mbuf.arrival).as_nanos()),
-        );
+    arrivals.clear();
+    if clock.is_some() {
+        arrivals.extend(burst.iter().map(|mbuf| mbuf.arrival));
     }
-    drop(slot);
     cache.free_burst(burst.drain(..));
+    let anchor = clock?.anchor();
+    let at = read_instant();
+    let done = Nanos(at.saturating_duration_since(anchor).as_nanos() as u64);
+    slot.latency_ns.record_burst(
+        arrivals
+            .iter()
+            .map(|&arrival| done.saturating_sub(arrival).as_nanos()),
+    );
+    Some(at)
 }
 
 #[cfg(test)]

@@ -23,11 +23,12 @@ use crate::realtime_runner::ProcessorFactory;
 use metronome_apps::processor::PacketProcessor;
 use metronome_apps::{FloWatcher, IpsecGateway, L3Fwd};
 use metronome_core::discipline::DisciplineSpec;
-use metronome_core::rxqueue::{Lookahead, RxQueue};
+use metronome_core::rxqueue::{Consume, Lookahead, RxQueue};
 use metronome_core::{ExecBackend, MetronomeConfig, WorkerSet};
-use metronome_dpdk::{Mbuf, Mempool, RingConsumer, RingPath, RssPort};
+use metronome_dpdk::{Mbuf, Mempool, MempoolCache, RingConsumer, RingPath, RssPort};
 use metronome_net::headers::{build_udp_frame, Mac, MIN_FRAME_NO_FCS};
 use metronome_sim::stats::Histogram;
+use metronome_sim::Nanos;
 use metronome_telemetry::{CounterSnapshot, DropCause, TelemetryHub, TelemetrySink, TraceHub};
 use metronome_traffic::{FlowSet, WallClock};
 use parking_lot::Mutex;
@@ -126,6 +127,37 @@ fn producer_ring_path(gen_shards: usize, requested: RingPath) -> RingPath {
         RingPath::Mpsc
     } else {
         requested
+    }
+}
+
+/// One worker's consumer of an armed pipeline: `before_burst`, then
+/// [`complete_burst`] into the queue's app with the worker's own mempool
+/// cache and arrival buffer, keeping the completion read for the backend.
+struct BurstConsumer<F> {
+    apps: Arc<Vec<Mutex<QueueApp>>>,
+    clock: Arc<OnceLock<WallClock>>,
+    latency: bool,
+    before_burst: F,
+    cache: MempoolCache,
+    arrivals: Vec<Nanos>,
+    completed: Option<Instant>,
+}
+
+impl<F: Fn()> Consume<Mbuf> for BurstConsumer<F> {
+    fn consume(&mut self, q: usize, frames: &mut Vec<Mbuf>) {
+        (self.before_burst)();
+        let clock = self.clock.get().filter(|_| self.latency);
+        self.completed = complete_burst(
+            &self.apps[q],
+            frames,
+            clock,
+            &mut self.cache,
+            &mut self.arrivals,
+        );
+    }
+
+    fn take_completion(&mut self) -> Option<Instant> {
+        self.completed.take()
     }
 }
 
@@ -240,7 +272,9 @@ impl Pipeline {
     /// the cache flushes when the worker exits, before `stop` returns —
     /// and completes every burst through [`complete_burst`] after calling
     /// `before_burst` (a caller with nothing to do there passes `|| {}`,
-    /// which compiles away).
+    /// which compiles away). The burst's completion read goes back to the
+    /// worker's backend, which releases the queue on it when the drain
+    /// ends there.
     pub fn arm<F>(
         &self,
         cfg: MetronomeConfig,
@@ -261,16 +295,14 @@ impl Pipeline {
         if let Some(trace) = trace {
             builder = builder.trace(trace);
         }
-        let workers = builder.spawn(|_worker| {
-            let apps = Arc::clone(&self.apps);
-            let clock = Arc::clone(&self.clock);
-            let (latency, before_burst) = (self.latency, before_burst.clone());
-            let mut cache = self.pool.cache(burst);
-            move |q: usize, frames: &mut Vec<Mbuf>| {
-                before_burst();
-                let clock = clock.get().filter(|_| latency);
-                complete_burst(&apps[q], frames, clock, &mut cache);
-            }
+        let workers = builder.spawn(|_worker| BurstConsumer {
+            apps: Arc::clone(&self.apps),
+            clock: Arc::clone(&self.clock),
+            latency: self.latency,
+            before_burst: before_burst.clone(),
+            cache: self.pool.cache(burst),
+            arrivals: Vec::with_capacity(burst),
+            completed: None,
         });
         // No packet can complete before this: production starts later.
         self.clock();
@@ -350,7 +382,6 @@ impl Pipeline {
 mod tests {
     use super::*;
     use crate::realtime_runner::default_processor;
-    use metronome_sim::Nanos;
 
     fn pipeline(gen_shards: usize, ring_size: usize) -> Pipeline {
         Pipeline::new(

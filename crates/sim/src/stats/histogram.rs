@@ -20,21 +20,25 @@ pub struct Histogram {
     /// tightly clustered values, where sum-of-squares cancellation would
     /// destroy all precision.
     moments: MeanVar,
+    /// What [`Histogram::record_burst`] recorded since the last fold into
+    /// `moments`, as exact integer sums: at most [`BURST_CHUNK`] values.
+    pending: BurstSums,
     min: u64,
     max: u64,
 }
 
 /// [`Histogram::record_burst`] sums values below this bound, and their
-/// squares, in integers: a square fits 72 bits, so a chunk of
+/// squares, in integers: a square fits 72 bits, so a block of
 /// [`BURST_CHUNK`] values cannot overflow the `u128` arithmetic its
 /// variance takes (`n·Σx² < 2^104`). 2^36 ns is 68 s — any latency worth
 /// the name; larger values take the scalar [`Histogram::record`].
 const BURST_EXACT_BELOW: u64 = 1 << 36;
-/// Values [`Histogram::record_burst`] sums before folding them into the
-/// moments (see [`BURST_EXACT_BELOW`]); real bursts are far shorter.
+/// Values [`Histogram::record_burst`] sums in its pending block before
+/// folding them into the moments (see [`BURST_EXACT_BELOW`]).
 const BURST_CHUNK: u64 = 1 << 16;
 
-/// Exact integer summary of the values one burst recorded.
+/// Exact integer summary of a run of recorded values.
+#[derive(Clone, Debug)]
 struct BurstSums {
     n: u64,
     sum: u64,
@@ -51,6 +55,34 @@ impl BurstSums {
         min: u64::MAX,
         max: 0,
     };
+
+    /// Add `other`'s values (integer adds; the caller keeps `n` within
+    /// [`BURST_CHUNK`]).
+    fn add(&mut self, other: &BurstSums) {
+        self.n += other.n;
+        self.sum += other.sum;
+        self.sum_sq += other.sum_sq;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+    }
+
+    /// The block as Welford moments. Σ(x − mean)² = (n·Σx² − (Σx)²) / n,
+    /// the numerator exact (and non-negative, by Cauchy–Schwarz), so
+    /// nothing cancels.
+    fn moments(&self) -> MeanVar {
+        if self.n == 0 {
+            return MeanVar::new();
+        }
+        let n = self.n as f64;
+        let spread = u128::from(self.n) * self.sum_sq - u128::from(self.sum).pow(2);
+        MeanVar::from_moments(
+            self.n,
+            self.sum as f64 / n,
+            spread as f64 / n,
+            self.min as f64,
+            self.max as f64,
+        )
+    }
 }
 
 impl Histogram {
@@ -68,6 +100,7 @@ impl Histogram {
             total: 0,
             sum: 0,
             moments: MeanVar::new(),
+            pending: BurstSums::EMPTY,
             min: u64::MAX,
             max: 0,
         }
@@ -136,12 +169,16 @@ impl Histogram {
     /// and max; mean and variance equal up to float rounding), at a lower
     /// price per value. Each value costs a bucket increment and integer
     /// Σx, Σx², min and max — independent operations the CPU overlaps —
-    /// and the Welford moments absorb the whole burst in one Chan merge,
-    /// where `record` runs a dependent `f64` division per value. The
-    /// burst's own mean and squared deviations come from the exact integer
-    /// sums, so nothing cancels.
+    /// and the burst costs a few integer adds into a pending block, where
+    /// `record` runs a dependent `f64` division per value. The block folds
+    /// into the Welford moments, in one Chan merge from its exact integer
+    /// sums (so nothing cancels), once it holds 2^16 values or when the
+    /// moments are read: [`Histogram::variance`],
+    /// [`Histogram::std_dev`], [`Histogram::boxplot_scaled`],
+    /// [`Histogram::merge`]. Buckets, count, sum, min and max are current
+    /// after every call.
     pub fn record_burst(&mut self, values: impl IntoIterator<Item = u64>) {
-        let mut sums = BurstSums::EMPTY;
+        let mut burst = BurstSums::EMPTY;
         for value in values {
             if value >= BURST_EXACT_BELOW {
                 self.record(value);
@@ -149,19 +186,20 @@ impl Histogram {
             }
             let idx = self.index(value);
             self.counts[idx] += 1;
-            sums.n += 1;
-            sums.sum += value;
-            sums.sum_sq += u128::from(value) * u128::from(value);
-            sums.min = sums.min.min(value);
-            sums.max = sums.max.max(value);
-            if sums.n == BURST_CHUNK {
-                self.absorb(&std::mem::replace(&mut sums, BurstSums::EMPTY));
+            burst.n += 1;
+            burst.sum += value;
+            burst.sum_sq += u128::from(value) * u128::from(value);
+            burst.min = burst.min.min(value);
+            burst.max = burst.max.max(value);
+            if burst.n == BURST_CHUNK {
+                self.absorb(&std::mem::replace(&mut burst, BurstSums::EMPTY));
             }
         }
-        self.absorb(&sums);
+        self.absorb(&burst);
     }
 
-    /// Fold one burst's integer sums into the totals and the moments.
+    /// Put one burst's sums on the totals and into the pending block,
+    /// folding the block first if the burst would overfill it.
     fn absorb(&mut self, burst: &BurstSums) {
         if burst.n == 0 {
             return;
@@ -170,17 +208,24 @@ impl Histogram {
         self.sum += u128::from(burst.sum);
         self.min = self.min.min(burst.min);
         self.max = self.max.max(burst.max);
-        // Σ(x − mean)² = (n·Σx² − (Σx)²) / n, the numerator exact (and
-        // non-negative, by Cauchy–Schwarz).
-        let n = burst.n as f64;
-        let spread = u128::from(burst.n) * burst.sum_sq - u128::from(burst.sum).pow(2);
-        self.moments.merge(&MeanVar::from_moments(
-            burst.n,
-            burst.sum as f64 / n,
-            spread as f64 / n,
-            burst.min as f64,
-            burst.max as f64,
-        ));
+        if self.pending.n + burst.n > BURST_CHUNK {
+            self.fold();
+        }
+        self.pending.add(burst);
+    }
+
+    /// Fold the pending block into the moments.
+    fn fold(&mut self) {
+        self.moments.merge(&self.pending.moments());
+        self.pending = BurstSums::EMPTY;
+    }
+
+    /// The moments of everything recorded, the pending block folded into a
+    /// copy (reads take `&self`).
+    fn folded_moments(&self) -> MeanVar {
+        let mut moments = self.moments.clone();
+        moments.merge(&self.pending.moments());
+        moments
     }
 
     /// Number of recorded observations.
@@ -243,12 +288,12 @@ impl Histogram {
     /// large nanosecond values packed close together — the regime where
     /// the naive `E[X²] − mean²` form cancels catastrophically.
     pub fn variance(&self) -> f64 {
-        self.moments.variance()
+        self.folded_moments().variance()
     }
 
     /// Sample standard deviation.
     pub fn std_dev(&self) -> f64 {
-        self.moments.std_dev()
+        self.folded_moments().std_dev()
     }
 
     /// Five-number summary of the recorded distribution, every field
@@ -283,7 +328,8 @@ impl Histogram {
         }
         self.total += other.total;
         self.sum += other.sum;
-        self.moments.merge(&other.moments);
+        self.fold();
+        self.moments.merge(&other.folded_moments());
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
@@ -388,12 +434,11 @@ mod tests {
     }
 
     /// `record_burst` against the scalar loop on the same values: the
-    /// integer state must be identical, the moments equal to rounding
+    /// integer state must be identical, the variance equal to rounding
     /// (1e-9 relative).
     fn assert_burst_matches_loop(bursts: &[Vec<u64>]) {
         let (burst, looped) = assert_integer_state_matches(bursts);
-        let (a, b) = (burst.variance(), looped.variance());
-        assert!((a - b).abs() <= 1e-9 * b.abs(), "variance {a} vs {b}");
+        assert_same_variance(&burst, &looped);
     }
 
     fn assert_integer_state_matches(bursts: &[Vec<u64>]) -> (Histogram, Histogram) {
@@ -405,18 +450,91 @@ mod tests {
                 looped.record(v);
             }
         }
-        assert_eq!(burst.counts, looped.counts);
-        assert_eq!(burst.count(), looped.count());
-        assert_eq!(burst.sum(), looped.sum());
-        assert_eq!(burst.min(), looped.min());
-        assert_eq!(burst.max(), looped.max());
-        for q in [0.0, 0.01, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0] {
-            assert_eq!(burst.quantile(q), looped.quantile(q), "q{q}");
-        }
-        assert_eq!(burst.mean(), looped.mean());
-        let (a, b) = (burst.moments.mean(), looped.moments.mean());
-        assert!((a - b).abs() <= 1e-9 * b.abs(), "Welford mean {a} vs {b}");
+        assert_same_integer_state(&burst, &looped);
         (burst, looped)
+    }
+
+    /// What a reader sees that is exact: buckets, count, sum, extremes,
+    /// quantiles and mean.
+    fn assert_same_integer_state(got: &Histogram, want: &Histogram) {
+        assert!(got.iter_buckets().eq(want.iter_buckets()), "buckets");
+        assert_eq!(got.count(), want.count());
+        assert_eq!(got.sum(), want.sum());
+        assert_eq!(got.min(), want.min());
+        assert_eq!(got.max(), want.max());
+        for q in [0.0, 0.01, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0] {
+            assert_eq!(got.quantile(q), want.quantile(q), "q{q}");
+        }
+        assert_eq!(got.mean(), want.mean());
+    }
+
+    fn assert_same_variance(got: &Histogram, want: &Histogram) {
+        let (a, b) = (got.variance(), want.variance());
+        assert!((a - b).abs() <= 1e-9 * b.abs(), "variance {a} vs {b}");
+        let (a, b) = (got.std_dev(), want.std_dev());
+        assert!((a - b).abs() <= 1e-9 * b.abs(), "std-dev {a} vs {b}");
+    }
+
+    /// `n` latency-like values, spread over four orders of magnitude.
+    fn spread_values(n: u64) -> Vec<u64> {
+        (0..n).map(|i| 100 + (i * 7_919 % 1_000_003) * 37).collect()
+    }
+
+    #[test]
+    fn record_burst_folds_at_the_chunk_bound_in_one_call_and_across_calls() {
+        for n in [BURST_CHUNK - 1, BURST_CHUNK, BURST_CHUNK + 1] {
+            let values = spread_values(n);
+            // One call: the block fills (or not) inside it.
+            assert_burst_matches_loop(std::slice::from_ref(&values));
+            // Across calls: bursts of 1..=5 values fill the block from
+            // outside, and one long burst overfills it with a block
+            // already pending.
+            let mut bursts = Vec::new();
+            let mut rest = &values[..];
+            for len in (1..=5).cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (head, tail) = rest.split_at(len.min(rest.len()));
+                bursts.push(head.to_vec());
+                rest = tail;
+            }
+            assert_burst_matches_loop(&bursts);
+            assert_burst_matches_loop(&[values[..3].to_vec(), values[3..].to_vec()]);
+            // At the top of the exact range the block's sums must not
+            // overflow however it was filled.
+            let top = vec![BURST_EXACT_BELOW - 1; n as usize];
+            assert_burst_matches_loop(&[top[..7].to_vec(), top[7..].to_vec()]);
+        }
+    }
+
+    #[test]
+    fn merging_pending_blocks_equals_recording_into_one() {
+        let values = spread_values(3 * BURST_CHUNK / 2);
+        let (left, right) = values.split_at(values.len() / 3);
+        let mut whole = Histogram::latency();
+        for &v in &values {
+            whole.record(v);
+        }
+        // Each side holds a pending block, one of them behind a fold, and
+        // a few scalar records beside it.
+        let side = |values: &[u64]| {
+            let mut h = Histogram::latency();
+            h.record(values[0]);
+            for burst in values[1..].chunks(3) {
+                h.record_burst(burst.iter().copied());
+            }
+            h
+        };
+        let mut merged = side(left);
+        merged.merge(&side(right));
+        assert_same_integer_state(&merged, &whole);
+        assert_same_variance(&merged, &whole);
+        // The merged side keeps recording bursts as before.
+        merged.record_burst([5, 50_000, 5_000_000]);
+        whole.record_burst([5, 50_000, 5_000_000]);
+        assert_same_integer_state(&merged, &whole);
+        assert_same_variance(&merged, &whole);
     }
 
     #[test]

@@ -270,7 +270,8 @@ impl fmt::Display for Nanos {
 /// One precise read of the OS monotonic clock, as nanoseconds since
 /// `epoch` — the single funnel for every clock read on the realtime wake
 /// path ([`CoarseClock::tick`], the sleeper's spin loop, the backend's
-/// release stamp).
+/// release stamp) but one, a burst's completion stamp, which is
+/// [`read_instant`].
 ///
 /// In debug builds each call also bumps a thread-local counter
 /// ([`clock_reads`]) — after the read, so the bump never sits inside an
@@ -278,7 +279,16 @@ impl fmt::Display for Nanos {
 /// path's read budget; release builds compile to the bare read.
 #[inline]
 pub fn read_clock(epoch: std::time::Instant) -> Nanos {
-    let now = Nanos(epoch.elapsed().as_nanos() as u64);
+    Nanos(read_instant().saturating_duration_since(epoch).as_nanos() as u64)
+}
+
+/// [`read_clock`] as the bare `Instant`, counted the same way: for a stamp
+/// that must convert exactly onto more than one epoch — a burst's
+/// completion, which is a latency sample on the pipeline's clock and the
+/// queue's release stamp on the worker set's.
+#[inline]
+pub fn read_instant() -> std::time::Instant {
+    let now = std::time::Instant::now();
     #[cfg(debug_assertions)]
     CLOCK_READS.with(|n| n.set(n.get() + 1));
     now
@@ -548,6 +558,9 @@ mod tests {
         c.cached();
         read_clock(c.epoch());
         assert_eq!(clock_reads() - before, 3);
+        let at = read_instant();
+        assert_eq!(clock_reads() - before, 4, "the bare instant counts too");
+        assert!(at >= c.epoch());
     }
 
     #[test]

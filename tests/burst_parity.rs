@@ -1,22 +1,14 @@
 //! Burst-vs-per-packet parity: the burst refactor must change *how fast*
 //! the datapath runs, never *what it computes*.
 //!
-//! Two layers are pinned down:
-//!
-//! * **Processor layer** — `PacketProcessor::process_burst` (including
-//!   l3fwd's bulk-LPM override) must be observably equivalent to the
-//!   per-packet `process` loop: identical verdict counts, identical frame
-//!   rewrites, identical internal counters (the contract documented on
-//!   the trait).
-//! * **Pipeline layer** — a realtime run at `burst = 1` (every packet is
-//!   its own burst: per-packet pool transactions, per-packet process
-//!   calls) must produce the same `RunReport` packet counts as the same
-//!   scenario at `burst = 32`, given a ring and pool sized so nothing
-//!   drops: the offered count is schedule-exact and everything offered is
-//!   forwarded, at any burst size. And a run's workers, which take
-//!   their bursts through `WorkerRing::pop_burst` and its header
-//!   prefetch, must leave every frame exactly as a scalar `l3fwd` fed the
-//!   same flows off the datapath does.
+//! A realtime run at `burst = 1` (every packet is its own burst:
+//! per-packet pool transactions, per-packet process calls) must produce
+//! the same `RunReport` packet counts as the same scenario at
+//! `burst = 32`, given a ring and pool sized so nothing drops: the offered
+//! count is schedule-exact and everything offered is forwarded, at any
+//! burst size. And a run's workers, which take their bursts through
+//! `WorkerRing::pop_burst` and its header prefetch, must leave every frame
+//! exactly as a scalar `l3fwd` fed the same flows off the datapath does.
 
 mod common;
 
@@ -25,77 +17,10 @@ use metronome_repro::apps::processor::{BurstVerdicts, PacketProcessor, Verdict};
 use metronome_repro::apps::L3Fwd;
 use metronome_repro::core::MetronomeConfig;
 use metronome_repro::dpdk::{Mbuf, RingPath, RssPort};
-use metronome_repro::net::headers::{build_udp_frame, Mac};
-use metronome_repro::net::FiveTuple;
 use metronome_repro::runtime::pipeline::flow_templates;
 use metronome_repro::runtime::{run_realtime, run_realtime_with, RunReport, Scenario, TrafficSpec};
-use metronome_repro::sim::{Nanos, Rng};
-use std::net::Ipv4Addr;
+use metronome_repro::sim::Nanos;
 use std::sync::{Arc, Mutex};
-
-/// A pseudo-random frame mix: routable, unroutable, and garbage frames.
-fn frame_mix(n: usize, seed: u64) -> Vec<Mbuf> {
-    let mut rng = Rng::new(seed);
-    (0..n)
-        .map(|i| {
-            match rng.below(8) {
-                // Truncated garbage (parse failure).
-                0 => Mbuf::from_bytes(bytes::BytesMut::from(&[0u8; 13][..])),
-                // Unroutable destination.
-                1 => {
-                    let t = FiveTuple::udp(
-                        Ipv4Addr::new(192, 168, 0, 1),
-                        4000 + i as u16,
-                        Ipv4Addr::new(172, 16, 0, 1),
-                        80,
-                    );
-                    Mbuf::from_bytes(build_udp_frame(Mac::local(1), Mac::local(2), &t, &[], 64))
-                }
-                // Routable into one of the sample /16s (or its carve-out).
-                _ => {
-                    let h = (rng.below(4)) as u8;
-                    let t = FiveTuple::udp(
-                        Ipv4Addr::new(192, 168, 0, 1),
-                        4000 + i as u16,
-                        Ipv4Addr::new(10, h, if rng.below(4) == 0 { 7 } else { 1 }, 9),
-                        80,
-                    );
-                    Mbuf::from_bytes(build_udp_frame(Mac::local(1), Mac::local(2), &t, &[], 64))
-                }
-            }
-        })
-        .collect()
-}
-
-#[test]
-fn l3fwd_burst_override_matches_scalar_loop_on_random_mixes() {
-    for seed in [1u64, 7, 0xBEEF, 0x5EED] {
-        let mut scalar = L3Fwd::with_sample_routes(4);
-        let mut scalar_frames = frame_mix(97, seed); // non-multiple of 32
-        let mut scalar_verdicts = BurstVerdicts::default();
-        for m in &mut scalar_frames {
-            scalar_verdicts.count(scalar.process(m));
-        }
-
-        let mut batched = L3Fwd::with_sample_routes(4);
-        let mut batched_frames = frame_mix(97, seed);
-        let mut batched_verdicts = BurstVerdicts::default();
-        // Feed in bursts of 32 (with a ragged tail), like the worker does.
-        for chunk in batched_frames.chunks_mut(32) {
-            let v = batched.process_burst(chunk);
-            batched_verdicts.forwarded += v.forwarded;
-            batched_verdicts.dropped += v.dropped;
-        }
-
-        assert_eq!(batched_verdicts, scalar_verdicts, "seed {seed}");
-        assert_eq!(batched.forwarded, scalar.forwarded, "seed {seed}");
-        assert_eq!(batched.dropped, scalar.dropped, "seed {seed}");
-        for (i, (a, b)) in scalar_frames.iter().zip(&batched_frames).enumerate() {
-            assert_eq!(a.bytes(), b.bytes(), "frame {i} rewrite diverged");
-            assert_eq!(a.port, b.port, "frame {i} egress diverged");
-        }
-    }
-}
 
 /// Run the same no-drop scenario at the given burst size.
 fn lossless_run(burst: u32) -> RunReport {

@@ -1,24 +1,22 @@
 //! The service's producer side: MoonGen's role as a long-running
-//! process. Each shard paces a [`LiveRate`] source through the same
-//! [`PacedArrivals`] the scenario runner uses and hands every batch to
-//! the one ingest core ([`IngestShard::emit`]); a separate
-//! [`fault_driver`] realizes the fault kinds that act on the world
-//! rather than on the arrival stream.
+//! process. Each shard paces a [`LiveRate`] source — under the
+//! `PlannedFaults` injector every realtime source runs behind — through
+//! the same [`PacedArrivals`] the scenario runner uses and hands every
+//! batch to the one ingest core ([`IngestShard::emit`]).
 
-use metronome_dpdk::{Mbuf, Mempool, RssPort};
+use metronome_dpdk::RssPort;
 use metronome_runtime::ingest::{IngestShard, GEN_BATCH};
-use metronome_sim::{Nanos, Rng};
+use metronome_sim::Nanos;
 use metronome_telemetry::TelemetryHub;
-use metronome_traffic::{ArrivalProcess, FaultPlan, InjectionStats, PacedArrivals, WallClock};
+use metronome_traffic::{ArrivalProcess, PacedArrivals, WallClock};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// How long a shard with nothing due naps before re-reading the live
-/// rate and the stop flag (the pacer's poll period), and the fault
-/// driver's period: a stop or a rate change reaches every thread within
-/// one tick, even at rate 0 — where the shard costs one OS sleep a tick.
+/// rate and the stop flag (the pacer's poll period): a stop or a rate
+/// change reaches every shard within one tick, even at rate 0 — where
+/// the shard costs one OS sleep a tick.
 const GEN_TICK: Nanos = Nanos::from_micros(500);
 
 /// What [`LiveRate::peek_next`] reports while the rate is zero: nothing
@@ -54,20 +52,14 @@ impl GenShared {
 }
 
 /// One shard's share of a rate that can change while it runs: the
-/// arrival after `t` is scheduled `1 / rate(t)` later, with `rate(t)` the
-/// live aggregate rate × the plan's spike factor at `t` ÷ shards, read
-/// per arrival. The source is the daemon's fault view of the arrival
-/// stream: spikes scale the rate, jitter bursts thin it (counted in an
-/// [`InjectionStats`] the ingest shard mirrors as fault drops). It owes
-/// no backlog: a rate change re-spaces from the last poll point, and a
-/// shard that cannot keep up is handed at most [`GEN_BATCH`] arrivals a
-/// poll and sheds the rest (a service must not build debt — the stop flag
-/// would sit behind it). It never runs dry until the stop flag is up.
+/// arrival after `t` is scheduled `1 / rate` later, with `rate` the live
+/// aggregate rate ÷ shards, read per poll. It owes no backlog: a rate
+/// change re-spaces from the last poll point, and a shard that cannot
+/// keep up is handed at most [`GEN_BATCH`] arrivals a poll and sheds the
+/// rest (a service must not build debt — the stop flag would sit behind
+/// it). It never runs dry until the stop flag is up.
 pub(crate) struct LiveRate {
     shared: Arc<GenShared>,
-    plan: FaultPlan,
-    rng: Rng,
-    stats: InjectionStats,
     n_shards: f64,
     /// The rate `next` was scheduled at.
     rate: f64,
@@ -78,31 +70,16 @@ pub(crate) struct LiveRate {
 }
 
 impl LiveRate {
-    /// Shard `shard` of `n_shards`, starting at `start` on the run's
-    /// clock (the plan's windows are relative to that clock's zero).
-    pub(crate) fn new(
-        shared: Arc<GenShared>,
-        plan: FaultPlan,
-        seed: u64,
-        shard: usize,
-        n_shards: usize,
-        start: Nanos,
-    ) -> LiveRate {
+    /// One of `n_shards` shards' sources, starting at `start` on the
+    /// run's clock.
+    pub(crate) fn new(shared: Arc<GenShared>, n_shards: usize, start: Nanos) -> LiveRate {
         LiveRate {
             shared,
-            plan,
-            rng: Rng::new(seed ^ 0x0D4E_3019).stream(7 + shard as u64),
-            stats: InjectionStats::new(),
             n_shards: n_shards as f64,
             rate: 0.0,
             next: None,
             polled: start,
         }
-    }
-
-    /// The handle counting what this source thinned away.
-    pub(crate) fn stats(&self) -> InjectionStats {
-        self.stats.clone()
     }
 
     fn schedule(&mut self, from: Nanos, rate: f64) {
@@ -118,8 +95,8 @@ impl ArrivalProcess for LiveRate {
         if self.shared.stopped() {
             return 0;
         }
-        // A reconfigure or a spike window edge since `next` was
-        // scheduled: re-space from the previous poll point.
+        // A reconfigure since `next` was scheduled: re-space from the
+        // previous poll point.
         let live = self.rate_pps(until);
         if live != self.rate {
             self.schedule(self.polled, live);
@@ -129,20 +106,11 @@ impl ArrivalProcess for LiveRate {
             let Some(t) = self.next.filter(|&t| t <= until) else {
                 break;
             };
-            let lost = self
-                .plan
-                .jitter_at(t)
-                .is_some_and(|(_, p)| p > 0.0 && self.rng.chance(p));
-            if lost {
-                self.stats.add_drops(1);
-            } else {
-                kept += 1;
-                if let Some(out) = timestamps.as_deref_mut() {
-                    out.push(t);
-                }
+            kept += 1;
+            if let Some(out) = timestamps.as_deref_mut() {
+                out.push(t);
             }
-            let rate = self.rate_pps(t);
-            self.schedule(t, rate);
+            self.schedule(t, self.rate);
         }
         // Still due after a full batch: the offered rate is beyond what
         // this shard emits. Shed the remainder, re-space from now.
@@ -160,8 +128,8 @@ impl ArrivalProcess for LiveRate {
         Some(self.next.unwrap_or(NEVER))
     }
 
-    fn rate_pps(&self, t: Nanos) -> f64 {
-        self.shared.rate_pps().max(0.0) * self.plan.rate_factor(t) / self.n_shards
+    fn rate_pps(&self, _t: Nanos) -> f64 {
+        self.shared.rate_pps().max(0.0) / self.n_shards
     }
 }
 
@@ -169,7 +137,7 @@ impl ArrivalProcess for LiveRate {
 /// source; the shard's cache flushes as it drops. The hub is re-read per
 /// batch because a re-arm swaps it under the generator.
 pub(crate) fn run_shard(
-    source: LiveRate,
+    source: impl ArrivalProcess + 'static,
     mut shard: IngestShard,
     clock: WallClock,
     port: &RssPort,
@@ -185,48 +153,19 @@ pub(crate) fn run_shard(
     shard.finish(&gen_hub.lock());
 }
 
-/// The fault kinds that are the world's, not the source's, driven off
-/// the run's clock every [`GEN_TICK`] whether or not a packet is due:
-/// `QueueStall` raises the consumer-pause flag `stall` (the atomic the
-/// process closures poll) for its windows, `PoolStarve` confiscates its
-/// fraction of the pool straight from the shared freelist (bypassing
-/// caches, so the count is exact). On stop it releases both, so the
-/// post-drain audit sees the pool whole and the workers unstalled.
-pub(crate) fn fault_driver(
-    shared: &GenShared,
-    stall: &AtomicBool,
-    plan: &FaultPlan,
-    pool: &Mempool,
-    clock: WallClock,
-) {
-    let mut confiscated: Vec<Mbuf> = Vec::new();
-    while !shared.stopped() {
-        let now = clock.now();
-        stall.store(plan.stalled(now), Ordering::Release);
-        let want = (plan.starve_fraction(now) * pool.population() as f64) as usize;
-        if want > confiscated.len() {
-            let _ = pool.alloc_burst(want - confiscated.len(), &mut confiscated);
-        } else {
-            pool.free_burst(confiscated.drain(want..));
-        }
-        std::thread::sleep(Duration::from_nanos(GEN_TICK.as_nanos()));
-    }
-    stall.store(false, Ordering::Release);
-    pool.free_burst(confiscated);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metronome_traffic::FaultKind;
+    use metronome_sim::Rng;
+    use metronome_traffic::{FaultKind, FaultPlan, PlannedFaults};
 
     fn ms(v: u64) -> Nanos {
         Nanos::from_millis(v)
     }
 
-    fn source(rate: f64, plan: FaultPlan, n_shards: usize) -> (Arc<GenShared>, LiveRate) {
+    fn source(rate: f64, n_shards: usize) -> (Arc<GenShared>, LiveRate) {
         let shared = GenShared::new(rate);
-        let live = LiveRate::new(Arc::clone(&shared), plan, 1, 0, n_shards, Nanos::ZERO);
+        let live = LiveRate::new(Arc::clone(&shared), n_shards, Nanos::ZERO);
         (shared, live)
     }
 
@@ -249,7 +188,7 @@ mod tests {
 
     #[test]
     fn steady_rate_is_evenly_spaced_and_split_across_shards() {
-        let (_s, mut live) = source(40_000.0, FaultPlan::new(), 2);
+        let (_s, mut live) = source(40_000.0, 2);
         let ts = pace(&mut live, Nanos::ZERO, ms(100));
         // 20 kpps per shard: 50 µs apart, 2000 in 100 ms.
         assert!((ts.len() as i64 - 2000).abs() <= 1, "{}", ts.len());
@@ -259,14 +198,14 @@ mod tests {
     #[test]
     fn slow_rates_keep_their_schedule_across_poll_points() {
         // 100 pps: 10 ms gaps, 20 poll points between arrivals.
-        let (_s, mut live) = source(100.0, FaultPlan::new(), 1);
+        let (_s, mut live) = source(100.0, 1);
         let ts = pace(&mut live, Nanos::ZERO, ms(100));
         assert_eq!(ts, (1..10).map(|k| ms(10 * k)).collect::<Vec<_>>());
     }
 
     #[test]
     fn rate_change_is_seen_within_a_tick_and_owes_no_backlog() {
-        let (shared, mut live) = source(0.0, FaultPlan::new(), 1);
+        let (shared, mut live) = source(0.0, 1);
         // Rate 0: nothing due, yet the source keeps asking to be polled.
         assert!(pace(&mut live, Nanos::ZERO, ms(50)).is_empty());
         assert_eq!(live.peek_next(), Some(NEVER));
@@ -286,44 +225,17 @@ mod tests {
     }
 
     #[test]
-    fn spikes_scale_and_jitter_bursts_thin_with_exact_accounting() {
-        let plan = FaultPlan::new()
-            .with(ms(100), ms(100), FaultKind::RateSpike { factor: 3.0 })
-            .with(
-                ms(300),
-                ms(100),
-                FaultKind::JitterBurst {
-                    jitter: Nanos::ZERO,
-                    drop_prob: 0.5,
-                },
-            );
-        let (_s, mut live) = source(10_000.0, plan, 1);
-        let stats = live.stats();
-        let ts = pace(&mut live, Nanos::ZERO, ms(500));
-        let within = |a, b| ts.iter().filter(|&&t| t >= ms(a) && t < ms(b)).count() as f64;
-        assert!((within(0, 100) - 1000.0).abs() <= 2.0);
-        assert!(
-            (within(100, 200) - 3000.0).abs() <= 40.0,
-            "{}",
-            within(100, 200)
-        );
-        assert!((within(200, 300) - 1000.0).abs() <= 40.0);
-        // Thinned packets are scheduled arrivals that were never emitted.
-        assert!((within(300, 400) - 500.0).abs() <= 100.0);
-        assert_eq!(within(300, 400) as u64 + stats.drops(), 1000);
-        assert!(ts.windows(2).all(|w| w[0] <= w[1]), "schedule stepped back");
-    }
-
-    #[test]
     fn an_absurd_rate_is_shed_not_owed() {
         // 1e12 pps: a poll 10 ms on is handed one batch; the other 1e10
         // arrivals are shed and the schedule restarts at the poll point.
-        let (_s, mut live) = source(1e12, FaultPlan::new(), 1);
+        let (_s, mut live) = source(1e12, 1);
         let mut out = Vec::new();
         assert_eq!(live.drain(ms(10), Some(&mut out)), GEN_BATCH as u64);
         assert_eq!(out.len(), GEN_BATCH);
         assert_eq!(live.peek_next(), Some(ms(10) + Nanos(1)));
-        // Certain loss thins without emitting, and is bounded the same way.
+        // Certain loss in front of it (the injector every shard's source
+        // runs behind) thins without emitting, bounded the same way: one
+        // batch a drain.
         let lossy = FaultPlan::new().with(
             Nanos::ZERO,
             ms(100),
@@ -332,14 +244,17 @@ mod tests {
                 drop_prob: 1.0,
             },
         );
-        let (_s, mut live) = source(1e12, lossy, 1);
-        assert_eq!(live.drain(ms(10), None), 0);
-        assert_eq!(live.stats().drops(), GEN_BATCH as u64);
+        let (_s, live) = source(1e12, 1);
+        let mut faulty = PlannedFaults::new(live, lossy, Rng::new(1));
+        assert_eq!(faulty.drain(ms(10), None), 0);
+        assert_eq!(faulty.stats().drops(), GEN_BATCH as u64);
+        assert_eq!(faulty.drain(ms(20), None), 0);
+        assert_eq!(faulty.stats().drops(), 2 * GEN_BATCH as u64);
     }
 
     #[test]
     fn stop_ends_the_source() {
-        let (shared, mut live) = source(40_000.0, FaultPlan::new(), 1);
+        let (shared, mut live) = source(40_000.0, 1);
         assert!(live.peek_next().is_some());
         shared.stop.store(true, Ordering::Release);
         assert_eq!(live.drain(ms(10), None), 0);

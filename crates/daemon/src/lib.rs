@@ -25,7 +25,7 @@
 //!  UnixListener ──lines──▶ protocol::Request ─▶ ServiceEngine ─▶ reply line
 //!                                                │
 //!                    generator shards (paced) ───┤ rate spikes / jitter thinning
-//!                    fault driver ───────────────┤ stall flag / pool starvation
+//!                    pipeline fault driver ──────┤ stall flag / pool starvation
 //!                    worker set (re-armable) ────┤ stall pauses, latency stamps
 //!                                                │
 //!  TcpListener ──GET /metrics──▶ snapshot ─▶ Prometheus text

@@ -13,30 +13,32 @@
 //!   its worker set ([`Pipeline::arm`], which anchors the run's one
 //!   clock), and spawns the producer shards (`crate::generator`).
 //! * **Reconfigure** adjusts the offered rate through one atomic store
-//!   (every shard reads it per arrival), or re-arms the worker set for a
+//!   (every shard reads it per poll), or re-arms the worker set for a
 //!   new discipline / `M` without stopping the generator — counters stay
 //!   monotone because the retiring hub's totals fold into the scenario's
 //!   before the fresh hub takes over.
 //! * **Drain** runs the shutdown state machine: stop the producers (the
 //!   fault driver releases what it holds on exit), wait for the workers to
-//!   empty the rings ([`Pipeline::drain`]), join them (their mempool
-//!   caches flush on exit), sweep anything stranded ([`Pipeline::sweep`]),
+//!   empty the rings ([`Pipeline::drain`]), disarm them
+//!   ([`Pipeline::disarm`]; their mempool caches flush on exit), sweep
+//!   anything stranded ([`Pipeline::sweep`]),
 //!   and audit the pool — `in_use == 0`, `cached == 0`, `allocs == frees`
 //!   — before reporting exact conservation: `offered == processed +
 //!   dropped`.
 //!
-//! Fault realization in service mode (the arrival-side realization lives
-//! in [`metronome_traffic::PlannedFaults`]; the daemon realizes the same
-//! [`FaultPlan`] against real infrastructure):
+//! A [`FaultPlan`] means here what it means in the scenario runner: its
+//! arrival side goes through a [`PlannedFaults`] around each shard's
+//! fault-free live-rate source, its world side through the pipeline's
+//! [`Pipeline::fault_driver`], which the producer set runs beside it:
 //!
-//! | kind           | realization                                            | shows up as |
-//! |----------------|--------------------------------------------------------|-------------|
-//! | `rate-spike`   | the arrival source multiplies the offered rate         | ring drops under overload |
-//! | `queue-stall`  | workers pause in the process closure; rings back up    | ring drops |
-//! | `pool-starve`  | the fault driver confiscates pool buffers for the window | pool drops |
-//! | `jitter-burst` | the arrival source coin-flips packet suppression       | fault drops |
+//! | kind           | realization                                                  | shows up as |
+//! |----------------|--------------------------------------------------------------|-------------|
+//! | `rate-spike`   | the injector duplicates arrivals by the factor, a dip thins them | ring drops under overload; a dip's, fault drops |
+//! | `queue-stall`  | the driver raises the stall; workers nap before each burst and the rings back up | ring drops |
+//! | `pool-starve`  | the driver confiscates that fraction of the pool for the window | pool drops |
+//! | `jitter-burst` | the injector drops with `drop_prob`, shifts survivors back by up to `jitter` | fault drops |
 
-use crate::generator::{fault_driver, run_shard, GenShared, LiveRate};
+use crate::generator::{run_shard, GenShared, LiveRate};
 use crate::protocol::{self, ReconfigureSpec, Request, SubmitSpec};
 use metronome_core::discipline::{DisciplineSpec, Doorbell};
 use metronome_core::{ExecBackend, MetronomeConfig, WorkerSet};
@@ -45,20 +47,17 @@ use metronome_dpdk::shared_ring::RingPath;
 use metronome_dpdk::{Mbuf, Mempool};
 use metronome_runtime::ingest::GEN_BATCH;
 use metronome_runtime::pipeline::{processor_for, Pipeline, WorkerRing, MBUF_DATAROOM};
-use metronome_sim::Nanos;
+use metronome_sim::{Nanos, Rng};
 use metronome_telemetry::export::prometheus::{render, snapshot_metrics};
 use metronome_telemetry::{
     CounterSnapshot, Json, MarkerKind, TelemetryHub, TraceHub, TraceRecorder, TraceSink,
     DEFAULT_RING_CAPACITY,
 };
-use metronome_traffic::FaultPlan;
+use metronome_traffic::{FaultPlan, PlannedFaults};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// How long the process closure naps between stall-flag polls.
-const STALL_POLL: Duration = Duration::from_micros(100);
 
 /// How long `drain` waits for the workers to catch up with everything
 /// the rings accepted before sweeping leftovers as stranded.
@@ -117,14 +116,11 @@ fn fold_hub(into: &mut CounterSnapshot, hub: &TelemetryHub) {
     accumulate(into, &snap);
 }
 
-/// One armed worker set (discipline + hub + halt flag), replaced
-/// wholesale on a discipline/M reconfigure.
+/// One armed worker set (discipline + hub), replaced wholesale on a
+/// discipline/M reconfigure.
 struct Arm {
     workers: WorkerSet<Mbuf, WorkerRing>,
     hub: Arc<TelemetryHub>,
-    /// Overrides the stall pause so a re-arm can join workers that are
-    /// mid-stall without waiting out the fault window.
-    halt: Arc<AtomicBool>,
     discipline: DisciplineSpec,
     m_threads: usize,
     exec: ExecBackend,
@@ -132,10 +128,7 @@ struct Arm {
 
 impl Arm {
     /// Arm `spec` on `run`'s pipeline, publishing into `hub`, and point
-    /// the per-queue doorbell slots at the new set. Before each burst a
-    /// worker naps while the stall flag is up (unless this arm's halt
-    /// flag overrides it): the rings back up behind the nap and
-    /// tail-drop, which is exactly the queue-stall fault.
+    /// the per-queue doorbell slots at the new set.
     fn new(
         run: &RunState,
         cfg: MetronomeConfig,
@@ -143,18 +136,9 @@ impl Arm {
         exec: ExecBackend,
         hub: Arc<TelemetryHub>,
     ) -> Arm {
-        let halt = Arc::new(AtomicBool::new(false));
-        let stalled = {
-            let (stall, halt) = (Arc::clone(&run.stall), Arc::clone(&halt));
-            move || {
-                while stall.load(Ordering::Relaxed) && !halt.load(Ordering::Relaxed) {
-                    std::thread::sleep(STALL_POLL);
-                }
-            }
-        };
         let m_threads = cfg.m_threads;
         let trace = run.trace.as_ref().map(|t| &t.hub);
-        let workers = run.pipeline.arm(cfg, spec, exec, &hub, trace, stalled);
+        let workers = run.pipeline.arm(cfg, spec, exec, &hub, trace);
         let interrupt_driven = matches!(spec, DisciplineSpec::InterruptLike(_));
         for (q, slot) in run.bells.iter().enumerate() {
             *slot.lock() = interrupt_driven.then(|| Arc::clone(workers.doorbell(q)));
@@ -162,7 +146,6 @@ impl Arm {
         Arm {
             workers,
             hub,
-            halt,
             discipline: spec,
             m_threads,
             exec,
@@ -213,8 +196,9 @@ impl TraceArm {
 /// A running scenario on the persistent pipeline.
 struct RunState {
     name: String,
-    /// Port, apps, flow templates, lateness slots and the run's one
-    /// clock, kept across re-arms and `gen_shards` respawns.
+    /// Port, apps, flow templates, lateness slots, the run's one clock
+    /// and the fault plan's world side, kept across re-arms and
+    /// `gen_shards` respawns.
     pipeline: Pipeline,
     arm: Option<Arm>,
     /// The hubs this scenario's re-arms retired (its books close into
@@ -224,13 +208,14 @@ struct RunState {
     /// out with `"trace": false`).
     trace: Option<TraceArm>,
     /// The producers' stop flag and live rate, and the threads reading
-    /// them: one per shard, plus the fault driver when there is a plan.
+    /// them: one per shard, plus the pipeline's fault driver when the
+    /// plan has a world side.
     gen: Arc<GenShared>,
     gen_threads: Vec<std::thread::JoinHandle<()>>,
     /// Producer shard count of the live generator set.
     gen_shards: usize,
-    /// The scenario's fault plan, on the pipeline clock's timeline.
-    faults: FaultPlan,
+    /// The fault plan's arrival side, on the pipeline clock's timeline.
+    arrival_faults: FaultPlan,
     /// Submit seed (shard RNG streams derive from it).
     seed: u64,
     /// The generator's view of the current hub (swapped on re-arm so no
@@ -239,7 +224,6 @@ struct RunState {
     /// Per-queue doorbell slots the port's wake hooks ring through
     /// (re-pointed at the new worker set on re-arm).
     bells: Vec<Arc<Mutex<Option<Arc<Doorbell>>>>>,
-    stall: Arc<AtomicBool>,
 }
 
 struct EngineState {
@@ -402,7 +386,8 @@ impl ServiceEngine {
             spec.seed,
             self.pool.clone(),
             &|_q| processor_for(app).expect("app checked at startup"),
-        );
+        )
+        .with_faults(&spec.faults);
         // Doorbell slots. Hooks are installed before the port is shared
         // and ring through a slot, so a re-arm can re-point them without
         // `&mut` access to the port.
@@ -450,12 +435,11 @@ impl ServiceEngine {
             trace,
             gen: GenShared::new(spec.rate_pps),
             gen_threads: Vec::new(),
-            faults: spec.faults,
+            arrival_faults: spec.faults.arrival_side(),
             seed: spec.seed,
             gen_shards,
             gen_hub: Arc::new(Mutex::new(Arc::clone(&hub))),
             bells,
-            stall: Arc::new(AtomicBool::new(false)),
         };
         run.arm = Some(Arm::new(&run, cfg, spec.discipline, spec.exec, hub));
         self.spawn_generators(&mut run);
@@ -467,20 +451,18 @@ impl ServiceEngine {
     /// thread per shard, each owning its slice of the flow population and
     /// producing concurrently onto the port's Rx rings (submit with
     /// `"ring_path": "mpsc"` for multi-producer offers on shared rings),
-    /// plus the fault driver when there is a plan to drive.
+    /// each source a [`LiveRate`] under the plan's arrival side, plus the
+    /// pipeline's fault driver when the plan has a world side.
     /// The previous set, if any, has been joined: the stop flag is free.
     fn spawn_generators(&self, run: &mut RunState) {
         run.gen.stop.store(false, Ordering::Release);
         let (n_shards, clock) = (run.gen_shards, run.pipeline.clock());
         let mut handles = Vec::with_capacity(n_shards + 1);
         for shard in 0..n_shards {
-            let source = LiveRate::new(
-                Arc::clone(&run.gen),
-                run.faults.clone(),
-                run.seed,
-                shard,
-                n_shards,
-                clock.now(),
+            let source = PlannedFaults::new(
+                LiveRate::new(Arc::clone(&run.gen), n_shards, clock.now()),
+                run.arrival_faults.clone(),
+                Rng::new(run.seed).stream(0xFA + shard as u64),
             );
             let ingest = run
                 .pipeline
@@ -494,13 +476,12 @@ impl ServiceEngine {
                     .expect("spawn generator thread"),
             );
         }
-        if !run.faults.is_empty() {
-            let (shared, stall) = (Arc::clone(&run.gen), Arc::clone(&run.stall));
-            let (plan, pool) = (run.faults.clone(), self.pool.clone());
+        if let Some(drive) = run.pipeline.fault_driver() {
+            let shared = Arc::clone(&run.gen);
             handles.push(
                 std::thread::Builder::new()
                     .name("metronomed-faults".into())
-                    .spawn(move || fault_driver(&shared, &stall, &plan, &pool, clock))
+                    .spawn(move || drive(&shared.stop))
                     .expect("spawn fault driver thread"),
             );
         }
@@ -565,14 +546,13 @@ impl ServiceEngine {
             let old = run.arm.take().expect("running scenario always has an arm");
             // Re-arm sequence, ordered so no count is ever lost:
             // 1. swap the generator onto the fresh hub (its next mirrored
-            // drop lands there), 2. let mid-stall workers fall through,
-            // 3. join them — only now is the retired hub quiescent —
-            // 4. fold it, 5. spawn the new set through `Pipeline::arm`
-            // over fresh consumer handles, writing into the hub the
-            // generator already holds.
+            // drop lands there), 2. disarm the old set — mid-stall workers
+            // fall through, then join — only now is the retired hub
+            // quiescent — 3. fold it, 4. spawn the new set through
+            // `Pipeline::arm` over fresh consumer handles, writing into the
+            // hub the generator already holds.
             *run.gen_hub.lock() = Arc::clone(&new_hub);
-            old.halt.store(true, Ordering::Release);
-            let _stats = old.workers.stop();
+            let _stats = run.pipeline.disarm(old.workers);
             fold_hub(&mut run.folded, &old.hub);
             // The trace hub persists across re-arms (markers and recent
             // history survive; the fresh workers take recorders over the
@@ -658,8 +638,7 @@ impl ServiceEngine {
         //    whose hub the generator holds.
         let hub = Arc::clone(&run.gen_hub.lock());
         if let Some(arm) = run.arm.take() {
-            arm.halt.store(true, Ordering::Release);
-            let _stats = arm.workers.stop();
+            let _stats = run.pipeline.disarm(arm.workers);
         }
 
         // 4. Sweep anything still queued (only possible if the grace
@@ -838,7 +817,7 @@ impl ServiceEngine {
                 reply.push("exec", arm.exec.label());
             }
             reply.push("rate_pps", run.gen.rate_pps());
-            reply.push("stalled", run.stall.load(Ordering::Relaxed));
+            reply.push("stalled", run.pipeline.stall_raised());
         }
         reply
     }

@@ -26,13 +26,17 @@ struct TestDaemon {
 
 impl TestDaemon {
     fn start(name: &str) -> TestDaemon {
+        TestDaemon::with_queues(name, 2)
+    }
+
+    fn with_queues(name: &str, n_queues: usize) -> TestDaemon {
         let host = HOST.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
         let socket = std::env::temp_dir().join(format!(
             "metronomed-test-{}-{name}.sock",
             std::process::id()
         ));
         let engine = Arc::new(ServiceEngine::new(DaemonConfig {
-            n_queues: 2,
+            n_queues,
             ring_size: 256,
             ..DaemonConfig::default()
         }));
@@ -787,5 +791,56 @@ fn rearm_into_interrupt_keeps_delivering() {
         drain.get("pool_balanced").and_then(Json::as_bool),
         Some(true)
     );
+    daemon.finish();
+}
+
+#[test]
+fn a_stalled_set_rearms_and_drains_without_waiting_out_the_stall() {
+    let daemon = TestDaemon::with_queues("stall-release", 1);
+    let mut c = daemon.connect();
+    assert_ok(&c.send(concat!(
+        r#"{"cmd":"submit","name":"stalled","rate_pps":20000,"discipline":"metronome","m":2,"seed":12,"#,
+        r#""faults":[{"kind":"queue-stall","at_ms":0,"duration_ms":5000}]}"#
+    )));
+    // The stall is up and the ring has backed up behind the napping
+    // workers: a tail-drop is the proof that nobody retrieves.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let s = c.send(r#"{"cmd":"stats"}"#);
+        assert_ok(&s);
+        let stalled = s.get("stalled").and_then(Json::as_bool) == Some(true);
+        if stalled && s.get("dropped_ring").and_then(Json::as_u64).unwrap_or(0) > 0 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the stall never backed the ring up"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    // Re-arm inside the window: the retiring set falls through its nap
+    // instead of joining 5 s from now; the fresh set naps in its turn.
+    let t0 = Instant::now();
+    let reply = c.send(r#"{"cmd":"reconfigure","m":1}"#);
+    let took = t0.elapsed();
+    assert_ok(&reply);
+    assert!(took < Duration::from_secs(1), "re-arm took {took:?}");
+    assert_eq!(reply.get("m").and_then(Json::as_u64), Some(1));
+    let s = c.send(r#"{"cmd":"stats"}"#);
+    assert_eq!(s.get("stalled").and_then(Json::as_bool), Some(true));
+
+    // Drain inside the window: prompt, every packet accounted, pool whole.
+    let t0 = Instant::now();
+    let drain = c.send(r#"{"cmd":"drain"}"#);
+    let took = t0.elapsed();
+    assert_ok(&drain);
+    assert!(took < Duration::from_secs(1), "drain took {took:?}");
+    assert_eq!(drain.get("conserved").and_then(Json::as_bool), Some(true));
+    assert_eq!(
+        drain.get("pool_balanced").and_then(Json::as_bool),
+        Some(true)
+    );
+    assert_eq!(drain.get("dropped_fault").and_then(Json::as_u64), Some(0));
     daemon.finish();
 }

@@ -47,8 +47,6 @@ pub struct NicProfile {
     /// Packet-processing cap of the silicon, if it binds before the link
     /// (packets per second).
     pub silicon_max_pps: Option<f64>,
-    /// Maximum number of Rx queues the device exposes.
-    pub max_rx_queues: usize,
 }
 
 impl NicProfile {
@@ -57,7 +55,6 @@ impl NicProfile {
         name: "Intel X520 (82599)",
         link_gbps: 10.0,
         silicon_max_pps: None,
-        max_rx_queues: 16,
     };
 
     /// Intel XL710 (i40e): 40 GbE with a 37 Mpps processing cap
@@ -66,7 +63,6 @@ impl NicProfile {
         name: "Intel XL710",
         link_gbps: 40.0,
         silicon_max_pps: Some(37_000_000.0),
-        max_rx_queues: 64,
     };
 
     /// Achievable receive rate at `frame_len`-byte frames: the binding

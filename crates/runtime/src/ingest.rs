@@ -97,8 +97,8 @@ impl IngestShard {
         self
     }
 
-    fn mirror_faults(&mut self, hub: &TelemetryHub, stranded: u64) {
-        let total = self.faults.drops() + stranded;
+    fn mirror_faults(&mut self, hub: &TelemetryHub) {
+        let total = self.faults.drops();
         if total > self.mirrored_fault {
             hub.dropped(0, DropCause::Fault, total - self.mirrored_fault);
             self.mirrored_fault = total;
@@ -113,7 +113,7 @@ impl IngestShard {
     pub fn emit(&mut self, due: &[Nanos], port: &RssPort, hub: &TelemetryHub) {
         // Fault suppressions first and incrementally, so a live sampler
         // sees them as they happen rather than in one end-of-run burst.
-        self.mirror_faults(hub, 0);
+        self.mirror_faults(hub);
         // Lateness of the whole batch against one amortized timestamp: a
         // batch IS one emission instant.
         let now = self.coarse.tick();
@@ -155,13 +155,14 @@ impl IngestShard {
         });
     }
 
-    /// The shard's source is exhausted: sweep up its injector's remaining
-    /// suppressions, plus any packets a queue stall still holds — those
-    /// are stranded upstream of the NIC and will never be offered, so
-    /// they close the conservation identity as fault drops. The cache
-    /// flushes as the shard drops: every buffer is home afterwards.
+    /// The shard's source is exhausted: mirror its injector's last
+    /// suppressions. A realtime injector holds nothing back — its plan is
+    /// a [`metronome_traffic::FaultPlan::arrival_side`], with no stall in
+    /// it — so nothing is stranded upstream. The cache flushes as the
+    /// shard drops: every buffer is home afterwards.
     pub fn finish(mut self, hub: &TelemetryHub) {
-        self.mirror_faults(hub, self.faults.held());
+        debug_assert_eq!(self.faults.held(), 0, "a realtime injector held packets");
+        self.mirror_faults(hub);
     }
 }
 

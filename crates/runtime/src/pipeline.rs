@@ -1,14 +1,16 @@
 //! The realtime pipeline, once: what the scenario runner
 //! ([`crate::realtime_runner`]) and the `metronomed` service both build
 //! ([`Pipeline::new`]), arm ([`Pipeline::arm`]), feed
-//! ([`Pipeline::ingest_shard`]), observe ([`Pipeline::fill_snapshot`])
-//! and drain ([`Pipeline::drain`], then [`Pipeline::sweep`] once the
-//! worker set has stopped).
+//! ([`Pipeline::ingest_shard`]), fault ([`Pipeline::fault_driver`]),
+//! observe ([`Pipeline::fill_snapshot`]) and drain ([`Pipeline::drain`],
+//! [`Pipeline::disarm`], then [`Pipeline::sweep`]).
 //!
 //! A [`Pipeline`] owns one scenario's receive side: the [`RssPort`] over
 //! bounded mbuf rings (on the ring path its producer count needs), the
 //! flow templates the producer shards refill from, one [`QueueApp`] per
-//! queue, the shards' lateness slots and the run's one [`WallClock`]. The
+//! queue, the shards' lateness slots, the run's one [`WallClock`] and the
+//! world side of its fault plan (stalls and starvation; the arrival side
+//! is the producers' source, [`FaultPlan::arrival_side`]). The
 //! [`Mempool`] is the caller's — per run for the runner, for the process
 //! lifetime in the daemon. What differs between the two drivers stays
 //! with them: the runner paces one finite scenario and reports; the
@@ -24,14 +26,15 @@ use metronome_apps::processor::PacketProcessor;
 use metronome_apps::{FloWatcher, IpsecGateway, L3Fwd};
 use metronome_core::discipline::DisciplineSpec;
 use metronome_core::rxqueue::{Consume, Lookahead, RxQueue};
-use metronome_core::{ExecBackend, MetronomeConfig, WorkerSet};
+use metronome_core::{ExecBackend, MetronomeConfig, RealtimeStats, WorkerSet};
 use metronome_dpdk::{Mbuf, Mempool, MempoolCache, RingConsumer, RingPath, RssPort};
 use metronome_net::headers::{build_udp_frame, Mac, MIN_FRAME_NO_FCS};
 use metronome_sim::stats::Histogram;
 use metronome_sim::Nanos;
 use metronome_telemetry::{CounterSnapshot, DropCause, TelemetryHub, TelemetrySink, TraceHub};
-use metronome_traffic::{FlowSet, WallClock};
+use metronome_traffic::{FaultKind, FaultPlan, FlowSet, WallClock};
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -44,6 +47,13 @@ const L3FWD_SUBNETS: usize = 4;
 /// Mbuf dataroom of a pipeline's pool (DPDK's default; far above the
 /// templates' minimal frames).
 pub const MBUF_DATAROOM: usize = 2048;
+
+/// The fault driver's period: a window edge reaches the world within one
+/// tick, whether or not a packet is due.
+const FAULT_TICK: Duration = Duration::from_micros(500);
+
+/// How long a stalled consumer naps between looks at the stall flag.
+const STALL_NAP: Duration = Duration::from_micros(100);
 
 /// The functional processor wired to an app profile name, if one exists
 /// (the realtime counterpart of the cost-only
@@ -130,22 +140,47 @@ fn producer_ring_path(gen_shards: usize, requested: RingPath) -> RingPath {
     }
 }
 
-/// One worker's consumer of an armed pipeline: `before_burst`, then
+/// The world side of a pipeline's fault plan: the stall flag the fault
+/// driver raises over `queue-stall` windows and consumers nap under, and
+/// the disarms that let them through. Both words are `Relaxed`: they
+/// publish no data, and a napping consumer only has to see them change
+/// within a nap or two.
+struct WorldFaults {
+    plan: FaultPlan,
+    stalled: AtomicBool,
+    /// [`Pipeline::disarm`]s in progress. While one runs no consumer naps:
+    /// each driver arms one set at a time, so the consumers it lets
+    /// through are the stopping set's.
+    disarming: AtomicUsize,
+}
+
+impl WorldFaults {
+    fn nap_while_stalled(&self) {
+        while self.stalled.load(Ordering::Relaxed) && self.disarming.load(Ordering::Relaxed) == 0 {
+            std::thread::sleep(STALL_NAP);
+        }
+    }
+}
+
+/// One worker's consumer of an armed pipeline: a nap while the plan's
+/// stall is up (only when the plan schedules one), then
 /// [`complete_burst`] into the queue's app with the worker's own mempool
 /// cache and arrival buffer, keeping the completion read for the backend.
-struct BurstConsumer<F> {
+struct BurstConsumer {
     apps: Arc<Vec<Mutex<QueueApp>>>,
     clock: Arc<OnceLock<WallClock>>,
     latency: bool,
-    before_burst: F,
+    stall: Option<Arc<WorldFaults>>,
     cache: MempoolCache,
     arrivals: Vec<Nanos>,
     completed: Option<Instant>,
 }
 
-impl<F: Fn()> Consume<Mbuf> for BurstConsumer<F> {
+impl Consume<Mbuf> for BurstConsumer {
     fn consume(&mut self, q: usize, frames: &mut Vec<Mbuf>) {
-        (self.before_burst)();
+        if let Some(stall) = &self.stall {
+            stall.nap_while_stalled();
+        }
         let clock = self.clock.get().filter(|_| self.latency);
         self.completed = complete_burst(
             &self.apps[q],
@@ -175,6 +210,8 @@ pub struct Pipeline {
     clock: Arc<OnceLock<WallClock>>,
     /// Stamp and record per-packet latency at completion.
     latency: bool,
+    /// The plan's stalls and starvation (`None` when it schedules neither).
+    world: Option<Arc<WorldFaults>>,
 }
 
 impl Pipeline {
@@ -205,6 +242,7 @@ impl Pipeline {
             lateness: Vec::new(),
             clock: Arc::new(OnceLock::new()),
             latency: true,
+            world: None,
         }
     }
 
@@ -219,6 +257,22 @@ impl Pipeline {
     /// scenario turns it off).
     pub(crate) fn measuring_latency(mut self, on: bool) -> Pipeline {
         self.latency = on;
+        self
+    }
+
+    /// Realize `plan`'s world side — `queue-stall` and `pool-starve`, on
+    /// the run's clock — against this pipeline's workers and pool (see
+    /// [`Pipeline::fault_driver`]). Its arrival side is the producers':
+    /// they wrap their sources in a `PlannedFaults` over
+    /// [`FaultPlan::arrival_side`]. Set before the first [`Pipeline::arm`].
+    pub fn with_faults(mut self, plan: &FaultPlan) -> Pipeline {
+        self.world = (plan.arrival_side().len() < plan.len()).then(|| {
+            Arc::new(WorldFaults {
+                plan: plan.clone(),
+                stalled: AtomicBool::new(false),
+                disarming: AtomicUsize::new(0),
+            })
+        });
         self
     }
 
@@ -270,23 +324,26 @@ impl Pipeline {
     /// `trace`). Each worker owns a burst-sized mempool cache — a
     /// recycled burst is a thread-local stack push, not a freelist lock;
     /// the cache flushes when the worker exits, before `stop` returns —
-    /// and completes every burst through [`complete_burst`] after calling
-    /// `before_burst` (a caller with nothing to do there passes `|| {}`,
-    /// which compiles away). The burst's completion read goes back to the
+    /// and completes every burst through [`complete_burst`]. When the
+    /// plan schedules a `queue-stall`, a worker first naps while the stall
+    /// is up, so the rings back up behind it and tail-drop; without one
+    /// it carries no flag. The burst's completion read goes back to the
     /// worker's backend, which releases the queue on it when the drain
-    /// ends there.
-    pub fn arm<F>(
+    /// ends there. Stop the set with [`Pipeline::disarm`].
+    pub fn arm(
         &self,
         cfg: MetronomeConfig,
         spec: DisciplineSpec,
         exec: ExecBackend,
         hub: &Arc<TelemetryHub>,
         trace: Option<&Arc<TraceHub>>,
-        before_burst: F,
-    ) -> WorkerSet<Mbuf, WorkerRing>
-    where
-        F: Fn() + Clone + Send + 'static,
-    {
+    ) -> WorkerSet<Mbuf, WorkerRing> {
+        let stall = self.world.as_ref().filter(|w| {
+            w.plan
+                .events
+                .iter()
+                .any(|e| e.kind == FaultKind::QueueStall)
+        });
         let burst = cfg.burst as usize;
         let consumers = self.port.consumers().into_iter().map(WorkerRing).collect();
         let mut builder = WorkerSet::builder(cfg, spec, consumers)
@@ -299,7 +356,7 @@ impl Pipeline {
             apps: Arc::clone(&self.apps),
             clock: Arc::clone(&self.clock),
             latency: self.latency,
-            before_burst: before_burst.clone(),
+            stall: stall.cloned(),
             cache: self.pool.cache(burst),
             arrivals: Vec::with_capacity(burst),
             completed: None,
@@ -307,6 +364,59 @@ impl Pipeline {
         // No packet can complete before this: production starts later.
         self.clock();
         workers
+    }
+
+    /// Stop `set`, armed on this pipeline, and collect its final
+    /// statistics. Its workers are let through a stall nap first, so a
+    /// stopping set never waits out a stall window (a set armed after it
+    /// naps again while the stall lasts).
+    pub fn disarm(&self, set: WorkerSet<Mbuf, WorkerRing>) -> RealtimeStats {
+        let Some(world) = &self.world else {
+            return set.stop();
+        };
+        world.disarming.fetch_add(1, Ordering::Relaxed);
+        let stats = set.stop();
+        world.disarming.fetch_sub(1, Ordering::Relaxed);
+        stats
+    }
+
+    /// The world side of the plan in motion, for a thread of the caller's
+    /// to run for the life of its producers (`None` when the plan
+    /// schedules no stall or starvation). Every 500 µs tick of the run's
+    /// clock, whether or not a packet is due, it raises the stall
+    /// flag over `queue-stall` windows and holds `pool-starve`'s fraction
+    /// of the pool, confiscated straight from the shared freelist
+    /// (bypassing caches, so the count is exact). Once `stop` goes up it
+    /// lowers the flag and frees what it holds, so the drain finds the
+    /// workers running and the audit the pool whole.
+    pub fn fault_driver(&self) -> Option<impl FnOnce(&AtomicBool) + Send + 'static> {
+        let world = Arc::clone(self.world.as_ref()?);
+        let (pool, clock) = (self.pool.clone(), self.clock());
+        Some(move |stop: &AtomicBool| {
+            let mut confiscated: Vec<Mbuf> = Vec::new();
+            while !stop.load(Ordering::Acquire) {
+                let now = clock.now();
+                world
+                    .stalled
+                    .store(world.plan.stalled(now), Ordering::Relaxed);
+                let want = (world.plan.starve_fraction(now) * pool.population() as f64) as usize;
+                if want > confiscated.len() {
+                    let _ = pool.alloc_burst(want - confiscated.len(), &mut confiscated);
+                } else {
+                    pool.free_burst(confiscated.drain(want..));
+                }
+                std::thread::sleep(FAULT_TICK);
+            }
+            world.stalled.store(false, Ordering::Relaxed);
+            pool.free_burst(confiscated);
+        })
+    }
+
+    /// Whether the plan's stall is up right now.
+    pub fn stall_raised(&self) -> bool {
+        self.world
+            .as_ref()
+            .is_some_and(|w| w.stalled.load(Ordering::Relaxed))
     }
 
     /// Fill `snap` with everything the pipeline knows, on top of the

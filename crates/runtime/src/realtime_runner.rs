@@ -31,7 +31,7 @@
 //!   per-queue accounting, and the dropped frames' buffers recycle
 //!   straight back to the pool.
 //! * **Retrieval** — every [`SystemKind`] maps onto a
-//!   `metronome_core::discipline` worker set ([`WorkerSet`] spawns it on
+//!   `metronome_core::discipline` worker set ([`Pipeline::arm`] spawns it on
 //!   the scenario's [`metronome_core::ExecBackend`] — one OS thread per
 //!   worker, or cooperative tasks on a sharded async executor):
 //!   Metronome threads race trylocks and sleep adaptive timeouts
@@ -69,7 +69,7 @@ use crate::report::{QueueReport, RunReport};
 use crate::scenario::{Scenario, SystemKind};
 use metronome_apps::processor::PacketProcessor;
 use metronome_core::discipline::DisciplineSpec;
-use metronome_core::{AdaptiveController, MetronomeConfig, WorkerSet};
+use metronome_core::{AdaptiveController, MetronomeConfig};
 use metronome_dpdk::Mempool;
 use metronome_sim::Nanos;
 use metronome_sim::Rng;
@@ -243,6 +243,9 @@ pub fn try_run_realtime_with(
         make_app,
     )
     .measuring_latency(sc.latency_stride > 0);
+    if let Some(plan) = &sc.faults {
+        pipeline = pipeline.with_faults(plan);
+    }
 
     // ---- telemetry: counters always on, sampling on request --------------
     // Workers bump the hub's relaxed atomics at protocol grain; the
@@ -266,7 +269,7 @@ pub fn try_run_realtime_with(
 
     // ---- workers: the scenario's retrieval discipline on real threads ----
     let metronome = dispatch.map(|(cfg, spec)| {
-        let workers = pipeline.arm(cfg, spec, sc.exec, &hub, trace_hub.as_ref(), || {});
+        let workers = pipeline.arm(cfg, spec, sc.exec, &hub, trace_hub.as_ref());
         // Interrupt-driven workers park on per-queue doorbells; arm the
         // RSS port's producer-side hook so every accepted burst rings the
         // queue's bell (the "raise the IRQ" edge). The hook is installed
@@ -289,10 +292,11 @@ pub fn try_run_realtime_with(
     // and latency/jitter measurements reference the same zero. Flow `i`
     // belongs to shard `i mod G` (the same partitioning argument RSS
     // itself makes on the receive side). Under a fault plan each shard's
-    // source passes through its own seeded injector (independent
-    // sub-streams of the master seed; spikes duplicate, stalls hold,
-    // starvation and jitter suppress), whose suppressions the shard
-    // mirrors into the hub as `DropCause::Fault`.
+    // source passes through its own seeded injector over the plan's
+    // arrival side (independent sub-streams of the master seed; spikes
+    // duplicate, dips and jitter suppress), whose suppressions the shard
+    // mirrors into the hub as `DropCause::Fault`; stalls and starvation
+    // are the pipeline's fault driver's, below.
     let clock = pipeline.clock();
     let shards: Vec<(PacedArrivals, IngestShard)> = sc
         .traffic
@@ -304,7 +308,7 @@ pub fn try_run_realtime_with(
             if let Some(plan) = &sc.faults {
                 let pf = PlannedFaults::new(
                     source,
-                    plan.clone(),
+                    plan.arrival_side(),
                     Rng::new(sc.seed).stream(0xFA + s as u64),
                 );
                 shard = shard.mirroring(pf.stats());
@@ -364,7 +368,17 @@ pub fn try_run_realtime_with(
     // runs every shard on its own scoped producer thread, all offering
     // concurrently onto the multi-producer ring path. The shard caches
     // flush as the shards drop, before the scoped join — the post-run
-    // pool audit sees everything home.
+    // pool audit sees everything home. The pipeline's fault driver, when
+    // the plan has a world side, runs beside the producers and stops with
+    // them, handing back the stall and its confiscated buffers.
+    let faults_stop = Arc::new(AtomicBool::new(false));
+    let fault_driver = pipeline.fault_driver().map(|drive| {
+        let stop = Arc::clone(&faults_stop);
+        std::thread::Builder::new()
+            .name("metronome-faults".into())
+            .spawn(move || drive(&stop))
+            .expect("spawn fault driver")
+    });
     let produce = |(mut paced, mut shard): (PacedArrivals, IngestShard)| {
         while let Some(batch) = paced.next_batch() {
             shard.emit(batch, pipeline.port(), &hub);
@@ -382,6 +396,10 @@ pub fn try_run_realtime_with(
                     .expect("spawn generator shard");
             }
         });
+    }
+    faults_stop.store(true, Ordering::Release);
+    if let Some(driver) = fault_driver {
+        driver.join().expect("fault driver panicked");
     }
 
     // ---- run out the horizon ----------------------------------------------
@@ -405,7 +423,9 @@ pub fn try_run_realtime_with(
     if metronome.is_some() {
         pipeline.drain(DRAIN_GRACE);
     }
-    let stats = metronome.map(WorkerSet::stop).unwrap_or_default();
+    let stats = metronome
+        .map(|workers| pipeline.disarm(workers))
+        .unwrap_or_default();
     // Busy time accrues from worker start to join — including the drain
     // tail past the traffic horizon — so CPU% must be normalized by the
     // same span, not by the scenario duration.

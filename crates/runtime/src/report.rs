@@ -72,8 +72,8 @@ pub struct RunReport {
     /// free descriptor but no buffer to DMA into. Always 0 on the
     /// simulation backend, which does not model the pool.
     pub dropped_pool: u64,
-    /// Of `dropped`, packets suppressed by injected faults (`FaultPlan` /
-    /// `FaultyArrivals`) before they reached the rings. Always 0 when the
+    /// Of `dropped`, packets a `FaultPlan`'s `PlannedFaults` injector
+    /// suppressed before they reached the rings. Always 0 when the
     /// scenario injects no faults.
     pub dropped_fault: u64,
     /// Mempool counters of the realtime backend's shared buffer pool

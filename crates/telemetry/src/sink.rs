@@ -36,7 +36,7 @@ pub enum DropCause {
     /// Mempool exhaustion: a descriptor was free but no buffer was.
     Pool,
     /// Injected by the fault layer (`traffic::faults`): packets a
-    /// `FaultPlan` or `FaultyArrivals` wrapper suppressed before they
+    /// `FaultPlan`'s `PlannedFaults` injector suppressed before they
     /// reached the ring. Counted separately so fault runs reconcile
     /// exactly against the offered load.
     Fault,

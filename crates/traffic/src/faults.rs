@@ -1,19 +1,19 @@
 //! Fault injection for arrival processes and soak runs.
 //!
-//! Two layers:
+//! A [`FaultPlan`] is a schedule of typed, seeded fault events for
+//! soak/chaos runs — rate spikes, queue stalls (consumer pause), pool
+//! starvation and generator jitter bursts — each a [`FaultEvent`] active
+//! over a `[at, at + duration)` window. The plan itself is pure
+//! bookkeeping (time-indexed queries), realized two ways:
 //!
-//! * [`FaultyArrivals`] — the original always-on wrapper: independent
-//!   per-packet drop probability plus uniform jitter, used by the
-//!   robustness tests to confirm the estimator degrades gracefully when
-//!   the offered stream itself is imperfect.
-//! * [`FaultPlan`] — typed, seeded, *schedulable* fault events for
-//!   soak/chaos runs: rate spikes, queue stalls (consumer pause), pool
-//!   starvation, and generator jitter bursts, each a [`FaultEvent`]
-//!   active over a `[at, at + duration)` window. The plan itself is pure
-//!   bookkeeping (time-indexed queries), so both backends can realize it:
-//!   the simulator wraps each queue's arrivals in [`PlannedFaults`], the
-//!   realtime daemon polls the same queries from its generator and fault
-//!   driver threads.
+//! * the simulator wraps each queue's arrivals in [`PlannedFaults`] over
+//!   the whole plan: its world is analytic, so stalls and starvation act
+//!   on the arrival stream there;
+//! * the realtime pipeline (the scenario runner and `metronomed` alike)
+//!   wraps each producer shard's source in [`PlannedFaults`] over
+//!   [`FaultPlan::arrival_side`] — spikes and jitter — and realizes
+//!   stalls and starvation against its own workers and pool
+//!   (`runtime::pipeline`).
 //!
 //! Every packet a fault suppresses is counted through a shared
 //! [`InjectionStats`] handle, so runs under fault injection still
@@ -38,13 +38,16 @@ pub enum FaultKind {
         factor: f64,
     },
     /// Pause the consumer side: arrivals keep coming but nothing is
-    /// retrieved until the window ends (rings fill, then tail-drop). On
-    /// the arrival-side realization the queued packets are released in a
-    /// burst when the stall lifts — the upstream-buffering model.
+    /// retrieved until the window ends. On the realtime pipeline the
+    /// workers nap before their next burst, so the rings fill and
+    /// tail-drop (ring drops) and what waited in them completes late; the
+    /// sim holds the arrivals upstream instead and releases them in a
+    /// burst when the stall lifts.
     QueueStall,
-    /// Starve the mempool: `fraction` of buffers are confiscated for the
-    /// window (realtime), or equivalently each arrival is refused
-    /// admission with probability `fraction` (sim).
+    /// Starve the mempool: on the realtime pipeline `fraction` of the
+    /// pool's buffers are confiscated for the window, so arrivals find no
+    /// buffer (pool drops); the sim refuses each arrival admission with
+    /// probability `fraction` (fault drops).
     PoolStarve {
         /// Fraction of capacity taken away, clamped to `[0, 1]`.
         fraction: f64,
@@ -134,6 +137,25 @@ impl FaultPlan {
     /// Number of scheduled events.
     pub fn len(&self) -> usize {
         self.events.len()
+    }
+
+    /// The spike and jitter events alone: what a realtime source realizes
+    /// through [`PlannedFaults`] while the pipeline realizes the stalls
+    /// and starvation against its workers and pool.
+    pub fn arrival_side(&self) -> FaultPlan {
+        FaultPlan {
+            events: self
+                .events
+                .iter()
+                .filter(|e| {
+                    matches!(
+                        e.kind,
+                        FaultKind::RateSpike { .. } | FaultKind::JitterBurst { .. }
+                    )
+                })
+                .copied()
+                .collect(),
+        }
     }
 
     /// Number of distinct fault kinds scheduled (labels, not parameters).
@@ -278,8 +300,9 @@ impl InjectionStats {
     }
 
     /// Packets currently held by an active stall window (gauge). Packets
-    /// still held when a run ends are stranded upstream; the runner folds
-    /// them into the fault-drop count so conservation stays exact.
+    /// still held when a run ends are stranded upstream; the sim folds
+    /// them into the fault-drop count so conservation stays exact. (Only
+    /// a whole plan's stall holds: an arrival-side plan holds nothing.)
     pub fn held(&self) -> u64 {
         self.inner.held.load(Ordering::Relaxed)
     }
@@ -307,8 +330,9 @@ impl InjectionStats {
     }
 }
 
-/// An [`ArrivalProcess`] under a [`FaultPlan`]: the simulator-side
-/// realization of every fault kind.
+/// An [`ArrivalProcess`] under a [`FaultPlan`], every kind realized on
+/// the arrival stream: the simulator's realization of a whole plan, and a
+/// realtime source's of its [`FaultPlan::arrival_side`].
 ///
 /// * `RateSpike` duplicates arrivals by the active factor (fractional
 ///   parts resolved per-packet by coin flip), a dip (`factor < 1`) thins
@@ -348,11 +372,6 @@ impl<A: ArrivalProcess> PlannedFaults<A> {
     /// The shared stats handle (clone it out before boxing the process).
     pub fn stats(&self) -> InjectionStats {
         self.stats.clone()
-    }
-
-    /// The plan this wrapper realizes.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// Decide how many copies of an arrival at `t` to offer (0 = thinned
@@ -453,151 +472,10 @@ impl<A: ArrivalProcess> ArrivalProcess for PlannedFaults<A> {
     }
 }
 
-/// An arrival process with independent per-packet drop probability and
-/// uniform ± jitter on each arrival instant.
-pub struct FaultyArrivals<A> {
-    inner: A,
-    drop_prob: f64,
-    jitter: Nanos,
-    rng: Rng,
-    buf: Vec<Nanos>,
-    stats: InjectionStats,
-    /// Packets suppressed by the injector so far.
-    pub injected_drops: u64,
-}
-
-impl<A: ArrivalProcess> FaultyArrivals<A> {
-    /// Wrap `inner`, dropping each packet with probability `drop_prob` and
-    /// shifting each surviving arrival by up to ± `jitter` (clamped so the
-    /// stream stays ordered within a drain window).
-    pub fn new(inner: A, drop_prob: f64, jitter: Nanos, rng: Rng) -> Self {
-        assert!((0.0..=1.0).contains(&drop_prob));
-        FaultyArrivals {
-            inner,
-            drop_prob,
-            jitter,
-            rng,
-            buf: Vec::new(),
-            stats: InjectionStats::new(),
-            injected_drops: 0,
-        }
-    }
-
-    /// Shared drop counter, readable while (and after) the process is
-    /// boxed inside a runner — the hook that makes injected drops visible
-    /// to telemetry as `DropCause::Fault`.
-    pub fn stats(&self) -> InjectionStats {
-        self.stats.clone()
-    }
-}
-
-impl<A: ArrivalProcess> ArrivalProcess for FaultyArrivals<A> {
-    fn drain(&mut self, until: Nanos, timestamps: Option<&mut Vec<Nanos>>) -> u64 {
-        // Jitter must not move arrivals past `until` (they would be lost to
-        // this drain); pull the raw timestamps and filter/perturb.
-        self.buf.clear();
-        let raw = self.inner.drain(until, Some(&mut self.buf));
-        let mut kept = 0;
-        if let Some(out) = timestamps {
-            for &t in &self.buf {
-                if self.drop_prob > 0.0 && self.rng.chance(self.drop_prob) {
-                    self.injected_drops += 1;
-                    self.stats.add_drops(1);
-                    continue;
-                }
-                kept += 1;
-                let jit = if self.jitter.is_zero() {
-                    Nanos::ZERO
-                } else {
-                    Nanos(self.rng.below(self.jitter.as_nanos().max(1)))
-                };
-                // Shift backward only (stay ≤ until and keep order cheaply).
-                out.push(t.saturating_sub(jit));
-            }
-        } else {
-            for _ in 0..raw {
-                if self.drop_prob > 0.0 && self.rng.chance(self.drop_prob) {
-                    self.injected_drops += 1;
-                    self.stats.add_drops(1);
-                } else {
-                    kept += 1;
-                }
-            }
-        }
-        kept
-    }
-
-    fn peek_next(&mut self) -> Option<Nanos> {
-        self.inner.peek_next()
-    }
-
-    fn rate_pps(&self, t: Nanos) -> f64 {
-        self.inner.rate_pps(t) * (1.0 - self.drop_prob)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::arrival::Cbr;
-
-    #[test]
-    fn zero_faults_is_transparent() {
-        let mut clean = Cbr::new(1e6, Nanos::ZERO);
-        let mut faulty =
-            FaultyArrivals::new(Cbr::new(1e6, Nanos::ZERO), 0.0, Nanos::ZERO, Rng::new(1));
-        let t = Nanos::from_millis(3);
-        assert_eq!(clean.drain(t, None), faulty.drain(t, None));
-        assert_eq!(faulty.injected_drops, 0);
-    }
-
-    #[test]
-    fn drop_probability_thins_the_stream() {
-        let mut faulty =
-            FaultyArrivals::new(Cbr::new(1e6, Nanos::ZERO), 0.25, Nanos::ZERO, Rng::new(2));
-        let stats = faulty.stats();
-        let n = faulty.drain(Nanos::from_millis(100), None);
-        // 100k offered, 25% dropped: expect ≈75k.
-        assert!((n as f64 - 75_000.0).abs() < 1_500.0, "{n}");
-        assert!((faulty.injected_drops as f64 - 25_000.0).abs() < 1_500.0);
-        // The shared handle sees the same count (telemetry visibility).
-        assert_eq!(stats.drops(), faulty.injected_drops);
-    }
-
-    #[test]
-    fn effective_rate_reflects_drops() {
-        let faulty = FaultyArrivals::new(Cbr::new(2e6, Nanos::ZERO), 0.5, Nanos::ZERO, Rng::new(3));
-        assert!((faulty.rate_pps(Nanos::from_secs(1)) - 1e6).abs() < 1.0);
-    }
-
-    #[test]
-    fn jitter_keeps_timestamps_in_window() {
-        let mut faulty = FaultyArrivals::new(
-            Cbr::new(1e6, Nanos::ZERO),
-            0.0,
-            Nanos::from_micros(3),
-            Rng::new(4),
-        );
-        let until = Nanos::from_micros(500);
-        let mut ts = Vec::new();
-        faulty.drain(until, Some(&mut ts));
-        assert!(!ts.is_empty());
-        assert!(ts.iter().all(|&t| t <= until));
-    }
-
-    #[test]
-    fn counts_match_with_and_without_timestamps() {
-        // The kept-count must be deterministic per seed regardless of
-        // whether the caller asked for timestamps.
-        let mut a = FaultyArrivals::new(Cbr::new(1e6, Nanos::ZERO), 0.3, Nanos::ZERO, Rng::new(5));
-        let mut b = FaultyArrivals::new(Cbr::new(1e6, Nanos::ZERO), 0.3, Nanos::ZERO, Rng::new(5));
-        let t = Nanos::from_millis(5);
-        let mut ts = Vec::new();
-        let na = a.drain(t, Some(&mut ts));
-        let nb = b.drain(t, None);
-        assert_eq!(na, nb);
-        assert_eq!(na as usize, ts.len());
-    }
 
     // ---- FaultPlan ---------------------------------------------------
 
@@ -634,6 +512,36 @@ mod tests {
         assert_eq!(plan.jitter_at(ms(90)), None);
         assert_eq!(plan.distinct_kinds(), 4);
         assert_eq!(plan.horizon(), ms(85));
+    }
+
+    #[test]
+    fn arrival_side_keeps_exactly_the_spikes_and_jitter() {
+        let plan = FaultPlan::seeded(3, Nanos::from_secs(1), 8);
+        assert_eq!(plan.distinct_kinds(), 4);
+        let arrivals = plan.arrival_side();
+        let kept: Vec<FaultEvent> = plan
+            .events
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e.kind,
+                    FaultKind::RateSpike { .. } | FaultKind::JitterBurst { .. }
+                )
+            })
+            .copied()
+            .collect();
+        assert_eq!(arrivals.events, kept);
+        assert_eq!(arrivals.len(), 4);
+        assert_eq!(arrivals.distinct_kinds(), 2);
+        // Nothing of the world side is left to query.
+        for e in &plan.events {
+            assert!(!arrivals.stalled(e.at));
+            assert_eq!(arrivals.starve_fraction(e.at), 0.0);
+        }
+        assert!(FaultPlan::new()
+            .with(Nanos::ZERO, Nanos(1), FaultKind::QueueStall)
+            .arrival_side()
+            .is_empty());
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod flows;
 pub mod pacing;
 
 pub use arrival::{ArrivalProcess, BurstyCbr, Cbr, OnOff, Poisson, Silent, Staircase};
-pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultyArrivals, InjectionStats, PlannedFaults};
+pub use faults::{FaultEvent, FaultKind, FaultPlan, InjectionStats, PlannedFaults};
 pub use flows::{FlowSet, UnbalancedTrace};
 pub use metronome_dpdk::nic::{gbps_to_pps, line_rate_pps, pps_to_gbps, LINE_RATE_10G_64B_PPS};
 pub use pacing::{PacedArrivals, WallClock};

@@ -75,11 +75,6 @@ impl FloWatcher {
         self.flows.get(tuple)
     }
 
-    /// Iterate all tracked flows.
-    pub fn iter_flows(&self) -> impl Iterator<Item = (&metronome_net::FiveTuple, &FlowStats)> {
-        self.flows.iter()
-    }
-
     /// Mean packet size seen so far.
     pub fn mean_packet_size(&self) -> f64 {
         if self.packets == 0 {

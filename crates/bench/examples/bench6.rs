@@ -2,16 +2,15 @@
 //!
 //! Runs the [`metronome_bench::hotpath`] harnesses — mempool transaction
 //! scaling at 1/2/4/8/16 workers (locked vs cached) and `SharedRing`
-//! producer/consumer pairs per path — and writes the measurements as JSON
-//! to the path given as the first argument (default `BENCH_6.json` in the
-//! working directory).
+//! throughput at one and two producers into one consumer — and writes
+//! the measurements as JSON to the path given as the first argument
+//! (default `BENCH_6.json` in the working directory).
 //!
 //! ```text
 //! cargo run --release -p metronome-bench --example bench6 [-- out.json]
 //! ```
 
 use metronome_bench::hotpath;
-use metronome_dpdk::RingPath;
 
 const WORKER_COUNTS: [usize; 5] = [1, 2, 4, 8, 16];
 const POOL_TXNS: u64 = 1_000_000;
@@ -55,21 +54,20 @@ fn main() {
         0.0
     };
 
-    eprintln!("measuring ring_path pairs ({PAIR_ITEMS} frames each)...");
+    eprintln!("measuring ring producers ({PAIR_ITEMS} frames each)...");
     let mut ring_rows = Vec::new();
-    for path in [RingPath::Spsc, RingPath::Mpsc] {
-        let mpps = hotpath::median_of(RUNS, || hotpath::ring_pair_mpps(path, PAIR_ITEMS));
-        eprintln!("  {:<8} {mpps:.2} Mpps", path.label());
+    for producers in [1, 2] {
+        let mpps = hotpath::median_of(RUNS, || hotpath::ring_pair_mpps(producers, PAIR_ITEMS));
+        eprintln!("  {producers} producer(s): {mpps:.2} Mpps");
         ring_rows.push(format!(
-            "    {{\"path\": \"{}\", \"pair_mpps\": {mpps:.3}}}",
-            path.label()
+            "    {{\"producers\": {producers}, \"pair_mpps\": {mpps:.3}}}"
         ));
     }
 
     let json = format!(
         "{{\n\
          \x20 \"bench\": \"BENCH_6\",\n\
-         \x20 \"title\": \"Lock-free hot path: per-worker mempool caches and SPSC/MPSC ring fast paths\",\n\
+         \x20 \"title\": \"Lock-free hot path: per-worker mempool caches and the one Rx ring at one and two producers\",\n\
          \x20 \"command\": \"cargo run --release -p metronome-bench --example bench6\",\n\
          \x20 \"host\": {{\"nproc\": {nproc}}},\n\
          \x20 \"note\": \"{note}\",\n\
@@ -79,15 +77,15 @@ fn main() {
          \x20   \"points\": [\n{pool_rows}\n    ],\n\
          \x20   \"cached_per_op_degradation_1_to_8_pct\": {degradation_pct:.1}\n\
          \x20 }},\n\
-         \x20 \"ring_path\": {{\n\
-         \x20   \"unit\": \"Mpps through one producer/consumer thread pair\",\n\
+         \x20 \"ring_producers\": {{\n\
+         \x20   \"unit\": \"Mpps through one consumer thread fed by the given producer threads\",\n\
          \x20   \"capacity\": 1024,\n\
          \x20   \"points\": [\n{ring_rows}\n    ]\n\
          \x20 }}\n\
          }}\n",
-        note = "single-core host: workers time-slice, so cross-core contention does not \
-                appear; the comparable numbers are per-op constants and per-op flatness \
-                as workers are added",
+        note = "threads beyond host.nproc time-slice, so cross-core contention appears \
+                only partly; the comparable numbers are per-op constants, per-op flatness \
+                as workers are added, and ring throughput as producers are added",
         burst = hotpath::BURST,
         pool_rows = pool_rows.join(",\n"),
         ring_rows = ring_rows.join(",\n"),

@@ -1,7 +1,7 @@
 //! Multi-worker hot-path measurement harness behind the lock-free
 //! refactor: alloc/free-burst transactions at worker counts (locked
-//! freelist vs per-worker caches) and SPSC vs MPSC ring producer/consumer
-//! pairs.
+//! freelist vs per-worker caches) and one ring's throughput at one and
+//! at several producers.
 //!
 //! These are wall-clock duration harnesses (fixed total work, measured
 //! elapsed), not Criterion timers: the contention effects under study only
@@ -19,7 +19,7 @@
 //! (lock + shared-freelist traffic vs thread-local stack moves) and
 //! whether the cached path's per-op cost stays flat as workers are added.
 
-use metronome_dpdk::{Mbuf, Mempool, RingPath, SharedRing};
+use metronome_dpdk::{Mbuf, Mempool, SharedRing};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
@@ -87,42 +87,48 @@ pub fn pool_txn_per_op_ns(workers: usize, cached: bool, total_txns: u64) -> f64 
     elapsed.as_secs_f64() * 1e9 / ops as f64
 }
 
-/// Mpps through one producer/consumer thread pair over a [`SharedRing`]
-/// on the given path, until the consumer has drained `target_items`.
+/// Mpps through `producers` producer threads and one consumer thread
+/// over a [`SharedRing`], until the consumer has drained `target_items`.
+/// Several producers take turns at the ring's producer guard, a burst
+/// each — the sharded-ingest shape.
 ///
-/// The producer allocates blank mbufs from a per-thread pool cache and
+/// Each producer allocates blank mbufs from a per-thread pool cache and
 /// offers bursts; rejected frames recycle through the cache, exactly like
 /// the realtime runner's generator. The consumer drains bursts and frees
 /// them through its own cache.
-pub fn ring_pair_mpps(path: RingPath, target_items: u64) -> f64 {
-    let ring = Arc::new(SharedRing::with_path(1024, path));
+pub fn ring_pair_mpps(producers: usize, target_items: u64) -> f64 {
+    assert!(producers > 0, "need at least one producer");
+    let ring = Arc::new(SharedRing::new(1024));
     let pool = Mempool::new(4096, 64);
     let stop = Arc::new(AtomicBool::new(false));
-    let barrier = Arc::new(Barrier::new(3));
+    let barrier = Arc::new(Barrier::new(producers + 2));
     let consumer = ring.consumer();
 
-    let producer = {
-        let ring = Arc::clone(&ring);
-        let pool = pool.clone();
-        let stop = Arc::clone(&stop);
-        let barrier = Arc::clone(&barrier);
-        std::thread::spawn(move || {
-            let mut cache = pool.cache(BURST);
-            let mut frames: Vec<Mbuf> = Vec::with_capacity(BURST);
-            barrier.wait();
-            while !stop.load(Ordering::Relaxed) {
-                cache.alloc_burst(BURST, &mut frames);
-                let accepted = ring.offer_burst(&mut frames);
-                // Tail-dropped frames stay in `frames`; recycle them.
-                cache.free_burst(frames.drain(..));
-                if accepted == 0 {
-                    // Ring full. On a single-core host spinning here burns
-                    // the whole timeslice the consumer needs; hand it over.
-                    std::thread::yield_now();
+    let senders: Vec<_> = (0..producers)
+        .map(|_| {
+            let ring = Arc::clone(&ring);
+            let pool = pool.clone();
+            let stop = Arc::clone(&stop);
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                let mut cache = pool.cache(BURST);
+                let mut frames: Vec<Mbuf> = Vec::with_capacity(BURST);
+                barrier.wait();
+                while !stop.load(Ordering::Relaxed) {
+                    cache.alloc_burst(BURST, &mut frames);
+                    let accepted = ring.offer_burst(&mut frames);
+                    // Tail-dropped frames stay in `frames`; recycle them.
+                    cache.free_burst(frames.drain(..));
+                    if accepted == 0 {
+                        // Ring full. On a single-core host spinning here
+                        // burns the whole timeslice the consumer needs;
+                        // hand it over.
+                        std::thread::yield_now();
+                    }
                 }
-            }
+            })
         })
-    };
+        .collect();
     let drainer = {
         let pool = pool.clone();
         let stop = Arc::clone(&stop);
@@ -137,7 +143,7 @@ pub fn ring_pair_mpps(path: RingPath, target_items: u64) -> f64 {
                 got += n as u64;
                 cache.free_burst(out.drain(..));
                 if n == 0 {
-                    // Ring empty: yield to the producer (see above).
+                    // Ring empty: yield to the producers (see above).
                     std::thread::yield_now();
                 }
             }
@@ -148,7 +154,9 @@ pub fn ring_pair_mpps(path: RingPath, target_items: u64) -> f64 {
     let t0 = Instant::now();
     drainer.join().expect("ring bench consumer panicked");
     let elapsed = t0.elapsed();
-    producer.join().expect("ring bench producer panicked");
+    for sender in senders {
+        sender.join().expect("ring bench producer panicked");
+    }
     // Return anything still queued so the pool audit below holds.
     let leftover = ring.consumer();
     let mut out = Vec::with_capacity(BURST);
@@ -171,9 +179,9 @@ mod tests {
     }
 
     #[test]
-    fn ring_harness_moves_items_on_every_path() {
-        for path in [RingPath::Spsc, RingPath::Mpsc] {
-            assert!(ring_pair_mpps(path, 50_000) > 0.0, "{path:?}");
+    fn ring_harness_moves_items_at_one_and_two_producers() {
+        for producers in [1, 2] {
+            assert!(ring_pair_mpps(producers, 50_000) > 0.0, "{producers}");
         }
     }
 }

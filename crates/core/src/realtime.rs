@@ -12,7 +12,7 @@
 //! | engine capability | simulation realization | real-thread realization |
 //! |---|---|---|
 //! | race primitive    | owner slot on the sim queue | CMPXCHG [`TryLock`] |
-//! | receive burst     | counting descriptor ring    | any [`RxQueue`] (the pipeline's lock-free SPSC/MPSC ring consumer; an `ArrayQueue` in tests) drained batched into a reusable scratch buffer, one app call per burst |
+//! | receive burst     | counting descriptor ring    | any [`RxQueue`] (the pipeline's lock-free ring consumer; an `ArrayQueue` in tests) drained batched into a reusable scratch buffer, one app call per burst |
 //! | sleep service     | calibrated `hr_sleep` model | [`PreciseSleeper`]  |
 //! | entropy           | seeded xoshiro stream       | SplitMix64 counter  |
 //! | clock             | virtual `Nanos`             | the driver's [`CoarseClock`]: one OS read in an empty wake's busy span, the release stamp that closes it; in a wake that drains bursts, one per burst, the last of which is also the release stamp |

@@ -13,7 +13,7 @@
 //! | `cmd`         | fields                                                        | effect |
 //! |---------------|---------------------------------------------------------------|--------|
 //! | `ping`        | —                                                             | liveness probe; replies with the engine state |
-//! | `submit`      | `name`, `rate_pps`, `discipline`, `m?`, `seed?`, `faults?`, `exec?`, `shards?`, `ring_path?`, `trace?`, `gen_shards?` | start a scenario on the persistent pipeline |
+//! | `submit`      | `name`, `rate_pps`, `discipline`, `m?`, `seed?`, `faults?`, `exec?`, `shards?`, `trace?`, `gen_shards?` | start a scenario on the persistent pipeline |
 //! | `reconfigure` | any of `rate_pps`, `discipline`, `m`, `exec` (+ `shards`), `gen_shards` | live-adjust the running scenario (no restart) |
 //! | `stats`       | —                                                             | cumulative counters (monotone across reconfigures) |
 //! | `trace`       | `path?`                                                       | dump the flight recorder: summary inline, Chrome trace JSON inline or to `path` |
@@ -22,11 +22,9 @@
 //!
 //! `exec` selects the worker backend: `"threads"` (one OS thread per
 //! worker, the default) or `"async"` (cooperative tasks on `shards`
-//! executor threads, default 1). `ring_path` selects the Rx ring
-//! transport, one of two values (`"spsc"` default, `"mpsc"`), and is
-//! **submit-only**: the port persists across re-arms, so a
-//! `reconfigure` naming `ring_path` is a typed error — drain and submit
-//! a new scenario instead.
+//! executor threads, default 1). `gen_shards` is the producer shard
+//! count, on submit or live: the shards take turns at each Rx ring's
+//! producer guard, so any count feeds the same port.
 //!
 //! `trace` (the submit field) arms the flight recorder: per-worker
 //! event rings plus wake-latency/oversleep/scheduler-delay histograms.
@@ -50,7 +48,6 @@
 
 use metronome_core::discipline::{DisciplineSpec, ModerationConfig};
 use metronome_core::ExecBackend;
-use metronome_dpdk::shared_ring::RingPath;
 use metronome_sim::Nanos;
 use metronome_telemetry::Json;
 use metronome_traffic::{FaultKind, FaultPlan};
@@ -77,8 +74,6 @@ pub struct SubmitSpec {
     /// Worker execution backend (OS threads or the sharded async
     /// executor).
     pub exec: ExecBackend,
-    /// Rx ring synchronization path for the scenario's port.
-    pub ring_path: RingPath,
     /// Arm the flight recorder (per-worker trace rings + latency
     /// histograms). Defaults to true; `"trace": false` opts out.
     pub trace: bool,
@@ -98,8 +93,7 @@ pub struct ReconfigureSpec {
     pub discipline: Option<DisciplineSpec>,
     /// New Metronome thread count `M` (re-arms the worker set).
     pub m_threads: Option<usize>,
-    /// New execution backend (re-arms the worker set). `ring_path` has
-    /// no such field on purpose: the port outlives re-arms.
+    /// New execution backend (re-arms the worker set).
     pub exec: Option<ExecBackend>,
     /// New producer shard count (re-arms the generator set).
     pub gen_shards: Option<usize>,
@@ -256,20 +250,6 @@ fn parse_gen_shards(doc: &Json) -> Result<Option<usize>, String> {
     }
 }
 
-fn parse_ring_path(doc: &Json) -> Result<Option<RingPath>, String> {
-    match doc.get("ring_path").and_then(Json::as_str) {
-        None => match doc.get("ring_path") {
-            None => Ok(None),
-            Some(_) => Err("\"ring_path\" must be a string".into()),
-        },
-        Some("spsc") => Ok(Some(RingPath::Spsc)),
-        Some("mpsc") => Ok(Some(RingPath::Mpsc)),
-        Some(other) => Err(format!(
-            "unknown ring path {other:?} (expected \"spsc\" or \"mpsc\")"
-        )),
-    }
-}
-
 fn parse_trace(doc: &Json) -> Result<Request, String> {
     let path = match doc.get("path") {
         None => None,
@@ -304,7 +284,6 @@ fn parse_submit(doc: &Json) -> Result<Request, String> {
     };
     let faults = parse_faults(doc)?;
     let exec = parse_exec(doc)?.unwrap_or_default();
-    let ring_path = parse_ring_path(doc)?.unwrap_or_default();
     let trace = match doc.get("trace") {
         None => true,
         Some(v) => v.as_bool().ok_or("\"trace\" must be a boolean")?,
@@ -318,7 +297,6 @@ fn parse_submit(doc: &Json) -> Result<Request, String> {
         seed,
         faults,
         exec,
-        ring_path,
         trace,
         gen_shards,
     }))
@@ -339,13 +317,6 @@ fn parse_reconfigure(doc: &Json) -> Result<Request, String> {
         None => None,
         Some(v) => Some(v.as_u64().ok_or("\"m\" must be a non-negative integer")? as usize),
     };
-    if doc.get("ring_path").is_some() {
-        return Err(
-            "\"ring_path\" cannot change on reconfigure (the port persists across re-arms); \
-             drain and submit a new scenario"
-                .into(),
-        );
-    }
     let spec = ReconfigureSpec {
         rate_pps,
         discipline: parse_discipline(doc)?,
@@ -475,16 +446,13 @@ mod tests {
         assert_eq!(spec.faults.len(), 4);
         assert_eq!(spec.faults.distinct_kinds(), 4);
         assert_eq!(spec.exec, ExecBackend::Threads, "threads is the default");
-        assert_eq!(spec.ring_path, RingPath::Spsc, "spsc is the default");
         assert!(spec.trace, "tracing defaults to on");
         assert_eq!(spec.gen_shards, 1, "single generator is the default");
     }
 
     #[test]
     fn parses_gen_shards_on_submit_and_reconfigure() {
-        let Ok(Request::Submit(spec)) =
-            Request::parse(r#"{"cmd":"submit","gen_shards":4,"ring_path":"mpsc"}"#)
-        else {
+        let Ok(Request::Submit(spec)) = Request::parse(r#"{"cmd":"submit","gen_shards":4}"#) else {
             panic!("submit did not parse");
         };
         assert_eq!(spec.gen_shards, 4);
@@ -518,18 +486,15 @@ mod tests {
     }
 
     #[test]
-    fn parses_exec_and_ring_path_on_submit() {
+    fn parses_exec_on_submit_and_reconfigure() {
         let Ok(Request::Submit(spec)) =
-            Request::parse(r#"{"cmd":"submit","exec":"async","shards":2,"ring_path":"mpsc"}"#)
+            Request::parse(r#"{"cmd":"submit","exec":"async","shards":2}"#)
         else {
             panic!("submit did not parse");
         };
         assert_eq!(spec.exec, ExecBackend::Async { shards: 2 });
-        assert_eq!(spec.ring_path, RingPath::Mpsc);
 
-        let Ok(Request::Submit(spec)) =
-            Request::parse(r#"{"cmd":"submit","exec":"async","ring_path":"spsc"}"#)
-        else {
+        let Ok(Request::Submit(spec)) = Request::parse(r#"{"cmd":"submit","exec":"async"}"#) else {
             panic!("submit did not parse");
         };
         assert_eq!(
@@ -537,7 +502,6 @@ mod tests {
             ExecBackend::Async { shards: 1 },
             "shards default 1"
         );
-        assert_eq!(spec.ring_path, RingPath::Spsc);
 
         let Ok(Request::Reconfigure(spec)) =
             Request::parse(r#"{"cmd":"reconfigure","exec":"threads"}"#)
@@ -545,24 +509,6 @@ mod tests {
             panic!("reconfigure did not parse");
         };
         assert_eq!(spec.exec, Some(ExecBackend::Threads));
-    }
-
-    #[test]
-    fn ring_path_on_reconfigure_is_a_typed_error() {
-        let err = Request::parse(r#"{"cmd":"reconfigure","ring_path":"mpsc"}"#).unwrap_err();
-        assert!(err.contains("drain and submit"), "unexpected error: {err}");
-    }
-
-    #[test]
-    fn unknown_ring_path_error_lists_the_two_transports() {
-        for gone in ["locked", "quantum"] {
-            let err =
-                Request::parse(&format!(r#"{{"cmd":"submit","ring_path":"{gone}"}}"#)).unwrap_err();
-            assert!(
-                err.contains(gone) && err.contains("\"spsc\"") && err.contains("\"mpsc\""),
-                "unexpected error: {err}"
-            );
-        }
     }
 
     #[test]
@@ -592,10 +538,6 @@ mod tests {
             r#"{"cmd":"submit","gen_shards":0}"#,
             r#"{"cmd":"submit","gen_shards":"many"}"#,
             r#"{"cmd":"reconfigure","gen_shards":0}"#,
-            r#"{"cmd":"submit","ring_path":"quantum"}"#,
-            r#"{"cmd":"submit","ring_path":"locked"}"#,
-            r#"{"cmd":"submit","ring_path":7}"#,
-            r#"{"cmd":"reconfigure","ring_path":"mpsc"}"#,
             r#"{"cmd":"submit","trace":"yes"}"#,
             r#"{"cmd":"trace","path":42}"#,
         ] {

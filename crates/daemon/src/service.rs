@@ -43,7 +43,6 @@ use crate::protocol::{self, ReconfigureSpec, Request, SubmitSpec};
 use metronome_core::discipline::{DisciplineSpec, Doorbell};
 use metronome_core::{ExecBackend, MetronomeConfig, WorkerSet};
 use metronome_dpdk::ring::valid_ring_size;
-use metronome_dpdk::shared_ring::RingPath;
 use metronome_dpdk::{Mbuf, Mempool};
 use metronome_runtime::ingest::GEN_BATCH;
 use metronome_runtime::pipeline::{processor_for, Pipeline, WorkerRing, MBUF_DATAROOM};
@@ -381,8 +380,6 @@ impl ServiceEngine {
         let mut pipeline = Pipeline::new(
             self.cfg.n_queues,
             self.cfg.ring_size,
-            spec.ring_path,
-            gen_shards,
             spec.seed,
             self.pool.clone(),
             &|_q| processor_for(app).expect("app checked at startup"),
@@ -420,7 +417,6 @@ impl ServiceEngine {
             .with("submitted", spec.name.as_str())
             .with("discipline", spec.discipline.label())
             .with("exec", spec.exec.label())
-            .with("ring_path", pipeline.port().rings()[0].path().label())
             .with("workers", hub.n_workers() as u64)
             .with("gen_shards", gen_shards as u64)
             .with("rate_pps", spec.rate_pps)
@@ -449,10 +445,10 @@ impl ServiceEngine {
 
     /// Spawn `run`'s producer set at its current `gen_shards` width: one
     /// thread per shard, each owning its slice of the flow population and
-    /// producing concurrently onto the port's Rx rings (submit with
-    /// `"ring_path": "mpsc"` for multi-producer offers on shared rings),
-    /// each source a [`LiveRate`] under the plan's arrival side, plus the
-    /// pipeline's fault driver when the plan has a world side.
+    /// producing concurrently onto the port's Rx rings (a burst at a time
+    /// per ring), each source a [`LiveRate`] under the plan's arrival
+    /// side, plus the pipeline's fault driver when the plan has a world
+    /// side.
     /// The previous set, if any, has been joined: the stop flag is free.
     fn spawn_generators(&self, run: &mut RunState) {
         run.gen.stop.store(false, Ordering::Release);
@@ -506,19 +502,7 @@ impl ServiceEngine {
             return protocol::err("no scenario is running; submit one first");
         };
         // Validate before anything is applied, so an error reply always
-        // means "nothing changed". The port persists across re-arms, so
-        // its ring path cannot follow a widening generator: concurrent
-        // producers on SPSC rings would break the single-producer
-        // contract.
-        if spec.gen_shards.is_some_and(|g| g > 1)
-            && run.pipeline.port().rings()[0].path() == RingPath::Spsc
-        {
-            return protocol::err(
-                "gen_shards > 1 needs a multi-producer ring path and the port persists \
-                 across re-arms; drain and submit with \"ring_path\": \"mpsc\"",
-            );
-        }
-        // The same goes for the worker shape: resolve it first, so a
+        // means "nothing changed": resolve the worker shape first, so a
         // rejected `m` cannot leave a new rate behind.
         let rearm = if spec.discipline.is_some() || spec.m_threads.is_some() || spec.exec.is_some()
         {

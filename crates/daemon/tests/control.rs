@@ -221,9 +221,6 @@ fn reconfigure_under_load_keeps_counters_monotone() {
     }
     // An invalid reconfigure is rejected and the pipeline keeps running.
     assert_err(&c.send(r#"{"cmd":"reconfigure","discipline":"metronome","m":1}"#)); // M < N
-                                                                                    // Widening the generator on an SPSC port is rejected too — the port
-                                                                                    // persists across re-arms, and SPSC rings admit one producer.
-    assert_err(&c.send(r#"{"cmd":"reconfigure","gen_shards":2}"#));
     let now = stats(&mut c);
     assert!(
         now.1 >= prev.1,
@@ -266,13 +263,11 @@ fn rejected_reconfigure_changes_nothing() {
 fn sharded_generation_conserves_and_reconfigures() {
     let daemon = TestDaemon::start("gen-shards");
     let mut c = daemon.connect();
-    // Two producer shards need a multi-producer ring path.
     let submit = c.send(
-        r#"{"cmd":"submit","name":"sharded","rate_pps":40000,"discipline":"metronome","m":2,"seed":3,"ring_path":"mpsc","gen_shards":2}"#,
+        r#"{"cmd":"submit","name":"sharded","rate_pps":40000,"discipline":"metronome","m":2,"seed":3,"gen_shards":2}"#,
     );
     assert_ok(&submit);
     assert_eq!(submit.get("gen_shards").and_then(Json::as_u64), Some(2));
-    assert_eq!(submit.get("ring_path").and_then(Json::as_str), Some("mpsc"));
 
     // Both shards produce: wait until packets flow, then check stats.
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -305,9 +300,43 @@ fn sharded_generation_conserves_and_reconfigures() {
     );
 
     // Exact conservation and a whole pool after two generator
-    // generations (2 shards, then 1) produced on shared MPSC rings.
+    // generations (2 shards, then 1) produced onto the same rings.
     let drain = c.send(r#"{"cmd":"drain"}"#);
     assert_ok(&drain);
+    assert_eq!(drain.get("conserved").and_then(Json::as_bool), Some(true));
+    assert_eq!(
+        drain.get("pool_balanced").and_then(Json::as_bool),
+        Some(true)
+    );
+    daemon.finish();
+}
+
+/// A scenario submitted with defaults (one producer shard) widens its
+/// generator live: the new shards offer onto the rings the first one
+/// feeds, taking turns at each ring's producer guard.
+#[test]
+fn gen_shards_widens_live_on_a_default_submit() {
+    let daemon = TestDaemon::start("gen-widen");
+    let mut c = daemon.connect();
+    assert_ok(&c.send(
+        r#"{"cmd":"submit","name":"widen","rate_pps":20000,"discipline":"interrupt","seed":5}"#,
+    ));
+    std::thread::sleep(Duration::from_millis(100));
+    let reply = c.send(r#"{"cmd":"reconfigure","gen_shards":2}"#);
+    assert_ok(&reply);
+    assert_eq!(reply.get("gen_shards").and_then(Json::as_u64), Some(2));
+    std::thread::sleep(Duration::from_millis(200));
+
+    // Every packet both generator generations offered is processed or
+    // dropped once the rate is zero.
+    let stats = quiesce(&mut c);
+    assert_eq!(stats.get("gen_shards").and_then(Json::as_u64), Some(2));
+    let offered = stats.get("offered").and_then(Json::as_u64).unwrap();
+    assert!(offered > 2_000, "generator barely ran: {offered}");
+
+    let drain = c.send(r#"{"cmd":"drain"}"#);
+    assert_ok(&drain);
+    assert_eq!(drain.get("offered").and_then(Json::as_u64), Some(offered));
     assert_eq!(drain.get("conserved").and_then(Json::as_bool), Some(true));
     assert_eq!(
         drain.get("pool_balanced").and_then(Json::as_bool),
@@ -620,7 +649,7 @@ fn packet_latency_survives_rearm_and_respawn_and_drains_from_rate_zero() {
     let daemon = TestDaemon::start("latency");
     let mut c = daemon.connect();
     assert_ok(&c.send(
-        r#"{"cmd":"submit","name":"latency","rate_pps":40000,"discipline":"interrupt","seed":4,"ring_path":"mpsc","gen_shards":2}"#,
+        r#"{"cmd":"submit","name":"latency","rate_pps":40000,"discipline":"interrupt","seed":4,"gen_shards":2}"#,
     ));
     // The histogram lives with the run, not with the worker set or the
     // generator set: both are replaced under load here. (Parked

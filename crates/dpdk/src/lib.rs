@@ -20,20 +20,19 @@
 //! * [`shared_ring`] — the Rx side of the real-thread pipeline, and the
 //!   only ring a packet crosses: [`shared_ring::SharedRing`] (bounded mbuf
 //!   ring with tail-drop accounting and `offer_burst`/`pop_burst` batch
-//!   APIs that hand rejected buffers back for recycling, on one of two
-//!   lock-free transports — SPSC or MPSC, each the correct one for its
-//!   producer count) and [`shared_ring::RssPort`] (`N` rings behind one
-//!   Toeplitz hasher).
-//! * [`fastring`] — the lock-free bounded rings behind those transports
-//!   ([`fastring::SpscRing`], [`fastring::MpscRing`]), `rte_ring`'s
-//!   batched acquire/release head/tail design.
+//!   APIs that hand rejected buffers back for recycling, on one lock-free
+//!   transport whatever the producer count) and [`shared_ring::RssPort`]
+//!   (`N` rings behind one Toeplitz hasher).
+//! * [`fastring`] — that transport, [`fastring::SpscRing`]: `rte_ring`'s
+//!   batched acquire/release head/tail design, each side behind a
+//!   one-word guard that several producers take turns at.
 //! * [`scatter::QueueScatter`] — the generator-side scatter arena: one
 //!   stable counting sort maps a produced batch onto per-queue bursts in
 //!   `O(batch + touched_queues)`, independent of the queue count.
 
 #![warn(missing_docs)]
 // Everything except `fastring` is unsafe-free. `fastring` holds the
-// `rte_ring`-style lock-free rings, whose slot ownership argument the
+// `rte_ring`-style lock-free ring, whose slot ownership argument the
 // borrow checker cannot express, and `prefetch_line`, the crate's one
 // prefetch intrinsic call; its invariants are documented inline and it
 // carries `#![allow(unsafe_code)]`.

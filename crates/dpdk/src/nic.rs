@@ -15,8 +15,6 @@
 
 /// Per-frame wire overhead: preamble (7) + SFD (1) + inter-frame gap (12).
 pub const WIRE_OVERHEAD_BYTES: u64 = 20;
-/// The canonical worst-case frame size used throughout the evaluation.
-pub const FRAME_64B: u32 = 64;
 /// 10 GbE line rate at 64 B frames, packets per second.
 pub const LINE_RATE_10G_64B_PPS: f64 = 14_880_952.38;
 

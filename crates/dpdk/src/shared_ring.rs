@@ -6,13 +6,10 @@
 //! * [`SharedRing`] — a bounded mbuf ring with NIC-style tail-drop
 //!   accounting: a producer that offers into a full ring loses the frame
 //!   and the drop is counted, exactly like descriptors exhausting on an
-//!   X520/XL710. The transport under the accounting is chosen by
-//!   [`RingPath`], one [`crate::fastring`] ring per producer count: the
-//!   lock-free SPSC ring (the default — one RSS producer, one retrieval
-//!   consumer at a time, `rte_ring`'s batched acquire/release head/tail
-//!   design) or the lock-free MPSC ring (several generator threads, the
-//!   elastic-fleet direction). Counters, wake hooks, burst semantics and
-//!   the [`OccupancyProbe`] are identical across paths.
+//!   X520/XL710. The transport under the accounting is
+//!   [`crate::fastring::SpscRing`] (`rte_ring`'s batched acquire/release
+//!   head/tail design) for any producer count: one RSS producer, or
+//!   several generator shards taking turns at its producer guard.
 //! * [`RssPort`] — `N` shared rings behind one Toeplitz hasher: the
 //!   receive side of a NIC port with RSS enabled. The load generator
 //!   resolves each flow to a queue once (`queue_for`), then offers frames;
@@ -24,7 +21,7 @@
 //! still queued or was popped by a consumer — nothing is double-counted
 //! because `offer` is the only producer path.
 
-use crate::fastring::{MpscRing, SpscRing};
+use crate::fastring::SpscRing;
 use crate::mbuf::Mbuf;
 use crate::ring::valid_ring_size;
 use metronome_net::toeplitz::Toeplitz;
@@ -37,118 +34,20 @@ use std::sync::Arc;
 /// consumer arms — e.g. ringing a `metronome_core` `Doorbell`).
 pub type WakeHook = Arc<dyn Fn() + Send + Sync>;
 
-/// Which transport a [`SharedRing`] runs on. The accounting, wake hooks
-/// and burst APIs are identical across paths; only the synchronization
-/// underneath changes.
+/// The ring transport, of which there is one. Kept only so that
+/// `perfbench/`'s `RssPort::with_path` call builds; it goes with
+/// benchmark round 2's `perfbench` edit.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RingPath {
-    /// Lock-free single-producer single-consumer fast path (the default):
-    /// one RSS generator feeding one retrieval worker per queue, the
-    /// common Metronome topology. "Single" means *at a time* — see
-    /// [`SpscRing`] for the hand-over guarantees.
+    /// The guarded [`SpscRing`].
     #[default]
     Spsc,
-    /// Lock-free multi-producer single-consumer path: several generator
-    /// threads feeding one queue (the elastic-fleet direction).
-    Mpsc,
 }
 
-impl RingPath {
-    /// Short label for bench output and telemetry.
-    pub fn label(self) -> &'static str {
-        match self {
-            RingPath::Spsc => "spsc",
-            RingPath::Mpsc => "mpsc",
-        }
-    }
-}
-
-/// The transport under a [`SharedRing`], shared with its consumers.
-#[derive(Clone)]
-enum Backend {
-    Spsc(Arc<SpscRing<Mbuf>>),
-    Mpsc(Arc<MpscRing<Mbuf>>),
-}
-
-impl Backend {
-    fn new(path: RingPath, capacity: usize) -> Self {
-        match path {
-            RingPath::Spsc => Backend::Spsc(Arc::new(SpscRing::new(capacity))),
-            RingPath::Mpsc => Backend::Mpsc(Arc::new(MpscRing::new(capacity))),
-        }
-    }
-
-    fn path(&self) -> RingPath {
-        match self {
-            Backend::Spsc(_) => RingPath::Spsc,
-            Backend::Mpsc(_) => RingPath::Mpsc,
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Backend::Spsc(r) => r.len(),
-            Backend::Mpsc(r) => r.len(),
-        }
-    }
-
-    fn capacity(&self) -> usize {
-        match self {
-            Backend::Spsc(r) => r.capacity(),
-            Backend::Mpsc(r) => r.capacity(),
-        }
-    }
-
-    fn push(&self, mbuf: Mbuf) -> Result<(), Mbuf> {
-        match self {
-            Backend::Spsc(r) => r.push(mbuf),
-            Backend::Mpsc(r) => r.push(mbuf),
-        }
-    }
-
-    /// Move the leading accepted frames of `src` into the ring; the
-    /// rejected remainder stays in `src`. One batched index update.
-    fn push_burst(&self, src: &mut Vec<Mbuf>) -> usize {
-        match self {
-            Backend::Spsc(r) => r.push_burst(src),
-            Backend::Mpsc(r) => r.push_burst(src),
-        }
-    }
-
-    fn pop(&self) -> Option<Mbuf> {
-        match self {
-            Backend::Spsc(r) => r.pop(),
-            Backend::Mpsc(r) => r.pop(),
-        }
-    }
-
-    fn pop_burst(&self, out: &mut Vec<Mbuf>, max: usize) -> usize {
-        match self {
-            Backend::Spsc(r) => r.pop_burst(out, max),
-            Backend::Mpsc(r) => r.pop_burst(out, max),
-        }
-    }
-
-    #[inline]
-    fn prefetch_indices(&self, slots: usize) {
-        match self {
-            Backend::Spsc(r) => r.prefetch_indices(slots),
-            Backend::Mpsc(r) => r.prefetch_indices(slots),
-        }
-    }
-
-    #[inline]
-    fn prefetch_frames(&self, max: usize) {
-        if let Backend::Spsc(r) = self {
-            r.peek_each(max, Mbuf::prefetch_header);
-        }
-    }
-}
-
-/// A bounded mbuf ring with tail-drop accounting and a [`RingPath`]-chosen
-/// transport (lock-free SPSC by default).
+/// A bounded mbuf ring with tail-drop accounting over a lock-free
+/// [`SpscRing`].
 pub struct SharedRing {
-    backend: Backend,
+    ring: Arc<SpscRing<Mbuf>>,
     accepted: AtomicU64,
     dropped: AtomicU64,
     /// Rung after every accepting offer; `None` (the default) costs one
@@ -157,34 +56,19 @@ pub struct SharedRing {
 }
 
 impl SharedRing {
-    /// Ring with the given descriptor count on the default lock-free SPSC
-    /// path.
+    /// Ring with the given descriptor count.
     ///
     /// # Panics
     /// If `capacity` is not a valid NIC ring size (power of two in
     /// 32..=4096).
     pub fn new(capacity: usize) -> Self {
-        SharedRing::with_path(capacity, RingPath::default())
-    }
-
-    /// Ring with an explicit transport path (see [`RingPath`]).
-    ///
-    /// # Panics
-    /// If `capacity` is not a valid NIC ring size (power of two in
-    /// 32..=4096).
-    pub fn with_path(capacity: usize, path: RingPath) -> Self {
         assert!(valid_ring_size(capacity), "invalid ring size {capacity}");
         SharedRing {
-            backend: Backend::new(path, capacity),
+            ring: Arc::new(SpscRing::new(capacity)),
             accepted: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             wake_hook: None,
         }
-    }
-
-    /// Which transport this ring runs on.
-    pub fn path(&self) -> RingPath {
-        self.backend.path()
     }
 
     /// A consumer handle (what a Metronome worker drains). Cheap to
@@ -194,7 +78,7 @@ impl SharedRing {
     /// per-queue trylock already enforces.
     pub fn consumer(&self) -> RingConsumer {
         RingConsumer {
-            backend: self.backend.clone(),
+            ring: Arc::clone(&self.ring),
         }
     }
 
@@ -216,7 +100,7 @@ impl SharedRing {
     /// Offer one frame; on a full ring it is tail-dropped and `false` is
     /// returned.
     pub fn offer(&self, mbuf: Mbuf) -> bool {
-        match self.backend.push(mbuf) {
+        match self.ring.push(mbuf) {
             Ok(()) => {
                 self.accepted.fetch_add(1, Ordering::Relaxed);
                 self.wake();
@@ -239,7 +123,7 @@ impl SharedRing {
     /// Returns how many frames the ring accepted.
     pub fn offer_burst(&self, frames: &mut Vec<Mbuf>) -> usize {
         let total = frames.len();
-        let accepted = self.backend.push_burst(frames);
+        let accepted = self.ring.push_burst(frames);
         if accepted > 0 {
             self.accepted.fetch_add(accepted as u64, Ordering::Relaxed);
             self.wake();
@@ -256,7 +140,7 @@ impl SharedRing {
     /// burst discipline: one call per retrieval burst, reusing the
     /// caller's scratch buffer so the hot path never allocates.
     pub fn pop_burst(&self, out: &mut Vec<Mbuf>, max: usize) -> usize {
-        self.backend.pop_burst(out, max)
+        self.ring.pop_burst(out, max)
     }
 
     /// Frames accepted into the ring so far.
@@ -276,12 +160,12 @@ impl SharedRing {
 
     /// Frames currently queued.
     pub fn occupancy(&self) -> usize {
-        self.backend.len()
+        self.ring.len()
     }
 
     /// Descriptor count.
     pub fn capacity(&self) -> usize {
-        self.backend.capacity()
+        self.ring.capacity()
     }
 }
 
@@ -289,11 +173,11 @@ impl SharedRing {
 /// [`metronome_telemetry::OccupancyProbe`]); reads are lock-free.
 impl OccupancyProbe for SharedRing {
     fn occupancy(&self) -> u64 {
-        self.backend.len() as u64
+        self.ring.len() as u64
     }
 
     fn capacity(&self) -> u64 {
-        self.backend.capacity() as u64
+        self.ring.capacity() as u64
     }
 }
 
@@ -303,19 +187,19 @@ impl OccupancyProbe for SharedRing {
 /// corrupting state.
 #[derive(Clone)]
 pub struct RingConsumer {
-    backend: Backend,
+    ring: Arc<SpscRing<Mbuf>>,
 }
 
 impl RingConsumer {
     /// Pop the oldest frame, if any.
     pub fn pop(&self) -> Option<Mbuf> {
-        self.backend.pop()
+        self.ring.pop()
     }
 
     /// Pop up to `max` frames into `out` (appended), returning how many
     /// were taken — one batched index update.
     pub fn pop_burst(&self, out: &mut Vec<Mbuf>, max: usize) -> usize {
-        self.backend.pop_burst(out, max)
+        self.ring.pop_burst(out, max)
     }
 
     /// Hint, a little ahead of a pop: start fetching the lines the pop
@@ -324,43 +208,41 @@ impl RingConsumer {
     /// Moves nothing and waits for no one.
     #[inline]
     pub fn prefetch_indices(&self, slots: usize) {
-        self.backend.prefetch_indices(slots);
+        self.ring.prefetch_indices(slots);
     }
 
     /// Hint, just ahead of a pop and after [`Self::prefetch_indices`] has
     /// had time to land: look at the first queued frames, up to `max`,
     /// and start fetching each one's header ([`Mbuf::prefetch_header`]),
     /// so the lines the generator core wrote last are on their way before
-    /// the pop that takes the frames. SPSC path only (the one ring that
-    /// can show its items without taking them); nothing is taken, and if
-    /// a pop is in progress the hint is skipped, not waited for.
+    /// the pop that takes the frames. Nothing is taken, and if a pop is in
+    /// progress the hint is skipped, not waited for.
     #[inline]
     pub fn prefetch_frames(&self, max: usize) {
-        self.backend.prefetch_frames(max);
+        self.ring.peek_each(max, Mbuf::prefetch_header);
     }
 
     /// Frames currently queued (racy snapshot).
     pub fn len(&self) -> usize {
-        self.backend.len()
+        self.ring.len()
     }
 
     /// True if nothing is queued (racy snapshot).
     pub fn is_empty(&self) -> bool {
-        self.backend.len() == 0
+        self.ring.is_empty()
     }
 
     /// Descriptor count.
     pub fn capacity(&self) -> usize {
-        self.backend.capacity()
+        self.ring.capacity()
     }
 }
 
 impl std::fmt::Debug for RingConsumer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RingConsumer")
-            .field("path", &self.backend.path())
-            .field("len", &self.backend.len())
-            .field("capacity", &self.backend.capacity())
+            .field("len", &self.ring.len())
+            .field("capacity", &self.ring.capacity())
             .finish()
     }
 }
@@ -374,20 +256,19 @@ pub struct RssPort {
 
 impl RssPort {
     /// Port with `n_queues` rings of `ring_size` descriptors each, hashing
-    /// with the Intel default RSS key, on the default SPSC fast path.
+    /// with the Intel default RSS key.
     pub fn new(n_queues: usize, ring_size: usize) -> Self {
-        RssPort::with_path(n_queues, ring_size, RingPath::default())
-    }
-
-    /// Port with an explicit per-ring transport path (see [`RingPath`]).
-    pub fn with_path(n_queues: usize, ring_size: usize, path: RingPath) -> Self {
         assert!(n_queues > 0, "need at least one queue");
         RssPort {
             toeplitz: Toeplitz::default(),
-            rings: (0..n_queues)
-                .map(|_| SharedRing::with_path(ring_size, path))
-                .collect(),
+            rings: (0..n_queues).map(|_| SharedRing::new(ring_size)).collect(),
         }
+    }
+
+    /// [`RssPort::new`]. Kept only for `perfbench/`'s call; it goes with
+    /// benchmark round 2's `perfbench` edit.
+    pub fn with_path(n_queues: usize, ring_size: usize, _path: RingPath) -> Self {
+        RssPort::new(n_queues, ring_size)
     }
 
     /// Number of Rx queues.
@@ -465,35 +346,30 @@ mod tests {
     use metronome_net::FiveTuple;
     use std::net::Ipv4Addr;
 
-    const ALL_PATHS: [RingPath; 2] = [RingPath::Spsc, RingPath::Mpsc];
-
     fn frame() -> Mbuf {
         Mbuf::from_bytes(BytesMut::from(&[0u8; 60][..]))
     }
 
     #[test]
     fn shared_ring_conserves_and_counts_drops() {
-        for path in ALL_PATHS {
-            let r = SharedRing::with_path(32, path);
-            assert_eq!(r.path(), path);
-            for _ in 0..40 {
-                r.offer(frame());
-            }
-            assert_eq!(r.accepted(), 32, "{path:?}");
-            assert_eq!(r.dropped(), 8, "{path:?}");
-            assert_eq!(r.offered(), 40, "{path:?}");
-            assert_eq!(r.occupancy(), 32, "{path:?}");
-            let q = r.consumer();
-            let mut popped = 0;
-            while q.pop().is_some() {
-                popped += 1;
-            }
-            assert_eq!(popped, 32, "{path:?}");
-            assert_eq!(r.occupancy(), 0, "{path:?}");
-            // Space freed: offers succeed again.
-            assert!(r.offer(frame()), "{path:?}");
-            assert_eq!(r.accepted(), 33, "{path:?}");
+        let r = SharedRing::new(32);
+        for _ in 0..40 {
+            r.offer(frame());
         }
+        assert_eq!(r.accepted(), 32);
+        assert_eq!(r.dropped(), 8);
+        assert_eq!(r.offered(), 40);
+        assert_eq!(r.occupancy(), 32);
+        let q = r.consumer();
+        let mut popped = 0;
+        while q.pop().is_some() {
+            popped += 1;
+        }
+        assert_eq!(popped, 32);
+        assert_eq!(r.occupancy(), 0);
+        // Space freed: offers succeed again.
+        assert!(r.offer(frame()));
+        assert_eq!(r.accepted(), 33);
     }
 
     #[test]
@@ -504,114 +380,95 @@ mod tests {
 
     #[test]
     fn offer_burst_accounts_and_returns_rejects() {
-        for path in ALL_PATHS {
-            let r = SharedRing::with_path(32, path);
-            let mut burst: Vec<Mbuf> = (0..40).map(|_| frame()).collect();
-            let accepted = r.offer_burst(&mut burst);
-            assert_eq!(accepted, 32, "{path:?}");
-            assert_eq!(
-                burst.len(),
-                8,
-                "rejected mbufs must be handed back ({path:?})"
-            );
-            assert_eq!(r.accepted(), 32, "{path:?}");
-            assert_eq!(r.dropped(), 8, "{path:?}");
-            assert_eq!(r.offered(), 40, "{path:?}");
-            // Rejected buffers are real mbufs the caller can recycle.
-            assert!(burst.iter().all(|m| m.len() == 60), "{path:?}");
-        }
+        let r = SharedRing::new(32);
+        let mut burst: Vec<Mbuf> = (0..40).map(|_| frame()).collect();
+        let accepted = r.offer_burst(&mut burst);
+        assert_eq!(accepted, 32);
+        assert_eq!(burst.len(), 8, "rejected mbufs must be handed back");
+        assert_eq!(r.accepted(), 32);
+        assert_eq!(r.dropped(), 8);
+        assert_eq!(r.offered(), 40);
+        // Rejected buffers are real mbufs the caller can recycle.
+        assert!(burst.iter().all(|m| m.len() == 60));
     }
 
     #[test]
     fn pop_burst_drains_into_scratch() {
-        for path in ALL_PATHS {
-            let r = SharedRing::with_path(32, path);
-            let mut burst: Vec<Mbuf> = (0..10u8)
-                .map(|i| {
-                    let mut m = frame();
-                    m.bytes_mut()[0] = i;
-                    m
-                })
-                .collect();
-            r.offer_burst(&mut burst);
-            let mut out = Vec::new();
-            assert_eq!(r.pop_burst(&mut out, 4), 4, "{path:?}");
-            assert_eq!(r.occupancy(), 6, "a burst takes at most max ({path:?})");
-            assert_eq!(r.pop_burst(&mut out, 32), 6, "{path:?}");
-            let firsts: Vec<u8> = out.iter().map(|m| m.bytes()[0]).collect();
-            assert_eq!(firsts, (0..10).collect::<Vec<u8>>(), "FIFO ({path:?})");
-            assert_eq!(
-                r.pop_burst(&mut out, 32),
-                0,
-                "ring must be empty ({path:?})"
-            );
-            assert_eq!(r.occupancy(), 0, "{path:?}");
-        }
+        let r = SharedRing::new(32);
+        let mut burst: Vec<Mbuf> = (0..10u8)
+            .map(|i| {
+                let mut m = frame();
+                m.bytes_mut()[0] = i;
+                m
+            })
+            .collect();
+        r.offer_burst(&mut burst);
+        let mut out = Vec::new();
+        assert_eq!(r.pop_burst(&mut out, 4), 4);
+        assert_eq!(r.occupancy(), 6, "a burst takes at most max");
+        assert_eq!(r.pop_burst(&mut out, 32), 6);
+        let firsts: Vec<u8> = out.iter().map(|m| m.bytes()[0]).collect();
+        assert_eq!(firsts, (0..10).collect::<Vec<u8>>(), "FIFO");
+        assert_eq!(r.pop_burst(&mut out, 32), 0, "ring must be empty");
+        assert_eq!(r.occupancy(), 0);
     }
 
     #[test]
     fn burst_and_single_offer_agree_on_accounting() {
-        for path in ALL_PATHS {
-            let single = SharedRing::with_path(32, path);
-            let burst = SharedRing::with_path(32, path);
-            for _ in 0..40 {
-                single.offer(frame());
-            }
-            let mut frames: Vec<Mbuf> = (0..40).map(|_| frame()).collect();
-            burst.offer_burst(&mut frames);
-            assert_eq!(single.accepted(), burst.accepted(), "{path:?}");
-            assert_eq!(single.dropped(), burst.dropped(), "{path:?}");
-            assert_eq!(single.occupancy(), burst.occupancy(), "{path:?}");
+        let single = SharedRing::new(32);
+        let burst = SharedRing::new(32);
+        for _ in 0..40 {
+            single.offer(frame());
         }
+        let mut frames: Vec<Mbuf> = (0..40).map(|_| frame()).collect();
+        burst.offer_burst(&mut frames);
+        assert_eq!(single.accepted(), burst.accepted());
+        assert_eq!(single.dropped(), burst.dropped());
+        assert_eq!(single.occupancy(), burst.occupancy());
     }
 
     #[test]
     fn wake_hook_fires_once_per_accepting_offer() {
         use std::sync::atomic::AtomicUsize;
 
-        for path in ALL_PATHS {
-            let rings = Arc::new(AtomicUsize::new(0));
-            let mut r = SharedRing::with_path(32, path);
-            let counter = Arc::clone(&rings);
-            r.set_wake_hook(Arc::new(move || {
-                counter.fetch_add(1, Ordering::Relaxed);
-            }));
-            // Single offers: one ring each.
-            r.offer(frame());
-            r.offer(frame());
-            assert_eq!(rings.load(Ordering::Relaxed), 2, "{path:?}");
-            // A burst rings once, not per packet.
-            let mut burst: Vec<Mbuf> = (0..10).map(|_| frame()).collect();
-            r.offer_burst(&mut burst);
-            assert_eq!(rings.load(Ordering::Relaxed), 3, "{path:?}");
-            // A fully rejected burst (ring full) must not ring.
-            let mut fill: Vec<Mbuf> = (0..32).map(|_| frame()).collect();
-            r.offer_burst(&mut fill);
-            let before = rings.load(Ordering::Relaxed);
-            let mut rejected: Vec<Mbuf> = (0..4).map(|_| frame()).collect();
-            assert_eq!(r.offer_burst(&mut rejected), 0, "{path:?}");
-            assert_eq!(rings.load(Ordering::Relaxed), before, "{path:?}");
-        }
+        let rings = Arc::new(AtomicUsize::new(0));
+        let mut r = SharedRing::new(32);
+        let counter = Arc::clone(&rings);
+        r.set_wake_hook(Arc::new(move || {
+            counter.fetch_add(1, Ordering::Relaxed);
+        }));
+        // Single offers: one ring each.
+        r.offer(frame());
+        r.offer(frame());
+        assert_eq!(rings.load(Ordering::Relaxed), 2);
+        // A burst rings once, not per packet.
+        let mut burst: Vec<Mbuf> = (0..10).map(|_| frame()).collect();
+        r.offer_burst(&mut burst);
+        assert_eq!(rings.load(Ordering::Relaxed), 3);
+        // A fully rejected burst (ring full) must not ring.
+        let mut fill: Vec<Mbuf> = (0..32).map(|_| frame()).collect();
+        r.offer_burst(&mut fill);
+        let before = rings.load(Ordering::Relaxed);
+        let mut rejected: Vec<Mbuf> = (0..4).map(|_| frame()).collect();
+        assert_eq!(r.offer_burst(&mut rejected), 0);
+        assert_eq!(rings.load(Ordering::Relaxed), before);
     }
 
     #[test]
-    fn lookahead_hints_take_nothing_on_any_path() {
-        for path in ALL_PATHS {
-            let r = SharedRing::with_path(32, path);
-            let q = r.consumer();
-            // Empty, then holding frames: the MPSC path ignores the
-            // second hint.
-            for queued in [0usize, 6] {
-                let mut burst: Vec<Mbuf> = (0..queued).map(|_| frame()).collect();
-                r.offer_burst(&mut burst);
-                q.prefetch_indices(4);
-                q.prefetch_frames(4);
-                assert_eq!(q.len(), queued, "{path:?}");
-            }
-            let mut out = Vec::new();
-            assert_eq!(q.pop_burst(&mut out, 32), 6, "{path:?}");
-            assert!(out.iter().all(|m| m.len() == 60), "{path:?}");
+    fn lookahead_hints_take_nothing() {
+        let r = SharedRing::new(32);
+        let q = r.consumer();
+        // Empty, then holding frames.
+        for queued in [0usize, 6] {
+            let mut burst: Vec<Mbuf> = (0..queued).map(|_| frame()).collect();
+            r.offer_burst(&mut burst);
+            q.prefetch_indices(4);
+            q.prefetch_frames(4);
+            assert_eq!(q.len(), queued);
         }
+        let mut out = Vec::new();
+        assert_eq!(q.pop_burst(&mut out, 32), 6);
+        assert!(out.iter().all(|m| m.len() == 60));
     }
 
     #[test]
@@ -651,18 +508,16 @@ mod tests {
 
     #[test]
     fn rss_port_accounts_per_queue_and_total() {
-        for path in ALL_PATHS {
-            let port = RssPort::with_path(2, 32, path);
-            for _ in 0..40 {
-                port.offer(0, frame());
-            }
-            port.offer(1, frame());
-            assert_eq!(port.rings()[0].dropped(), 8, "{path:?}");
-            assert_eq!(port.rings()[1].dropped(), 0, "{path:?}");
-            assert_eq!(port.total_accepted(), 33, "{path:?}");
-            assert_eq!(port.total_dropped(), 8, "{path:?}");
-            assert_eq!(port.total_offered(), 41, "{path:?}");
-            assert_eq!(port.consumers().len(), 2, "{path:?}");
+        let port = RssPort::new(2, 32);
+        for _ in 0..40 {
+            port.offer(0, frame());
         }
+        port.offer(1, frame());
+        assert_eq!(port.rings()[0].dropped(), 8);
+        assert_eq!(port.rings()[1].dropped(), 0);
+        assert_eq!(port.total_accepted(), 33);
+        assert_eq!(port.total_dropped(), 8);
+        assert_eq!(port.total_offered(), 41);
+        assert_eq!(port.consumers().len(), 2);
     }
 }

@@ -28,9 +28,6 @@ pub const ETHERTYPE_IPV4: u16 = 0x0800;
 pub struct Mac(pub [u8; 6]);
 
 impl Mac {
-    /// The broadcast address.
-    pub const BROADCAST: Mac = Mac([0xFF; 6]);
-
     /// A locally administered address derived from a small integer id —
     /// handy for synthetic topologies.
     pub fn local(id: u32) -> Mac {

@@ -665,11 +665,6 @@ impl<W> OsSim<W> {
         self.threads[tid].state == ThreadState::Exited
     }
 
-    /// Total busy time of a core so far.
-    pub fn core_active_time(&self, core: CoreId) -> Nanos {
-        self.power.active_time(core)
-    }
-
     /// Current frequency of a core in MHz.
     pub fn core_freq(&self, core: CoreId) -> u32 {
         self.cores[core].freq_mhz

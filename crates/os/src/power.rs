@@ -26,8 +26,6 @@ pub struct PowerMeter {
     max_mhz: u32,
     core_energy: Vec<f64>,
     wake_count: Vec<u64>,
-    /// Total time each core spent active (any frequency).
-    active_time: Vec<Nanos>,
 }
 
 impl PowerMeter {
@@ -38,7 +36,6 @@ impl PowerMeter {
             max_mhz,
             core_energy: vec![0.0; n_cores],
             wake_count: vec![0; n_cores],
-            active_time: vec![Nanos::ZERO; n_cores],
         }
     }
 
@@ -51,7 +48,6 @@ impl PowerMeter {
     /// Charge an active (running) interval on a core.
     pub fn charge_active(&mut self, core: usize, dur: Nanos, freq_mhz: u32) {
         self.core_energy[core] += self.active_watts(freq_mhz) * dur.as_secs_f64();
-        self.active_time[core] += dur;
     }
 
     /// Charge an idle interval on a core (C1 then C6 after the entry delay).
@@ -87,11 +83,6 @@ impl PowerMeter {
             return 0.0;
         }
         self.package_energy(elapsed) / elapsed.as_secs_f64()
-    }
-
-    /// Per-core active time so far.
-    pub fn active_time(&self, core: usize) -> Nanos {
-        self.active_time[core]
     }
 
     /// Wake transitions per core.

@@ -225,7 +225,6 @@ pub fn complete_burst(
 mod tests {
     use super::*;
     use crate::pipeline::{flow_templates, MBUF_DATAROOM};
-    use metronome_dpdk::RingPath;
     use std::collections::HashMap;
     use std::sync::atomic::Ordering;
 
@@ -241,7 +240,7 @@ mod tests {
     impl Rig {
         fn new(ring_size: usize, population: usize) -> Rig {
             Rig {
-                port: RssPort::with_path(QUEUES, ring_size, RingPath::Spsc),
+                port: RssPort::new(QUEUES, ring_size),
                 pool: Mempool::new(population, MBUF_DATAROOM),
                 hub: TelemetryHub::new(0, QUEUES),
                 lateness: Arc::new(Mutex::new(Histogram::latency())),

@@ -42,7 +42,6 @@ pub mod world;
 pub use apps_profile::AppProfile;
 pub use behaviors::{MetronomeWorker, WorldBackend};
 pub use metronome_core::ExecBackend;
-pub use metronome_dpdk::shared_ring::RingPath;
 pub use realtime_runner::{
     run_realtime, run_realtime_with, try_run_realtime, try_run_realtime_with, RealtimeError,
 };

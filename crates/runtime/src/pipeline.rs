@@ -6,7 +6,7 @@
 //! [`Pipeline::disarm`], then [`Pipeline::sweep`]).
 //!
 //! A [`Pipeline`] owns one scenario's receive side: the [`RssPort`] over
-//! bounded mbuf rings (on the ring path its producer count needs), the
+//! bounded mbuf rings (one producer shard or several, taking turns), the
 //! flow templates the producer shards refill from, one [`QueueApp`] per
 //! queue, the shards' lateness slots, the run's one [`WallClock`] and the
 //! world side of its fault plan (stalls and starvation; the arrival side
@@ -27,7 +27,7 @@ use metronome_apps::{FloWatcher, IpsecGateway, L3Fwd};
 use metronome_core::discipline::DisciplineSpec;
 use metronome_core::rxqueue::{Consume, Lookahead, RxQueue};
 use metronome_core::{ExecBackend, MetronomeConfig, RealtimeStats, WorkerSet};
-use metronome_dpdk::{Mbuf, Mempool, MempoolCache, RingConsumer, RingPath, RssPort};
+use metronome_dpdk::{Mbuf, Mempool, MempoolCache, RingConsumer, RssPort};
 use metronome_net::headers::{build_udp_frame, Mac, MIN_FRAME_NO_FCS};
 use metronome_sim::stats::Histogram;
 use metronome_sim::Nanos;
@@ -70,11 +70,10 @@ pub fn processor_for(app_name: &str) -> Option<Box<dyn PacketProcessor>> {
 /// The Rx-queue capability realized by a DPDK-like ring consumer: the
 /// glue between `metronome_core`'s [`RxQueue`] seam and
 /// `metronome_dpdk`'s [`RingConsumer`] (a newtype, since both the trait
-/// and the type live in other crates). On the default SPSC ring path a
-/// worker's burst drain is one batched acquire/release index update —
-/// followed by a write-intent prefetch of every popped frame's header
-/// ([`Mbuf::prefetch_header`]): the generator core wrote those lines
-/// last, and asking for all of them here puts a burst's worth of
+/// and the type live in other crates). A worker's burst drain is one
+/// batched acquire/release index update — followed by a write-intent
+/// prefetch of every popped frame's header ([`Mbuf::prefetch_header`]):
+/// the generator core wrote those lines last, and asking for all of them here puts a burst's worth of
 /// cross-core transfers in flight at once, before the app lock, the
 /// completion stamp and `process_burst` get to the first frame. A driver
 /// that knows which ring it drains next (an executor shard's sweep) gets
@@ -127,17 +126,6 @@ pub fn flow_templates(port: &RssPort, seed: u64) -> Vec<FlowTemplate> {
             (frame, port.queue_for(&input), port.rss_hash(&input))
         })
         .collect()
-}
-
-/// The ring path `gen_shards` concurrent producers need: the default SPSC
-/// path upgrades to MPSC (SPSC under `G > 1` would be *safe* — the
-/// producer side is guarded — but the guard serializes the shards).
-fn producer_ring_path(gen_shards: usize, requested: RingPath) -> RingPath {
-    if gen_shards > 1 && requested == RingPath::Spsc {
-        RingPath::Mpsc
-    } else {
-        requested
-    }
 }
 
 /// The world side of a pipeline's fault plan: the stall flag the fault
@@ -215,25 +203,18 @@ pub struct Pipeline {
 }
 
 impl Pipeline {
-    /// A pipeline over `n_queues` rings of `ring_size` descriptors fed by
-    /// `gen_shards` producer shards (a [`Pipeline::producer_shards`]
-    /// count; more than one upgrades an SPSC `ring_path` to MPSC), the
+    /// A pipeline over `n_queues` rings of `ring_size` descriptors, the
     /// flow population seeded by `seed`, buffers from `pool`, and queue
-    /// `q` processing with `make_app(q)`.
+    /// `q` processing with `make_app(q)`. Any number of producer shards
+    /// may feed it ([`Pipeline::ingest_shard`]).
     pub fn new(
         n_queues: usize,
         ring_size: usize,
-        ring_path: RingPath,
-        gen_shards: usize,
         seed: u64,
         pool: Mempool,
         make_app: &ProcessorFactory,
     ) -> Pipeline {
-        let port = RssPort::with_path(
-            n_queues,
-            ring_size,
-            producer_ring_path(gen_shards, ring_path),
-        );
+        let port = RssPort::new(n_queues, ring_size);
         Pipeline {
             templates: flow_templates(&port, seed),
             port: Arc::new(port),
@@ -493,24 +474,10 @@ mod tests {
     use super::*;
     use crate::realtime_runner::default_processor;
 
-    fn pipeline(gen_shards: usize, ring_size: usize) -> Pipeline {
-        Pipeline::new(
-            2,
-            ring_size,
-            RingPath::Spsc,
-            gen_shards,
-            7,
-            Mempool::new(4096, MBUF_DATAROOM),
-            &|_q| default_processor("l3fwd-lpm"),
-        )
-    }
-
     #[test]
-    fn producer_shards_clamp_and_pick_the_ring_path() {
+    fn producer_shards_clamp() {
         assert_eq!(Pipeline::producer_shards(0), 1);
         assert_eq!(Pipeline::producer_shards(10_000), FLOWS_PER_RUN);
-        assert_eq!(pipeline(1, 64).port().rings()[0].path(), RingPath::Spsc);
-        assert_eq!(pipeline(3, 64).port().rings()[0].path(), RingPath::Mpsc);
     }
 
     #[test]
@@ -518,7 +485,9 @@ mod tests {
         // Two shards into 64-slot rings and no worker set: what the rings
         // refuse tail-drops, what they accept is stranded, and the sweep
         // books the latter as ring drops too.
-        let mut p = pipeline(2, 64);
+        let mut p = Pipeline::new(2, 64, 7, Mempool::new(4096, MBUF_DATAROOM), &|_q| {
+            default_processor("l3fwd-lpm")
+        });
         let hub = TelemetryHub::new(0, 2);
         let due: Vec<Nanos> = (0..300).map(|k| Nanos(1_000 + k)).collect();
         for s in 0..2 {

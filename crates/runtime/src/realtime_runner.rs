@@ -18,8 +18,8 @@
 //!   replayed in real time by a [`PacedArrivals`] (MoonGen's role — and
 //!   MoonGen's multi-core scaling recipe: flows are partitioned across
 //!   shards, so per-flow order is preserved while shards produce
-//!   concurrently onto the multi-producer ring path) in bounded batches
-//!   against the run's one [`metronome_traffic::WallClock`]. Every batch goes through the one
+//!   concurrently, taking turns at each ring's producer guard) in bounded
+//!   batches against the run's one [`metronome_traffic::WallClock`]. Every batch goes through the one
 //!   ingest core, [`IngestShard::emit`] (see [`crate::ingest`]): pooled
 //!   buffers refilled from flow templates — **zero heap allocation per
 //!   packet** — stamped with their scheduled arrival, scattered to their
@@ -233,16 +233,8 @@ pub fn try_run_realtime_with(
             + n_workers.max(1) * 2 * worker_cfg.burst as usize
     });
     let pool = Mempool::new(population, MBUF_DATAROOM);
-    let mut pipeline = Pipeline::new(
-        sc.n_queues,
-        sc.ring_size,
-        sc.ring_path,
-        gen_shards,
-        sc.seed,
-        pool.clone(),
-        make_app,
-    )
-    .measuring_latency(sc.latency_stride > 0);
+    let mut pipeline = Pipeline::new(sc.n_queues, sc.ring_size, sc.seed, pool.clone(), make_app)
+        .measuring_latency(sc.latency_stride > 0);
     if let Some(plan) = &sc.faults {
         pipeline = pipeline.with_faults(plan);
     }
@@ -366,7 +358,7 @@ pub fn try_run_realtime_with(
     // Each shard emits its slice in schedule order to exhaustion. `G = 1`
     // runs inline on this thread (the classic path, no spawn); `G > 1`
     // runs every shard on its own scoped producer thread, all offering
-    // concurrently onto the multi-producer ring path. The shard caches
+    // concurrently, a burst at a time per ring. The shard caches
     // flush as the shards drop, before the scoped join — the post-run
     // pool audit sees everything home. The pipeline's fault driver, when
     // the plan has a world side, runs beside the producers and stops with

@@ -275,9 +275,9 @@ pub struct Scenario {
     /// sharded async executor — the 1000+-queue scale path. The
     /// simulation backend models threads and ignores this.
     pub exec: ExecBackend,
-    /// Ring transport under the realtime RSS port, one of two values:
-    /// SPSC (the default) or MPSC, selectable so both are exercised
-    /// end-to-end. Simulation ignores this.
+    /// Ring transport under the realtime RSS port, of which there is
+    /// one. Nothing reads it but `perfbench/`'s `RssPort::with_path` call;
+    /// it goes with benchmark round 2's `perfbench` edit.
     pub ring_path: RingPath,
     /// Flight-recorder tracing of the realtime worker set: per-worker (or
     /// per-shard on the async backend) event rings plus wake-latency /
@@ -289,9 +289,9 @@ pub struct Scenario {
     /// default) keeps the single-threaded inline generator; `G > 1` splits
     /// the arrival schedule across `G` concurrent producer threads
     /// assigned by flow (flow → shard, preserving per-flow order), each
-    /// with its own pacer slice, mempool cache and scatter arena. Multiple
-    /// producers need a multi-producer ring, so `G > 1` auto-upgrades
-    /// `ring_path` from SPSC to MPSC at run time. Simulation ignores this.
+    /// with its own pacer slice, mempool cache and scatter arena; the
+    /// shards take turns at each ring's producer guard, once per burst.
+    /// Simulation ignores this.
     pub gen_shards: usize,
     /// Master seed.
     pub seed: u64,
@@ -448,12 +448,6 @@ impl Scenario {
         self
     }
 
-    /// Set the packet threads' niceness.
-    pub fn with_net_nice(mut self, nice: i8) -> Self {
-        self.net_nice = nice;
-        self
-    }
-
     /// Disable kernel-daemon interference (clean model-validation runs).
     pub fn without_daemon(mut self) -> Self {
         self.os.daemon = DaemonConfig::disabled();
@@ -474,12 +468,6 @@ impl Scenario {
         self
     }
 
-    /// Choose the ring transport of the realtime RSS port.
-    pub fn with_ring_path(mut self, path: RingPath) -> Self {
-        self.ring_path = path;
-        self
-    }
-
     /// Enable flight-recorder tracing of the realtime worker set.
     pub fn with_trace(mut self) -> Self {
         self.trace = true;
@@ -487,7 +475,7 @@ impl Scenario {
     }
 
     /// Split realtime generation across `shards` producer threads
-    /// (flow-sharded; `G > 1` auto-upgrades an SPSC ring path to MPSC).
+    /// (flow-sharded: every flow keeps one producer).
     ///
     /// # Panics
     /// If `shards` is zero — a run with no producers offers nothing.
@@ -583,16 +571,12 @@ mod tests {
         assert_eq!(c.system.label(), "const-sleep");
         assert_eq!(Scenario::idle("i").system.label(), "idle");
 
-        // Backend and ring-path selection default to the paper's model
-        // and are overridable per scenario.
+        // The backend defaults to the paper's model and is overridable
+        // per scenario.
         assert_eq!(s.exec, ExecBackend::Threads);
-        assert_eq!(s.ring_path, RingPath::Spsc);
-        let a = Scenario::xdp("a", 2, TrafficSpec::Silent)
-            .with_async_backend(2)
-            .with_ring_path(RingPath::Mpsc);
+        let a = Scenario::xdp("a", 2, TrafficSpec::Silent).with_async_backend(2);
         assert_eq!(a.exec, ExecBackend::Async { shards: 2 });
         assert_eq!(a.exec.label(), "async");
-        assert_eq!(a.ring_path, RingPath::Mpsc);
 
         // Generation is single-shard unless asked otherwise.
         assert_eq!(s.gen_shards, 1);

@@ -131,11 +131,6 @@ impl SimQueue {
         self.arrivals.peek_next()
     }
 
-    /// Nominal offered rate right now (pps).
-    pub fn offered_rate(&self, now: Nanos) -> f64 {
-        self.arrivals.rate_pps(now)
-    }
-
     /// A chunk of `k` packets finished processing at `now`: account Tx
     /// batching and finalize any sampled latencies that flushed.
     /// Returns finalized `(latency)` values via the `out` callback.
@@ -297,12 +292,6 @@ impl World {
             self.controller.record_cycle(q, vac, busy);
         }
         queue.last_release = Some(now);
-    }
-
-    /// Record a finalized latency sample.
-    pub fn push_latency(&mut self, lat: Nanos) {
-        self.latency_us.add(lat.as_micros_f64());
-        self.latency_hist.record(lat.as_nanos());
     }
 
     /// A chunk of `k` packets from queue `q` finished processing: run the

@@ -32,8 +32,6 @@ impl Nanos {
 
     /// One microsecond.
     pub const MICRO: Nanos = Nanos(1_000);
-    /// One millisecond.
-    pub const MILLI: Nanos = Nanos(1_000_000);
     /// One second.
     pub const SECOND: Nanos = Nanos(1_000_000_000);
 

@@ -1,4 +1,4 @@
-//! Pluggable exporters over a sampled [`TimeSeries`].
+//! Exporters over a sampled [`crate::TimeSeries`].
 //!
 //! Three built-in formats (the vendor-shim build has no serde, so JSON is
 //! hand-rolled):
@@ -13,59 +13,9 @@ pub mod csv;
 pub mod json;
 pub mod prometheus;
 
-use crate::sampler::TimeSeries;
-
-/// A serialization format for a sampled series.
-pub trait Exporter {
-    /// Render the series.
-    fn export(&self, series: &TimeSeries) -> String;
-    /// Conventional file extension (no dot).
-    fn file_ext(&self) -> &'static str;
-}
-
-/// CSV exporter (see [`csv::timeseries_csv`]).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CsvExporter;
-
-impl Exporter for CsvExporter {
-    fn export(&self, series: &TimeSeries) -> String {
-        csv::timeseries_csv(series)
-    }
-    fn file_ext(&self) -> &'static str {
-        "csv"
-    }
-}
-
-/// JSON exporter (see [`json::timeseries_json`]).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct JsonExporter;
-
-impl Exporter for JsonExporter {
-    fn export(&self, series: &TimeSeries) -> String {
-        json::timeseries_json(series).render()
-    }
-    fn file_ext(&self) -> &'static str {
-        "json"
-    }
-}
-
-/// Prometheus exporter: renders the series' closing cumulative totals as
-/// a `/metrics`-style page (see [`prometheus::snapshot_metrics`]).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PrometheusExporter;
-
-impl Exporter for PrometheusExporter {
-    fn export(&self, series: &TimeSeries) -> String {
-        prometheus::render(&prometheus::snapshot_metrics(&series.totals))
-    }
-    fn file_ext(&self) -> &'static str {
-        "prom"
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::{csv, json, prometheus};
     use crate::sampler::{CounterSnapshot, Sampler};
     use metronome_sim::Nanos;
 
@@ -76,11 +26,15 @@ mod tests {
         snap.retrieved = 99;
         s.sample(snap);
         let ts = s.into_series();
-        let exporters: [&dyn Exporter; 3] = [&CsvExporter, &JsonExporter, &PrometheusExporter];
-        for e in exporters {
-            let out = e.export(&ts);
-            assert!(out.contains("99"), "{} output missing data", e.file_ext());
-            assert!(!e.file_ext().is_empty());
+        for (format, out) in [
+            ("csv", csv::timeseries_csv(&ts)),
+            ("json", json::timeseries_json(&ts).render()),
+            (
+                "prometheus",
+                prometheus::render(&prometheus::snapshot_metrics(&ts.totals)),
+            ),
+        ] {
+            assert!(out.contains("99"), "{format} output missing data");
         }
     }
 }

@@ -60,7 +60,6 @@ pub mod trace;
 
 pub use counters::{QueueCounters, TelemetryHub, WorkerCounters, WorkerTelemetry};
 pub use export::json::Json;
-pub use export::{CsvExporter, Exporter, JsonExporter, PrometheusExporter};
 pub use probe::OccupancyProbe;
 pub use sampler::{CounterSnapshot, LatencyWindow, Sampler, TimeSeries, Window};
 pub use sink::{DropCause, NullSink, SleepKind, TelemetrySink};

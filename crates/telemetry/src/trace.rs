@@ -123,11 +123,6 @@ impl TraceEventKind {
             TraceEventKind::FaultPlan => "fault-plan",
         }
     }
-
-    /// The kind with the given code, if valid.
-    pub fn from_code(code: u8) -> Option<TraceEventKind> {
-        TraceEventKind::ALL.get(code as usize).copied()
-    }
 }
 
 /// The verdict a discipline turn produced, as recorded in a

@@ -13,9 +13,8 @@
 
 use metronome_repro::core::{DisciplineSpec, MetronomeConfig, WorkerSet};
 use metronome_repro::sim::Nanos;
-use metronome_repro::telemetry::{
-    CounterSnapshot, CsvExporter, Exporter, JsonExporter, PrometheusExporter, Sampler, TelemetryHub,
-};
+use metronome_repro::telemetry::export::{csv, json, prometheus};
+use metronome_repro::telemetry::{CounterSnapshot, Sampler, TelemetryHub};
 
 use crossbeam::queue::ArrayQueue;
 use std::sync::Arc;
@@ -83,18 +82,18 @@ fn main() {
         series.len()
     );
 
-    let exporters: [(&str, &dyn Exporter); 3] = [
-        ("CSV", &CsvExporter),
-        ("JSON", &JsonExporter),
-        ("Prometheus", &PrometheusExporter),
+    let exports = [
+        ("CSV", "csv", csv::timeseries_csv(&series)),
+        ("JSON", "json", json::timeseries_json(&series).render()),
+        (
+            "Prometheus",
+            "prom",
+            prometheus::render(&prometheus::snapshot_metrics(&series.totals)),
+        ),
     ];
-    for (name, exporter) in exporters {
-        let out = exporter.export(&series);
+    for (name, ext, out) in exports {
         let preview: String = out.lines().take(4).collect::<Vec<_>>().join("\n");
-        println!(
-            "\n--- {name} export (.{}, first lines) ---",
-            exporter.file_ext()
-        );
+        println!("\n--- {name} export (.{ext}, first lines) ---");
         println!("{preview}");
     }
 }

@@ -16,7 +16,7 @@ use common::serial;
 use metronome_repro::apps::processor::{BurstVerdicts, PacketProcessor, Verdict};
 use metronome_repro::apps::L3Fwd;
 use metronome_repro::core::MetronomeConfig;
-use metronome_repro::dpdk::{Mbuf, RingPath, RssPort};
+use metronome_repro::dpdk::{Mbuf, RssPort};
 use metronome_repro::runtime::pipeline::flow_templates;
 use metronome_repro::runtime::{run_realtime, run_realtime_with, RunReport, Scenario, TrafficSpec};
 use metronome_repro::sim::Nanos;
@@ -148,7 +148,7 @@ fn realtime_frames_match_the_scalar_rewrite_of_the_same_flows() {
 
     // The generator walks the flow templates round-robin; each template
     // resolves to one queue, and a queue is FIFO.
-    let port = RssPort::with_path(QUEUES, 4096, RingPath::Spsc);
+    let port = RssPort::new(QUEUES, 4096);
     let templates = flow_templates(&port, SEED);
     let mut scalar = L3Fwd::with_sample_routes(4);
     let mut expected: Vec<Vec<Vec<u8>>> = vec![Vec::new(); QUEUES];

@@ -15,8 +15,8 @@ use metronome_repro::apps::L3Fwd;
 use metronome_repro::core::MetronomeConfig;
 use metronome_repro::dpdk::Mbuf;
 use metronome_repro::runtime::{
-    run_realtime, run_realtime_with, try_run_realtime, AppProfile, RealtimeError, RingPath,
-    RunReport, Scenario, TrafficSpec,
+    run_realtime, run_realtime_with, try_run_realtime, AppProfile, RealtimeError, RunReport,
+    Scenario, TrafficSpec,
 };
 use metronome_repro::sim::Nanos;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -240,31 +240,6 @@ fn all_disciplines_conserve_and_forward() {
         // At 40 kpps with a 100 µs period / moderation window, no
         // discipline should drop on a default 512-slot ring.
         assert_eq!(r.dropped, 0, "{}: unexpected drops", r.name);
-    }
-}
-
-/// Both ring transports carry the same scenario end to end: the default
-/// SPSC path and the MPSC compare-exchange path conserve exactly and lose
-/// nothing at this load. One case per [`RingPath`].
-#[test]
-fn every_ring_path_conserves_end_to_end() {
-    let _guard = serial();
-    for path in [RingPath::Spsc, RingPath::Mpsc] {
-        let cfg = MetronomeConfig::multiqueue(2, 2);
-        let sc = Scenario::metronome(
-            format!("rt-ring-{}", path.label()),
-            cfg,
-            TrafficSpec::CbrPps(40_000.0),
-        )
-        .with_duration(Nanos::from_millis(200))
-        .with_seed(0x4147)
-        .with_ring_path(path);
-        let r = run_realtime(&sc);
-        assert!(r.forwarded > 0, "{}: no packets processed", r.name);
-        assert_eq!(r.offered, r.forwarded + r.dropped, "{}: leaked", r.name);
-        assert_eq!(r.dropped, 0, "{}: unexpected drops at 40 kpps", r.name);
-        let per_queue: u64 = r.queues.iter().map(|q| q.drained + q.dropped).sum();
-        assert_eq!(per_queue, r.offered, "{}: per-queue drift", r.name);
     }
 }
 

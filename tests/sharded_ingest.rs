@@ -1,5 +1,5 @@
 //! Property tests of the sharded ingest path: for *any* combination of
-//! producer shard count, queue count, ring path, and seed, sharded
+//! producer shard count, queue count, and seed, sharded
 //! generation plus scatter-gather queue dispatch must preserve per-flow
 //! order (flow → shard is a pure flow property, so every flow has
 //! exactly one producer) and exact packet conservation
@@ -15,7 +15,7 @@ use common::serial;
 use metronome_repro::apps::processor::{PacketProcessor, Verdict};
 use metronome_repro::core::MetronomeConfig;
 use metronome_repro::dpdk::Mbuf;
-use metronome_repro::runtime::{run_realtime_with, RingPath, Scenario, TrafficSpec};
+use metronome_repro::runtime::{run_realtime_with, Scenario, TrafficSpec};
 use metronome_repro::sim::Nanos;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -59,19 +59,17 @@ proptest! {
     fn sharded_ingest_preserves_flow_order_and_conserves(
         gen_shards in 1usize..=4,
         n_queues in 1usize..=2,
-        path_idx in 0usize..2,
         seed in any::<u64>(),
     ) {
         let _guard = serial();
-        let path = [RingPath::Spsc, RingPath::Mpsc][path_idx];
         let cfg = MetronomeConfig {
             m_threads: n_queues.max(2),
             n_queues,
             ..MetronomeConfig::default()
         };
         // Short but non-trivial: ~2000 offered packets per case. With
-        // `gen_shards > 1` on SPSC the runner upgrades the rings to MPSC
-        // (part of the property: the upgrade must not cost conservation).
+        // `gen_shards > 1` the shards take turns at each ring's producer
+        // guard (part of the property: turn-taking costs no conservation).
         let sc = Scenario::metronome(
             "prop-sharded-ingest",
             cfg,
@@ -79,7 +77,6 @@ proptest! {
         )
         .with_duration(Nanos::from_millis(40))
         .with_seed(seed)
-        .with_ring_path(path)
         .with_gen_shards(gen_shards)
         .with_latency();
 
@@ -93,14 +90,13 @@ proptest! {
             })
         });
 
-        // Exact conservation, whatever the shard/queue/ring combination.
+        // Exact conservation, whatever the shard/queue combination.
         prop_assert_eq!(
             r.offered,
             r.forwarded + r.dropped,
-            "packets leaked: shards={} queues={} path={:?}",
+            "packets leaked: shards={} queues={}",
             gen_shards,
-            n_queues,
-            path
+            n_queues
         );
         // Every forwarded frame passed through a probe.
         prop_assert_eq!(seen.load(Ordering::Relaxed), r.forwarded);
@@ -109,10 +105,9 @@ proptest! {
         prop_assert_eq!(
             violations.load(Ordering::Relaxed),
             0,
-            "per-flow arrival order violated: shards={} queues={} path={:?} seed={}",
+            "per-flow arrival order violated: shards={} queues={} seed={}",
             gen_shards,
             n_queues,
-            path,
             seed
         );
         // Pool audit: every buffer went home, no cache kept any.

@@ -1,5 +1,6 @@
-//! Golden-report regression tests: fixed-seed simulator runs of three
-//! representative scenarios, snapshotting the key `RunReport` fields so
+//! Golden-report regression tests: fixed-seed simulator runs of five
+//! representative scenarios (three Metronome, the static DPDK poller and
+//! the constant-sleep strawman), snapshotting the key `RunReport` fields so
 //! any protocol drift (engine, controller, queue model, traffic, latency
 //! path) fails loudly instead of silently shifting results.
 //!
@@ -51,6 +52,7 @@ fn render(r: &RunReport) -> String {
     line("total_wakes", r.total_wakes.to_string());
     line("mean_vacation_us", format!("{:.4}", r.mean_vacation_us()));
     line("mean_busy_us", format!("{:.4}", r.mean_busy_us()));
+    line("cpu_total_pct", format!("{:.6}", r.cpu_total_pct));
     match &r.latency_us {
         Some(b) => {
             line("latency_count", b.count.to_string());
@@ -155,5 +157,30 @@ fn golden_staircase_adaptation() {
         .with_latency()
         .with_series(Nanos::from_millis(50))
         .with_seed(0x601D_0003)
+    });
+}
+
+#[test]
+fn golden_static_dpdk() {
+    check("static_dpdk", || {
+        Scenario::static_dpdk("golden-static-dpdk", 2, TrafficSpec::PoissonPps(4e6))
+            .with_duration(Nanos::from_millis(100))
+            .with_latency()
+            .with_seed(0x601D_0004)
+    });
+}
+
+#[test]
+fn golden_const_sleep() {
+    check("const_sleep", || {
+        Scenario::const_sleep(
+            "golden-const-sleep",
+            1,
+            Nanos::from_micros(20),
+            TrafficSpec::CbrPps(2e6),
+        )
+        .with_duration(Nanos::from_millis(100))
+        .with_latency()
+        .with_seed(0x601D_0005)
     });
 }

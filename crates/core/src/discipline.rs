@@ -5,8 +5,8 @@
 //! adaptive sleep&wake scheme against classic busy-polling DPDK and
 //! interrupt-driven XDP. To run those baselines on real threads — not
 //! just in the simulator — the *discipline* is factored out of the worker
-//! loop: the Listing 2 Metronome protocol becomes one implementation of
-//! [`RetrievalDiscipline`], alongside
+//! loop: the Listing 2 Metronome protocol ([`MetronomeEngine`]) is one
+//! implementation of [`RetrievalDiscipline`], alongside
 //!
 //! * [`BusyPoll`] — one pinned spinning worker per queue, never sleeps
 //!   (the classic `rte_eth_rx_burst` lcore loop, paper Listing 1);
@@ -17,16 +17,19 @@
 //!   drains), the naive strawman whose fixed timeout Metronome's
 //!   adaptive `TS` beats.
 //!
-//! A discipline is a pure state machine over the same [`Backend`]
-//! capability trait the engine uses: each [`RetrievalDiscipline::turn`]
-//! performs one protocol step and yields a [`Verdict`] telling the
-//! driver what to do before the next turn (continue, yield, sleep, park,
-//! wait). The realtime driver (`crate::realtime`) executes verdicts with
-//! real sleeps and condvar parks; because disciplines never touch a
-//! clock or a thread primitive directly, they remain testable
-//! single-threaded against a scripted backend.
+//! A discipline is a pure state machine over the [`Backend`] capability
+//! trait: each [`RetrievalDiscipline::turn`] performs one protocol step
+//! and yields a [`Verdict`] telling the driver what to do before the next
+//! turn (continue, yield, sleep, park, wait). The realtime drivers
+//! (`crate::realtime`, `crate::executor`) execute verdicts with real
+//! sleeps and condvar or waker parks; the discrete-event simulator
+//! (`metronome-runtime`'s behaviors) executes the same verdicts in
+//! virtual time, so each discipline is one state machine on both
+//! backends. Because disciplines never touch a clock or a thread
+//! primitive directly, they remain testable single-threaded against a
+//! scripted backend.
 
-use crate::engine::{Backend, EngineOp, MetronomeEngine};
+use crate::engine::{Backend, MetronomeEngine};
 use crate::policy::ThreadPolicy;
 use metronome_sim::Nanos;
 use metronome_telemetry::{SleepKind, TelemetrySink};
@@ -213,46 +216,6 @@ pub trait RetrievalDiscipline {
 }
 
 // ---------------------------------------------------------------------------
-// Metronome (the Listing 2 engine, adapted)
-// ---------------------------------------------------------------------------
-
-/// The paper's protocol as a discipline: a thin adapter over
-/// [`MetronomeEngine`] mapping [`EngineOp`]s onto [`Verdict`]s.
-#[derive(Clone, Debug)]
-pub struct MetronomeDiscipline {
-    engine: MetronomeEngine,
-}
-
-impl MetronomeDiscipline {
-    /// Engine for a thread initially contending `initial_queue`, draining
-    /// bursts of `burst`.
-    pub fn new(initial_queue: usize, burst: u32) -> Self {
-        MetronomeDiscipline {
-            engine: MetronomeEngine::new(initial_queue, burst),
-        }
-    }
-}
-
-impl RetrievalDiscipline for MetronomeDiscipline {
-    fn turn<B: Backend, S: TelemetrySink>(&mut self, backend: &mut B, sink: &S) -> Verdict {
-        match self.engine.step_with(backend, sink) {
-            // Real cycles were already spent doing the step.
-            EngineOp::Work(_) => Verdict::Continue,
-            EngineOp::Sleep(dur) => Verdict::Sleep(dur),
-            EngineOp::Wait(dur) => Verdict::Wait(dur),
-        }
-    }
-
-    fn policy(&self) -> &ThreadPolicy {
-        self.engine.policy()
-    }
-
-    fn into_policy(self) -> ThreadPolicy {
-        self.engine.into_policy()
-    }
-}
-
-// ---------------------------------------------------------------------------
 // BusyPoll (paper Listing 1)
 // ---------------------------------------------------------------------------
 
@@ -307,6 +270,9 @@ impl RetrievalDiscipline for BusyPoll {
 /// repeat. The naive sleep&wake strawman — its fixed timeout either
 /// oversleeps the queue at high rates (loss) or wakes pointlessly at low
 /// ones (CPU); Metronome's adaptive `TS` (eq. 13) is the fix.
+///
+/// A wake is a turn of its own (like Metronome's), calling
+/// [`Backend::before_contend`] on the queue before the drain begins.
 #[derive(Clone, Debug)]
 pub struct ConstSleep {
     q: usize,
@@ -343,6 +309,8 @@ impl RetrievalDiscipline for ConstSleep {
             self.asleep = false;
             self.policy.on_wake();
             sink.wake();
+            backend.before_contend(self.q);
+            return Verdict::Continue;
         }
         let taken = backend.rx_burst(self.q, self.burst);
         if taken > 0 {
@@ -383,8 +351,12 @@ pub struct ModerationConfig {
 
 impl Default for ModerationConfig {
     fn default() -> Self {
-        // Same order as the simulator's calibrated XDP ITR windows
-        // (12 µs light / 50 µs loaded, runtime::calib).
+        // The floor is the simulator's light-load XDP ITR window
+        // (`runtime::calib::XDP_ITR_LOW`, 12 µs): a lone packet waits no
+        // longer than a NIC in low-latency mode holds its interrupt. The
+        // ceiling is Metronome's default long timeout `TL` (500 µs): under
+        // sustained load the window doubles until one moderation sleep is
+        // as long as a Metronome backup's, and never longer.
         ModerationConfig {
             min: Nanos::from_micros(12),
             max: Nanos::from_micros(500),
@@ -579,7 +551,7 @@ impl DisciplineSpec {
     ) -> AnyDiscipline {
         match self {
             DisciplineSpec::Metronome => {
-                AnyDiscipline::Metronome(MetronomeDiscipline::new(worker % n_queues, burst))
+                AnyDiscipline::Metronome(MetronomeEngine::new(worker % n_queues, burst))
             }
             DisciplineSpec::BusyPoll => AnyDiscipline::BusyPoll(BusyPoll::new(worker, burst)),
             DisciplineSpec::InterruptLike(moderation) => AnyDiscipline::InterruptLike(
@@ -598,7 +570,7 @@ impl DisciplineSpec {
 #[derive(Clone, Debug)]
 pub enum AnyDiscipline {
     /// Listing 2.
-    Metronome(MetronomeDiscipline),
+    Metronome(MetronomeEngine),
     /// Listing 1.
     BusyPoll(BusyPoll),
     /// XDP/NAPI analogue.
@@ -720,7 +692,8 @@ mod tests {
             Verdict::Sleep(dur) => assert_eq!(dur, period),
             other => panic!("expected fixed sleep, got {other:?}"),
         }
-        // Wake with an empty queue: one empty poll, then sleep again.
+        // The wake is a turn of its own; then an empty poll sleeps again.
+        assert!(matches!(d.turn(&mut b, &NullSink), Verdict::Continue));
         match d.turn(&mut b, &NullSink) {
             Verdict::Sleep(dur) => assert_eq!(dur, period),
             other => panic!("expected fixed sleep, got {other:?}"),
@@ -806,11 +779,10 @@ mod tests {
     }
 
     #[test]
-    fn metronome_discipline_mirrors_engine() {
-        // The adapter must behave exactly like driving the engine raw.
+    fn metronome_spec_builds_the_engine() {
         let mut b = ScriptBackend::new();
         b.queued.extend(0..10u64);
-        let mut d = MetronomeDiscipline::new(0, 32);
+        let mut d = DisciplineSpec::Metronome.build(0, 1, 32, &[]);
         assert!(matches!(d.turn(&mut b, &NullSink), Verdict::Wait(_))); // stagger
         let mut sleeps = 0;
         for _ in 0..20 {

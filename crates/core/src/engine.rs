@@ -2,96 +2,44 @@
 //!
 //! The paper's Listing 2 loop — trylock race, drain burst, adaptive
 //! `TS`/`TL` sleep — exists exactly once, here, as the resumable state
-//! machine [`MetronomeEngine`]. Everything environment-specific is behind
-//! the [`Backend`] trait: how time passes, how packets are received and
-//! processed, how the race primitive and the entropy source are realized,
-//! and what each protocol step costs.
+//! machine [`MetronomeEngine`], one [`RetrievalDiscipline`] among the
+//! baselines of [`crate::discipline`]. Everything environment-specific is
+//! behind the [`Backend`] trait: how packets are received and processed,
+//! and how the race primitive and the entropy source are realized.
 //!
 //! Two backends drive the same engine:
 //!
 //! * the **discrete-event simulation** (`metronome-runtime`'s
 //!   `WorldBackend`): the trylock is an owner slot on the simulated queue,
-//!   sleeps go through the calibrated `hr_sleep()`/`nanosleep()` model,
-//!   entropy comes from the thread's seeded PRNG stream, and every step
-//!   charges calibrated CPU cycles to the virtual core;
+//!   entropy comes from the thread's seeded PRNG stream, and each backend
+//!   call adds its calibrated CPU cycles to the turn, which the simulator's
+//!   driver charges to the virtual core;
 //! * the **real-thread runtime** (`crate::realtime::RealtimeBackend`):
-//!   the trylock is a CMPXCHG [`crate::trylock::TryLock`], sleeps go
-//!   through the spin-assisted [`crate::realtime::PreciseSleeper`],
-//!   entropy is a shared SplitMix64 counter, and step costs are zero
-//!   because the hardware charges them implicitly.
+//!   the trylock is a CMPXCHG [`crate::trylock::TryLock`] and entropy is a
+//!   shared SplitMix64 counter; the hardware spends the cycles.
 //!
-//! The engine yields an [`EngineOp`] per step instead of blocking so the
+//! The engine returns a [`Verdict`] per turn instead of blocking, so the
 //! cooperative simulator can interleave threads and advance virtual time
-//! between steps; the real-thread driver simply executes ops in a loop.
+//! between turns; the real-thread driver executes verdicts in a loop.
 //! One protocol change lands in both runtimes by construction.
 
+use crate::discipline::{RetrievalDiscipline, Verdict};
 use crate::policy::ThreadPolicy;
 use crate::rxqueue::Lookahead;
 use metronome_sim::Nanos;
-use metronome_telemetry::{NullSink, SleepKind, TelemetrySink};
+use metronome_telemetry::{SleepKind, TelemetrySink};
 
 pub use crate::policy::Role;
-
-/// CPU cycles charged per protocol step, exclusive of packet processing.
-///
-/// The simulation backend fills these from its calibration constants; the
-/// real-thread backend reports zero everywhere (real cycles are spent, not
-/// modeled).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StepCosts {
-    /// Wake path after a timer fires: IRQ, context switch in, re-warming.
-    pub wake_path: u64,
-    /// Successful trylock plus queue-state load.
-    pub acquire: u64,
-    /// Failed trylock attempt (read + CMPXCHG miss + branch).
-    pub busy_try: u64,
-    /// An empty `rx_burst` poll on a just-acquired queue.
-    pub empty_poll: u64,
-    /// Lock release, estimator update, `TS` computation.
-    pub release: u64,
-    /// Issuing the sleep syscall (entry, hrtimer arming, switch out).
-    pub sleep_call: u64,
-}
-
-impl StepCosts {
-    /// All-zero costs (real-time execution: the hardware keeps the books).
-    pub const ZERO: StepCosts = StepCosts {
-        wake_path: 0,
-        acquire: 0,
-        busy_try: 0,
-        empty_poll: 0,
-        release: 0,
-        sleep_call: 0,
-    };
-}
-
-/// What the engine asks its driver to do next.
-///
-/// Every step of the protocol yields exactly one op; the driver performs
-/// it (burn cycles / sleep / wait) and calls [`MetronomeEngine::step`]
-/// again.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EngineOp {
-    /// Execute this many CPU cycles of protocol work, then step again.
-    /// Real-time drivers treat any `Work` as "continue immediately".
-    Work(u64),
-    /// Sleep through the backend's timer service for (at least) the given
-    /// duration, then step again. Subject to the service's oversleep.
-    Sleep(Nanos),
-    /// Idle until exactly this much time has passed (start-up stagger);
-    /// no timer-service oversleep model applies.
-    Wait(Nanos),
-}
 
 /// The environment capabilities the Metronome protocol runs against.
 ///
 /// A backend bundles the clockless subset of what Listing 2 touches:
 /// queue I/O (`try_acquire` / `rx_burst` / `release`), the per-queue
-/// adaptive controller view (`ts` / `tl`), an entropy source for the
-/// backup queue pick (`draw`), and the step cost model. Implementations
-/// must record race and renewal-cycle statistics inside `try_acquire` /
-/// `release` so the shared [`crate::controller::AdaptiveController`]
-/// bookkeeping also lives in exactly one place per backend.
+/// adaptive controller view (`ts` / `tl`) and an entropy source for the
+/// backup queue pick (`draw`). Implementations must record race and
+/// renewal-cycle statistics inside `try_acquire` / `release` so the shared
+/// [`crate::controller::AdaptiveController`] bookkeeping also lives in
+/// exactly one place per backend.
 pub trait Backend {
     /// Number of Rx queues under contention.
     fn n_queues(&self) -> usize;
@@ -104,22 +52,9 @@ pub trait Backend {
     /// record the busy try.
     fn try_acquire(&mut self, q: usize) -> bool;
 
-    /// Receive up to `burst` packets from the owned queue `q`, returning
-    /// how many were taken. Real-time backends process the packets here;
-    /// simulation backends only dequeue (processing cost is charged via
-    /// [`Backend::chunk_cost`] and accounted in [`Backend::chunk_done`]).
+    /// Receive up to `burst` packets from queue `q` and process them,
+    /// returning how many were taken.
     fn rx_burst(&mut self, q: usize, burst: u32) -> u64;
-
-    /// CPU cycles to process a chunk of `k` packets (application cost).
-    fn chunk_cost(&self, k: u64) -> u64 {
-        let _ = k;
-        0
-    }
-
-    /// A chunk of `k` packets finished processing (Tx-batch accounting).
-    fn chunk_done(&mut self, q: usize, k: u64) {
-        let _ = (q, k);
-    }
 
     /// Release the owned queue `q`, feed the completed renewal cycle
     /// (vacation + busy period) to the adaptive controller, and return the
@@ -129,8 +64,9 @@ pub trait Backend {
     /// the queue.
     fn release(&mut self, q: usize) -> Nanos;
 
-    /// Hook invoked on wake for the queue about to be contended, before
-    /// the race (the simulation flushes stale Tx batches here).
+    /// Hook invoked on wake for the queue about to be contended or polled,
+    /// before the race or the drain (the simulation charges the wake path
+    /// and flushes stale Tx batches here).
     fn before_contend(&mut self, q: usize) {
         let _ = q;
     }
@@ -187,11 +123,6 @@ pub trait Backend {
     fn stagger(&mut self) -> Nanos {
         Nanos::ZERO
     }
-
-    /// The cycle cost of each protocol step.
-    fn costs(&self) -> StepCosts {
-        StepCosts::ZERO
-    }
 }
 
 impl<B: Backend> Backend for &mut B {
@@ -209,14 +140,6 @@ impl<B: Backend> Backend for &mut B {
 
     fn rx_burst(&mut self, q: usize, burst: u32) -> u64 {
         (**self).rx_burst(q, burst)
-    }
-
-    fn chunk_cost(&self, k: u64) -> u64 {
-        (**self).chunk_cost(k)
-    }
-
-    fn chunk_done(&mut self, q: usize, k: u64) {
-        (**self).chunk_done(q, k)
     }
 
     fn release(&mut self, q: usize) -> Nanos {
@@ -254,10 +177,6 @@ impl<B: Backend> Backend for &mut B {
     fn stagger(&mut self) -> Nanos {
         (**self).stagger()
     }
-
-    fn costs(&self) -> StepCosts {
-        (**self).costs()
-    }
 }
 
 /// Where the engine is inside the Listing 2 loop.
@@ -269,12 +188,12 @@ enum Phase {
     AfterSleep,
     /// Race for the queue.
     TryAcquire,
-    /// A burst of `k` packets from queue `q` is being processed.
-    Chunk {
+    /// Draining the owned queue `q`.
+    Drain {
         /// Owned queue.
         q: usize,
-        /// Packets in the chunk whose processing just completed.
-        k: u64,
+        /// Whether this drain has taken anything yet.
+        drained_any: bool,
     },
     /// About to sleep for `dur`.
     GoSleep {
@@ -318,40 +237,21 @@ impl MetronomeEngine {
             phase: Phase::Init,
         }
     }
+}
 
-    /// The thread's policy state (role, queue, race counters).
-    pub fn policy(&self) -> &ThreadPolicy {
-        &self.policy
-    }
-
-    /// Consume the engine, yielding the final policy statistics.
-    pub fn into_policy(self) -> ThreadPolicy {
-        self.policy
-    }
-
-    /// Advance the protocol by one step against `backend`, returning what
-    /// the driver must do before the next step.
-    pub fn step<B: Backend>(&mut self, backend: &mut B) -> EngineOp {
-        self.step_with(backend, &NullSink)
-    }
-
-    /// [`MetronomeEngine::step`] with telemetry: wakes,
-    /// drained-burst counts, `TS` recomputations and sleep intents are
-    /// published into `sink` as they happen. `sink` is called at protocol
-    /// grain (per turn / per burst, never per packet), so a counter sink
-    /// adds a handful of relaxed-atomic increments per turn; with
-    /// [`NullSink`] this monomorphizes back to the plain loop.
-    pub fn step_with<B: Backend, S: TelemetrySink>(
-        &mut self,
-        backend: &mut B,
-        sink: &S,
-    ) -> EngineOp {
+impl RetrievalDiscipline for MetronomeEngine {
+    /// One step of Listing 2. Wakes, drained bursts, `TS` recomputations
+    /// and sleep intents are published into `sink` as they happen, at
+    /// protocol grain (per turn / per burst, never per packet), so a
+    /// counter sink adds a handful of relaxed-atomic increments per turn;
+    /// with `NullSink` this monomorphizes back to the plain loop.
+    fn turn<B: Backend, S: TelemetrySink>(&mut self, backend: &mut B, sink: &S) -> Verdict {
         match self.phase {
             Phase::Init => {
                 let stagger = backend.stagger();
                 self.phase = Phase::AfterSleep;
                 sink.sleep_planned(SleepKind::Stagger, stagger);
-                EngineOp::Wait(stagger)
+                Verdict::Wait(stagger)
             }
             Phase::AfterSleep => {
                 self.policy.on_wake();
@@ -359,14 +259,16 @@ impl MetronomeEngine {
                 let q = self.policy.queue_to_contend();
                 backend.before_contend(q);
                 self.phase = Phase::TryAcquire;
-                EngineOp::Work(backend.costs().wake_path)
+                Verdict::Continue
             }
             Phase::TryAcquire => {
                 let q = self.policy.queue_to_contend();
                 if backend.try_acquire(q) {
                     self.policy.on_race_won();
-                    self.phase = Phase::Chunk { q, k: 0 };
-                    EngineOp::Work(backend.costs().acquire)
+                    self.phase = Phase::Drain {
+                        q,
+                        drained_any: false,
+                    };
                 } else {
                     // Busy try: become backup, pick a random queue, sleep
                     // TL (or TS in the equal-timeout ablation).
@@ -382,23 +284,20 @@ impl MetronomeEngine {
                         dur,
                         kind: SleepKind::Long,
                     };
-                    let costs = backend.costs();
-                    EngineOp::Work(costs.busy_try + costs.sleep_call)
                 }
+                Verdict::Continue
             }
-            Phase::Chunk { q, k } => {
-                if k > 0 {
-                    // The chunk just finished computing: account Tx.
-                    backend.chunk_done(q, k);
-                }
+            Phase::Drain { q, drained_any } => {
                 let taken = backend.rx_burst(q, self.burst);
                 if taken > 0 {
                     sink.retrieved(q, taken);
-                    self.phase = Phase::Chunk { q, k: taken };
-                    EngineOp::Work(backend.chunk_cost(taken))
+                    self.phase = Phase::Drain {
+                        q,
+                        drained_any: true,
+                    };
                 } else {
                     // Queue depleted: release, compute TS, sleep.
-                    if k == 0 {
+                    if !drained_any {
                         self.policy.on_empty_poll();
                     }
                     let dur = backend.release(q);
@@ -408,22 +307,30 @@ impl MetronomeEngine {
                         dur,
                         kind: SleepKind::Short,
                     };
-                    let costs = backend.costs();
-                    EngineOp::Work(costs.empty_poll + costs.release + costs.sleep_call)
                 }
+                Verdict::Continue
             }
             Phase::GoSleep { dur, kind } => {
                 self.phase = Phase::AfterSleep;
                 sink.sleep_planned(kind, dur);
-                EngineOp::Sleep(dur)
+                Verdict::Sleep(dur)
             }
         }
+    }
+
+    fn policy(&self) -> &ThreadPolicy {
+        &self.policy
+    }
+
+    fn into_policy(self) -> ThreadPolicy {
+        self.policy
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use metronome_telemetry::NullSink;
     use std::collections::VecDeque;
 
     /// A scripted in-memory backend for engine unit tests.
@@ -502,12 +409,11 @@ mod tests {
         }
     }
 
-    fn run_one_turn(engine: &mut MetronomeEngine, b: &mut ScriptBackend) -> EngineOp {
-        // Step until the engine asks to sleep; return the sleep op.
+    /// Turn until the engine asks to sleep; return the sleep's length.
+    fn run_one_turn(engine: &mut MetronomeEngine, b: &mut ScriptBackend) -> Nanos {
         loop {
-            match engine.step(b) {
-                EngineOp::Work(_) | EngineOp::Wait(_) => continue,
-                op @ EngineOp::Sleep(_) => return op,
+            if let Verdict::Sleep(dur) = engine.turn(b, &NullSink) {
+                return dur;
             }
         }
     }
@@ -517,8 +423,7 @@ mod tests {
         let mut b = ScriptBackend::new(1);
         b.queued[0].extend(0..40u64); // two bursts of 32 + 8
         let mut e = MetronomeEngine::new(0, 32);
-        let op = run_one_turn(&mut e, &mut b);
-        assert_eq!(op, EngineOp::Sleep(b.ts));
+        assert_eq!(run_one_turn(&mut e, &mut b), b.ts);
         assert_eq!(b.processed, 40);
         assert_eq!(b.releases, vec![0]);
         assert!(!b.locked[0]);
@@ -543,8 +448,7 @@ mod tests {
         b.locked[1] = true; // someone owns the target queue
         b.draws.push_back(7); // 7 % 4 = queue 3
         let mut e = MetronomeEngine::new(1, 32);
-        let op = run_one_turn(&mut e, &mut b);
-        assert_eq!(op, EngineOp::Sleep(b.tl));
+        assert_eq!(run_one_turn(&mut e, &mut b), b.tl);
         assert_eq!(e.policy().role(), Role::Backup);
         assert_eq!(e.policy().races_lost, 1);
         assert_eq!(e.policy().queue_to_contend(), 3);
@@ -557,19 +461,21 @@ mod tests {
         b.locked[0] = true;
         b.equal = true;
         let mut e = MetronomeEngine::new(0, 32);
-        let op = run_one_turn(&mut e, &mut b);
-        assert_eq!(op, EngineOp::Sleep(b.ts));
+        assert_eq!(run_one_turn(&mut e, &mut b), b.ts);
     }
 
     #[test]
-    fn first_step_is_stagger_wait() {
+    fn first_turn_is_stagger_wait() {
         let mut b = ScriptBackend::new(1);
         let mut e = MetronomeEngine::new(0, 32);
-        assert_eq!(e.step(&mut b), EngineOp::Wait(Nanos::ZERO));
+        assert!(matches!(
+            e.turn(&mut b, &NullSink),
+            Verdict::Wait(Nanos::ZERO)
+        ));
     }
 
     #[test]
-    fn step_with_publishes_telemetry() {
+    fn turn_publishes_telemetry() {
         use metronome_telemetry::TelemetryHub;
         use std::sync::atomic::Ordering;
 
@@ -579,7 +485,7 @@ mod tests {
         b.queued[0].extend(0..40u64);
         let mut e = MetronomeEngine::new(0, 32);
         loop {
-            if let EngineOp::Sleep(_) = e.step_with(&mut b, &sink) {
+            if let Verdict::Sleep(_) = e.turn(&mut b, &sink) {
                 break;
             }
         }
@@ -596,7 +502,7 @@ mod tests {
         // A lost race publishes a long (TL) sleep intent.
         b.locked[0] = true;
         loop {
-            if let EngineOp::Sleep(_) = e.step_with(&mut b, &sink) {
+            if let Verdict::Sleep(_) = e.turn(&mut b, &sink) {
                 break;
             }
         }

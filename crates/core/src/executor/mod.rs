@@ -694,7 +694,8 @@ where
 mod tests {
     use super::*;
     use crate::config::MetronomeConfig;
-    use crate::discipline::{BusyPoll, ConstSleep, MetronomeDiscipline};
+    use crate::discipline::{BusyPoll, ConstSleep};
+    use crate::engine::MetronomeEngine;
     use crate::realtime::tests::Stamping;
     use crate::realtime::{RealtimeBackend, SharedState};
     use crate::rxqueue::RxQueue;
@@ -920,7 +921,7 @@ mod tests {
         // hints queue f(i+2)'s indices, then queue f(i+1)'s frames.
         const N: usize = 16;
         let disciplines = (0..N)
-            .map(|id| AnyDiscipline::Metronome(MetronomeDiscipline::new(id, 32)))
+            .map(|id| AnyDiscipline::Metronome(MetronomeEngine::new(id, 32)))
             .collect();
         let steps = shard_steps(disciplines, Duration::from_millis(10));
         // Start-up is not a sweep: nothing has fired, and a Metronome task's
@@ -1009,7 +1010,7 @@ mod tests {
             .map(|id| {
                 let discipline = match id {
                     0 => AnyDiscipline::BusyPoll(BusyPoll::new(0, 1)),
-                    _ => AnyDiscipline::Metronome(MetronomeDiscipline::new(id, 32)),
+                    _ => AnyDiscipline::Metronome(MetronomeEngine::new(id, 32)),
                 };
                 let backend = RealtimeBackend::new(
                     queues.clone(),
@@ -1150,7 +1151,7 @@ mod tests {
                 .collect();
             let workers = (0..N)
                 .map(|id| {
-                    let discipline = AnyDiscipline::Metronome(MetronomeDiscipline::new(id, 32));
+                    let discipline = AnyDiscipline::Metronome(MetronomeEngine::new(id, 32));
                     let backend = RealtimeBackend::new(
                         queues.clone(),
                         Arc::clone(&shared),

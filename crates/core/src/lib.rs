@@ -17,8 +17,8 @@
 //!   busy-polling DPDK ([`discipline::BusyPoll`]), interrupt-driven
 //!   XDP/NAPI ([`discipline::InterruptLike`] parked on a
 //!   [`discipline::Doorbell`]), and fixed-period retrieval
-//!   ([`discipline::ConstSleep`]) — so the paper's comparative baselines
-//!   run on real threads too;
+//!   ([`discipline::ConstSleep`]) — each one state machine that runs on
+//!   real threads and in the simulator alike;
 //! * [`policy`] — the primary/backup diversity policy: race winners sleep
 //!   the short adaptive timeout `TS` and re-contend their queue, losers
 //!   sleep the long timeout `TL` and re-contend a random queue (§IV-A,
@@ -83,10 +83,10 @@ pub mod workers;
 pub use config::MetronomeConfig;
 pub use controller::AdaptiveController;
 pub use discipline::{
-    AnyDiscipline, BusyPoll, ConstSleep, DisciplineSpec, Doorbell, InterruptLike,
-    MetronomeDiscipline, ModerationConfig, ParkToken, RetrievalDiscipline, Verdict,
+    AnyDiscipline, BusyPoll, ConstSleep, DisciplineSpec, Doorbell, InterruptLike, ModerationConfig,
+    ParkToken, RetrievalDiscipline, Verdict,
 };
-pub use engine::{Backend, EngineOp, MetronomeEngine, StepCosts};
+pub use engine::{Backend, MetronomeEngine};
 pub use executor::TimerWheel;
 pub use policy::{Role, ThreadPolicy};
 pub use realtime::{PreciseSleeper, RealtimeBackend, RealtimeHarness, RealtimeStats};

@@ -16,7 +16,7 @@
 //! | sleep service     | calibrated `hr_sleep` model | [`PreciseSleeper`]  |
 //! | entropy           | seeded xoshiro stream       | SplitMix64 counter  |
 //! | clock             | virtual `Nanos`             | the driver's [`CoarseClock`]: one OS read in an empty wake's busy span, the release stamp that closes it; in a wake that drains bursts, one per burst, the last of which is also the release stamp |
-//! | step costs        | calibrated cycle charges    | zero (hardware pays) |
+//! | step costs        | calibrated cycle charges    | none modeled (hardware pays) |
 //!
 //! **`hr_sleep()` substitution.** The paper's precision comes from a custom
 //! kernel sleep service we cannot ship from user space. [`PreciseSleeper`]
@@ -1184,7 +1184,7 @@ pub(crate) mod tests {
                 Stamping::default(),
             );
             let policy = run_worker(
-                crate::discipline::MetronomeDiscipline::new(0, 32),
+                crate::engine::MetronomeEngine::new(0, 32),
                 backend,
                 PreciseSleeper::default(),
                 harness.shared.epoch,

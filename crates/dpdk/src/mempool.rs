@@ -45,7 +45,6 @@
 use crate::fastring::CacheLine;
 use crate::mbuf::Mbuf;
 use bytes::BytesMut;
-use metronome_telemetry::OccupancyProbe;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -404,19 +403,6 @@ impl Mempool {
                 },
             );
         }
-    }
-}
-
-/// The sampler-facing gauge view of a pool: "occupancy" is buffers
-/// currently handed out ([`Mempool::in_use`]). Reads are atomic loads —
-/// the freelist lock is never taken.
-impl OccupancyProbe for Mempool {
-    fn occupancy(&self) -> u64 {
-        self.in_use() as u64
-    }
-
-    fn capacity(&self) -> u64 {
-        self.shared.population as u64
     }
 }
 

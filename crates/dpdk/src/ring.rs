@@ -111,19 +111,6 @@ impl RxRingModel {
     }
 }
 
-/// The simulation ring model answers the same gauge questions as the
-/// concurrent [`crate::shared_ring::SharedRing`], so the telemetry
-/// sampler reads either backend's rings through one trait.
-impl metronome_telemetry::OccupancyProbe for RxRingModel {
-    fn occupancy(&self) -> u64 {
-        self.occupancy
-    }
-
-    fn capacity(&self) -> u64 {
-        self.capacity
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -25,7 +25,6 @@ use crate::fastring::SpscRing;
 use crate::mbuf::Mbuf;
 use crate::ring::valid_ring_size;
 use metronome_net::toeplitz::Toeplitz;
-use metronome_telemetry::OccupancyProbe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -169,18 +168,6 @@ impl SharedRing {
     }
 }
 
-/// The sampler-facing gauge view of a ring (see
-/// [`metronome_telemetry::OccupancyProbe`]); reads are lock-free.
-impl OccupancyProbe for SharedRing {
-    fn occupancy(&self) -> u64 {
-        self.ring.len() as u64
-    }
-
-    fn capacity(&self) -> u64 {
-        self.ring.capacity() as u64
-    }
-}
-
 /// The consumer end of a [`SharedRing`]: the handle a retrieval worker
 /// drains. Cheap to clone (an `Arc` under the hood); concurrent pops
 /// from clones serialize on the ring's consumer guard rather than
@@ -315,7 +302,7 @@ impl RssPort {
     /// Per-queue ring occupancies in one pass (the telemetry sampler's
     /// gauge column; each read is lock-free).
     pub fn occupancies(&self) -> Vec<u64> {
-        self.rings.iter().map(OccupancyProbe::occupancy).collect()
+        self.rings.iter().map(|r| r.occupancy() as u64).collect()
     }
 
     /// Consumer handles for the workers, one per queue.

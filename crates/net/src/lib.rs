@@ -10,7 +10,7 @@
 //! * [`toeplitz`] — the real RSS hash (validated against the Microsoft
 //!   verification-suite vectors) that decides per-flow Rx-queue placement.
 //! * [`lpm`] — DIR-24-8 longest-prefix match (DPDK `rte_lpm` geometry).
-//! * [`em`] — exact-match flow table (l3fwd EM mode, FloWatcher state).
+//! * [`em`] — exact-match flow table (FloWatcher's per-flow state).
 //! * [`aes`] / [`esp`] — FIPS-197 AES-128 + CBC and RFC 4303 tunnel-mode
 //!   ESP for the IPsec Security Gateway application.
 //! * [`pcap`] — classic libpcap read/write so synthetic traces (e.g. the

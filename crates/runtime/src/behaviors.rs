@@ -1,52 +1,78 @@
-//! The thread bodies: Metronome workers, static DPDK pollers, XDP NAPI
-//! loops and ferret workers, all as `metronome_os::Behavior` state
-//! machines over the shared [`World`].
+//! The thread bodies, as `metronome_os::Behavior` state machines over the
+//! shared [`World`]: the retrieval disciplines, XDP NAPI loops and ferret
+//! workers.
 //!
-//! The Metronome worker itself carries **no protocol logic**: the Listing 2
-//! loop lives once in `metronome_core::engine::MetronomeEngine`, and
-//! [`MetronomeWorker`] merely adapts the engine to the simulator by
-//! realizing the engine's `Backend` capabilities over the [`World`]
-//! (see [`WorldBackend`]) and translating engine ops into scheduler
-//! [`Action`]s.
+//! The retrieval threads carry **no protocol logic**: Metronome's Listing 2
+//! loop, the static DPDK poller and the constant-sleep strawman live once
+//! each in `metronome_core::discipline`, the same state machines the
+//! realtime runner executes. [`DisciplineWorker`] runs one over a
+//! [`WorldBackend`], which realizes the `Backend` capabilities over the
+//! [`World`] and prices each call with the §3 cost model, and turns the
+//! discipline's verdicts into scheduler [`Action`]s. [`XdpHandler`] is the
+//! one sim-only retrieval model: it charges the kernel's IRQ and NAPI
+//! path, which no user-space discipline executes.
 
 use crate::apps_profile::AppProfile;
 use crate::calib;
 use crate::world::{FerretCompletion, World};
-use metronome_core::engine::{Backend, EngineOp, MetronomeEngine, StepCosts};
+use metronome_core::discipline::{AnyDiscipline, RetrievalDiscipline, Verdict};
+use metronome_core::engine::Backend;
 use metronome_os::executor::{Action, Behavior, RunCtx};
 use metronome_os::sleep::SleepService;
 use metronome_sim::stats::Ewma;
 use metronome_sim::{Cycles, Nanos, Rng};
-
-/// Convert a wall duration into cycles at the context's frequency.
-fn cycles_for(dur: Nanos, freq_mhz: u32) -> Cycles {
-    Cycles::from_duration(dur, freq_mhz)
-}
+use metronome_telemetry::NullSink;
 
 // ---------------------------------------------------------------------------
-// Metronome worker (paper Listing 2, via the shared engine)
+// Retrieval disciplines (Metronome, static DPDK, constant sleep)
 // ---------------------------------------------------------------------------
 
-/// The discrete-event realization of the engine's `Backend` capabilities:
-/// the trylock is the simulated queue's owner slot, receive bursts come
-/// from the hybrid descriptor-ring model, entropy from the thread's seeded
-/// PRNG stream, and every protocol step charges its calibrated cycle cost
-/// to the virtual core.
+/// The discrete-event realization of the `Backend` capabilities: the
+/// trylock is the simulated queue's owner slot, receive bursts come from
+/// the hybrid descriptor-ring model, entropy from the thread's seeded PRNG
+/// stream. Each call adds its calibrated CPU cycles to the turn's tally,
+/// which [`DisciplineWorker`] charges to the virtual core.
 ///
 /// Constructed fresh for each scheduler turn (it borrows the world and the
 /// thread's RNG at the turn's virtual `now`); also constructible directly
-/// by tests that want to drive the engine deterministically.
+/// by tests that want to drive a discipline deterministically.
 pub struct WorldBackend<'a> {
-    /// The shared simulation world.
-    pub world: &'a mut World,
-    /// The thread's private RNG stream.
-    pub rng: &'a mut Rng,
-    /// Current virtual time.
-    pub now: Nanos,
+    world: &'a mut World,
+    rng: &'a mut Rng,
+    now: Nanos,
     /// Simulated thread id (lock-owner identity).
-    pub tid: usize,
+    tid: usize,
     /// Application cost profile for packet processing.
-    pub app: AppProfile,
+    app: AppProfile,
+    cycles: u64,
+    polled: Option<usize>,
+}
+
+impl<'a> WorldBackend<'a> {
+    /// Backend for thread `tid` running `app`, at virtual time `now`.
+    pub fn new(
+        world: &'a mut World,
+        rng: &'a mut Rng,
+        now: Nanos,
+        tid: usize,
+        app: AppProfile,
+    ) -> Self {
+        WorldBackend {
+            world,
+            rng,
+            now,
+            tid,
+            app,
+            cycles: 0,
+            polled: None,
+        }
+    }
+
+    fn flush_stale_tx(&mut self, q: usize) {
+        if self.world.queues[q].tx_stale(self.now) {
+            self.world.flush_queue_tx(q, self.now);
+        }
+    }
 }
 
 impl Backend for WorldBackend<'_> {
@@ -60,35 +86,43 @@ impl Backend for WorldBackend<'_> {
 
     fn try_acquire(&mut self, q: usize) -> bool {
         // Race/vacation bookkeeping happens inside the world.
-        self.world.try_acquire(q, self.tid, self.now)
+        let won = self.world.try_acquire(q, self.tid, self.now);
+        self.cycles += if won {
+            calib::ACQUIRE_CYCLES
+        } else {
+            // The loser goes straight to sleep: its sleep call is this turn's.
+            calib::BUSY_TRY_CYCLES + calib::SLEEP_CALL_CYCLES
+        };
+        won
     }
 
     fn rx_burst(&mut self, q: usize, burst: u32) -> u64 {
-        self.world.queues[q].take_burst(self.now, burst as u64)
-    }
-
-    fn chunk_cost(&self, k: u64) -> u64 {
-        self.app.burst_cycles(k)
-    }
-
-    fn chunk_done(&mut self, q: usize, k: u64) {
-        self.world.chunk_done(q, self.now, k);
+        // The chunk this queue handed out last has been processed by now.
+        self.world.settle(q, self.now);
+        self.polled = Some(q);
+        let taken = self.world.queues[q].take_burst(self.now, burst as u64);
+        if taken > 0 {
+            self.cycles += self.app.burst_cycles(taken);
+        } else {
+            self.flush_stale_tx(q);
+            self.cycles += calib::EMPTY_POLL_CYCLES;
+        }
+        taken
     }
 
     fn release(&mut self, q: usize) -> Nanos {
-        // Flush a stale partial Tx batch before giving up the queue.
-        if self.world.queues[q].tx_stale(self.now) {
-            self.world.flush_queue_tx(q, self.now);
-        }
         self.world.release(q, self.tid, self.now);
+        // The winner goes straight to sleep: its sleep call is this turn's.
+        self.cycles += calib::RELEASE_CYCLES + calib::SLEEP_CALL_CYCLES;
         self.world.controller.ts(q)
     }
 
     fn before_contend(&mut self, q: usize) {
+        self.cycles += calib::WAKE_PATH_CYCLES;
         // Opportunistically drain a stale Tx batch on the queue we are
         // about to contend (no owner ⇒ nobody else will).
-        if self.world.queues[q].owner.is_none() && self.world.queues[q].tx_stale(self.now) {
-            self.world.flush_queue_tx(q, self.now);
+        if self.world.queues[q].owner.is_none() {
+            self.flush_stale_tx(q);
         }
     }
 
@@ -111,230 +145,89 @@ impl Backend for WorldBackend<'_> {
         let tl = self.world.controller.tl();
         Nanos(self.rng.below(tl.as_nanos().max(1)))
     }
-
-    fn costs(&self) -> StepCosts {
-        StepCosts {
-            wake_path: calib::WAKE_PATH_CYCLES,
-            acquire: calib::ACQUIRE_CYCLES,
-            busy_try: calib::BUSY_TRY_CYCLES,
-            empty_poll: calib::EMPTY_POLL_CYCLES,
-            release: calib::RELEASE_CYCLES,
-            sleep_call: calib::SLEEP_CALL_CYCLES,
-        }
-    }
 }
 
-/// One Metronome packet-retrieval thread: the shared engine driven by the
-/// OS simulator.
-pub struct MetronomeWorker {
-    /// Simulated thread id (lock-owner identity).
-    idx: usize,
-    app: AppProfile,
-    service: SleepService,
-    engine: MetronomeEngine,
-}
-
-impl MetronomeWorker {
-    /// Worker `idx` running `app` with the given Rx burst size and sleep
-    /// service, initially contending queue `idx % n_queues` (assigned by
-    /// the runner through `initial_queue`).
-    pub fn new(
-        idx: usize,
-        initial_queue: usize,
-        app: AppProfile,
-        burst: u32,
-        service: SleepService,
-    ) -> Self {
-        MetronomeWorker {
-            idx,
-            app,
-            service,
-            engine: MetronomeEngine::new(initial_queue, burst),
-        }
-    }
-}
-
-impl Behavior<World> for MetronomeWorker {
-    fn on_run(&mut self, world: &mut World, ctx: &mut RunCtx<'_>) -> Action {
-        let mut backend = WorldBackend {
-            world,
-            rng: &mut *ctx.rng,
-            now: ctx.now,
-            tid: self.idx,
-            app: self.app,
-        };
-        match self.engine.step(&mut backend) {
-            EngineOp::Work(cycles) => Action::Work(Cycles(cycles)),
-            EngineOp::Sleep(duration) => Action::Sleep {
-                service: self.service,
-                duration,
-            },
-            EngineOp::Wait(dur) => Action::WaitUntil(ctx.now.saturating_add(dur)),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Static DPDK poller (paper Listing 1)
-// ---------------------------------------------------------------------------
-
-#[derive(Clone, Copy, Debug)]
-enum StaticPhase {
-    Poll,
-    Chunk { k: u64 },
-}
-
-/// A classic DPDK busy-poll thread bound to one queue.
+/// One simulated packet-retrieval thread: a `core::discipline` state
+/// machine turned once per scheduler run over a fresh [`WorldBackend`].
 ///
-/// Never sleeps: when its queue is empty it keeps spinning (the empty
-/// polls are aggregated into one `Work` block until the next arrival so
-/// the simulation stays cheap — CPU accounting is identical).
-pub struct StaticPoller {
-    q: usize,
+/// Verdicts become actions: `Continue` works off the turn's cycles,
+/// `Sleep` sleeps through the scenario's sleep service, `Wait` idles
+/// exactly, and `Yield` (busy polling an empty queue) spins in one block
+/// up to the polled queue's next arrival, which keeps the simulation cheap
+/// at identical CPU accounting. `Park` never reaches this driver: the one
+/// discipline that parks (`InterruptLike`) stands for XDP, which the
+/// simulator models as [`XdpHandler`].
+pub struct DisciplineWorker {
+    tid: usize,
     app: AppProfile,
-    burst: u64,
-    phase: StaticPhase,
-}
-
-impl StaticPoller {
-    /// Poller bound to queue `q`.
-    pub fn new(q: usize, app: AppProfile, burst: u64) -> Self {
-        StaticPoller {
-            q,
-            app,
-            burst,
-            phase: StaticPhase::Poll,
-        }
-    }
-}
-
-impl Behavior<World> for StaticPoller {
-    fn on_run(&mut self, world: &mut World, ctx: &mut RunCtx<'_>) -> Action {
-        let q = self.q;
-        loop {
-            match self.phase {
-                StaticPhase::Poll => {
-                    let taken = world.queues[q].take_burst(ctx.now, self.burst);
-                    if taken > 0 {
-                        self.phase = StaticPhase::Chunk { k: taken };
-                        return Action::Work(Cycles(self.app.burst_cycles(taken)));
-                    }
-                    if world.queues[q].tx_stale(ctx.now) {
-                        world.flush_queue_tx(q, ctx.now);
-                    }
-                    // Aggregate the empty polls until the next arrival (or
-                    // the Tx drain deadline, whichever comes first).
-                    let spin_until = match world.queues[q].peek_next_arrival() {
-                        Some(t) if t > ctx.now => t,
-                        Some(_) => ctx.now, // packet due now; poll again
-                        None => ctx.now.saturating_add(Nanos::from_millis(1)),
-                    };
-                    let cap = ctx.now.saturating_add(calib::TX_DRAIN_TIMEOUT);
-                    let horizon = spin_until.min(cap);
-                    let dur = horizon.saturating_sub(ctx.now);
-                    let spin = cycles_for(dur, ctx.freq_mhz)
-                        .0
-                        .max(calib::EMPTY_POLL_CYCLES);
-                    // Stay in Poll; the Work block models the spinning.
-                    return Action::Work(Cycles(spin));
-                }
-                StaticPhase::Chunk { k } => {
-                    world.chunk_done(q, ctx.now, k);
-                    self.phase = StaticPhase::Poll;
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Constant-sleep retrieval (the fixed r_sleep strawman)
-// ---------------------------------------------------------------------------
-
-#[derive(Clone, Copy, Debug)]
-enum ConstSleepPhase {
-    /// Just woke from the fixed timer.
-    AfterSleep,
-    /// Draining the queue.
-    Poll,
-    /// A chunk of `k` packets finished processing.
-    Chunk {
-        /// Packets in the chunk.
-        k: u64,
-    },
-    /// Queue dry: go back to sleep for the fixed period.
-    GoSleep,
-}
-
-/// The fixed-period retrieval baseline, one thread per queue: drain the
-/// queue dry, `r_sleep(period)`, repeat. The simulation counterpart of
-/// the realtime `ConstSleep` discipline — it charges the same calibrated
-/// wake/sleep-path cycle costs as a Metronome worker, so its CPU differs
-/// from Metronome's only through the (non-adaptive) timeout itself.
-pub struct ConstSleepWorker {
-    q: usize,
-    app: AppProfile,
-    burst: u64,
-    period: Nanos,
     service: SleepService,
-    phase: ConstSleepPhase,
+    discipline: AnyDiscipline,
+    /// A sleep decided on a turn that also did work, taken once the work
+    /// is done.
+    held: Option<Nanos>,
 }
 
-impl ConstSleepWorker {
-    /// Worker bound to queue `q`, sleeping `period` between drains.
+impl DisciplineWorker {
+    /// Simulated thread `tid` running `discipline` over `app`, sleeping
+    /// through `service`.
     pub fn new(
-        q: usize,
+        tid: usize,
+        discipline: AnyDiscipline,
         app: AppProfile,
-        burst: u64,
-        period: Nanos,
         service: SleepService,
     ) -> Self {
-        ConstSleepWorker {
-            q,
+        DisciplineWorker {
+            tid,
             app,
-            burst,
-            period,
             service,
-            phase: ConstSleepPhase::Poll,
+            discipline,
+            held: None,
+        }
+    }
+
+    fn sleep(&self, duration: Nanos) -> Action {
+        Action::Sleep {
+            service: self.service,
+            duration,
         }
     }
 }
 
-impl Behavior<World> for ConstSleepWorker {
+impl Behavior<World> for DisciplineWorker {
     fn on_run(&mut self, world: &mut World, ctx: &mut RunCtx<'_>) -> Action {
-        let q = self.q;
-        loop {
-            match self.phase {
-                ConstSleepPhase::AfterSleep => {
-                    self.phase = ConstSleepPhase::Poll;
-                    return Action::Work(Cycles(calib::WAKE_PATH_CYCLES));
-                }
-                ConstSleepPhase::Poll => {
-                    let taken = world.queues[q].take_burst(ctx.now, self.burst);
-                    if taken > 0 {
-                        self.phase = ConstSleepPhase::Chunk { k: taken };
-                        return Action::Work(Cycles(self.app.burst_cycles(taken)));
-                    }
-                    if world.queues[q].tx_stale(ctx.now) {
-                        world.flush_queue_tx(q, ctx.now);
-                    }
-                    self.phase = ConstSleepPhase::GoSleep;
-                    return Action::Work(Cycles(
-                        calib::EMPTY_POLL_CYCLES + calib::SLEEP_CALL_CYCLES,
-                    ));
-                }
-                ConstSleepPhase::Chunk { k } => {
-                    world.chunk_done(q, ctx.now, k);
-                    self.phase = ConstSleepPhase::Poll;
-                }
-                ConstSleepPhase::GoSleep => {
-                    self.phase = ConstSleepPhase::AfterSleep;
-                    return Action::Sleep {
-                        service: self.service,
-                        duration: self.period,
-                    };
-                }
+        if let Some(duration) = self.held.take() {
+            return self.sleep(duration);
+        }
+        let now = ctx.now;
+        let mut backend = WorldBackend::new(world, &mut *ctx.rng, now, self.tid, self.app);
+        let verdict = self.discipline.turn(&mut backend, &NullSink);
+        let (cycles, polled) = (backend.cycles, backend.polled);
+        match verdict {
+            Verdict::Continue => Action::Work(Cycles(cycles)),
+            // Metronome decides its sleeps a turn early (release, lost
+            // race) and was charged the sleep call then.
+            Verdict::Sleep(duration) if cycles == 0 => self.sleep(duration),
+            // A discipline that sleeps straight out of a poll (constant
+            // sleep) does the poll and enters the sleep call first.
+            Verdict::Sleep(duration) => {
+                self.held = Some(duration);
+                Action::Work(Cycles(cycles + calib::SLEEP_CALL_CYCLES))
             }
+            Verdict::Wait(dur) => Action::WaitUntil(now.saturating_add(dur)),
+            Verdict::Yield => {
+                // Aggregate the empty polls until the next arrival (or the
+                // Tx drain deadline, whichever comes first).
+                let q = polled.expect("a yield follows an empty poll");
+                let spin_until = match world.queues[q].peek_next_arrival() {
+                    Some(t) if t > now => t,
+                    Some(_) => now, // packet due now; poll again
+                    None => now.saturating_add(Nanos::from_millis(1)),
+                };
+                let horizon = spin_until.min(now.saturating_add(calib::TX_DRAIN_TIMEOUT));
+                let spin = Cycles::from_duration(horizon.saturating_sub(now), ctx.freq_mhz);
+                Action::Work(Cycles(spin.0.max(cycles)))
+            }
+            Verdict::Park(_) => unreachable!("no simulated discipline parks on a doorbell"),
         }
     }
 }
@@ -351,8 +244,8 @@ enum XdpPhase {
     IrqEntry,
     /// NAPI polling loop.
     Poll,
-    /// A chunk finished processing.
-    Chunk { k: u64 },
+    /// The polled chunk finished processing.
+    Chunk,
     /// Budget exhausted or queue empty — exit softirq, re-enable IRQs.
     IrqExit,
 }
@@ -440,13 +333,13 @@ impl Behavior<World> for XdpHandler {
                     let taken = world.queues[q].take_burst(ctx.now, calib::NAPI_BUDGET);
                     self.irq_packets += taken;
                     if taken > 0 {
-                        self.phase = XdpPhase::Chunk { k: taken };
+                        self.phase = XdpPhase::Chunk;
                         return Action::Work(Cycles(taken * self.cycles_per_packet + 200));
                     }
                     self.phase = XdpPhase::IrqExit;
                 }
-                XdpPhase::Chunk { k } => {
-                    world.chunk_done(q, ctx.now, k);
+                XdpPhase::Chunk => {
+                    world.settle(q, ctx.now);
                     // NAPI: stay in polling mode while packets keep coming.
                     self.phase = XdpPhase::Poll;
                 }

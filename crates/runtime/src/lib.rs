@@ -2,10 +2,12 @@
 //!
 //! Glues every substrate together into runnable whole-system experiments:
 //! traffic (`metronome-traffic`) feeds NIC descriptor rings
-//! (`metronome-dpdk`) drained by thread behaviors — Metronome workers,
-//! static DPDK pollers, XDP NAPI handlers, ferret co-tenants — scheduled
-//! by the OS model (`metronome-os`) and coordinated by the Metronome
-//! policy/controller (`metronome-core`).
+//! (`metronome-dpdk`) drained by thread behaviors — the retrieval
+//! disciplines of `metronome-core` (Metronome, busy polling, constant
+//! sleep: the same state machines the realtime runner executes), XDP NAPI
+//! handlers, ferret co-tenants — scheduled by the OS model
+//! (`metronome-os`) and coordinated by the Metronome policy/controller
+//! (`metronome-core`).
 //!
 //! The public surface is intentionally small:
 //!
@@ -40,7 +42,7 @@ pub mod scenario;
 pub mod world;
 
 pub use apps_profile::AppProfile;
-pub use behaviors::{MetronomeWorker, WorldBackend};
+pub use behaviors::WorldBackend;
 pub use metronome_core::ExecBackend;
 pub use realtime_runner::{
     run_realtime, run_realtime_with, try_run_realtime, try_run_realtime_with, RealtimeError,

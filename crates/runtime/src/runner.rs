@@ -1,6 +1,6 @@
 //! Scenario execution: wire world + OS + behaviors, run, collect.
 
-use crate::behaviors::{ConstSleepWorker, FerretWorker, MetronomeWorker, StaticPoller, XdpHandler};
+use crate::behaviors::{DisciplineWorker, FerretWorker, XdpHandler};
 use crate::calib;
 use crate::report::{QueueReport, RampPoint, RunReport};
 use crate::scenario::{Scenario, SystemKind};
@@ -70,39 +70,27 @@ pub fn run(sc: &Scenario) -> RunReport {
     let mut os: OsSim<World> = OsSim::new(os_cfg, sc.seed);
 
     let mut net_tids: Vec<ThreadId> = Vec::new();
-    match &sc.system {
-        SystemKind::Metronome(cfg) => {
-            for i in 0..cfg.m_threads {
-                let b =
-                    MetronomeWorker::new(i, i % cfg.n_queues, sc.app, cfg.burst, sc.sleep_service);
-                net_tids.push(os.spawn(format!("metronome-{i}"), i, sc.net_nice, Box::new(b)));
-            }
-        }
-        SystemKind::StaticDpdk => {
-            for q in 0..sc.n_queues {
-                let b = StaticPoller::new(q, sc.app, metro_cfg.burst as u64);
-                net_tids.push(os.spawn(format!("static-{q}"), q, sc.net_nice, Box::new(b)));
-            }
-        }
-        SystemKind::Xdp => {
+    match (&sc.system, sc.system.discipline()) {
+        (SystemKind::Xdp, _) => {
             for q in 0..sc.n_queues {
                 let b = XdpHandler::new(q);
                 net_tids.push(os.spawn(format!("xdp-{q}"), q, sc.net_nice, Box::new(b)));
             }
         }
-        SystemKind::ConstSleep { period } => {
-            for q in 0..sc.n_queues {
-                let b = ConstSleepWorker::new(
-                    q,
-                    sc.app,
-                    metro_cfg.burst as u64,
-                    *period,
-                    sc.sleep_service,
-                );
-                net_tids.push(os.spawn(format!("const-sleep-{q}"), q, sc.net_nice, Box::new(b)));
+        (system, Some(spec)) => {
+            let prefix = match system {
+                SystemKind::StaticDpdk => "static",
+                _ => spec.label(),
+            };
+            let n_queues = metro_cfg.n_queues;
+            for w in 0..spec.workers(metro_cfg.m_threads, n_queues) {
+                let d = spec.build(w, n_queues, metro_cfg.burst, &[]);
+                let b = DisciplineWorker::new(w, d, sc.app, sc.sleep_service);
+                net_tids.push(os.spawn(format!("{prefix}-{w}"), w, sc.net_nice, Box::new(b)));
             }
         }
-        SystemKind::Idle => {}
+        // Idle: no packet system at all.
+        (_, None) => {}
     }
 
     let mut ferret_standalone = None;

@@ -15,12 +15,13 @@ use metronome_traffic::{
 
 /// Which packet-retrieval system runs.
 ///
-/// Every variant executes on **both** backends: the discrete-event
-/// simulator models it with calibrated costs, and the realtime runner
-/// maps it onto a `metronome_core::discipline` worker set (Metronome →
-/// the Listing 2 engine, StaticDpdk → `BusyPoll`, Xdp → `InterruptLike`
-/// parked on doorbells, ConstSleep → fixed-period retrieval, Idle → no
-/// workers).
+/// Every variant executes on **both** backends as a
+/// `metronome_core::discipline` worker set (Metronome → the Listing 2
+/// engine, StaticDpdk → `BusyPoll`, ConstSleep → fixed-period retrieval,
+/// Idle → no workers): the discrete-event simulator turns the same state
+/// machines with calibrated costs, the realtime runner on real threads.
+/// Xdp is the exception: `InterruptLike` parked on doorbells on real
+/// threads, the kernel IRQ/NAPI cost model `XdpHandler` in the simulator.
 #[derive(Clone, Debug)]
 pub enum SystemKind {
     /// The paper's contribution.
@@ -42,8 +43,9 @@ pub enum SystemKind {
 }
 
 impl SystemKind {
-    /// The retrieval discipline this system runs on real threads (`None`
-    /// for [`SystemKind::Idle`]: no workers at all).
+    /// The retrieval discipline this system runs (on real threads; in the
+    /// simulator too, except Xdp's). `None` for [`SystemKind::Idle`]: no
+    /// workers at all.
     pub(crate) fn discipline(&self) -> Option<DisciplineSpec> {
         match self {
             SystemKind::Metronome(_) => Some(DisciplineSpec::Metronome),

@@ -1,8 +1,8 @@
 //! The shared simulation world: Rx queues, locks, measurement state.
 //!
 //! `World` is the `W` type parameter of `metronome_os::OsSim<W>`: every
-//! behavior (Metronome thread, static poller, XDP NAPI loop, ferret
-//! worker) mutates it from inside its scheduler turns. It owns
+//! behavior (retrieval discipline, XDP NAPI loop, ferret worker) mutates
+//! it from inside its scheduler turns. It owns
 //!
 //! * one [`SimQueue`] per Rx queue — the hybrid analytic/DES queue: a
 //!   counting descriptor ring fed lazily by an arrival process, with
@@ -10,7 +10,7 @@
 //! * the queue locks (plain owner slots — the simulation is single-threaded,
 //!   the CMPXCHG variant lives in `metronome-core::trylock`);
 //! * the shared [`AdaptiveController`] (per-thread policy state is owned by
-//!   each worker's `metronome_core::engine::MetronomeEngine`);
+//!   each worker's `metronome_core::discipline` state machine);
 //! * run-wide measurement collectors (latency reservoir, vacation samples,
 //!   ferret completion times).
 
@@ -149,6 +149,11 @@ impl SimQueue {
             self.last_flush = now;
             self.finalize_flushed(now, base_latency, out);
         }
+    }
+
+    /// Packets taken for processing that have not finished it.
+    fn in_service(&self) -> u64 {
+        self.ring.total_drained() - self.processed_seq
     }
 
     /// Force out any partially filled Tx batch (drain timeout or explicit
@@ -294,9 +299,14 @@ impl World {
         queue.last_release = Some(now);
     }
 
-    /// A chunk of `k` packets from queue `q` finished processing: run the
-    /// Tx-batch accounting and capture any finalized latency samples.
-    pub fn chunk_done(&mut self, q: usize, now: Nanos, k: u64) {
+    /// The chunk queue `q` handed out last (everything taken and not yet
+    /// processed) finished processing at `now`: run the Tx-batch accounting
+    /// and capture any finalized latency samples.
+    pub fn settle(&mut self, q: usize, now: Nanos) {
+        let k = self.queues[q].in_service();
+        if k == 0 {
+            return;
+        }
         let base = self.base_latency;
         let latency = &mut self.latency_us;
         let hist = &mut self.latency_hist;

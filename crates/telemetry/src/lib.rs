@@ -21,8 +21,6 @@
 //! * [`export`] — pluggable serializers: CSV rows, hand-rolled JSON (the
 //!   vendored build has no serde), and Prometheus text exposition format
 //!   (with a parser, so the exporter is round-trip tested);
-//! * [`probe`] — the [`probe::OccupancyProbe`] gauge trait rings and
-//!   mempools implement;
 //! * [`trace`] — flight-recorder tracing: per-worker drop-oldest event
 //!   rings ([`trace::TraceRecorder`]), wake/oversleep/scheduler-delay
 //!   histograms, and Chrome trace-event dumps of the merged rings.
@@ -53,14 +51,12 @@
 
 pub mod counters;
 pub mod export;
-pub mod probe;
 pub mod sampler;
 pub mod sink;
 pub mod trace;
 
 pub use counters::{QueueCounters, TelemetryHub, WorkerCounters, WorkerTelemetry};
 pub use export::json::Json;
-pub use probe::OccupancyProbe;
 pub use sampler::{CounterSnapshot, LatencyWindow, Sampler, TimeSeries, Window};
 pub use sink::{DropCause, NullSink, SleepKind, TelemetrySink};
 pub use trace::{

@@ -17,8 +17,10 @@
 
 use metronome_repro::core::config::MetronomeConfig;
 use metronome_repro::core::controller::AdaptiveController;
-use metronome_repro::core::engine::{Backend, EngineOp, MetronomeEngine};
+use metronome_repro::core::discipline::{RetrievalDiscipline, Verdict};
+use metronome_repro::core::engine::{Backend, MetronomeEngine};
 use metronome_repro::sim::Nanos;
+use metronome_repro::telemetry::NullSink;
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -175,16 +177,17 @@ proptest! {
         };
 
         for _ in 0..600 {
-            match engine.step(&mut b) {
-                EngineOp::Work(_) => {}
-                EngineOp::Sleep(dur) => check_boundary(&b, Some(dur)),
-                EngineOp::Wait(_) => check_boundary(&b, None),
+            match engine.turn(&mut b, &NullSink) {
+                Verdict::Sleep(dur) => check_boundary(&b, Some(dur)),
+                Verdict::Wait(_) => check_boundary(&b, None),
+                Verdict::Continue => {}
+                other => panic!("the engine never yields or parks: {other:?}"),
             }
         }
         // Drive the current turn to its boundary so nothing is half done.
         let mut settled = false;
         for _ in 0..10_000 {
-            if matches!(engine.step(&mut b), EngineOp::Sleep(_)) {
+            if matches!(engine.turn(&mut b, &NullSink), Verdict::Sleep(_)) {
                 settled = true;
                 break;
             }

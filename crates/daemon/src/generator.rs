@@ -1,15 +1,13 @@
 //! The service's producer side: MoonGen's role as a long-running
-//! process. Each shard paces a [`LiveRate`] source — under the
-//! `PlannedFaults` injector every realtime source runs behind — through
-//! the same [`PacedArrivals`] the scenario runner uses and hands every
-//! batch to the one ingest core ([`IngestShard::emit`]).
+//! process. Each shard's source is a [`LiveRate`], which the pipeline
+//! assembles into a producer shard exactly as it does the scenario
+//! runner's (`metronome_runtime::pipeline::Pipeline::producer`: behind
+//! the plan's arrival-side injector, paced, into the one ingest core);
+//! the service adds the [`GEN_TICK`] poll.
 
-use metronome_dpdk::RssPort;
-use metronome_runtime::ingest::{IngestShard, GEN_BATCH};
+use metronome_runtime::ingest::GEN_BATCH;
 use metronome_sim::Nanos;
-use metronome_telemetry::TelemetryHub;
-use metronome_traffic::{ArrivalProcess, PacedArrivals, WallClock};
-use parking_lot::Mutex;
+use metronome_traffic::ArrivalProcess;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -17,7 +15,7 @@ use std::sync::Arc;
 /// rate and the stop flag (the pacer's poll period): a stop or a rate
 /// change reaches every shard within one tick, even at rate 0 — where
 /// the shard costs one OS sleep a tick.
-const GEN_TICK: Nanos = Nanos::from_micros(500);
+pub(crate) const GEN_TICK: Nanos = Nanos::from_micros(500);
 
 /// What [`LiveRate::peek_next`] reports while the rate is zero: nothing
 /// in sight, yet not exhausted — the pacer's poll brings it back.
@@ -131,26 +129,6 @@ impl ArrivalProcess for LiveRate {
     fn rate_pps(&self, _t: Nanos) -> f64 {
         self.shared.rate_pps().max(0.0) / self.n_shards
     }
-}
-
-/// One producer shard thread: pace, emit, until the stop flag ends the
-/// source; the shard's cache flushes as it drops. The hub is re-read per
-/// batch because a re-arm swaps it under the generator.
-pub(crate) fn run_shard(
-    source: impl ArrivalProcess + 'static,
-    mut shard: IngestShard,
-    clock: WallClock,
-    port: &RssPort,
-    gen_hub: &Mutex<Arc<TelemetryHub>>,
-) {
-    let mut paced = PacedArrivals::with_clock(Box::new(source), Nanos(u64::MAX), clock)
-        .with_max_batch(GEN_BATCH)
-        .with_poll(GEN_TICK);
-    while let Some(batch) = paced.next_batch() {
-        let hub = Arc::clone(&gen_hub.lock());
-        shard.emit(batch, port, &hub);
-    }
-    shard.finish(&gen_hub.lock());
 }
 
 #[cfg(test)]

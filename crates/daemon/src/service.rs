@@ -11,12 +11,13 @@
 //!
 //! * **Submit** builds a fresh [`Pipeline`] over the shared pool, arms
 //!   its worker set ([`Pipeline::arm`], which anchors the run's one
-//!   clock), and spawns the producer shards (`crate::generator`).
+//!   clock), and spawns the producer shards ([`Pipeline::producer`] over
+//!   `crate::generator` sources), as many as the pool covers.
 //! * **Reconfigure** adjusts the offered rate through one atomic store
 //!   (every shard reads it per poll), or re-arms the worker set for a
 //!   new discipline / `M` without stopping the generator — counters stay
 //!   monotone because the retiring hub's totals fold into the scenario's
-//!   before the fresh hub takes over.
+//!   before the fresh hub takes over; losses are the pipeline's books.
 //! * **Drain** runs the shutdown state machine: stop the producers (the
 //!   fault driver releases what it holds on exit), wait for the workers to
 //!   empty the rings ([`Pipeline::drain`]), disarm them
@@ -38,21 +39,21 @@
 //! | `pool-starve`  | the driver confiscates that fraction of the pool for the window | pool drops |
 //! | `jitter-burst` | the injector drops with `drop_prob`, shifts survivors back by up to `jitter` | fault drops |
 
-use crate::generator::{run_shard, GenShared, LiveRate};
+use crate::generator::{GenShared, LiveRate, GEN_TICK};
 use crate::protocol::{self, ReconfigureSpec, Request, SubmitSpec};
 use metronome_core::discipline::{DisciplineSpec, Doorbell};
 use metronome_core::{ExecBackend, MetronomeConfig, WorkerSet};
 use metronome_dpdk::ring::valid_ring_size;
 use metronome_dpdk::{Mbuf, Mempool};
-use metronome_runtime::ingest::GEN_BATCH;
-use metronome_runtime::pipeline::{processor_for, Pipeline, WorkerRing, MBUF_DATAROOM};
-use metronome_sim::{Nanos, Rng};
+use metronome_runtime::pipeline::{
+    pool_population, processor_for, Pipeline, WorkerRing, MBUF_DATAROOM,
+};
+use metronome_sim::Nanos;
 use metronome_telemetry::export::prometheus::{render, snapshot_metrics};
 use metronome_telemetry::{
     CounterSnapshot, Json, MarkerKind, TelemetryHub, TraceHub, TraceRecorder, TraceSink,
     DEFAULT_RING_CAPACITY,
 };
-use metronome_traffic::{FaultPlan, PlannedFaults};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -69,8 +70,8 @@ pub struct DaemonConfig {
     pub n_queues: usize,
     /// Descriptors per Rx ring.
     pub ring_size: usize,
-    /// Mbuf pool population (`None`: every ring full twice over plus 16
-    /// producer-shard caches at their `2 × GEN_BATCH` high-water mark).
+    /// Mbuf pool population (`None`: [`pool_population`] at 16 producer
+    /// shards and one worker per queue); it bounds `gen_shards`.
     pub pool_population: Option<usize>,
     /// App profile every queue processes with (must have a functional
     /// processor — see `processor_for`).
@@ -108,7 +109,7 @@ fn accumulate(into: &mut CounterSnapshot, from: &CounterSnapshot) {
 }
 
 /// Fold a retired hub's counters into `into` (call only after its writers
-/// stopped). A hub books no offered packets: the pipeline does.
+/// stopped). A hub books no offered packet and no loss.
 fn fold_hub(into: &mut CounterSnapshot, hub: &TelemetryHub) {
     let mut snap = CounterSnapshot::new(Nanos::ZERO);
     hub.fill_snapshot(&mut snap);
@@ -126,16 +127,15 @@ struct Arm {
 }
 
 impl Arm {
-    /// Arm `spec` on `run`'s pipeline, publishing into `hub`, and point
-    /// the per-queue doorbell slots at the new set.
-    fn new(
-        run: &RunState,
-        cfg: MetronomeConfig,
-        spec: DisciplineSpec,
-        exec: ExecBackend,
-        hub: Arc<TelemetryHub>,
-    ) -> Arm {
+    /// Arm `spec` on `run`'s pipeline, publishing into a fresh hub, and
+    /// point the per-queue doorbell slots at the new set.
+    fn new(run: &RunState, cfg: MetronomeConfig, spec: DisciplineSpec, exec: ExecBackend) -> Arm {
         let m_threads = cfg.m_threads;
+        let hub = TelemetryHub::labeled(
+            spec.workers(cfg.m_threads, cfg.n_queues),
+            cfg.n_queues,
+            spec.label(),
+        );
         let trace = run.trace.as_ref().map(|t| &t.hub);
         let workers = run.pipeline.arm(cfg, spec, exec, &hub, trace);
         let interrupt_driven = matches!(spec, DisciplineSpec::InterruptLike(_));
@@ -195,8 +195,8 @@ impl TraceArm {
 /// A running scenario on the persistent pipeline.
 struct RunState {
     name: String,
-    /// Port, apps, flow templates, lateness slots, the run's one clock
-    /// and the fault plan's world side, kept across re-arms and
+    /// Port, apps, flow templates, lateness slots, the run's one clock,
+    /// the fault plan and the loss books, kept across re-arms and
     /// `gen_shards` respawns.
     pipeline: Pipeline,
     arm: Option<Arm>,
@@ -213,13 +213,6 @@ struct RunState {
     gen_threads: Vec<std::thread::JoinHandle<()>>,
     /// Producer shard count of the live generator set.
     gen_shards: usize,
-    /// The fault plan's arrival side, on the pipeline clock's timeline.
-    arrival_faults: FaultPlan,
-    /// Submit seed (shard RNG streams derive from it).
-    seed: u64,
-    /// The generator's view of the current hub (swapped on re-arm so no
-    /// drop is ever counted against a retired hub after it was folded).
-    gen_hub: Arc<Mutex<Arc<TelemetryHub>>>,
     /// Per-queue doorbell slots the port's wake hooks ring through
     /// (re-pointed at the new worker set on re-arm).
     bells: Vec<Arc<Mutex<Option<Arc<Doorbell>>>>>,
@@ -260,9 +253,15 @@ impl ServiceEngine {
             "no functional processor wired for app profile '{}'",
             cfg.app
         );
-        let population = cfg
-            .pool_population
-            .unwrap_or(2 * cfg.n_queues * cfg.ring_size + 32 * GEN_BATCH);
+        let population = cfg.pool_population.unwrap_or_else(|| {
+            pool_population(
+                cfg.n_queues,
+                cfg.ring_size,
+                16,
+                cfg.n_queues,
+                MetronomeConfig::default().burst as usize,
+            )
+        });
         let pool = Mempool::new(population, MBUF_DATAROOM);
         ServiceEngine {
             cfg,
@@ -334,25 +333,36 @@ impl ServiceEngine {
 
     // ---- worker arming ---------------------------------------------------
 
-    /// The worker configuration for `m_threads` workers of `spec` over the
-    /// daemon's queues, and the fresh hub such a set publishes into.
-    /// Created before anything is armed, so a re-arm can hand the
-    /// generator the new hub *before* the old one is folded — no drop is
-    /// ever mirrored into an already-folded hub.
-    fn shape(
-        &self,
-        spec: &DisciplineSpec,
-        m_threads: usize,
-    ) -> Result<(MetronomeConfig, Arc<TelemetryHub>), String> {
+    /// The worker configuration for `m_threads` workers over the daemon's
+    /// queues.
+    fn shape(&self, m_threads: usize) -> Result<MetronomeConfig, String> {
         let cfg = MetronomeConfig {
             m_threads,
             n_queues: self.cfg.n_queues,
             ..MetronomeConfig::default()
         };
         cfg.validate()?;
-        let workers = spec.workers(cfg.m_threads, cfg.n_queues);
-        let hub = TelemetryHub::labeled(workers, cfg.n_queues, spec.label());
-        Ok((cfg, hub))
+        Ok(cfg)
+    }
+
+    /// Refuse a producer set of `gen_shards` that the pool cannot cover
+    /// beside `workers` workers ([`pool_population`]; every armed set has
+    /// the default burst), naming the limit.
+    fn check_gen_shards(&self, gen_shards: usize, workers: usize) -> Result<(), Json> {
+        let (n, ring) = (self.cfg.n_queues, self.cfg.ring_size);
+        let burst = MetronomeConfig::default().burst as usize;
+        let fixed = pool_population(n, ring, 0, workers, burst);
+        let per_shard = pool_population(n, ring, 1, workers, burst) - fixed;
+        let population = self.pool.population();
+        let limit = population.saturating_sub(fixed) / per_shard;
+        if gen_shards <= limit {
+            return Ok(());
+        }
+        Err(protocol::err(format!(
+            "gen_shards {gen_shards} is more than the {limit} producer shards the \
+             {population}-mbuf pool covers beside {workers} workers (--pool raises it)"
+        ))
+        .with("gen_shards_limit", limit as u64))
     }
 
     // ---- submit ----------------------------------------------------------
@@ -370,13 +380,17 @@ impl ServiceEngine {
         } else {
             spec.m_threads
         };
-        let (cfg, hub) = match self.shape(&spec.discipline, m_threads) {
-            Ok(shape) => shape,
+        let cfg = match self.shape(m_threads) {
+            Ok(cfg) => cfg,
             Err(e) => return protocol::err(e),
         };
+        let workers = spec.discipline.workers(cfg.m_threads, cfg.n_queues);
+        let gen_shards = Pipeline::producer_shards(spec.gen_shards);
+        if let Err(refusal) = self.check_gen_shards(gen_shards, workers) {
+            return refusal;
+        }
 
         let app = self.cfg.app;
-        let gen_shards = Pipeline::producer_shards(spec.gen_shards);
         let mut pipeline = Pipeline::new(
             self.cfg.n_queues,
             self.cfg.ring_size,
@@ -404,7 +418,7 @@ impl ServiceEngine {
         }
         let trace = spec
             .trace
-            .then(|| TraceArm::new(spec.exec.trace_slots(hub.n_workers()), &spec.name));
+            .then(|| TraceArm::new(spec.exec.trace_slots(workers), &spec.name));
         if let Some(trace) = &trace {
             // Stamp the armed fault plan into the recorder so a later
             // dump shows what was scheduled before what happened.
@@ -417,7 +431,7 @@ impl ServiceEngine {
             .with("submitted", spec.name.as_str())
             .with("discipline", spec.discipline.label())
             .with("exec", spec.exec.label())
-            .with("workers", hub.n_workers() as u64)
+            .with("workers", workers as u64)
             .with("gen_shards", gen_shards as u64)
             .with("rate_pps", spec.rate_pps)
             .with("fault_events", spec.faults.len() as u64)
@@ -431,13 +445,10 @@ impl ServiceEngine {
             trace,
             gen: GenShared::new(spec.rate_pps),
             gen_threads: Vec::new(),
-            arrival_faults: spec.faults.arrival_side(),
-            seed: spec.seed,
             gen_shards,
-            gen_hub: Arc::new(Mutex::new(Arc::clone(&hub))),
             bells,
         };
-        run.arm = Some(Arm::new(&run, cfg, spec.discipline, spec.exec, hub));
+        run.arm = Some(Arm::new(&run, cfg, spec.discipline, spec.exec));
         self.spawn_generators(&mut run);
         st.run = Some(run);
         reply
@@ -446,29 +457,24 @@ impl ServiceEngine {
     /// Spawn `run`'s producer set at its current `gen_shards` width: one
     /// thread per shard, each owning its slice of the flow population and
     /// producing concurrently onto the port's Rx rings (a burst at a time
-    /// per ring), each source a [`LiveRate`] under the plan's arrival
-    /// side, plus the pipeline's fault driver when the plan has a world
-    /// side.
+    /// per ring), each a [`LiveRate`] source the pipeline assembles into a
+    /// producer shard, polled every [`GEN_TICK`], plus the pipeline's
+    /// fault driver when the plan has a world side.
     /// The previous set, if any, has been joined: the stop flag is free.
     fn spawn_generators(&self, run: &mut RunState) {
         run.gen.stop.store(false, Ordering::Release);
         let (n_shards, clock) = (run.gen_shards, run.pipeline.clock());
         let mut handles = Vec::with_capacity(n_shards + 1);
         for shard in 0..n_shards {
-            let source = PlannedFaults::new(
-                LiveRate::new(Arc::clone(&run.gen), n_shards, clock.now()),
-                run.arrival_faults.clone(),
-                Rng::new(run.seed).stream(0xFA + shard as u64),
-            );
-            let ingest = run
+            let source = LiveRate::new(Arc::clone(&run.gen), n_shards, clock.now());
+            let producer = run
                 .pipeline
-                .ingest_shard(shard, n_shards)
-                .mirroring(source.stats());
-            let (port, gen_hub) = (Arc::clone(run.pipeline.port()), Arc::clone(&run.gen_hub));
+                .producer(shard, n_shards, Box::new(source), Nanos(u64::MAX))
+                .with_poll(GEN_TICK);
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("metronomed-gen{shard}"))
-                    .spawn(move || run_shard(source, ingest, clock, &port, &gen_hub))
+                    .spawn(move || producer.run())
                     .expect("spawn generator thread"),
             );
         }
@@ -502,23 +508,35 @@ impl ServiceEngine {
             return protocol::err("no scenario is running; submit one first");
         };
         // Validate before anything is applied, so an error reply always
-        // means "nothing changed": resolve the worker shape first, so a
-        // rejected `m` cannot leave a new rate behind.
+        // means "nothing changed": resolve the worker shape and check the
+        // producer width against the pool first, so a rejected `m` or
+        // `gen_shards` cannot leave a new rate behind.
+        let old = run
+            .arm
+            .as_ref()
+            .expect("running scenario always has an arm");
         let rearm = if spec.discipline.is_some() || spec.m_threads.is_some() || spec.exec.is_some()
         {
-            let old = run
-                .arm
-                .as_ref()
-                .expect("running scenario always has an arm");
             let discipline = spec.discipline.unwrap_or(old.discipline);
-            let m_threads = spec.m_threads.unwrap_or(old.m_threads);
-            match self.shape(&discipline, m_threads) {
-                Ok((cfg, hub)) => Some((discipline, spec.exec.unwrap_or(old.exec), cfg, hub)),
+            match self.shape(spec.m_threads.unwrap_or(old.m_threads)) {
+                Ok(cfg) => {
+                    let workers = discipline.workers(cfg.m_threads, cfg.n_queues);
+                    Some((discipline, spec.exec.unwrap_or(old.exec), cfg, workers))
+                }
                 Err(e) => return protocol::err(e),
             }
         } else {
             None
         };
+        let gen_shards = spec.gen_shards.map(Pipeline::producer_shards);
+        if rearm.is_some() || gen_shards.is_some() {
+            let workers = rearm.as_ref().map_or(old.hub.n_workers(), |r| r.3);
+            if let Err(refusal) =
+                self.check_gen_shards(gen_shards.unwrap_or(run.gen_shards), workers)
+            {
+                return refusal;
+            }
+        }
         let mut changed: Vec<&'static str> = Vec::new();
 
         if let Some(rate) = spec.rate_pps {
@@ -526,29 +544,26 @@ impl ServiceEngine {
             changed.push("rate_pps");
         }
 
-        if let Some((discipline, exec, cfg, new_hub)) = rearm {
+        if let Some((discipline, exec, cfg, workers)) = rearm {
             let old = run.arm.take().expect("running scenario always has an arm");
-            // Re-arm sequence, ordered so no count is ever lost:
-            // 1. swap the generator onto the fresh hub (its next mirrored
-            // drop lands there), 2. disarm the old set — mid-stall workers
-            // fall through, then join — only now is the retired hub
-            // quiescent — 3. fold it, 4. spawn the new set through
-            // `Pipeline::arm` over fresh consumer handles, writing into the
-            // hub the generator already holds.
-            *run.gen_hub.lock() = Arc::clone(&new_hub);
+            // Re-arm sequence, ordered so no count is ever lost: 1. disarm
+            // the old set — mid-stall workers fall through, then join —
+            // only now is the retired hub quiescent — 2. fold it, 3. spawn
+            // the new set through `Pipeline::arm` over fresh consumer
+            // handles, into a fresh hub. The producers never see a hub.
             let _stats = run.pipeline.disarm(old.workers);
             fold_hub(&mut run.folded, &old.hub);
             // The trace hub persists across re-arms (markers and recent
             // history survive; the fresh workers take recorders over the
             // same slots) — unless the new shape needs more slots than
             // the hub has, in which case it is rebuilt larger.
-            let recorders = exec.trace_slots(new_hub.n_workers());
+            let recorders = exec.trace_slots(workers);
             if let Some(trace) = &run.trace {
                 if trace.worker_slots() < recorders {
                     run.trace = Some(TraceArm::new(recorders, &run.name));
                 }
             }
-            run.arm = Some(Arm::new(run, cfg, discipline, exec, new_hub));
+            run.arm = Some(Arm::new(run, cfg, discipline, exec));
             if spec.discipline.is_some() {
                 changed.push("discipline");
             }
@@ -560,8 +575,7 @@ impl ServiceEngine {
             }
         }
 
-        if let Some(g) = spec.gen_shards {
-            let g = Pipeline::producer_shards(g);
+        if let Some(g) = gen_shards {
             if g != run.gen_shards {
                 // Retire the old producer set, then respawn at the new
                 // width on the same clock and the same live rate.
@@ -618,18 +632,17 @@ impl ServiceEngine {
         //    bounded by a grace period.
         run.pipeline.drain(DRAIN_GRACE);
 
-        // 3. Join the workers (counters settle, caches flush) of the arm
-        //    whose hub the generator holds.
-        let hub = Arc::clone(&run.gen_hub.lock());
+        // 3. Join the workers (counters settle, caches flush) and fold
+        //    their hub.
         if let Some(arm) = run.arm.take() {
             let _stats = run.pipeline.disarm(arm.workers);
+            fold_hub(&mut run.folded, &arm.hub);
         }
 
         // 4. Sweep anything still queued (only possible if the grace
         //    period expired) as ring drops, and close the scenario's
         //    books — the same snapshot `stats` shows — into the base.
-        let stranded = run.pipeline.sweep(&hub);
-        fold_hub(&mut run.folded, &hub);
+        let stranded = run.pipeline.sweep();
         run.pipeline.fill_snapshot(&mut run.folded, None);
         accumulate(&mut st.base, &run.folded);
         st.completed += 1;
@@ -835,5 +848,26 @@ mod tests {
             assert!(with_ring(bad).is_err(), "accepted --ring {bad}");
         }
         assert!(with_ring(512).is_ok());
+    }
+
+    #[test]
+    fn the_pool_sets_the_producer_limit() {
+        let limit = |refusal: Json| refusal.get("gen_shards_limit").and_then(Json::as_u64);
+        // The default pool covers 16 shards beside one worker per queue,
+        // a shard fewer beside a wider set.
+        let engine = ServiceEngine::new(DaemonConfig::default());
+        assert!(engine.check_gen_shards(16, 2).is_ok());
+        assert_eq!(limit(engine.check_gen_shards(17, 2).unwrap_err()), Some(16));
+        assert_eq!(
+            limit(engine.check_gen_shards(16, 10).unwrap_err()),
+            Some(15)
+        );
+        // `--pool` raises it.
+        let engine = ServiceEngine::new(DaemonConfig {
+            pool_population: Some(pool_population(2, 512, 64, 2, 32)),
+            ..DaemonConfig::default()
+        });
+        assert!(engine.check_gen_shards(64, 2).is_ok());
+        assert_eq!(limit(engine.check_gen_shards(65, 2).unwrap_err()), Some(64));
     }
 }

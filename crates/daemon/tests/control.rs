@@ -311,6 +311,95 @@ fn sharded_generation_conserves_and_reconfigures() {
     daemon.finish();
 }
 
+/// The pool bounds the producer set: each shard's cache holds up to
+/// `2 × GEN_BATCH` buffers, so a set wider than the pool covers beside
+/// the rings and the workers would starve itself. Such a submit or
+/// reconfigure is refused with the limit named, and changes nothing.
+#[test]
+fn gen_shards_beyond_what_the_pool_covers_are_refused() {
+    let daemon = TestDaemon::start("gen-limit");
+    let mut c = daemon.connect();
+    let limit = |reply: &Json| reply.get("gen_shards_limit").and_then(Json::as_u64);
+    let refused = c.send(r#"{"cmd":"submit","name":"wide","rate_pps":2000,"gen_shards":64}"#);
+    assert_err(&refused);
+    assert_eq!(limit(&refused), Some(16), "{}", refused.render());
+    let error = refused.get("error").and_then(Json::as_str).unwrap();
+    assert!(error.contains("16 producer shards"), "{error}");
+    assert_eq!(
+        c.send(r#"{"cmd":"stats"}"#)
+            .get("state")
+            .and_then(Json::as_str),
+        Some("idle")
+    );
+
+    assert_ok(&c.send(r#"{"cmd":"submit","name":"wide","rate_pps":2000,"gen_shards":16}"#));
+    let refused = c.send(r#"{"cmd":"reconfigure","rate_pps":4000,"gen_shards":17}"#);
+    assert_err(&refused);
+    assert_eq!(limit(&refused), Some(16));
+    let stats = c.send(r#"{"cmd":"stats"}"#);
+    assert_eq!(stats.get("gen_shards").and_then(Json::as_u64), Some(16));
+    assert_eq!(stats.get("rate_pps").and_then(Json::as_f64), Some(2000.0));
+
+    let drain = c.send(r#"{"cmd":"drain"}"#);
+    assert_ok(&drain);
+    assert_eq!(drain.get("conserved").and_then(Json::as_bool), Some(true));
+    assert_eq!(drain.get("dropped_pool").and_then(Json::as_u64), Some(0));
+    assert_eq!(
+        drain.get("pool_balanced").and_then(Json::as_bool),
+        Some(true)
+    );
+    daemon.finish();
+}
+
+/// A re-arm while the pool is starved: producers keep losing packets to
+/// the pool through the swap of worker sets, and not one of those losses
+/// goes missing — each is booked once, on the port, which no re-arm
+/// touches.
+#[test]
+fn dropped_never_goes_down_across_a_rearm_under_pool_starvation() {
+    let daemon = TestDaemon::start("starve-rearm");
+    let mut c = daemon.connect();
+    assert_ok(&c.send(concat!(
+        r#"{"cmd":"submit","name":"starved","rate_pps":20000,"discipline":"metronome","m":2,"seed":9,"#,
+        r#""faults":[{"kind":"pool-starve","at_ms":0,"duration_ms":5000,"fraction":1.0}]}"#
+    )));
+    let dropped = |c: &mut Client| {
+        let s = c.send(r#"{"cmd":"stats"}"#);
+        assert_ok(&s);
+        s.get("dropped").and_then(Json::as_u64).unwrap()
+    };
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while dropped(&mut c) == 0 {
+        assert!(Instant::now() < deadline, "the starved pool never dropped");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    let mut prev = dropped(&mut c);
+    for m in [3, 2, 4, 2] {
+        assert_ok(&c.send(&format!(r#"{{"cmd":"reconfigure","m":{m}}}"#)));
+        for _ in 0..5 {
+            let now = dropped(&mut c);
+            assert!(
+                now >= prev,
+                "dropped went down across re-arm to m={m}: {prev} -> {now}"
+            );
+            prev = now;
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+
+    let drain = c.send(r#"{"cmd":"drain"}"#);
+    assert_ok(&drain);
+    assert_eq!(drain.get("conserved").and_then(Json::as_bool), Some(true));
+    assert!(drain.get("dropped_pool").and_then(Json::as_u64).unwrap() > 0);
+    assert!(drain.get("dropped").and_then(Json::as_u64).unwrap() >= prev);
+    assert_eq!(
+        drain.get("pool_balanced").and_then(Json::as_bool),
+        Some(true)
+    );
+    daemon.finish();
+}
+
 /// A scenario submitted with defaults (one producer shard) widens its
 /// generator live: the new shards offer onto the rings the first one
 /// feeds, taking turns at each ring's producer guard.

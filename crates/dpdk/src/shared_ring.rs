@@ -18,8 +18,11 @@
 //!
 //! Conservation is the contract tests rely on: for every ring,
 //! `offered = accepted + dropped`, and whatever was accepted is either
-//! still queued or was popped by a consumer — nothing is double-counted
-//! because `offer` is the only producer path.
+//! still queued, was popped by a consumer, or was swept at stop —
+//! nothing is double-counted because `offer` is the only producer path.
+//! Each receive-side loss is counted here, once, per queue, like
+//! `rte_eth_stats`: tail drops, frames with no buffer (`rx_nombuf`) and
+//! frames swept at stop.
 
 use crate::fastring::SpscRing;
 use crate::mbuf::Mbuf;
@@ -49,6 +52,8 @@ pub struct SharedRing {
     ring: Arc<SpscRing<Mbuf>>,
     accepted: AtomicU64,
     dropped: AtomicU64,
+    nombuf: AtomicU64,
+    swept: AtomicU64,
     /// Rung after every accepting offer; `None` (the default) costs one
     /// predictable branch per burst.
     wake_hook: Option<WakeHook>,
@@ -66,6 +71,8 @@ impl SharedRing {
             ring: Arc::new(SpscRing::new(capacity)),
             accepted: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
+            nombuf: AtomicU64::new(0),
+            swept: AtomicU64::new(0),
             wake_hook: None,
         }
     }
@@ -155,6 +162,32 @@ impl SharedRing {
     /// Frames offered (accepted + dropped).
     pub fn offered(&self) -> u64 {
         self.accepted() + self.dropped()
+    }
+
+    /// Count `n` frames that found no buffer to land in (mempool
+    /// exhaustion).
+    pub fn count_nombuf(&self, n: u64) {
+        self.nombuf.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Frames lost to mempool exhaustion so far.
+    pub fn nombuf(&self) -> u64 {
+        self.nombuf.load(Ordering::Relaxed)
+    }
+
+    /// Pop every frame still queued into `out` (appended) and count it as
+    /// swept — accepted, never retrieved; returns how many.
+    pub fn sweep(&self, out: &mut Vec<Mbuf>) -> u64 {
+        let before = out.len();
+        while self.ring.pop_burst(out, self.ring.capacity()) > 0 {}
+        let n = (out.len() - before) as u64;
+        self.swept.fetch_add(n, Ordering::Relaxed);
+        n
+    }
+
+    /// Frames swept so far.
+    pub fn swept(&self) -> u64 {
+        self.swept.load(Ordering::Relaxed)
     }
 
     /// Frames currently queued.
@@ -357,6 +390,22 @@ mod tests {
         // Space freed: offers succeed again.
         assert!(r.offer(frame()));
         assert_eq!(r.accepted(), 33);
+    }
+
+    #[test]
+    fn nombuf_and_swept_frames_are_books_of_their_own() {
+        let r = SharedRing::new(32);
+        for _ in 0..40 {
+            r.offer(frame());
+        }
+        r.count_nombuf(3);
+        let mut out = Vec::new();
+        assert_eq!(r.sweep(&mut out), 32);
+        assert_eq!(out.len(), 32);
+        assert_eq!((r.dropped(), r.nombuf(), r.swept()), (8, 3, 32));
+        assert_eq!(r.offered(), 40, "neither book is an offer");
+        assert_eq!(r.sweep(&mut out), 0);
+        assert_eq!(r.swept(), 32);
     }
 
     #[test]

@@ -4,19 +4,22 @@
 //! ([`complete_burst`]).
 //!
 //! Both wall-clock load generators — the scenario runner
-//! ([`crate::realtime_runner`]) and the `metronomed` service — pace their
-//! arrival source through a [`metronome_traffic::PacedArrivals`] and hand
-//! every batch to an [`IngestShard`]; pacing and the fault view are the
-//! caller's (whatever source it gives the pacer), the batch body is here
-//! and does not know who called it. DESIGN.md §2h walks through it.
+//! ([`crate::realtime_runner`]) and the `metronomed` service — get their
+//! producer shards from one assembly, [`crate::pipeline::Pipeline::producer`]:
+//! a [`metronome_traffic::PacedArrivals`] over the caller's source (behind
+//! the plan's arrival-side injector when there is one) handing every batch
+//! to an [`IngestShard`]. The batch body is here and does not know who
+//! called it. It counts no loss of its own: a frame with no buffer is
+//! booked on its queue's ring ([`metronome_dpdk::SharedRing::count_nombuf`]),
+//! a tail drop by the ring itself, and what an injector suppressed never
+//! reaches the shard. DESIGN.md §2h walks through it.
 
 use metronome_apps::processor::PacketProcessor;
 use metronome_dpdk::{Mbuf, Mempool, MempoolCache, QueueScatter, RssPort};
 use metronome_sim::stats::Histogram;
 use metronome_sim::time::read_instant;
 use metronome_sim::{CoarseClock, Nanos};
-use metronome_telemetry::{DropCause, TelemetryHub, TelemetrySink};
-use metronome_traffic::{InjectionStats, WallClock};
+use metronome_traffic::WallClock;
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Instant;
@@ -32,7 +35,8 @@ pub type FlowTemplate = (bytes::BytesMut, usize, u32);
 
 /// One producer shard's working set. Flow `i` of the run's population
 /// belongs to shard `i mod G`, so every flow has exactly one producer and
-/// per-flow order is a single-producer property.
+/// per-flow order is a single-producer property. The cache flushes as
+/// the shard drops: every buffer is home afterwards.
 pub struct IngestShard {
     templates: Vec<FlowTemplate>,
     /// Burst alloc/free is a thread-local stack drain, no freelist lock.
@@ -45,9 +49,6 @@ pub struct IngestShard {
     /// Offered-vs-scheduled lateness per packet. Locked once per batch;
     /// samplers and reports merge the shards' slots.
     lateness: Arc<Mutex<Histogram>>,
-    /// What the arrival source suppressed (all zero without an injector).
-    faults: InjectionStats,
-    mirrored_fault: u64,
     seq: usize,
 }
 
@@ -82,38 +83,16 @@ impl IngestShard {
             blanks: Vec::with_capacity(GEN_BATCH),
             coarse: CoarseClock::from_epoch(clock.anchor()),
             lateness,
-            faults: InjectionStats::new(),
-            mirrored_fault: 0,
             seq: 0,
-        }
-    }
-
-    /// Mirror what the shard's arrival source suppressed (the injector
-    /// behind `stats`) into the hub as [`DropCause::Fault`]. Suppressed
-    /// packets never reach the pool or the rings, so they are attributed
-    /// to queue 0 — injection happens before RSS picks a queue.
-    pub fn mirroring(mut self, stats: InjectionStats) -> IngestShard {
-        self.faults = stats;
-        self
-    }
-
-    fn mirror_faults(&mut self, hub: &TelemetryHub) {
-        let total = self.faults.drops();
-        if total > self.mirrored_fault {
-            hub.dropped(0, DropCause::Fault, total - self.mirrored_fault);
-            self.mirrored_fault = total;
         }
     }
 
     /// Produce one batch: every instant in `due` becomes one frame of the
     /// shard's next flow, stamped `arrival = scheduled t`, offered to its
-    /// RSS queue. Every counter touched is shard-additive (hub atomics,
-    /// ring counters, pool accounting), so the aggregate over concurrent
-    /// shards is exact regardless of interleaving.
-    pub fn emit(&mut self, due: &[Nanos], port: &RssPort, hub: &TelemetryHub) {
-        // Fault suppressions first and incrementally, so a live sampler
-        // sees them as they happen rather than in one end-of-run burst.
-        self.mirror_faults(hub);
+    /// RSS queue. Every counter touched is shard-additive (ring counters,
+    /// pool accounting), so the aggregate over concurrent shards is exact
+    /// regardless of interleaving.
+    pub fn emit(&mut self, due: &[Nanos], port: &RssPort) {
         // Lateness of the whole batch against one amortized timestamp: a
         // batch IS one emission instant.
         let now = self.coarse.tick();
@@ -141,28 +120,16 @@ impl IngestShard {
                     scatter.push(*q, mbuf);
                 }
                 // Pool exhausted: the NIC has a descriptor but no buffer
-                // to DMA into — a drop cause of its own.
-                None => hub.dropped(*q, DropCause::Pool, 1),
+                // to DMA into — a loss of its own, booked on the queue.
+                None => port.rings()[*q].count_nombuf(1),
             }
         }
         scatter.dispatch(|q, frames| {
             port.offer_burst(q, frames);
-            // Whatever the ring rejected is tail-dropped (already counted
-            // by the ring; mirrored into the hub): recycle the buffers in
-            // one cache transaction.
-            hub.dropped(q, DropCause::Ring, frames.len() as u64);
+            // Whatever the ring rejected it counted as tail-dropped:
+            // recycle the buffers in one cache transaction.
             cache.free_burst(frames.drain(..));
         });
-    }
-
-    /// The shard's source is exhausted: mirror its injector's last
-    /// suppressions. A realtime injector holds nothing back — its plan is
-    /// a [`metronome_traffic::FaultPlan::arrival_side`], with no stall in
-    /// it — so nothing is stranded upstream. The cache flushes as the
-    /// shard drops: every buffer is home afterwards.
-    pub fn finish(mut self, hub: &TelemetryHub) {
-        debug_assert_eq!(self.faults.held(), 0, "a realtime injector held packets");
-        self.mirror_faults(hub);
     }
 }
 
@@ -226,14 +193,12 @@ mod tests {
     use super::*;
     use crate::pipeline::{flow_templates, MBUF_DATAROOM};
     use std::collections::HashMap;
-    use std::sync::atomic::Ordering;
 
     const QUEUES: usize = 2;
 
     struct Rig {
         port: RssPort,
         pool: Mempool,
-        hub: Arc<TelemetryHub>,
         lateness: Arc<Mutex<Histogram>>,
     }
 
@@ -242,7 +207,6 @@ mod tests {
             Rig {
                 port: RssPort::new(QUEUES, ring_size),
                 pool: Mempool::new(population, MBUF_DATAROOM),
-                hub: TelemetryHub::new(0, QUEUES),
                 lateness: Arc::new(Mutex::new(Histogram::latency())),
             }
         }
@@ -259,8 +223,8 @@ mod tests {
             )
         }
 
-        fn dropped(&self, f: fn(&metronome_telemetry::QueueCounters) -> u64) -> u64 {
-            (0..QUEUES).map(|q| f(self.hub.queue(q))).sum()
+        fn pool_drops(&self) -> u64 {
+            self.port.rings().iter().map(|r| r.nombuf()).sum()
         }
 
         /// Pop everything the rings hold, recycle it, return the frames'
@@ -277,12 +241,11 @@ mod tests {
             out
         }
 
-        /// `offered == accepted + ring drops + pool drops`, the hub
-        /// agrees with the rings, and every buffer is home.
+        /// `offered == accepted + ring drops + pool drops`, each loss on
+        /// one book of the port, and every buffer is home.
         fn assert_conserved(&self, offered: u64) {
-            let ring_drops = self.dropped(|q| q.dropped_ring.load(Ordering::Relaxed));
-            let pool_drops = self.dropped(|q| q.dropped_pool.load(Ordering::Relaxed));
-            assert_eq!(ring_drops, self.port.total_dropped());
+            let ring_drops = self.port.total_dropped();
+            let pool_drops = self.pool_drops();
             assert_eq!(
                 offered,
                 self.port.total_accepted() + ring_drops + pool_drops
@@ -306,11 +269,11 @@ mod tests {
         let rig = Rig::new(64, 1024);
         let mut shard = rig.shard();
         for batch in schedule(600).chunks(200) {
-            shard.emit(batch, &rig.port, &rig.hub);
+            shard.emit(batch, &rig.port);
         }
-        shard.finish(&rig.hub);
+        drop(shard);
         assert!(rig.port.total_dropped() > 0, "rings never overflowed");
-        assert_eq!(rig.dropped(|q| q.dropped_pool.load(Ordering::Relaxed)), 0);
+        assert_eq!(rig.pool_drops(), 0);
         rig.sweep();
         rig.assert_conserved(600);
     }
@@ -321,9 +284,9 @@ mod tests {
         // drop per packet, attributed to the packet's own queue.
         let rig = Rig::new(1024, 100);
         let mut shard = rig.shard();
-        shard.emit(&schedule(250), &rig.port, &rig.hub);
-        shard.finish(&rig.hub);
-        assert_eq!(rig.dropped(|q| q.dropped_pool.load(Ordering::Relaxed)), 150);
+        shard.emit(&schedule(250), &rig.port);
+        drop(shard);
+        assert_eq!(rig.pool_drops(), 150);
         assert_eq!(rig.port.total_dropped(), 0);
         assert_eq!(rig.sweep().len(), 100);
         rig.assert_conserved(250);
@@ -335,9 +298,9 @@ mod tests {
         let mut shard = rig.shard();
         let due = schedule(500);
         for batch in due.chunks(128) {
-            shard.emit(batch, &rig.port, &rig.hub);
+            shard.emit(batch, &rig.port);
         }
-        shard.finish(&rig.hub);
+        drop(shard);
         let frames = rig.sweep();
         // Every scheduled instant is on exactly one frame, unaltered.
         let mut stamps: Vec<Nanos> = frames.iter().map(|&(_, t)| t).collect();
@@ -351,22 +314,5 @@ mod tests {
             }
         }
         rig.assert_conserved(500);
-    }
-
-    #[test]
-    fn injector_drops_are_mirrored_once_against_queue_zero() {
-        let rig = Rig::new(1024, 1024);
-        let stats = InjectionStats::new();
-        let mut shard = rig.shard().mirroring(stats.clone());
-        stats.add_drops(5);
-        shard.emit(&schedule(10), &rig.port, &rig.hub);
-        stats.add_drops(2);
-        shard.emit(&schedule(10), &rig.port, &rig.hub);
-        stats.add_drops(1);
-        shard.finish(&rig.hub);
-        assert_eq!(rig.hub.queue(0).dropped_fault.load(Ordering::Relaxed), 8);
-        assert_eq!(rig.hub.queue(1).dropped_fault.load(Ordering::Relaxed), 0);
-        rig.sweep();
-        rig.assert_conserved(20);
     }
 }

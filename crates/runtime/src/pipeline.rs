@@ -1,18 +1,22 @@
 //! The realtime pipeline, once: what the scenario runner
-//! ([`crate::realtime_runner`]) and the `metronomed` service both build
-//! ([`Pipeline::new`]), arm ([`Pipeline::arm`]), feed
-//! ([`Pipeline::ingest_shard`]), fault ([`Pipeline::fault_driver`]),
-//! observe ([`Pipeline::fill_snapshot`]) and drain ([`Pipeline::drain`],
-//! [`Pipeline::disarm`], then [`Pipeline::sweep`]).
+//! ([`crate::realtime_runner`]) and the `metronomed` service both size
+//! ([`pool_population`]), build ([`Pipeline::new`]), arm
+//! ([`Pipeline::arm`]), feed ([`Pipeline::producer`]), fault
+//! ([`Pipeline::fault_driver`]), observe ([`Pipeline::fill_snapshot`])
+//! and drain ([`Pipeline::drain`], [`Pipeline::disarm`], then
+//! [`Pipeline::sweep`]).
 //!
 //! A [`Pipeline`] owns one scenario's receive side: the [`RssPort`] over
 //! bounded mbuf rings (one producer shard or several, taking turns), the
 //! flow templates the producer shards refill from, one [`QueueApp`] per
-//! queue, the shards' lateness slots, the run's one [`WallClock`] and the
-//! world side of its fault plan (stalls and starvation; the arrival side
-//! is the producers' source, [`FaultPlan::arrival_side`]). The
+//! queue, the shards' lateness slots, the run's one [`WallClock`] and its
+//! fault plan — the arrival side in front of every producer's source, the
+//! world side (stalls and starvation) in the fault driver. The
 //! [`Mempool`] is the caller's — per run for the runner, for the process
-//! lifetime in the daemon. What differs between the two drivers stays
+//! lifetime in the daemon. Each loss is counted once, where it happens:
+//! on the port's rings (tail drops, no buffer, swept at stop) or by a
+//! fault injector; [`Pipeline::fill_snapshot`] reads those books, and the
+//! worker hub counts none. What differs between the two drivers stays
 //! with them: the runner paces one finite scenario and reports; the
 //! daemon paces a live rate, re-arms worker sets under load and answers a
 //! control socket. So does the doorbell wiring: the runner hooks the port
@@ -27,12 +31,15 @@ use metronome_apps::{FloWatcher, IpsecGateway, L3Fwd};
 use metronome_core::discipline::DisciplineSpec;
 use metronome_core::rxqueue::{Consume, Lookahead, RxQueue};
 use metronome_core::{ExecBackend, MetronomeConfig, RealtimeStats, WorkerSet};
-use metronome_dpdk::{Mbuf, Mempool, MempoolCache, RingConsumer, RssPort};
+use metronome_dpdk::{Mbuf, Mempool, MempoolCache, RingConsumer, RssPort, SharedRing};
 use metronome_net::headers::{build_udp_frame, Mac, MIN_FRAME_NO_FCS};
 use metronome_sim::stats::Histogram;
-use metronome_sim::Nanos;
-use metronome_telemetry::{CounterSnapshot, DropCause, TelemetryHub, TelemetrySink, TraceHub};
-use metronome_traffic::{FaultKind, FaultPlan, FlowSet, WallClock};
+use metronome_sim::{Nanos, Rng};
+use metronome_telemetry::{CounterSnapshot, TelemetryHub, TraceHub};
+use metronome_traffic::{
+    ArrivalProcess, FaultKind, FaultPlan, FlowSet, InjectionStats, PacedArrivals, PlannedFaults,
+    WallClock,
+};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -54,6 +61,20 @@ const FAULT_TICK: Duration = Duration::from_micros(500);
 
 /// How long a stalled consumer naps between looks at the stall flag.
 const STALL_NAP: Duration = Duration::from_micros(100);
+
+/// The mbuf population that keeps a pipeline clear of pool exhaustion:
+/// every ring full twice over, plus each producer shard's and worker's
+/// cache at its high-water mark (a cache of size C holds at most 2C) —
+/// small enough that a deliberate undersizing bites at once.
+pub fn pool_population(
+    n_queues: usize,
+    ring_size: usize,
+    gen_shards: usize,
+    workers: usize,
+    burst: usize,
+) -> usize {
+    2 * n_queues * ring_size + gen_shards * 2 * GEN_BATCH + workers.max(1) * 2 * burst
+}
 
 /// The functional processor wired to an app profile name, if one exists
 /// (the realtime counterpart of the cost-only
@@ -184,11 +205,40 @@ impl Consume<Mbuf> for BurstConsumer {
     }
 }
 
+/// One producer shard, ready to run ([`Pipeline::producer`]).
+pub struct Producer {
+    paced: PacedArrivals,
+    shard: IngestShard,
+    port: Arc<RssPort>,
+}
+
+impl Producer {
+    /// Poll a live source every `period` ([`PacedArrivals::with_poll`]).
+    pub fn with_poll(mut self, period: Nanos) -> Producer {
+        self.paced = self.paced.with_poll(period);
+        self
+    }
+
+    /// Pace and emit until the source runs dry or the horizon passes; the
+    /// shard's cache flushes as it drops.
+    pub fn run(mut self) {
+        while let Some(batch) = self.paced.next_batch() {
+            self.shard.emit(batch, &self.port);
+        }
+    }
+}
+
 /// One scenario's realtime pipeline (see the module doc).
 pub struct Pipeline {
     port: Arc<RssPort>,
     pool: Mempool,
     templates: Vec<FlowTemplate>,
+    /// The flow population's seed; injector streams derive from it.
+    seed: u64,
+    /// The plan's spikes and jitter, in front of every producer's source.
+    arrival_faults: FaultPlan,
+    /// The fault book: every injector's stats, kept across respawns.
+    injected: Vec<InjectionStats>,
     /// Per-queue processor + packet-latency histogram; outlives re-arms,
     /// so the histogram is cumulative for the run.
     apps: Arc<Vec<Mutex<QueueApp>>>,
@@ -206,7 +256,7 @@ impl Pipeline {
     /// A pipeline over `n_queues` rings of `ring_size` descriptors, the
     /// flow population seeded by `seed`, buffers from `pool`, and queue
     /// `q` processing with `make_app(q)`. Any number of producer shards
-    /// may feed it ([`Pipeline::ingest_shard`]).
+    /// may feed it ([`Pipeline::producer`]).
     pub fn new(
         n_queues: usize,
         ring_size: usize,
@@ -217,6 +267,9 @@ impl Pipeline {
         let port = RssPort::new(n_queues, ring_size);
         Pipeline {
             templates: flow_templates(&port, seed),
+            seed,
+            arrival_faults: FaultPlan::new(),
+            injected: Vec::new(),
             port: Arc::new(port),
             pool,
             apps: Arc::new((0..n_queues).map(|q| QueueApp::new(make_app(q))).collect()),
@@ -241,13 +294,13 @@ impl Pipeline {
         self
     }
 
-    /// Realize `plan`'s world side — `queue-stall` and `pool-starve`, on
-    /// the run's clock — against this pipeline's workers and pool (see
-    /// [`Pipeline::fault_driver`]). Its arrival side is the producers':
-    /// they wrap their sources in a `PlannedFaults` over
-    /// [`FaultPlan::arrival_side`]. Set before the first [`Pipeline::arm`].
+    /// Realize `plan` on the run's clock: its arrival side in front of
+    /// every producer's source ([`Pipeline::producer`]), `queue-stall` and
+    /// `pool-starve` against this pipeline's workers and pool
+    /// ([`Pipeline::fault_driver`]). Set before the first [`Pipeline::arm`].
     pub fn with_faults(mut self, plan: &FaultPlan) -> Pipeline {
-        self.world = (plan.arrival_side().len() < plan.len()).then(|| {
+        self.arrival_faults = plan.arrival_side();
+        self.world = (self.arrival_faults.len() < plan.len()).then(|| {
             Arc::new(WorldFaults {
                 plan: plan.clone(),
                 stalled: AtomicBool::new(false),
@@ -280,11 +333,38 @@ impl Pipeline {
         *self.clock.get_or_init(WallClock::start)
     }
 
-    /// Producer shard `shard` of `n_shards` (see [`IngestShard::new`]):
-    /// its slice of the flow population, offering onto the port from the
-    /// pool and stamping lateness against the run's clock into the
-    /// shard's slot.
-    pub fn ingest_shard(&mut self, shard: usize, n_shards: usize) -> IngestShard {
+    /// Producer shard `shard` of `n_shards`: `source` behind a
+    /// `PlannedFaults` over the plan's arrival side when it has one
+    /// (stream `0xFA + shard` of the seed), paced on the run's clock until
+    /// `horizon`, [`GEN_BATCH`] at most a batch, into the shard's
+    /// [`IngestShard`].
+    pub fn producer(
+        &mut self,
+        shard: usize,
+        n_shards: usize,
+        mut source: Box<dyn ArrivalProcess>,
+        horizon: Nanos,
+    ) -> Producer {
+        if !self.arrival_faults.is_empty() {
+            let injector = PlannedFaults::new(
+                source,
+                self.arrival_faults.clone(),
+                Rng::new(self.seed).stream(0xFA + shard as u64),
+            );
+            self.injected.push(injector.stats());
+            source = Box::new(injector);
+        }
+        Producer {
+            shard: self.ingest_shard(shard, n_shards),
+            paced: PacedArrivals::with_clock(source, horizon, self.clock())
+                .with_max_batch(GEN_BATCH),
+            port: Arc::clone(&self.port),
+        }
+    }
+
+    /// Ingest shard `shard` of `n_shards` ([`IngestShard::new`]), stamping
+    /// lateness into the shard's slot.
+    fn ingest_shard(&mut self, shard: usize, n_shards: usize) -> IngestShard {
         while self.lateness.len() <= shard {
             self.lateness
                 .push(Arc::new(Mutex::new(Histogram::latency())));
@@ -401,15 +481,21 @@ impl Pipeline {
     }
 
     /// Fill `snap` with everything the pipeline knows, on top of the
-    /// counters already in it (this pipeline's hub counts): the books —
-    /// `offered` = frames offered to the port + pool drops + fault drops,
-    /// so `offered == retrieved + dropped + in flight` — ring occupancy,
-    /// the pool gauges, packet latency merged over queues (when measured),
+    /// counters already in it (this pipeline's hub counts): the loss books
+    /// and `offered` = frames offered to the port + pool drops + fault
+    /// drops, so `offered == retrieved + dropped + in flight` — ring
+    /// occupancy, the pool gauges, packet latency merged over queues (when measured),
     /// generator lateness merged over shards, and, given the flight
     /// recorder, its wake-latency / oversleep / scheduler-delay
     /// histograms. Recorders publish opportunistically, so a live snapshot
     /// sees each ring as of its last flush.
     pub fn fill_snapshot(&self, snap: &mut CounterSnapshot, trace: Option<&TraceHub>) {
+        let rings = self.port.rings();
+        snap.dropped_ring = rings.iter().map(|r| r.dropped() + r.swept()).sum();
+        snap.dropped_pool = rings.iter().map(SharedRing::nombuf).sum();
+        // An arrival-side plan has no stall, so an injector holds nothing.
+        debug_assert!(self.injected.iter().all(|s| s.held() == 0));
+        snap.dropped_fault = self.injected.iter().map(InjectionStats::drops).sum();
         snap.offered = self.port.total_offered() + snap.dropped_pool + snap.dropped_fault;
         snap.occupancy = self.port.occupancies();
         snap.pool_in_use = self.pool.in_use() as u64;
@@ -449,21 +535,15 @@ impl Pipeline {
         }
     }
 
-    /// Pop whatever the rings still hold back into the pool and book it
-    /// into `hub` as ring drops (accepted, never retrieved), so
-    /// conservation stays exact; call once the worker set has stopped.
-    /// Returns how many frames were stranded.
-    pub fn sweep(&self, hub: &TelemetryHub) -> u64 {
+    /// Pop whatever the rings still hold back into the pool, each ring
+    /// booking it as swept (a ring drop), so conservation stays exact;
+    /// call once the worker set has stopped. Returns how many.
+    pub fn sweep(&self) -> u64 {
         let mut scratch: Vec<Mbuf> = Vec::new();
         let mut stranded = 0;
-        for (q, ring) in self.port.rings().iter().enumerate() {
-            let mut n = 0;
-            while ring.pop_burst(&mut scratch, GEN_BATCH) > 0 {
-                n += scratch.len() as u64;
-                self.pool.free_burst(scratch.drain(..));
-            }
-            hub.dropped(q, DropCause::Ring, n);
-            stranded += n;
+        for ring in self.port.rings() {
+            stranded += ring.sweep(&mut scratch);
+            self.pool.free_burst(scratch.drain(..));
         }
         stranded
     }
@@ -491,12 +571,10 @@ mod tests {
         let hub = TelemetryHub::new(0, 2);
         let due: Vec<Nanos> = (0..300).map(|k| Nanos(1_000 + k)).collect();
         for s in 0..2 {
-            let mut shard = p.ingest_shard(s, 2);
-            shard.emit(&due, p.port(), &hub);
-            shard.finish(&hub);
+            p.ingest_shard(s, 2).emit(&due, p.port());
         }
         assert!(p.port().total_dropped() > 0, "rings never overflowed");
-        assert_eq!(p.sweep(&hub), p.port().total_accepted());
+        assert_eq!(p.sweep(), p.port().total_accepted());
         let t0 = Instant::now();
         p.drain(Duration::from_secs(5));
         assert!(
@@ -513,5 +591,56 @@ mod tests {
         assert_eq!((books.pool_in_use, books.pool_cached), (0, 0));
         assert_eq!(books.gen_jitter.map(|h| h.count()), Some(600));
         assert_eq!(books.latency.map(|h| h.count()), Some(0));
+    }
+
+    #[test]
+    fn the_fault_book_reads_every_injector_across_a_respawn() {
+        // Certain loss over the whole horizon: every arrival is a fault
+        // drop, none reaches the port. A second producer generation on
+        // the same pipeline adds to the book instead of replacing it.
+        let plan = FaultPlan::new().with(
+            Nanos::ZERO,
+            Nanos::from_secs(10),
+            FaultKind::JitterBurst {
+                jitter: Nanos::ZERO,
+                drop_prob: 1.0,
+            },
+        );
+        let mut p = Pipeline::new(2, 64, 7, Mempool::new(4096, MBUF_DATAROOM), &|_q| {
+            default_processor("l3fwd-lpm")
+        })
+        .with_faults(&plan);
+        let cbr = || -> Box<dyn ArrivalProcess> {
+            Box::new(metronome_traffic::Cbr::new(100_000.0, Nanos::ZERO))
+        };
+        for n_shards in [2, 1] {
+            for s in 0..n_shards {
+                p.producer(s, n_shards, cbr(), Nanos::from_millis(2)).run();
+            }
+        }
+        let mut books = CounterSnapshot::new(Nanos::ZERO);
+        p.fill_snapshot(&mut books, None);
+        // 100 kpps for 2 ms, three producers.
+        assert!(
+            (590..=603).contains(&books.dropped_fault),
+            "{}",
+            books.dropped_fault
+        );
+        assert_eq!(books.offered, books.dropped_fault);
+        assert_eq!(p.port().total_offered(), 0);
+        assert_eq!((books.dropped_ring, books.dropped_pool), (0, 0));
+    }
+
+    #[test]
+    fn pool_population_covers_rings_shards_and_workers() {
+        assert_eq!(
+            pool_population(2, 512, 16, 2, 32),
+            2 * 2 * 512 + 16 * 2 * GEN_BATCH + 2 * 2 * 32
+        );
+        // A worker-less run still leaves one worker cache's room.
+        assert_eq!(
+            pool_population(1, 64, 1, 0, 32),
+            pool_population(1, 64, 1, 1, 32)
+        );
     }
 }

@@ -19,12 +19,14 @@
 //!   MoonGen's multi-core scaling recipe: flows are partitioned across
 //!   shards, so per-flow order is preserved while shards produce
 //!   concurrently, taking turns at each ring's producer guard) in bounded
-//!   batches against the run's one [`metronome_traffic::WallClock`]. Every batch goes through the one
-//!   ingest core, [`IngestShard::emit`] (see [`crate::ingest`]): pooled
-//!   buffers refilled from flow templates — **zero heap allocation per
-//!   packet** — stamped with their scheduled arrival, scattered to their
-//!   RSS queues, with pool exhaustion and ring tail-drop counted as
-//!   distinct causes and per-packet lateness always recorded.
+//!   batches against the run's one [`metronome_traffic::WallClock`]. The
+//!   pipeline assembles each shard ([`Pipeline::producer`]), and every
+//!   batch goes through the one ingest core (see [`crate::ingest`]):
+//!   pooled buffers refilled from flow templates — **zero heap
+//!   allocation per packet** — stamped with their scheduled arrival,
+//!   scattered to their RSS queues, with pool exhaustion and ring
+//!   tail-drop booked on the port as distinct causes and per-packet
+//!   lateness always recorded.
 //! * **RSS dispatch** — the frame's flow steers it through a real Toeplitz
 //!   hash onto one of `N` bounded mbuf rings ([`metronome_dpdk::RssPort`]), offered ring
 //!   by ring in bursts (`offer_burst`); a full ring tail-drops with
@@ -63,8 +65,7 @@
 //! [`RealtimeError`] through [`try_run_realtime`]; the panicking
 //! [`run_realtime`] convenience wrapper merely unwraps it.
 
-use crate::ingest::{IngestShard, GEN_BATCH};
-use crate::pipeline::{processor_for, Pipeline, MBUF_DATAROOM};
+use crate::pipeline::{pool_population, processor_for, Pipeline, Producer, MBUF_DATAROOM};
 use crate::report::{QueueReport, RunReport};
 use crate::scenario::{Scenario, SystemKind};
 use metronome_apps::processor::PacketProcessor;
@@ -72,11 +73,9 @@ use metronome_core::discipline::DisciplineSpec;
 use metronome_core::{AdaptiveController, MetronomeConfig};
 use metronome_dpdk::Mempool;
 use metronome_sim::Nanos;
-use metronome_sim::Rng;
 use metronome_telemetry::{
     CounterSnapshot, Sampler, TelemetryHub, TraceHub, DEFAULT_RING_CAPACITY,
 };
-use metronome_traffic::{PacedArrivals, PlannedFaults};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -221,16 +220,17 @@ pub fn try_run_realtime_with(
         .map_or(0, |(cfg, spec)| spec.workers(cfg.m_threads, cfg.n_queues));
 
     // ---- the shared mbuf pool --------------------------------------------
-    // Default population: every ring full twice over, plus each producer
-    // shard's cache high-water mark and each worker cache's (a cache of
-    // size C holds at most 2C before spilling) — generous enough that
-    // a correctly sized run never sees pool exhaustion, small enough that
-    // a deliberate `with_mbuf_pool` undersizing bites immediately.
+    // Sized by the pipeline unless the scenario undersizes it on purpose
+    // (`with_mbuf_pool`).
     let gen_shards = Pipeline::producer_shards(sc.gen_shards);
     let population = sc.mbuf_pool.unwrap_or_else(|| {
-        2 * sc.n_queues * sc.ring_size
-            + gen_shards * 2 * GEN_BATCH
-            + n_workers.max(1) * 2 * worker_cfg.burst as usize
+        pool_population(
+            sc.n_queues,
+            sc.ring_size,
+            gen_shards,
+            n_workers,
+            worker_cfg.burst as usize,
+        )
     });
     let pool = Mempool::new(population, MBUF_DATAROOM);
     let mut pipeline = Pipeline::new(sc.n_queues, sc.ring_size, sc.seed, pool.clone(), make_app)
@@ -240,9 +240,9 @@ pub fn try_run_realtime_with(
     }
 
     // ---- telemetry: counters always on, sampling on request --------------
-    // Workers bump the hub's relaxed atomics at protocol grain; the
-    // producer side accounts drops by cause through the same hub, so a
-    // sampler thread (below) sees one coherent counter surface. The hub
+    // Workers bump the hub's relaxed atomics at protocol grain; losses
+    // stay on the pipeline's books (the port's rings, the injectors),
+    // which a sampler thread (below) reads beside the hub. The hub
     // carries the discipline label so exported series from different
     // systems stay distinguishable.
     let hub = TelemetryHub::labeled(n_workers, sc.n_queues, sc.system.label());
@@ -283,33 +283,18 @@ pub fn try_run_realtime_with(
     // clock, so interleaved arrival timestamps stay mutually comparable
     // and latency/jitter measurements reference the same zero. Flow `i`
     // belongs to shard `i mod G` (the same partitioning argument RSS
-    // itself makes on the receive side). Under a fault plan each shard's
-    // source passes through its own seeded injector over the plan's
-    // arrival side (independent sub-streams of the master seed; spikes
-    // duplicate, dips and jitter suppress), whose suppressions the shard
-    // mirrors into the hub as `DropCause::Fault`; stalls and starvation
+    // itself makes on the receive side). Under a fault plan the pipeline
+    // puts each shard's source behind its own seeded injector over the
+    // plan's arrival side (independent sub-streams of the master seed;
+    // spikes duplicate, dips and jitter suppress); stalls and starvation
     // are the pipeline's fault driver's, below.
     let clock = pipeline.clock();
-    let shards: Vec<(PacedArrivals, IngestShard)> = sc
+    let producers: Vec<Producer> = sc
         .traffic
         .build(gen_shards, &sc.nic, sc.seed)
         .into_iter()
         .enumerate()
-        .map(|(s, mut source)| {
-            let mut shard = pipeline.ingest_shard(s, gen_shards);
-            if let Some(plan) = &sc.faults {
-                let pf = PlannedFaults::new(
-                    source,
-                    plan.arrival_side(),
-                    Rng::new(sc.seed).stream(0xFA + s as u64),
-                );
-                shard = shard.mirroring(pf.stats());
-                source = Box::new(pf);
-            }
-            let paced =
-                PacedArrivals::with_clock(source, sc.duration, clock).with_max_batch(GEN_BATCH);
-            (paced, shard)
-        })
+        .map(|(s, source)| pipeline.producer(s, gen_shards, source, sc.duration))
         .collect();
     let pipeline = Arc::new(pipeline);
 
@@ -334,7 +319,7 @@ pub fn try_run_realtime_with(
                     // Acquire pairs with the Release store below: once the
                     // flag reads true, every counter write the main thread
                     // made before raising it (worker counters settled by
-                    // join, stranded-frame mirrors) is visible here — the
+                    // join, the sweep's books) is visible here — the
                     // final snapshot must telescope exactly.
                     while last.elapsed() < interval && !stop.load(Ordering::Acquire) {
                         std::thread::sleep(Duration::from_millis(1));
@@ -371,20 +356,14 @@ pub fn try_run_realtime_with(
             .spawn(move || drive(&stop))
             .expect("spawn fault driver")
     });
-    let produce = |(mut paced, mut shard): (PacedArrivals, IngestShard)| {
-        while let Some(batch) = paced.next_batch() {
-            shard.emit(batch, pipeline.port(), &hub);
-        }
-        shard.finish(&hub);
-    };
     if gen_shards == 1 {
-        shards.into_iter().for_each(produce);
+        producers.into_iter().for_each(Producer::run);
     } else {
         std::thread::scope(|scope| {
-            for (s, shard) in shards.into_iter().enumerate() {
+            for (s, producer) in producers.into_iter().enumerate() {
                 std::thread::Builder::new()
                     .name(format!("metronome-gen{s}"))
-                    .spawn_scoped(scope, move || produce(shard))
+                    .spawn_scoped(scope, move || producer.run())
                     .expect("spawn generator shard");
             }
         });
@@ -422,7 +401,7 @@ pub fn try_run_realtime_with(
     // tail past the traffic horizon — so CPU% must be normalized by the
     // same span, not by the scenario duration.
     let actual_wall = run_start.elapsed().as_secs_f64();
-    pipeline.sweep(&hub);
+    pipeline.sweep();
 
     // Every buffer the pool handed out must be home again: the workers
     // recycle after each burst and each generator shard after each offer
@@ -474,7 +453,7 @@ pub fn try_run_realtime_with(
     report.queues = (0..sc.n_queues)
         .map(|q| {
             let st = ctrl.queue(q);
-            let dropped_pool = hub.queue(q).dropped_pool.load(Ordering::Relaxed);
+            let ring = &pipeline.port().rings()[q];
             QueueReport {
                 mean_vacation_us: st.mean_vacation().map_or(0.0, |v| v.as_micros_f64()),
                 mean_busy_us: st.mean_busy().map_or(0.0, |b| b.as_micros_f64()),
@@ -486,8 +465,8 @@ pub fn try_run_realtime_with(
                 busy_tries: st.busy_tries,
                 busy_try_fraction: st.busy_try_fraction(),
                 drained: stats.processed.get(q).copied().unwrap_or(0),
-                dropped: hub.queue(q).dropped_ring.load(Ordering::Relaxed) + dropped_pool,
-                dropped_pool,
+                dropped: ring.dropped() + ring.swept() + ring.nombuf(),
+                dropped_pool: ring.nombuf(),
             }
         })
         .collect();

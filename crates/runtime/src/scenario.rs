@@ -269,8 +269,8 @@ pub struct Scenario {
     /// Record a time series every this often (Fig. 9).
     pub series_every: Option<Nanos>,
     /// Scheduled fault injection (soak/chaos runs). Both backends realize
-    /// the plan and count suppressed packets as `DropCause::Fault`, so
-    /// fault runs still reconcile exactly.
+    /// the plan and count suppressed packets as fault drops, so fault
+    /// runs still reconcile exactly.
     pub faults: Option<FaultPlan>,
     /// Execution backend of the realtime worker set: one OS thread per
     /// worker (the default, the paper's model) or cooperative tasks on a

@@ -9,22 +9,24 @@
 //! monotone-per-counter but not a consistent cross-counter cut — windowed
 //! deltas absorb that, which is why the sampler works on snapshots.
 //!
-//! **Written by the datapath, never read-modify-written.** A counter the
-//! wake path bumps has one writer at a time, so its update is a load and
-//! a store ([`bump`]) with no `lock` prefix: a worker's own block because
+//! **Written by the workers, never read-modify-written.** Every counter
+//! has one writer at a time, so its update is a load and a store
+//! ([`bump`]) with no `lock` prefix: a worker's own block because
 //! [`TelemetryHub::worker_sink`] hands each slot to one live view, a
 //! queue's retrieval words because only whoever may poll the queue — the
 //! trylock's holder under Metronome, the pinned worker under a baseline —
-//! reports a burst from it. The drop counters have many writers
-//! (producer shards) and stay `fetch_add`.
+//! reports a burst from it. The hub counts no loss: a packet lost before
+//! retrieval is booked once, where it was lost (the realtime port's rings
+//! and the fault injectors; the simulator's world), and the pipeline
+//! reads those books into its snapshots.
 
-use crate::sink::{DropCause, SleepKind, TelemetrySink};
+use crate::sink::{SleepKind, TelemetrySink};
 use metronome_sim::Nanos;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// `counter += n` for a counter with one writer at a time: a load and a
-/// store, where `fetch_add` is a `lock`-prefixed read-modify-write. With
+/// store, where an atomic add is a `lock`-prefixed read-modify-write. With
 /// two concurrent writers it loses updates — the caller owns the argument
 /// for why there is one (a claimed slot here, the queue's trylock in
 /// `metronome-core`).
@@ -63,8 +65,8 @@ pub struct WorkerCounters {
     pub oversleep_nanos: AtomicU64,
 }
 
-/// Per-queue counters plus the `TS` gauge, one cache line per queue
-/// (producers write the drop counters, workers the rest).
+/// Per-queue counters plus the `TS` gauge, one cache line per queue,
+/// written by the queue's current poller.
 #[derive(Debug, Default)]
 #[repr(align(64))]
 pub struct QueueCounters {
@@ -73,12 +75,6 @@ pub struct QueueCounters {
     pub retrieved: AtomicU64,
     /// Non-empty retrieval bursts.
     pub bursts: AtomicU64,
-    /// Packets tail-dropped at the Rx ring.
-    pub dropped_ring: AtomicU64,
-    /// Packets lost to mempool exhaustion.
-    pub dropped_pool: AtomicU64,
-    /// Packets suppressed by injected faults before reaching the ring.
-    pub dropped_fault: AtomicU64,
     /// Current adaptive `TS` in nanoseconds (gauge, last-writer-wins).
     pub ts_ns: AtomicU64,
 }
@@ -171,8 +167,8 @@ impl TelemetryHub {
     }
 
     /// Fold the hub's counters into `snap` (the sampler-facing read side).
-    /// Gauges the hub does not own (occupancy, pool, energy, latency) are
-    /// left untouched for the caller to fill.
+    /// What the hub does not count (offered load, losses, occupancy,
+    /// pool, energy, latency) is left untouched for the caller to fill.
     pub fn fill_snapshot(&self, snap: &mut crate::sampler::CounterSnapshot) {
         snap.discipline = self.discipline;
         snap.retrieved = self.total_retrieved();
@@ -192,21 +188,6 @@ impl TelemetryHub {
             .iter()
             .map(|w| w.oversleep_nanos.load(Ordering::Relaxed))
             .sum();
-        snap.dropped_ring = self
-            .queues
-            .iter()
-            .map(|q| q.dropped_ring.load(Ordering::Relaxed))
-            .sum();
-        snap.dropped_pool = self
-            .queues
-            .iter()
-            .map(|q| q.dropped_pool.load(Ordering::Relaxed))
-            .sum();
-        snap.dropped_fault = self
-            .queues
-            .iter()
-            .map(|q| q.dropped_fault.load(Ordering::Relaxed))
-            .sum();
         snap.ts_ns = self
             .queues
             .iter()
@@ -215,8 +196,8 @@ impl TelemetryHub {
     }
 }
 
-/// A queue-level sink over the whole hub (no worker identity): producers
-/// (load generators, NIC models) use this to account drops.
+/// A queue-level sink over the whole hub (no worker identity), for a
+/// driver that publishes retrievals and `TS` without a worker slot.
 impl TelemetrySink for TelemetryHub {
     /// To be called by queue `q`'s current poller only (see the module
     /// doc).
@@ -224,18 +205,6 @@ impl TelemetrySink for TelemetryHub {
         let qc = &self.queues[q];
         bump(&qc.retrieved, n);
         bump(&qc.bursts, 1);
-    }
-
-    fn dropped(&self, q: usize, cause: DropCause, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let qc = &self.queues[q];
-        match cause {
-            DropCause::Ring => qc.dropped_ring.fetch_add(n, Ordering::Relaxed),
-            DropCause::Pool => qc.dropped_pool.fetch_add(n, Ordering::Relaxed),
-            DropCause::Fault => qc.dropped_fault.fetch_add(n, Ordering::Relaxed),
-        };
     }
 
     fn ts_update(&self, q: usize, ts: Nanos) {
@@ -306,10 +275,6 @@ impl TelemetrySink for WorkerTelemetry {
         self.hub.retrieved(q, n);
     }
 
-    fn dropped(&self, q: usize, cause: DropCause, n: u64) {
-        self.hub.dropped(q, cause, n);
-    }
-
     fn ts_update(&self, q: usize, ts: Nanos) {
         self.hub.ts_update(q, ts);
     }
@@ -330,14 +295,11 @@ mod tests {
         w0.retrieved(0, 32);
         w1.wake();
         w1.retrieved(1, 8);
-        w1.dropped(1, DropCause::Pool, 3);
-        hub.dropped(0, DropCause::Ring, 4);
         hub.ts_update(0, Nanos::from_micros(17));
 
         assert_eq!(hub.total_wakeups(), 2);
         assert_eq!(hub.total_retrieved(), 40);
-        assert_eq!(hub.queue(0).dropped_ring.load(Ordering::Relaxed), 4);
-        assert_eq!(hub.queue(1).dropped_pool.load(Ordering::Relaxed), 3);
+        assert_eq!(hub.queue(1).retrieved.load(Ordering::Relaxed), 8);
         assert_eq!(hub.queue(0).ts_ns.load(Ordering::Relaxed), 17_000);
         assert_eq!(hub.worker(0).busy_nanos.load(Ordering::Relaxed), 5_000);
         assert_eq!(hub.worker(0).sleep_nanos.load(Ordering::Relaxed), 30_000);
@@ -387,13 +349,13 @@ mod tests {
         w.wake();
         w.retrieved(0, 10);
         w.retrieved(1, 20);
-        hub.dropped(0, DropCause::Ring, 2);
         hub.ts_update(1, Nanos::from_micros(25));
         let mut snap = crate::sampler::CounterSnapshot::new(Nanos::from_millis(1));
+        snap.dropped_ring = 2;
         hub.fill_snapshot(&mut snap);
         assert_eq!(snap.retrieved, 30);
         assert_eq!(snap.wakeups, 1);
-        assert_eq!(snap.dropped_ring, 2);
+        assert_eq!(snap.dropped_ring, 2, "the hub books no loss");
         assert_eq!(snap.ts_ns, vec![0, 25_000]);
     }
 

@@ -7,12 +7,12 @@
 //!
 //! * [`sink`] — the [`sink::TelemetrySink`] event trait the execution
 //!   layers publish into (wakes, sleeps, drained bursts, `TS`
-//!   updates, drops), with [`sink::NullSink`] as the free disabled
-//!   default;
+//!   updates), with [`sink::NullSink`] as the free disabled default;
 //! * [`counters`] — the hot-path implementation: per-worker and per-queue
 //!   **relaxed-atomic** counters ([`counters::TelemetryHub`]) that never
-//!   lock, read-modify-write or allocate on the datapath (each worker
-//!   slot has one claimed writer);
+//!   lock, read-modify-write or allocate on the datapath (every counter
+//!   has one writer at a time; losses are the pipeline's books, not the
+//!   hub's);
 //! * [`sampler`] — the [`sampler::Sampler`] differences cumulative
 //!   [`sampler::CounterSnapshot`]s into fixed-interval
 //!   [`sampler::Window`]s (duty cycle, throughput, `TS`/ρ trajectory,
@@ -58,7 +58,7 @@ pub mod trace;
 pub use counters::{QueueCounters, TelemetryHub, WorkerCounters, WorkerTelemetry};
 pub use export::json::Json;
 pub use sampler::{CounterSnapshot, LatencyWindow, Sampler, TimeSeries, Window};
-pub use sink::{DropCause, NullSink, SleepKind, TelemetrySink};
+pub use sink::{NullSink, SleepKind, TelemetrySink};
 pub use trace::{
     MarkerKind, NullTrace, TraceDump, TraceEvent, TraceEventKind, TraceHub, TraceRecorder,
     TraceRing, TraceSink, TraceVerdict, TracedSink, WorkerTrace, DEFAULT_RING_CAPACITY,

@@ -2,8 +2,10 @@
 //!
 //! Everything that happens on a packet-retrieval thread — the wakes
 //! and sleeps of the Listing 2 loop, drained bursts, `TS`
-//! recomputations, drops on the producer side — funnels through one
-//! object-free trait, [`TelemetrySink`]. The contract is deliberately
+//! recomputations — funnels through one object-free trait,
+//! [`TelemetrySink`]. Losses are not worker events: the port and the
+//! fault injectors count them where they happen, and the realtime
+//! pipeline reads those books into its snapshots. The contract is deliberately
 //! strict: an implementation must be safe to call from the hot path, so it
 //! may touch **relaxed atomics only** — no locks, no allocation, no
 //! syscalls. [`crate::counters::TelemetryHub`] is the canonical
@@ -25,21 +27,6 @@ pub enum SleepKind {
     Fixed,
     /// The one-off start-up stagger.
     Stagger,
-}
-
-/// Why a packet was lost before a worker could retrieve it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DropCause {
-    /// Rx ring descriptor exhaustion (tail-drop), including frames
-    /// stranded in rings at shutdown.
-    Ring,
-    /// Mempool exhaustion: a descriptor was free but no buffer was.
-    Pool,
-    /// Injected by the fault layer (`traffic::faults`): packets a
-    /// `FaultPlan`'s `PlannedFaults` injector suppressed before they
-    /// reached the ring. Counted separately so fault runs reconcile
-    /// exactly against the offered load.
-    Fault,
 }
 
 /// Telemetry event sink. All methods default to no-ops so implementations
@@ -80,11 +67,6 @@ pub trait TelemetrySink {
         let _ = (q, n);
     }
 
-    /// `n` packets destined for queue `q` were lost to `cause`.
-    fn dropped(&self, q: usize, cause: DropCause, n: u64) {
-        let _ = (q, cause, n);
-    }
-
     /// Queue `q`'s adaptive `TS` was recomputed to `ts`.
     fn ts_update(&self, q: usize, ts: Nanos) {
         let _ = (q, ts);
@@ -117,9 +99,6 @@ impl<S: TelemetrySink + ?Sized> TelemetrySink for &S {
     }
     fn retrieved(&self, q: usize, n: u64) {
         (**self).retrieved(q, n)
-    }
-    fn dropped(&self, q: usize, cause: DropCause, n: u64) {
-        (**self).dropped(q, cause, n)
     }
     fn ts_update(&self, q: usize, ts: Nanos) {
         (**self).ts_update(q, ts)

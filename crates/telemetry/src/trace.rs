@@ -31,7 +31,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::export::json::Json;
-use crate::sink::{DropCause, SleepKind, TelemetrySink};
+use crate::sink::{SleepKind, TelemetrySink};
 use metronome_sim::stats::Histogram;
 use metronome_sim::{CoarseClock, Nanos};
 
@@ -196,7 +196,6 @@ pub struct TraceRing {
     buf: Vec<TraceEvent>,
     cap: usize,
     head: usize,
-    len: usize,
     dropped: u64,
     kind_counts: [u64; N_EVENT_KINDS],
 }
@@ -210,7 +209,6 @@ impl TraceRing {
             buf: Vec::with_capacity(cap),
             cap,
             head: 0,
-            len: 0,
             dropped: 0,
             kind_counts: [0; N_EVENT_KINDS],
         }
@@ -223,12 +221,6 @@ impl TraceRing {
         self.kind_counts[event.kind as usize] += 1;
         if self.buf.len() < self.cap {
             self.buf.push(event);
-            self.len += 1;
-        } else if self.len < self.cap {
-            // Refilling after a drain: overwrite retired slots in place.
-            let idx = (self.head + self.len) % self.cap;
-            self.buf[idx] = event;
-            self.len += 1;
         } else {
             self.buf[self.head] = event;
             self.head = (self.head + 1) % self.cap;
@@ -238,12 +230,12 @@ impl TraceRing {
 
     /// Events currently stored (≤ capacity).
     pub fn len(&self) -> usize {
-        self.len
+        self.buf.len()
     }
 
     /// True when nothing is stored.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.buf.is_empty()
     }
 
     /// Maximum events stored at once.
@@ -269,10 +261,9 @@ impl TraceRing {
 
     /// The stored events, oldest first (copied; the ring keeps them).
     pub fn ordered(&self) -> Vec<TraceEvent> {
-        let mut out = Vec::with_capacity(self.len);
-        for i in 0..self.len {
-            out.push(self.buf[(self.head + i) % self.cap]);
-        }
+        let mut out = Vec::with_capacity(self.buf.len());
+        out.extend_from_slice(&self.buf[self.head..]);
+        out.extend_from_slice(&self.buf[..self.head]);
         out
     }
 }
@@ -892,9 +883,6 @@ impl<S: TelemetrySink, R: TraceSink> TelemetrySink for TracedSink<S, R> {
     fn retrieved(&self, q: usize, n: u64) {
         self.trace.burst(q, n);
         self.sink.retrieved(q, n)
-    }
-    fn dropped(&self, q: usize, cause: DropCause, n: u64) {
-        self.sink.dropped(q, cause, n)
     }
     fn ts_update(&self, q: usize, ts: Nanos) {
         self.sink.ts_update(q, ts)

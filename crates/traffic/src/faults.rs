@@ -15,12 +15,11 @@
 //!   stalls and starvation against its own workers and pool
 //!   (`runtime::pipeline`).
 //!
-//! Every packet a fault suppresses is counted through a shared
-//! [`InjectionStats`] handle, so runs under fault injection still
-//! reconcile exactly: the runner mirrors the counts into telemetry under
-//! `DropCause::Fault` and the conservation identity
-//! `offered == processed + dropped` keeps holding with drops split by
-//! cause.
+//! Every packet a fault suppresses is counted once, in the injector's
+//! shared [`InjectionStats`] handle, so runs under fault injection still
+//! reconcile exactly: the run reads those counts as its fault drops and
+//! the conservation identity `offered == processed + dropped` keeps
+//! holding with drops split by cause.
 
 use crate::arrival::ArrivalProcess;
 use metronome_sim::{Nanos, Rng};
@@ -288,8 +287,8 @@ impl InjectionStats {
     }
 
     /// Packets the injector suppressed (starvation, jitter loss, or a
-    /// rate dip thinning the stream). These are the `DropCause::Fault`
-    /// drops a run must account for.
+    /// rate dip thinning the stream). These are the fault drops a run
+    /// must account for.
     pub fn drops(&self) -> u64 {
         self.inner.drops.load(Ordering::Relaxed)
     }

@@ -21,9 +21,6 @@ pub struct MetronomeConfig {
     pub alpha: f64,
     /// Rx burst size (DPDK convention: 32).
     pub burst: u32,
-    /// Tx batching threshold (32 default; 1 trades 2-3% CPU for lower
-    /// low-rate latency variance, §V-C).
-    pub tx_batch: u32,
     /// Pin `TS` to a fixed value instead of the adaptive rule — used by
     /// the model-validation experiment (paper Fig. 4 sets TS = TL = 50 µs)
     /// and the fixed-vs-adaptive ablation.
@@ -39,7 +36,6 @@ impl Default for MetronomeConfig {
             t_long: Nanos::from_micros(500),
             alpha: 0.125,
             burst: 32,
-            tx_batch: 32,
             fixed_ts: None,
         }
     }
@@ -80,8 +76,8 @@ impl MetronomeConfig {
         if !(0.0..=1.0).contains(&self.alpha) || self.alpha == 0.0 {
             return Err("alpha must be in (0, 1]".into());
         }
-        if self.burst == 0 || self.tx_batch == 0 {
-            return Err("burst sizes must be positive".into());
+        if self.burst == 0 {
+            return Err("burst size must be positive".into());
         }
         if let Some(ts) = self.fixed_ts {
             if ts.is_zero() || ts > self.t_long {

@@ -38,6 +38,9 @@
 //! | `queue-stall`  | the driver raises the stall; workers nap before each burst and the rings back up | ring drops |
 //! | `pool-starve`  | the driver confiscates that fraction of the pool for the window | pool drops |
 //! | `jitter-burst` | the injector drops with `drop_prob`, shifts survivors back by up to `jitter` | fault drops |
+//!
+//! [`FaultPlan`]: metronome_traffic::FaultPlan
+//! [`PlannedFaults`]: metronome_traffic::PlannedFaults
 
 use crate::generator::{GenShared, LiveRate, GEN_TICK};
 use crate::protocol::{self, ReconfigureSpec, Request, SubmitSpec};

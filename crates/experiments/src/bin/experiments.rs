@@ -4,7 +4,7 @@
 //! experiments [--full] [--realtime] [--json] [--seed N] [--out DIR]
 //!             [all | fig1 | fig4 | table1 | fig5 | fig6 | fig7 | fig8 |
 //!              fig9 | fig10 | fig11 | fig12 | table2 | fig13 | fig14 |
-//!              fig15 | table3 | fig16]...
+//!              fig15 | table3 | fig16 | ablations]...
 //! ```
 //!
 //! `--realtime` switches the Metronome points of fig15/fig16 to the

@@ -2,7 +2,9 @@
 //!
 //! One module per table/figure of Metronome's §V (see DESIGN.md §4 for the
 //! experiment index). Each module exposes `run(&ExpConfig) -> ExpOutput`:
-//! a paper-style text table plus CSV series for plotting.
+//! a paper-style text table plus CSV series for plotting. The
+//! [`ablations`] module does the same for DESIGN.md §5's paired
+//! design-choice ablations.
 //!
 //! Two fidelity levels:
 //! * **quick** (default) — seconds-long simulations; every shape the paper
@@ -13,6 +15,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod ablations;
 pub mod fig01_sleep;
 pub mod fig04_vacation_pdf;
 pub mod fig05_vbar;
@@ -135,10 +138,26 @@ pub fn render_csv(headers: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// All experiment ids in paper order.
+/// All experiment ids: the paper's in paper order, then the ablations.
 pub const ALL_EXPERIMENTS: &[&str] = &[
-    "fig1", "fig4", "table1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
-    "table2", "fig13", "fig14", "fig15", "table3", "fig16",
+    "fig1",
+    "fig4",
+    "table1",
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig10",
+    "fig11",
+    "fig12",
+    "table2",
+    "fig13",
+    "fig14",
+    "fig15",
+    "table3",
+    "fig16",
+    "ablations",
 ];
 
 /// Run one experiment by id (table2 is produced by fig12's module; fig14 by
@@ -160,6 +179,7 @@ pub fn run_experiment(id: &str, cfg: &ExpConfig) -> Option<ExpOutput> {
         "fig15" => Some(fig15_rate_sweep::run(cfg)),
         "table3" => Some(tab3_unbalanced::run(cfg)),
         "fig16" => Some(fig16_applications::run(cfg)),
+        "ablations" => Some(ablations::run(cfg)),
         _ => None,
     }
 }

@@ -50,6 +50,10 @@ pub const RELEASE_CYCLES: u64 = 260;
 /// sit on this floor.
 pub const BASE_PATH_LATENCY: Nanos = Nanos(6_300);
 
+/// l3fwd's Tx batching threshold: a Tx burst leaves once this many
+/// processed packets are waiting (DPDK's `MAX_PKT_BURST`).
+pub const TX_BATCH: u64 = 32;
+
 /// l3fwd's Tx drain timeout: DPDK's `BURST_TX_DRAIN_US` default. A partial
 /// Tx batch is force-flushed once it has been sitting this long.
 pub const TX_DRAIN_TIMEOUT: Nanos = Nanos(100_000);

@@ -64,6 +64,8 @@
 //! functional processor, a queue-count mismatch) is rejected with a typed
 //! [`RealtimeError`] through [`try_run_realtime`]; the panicking
 //! [`run_realtime`] convenience wrapper merely unwraps it.
+//!
+//! [`PacedArrivals`]: metronome_traffic::PacedArrivals
 
 use crate::pipeline::{pool_population, processor_for, Pipeline, Producer, MBUF_DATAROOM};
 use crate::report::{QueueReport, RunReport};

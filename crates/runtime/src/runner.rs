@@ -44,10 +44,9 @@ pub fn run(sc: &Scenario) -> RunReport {
             ..MetronomeConfig::default()
         },
     };
-    let tx_batch = metro_cfg.tx_batch as u64;
     let queues: Vec<SimQueue> = arrivals
         .into_iter()
-        .map(|a| SimQueue::new(sc.ring_size, a, tx_batch, sc.latency_stride))
+        .map(|a| SimQueue::new(sc.ring_size, a, sc.latency_stride))
         .collect();
     let controller = AdaptiveController::new(metro_cfg.clone());
     let n_net = sc.n_net_threads();

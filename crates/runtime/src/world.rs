@@ -41,7 +41,6 @@ pub struct SimQueue {
     processed_seq: u64,
     /// Packets flushed to the wire.
     flushed_seq: u64,
-    tx_batch: u64,
     last_flush: Nanos,
     /// Latency sampling stride (0 disables).
     stride: u64,
@@ -64,14 +63,9 @@ pub struct SimQueue {
 }
 
 impl SimQueue {
-    /// Queue with the given ring size, arrival process, Tx batch and
-    /// latency sampling stride (0 = no latency measurement).
-    pub fn new(
-        ring_size: usize,
-        arrivals: Box<dyn ArrivalProcess>,
-        tx_batch: u64,
-        stride: u64,
-    ) -> Self {
+    /// Queue with the given ring size, arrival process and latency
+    /// sampling stride (0 = no latency measurement).
+    pub fn new(ring_size: usize, arrivals: Box<dyn ArrivalProcess>, stride: u64) -> Self {
         SimQueue {
             ring: RxRingModel::new(ring_size),
             arrivals,
@@ -79,7 +73,6 @@ impl SimQueue {
             accepted_seq: 0,
             processed_seq: 0,
             flushed_seq: 0,
-            tx_batch: tx_batch.max(1),
             last_flush: Nanos::ZERO,
             stride,
             waiting: VecDeque::new(),
@@ -143,8 +136,8 @@ impl SimQueue {
     ) {
         self.processed_seq += k;
         let pending = self.processed_seq - self.flushed_seq;
-        if pending >= self.tx_batch {
-            let send = (pending / self.tx_batch) * self.tx_batch;
+        if pending >= calib::TX_BATCH {
+            let send = (pending / calib::TX_BATCH) * calib::TX_BATCH;
             self.flushed_seq += send;
             self.last_flush = now;
             self.finalize_flushed(now, base_latency, out);
@@ -360,7 +353,7 @@ mod tests {
     use metronome_traffic::Cbr;
 
     fn world_one_queue(pps: f64, stride: u64) -> World {
-        let q = SimQueue::new(512, Box::new(Cbr::new(pps, Nanos::ZERO)), 32, stride);
+        let q = SimQueue::new(512, Box::new(Cbr::new(pps, Nanos::ZERO)), stride);
         let ctrl = AdaptiveController::new(MetronomeConfig::default());
         World::new(vec![q], ctrl, calib::BASE_PATH_LATENCY, 42)
     }
@@ -445,17 +438,6 @@ mod tests {
         assert_eq!(got.len(), 6);
         // The t=0 packet was held until 200 µs.
         assert_eq!(got[0], Nanos::from_micros(200) + base);
-    }
-
-    #[test]
-    fn tx_batch_one_flushes_every_chunk() {
-        let q = SimQueue::new(512, Box::new(Cbr::new(1e6, Nanos::ZERO)), 1, 1);
-        let ctrl = AdaptiveController::new(MetronomeConfig::default());
-        let mut w = World::new(vec![q], ctrl, Nanos::ZERO, 1);
-        let mut got = Vec::new();
-        let k = w.queues[0].take_burst(Nanos::from_micros(5), 32);
-        w.queues[0].chunk_processed(Nanos::from_micros(6), k, Nanos::ZERO, &mut |l| got.push(l));
-        assert_eq!(got.len(), k as usize);
     }
 
     #[test]

@@ -93,6 +93,8 @@ fn thread_and_async_backends_agree_end_to_end() {
         assert_eq!(r.offered, r.forwarded + r.dropped, "{}: leaked", r.name);
         assert_eq!(r.dropped, 0, "{}: unexpected drops at 40 kpps", r.name);
         assert_eq!(r.queues.len(), 2, "{}: queue columns", r.name);
+        let pool = r.mempool.expect("realtime runs report pool stats");
+        assert_eq!(pool.allocs, pool.frees, "{}: pool audit", r.name);
     }
     // Identical seeds and schedules: both backends saw the same offered
     // load, and the report keeps one CPU column per worker either way.

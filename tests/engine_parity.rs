@@ -95,7 +95,6 @@ fn sim_world(cfg: &MetronomeConfig) -> World {
             SimQueue::new(
                 CAPACITY,
                 Box::new(Cbr::new(PPS_PER_QUEUE as f64, Nanos::ZERO)),
-                32,
                 0,
             )
         })
@@ -289,7 +288,7 @@ fn equal_timeout_flag_reaches_engine_through_world_backend() {
         n_queues: 1,
         ..MetronomeConfig::default()
     };
-    let q = SimQueue::new(512, Box::new(Cbr::new(1e6, Nanos::ZERO)), 32, 0);
+    let q = SimQueue::new(512, Box::new(Cbr::new(1e6, Nanos::ZERO)), 0);
     let mut world = World::new(
         vec![q],
         AdaptiveController::new(cfg.clone()),

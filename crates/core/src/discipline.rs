@@ -32,7 +32,7 @@
 use crate::engine::{Backend, MetronomeEngine};
 use crate::policy::ThreadPolicy;
 use metronome_sim::Nanos;
-use metronome_telemetry::{SleepKind, TelemetrySink};
+use metronome_telemetry::TelemetrySink;
 use std::sync::{Arc, Condvar, Mutex};
 use std::task::Waker;
 use std::time::Duration;
@@ -323,7 +323,6 @@ impl RetrievalDiscipline for ConstSleep {
         }
         self.drained_any = false;
         self.asleep = true;
-        sink.sleep_planned(SleepKind::Fixed, self.period);
         Verdict::Sleep(self.period)
     }
 
@@ -440,7 +439,6 @@ impl RetrievalDiscipline for InterruptLike {
                 // Queue drained: moderate before re-arming, like a NIC
                 // holding its IRQ down for the ITR window.
                 self.phase = IrqPhase::Moderate;
-                sink.sleep_planned(SleepKind::Fixed, self.window);
                 Verdict::Sleep(self.window)
             }
             IrqPhase::Moderate => {

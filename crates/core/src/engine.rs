@@ -27,7 +27,7 @@ use crate::discipline::{RetrievalDiscipline, Verdict};
 use crate::policy::ThreadPolicy;
 use crate::rxqueue::Lookahead;
 use metronome_sim::Nanos;
-use metronome_telemetry::{SleepKind, TelemetrySink};
+use metronome_telemetry::TelemetrySink;
 
 pub use crate::policy::Role;
 
@@ -199,8 +199,6 @@ enum Phase {
     GoSleep {
         /// Requested sleep length.
         dur: Nanos,
-        /// Which timeout the sleep is taken under (telemetry label).
-        kind: SleepKind,
     },
 }
 
@@ -240,17 +238,16 @@ impl MetronomeEngine {
 }
 
 impl RetrievalDiscipline for MetronomeEngine {
-    /// One step of Listing 2. Wakes, drained bursts, `TS` recomputations
-    /// and sleep intents are published into `sink` as they happen, at
-    /// protocol grain (per turn / per burst, never per packet), so a
-    /// counter sink adds a handful of relaxed-atomic increments per turn;
-    /// with `NullSink` this monomorphizes back to the plain loop.
+    /// One step of Listing 2. Wakes and drained bursts are published into
+    /// `sink` as they happen, at protocol grain (per wake / per burst,
+    /// never per packet); the `TS` a release computes is the backend's
+    /// book, not an event. With `NullSink` this monomorphizes back to the
+    /// plain loop.
     fn turn<B: Backend, S: TelemetrySink>(&mut self, backend: &mut B, sink: &S) -> Verdict {
         match self.phase {
             Phase::Init => {
                 let stagger = backend.stagger();
                 self.phase = Phase::AfterSleep;
-                sink.sleep_planned(SleepKind::Stagger, stagger);
                 Verdict::Wait(stagger)
             }
             Phase::AfterSleep => {
@@ -280,10 +277,7 @@ impl RetrievalDiscipline for MetronomeEngine {
                     } else {
                         backend.tl()
                     };
-                    self.phase = Phase::GoSleep {
-                        dur,
-                        kind: SleepKind::Long,
-                    };
+                    self.phase = Phase::GoSleep { dur };
                 }
                 Verdict::Continue
             }
@@ -301,18 +295,13 @@ impl RetrievalDiscipline for MetronomeEngine {
                         self.policy.on_empty_poll();
                     }
                     let dur = backend.release(q);
-                    sink.ts_update(q, dur);
                     debug_assert_eq!(self.policy.role(), Role::Primary);
-                    self.phase = Phase::GoSleep {
-                        dur,
-                        kind: SleepKind::Short,
-                    };
+                    self.phase = Phase::GoSleep { dur };
                 }
                 Verdict::Continue
             }
-            Phase::GoSleep { dur, kind } => {
+            Phase::GoSleep { dur } => {
                 self.phase = Phase::AfterSleep;
-                sink.sleep_planned(kind, dur);
                 Verdict::Sleep(dur)
             }
         }
@@ -331,6 +320,7 @@ impl RetrievalDiscipline for MetronomeEngine {
 mod tests {
     use super::*;
     use metronome_telemetry::NullSink;
+    use std::cell::Cell;
     use std::collections::VecDeque;
 
     /// A scripted in-memory backend for engine unit tests.
@@ -474,40 +464,46 @@ mod tests {
         ));
     }
 
+    /// Tallies what the engine publishes.
+    #[derive(Default)]
+    struct Tally {
+        wakes: Cell<u64>,
+        busy: Cell<u64>,
+        bursts: Cell<u64>,
+        retrieved: Cell<u64>,
+    }
+
+    impl TelemetrySink for Tally {
+        fn wake(&self) {
+            self.wakes.set(self.wakes.get() + 1);
+        }
+        fn busy(&self, _dur: Nanos) {
+            self.busy.set(self.busy.get() + 1);
+        }
+        fn retrieved(&self, _q: usize, n: u64) {
+            self.bursts.set(self.bursts.get() + 1);
+            self.retrieved.set(self.retrieved.get() + n);
+        }
+    }
+
     #[test]
     fn turn_publishes_telemetry() {
-        use metronome_telemetry::TelemetryHub;
-        use std::sync::atomic::Ordering;
-
-        let hub = TelemetryHub::new(1, 1);
-        let sink = hub.worker_sink(0);
+        let sink = Tally::default();
         let mut b = ScriptBackend::new(1);
         b.queued[0].extend(0..40u64);
         let mut e = MetronomeEngine::new(0, 32);
-        loop {
-            if let Verdict::Sleep(_) = e.turn(&mut b, &sink) {
-                break;
-            }
-        }
-        assert_eq!(hub.total_retrieved(), 40);
-        assert_eq!(hub.total_wakeups(), 1);
-        // Two non-empty bursts → two burst records.
-        assert_eq!(hub.queue(0).bursts.load(Ordering::Relaxed), 2);
-        // The TS gauge carries the release()-computed timeout.
-        assert_eq!(hub.queue(0).ts_ns.load(Ordering::Relaxed), b.ts.as_nanos());
-        // The winner's sleep is a short (TS) sleep.
-        assert_eq!(hub.worker(0).sleeps_short.load(Ordering::Relaxed), 1);
-        assert_eq!(hub.worker(0).sleeps_long.load(Ordering::Relaxed), 0);
+        while !matches!(e.turn(&mut b, &sink), Verdict::Sleep(_)) {}
+        // Two non-empty bursts → two burst records of 40 packets in all.
+        assert_eq!((sink.bursts.get(), sink.retrieved.get()), (2, 40));
+        assert_eq!(sink.wakes.get(), 1);
 
-        // A lost race publishes a long (TL) sleep intent.
+        // A lost race publishes its wake and no burst.
         b.locked[0] = true;
-        loop {
-            if let Verdict::Sleep(_) = e.turn(&mut b, &sink) {
-                break;
-            }
-        }
-        assert_eq!(hub.worker(0).sleeps_long.load(Ordering::Relaxed), 1);
-        assert_eq!(hub.total_wakeups(), 2);
+        while !matches!(e.turn(&mut b, &sink), Verdict::Sleep(_)) {}
+        assert_eq!(sink.wakes.get(), 2);
+        assert_eq!(sink.bursts.get(), 2);
+        // Busy spans are the driver's to publish, never the engine's.
+        assert_eq!(sink.busy.get(), 0);
     }
 
     #[test]

@@ -30,8 +30,9 @@
 //!   renewal structure, validated against the simulation;
 //! * [`workers`] — the one way to start retrieval workers:
 //!   [`WorkerSet::builder`]`(cfg, spec, queues)`, optionally
-//!   `.exec(..)`, `.telemetry(..)`, `.trace(..)`, then `.spawn(..)`;
-//!   [`ExecBackend`] selects where they run:
+//!   `.exec(..)`, `.trace(..)`, then `.spawn(..)`; each set keeps its own
+//!   books ([`WorkerSet::books`]), and [`ExecBackend`] selects where it
+//!   runs:
 //! * [`realtime`] — one `std::thread` per worker, with a spin-assisted
 //!   [`realtime::PreciseSleeper`] standing in for the paper's
 //!   `hr_sleep()` kernel service;
@@ -92,4 +93,4 @@ pub use policy::{Role, ThreadPolicy};
 pub use realtime::{PreciseSleeper, RealtimeBackend, RealtimeHarness, RealtimeStats};
 pub use rxqueue::{Consume, RxQueue};
 pub use trylock::TryLock;
-pub use workers::{ExecBackend, WorkerSet, WorkerSetBuilder};
+pub use workers::{ExecBackend, WorkerBooks, WorkerSet, WorkerSetBuilder};

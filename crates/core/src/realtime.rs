@@ -36,7 +36,7 @@ use crossbeam::queue::ArrayQueue;
 use metronome_sim::time::read_clock;
 use metronome_sim::{CoarseClock, Nanos};
 use metronome_telemetry::counters::bump;
-use metronome_telemetry::{TelemetrySink, TraceSink, TraceVerdict, TracedSink};
+use metronome_telemetry::{CounterSnapshot, TelemetrySink, TraceSink, TraceVerdict, TracedSink};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -201,7 +201,8 @@ pub(crate) struct SharedState {
 ///
 /// **The trylock is the only lock.** Every word but `lock` and
 /// `busy_tries` is this queue's share of the adaptive controller
-/// ([`QueueState`] plus the current `TS`) and of the run's books, kept as
+/// ([`QueueState`] plus the current `TS`) and of the run's books — the
+/// set's one per-queue book ([`crate::workers::WorkerBooks`]) — kept as
 /// `Relaxed` loads and stores with no read-modify-write ([`bump`]): a
 /// word is written only by the trylock's holder, in `release()` *before*
 /// `unlock()` (a `Release` store), or while draining; the next holder
@@ -209,8 +210,8 @@ pub(crate) struct SharedState {
 /// every write of every earlier holder and `load + 1` loses no update.
 /// A baseline discipline never takes the lock but pins one worker to the
 /// queue, which makes `processed` single-writer there too. Readers
-/// outside the lock — [`crate::workers::WorkerSet::rho`] / `ts`, a
-/// telemetry sampler, a loser reading `ts` in the equal-timeouts
+/// outside the lock — [`crate::workers::WorkerSet::rho`] / `ts`, the
+/// books' sampler, a loser reading `ts` in the equal-timeouts
 /// ablation — may see a word one cycle stale, never a torn one;
 /// [`SharedState::controller`] reads a consistent set because it runs
 /// after the workers joined.
@@ -297,6 +298,25 @@ impl SharedState {
     /// Current adaptive `TS` of queue `q`.
     pub(crate) fn ts(&self, q: usize) -> Nanos {
         Nanos(self.slots[q].ts.load(Ordering::Relaxed))
+    }
+
+    /// Fill `snap`'s per-queue books from the slots: `retrieved` (every
+    /// queue's `processed`) and the `TS` and ρ̂ gauges. A queue never
+    /// released reads `TS` 0 — a baseline discipline never takes the lock,
+    /// so it has no timeout to report.
+    pub(crate) fn fill_snapshot(&self, snap: &mut CounterSnapshot) {
+        let word = |w: &AtomicU64| w.load(Ordering::Relaxed);
+        snap.retrieved = self.slots.iter().map(|s| word(&s.processed)).sum();
+        snap.ts_ns = (self.slots.iter())
+            .map(|s| {
+                if word(&s.total_tries) == 0 {
+                    0
+                } else {
+                    word(&s.ts)
+                }
+            })
+            .collect();
+        snap.rho = (0..self.slots.len()).map(|q| self.rho(q)).collect();
     }
 
     /// The slots' words as the controller the simulation keeps behind
@@ -618,9 +638,7 @@ pub(crate) fn span_end(clock: &CoarseClock, backend: &mut impl Backend) -> Nanos
 /// thread half of [`crate::workers::WorkerSet`]. Every worker's driver
 /// clock counts from `epoch`, the worker set's own, so the wake stamps it
 /// hands its backend share the backends' timeline. `make_sink(worker)` is
-/// the worker's telemetry view
-/// ([`NullSink`](metronome_telemetry::NullSink) when telemetry is off, so
-/// the worker monomorphizes to the pre-telemetry loop) and
+/// the worker's telemetry view (its slot of the set's hub) and
 /// `make_tracer(worker)` its flight-recorder view
 /// ([`NullTrace`](metronome_telemetry::NullTrace) when tracing is off —
 /// a loop with zero record-path cost). Joining a handle yields the
@@ -711,7 +729,8 @@ where
     const SPAN_FLUSH_MASK: u32 = 0x3F;
 
     // Mirror discipline-internal `retrieved` reports into burst trace
-    // events (1:1 with the hub's `bursts` counter by construction).
+    // events (their packets sum to the queues' `processed` by
+    // construction).
     let sink = TracedSink::new(sink, &tracer);
     let clock = CoarseClock::from_epoch(epoch);
     // Close the busy span running since `since` (see `span_end`); the

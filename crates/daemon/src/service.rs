@@ -16,8 +16,8 @@
 //! * **Reconfigure** adjusts the offered rate through one atomic store
 //!   (every shard reads it per poll), or re-arms the worker set for a
 //!   new discipline / `M` without stopping the generator — counters stay
-//!   monotone because the retiring hub's totals fold into the scenario's
-//!   before the fresh hub takes over; losses are the pipeline's books.
+//!   monotone because the retiring set's books fold into the scenario's
+//!   before the fresh set takes over; losses are the pipeline's books.
 //! * **Drain** runs the shutdown state machine: stop the producers (the
 //!   fault driver releases what it holds on exit), wait for the workers to
 //!   empty the rings ([`Pipeline::drain`]), disarm them
@@ -54,8 +54,7 @@ use metronome_runtime::pipeline::{
 use metronome_sim::Nanos;
 use metronome_telemetry::export::prometheus::{render, snapshot_metrics};
 use metronome_telemetry::{
-    CounterSnapshot, Json, MarkerKind, TelemetryHub, TraceHub, TraceRecorder, TraceSink,
-    DEFAULT_RING_CAPACITY,
+    CounterSnapshot, Json, MarkerKind, TraceHub, TraceRecorder, TraceSink, DEFAULT_RING_CAPACITY,
 };
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -96,9 +95,9 @@ impl Default for DaemonConfig {
 }
 
 /// Add `from`'s cumulative counters onto `into` (gauges and histograms
-/// are left alone): how retired hubs and closed books fold into the
-/// totals that keep exported counters monotone across re-arms and
-/// scenarios.
+/// are left alone): how retired worker sets' books and closed scenarios
+/// fold into the totals that keep exported counters monotone across
+/// re-arms and scenarios.
 fn accumulate(into: &mut CounterSnapshot, from: &CounterSnapshot) {
     into.offered += from.offered;
     into.retrieved += from.retrieved;
@@ -111,47 +110,43 @@ fn accumulate(into: &mut CounterSnapshot, from: &CounterSnapshot) {
     into.dropped_fault += from.dropped_fault;
 }
 
-/// Fold a retired hub's counters into `into` (call only after its writers
-/// stopped). A hub books no offered packet and no loss.
-fn fold_hub(into: &mut CounterSnapshot, hub: &TelemetryHub) {
-    let mut snap = CounterSnapshot::new(Nanos::ZERO);
-    hub.fill_snapshot(&mut snap);
-    accumulate(into, &snap);
-}
-
-/// One armed worker set (discipline + hub), replaced wholesale on a
-/// discipline/M reconfigure.
+/// One armed worker set, replaced wholesale on a discipline/M
+/// reconfigure.
 struct Arm {
     workers: WorkerSet<Mbuf, WorkerRing>,
-    hub: Arc<TelemetryHub>,
     discipline: DisciplineSpec,
     m_threads: usize,
     exec: ExecBackend,
 }
 
 impl Arm {
-    /// Arm `spec` on `run`'s pipeline, publishing into a fresh hub, and
-    /// point the per-queue doorbell slots at the new set.
+    /// Arm `spec` on `run`'s pipeline and point the per-queue doorbell
+    /// slots at the new set.
     fn new(run: &RunState, cfg: MetronomeConfig, spec: DisciplineSpec, exec: ExecBackend) -> Arm {
         let m_threads = cfg.m_threads;
-        let hub = TelemetryHub::labeled(
-            spec.workers(cfg.m_threads, cfg.n_queues),
-            cfg.n_queues,
-            spec.label(),
-        );
         let trace = run.trace.as_ref().map(|t| &t.hub);
-        let workers = run.pipeline.arm(cfg, spec, exec, &hub, trace);
+        let workers = run.pipeline.arm(cfg, spec, exec, trace);
         let interrupt_driven = matches!(spec, DisciplineSpec::InterruptLike(_));
         for (q, slot) in run.bells.iter().enumerate() {
             *slot.lock() = interrupt_driven.then(|| Arc::clone(workers.doorbell(q)));
         }
         Arm {
             workers,
-            hub,
             discipline: spec,
             m_threads,
             exec,
         }
+    }
+
+    /// Stop the set (`Pipeline::disarm`) and fold its books into `into`,
+    /// read after the join, when they are final. A set's books hold no
+    /// offered packet and no loss.
+    fn retire(self, pipeline: &Pipeline, into: &mut CounterSnapshot) {
+        let books = self.workers.books();
+        let _stats = pipeline.disarm(self.workers);
+        let mut snap = CounterSnapshot::new(Nanos::ZERO);
+        books.fill_snapshot(&mut snap);
+        accumulate(into, &snap);
     }
 }
 
@@ -203,8 +198,8 @@ struct RunState {
     /// `gen_shards` respawns.
     pipeline: Pipeline,
     arm: Option<Arm>,
-    /// The hubs this scenario's re-arms retired (its books close into
-    /// [`EngineState::base`] at drain).
+    /// The books of the worker sets this scenario's re-arms retired
+    /// (they close into [`EngineState::base`] at drain).
     folded: CounterSnapshot,
     /// Flight recorder, armed at submit (`None` when the scenario opted
     /// out with `"trace": false`).
@@ -533,7 +528,9 @@ impl ServiceEngine {
         };
         let gen_shards = spec.gen_shards.map(Pipeline::producer_shards);
         if rearm.is_some() || gen_shards.is_some() {
-            let workers = rearm.as_ref().map_or(old.hub.n_workers(), |r| r.3);
+            let workers = rearm
+                .as_ref()
+                .map_or(old.workers.books().n_workers(), |r| r.3);
             if let Err(refusal) =
                 self.check_gen_shards(gen_shards.unwrap_or(run.gen_shards), workers)
             {
@@ -551,11 +548,10 @@ impl ServiceEngine {
             let old = run.arm.take().expect("running scenario always has an arm");
             // Re-arm sequence, ordered so no count is ever lost: 1. disarm
             // the old set — mid-stall workers fall through, then join —
-            // only now is the retired hub quiescent — 2. fold it, 3. spawn
-            // the new set through `Pipeline::arm` over fresh consumer
-            // handles, into a fresh hub. The producers never see a hub.
-            let _stats = run.pipeline.disarm(old.workers);
-            fold_hub(&mut run.folded, &old.hub);
+            // only now are its books final — 2. fold them, 3. spawn the
+            // new set through `Pipeline::arm` over fresh consumer handles,
+            // with books of its own. The producers never see a set's books.
+            old.retire(&run.pipeline, &mut run.folded);
             // The trace hub persists across re-arms (markers and recent
             // history survive; the fresh workers take recorders over the
             // same slots) — unless the new shape needs more slots than
@@ -636,10 +632,9 @@ impl ServiceEngine {
         run.pipeline.drain(DRAIN_GRACE);
 
         // 3. Join the workers (counters settle, caches flush) and fold
-        //    their hub.
+        //    their books.
         if let Some(arm) = run.arm.take() {
-            let _stats = run.pipeline.disarm(arm.workers);
-            fold_hub(&mut run.folded, &arm.hub);
+            arm.retire(&run.pipeline, &mut run.folded);
         }
 
         // 4. Sweep anything still queued (only possible if the grace
@@ -676,8 +671,9 @@ impl ServiceEngine {
 
     // ---- observability ---------------------------------------------------
 
-    /// One coherent counter snapshot: the live hub, the hubs the running
-    /// scenario's re-arms retired and everything its pipeline knows, plus
+    /// One coherent counter snapshot: the live set's books, the books of
+    /// the sets the running scenario's re-arms retired and everything its
+    /// pipeline knows, plus
     /// the books of every drained scenario. This is what both the
     /// `stats` command and the Prometheus endpoint export.
     pub fn snapshot(&self) -> CounterSnapshot {
@@ -686,8 +682,7 @@ impl ServiceEngine {
         match &st.run {
             Some(run) => {
                 if let Some(arm) = &run.arm {
-                    arm.hub.fill_snapshot(&mut snap);
-                    snap.rho = (0..self.cfg.n_queues).map(|q| arm.workers.rho(q)).collect();
+                    arm.workers.books().fill_snapshot(&mut snap);
                 }
                 accumulate(&mut snap, &run.folded);
                 let trace = run.trace.as_ref().map(|t| &*t.hub);

@@ -13,8 +13,6 @@
 //! * [`em`] — exact-match flow table (FloWatcher's per-flow state).
 //! * [`aes`] / [`esp`] — FIPS-197 AES-128 + CBC and RFC 4303 tunnel-mode
 //!   ESP for the IPsec Security Gateway application.
-//! * [`pcap`] — classic libpcap read/write so synthetic traces (e.g. the
-//!   Table III unbalanced mix) can be exported to standard tooling.
 //!
 //! Everything here is deterministic, allocation-conscious, and validated
 //! against published test vectors where they exist (FIPS-197, SP 800-38A,
@@ -30,7 +28,6 @@ pub mod esp;
 pub mod flow;
 pub mod headers;
 pub mod lpm;
-pub mod pcap;
 pub mod toeplitz;
 
 pub use em::ExactMatch;

@@ -15,9 +15,9 @@
 //! [`Mempool`] is the caller's — per run for the runner, for the process
 //! lifetime in the daemon. Each loss is counted once, where it happens:
 //! on the port's rings (tail drops, no buffer, swept at stop) or by a
-//! fault injector; [`Pipeline::fill_snapshot`] reads those books, and the
-//! worker hub counts none. What differs between the two drivers stays
-//! with them: the runner paces one finite scenario and reports; the
+//! fault injector; [`Pipeline::fill_snapshot`] reads those books, and a
+//! worker set's books count none. What differs between the two drivers
+//! stays with them: the runner paces one finite scenario and reports; the
 //! daemon paces a live rate, re-arms worker sets under load and answers a
 //! control socket. So does the doorbell wiring: the runner hooks the port
 //! straight to the one set it arms, the daemon through slots it re-points
@@ -35,7 +35,7 @@ use metronome_dpdk::{Mbuf, Mempool, MempoolCache, RingConsumer, RssPort, SharedR
 use metronome_net::headers::{build_udp_frame, Mac, MIN_FRAME_NO_FCS};
 use metronome_sim::stats::Histogram;
 use metronome_sim::{Nanos, Rng};
-use metronome_telemetry::{CounterSnapshot, TelemetryHub, TraceHub};
+use metronome_telemetry::{CounterSnapshot, TraceHub};
 use metronome_traffic::{
     ArrivalProcess, FaultKind, FaultPlan, FlowSet, InjectionStats, PacedArrivals, PlannedFaults,
     WallClock,
@@ -381,14 +381,14 @@ impl Pipeline {
     }
 
     /// Spawn `spec`'s worker set over fresh consumer handles of the
-    /// port's rings, on `exec`, publishing into `hub` (and recording into
-    /// `trace`). Each worker owns a burst-sized mempool cache — a
-    /// recycled burst is a thread-local stack push, not a freelist lock;
-    /// the cache flushes when the worker exits, before `stop` returns —
-    /// and completes every burst through [`complete_burst`]. When the
-    /// plan schedules a `queue-stall`, a worker first naps while the stall
-    /// is up, so the rings back up behind it and tail-drop; without one
-    /// it carries no flag. The burst's completion read goes back to the
+    /// port's rings, on `exec` (recording into `trace`); the set keeps
+    /// its own books ([`WorkerSet::books`]). Each worker owns a
+    /// burst-sized mempool cache — a recycled burst is a thread-local
+    /// stack push, not a freelist lock; the cache flushes when the worker
+    /// exits, before `stop` returns — and completes every burst through
+    /// [`complete_burst`]. When the plan schedules a `queue-stall`, a
+    /// worker first naps while the stall is up, so the rings back up
+    /// behind it and tail-drop; without one it carries no flag. The burst's completion read goes back to the
     /// worker's backend, which releases the queue on it when the drain
     /// ends there. Stop the set with [`Pipeline::disarm`].
     pub fn arm(
@@ -396,7 +396,6 @@ impl Pipeline {
         cfg: MetronomeConfig,
         spec: DisciplineSpec,
         exec: ExecBackend,
-        hub: &Arc<TelemetryHub>,
         trace: Option<&Arc<TraceHub>>,
     ) -> WorkerSet<Mbuf, WorkerRing> {
         let stall = self.world.as_ref().filter(|w| {
@@ -407,9 +406,7 @@ impl Pipeline {
         });
         let burst = cfg.burst as usize;
         let consumers = self.port.consumers().into_iter().map(WorkerRing).collect();
-        let mut builder = WorkerSet::builder(cfg, spec, consumers)
-            .exec(exec)
-            .telemetry(hub);
+        let mut builder = WorkerSet::builder(cfg, spec, consumers).exec(exec);
         if let Some(trace) = trace {
             builder = builder.trace(trace);
         }
@@ -481,7 +478,7 @@ impl Pipeline {
     }
 
     /// Fill `snap` with everything the pipeline knows, on top of the
-    /// counters already in it (this pipeline's hub counts): the loss books
+    /// counters already in it (the armed worker set's books): the loss books
     /// and `offered` = frames offered to the port + pool drops + fault
     /// drops, so `offered == retrieved + dropped + in flight` — ring
     /// occupancy, the pool gauges, packet latency merged over queues (when measured),
@@ -568,7 +565,6 @@ mod tests {
         let mut p = Pipeline::new(2, 64, 7, Mempool::new(4096, MBUF_DATAROOM), &|_q| {
             default_processor("l3fwd-lpm")
         });
-        let hub = TelemetryHub::new(0, 2);
         let due: Vec<Nanos> = (0..300).map(|k| Nanos(1_000 + k)).collect();
         for s in 0..2 {
             p.ingest_shard(s, 2).emit(&due, p.port());
@@ -583,7 +579,6 @@ mod tests {
         );
 
         let mut books = CounterSnapshot::new(Nanos::ZERO);
-        hub.fill_snapshot(&mut books);
         p.fill_snapshot(&mut books, None);
         assert_eq!(books.offered, 600);
         assert_eq!(books.dropped_ring, 600);

@@ -72,12 +72,11 @@ use crate::report::{QueueReport, RunReport};
 use crate::scenario::{Scenario, SystemKind};
 use metronome_apps::processor::PacketProcessor;
 use metronome_core::discipline::DisciplineSpec;
+use metronome_core::WorkerBooks;
 use metronome_core::{AdaptiveController, MetronomeConfig};
 use metronome_dpdk::Mempool;
 use metronome_sim::Nanos;
-use metronome_telemetry::{
-    CounterSnapshot, Sampler, TelemetryHub, TraceHub, DEFAULT_RING_CAPACITY,
-};
+use metronome_telemetry::{CounterSnapshot, Sampler, TraceHub, DEFAULT_RING_CAPACITY};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -241,13 +240,6 @@ pub fn try_run_realtime_with(
         pipeline = pipeline.with_faults(plan);
     }
 
-    // ---- telemetry: counters always on, sampling on request --------------
-    // Workers bump the hub's relaxed atomics at protocol grain; losses
-    // stay on the pipeline's books (the port's rings, the injectors),
-    // which a sampler thread (below) reads beside the hub. The hub
-    // carries the discipline label so exported series from different
-    // systems stay distinguishable.
-    let hub = TelemetryHub::labeled(n_workers, sc.n_queues, sc.system.label());
     let run_start = Instant::now();
     // Flight-recorder tracing (opt-in): one ring per worker on the thread
     // backend, one per shard on the executor. An untraced worker set runs
@@ -263,7 +255,7 @@ pub fn try_run_realtime_with(
 
     // ---- workers: the scenario's retrieval discipline on real threads ----
     let metronome = dispatch.map(|(cfg, spec)| {
-        let workers = pipeline.arm(cfg, spec, sc.exec, &hub, trace_hub.as_ref());
+        let workers = pipeline.arm(cfg, spec, sc.exec, trace_hub.as_ref());
         // Interrupt-driven workers park on per-queue doorbells; arm the
         // RSS port's producer-side hook so every accepted burst rings the
         // queue's bell (the "raise the IRQ" edge). The hook is installed
@@ -278,6 +270,20 @@ pub fn try_run_realtime_with(
         }
         workers
     });
+    // ---- telemetry: the set's books always on, sampling on request -------
+    // Workers count into their set's books (the queue words their trylock
+    // orders, a hub of per-worker time blocks); losses stay on the
+    // pipeline's books (the port's rings, the injectors), which a sampler
+    // thread (below) reads beside them. An `Idle` run arms no set: its
+    // snapshots carry the scenario's label and no worker counts.
+    let set_books = metronome.as_ref().map(|workers| workers.books());
+    let label = sc.system.label();
+    let fill = move |snap: &mut CounterSnapshot, set_books: Option<&WorkerBooks>| {
+        snap.discipline = label;
+        if let Some(set_books) = set_books {
+            set_books.fill_snapshot(snap);
+        }
+    };
 
     // ---- traffic: G flow-sharded arrival slices, wall-clock paced --------
     // `TrafficSpec::build(gen_shards, ...)` splits the aggregate rate into
@@ -302,12 +308,12 @@ pub fn try_run_realtime_with(
 
     // ---- sampler thread (the realtime counterpart of the simulation's
     // scheduled sampling events): every `series_every` it snapshots the
-    // hub's cumulative counters plus everything the pipeline knows, and
+    // worker set's cumulative books plus everything the pipeline knows, and
     // takes one final snapshot after shutdown accounting settles so the
     // windowed series telescopes exactly to the report's totals.
     let sampler_stop = Arc::new(AtomicBool::new(false));
     let sampler_thread = sc.series_every.map(|every| {
-        let hub = Arc::clone(&hub);
+        let set_books = set_books.clone();
         let pipeline = Arc::clone(&pipeline);
         let stop = Arc::clone(&sampler_stop);
         let trace_hub = trace_hub.clone();
@@ -329,7 +335,7 @@ pub fn try_run_realtime_with(
                     let stopping = stop.load(Ordering::Acquire);
                     let mut snap =
                         CounterSnapshot::new(Nanos(run_start.elapsed().as_nanos() as u64));
-                    hub.fill_snapshot(&mut snap);
+                    fill(&mut snap, set_books.as_ref());
                     pipeline.fill_snapshot(&mut snap, trace_hub.as_deref());
                     sampler.sample(snap);
                     last = Instant::now();
@@ -421,7 +427,7 @@ pub fn try_run_realtime_with(
     });
     // The books: the same final snapshot the series telescopes to.
     let mut books = CounterSnapshot::new(Nanos::ZERO);
-    hub.fill_snapshot(&mut books);
+    fill(&mut books, set_books.as_ref());
     pipeline.fill_snapshot(&mut books, None);
 
     // The Metronome discipline snapshots its adaptive controller at stop;
@@ -472,7 +478,7 @@ pub fn try_run_realtime_with(
             }
         })
         .collect();
-    // CPU: the workers' own measured awake time (the telemetry hub's busy
+    // CPU: the workers' own measured awake time (the set's hub's busy
     // spans, flushed at every sleep/park/spin boundary) over the actual
     // wall span — comparable across disciplines: a busy poller reads
     // ≈100% per queue, a parked interrupt worker ≈0 at idle, Metronome in
@@ -481,14 +487,16 @@ pub fn try_run_realtime_with(
     // involuntary descheduling still counts as busy, exactly like the
     // "burned core" the paper charges to static DPDK. Real deployments
     // would read /proc; the sim charges calibrated cycle costs instead.
-    report.cpu_per_thread_pct = (0..n_workers)
-        .map(|w| {
-            hub.worker(w).busy_nanos.load(Ordering::Relaxed) as f64
-                / 1e9
-                / actual_wall.max(f64::MIN_POSITIVE)
-                * 100.0
-        })
-        .collect();
+    report.cpu_per_thread_pct = set_books.map_or_else(Vec::new, |set_books| {
+        (0..set_books.n_workers())
+            .map(|w| {
+                set_books.worker(w).busy_nanos.load(Ordering::Relaxed) as f64
+                    / 1e9
+                    / actual_wall.max(f64::MIN_POSITIVE)
+                    * 100.0
+            })
+            .collect()
+    });
     report.cpu_total_pct = report.cpu_per_thread_pct.iter().sum();
     report.busy_try_fraction = ctrl.busy_try_fraction();
     report.total_wakes = stats.wakes.iter().sum();

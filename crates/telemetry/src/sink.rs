@@ -1,33 +1,22 @@
 //! The event surface the execution layers publish into.
 //!
-//! Everything that happens on a packet-retrieval thread — the wakes
-//! and sleeps of the Listing 2 loop, drained bursts, `TS`
-//! recomputations — funnels through one object-free trait,
-//! [`TelemetrySink`]. Losses are not worker events: the port and the
-//! fault injectors count them where they happen, and the realtime
-//! pipeline reads those books into its snapshots. The contract is deliberately
-//! strict: an implementation must be safe to call from the hot path, so it
-//! may touch **relaxed atomics only** — no locks, no allocation, no
-//! syscalls. [`crate::counters::TelemetryHub`] is the canonical
-//! implementation; [`NullSink`] is the free disabled default (every method
-//! body is empty, so a `NullSink`-monomorphized engine compiles to the
-//! pre-telemetry code).
+//! What happens on a packet-retrieval thread — the wakes and sleeps of
+//! the Listing 2 loop, its busy spans, the bursts it drains — funnels
+//! through one object-free trait, [`TelemetrySink`]. Queue state is not a
+//! worker event: what a queue retrieved, its `TS` and its ρ̂ are the
+//! words its trylock orders, which the worker set reads into snapshots
+//! itself; a drained burst reaches the sink only so the flight recorder
+//! ([`crate::trace::TracedSink`]) can record it. Losses are not worker
+//! events either: the port and the fault injectors count them where they
+//! happen. The contract is deliberately strict: an implementation must be
+//! safe to call from the hot path, so it may touch **relaxed atomics
+//! only** — no locks, no allocation, no syscalls.
+//! [`crate::counters::WorkerTelemetry`] is the canonical implementation;
+//! [`NullSink`] is the free disabled default (every method body is empty,
+//! so a `NullSink`-monomorphized engine compiles to the pre-telemetry
+//! code).
 
 use metronome_sim::Nanos;
-
-/// Which timeout a sleep was taken under.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SleepKind {
-    /// The short adaptive timeout `TS` (race winners).
-    Short,
-    /// The long backup timeout `TL` (race losers).
-    Long,
-    /// A fixed-period retrieval timer: the ConstSleep baseline's `r_sleep`
-    /// period and the InterruptLike discipline's moderation window.
-    Fixed,
-    /// The one-off start-up stagger.
-    Stagger,
-}
 
 /// Telemetry event sink. All methods default to no-ops so implementations
 /// pick the events they care about; all take `&self` so one sink can be
@@ -39,11 +28,6 @@ pub enum SleepKind {
 pub trait TelemetrySink {
     /// The thread woke from a timer sleep.
     fn wake(&self) {}
-
-    /// The thread is about to sleep `planned` under `kind`.
-    fn sleep_planned(&self, kind: SleepKind, planned: Nanos) {
-        let _ = (kind, planned);
-    }
 
     /// The thread was awake (busy) for `dur` since its last sleep.
     fn busy(&self, dur: Nanos) {
@@ -66,11 +50,6 @@ pub trait TelemetrySink {
     fn retrieved(&self, q: usize, n: u64) {
         let _ = (q, n);
     }
-
-    /// Queue `q`'s adaptive `TS` was recomputed to `ts`.
-    fn ts_update(&self, q: usize, ts: Nanos) {
-        let _ = (q, ts);
-    }
 }
 
 /// The disabled sink: every event is a no-op the optimizer erases.
@@ -85,9 +64,6 @@ impl<S: TelemetrySink + ?Sized> TelemetrySink for &S {
     fn wake(&self) {
         (**self).wake()
     }
-    fn sleep_planned(&self, kind: SleepKind, planned: Nanos) {
-        (**self).sleep_planned(kind, planned)
-    }
     fn busy(&self, dur: Nanos) {
         (**self).busy(dur)
     }
@@ -99,8 +75,5 @@ impl<S: TelemetrySink + ?Sized> TelemetrySink for &S {
     }
     fn retrieved(&self, q: usize, n: u64) {
         (**self).retrieved(q, n)
-    }
-    fn ts_update(&self, q: usize, ts: Nanos) {
-        (**self).ts_update(q, ts)
     }
 }

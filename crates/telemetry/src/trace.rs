@@ -23,15 +23,15 @@
 //! oversleep histogram records exactly the values the driver hands to
 //! [`TelemetrySink::overslept`], and [`TracedSink`] emits one
 //! [`TraceEventKind::Burst`] record per [`TelemetrySink::retrieved`]
-//! call — so burst events equal the hub's `bursts` counter and the
-//! histogram sum equals `oversleep_nanos`, exactly.
+//! call — so the burst events' packets sum to what the queues retrieved
+//! and the histogram sum equals `oversleep_nanos`, exactly.
 
 use std::cell::RefCell;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::export::json::Json;
-use crate::sink::{SleepKind, TelemetrySink};
+use crate::sink::TelemetrySink;
 use metronome_sim::stats::Histogram;
 use metronome_sim::{CoarseClock, Nanos};
 
@@ -848,9 +848,9 @@ impl TraceDump {
 
 /// A [`TelemetrySink`] combinator that forwards every event to an inner
 /// sink and additionally records the trace-grade ones into a
-/// [`TraceSink`] — the seam that keeps trace events and hub counters
-/// reconciled: each `retrieved` call produces exactly one hub `bursts`
-/// increment *and* one [`TraceEventKind::Burst`] record.
+/// [`TraceSink`] — the seam that keeps trace events and the books
+/// reconciled: each `retrieved` call produces exactly one
+/// [`TraceEventKind::Burst`] record of its packets.
 #[derive(Clone, Copy, Debug)]
 pub struct TracedSink<S, R> {
     sink: S,
@@ -868,9 +868,6 @@ impl<S: TelemetrySink, R: TraceSink> TelemetrySink for TracedSink<S, R> {
     fn wake(&self) {
         self.sink.wake()
     }
-    fn sleep_planned(&self, kind: SleepKind, planned: Nanos) {
-        self.sink.sleep_planned(kind, planned)
-    }
     fn busy(&self, dur: Nanos) {
         self.sink.busy(dur)
     }
@@ -883,9 +880,6 @@ impl<S: TelemetrySink, R: TraceSink> TelemetrySink for TracedSink<S, R> {
     fn retrieved(&self, q: usize, n: u64) {
         self.trace.burst(q, n);
         self.sink.retrieved(q, n)
-    }
-    fn ts_update(&self, q: usize, ts: Nanos) {
-        self.sink.ts_update(q, ts)
     }
 }
 
@@ -992,28 +986,30 @@ mod tests {
     fn traced_sink_mirrors_bursts_only() {
         use crate::counters::TelemetryHub;
         use std::sync::atomic::Ordering;
-        let counters = TelemetryHub::new(1, 2);
+        let counters = TelemetryHub::new(1, "metronome");
         let trace_hub = TraceHub::new(1, 16);
+        let calls = [(1, 32), (0, 16)];
         {
             let sink = TracedSink::new(counters.worker_sink(0), trace_hub.recorder(0));
-            sink.retrieved(1, 32);
-            sink.retrieved(0, 16);
+            for (q, n) in calls {
+                sink.retrieved(q, n);
+            }
             sink.wake();
             sink.overslept(Nanos::from_micros(1));
         }
         let dump = trace_hub.dump();
-        let hub_bursts = counters.queue(0).bursts.load(Ordering::Relaxed)
-            + counters.queue(1).bursts.load(Ordering::Relaxed);
-        assert_eq!(
-            dump.kind_count(TraceEventKind::Burst),
-            hub_bursts,
-            "burst events reconcile with the hub bursts counter"
-        );
+        let bursts: Vec<(usize, u64)> = (dump.workers[0].events.iter())
+            .filter(|e| e.kind == TraceEventKind::Burst)
+            .map(|e| (e.a as usize, e.b))
+            .collect();
+        assert_eq!(bursts, calls, "one burst event per retrieved call");
         assert_eq!(
             dump.total_events(),
             2,
             "non-burst sink events record nothing"
         );
+        // ... and still reach the inner sink.
+        assert_eq!(counters.worker(0).wakeups.load(Ordering::Relaxed), 1);
     }
 
     #[test]

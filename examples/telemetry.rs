@@ -1,9 +1,9 @@
 //! Live windowed telemetry over a real-thread Metronome instance.
 //!
-//! Starts workers with a `TelemetryHub` attached, offers a two-phase load
-//! (quiet, then a burst plateau), and samples the hub every 100 ms while
-//! the run is live — printing each window as it closes: duty cycle,
-//! windowed throughput, wake rate, and the adaptive `TS` trajectory
+//! Starts a worker set, offers a two-phase load (quiet, then a burst
+//! plateau), and samples the set's books every 100 ms while the run is
+//! live — printing each window as it closes: duty cycle, windowed
+//! throughput, wake rate, and the adaptive `TS` and ρ̂ trajectories
 //! reacting to the load step. Afterwards the same series is rendered
 //! through the three exporters (CSV, JSON, Prometheus text format).
 //!
@@ -14,7 +14,7 @@
 use metronome_repro::core::{DisciplineSpec, MetronomeConfig, WorkerSet};
 use metronome_repro::sim::Nanos;
 use metronome_repro::telemetry::export::{csv, json, prometheus};
-use metronome_repro::telemetry::{CounterSnapshot, Sampler, TelemetryHub};
+use metronome_repro::telemetry::{CounterSnapshot, Sampler};
 
 use crossbeam::queue::ArrayQueue;
 use std::sync::Arc;
@@ -29,16 +29,15 @@ fn main() {
         n_queues: 1,
         ..MetronomeConfig::default()
     };
-    let hub = TelemetryHub::new(cfg.m_threads, cfg.n_queues);
     let queues = vec![Arc::new(ArrayQueue::<u64>::new(4096))];
     let metronome = WorkerSet::builder(cfg, DisciplineSpec::Metronome, queues.clone())
-        .telemetry(&hub)
         .spawn(|_worker| |_q, burst: &mut Vec<u64>| burst.clear());
+    let books = metronome.books();
 
     println!("live series: one row per {WINDOW:?} window (load steps up at window 5)\n");
     println!(
-        "{:>6} {:>10} {:>10} {:>9} {:>8} {:>8}",
-        "window", "retrieved", "kpps", "wakeups", "duty%", "TS µs"
+        "{:>6} {:>10} {:>10} {:>9} {:>8} {:>8} {:>6}",
+        "window", "retrieved", "kpps", "wakeups", "duty%", "TS µs", "ρ̂"
     );
 
     let start = Instant::now();
@@ -59,18 +58,19 @@ fn main() {
         // Close the window: snapshot the cumulative counters and print
         // the freshly derived per-window row.
         let mut snap = CounterSnapshot::new(Nanos(start.elapsed().as_nanos() as u64));
-        hub.fill_snapshot(&mut snap);
+        books.fill_snapshot(&mut snap);
         snap.occupancy = vec![queues[0].len() as u64];
         sampler.sample(snap);
         let w = &sampler.windows()[window];
         println!(
-            "{:>6} {:>10} {:>10.1} {:>9} {:>8.1} {:>8.1}",
+            "{:>6} {:>10} {:>10.1} {:>9} {:>8.1} {:>8.1} {:>6.3}",
             w.index,
             w.retrieved,
             w.throughput_mpps() * 1e3,
             w.wakeups,
             w.duty_cycle() * 100.0,
             w.ts_us(),
+            w.rho0(),
         );
     }
 

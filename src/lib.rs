@@ -3,9 +3,9 @@
 //! Faltelli, Belocchi, Quaglia, Pontarelli, Bianchi: **"Metronome: adaptive
 //! and precise intermittent packet retrieval in DPDK"** — reproduced as a
 //! pure-Rust workspace. This facade crate re-exports every layer; see
-//! `README.md` for the architecture tour, `DESIGN.md` for the system
-//! inventory and experiment index, and `EXPERIMENTS.md` for paper-vs-
-//! measured results.
+//! `README.md` for the architecture tour and, under its Quick start, the
+//! `experiments` command that regenerates the paper's evaluation, and
+//! `DESIGN.md` for the system inventory and experiment index.
 //!
 //! ## Layers
 //!

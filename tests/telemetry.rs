@@ -40,6 +40,17 @@ fn assert_conservation(r: &RunReport, ts: &TimeSeries) {
     assert_eq!(ts.totals.dropped_ring + ts.totals.dropped_pool, r.dropped);
 }
 
+/// The series closes on one `TS` and one ρ̂ per queue, and its ρ̂ is the
+/// report's.
+fn assert_gauges_match(r: &RunReport, ts: &TimeSeries) {
+    let n_queues = r.queues.len();
+    assert_eq!(ts.totals.ts_ns.len(), n_queues, "one TS per queue");
+    assert_eq!(ts.totals.rho.len(), n_queues, "one rho per queue");
+    for (q, queue) in r.queues.iter().enumerate() {
+        assert_eq!(ts.totals.rho[q], queue.rho, "queue {q}");
+    }
+}
+
 proptest! {
     /// Simulation backend: any rate (including overload), any seed, any
     /// window count — per-window deltas sum exactly to the aggregates.
@@ -62,6 +73,7 @@ proptest! {
         let ts = r.timeseries.as_ref().expect("series requested");
         prop_assert!(ts.len() >= n_windows as usize);
         assert_conservation(&r, ts);
+        assert_gauges_match(&r, ts);
     }
 }
 
@@ -99,8 +111,11 @@ fn realtime_windows_conserve_counters() {
         let ts = r.timeseries.as_ref().expect("series requested");
         assert!(ts.len() >= 2, "point {i}: expected several windows");
         assert_conservation(&r, ts);
-        // The gauges mean something: occupancy columns exist per queue.
+        // The gauges mean something: occupancy columns exist per queue,
+        // and the series' final TS and ρ̂ are the report's, read from the
+        // same words after the join.
         assert!(ts.windows.iter().all(|w| w.occupancy.len() == 2));
+        assert_gauges_match(&r, ts);
     }
 }
 

@@ -47,46 +47,30 @@ use std::time::{Duration, Instant};
 /// stop flag (bounds shutdown latency of idle InterruptLike workers).
 const PARK_STOP_CHECK: Duration = Duration::from_millis(1);
 
-/// Hybrid sleep: OS sleep for the bulk, spin for the residual.
-///
-/// `spin_threshold` is how much of the tail is spun; larger values buy
-/// precision with CPU. The default 120 µs comfortably covers typical Linux
-/// `nanosleep` overshoot (≈50–100 µs without an RT class).
+/// How much of every sleep [`PreciseSleeper`] spins instead of sleeping:
+/// enough to cover typical Linux `nanosleep` overshoot (≈ 50–100 µs under
+/// the default 50 µs timer slack, without an RT class).
+const SPIN_TAIL: Nanos = Nanos::from_micros(120);
+
+/// Hybrid sleep: OS sleep for the bulk, spin for the last 120 µs
+/// (`SPIN_TAIL`), which buys wake precision with CPU.
 ///
 /// **Accounting semantic.** A `sleep()` call — including its spun tail,
-/// which for intervals at or below `spin_threshold` is the *whole*
-/// interval — counts as sleep time in telemetry, not busy time. The
-/// sleeper stands in for the paper's kernel `hr_sleep()`, whose sleeps
-/// are genuinely CPU-free; charging its user-space spin to the worker
-/// would report the substitution artifact instead of the protocol's
-/// cost. Every retrieval discipline goes through the same sleeper with
-/// the same threshold, so cross-discipline duty-cycle comparisons stay
-/// apples-to-apples *under the `hr_sleep` model*; the real spin cost of
-/// the substitution is documented in DESIGN.md §2 and measurable by
-/// dropping the threshold to zero ([`PreciseSleeper::with_spin_threshold`],
-/// the `nanosleep`-precision ablation).
-#[derive(Clone, Copy, Debug)]
-pub struct PreciseSleeper {
-    /// Portion of the interval spun instead of slept.
-    pub spin_threshold: Duration,
-}
-
-impl Default for PreciseSleeper {
-    fn default() -> Self {
-        PreciseSleeper {
-            spin_threshold: Duration::from_micros(120),
-        }
-    }
-}
+/// which for intervals of 120 µs or less is the *whole* interval — counts
+/// as sleep time in telemetry, not busy time. The sleeper stands in for
+/// the paper's kernel `hr_sleep()`, whose sleeps are genuinely CPU-free;
+/// charging its user-space spin to the worker would report the
+/// substitution artifact instead of the protocol's cost. Every retrieval
+/// discipline goes through the same sleeper, so cross-discipline
+/// duty-cycle comparisons stay apples-to-apples *under the `hr_sleep`
+/// model*; the real spin cost of the substitution is documented in
+/// DESIGN.md §2 and shows in the process's own CPU time. The
+/// `nanosleep`-precision ablation (DESIGN.md §5) is a simulator run over
+/// `metronome_os::sleep::SleepService::Nanosleep`, not this sleeper.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct PreciseSleeper;
 
 impl PreciseSleeper {
-    /// A sleeper spinning the final `spin_threshold` of every interval.
-    /// Larger thresholds buy wake precision with CPU; zero degrades to a
-    /// plain `thread::sleep` (the `nanosleep` ablation).
-    pub fn with_spin_threshold(spin_threshold: Duration) -> Self {
-        PreciseSleeper { spin_threshold }
-    }
-
     /// Sleep for at least `dur`, waking within spin precision of the
     /// deadline (sub-microsecond on an unloaded core). Returns the
     /// measured oversleep — how far past the requested deadline the call
@@ -107,8 +91,9 @@ impl PreciseSleeper {
     /// pays no clock read to start a sleep and none to learn when it
     /// ended: slept and overslept follow by subtraction.
     pub fn sleep_until(&self, clock: &CoarseClock, deadline: Nanos) -> Nanos {
-        let spin = Nanos(self.spin_threshold.as_nanos() as u64);
-        let coarse = deadline.saturating_sub(clock.cached()).saturating_sub(spin);
+        let coarse = deadline
+            .saturating_sub(clock.cached())
+            .saturating_sub(SPIN_TAIL);
         if !coarse.is_zero() {
             std::thread::sleep(Duration::from_nanos(coarse.as_nanos()));
         }
@@ -656,7 +641,7 @@ where
     S: TelemetrySink + Send + 'static,
     R: TraceSink + Send + 'static,
 {
-    let sleeper = PreciseSleeper::default();
+    let sleeper = PreciseSleeper;
     workers
         .into_iter()
         .enumerate()
@@ -839,7 +824,7 @@ pub(crate) mod tests {
 
     #[test]
     fn precise_sleeper_hits_deadline() {
-        let s = PreciseSleeper::default();
+        let s = PreciseSleeper;
         for req_us in [50u64, 200, 1_000] {
             let req = Duration::from_micros(req_us);
             let t0 = Instant::now();
@@ -937,7 +922,7 @@ pub(crate) mod tests {
 
     #[test]
     fn precise_sleeper_reports_oversleep() {
-        let s = PreciseSleeper::with_spin_threshold(Duration::from_micros(200));
+        let s = PreciseSleeper;
         let req = Duration::from_micros(300);
         let t0 = Instant::now();
         let over = s.sleep(req);
@@ -953,7 +938,7 @@ pub(crate) mod tests {
 
     #[test]
     fn sleep_until_returns_its_own_last_read() {
-        let s = PreciseSleeper::default();
+        let s = PreciseSleeper;
         let clock = CoarseClock::new();
         let from = clock.tick();
         let deadline = from + Nanos::from_micros(300);
@@ -1205,7 +1190,7 @@ pub(crate) mod tests {
             let policy = run_worker(
                 crate::engine::MetronomeEngine::new(0, 32),
                 backend,
-                PreciseSleeper::default(),
+                PreciseSleeper,
                 harness.shared.epoch,
                 &sink,
                 metronome_telemetry::NullTrace,

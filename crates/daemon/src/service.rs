@@ -614,6 +614,7 @@ impl ServiceEngine {
                 .with("state", "idle")
                 .with("already_drained", true)
                 .with("pool_in_use", self.pool.in_use() as u64)
+                .with("pool_materialized", self.pool.stats().materialized)
                 .with("pool_cached", self.pool.cached() as u64)
                 .with("allocs", allocs)
                 .with("frees", frees)
@@ -663,6 +664,7 @@ impl ServiceEngine {
             .with("stranded", stranded)
             .with("conserved", conserved)
             .with("pool_in_use", self.pool.in_use() as u64)
+            .with("pool_materialized", self.pool.stats().materialized)
             .with("pool_cached", self.pool.cached() as u64)
             .with("allocs", allocs)
             .with("frees", frees)
@@ -793,6 +795,7 @@ impl ServiceEngine {
             .with("wakeups", snap.wakeups)
             .with("busy_nanos", snap.busy_nanos)
             .with("pool_in_use", snap.pool_in_use)
+            .with("pool_materialized", self.pool.stats().materialized)
             .with("pool_cached", snap.pool_cached)
             .with(
                 "occupancy",

@@ -172,6 +172,11 @@ fn commands_needing_a_run_fail_cleanly_when_idle() {
     let drain = c.send(r#"{"cmd":"drain"}"#);
     assert_ok(&drain);
     assert_eq!(drain.get("state").and_then(Json::as_str), Some("idle"));
+    // No scenario has run: the pool has not created a buffer yet.
+    assert_eq!(
+        drain.get("pool_materialized").and_then(Json::as_u64),
+        Some(0)
+    );
     daemon.finish();
 }
 
@@ -227,6 +232,9 @@ fn reconfigure_under_load_keeps_counters_monotone() {
         "counters regressed after rejected reconfigure"
     );
 
+    let live = c.send(r#"{"cmd":"stats"}"#);
+    let made = live.get("pool_materialized").and_then(Json::as_u64);
+    assert!(made.is_some_and(|n| n > 0), "stats: {}", live.render());
     let drain = c.send(r#"{"cmd":"drain"}"#);
     assert_ok(&drain);
     assert_eq!(drain.get("conserved").and_then(Json::as_bool), Some(true));
@@ -234,6 +242,8 @@ fn reconfigure_under_load_keeps_counters_monotone() {
         drain.get("pool_balanced").and_then(Json::as_bool),
         Some(true)
     );
+    // A pool never gives a buffer back.
+    assert!(drain.get("pool_materialized").and_then(Json::as_u64) >= made);
     daemon.finish();
 }
 
@@ -816,8 +826,9 @@ fn an_absurd_rate_is_shed_and_the_drain_stays_prompt() {
     let took = t0.elapsed();
     assert_ok(&drain);
     println!("rss +{grown:.1} MiB, drain {took:?}: {}", drain.render());
-    // The pool alone is 18 MiB once touched, and sibling tests own one
-    // each; an owed backlog grows by hundreds of MiB a second.
+    // The pool can reach 18 MiB once overload has needed every buffer,
+    // and sibling tests own one each; an owed backlog grows by hundreds
+    // of MiB a second.
     assert!(grown < 128.0, "rss grew {grown:.1} MiB under overload");
     assert!(took < Duration::from_secs(1), "drain took {took:?}");
     assert!(drain.get("offered").and_then(Json::as_u64).unwrap() > 100_000);

@@ -7,8 +7,8 @@
 //!
 //! * [`mbuf::Mbuf`] — packet buffers with Rx metadata (port, queue,
 //!   RSS hash, arrival timestamp).
-//! * [`mempool::Mempool`] — bounded pre-allocated buffer pools with
-//!   exhaustion accounting: `Arc`-shared handles, atomic counters, and
+//! * [`mempool::Mempool`] — bounded buffer pools, each buffer created on
+//!   first need up to the population, with exhaustion accounting: `Arc`-shared handles, atomic counters, and
 //!   burst alloc/free that take the freelist lock once per burst (the
 //!   per-lcore-cache amortization of `rte_mempool`).
 //! * [`ring`] — [`ring::valid_ring_size`], the one descriptor-count rule,

@@ -1,15 +1,21 @@
 //! Shared packet-buffer pool (`rte_mempool` analogue) with per-worker
 //! caches.
 //!
-//! DPDK pre-allocates all mbufs from hugepage-backed pools shared by every
-//! lcore; running out of pool buffers is a first-class failure mode (Rx
-//! stalls even though the ring has descriptors). The pool here reproduces
-//! that bounded-allocation discipline for the whole pipeline: a fixed
-//! population of buffers of fixed capacity, O(1) alloc/free, exhaustion
-//! accounting — and, since the realtime pipeline allocates on the producer
-//! thread and recycles on the worker threads, the pool is a cheaply
-//! clonable handle ([`Mempool`] is `Arc`-shared internally) whose every
-//! method takes `&self`.
+//! DPDK sizes every mbuf pool up front, from hugepage-backed memory shared
+//! by every lcore; running out of pool buffers is a first-class failure
+//! mode (Rx stalls even though the ring has descriptors). The pool here
+//! keeps that bounded-allocation discipline for the whole pipeline — a
+//! fixed population of buffers of fixed capacity, O(1) alloc/free,
+//! exhaustion accounting — but the population is a cap, not memory held
+//! from the start: a buffer is created the first time the freelist's
+//! stack cannot serve a request, recycled buffers always go out first
+//! (the stack is LIFO, so the warmest one leads), and a created buffer
+//! stays in the pool until the pool is dropped. A pipeline sized for every
+//! ring full twice over thus holds only the buffers its load has ever had
+//! in flight at once ([`MempoolStats::materialized`]). Since the realtime
+//! pipeline allocates on the producer thread and recycles on the worker
+//! threads, the pool is a cheaply clonable handle ([`Mempool`] is
+//! `Arc`-shared internally) whose every method takes `&self`.
 //!
 //! **Burst discipline.** The freelist sits behind one short-critical-
 //! section lock. The shared burst paths — [`Mempool::alloc_burst`] and
@@ -27,7 +33,9 @@
 //!
 //! **Accounting settles at the freelist transaction.** Every counter of
 //! the pool lives in one ledger that is written only with the freelist
-//! lock held — once per critical section — and read lock-free. A
+//! lock held — once per critical section — and read lock-free. A buffer
+//! not yet created is free like one on the stack (the ledger's free count
+//! is the two together), so creating one on demand moves no gauge. A
 //! direct [`Mempool`] call is its own transaction, so a pool used without
 //! caches is exact after every call. A cache's hits accumulate privately
 //! and reach the ledger with its next refill, spill or flush, so between
@@ -52,7 +60,7 @@ use std::sync::Arc;
 /// Snapshot of a pool's counters (for reports: pool sizing visibility).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MempoolStats {
-    /// Total buffers the pool owns.
+    /// The most buffers the pool will ever hold.
     pub population: u64,
     /// Successful allocations so far.
     pub allocs: u64,
@@ -64,6 +72,9 @@ pub struct MempoolStats {
     pub in_use_peak: u64,
     /// Buffers currently parked in per-worker caches.
     pub cached: u64,
+    /// Buffers created so far (never above the population, never falling:
+    /// what the pool holds in memory).
+    pub materialized: u64,
 }
 
 /// The sampler-visible gauge of one per-worker cache (how many buffers it
@@ -83,8 +94,11 @@ struct CacheSlot {
 /// load/store pairs suffice — and read lock-free.
 #[repr(align(64))]
 struct Ledger {
-    /// Mirror of the freelist's length.
+    /// Mirror of [`Freelist::len`]: the stack and the buffers not yet
+    /// created.
     free_count: AtomicU64,
+    /// Mirror of [`Freelist::created`].
+    materialized: AtomicU64,
     /// Σ buffers parked in per-worker caches, each as of its cache's last
     /// transaction (cached buffers are *available*, not in flight —
     /// `rte_mempool_avail_count` semantics).
@@ -105,10 +119,62 @@ struct Settlement {
     cached: i64,
 }
 
+/// The buffers behind the freelist lock: a LIFO stack of created, free
+/// buffers and a count of those the population allows but nobody has
+/// needed yet.
+struct Freelist {
+    stack: Vec<BytesMut>,
+    unborn: usize,
+    population: usize,
+    buf_capacity: usize,
+}
+
+impl Freelist {
+    /// Buffers free to hand out: on the stack or not yet created.
+    fn len(&self) -> usize {
+        self.stack.len() + self.unborn
+    }
+
+    /// Buffers created so far.
+    fn created(&self) -> usize {
+        self.population - self.unborn
+    }
+
+    /// Hand up to `n` buffers to `give` and return how many: the stack's
+    /// top buffers, creating only what the stack cannot cover. The new
+    /// ones go first and the most recently freed one last, so a cache
+    /// that pushes them in order serves the warmest first. This is the
+    /// one place the pool creates a buffer.
+    fn take(&mut self, n: usize, mut give: impl FnMut(BytesMut)) -> usize {
+        let warm = n.min(self.stack.len());
+        let fresh = (n - warm).min(self.unborn);
+        self.unborn -= fresh;
+        for _ in 0..fresh {
+            give(BytesMut::with_capacity(self.buf_capacity));
+        }
+        let keep = self.stack.len() - warm;
+        self.stack.drain(keep..).for_each(give);
+        warm + fresh
+    }
+
+    /// Put a cleared buffer back on the stack.
+    ///
+    /// # Panics
+    /// In debug builds, if the stack would hold more buffers than were
+    /// created (double free).
+    fn put(&mut self, buf: BytesMut) {
+        debug_assert!(
+            self.stack.len() < self.created(),
+            "mempool over-free (double free?)"
+        );
+        self.stack.push(buf);
+    }
+}
+
 struct PoolShared {
     /// The freelist side of the pool: the lock and the buffers behind it,
     /// on a line of their own.
-    freelist: CacheLine<Mutex<Vec<BytesMut>>>,
+    freelist: CacheLine<Mutex<Freelist>>,
     ledger: Ledger,
     /// Live per-cache gauges, for telemetry enumeration.
     caches: Mutex<Vec<Arc<CacheSlot>>>,
@@ -143,7 +209,7 @@ impl PoolShared {
     /// Apply one freelist critical section to the ledger. `free` is the
     /// locked freelist as the section leaves it; holding its lock is what
     /// makes the load/store pairs below race-free.
-    fn settle(&self, free: &[BytesMut], delta: Settlement) {
+    fn settle(&self, free: &Freelist, delta: Settlement) {
         #[cfg(debug_assertions)]
         SHARED_TOUCHES.with(|n| n.set(n.get() + 1));
         let bump = |counter: &AtomicU64, by: u64| {
@@ -156,6 +222,9 @@ impl PoolShared {
         ledger
             .free_count
             .store(free.len() as u64, Ordering::Relaxed);
+        ledger
+            .materialized
+            .store(free.created() as u64, Ordering::Relaxed);
         // Two's complement: a negative change wraps to the right sum.
         bump(&ledger.cached_total, delta.cached as u64);
         bump(&ledger.allocs, delta.allocs);
@@ -178,19 +247,23 @@ pub struct Mempool {
 }
 
 impl Mempool {
-    /// Pool of `population` buffers, each able to hold `buf_capacity` bytes
-    /// (DPDK's default dataroom is 2048).
+    /// Pool of up to `population` buffers, each able to hold
+    /// `buf_capacity` bytes (DPDK's default dataroom is 2048). No buffer
+    /// exists yet: each is created by the first request that finds the
+    /// freelist's stack empty.
     pub fn new(population: usize, buf_capacity: usize) -> Self {
         assert!(population > 0, "empty pool");
         Mempool {
             shared: Arc::new(PoolShared {
-                freelist: CacheLine(Mutex::new(
-                    (0..population)
-                        .map(|_| BytesMut::with_capacity(buf_capacity))
-                        .collect(),
-                )),
+                freelist: CacheLine(Mutex::new(Freelist {
+                    stack: Vec::new(),
+                    unborn: population,
+                    population,
+                    buf_capacity,
+                })),
                 ledger: Ledger {
                     free_count: AtomicU64::new(population as u64),
+                    materialized: AtomicU64::new(0),
                     cached_total: AtomicU64::new(0),
                     allocs: AtomicU64::new(0),
                     frees: AtomicU64::new(0),
@@ -204,7 +277,7 @@ impl Mempool {
         }
     }
 
-    /// Total buffers the pool owns.
+    /// The most buffers the pool will ever hold.
     pub fn population(&self) -> usize {
         self.shared.population
     }
@@ -214,12 +287,13 @@ impl Mempool {
         self.shared.buf_capacity
     }
 
-    /// Buffers currently available — on the shared freelist or parked in
-    /// per-worker caches (`rte_mempool_avail_count` counts both). A
-    /// lock-free read: two relaxed loads, never the freelist lock, so
-    /// telemetry sampling cannot contend with the hot path. Never above
-    /// the population; exact once every cache has flushed, and within the
-    /// caches' unsettled hits before (see the module docs).
+    /// Buffers currently available — on the shared freelist, parked in
+    /// per-worker caches (`rte_mempool_avail_count` counts both) or not
+    /// yet created. A lock-free read: two relaxed loads, never the
+    /// freelist lock, so telemetry sampling cannot contend with the hot
+    /// path. Never above the population; exact once every cache has
+    /// flushed, and within the caches' unsettled hits before (see the
+    /// module docs).
     pub fn available(&self) -> usize {
         self.shared.available() as usize
     }
@@ -280,6 +354,7 @@ impl Mempool {
             alloc_failures: self.alloc_failures(),
             in_use_peak: self.in_use_peak() as u64,
             cached: self.cached() as u64,
+            materialized: self.shared.ledger.materialized.load(Ordering::Relaxed),
         }
     }
 
@@ -308,7 +383,8 @@ impl Mempool {
     pub fn alloc(&self) -> Option<Mbuf> {
         let mut buf = {
             let mut free = self.shared.freelist.0.lock();
-            let buf = free.pop();
+            let mut buf = None;
+            free.take(1, |b| buf = Some(b));
             self.shared.settle(
                 &free,
                 Settlement {
@@ -340,12 +416,10 @@ impl Mempool {
     /// shortfall is counted as exhaustion failures.
     pub fn alloc_burst(&self, n: usize, out: &mut Vec<Mbuf>) -> usize {
         let mut free = self.shared.freelist.0.lock();
-        let got = n.min(free.len());
-        let keep = free.len() - got;
-        out.extend(free.drain(keep..).rev().map(|mut buf| {
+        let got = free.take(n, |mut buf| {
             buf.clear();
-            Mbuf::from_bytes(buf)
-        }));
+            out.push(Mbuf::from_bytes(buf));
+        });
         self.shared.settle(
             &free,
             Settlement {
@@ -377,19 +451,15 @@ impl Mempool {
     /// every in-tree caller does.
     ///
     /// # Panics
-    /// In debug builds, if the freelist would exceed the population
-    /// (double free).
+    /// In debug builds, if the freelist would hold more buffers than the
+    /// pool has created (double free).
     pub fn free_burst(&self, mbufs: impl IntoIterator<Item = Mbuf>) {
         let mut free = self.shared.freelist.0.lock();
         let before = free.len();
         for mut mbuf in mbufs {
-            debug_assert!(
-                free.len() < self.shared.population,
-                "mempool over-free (double free?)"
-            );
             let mut buf = mbuf.take_data();
             buf.clear();
-            free.push(buf);
+            free.put(buf);
         }
         // The hand-back is on the books before the lock is released: once
         // the buffers are re-allocatable they no longer count as in use.
@@ -445,7 +515,7 @@ impl CacheAccount {
     fn settle(
         &mut self,
         shared: &PoolShared,
-        free: &[BytesMut],
+        free: &Freelist,
         depth: usize,
         allocs: usize,
         failures: usize,
@@ -505,8 +575,7 @@ impl MempoolCache {
         let shared = &*self.pool.shared;
         let mut free = shared.freelist.0.lock();
         let want = n + self.size - self.stack.len();
-        let keep = free.len().saturating_sub(want);
-        self.stack.extend(free.drain(keep..).rev());
+        free.take(want, |buf| self.stack.push(buf));
         let got = n.min(self.stack.len());
         self.account
             .settle(shared, &free, self.stack.len() - got, got, n - got);
@@ -519,11 +588,7 @@ impl MempoolCache {
         let shared = &*self.pool.shared;
         let mut free = shared.freelist.0.lock();
         for buf in self.stack.drain(self.stack.len() - count..) {
-            debug_assert!(
-                free.len() < shared.population,
-                "mempool over-free (double free?)"
-            );
-            free.push(buf);
+            free.put(buf);
         }
         self.account.settle(shared, &free, self.stack.len(), 0, 0);
     }
@@ -724,6 +789,78 @@ mod tests {
         assert_eq!(s.alloc_failures, 0);
         assert_eq!(s.in_use_peak, 1);
         assert_eq!(s.cached, 0);
+        assert_eq!(s.materialized, 1);
+    }
+
+    #[test]
+    fn a_fresh_pool_holds_no_buffer() {
+        let p = Mempool::new(1 << 20, 2048);
+        let s = p.stats();
+        assert_eq!(s.materialized, 0);
+        assert_eq!(s.population, 1 << 20);
+        assert_eq!(p.available(), 1 << 20, "buffers not yet created are free");
+        assert_eq!(p.in_use(), 0);
+    }
+
+    #[test]
+    fn a_recycled_buffer_goes_out_before_a_new_one() {
+        let p = Mempool::new(8, 64);
+        let m = p.alloc().unwrap();
+        let first = m.bytes().as_ptr();
+        p.free(m);
+        let m = p.alloc().unwrap();
+        assert_eq!(m.bytes().as_ptr(), first, "the freed buffer came back");
+        assert_eq!(m.capacity(), 64);
+        assert_eq!(p.stats().materialized, 1);
+        // Through a cache too: its refill takes the warm one first.
+        p.free(m);
+        let mut c = p.cache(2);
+        let m = c.alloc().unwrap();
+        assert_eq!(m.bytes().as_ptr(), first);
+        assert_eq!(p.stats().materialized, 3, "the refill created its need + C");
+        c.free(m);
+    }
+
+    #[test]
+    fn exhaustion_comes_at_exactly_the_population() {
+        let p = Mempool::new(5, 64);
+        let mut c = p.cache(2);
+        let mut held = Vec::new();
+        // The refill creates the need + C: one out, two parked.
+        assert_eq!(c.alloc_burst(1, &mut held), 1);
+        assert_eq!(p.stats().materialized, 3);
+        assert_eq!(
+            p.alloc_burst(4, &mut held),
+            2,
+            "two left beside the cache's"
+        );
+        assert_eq!(p.alloc_failures(), 2);
+        assert_eq!(p.stats().materialized, 5);
+        assert!(p.alloc().is_none());
+        assert_eq!(c.alloc_burst(2, &mut held), 2, "the parked two are hits");
+        assert!(c.alloc().is_none());
+        assert_eq!(p.alloc_failures(), 4);
+        assert_eq!(p.stats().materialized, 5);
+        assert_eq!(p.in_use_peak(), 5);
+        c.free_burst(held.drain(..));
+        drop(c);
+        let s = p.stats();
+        assert_eq!((s.materialized, s.population), (5, 5));
+        assert_eq!((s.allocs, s.frees), (5, 5));
+        assert_eq!(p.available(), 5);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "over-free")]
+    fn a_free_beyond_the_created_buffers_is_caught() {
+        // One buffer created out of eight: a second free is a double free
+        // although the freelist is far below the population.
+        let p = Mempool::new(8, 64);
+        let m = p.alloc().unwrap();
+        let stranger = Mempool::new(1, 64).alloc().unwrap();
+        p.free(m);
+        p.free(stranger);
     }
 
     #[test]

@@ -65,7 +65,10 @@ const STALL_NAP: Duration = Duration::from_micros(100);
 /// The mbuf population that keeps a pipeline clear of pool exhaustion:
 /// every ring full twice over, plus each producer shard's and worker's
 /// cache at its high-water mark (a cache of size C holds at most 2C) —
-/// small enough that a deliberate undersizing bites at once.
+/// small enough that a deliberate undersizing bites at once. It is a cap,
+/// not memory: the pool creates a buffer only when a request finds none
+/// to recycle, so the "twice over" margin costs memory only in a run
+/// whose load actually fills the rings.
 pub fn pool_population(
     n_queues: usize,
     ring_size: usize,

@@ -313,6 +313,7 @@ impl RunReport {
                         .with("frees", m.frees)
                         .with("alloc_failures", m.alloc_failures)
                         .with("in_use_peak", m.in_use_peak)
+                        .with("materialized", m.materialized)
                 }),
             )
             .with(

@@ -95,7 +95,7 @@ impl PacedArrivals {
             clock,
             source,
             horizon,
-            sleeper: PreciseSleeper::default(),
+            sleeper: PreciseSleeper,
             buf: Vec::new(),
             cursor: 0,
             max_batch: 0,
@@ -174,7 +174,7 @@ mod tests {
     #[test]
     fn wall_clock_is_monotone_and_sleeps_to_deadline() {
         let clock = WallClock::start();
-        let sleeper = PreciseSleeper::default();
+        let sleeper = PreciseSleeper;
         let a = clock.now();
         clock.sleep_until(a + Nanos::from_micros(300), &sleeper);
         let b = clock.now();

@@ -153,25 +153,37 @@ proptest! {
     /// `rte_mempool_avail_count`), no gauge wraps or leaves its range, the
     /// peak never over-reads the population, the settled counters never
     /// run ahead of the truth, and `in_use()` is off by less than the
-    /// caches can hold. Once every cache has flushed: every figure exact.
+    /// caches can hold. Buffers are created on demand: the created count
+    /// never falls, never passes the population, and never runs ahead of
+    /// the peak by more than the caches can park (2C each) plus the
+    /// largest single request, on a pool the ops can drain (32) and on one
+    /// they cannot (512). Once every cache has flushed: every figure exact.
     #[test]
     fn mempool_cached_interleavings_conserve(
-        ops in prop::collection::vec((0u8..3, 0u8..5, 1usize..8), 1..200)
+        ops in prop::collection::vec((0u8..3, 0u8..5, 1usize..8), 1..200),
+        roomy in any::<bool>(),
     ) {
-        let pool = Mempool::new(32, 64);
-        let population = pool.population();
+        let population = if roomy { 512 } else { 32 };
+        let pool = Mempool::new(population, 64);
         // Handle 0 is the bare pool; 1 and 2 are worker caches small
         // enough (2, 3) that bursts of up to 7 regularly bypass, refill,
         // and spill.
         let mut caches = vec![pool.cache(2), pool.cache(3)];
         // A cache parks at most a refill's worth: the need (<= 2C) + C.
         let cache_room: usize = caches.iter().map(|c| 3 * c.size()).sum();
+        let parked_room: usize = caches.iter().map(|c| 2 * c.size()).sum();
+        let (mut made, mut largest) = (0usize, 0usize);
         let mut held: Vec<metronome_repro::dpdk::Mbuf> = Vec::new();
         let mut scratch = Vec::new();
         let (mut true_allocs, mut true_frees) = (0u64, 0u64);
         for (which, op, n) in ops {
             let cache = which.checked_sub(1).map(|i| &mut caches[i as usize]);
             let mut all_flushed = false;
+            largest = largest.max(match op {
+                0 => 1,
+                1 => n,
+                _ => 0,
+            });
             match op {
                 0 => {
                     let got = match cache {
@@ -232,6 +244,12 @@ proptest! {
             prop_assert!(pool.cached() <= cache_room, "cached wrapped: {}", pool.cached());
             prop_assert!(pool.in_use_peak() >= in_use);
             prop_assert!(pool.in_use_peak() <= population);
+            let now_made = pool.stats().materialized as usize;
+            prop_assert!(now_made >= made, "created count fell {} -> {}", made, now_made);
+            prop_assert!(now_made <= population);
+            prop_assert!(now_made <= pool.in_use_peak() + parked_room + largest,
+                "created {} for a peak of {}", now_made, pool.in_use_peak());
+            made = now_made;
             let (allocs, frees) = pool.counters();
             prop_assert!(allocs <= true_allocs && frees <= true_frees,
                 "settled ({allocs}, {frees}) ahead of ({true_allocs}, {true_frees})");

@@ -14,6 +14,7 @@ use metronome_repro::apps::processor::{PacketProcessor, Verdict};
 use metronome_repro::apps::L3Fwd;
 use metronome_repro::core::MetronomeConfig;
 use metronome_repro::dpdk::Mbuf;
+use metronome_repro::runtime::ingest::GEN_BATCH;
 use metronome_repro::runtime::{
     run_realtime, run_realtime_with, try_run_realtime, AppProfile, RealtimeError, RunReport,
     Scenario, TrafficSpec,
@@ -128,6 +129,19 @@ fn l3fwd_cbr_end_to_end() {
     assert_eq!(r.queues[0].drained, r.forwarded);
     assert!(r.total_wakes > 0);
     assert!(r.queues[0].total_tries > 0);
+    // The pool creates buffers as the load needs them: at 40 kpps the
+    // ring never fills, so what it created is bounded by one ring and the
+    // caches at their high-water marks (2C each: the producer shard's and
+    // both workers'), well under the population sized for two full rings.
+    let pool = r.mempool.expect("realtime run reports pool stats");
+    let caches = 2 * GEN_BATCH + 2 * 2 * MetronomeConfig::default().burst as usize;
+    assert!(
+        pool.materialized <= (sc.ring_size + caches) as u64,
+        "created {} buffers at 40 kpps",
+        pool.materialized
+    );
+    assert!(pool.materialized < pool.population);
+    assert_eq!(pool.allocs, pool.frees, "every buffer must come home");
 }
 
 /// RSS spreads a multi-flow CBR stream over both queues and the per-queue
@@ -389,5 +403,10 @@ fn pool_exhaustion_is_a_distinct_drop_cause() {
     // section, the peak must have registered the full population (and can
     // never exceed it).
     assert_eq!(pool.in_use_peak, 24, "starved pool must hit its ceiling");
+    assert_eq!(
+        (pool.materialized, pool.population),
+        (24, 24),
+        "a drained pool has created every buffer it may hold"
+    );
     assert_eq!(pool.allocs, pool.frees, "every buffer must come home");
 }

@@ -94,8 +94,8 @@ struct CacheSlot {
 /// load/store pairs suffice — and read lock-free.
 #[repr(align(64))]
 struct Ledger {
-    /// Mirror of [`Freelist::len`]: the stack and the buffers not yet
-    /// created.
+    /// Mirror of [`PoolShared::free_len`]: the stack and the buffers not
+    /// yet created.
     free_count: AtomicU64,
     /// Mirror of [`Freelist::created`].
     materialized: AtomicU64,
@@ -120,43 +120,14 @@ struct Settlement {
 }
 
 /// The buffers behind the freelist lock: a LIFO stack of created, free
-/// buffers and a count of those the population allows but nobody has
-/// needed yet.
+/// buffers and how many buffers the pool has created so far (the
+/// population caps it; [`PoolShared::take`] creates them).
 struct Freelist {
     stack: Vec<BytesMut>,
-    unborn: usize,
-    population: usize,
-    buf_capacity: usize,
+    created: usize,
 }
 
 impl Freelist {
-    /// Buffers free to hand out: on the stack or not yet created.
-    fn len(&self) -> usize {
-        self.stack.len() + self.unborn
-    }
-
-    /// Buffers created so far.
-    fn created(&self) -> usize {
-        self.population - self.unborn
-    }
-
-    /// Hand up to `n` buffers to `give` and return how many: the stack's
-    /// top buffers, creating only what the stack cannot cover. The new
-    /// ones go first and the most recently freed one last, so a cache
-    /// that pushes them in order serves the warmest first. This is the
-    /// one place the pool creates a buffer.
-    fn take(&mut self, n: usize, mut give: impl FnMut(BytesMut)) -> usize {
-        let warm = n.min(self.stack.len());
-        let fresh = (n - warm).min(self.unborn);
-        self.unborn -= fresh;
-        for _ in 0..fresh {
-            give(BytesMut::with_capacity(self.buf_capacity));
-        }
-        let keep = self.stack.len() - warm;
-        self.stack.drain(keep..).for_each(give);
-        warm + fresh
-    }
-
     /// Put a cleared buffer back on the stack.
     ///
     /// # Panics
@@ -164,7 +135,7 @@ impl Freelist {
     /// created (double free).
     fn put(&mut self, buf: BytesMut) {
         debug_assert!(
-            self.stack.len() < self.created(),
+            self.stack.len() < self.created,
             "mempool over-free (double free?)"
         );
         self.stack.push(buf);
@@ -196,6 +167,29 @@ pub fn shared_touches() -> u64 {
 }
 
 impl PoolShared {
+    /// Buffers free to hand out (`free` is the locked freelist): on the
+    /// stack or not yet created.
+    fn free_len(&self, free: &Freelist) -> usize {
+        free.stack.len() + self.population - free.created
+    }
+
+    /// Hand up to `n` buffers from the locked freelist to `give` and
+    /// return how many: the stack's top buffers, creating only what the
+    /// stack cannot cover. The new ones go first and the most recently
+    /// freed one last, so a cache that pushes them in order serves the
+    /// warmest first. This is the one place the pool creates a buffer.
+    fn take(&self, free: &mut Freelist, n: usize, mut give: impl FnMut(BytesMut)) -> usize {
+        let warm = n.min(free.stack.len());
+        let fresh = (n - warm).min(self.population - free.created);
+        free.created += fresh;
+        for _ in 0..fresh {
+            give(BytesMut::with_capacity(self.buf_capacity));
+        }
+        let keep = free.stack.len() - warm;
+        free.stack.drain(keep..).for_each(give);
+        warm + fresh
+    }
+
     /// Buffers not in flight, as the ledger has them — clamped, because
     /// the parked depths are as of each cache's last transaction and a
     /// buffer that has since moved on through cache hits can be counted
@@ -221,10 +215,10 @@ impl PoolShared {
         let ledger = &self.ledger;
         ledger
             .free_count
-            .store(free.len() as u64, Ordering::Relaxed);
+            .store(self.free_len(free) as u64, Ordering::Relaxed);
         ledger
             .materialized
-            .store(free.created() as u64, Ordering::Relaxed);
+            .store(free.created as u64, Ordering::Relaxed);
         // Two's complement: a negative change wraps to the right sum.
         bump(&ledger.cached_total, delta.cached as u64);
         bump(&ledger.allocs, delta.allocs);
@@ -255,11 +249,11 @@ impl Mempool {
         assert!(population > 0, "empty pool");
         Mempool {
             shared: Arc::new(PoolShared {
+                // The stack's slots are reserved here so that a free never
+                // reallocates under the lock; its buffers are not.
                 freelist: CacheLine(Mutex::new(Freelist {
-                    stack: Vec::new(),
-                    unborn: population,
-                    population,
-                    buf_capacity,
+                    stack: Vec::with_capacity(population),
+                    created: 0,
                 })),
                 ledger: Ledger {
                     free_count: AtomicU64::new(population as u64),
@@ -384,7 +378,7 @@ impl Mempool {
         let mut buf = {
             let mut free = self.shared.freelist.0.lock();
             let mut buf = None;
-            free.take(1, |b| buf = Some(b));
+            self.shared.take(&mut free, 1, |b| buf = Some(b));
             self.shared.settle(
                 &free,
                 Settlement {
@@ -416,7 +410,7 @@ impl Mempool {
     /// shortfall is counted as exhaustion failures.
     pub fn alloc_burst(&self, n: usize, out: &mut Vec<Mbuf>) -> usize {
         let mut free = self.shared.freelist.0.lock();
-        let got = free.take(n, |mut buf| {
+        let got = self.shared.take(&mut free, n, |mut buf| {
             buf.clear();
             out.push(Mbuf::from_bytes(buf));
         });
@@ -455,7 +449,7 @@ impl Mempool {
     /// pool has created (double free).
     pub fn free_burst(&self, mbufs: impl IntoIterator<Item = Mbuf>) {
         let mut free = self.shared.freelist.0.lock();
-        let before = free.len();
+        let before = free.stack.len();
         for mut mbuf in mbufs {
             let mut buf = mbuf.take_data();
             buf.clear();
@@ -463,7 +457,7 @@ impl Mempool {
         }
         // The hand-back is on the books before the lock is released: once
         // the buffers are re-allocatable they no longer count as in use.
-        let frees = (free.len() - before) as u64;
+        let frees = (free.stack.len() - before) as u64;
         if frees > 0 {
             self.shared.settle(
                 &free,
@@ -575,7 +569,7 @@ impl MempoolCache {
         let shared = &*self.pool.shared;
         let mut free = shared.freelist.0.lock();
         let want = n + self.size - self.stack.len();
-        free.take(want, |buf| self.stack.push(buf));
+        shared.take(&mut free, want, |buf| self.stack.push(buf));
         let got = n.min(self.stack.len());
         self.account
             .settle(shared, &free, self.stack.len() - got, got, n - got);

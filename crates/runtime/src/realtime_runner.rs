@@ -22,8 +22,8 @@
 //!   batches against the run's one [`metronome_traffic::WallClock`]. The
 //!   pipeline assembles each shard ([`Pipeline::producer`]), and every
 //!   batch goes through the one ingest core (see [`crate::ingest`]):
-//!   pooled buffers refilled from flow templates — **zero heap
-//!   allocation per packet** — stamped with their scheduled arrival,
+//!   pooled buffers refilled from flow templates — once a buffer has
+//!   been created, **no heap allocation per packet** — stamped with their scheduled arrival,
 //!   scattered to their RSS queues, with pool exhaustion and ring
 //!   tail-drop booked on the port as distinct causes and per-packet
 //!   lateness always recorded.

@@ -59,7 +59,7 @@ pub use wheel::{TimerEntry, TimerWheel};
 use crate::discipline::{AnyDiscipline, ParkToken, RetrievalDiscipline, Verdict};
 use crate::engine::Backend;
 use crate::policy::ThreadPolicy;
-use crate::realtime::{publish_sleep, span_end};
+use crate::realtime::{publish_sleep, span_end, WakeEstimate};
 use crate::rxqueue::Lookahead;
 use metronome_sim::{CoarseClock, Nanos};
 use metronome_telemetry::{TelemetrySink, TraceSink, TraceVerdict, TracedSink};
@@ -92,13 +92,6 @@ const TURN_BUDGET: u32 = 64;
 /// over the bursts a sweep finds (`apps.burst_mean` ≈ 2.4 on `mq16_async`):
 /// a deeper queue amortizes its misses over the burst by itself.
 const LOOKAHEAD_DEPTH: usize = 4;
-
-/// How much of an upcoming deadline's tail the shard spins instead of
-/// blocking — the same precision/CPU trade [`PreciseSleeper`] makes, at
-/// shard rather than worker grain.
-///
-/// [`PreciseSleeper`]: crate::realtime::PreciseSleeper
-const SPIN_WAIT: Nanos = Nanos::from_micros(120);
 
 /// Upper bound on one idle block (bounds wheel catch-up work and stop
 /// latency even if a notification is somehow missed).
@@ -172,15 +165,19 @@ impl Injector {
     }
 
     /// Block until something is pushed/notified or `timeout` elapses.
-    fn wait(&self, timeout: Duration) {
+    /// True when the wait ran its whole timeout: only then is its end
+    /// an OS wake overshoot sample.
+    fn wait(&self, timeout: Duration) -> bool {
         let st = self.state.lock().unwrap_or_else(|e| e.into_inner());
         if st.notified || !st.woken.is_empty() {
-            return;
+            return false;
         }
-        let _ = self
+        let (st, waited) = self
             .cv
             .wait_timeout(st, timeout)
             .unwrap_or_else(|e| e.into_inner());
+        drop(st);
+        waited.timed_out()
     }
 
     fn is_hot(&self) -> bool {
@@ -418,6 +415,7 @@ where
     let clock = CoarseClock::from_epoch(epoch);
     let mut now = clock.tick();
     let mut wheel = TimerWheel::new(TICK_NS);
+    let mut wake = WakeEstimate::default();
     // Runnable tasks that are not running sit in exactly one of these.
     // Everyone starts due, in task order.
     let mut due: VecDeque<usize> = (0..tasks.len()).collect();
@@ -552,7 +550,7 @@ where
             }
         }
         if !ran {
-            now = idle_wait(&wheel, &injector, &stop, &clock);
+            now = idle_wait(&wheel, &injector, &stop, &clock, &mut wake);
         }
     }
 
@@ -583,33 +581,45 @@ where
 }
 
 /// Empty run queue: block toward the next wheel deadline (or a bounded
-/// default), spinning the final stretch for µs-class wake precision.
-/// `clock.cached()` is taken as the present; returns the stamp at which
-/// the wait ended (the spin's own last read).
+/// default) and spin the final stretch for µs-class wake precision — the
+/// rule [`PreciseSleeper`] follows, from the shard's own `wake` estimate:
+/// block to `deadline − ô` when that is in the future, spin to the
+/// deadline otherwise (the spin breaks on a doorbell wake or stop). A
+/// block that ran its whole timeout is an overshoot sample for `wake`; one
+/// a notification cut short is not. `clock.cached()` is taken as the
+/// present; returns the stamp at which the wait ended (the wait's own
+/// last read).
+///
+/// [`PreciseSleeper`]: crate::realtime::PreciseSleeper
 fn idle_wait(
     wheel: &TimerWheel,
     injector: &Injector,
     stop: &AtomicBool,
     clock: &CoarseClock,
+    wake: &mut WakeEstimate,
 ) -> Nanos {
     let now = clock.cached();
-    match wheel.next_deadline_ns().map(Nanos) {
-        Some(d) if d <= now + SPIN_WAIT => {
-            while clock.tick() < d {
-                if injector.is_hot() || stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                std::hint::spin_loop();
+    let Some(deadline) = wheel.next_deadline_ns().map(Nanos) else {
+        injector.wait(MAX_IDLE_WAIT);
+        return clock.tick();
+    };
+    let Some(at) = wake.os_wake(now, deadline) else {
+        while clock.tick() < deadline {
+            if injector.is_hot() || stop.load(Ordering::Relaxed) {
+                break;
             }
-            return clock.cached();
+            std::hint::spin_loop();
         }
-        Some(d) => {
-            let until = Duration::from_nanos((d - now - SPIN_WAIT).as_nanos());
-            injector.wait(until.min(MAX_IDLE_WAIT));
-        }
-        None => injector.wait(MAX_IDLE_WAIT),
+        return clock.cached();
+    };
+    let block = Duration::from_nanos((at - now).as_nanos()).min(MAX_IDLE_WAIT);
+    let timed_out = injector.wait(block);
+    let woke = clock.tick();
+    if timed_out {
+        let due = now + Nanos(block.as_nanos() as u64);
+        *wake = wake.update(woke.saturating_sub(due));
     }
-    clock.tick()
+    woke
 }
 
 // ---------------------------------------------------------------------------

@@ -90,7 +90,7 @@ pub use discipline::{
 pub use engine::{Backend, MetronomeEngine};
 pub use executor::TimerWheel;
 pub use policy::{Role, ThreadPolicy};
-pub use realtime::{PreciseSleeper, RealtimeBackend, RealtimeHarness, RealtimeStats};
+pub use realtime::{PreciseSleeper, RealtimeBackend, RealtimeHarness, RealtimeStats, WakeEstimate};
 pub use rxqueue::{Consume, RxQueue};
 pub use trylock::TryLock;
 pub use workers::{ExecBackend, WorkerBooks, WorkerSet, WorkerSetBuilder};

@@ -20,10 +20,12 @@
 //!
 //! **`hr_sleep()` substitution.** The paper's precision comes from a custom
 //! kernel sleep service we cannot ship from user space. [`PreciseSleeper`]
-//! stands in: it sleeps coarsely through the OS for the bulk of the
-//! interval and spin-waits the final stretch, delivering microsecond-class
-//! wake precision at a small, bounded CPU cost — the same trade the paper
-//! makes in kernel space (documented in DESIGN.md as a substitution).
+//! stands in: it OS-sleeps toward the deadline minus the overshoot it has
+//! learned the host's timers to add ([`WakeEstimate`], a running p90 of its
+//! own thread's measured overshoot), then spin-waits the rest. A sleep
+//! shorter than that overshoot is all spin — the paper's patched
+//! `hr_sleep`, which returns at once for requests below its precision
+//! (documented in DESIGN.md as a substitution).
 
 use crate::config::MetronomeConfig;
 use crate::controller::{AdaptiveController, QueueState};
@@ -37,6 +39,7 @@ use metronome_sim::time::read_clock;
 use metronome_sim::{CoarseClock, Nanos};
 use metronome_telemetry::counters::bump;
 use metronome_telemetry::{CounterSnapshot, TelemetrySink, TraceSink, TraceVerdict, TracedSink};
+use std::cell::Cell;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -47,19 +50,75 @@ use std::time::{Duration, Instant};
 /// stop flag (bounds shutdown latency of idle InterruptLike workers).
 const PARK_STOP_CHECK: Duration = Duration::from_millis(1);
 
-/// How much of every sleep [`PreciseSleeper`] spins instead of sleeping:
-/// enough to cover typical Linux `nanosleep` overshoot (≈ 50–100 µs under
-/// the default 50 µs timer slack, without an RT class).
-const SPIN_TAIL: Nanos = Nanos::from_micros(120);
+/// One step of [`WakeEstimate`]: it falls this much on a sample at or
+/// below it and rises [`WAKE_UP_STEPS`] of these on a sample above it.
+const WAKE_STEP: Nanos = Nanos::from_nanos(250);
 
-/// Hybrid sleep: OS sleep for the bulk, spin for the last 120 µs
-/// (`SPIN_TAIL`), which buys wake precision with CPU.
+/// Up-steps per sample above the estimate. The estimate stands still
+/// where `WAKE_UP_STEPS` × P(above) = P(at or below), so 9 puts it at the
+/// overshoot's p90.
+const WAKE_UP_STEPS: u64 = 9;
+
+/// Where [`WakeEstimate`] starts and the highest it goes: enough to cover
+/// typical Linux `nanosleep` overshoot (≈ 50–100 µs under the default
+/// 50 µs timer slack, without an RT class). No sleep spins longer than
+/// this.
+const WAKE_CAP: Nanos = Nanos::from_micros(120);
+
+/// A thread's learned OS wake overshoot `ô`: a running high quantile
+/// (≈ p90) of how far past the requested instant its OS sleeps return.
+///
+/// A value: [`WakeEstimate::update`] is a pure step of fixed size — up
+/// 9 × 250 ns on a sample above the estimate, down 250 ns otherwise — so
+/// one multi-millisecond host stall moves it by one up-step only. It
+/// starts at, and never rises above, 120 µs. [`PreciseSleeper`] keeps one
+/// per worker or pacer, and each executor shard keeps one for its idle
+/// wait: both ask it where an OS sleep toward a deadline should end
+/// ([`WakeEstimate::os_wake`]) and feed it the overshoot of the sleep they
+/// took.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WakeEstimate(Nanos);
+
+impl Default for WakeEstimate {
+    fn default() -> Self {
+        WakeEstimate(WAKE_CAP)
+    }
+}
+
+impl WakeEstimate {
+    /// The estimated overshoot `ô`.
+    pub fn overshoot(self) -> Nanos {
+        self.0
+    }
+
+    /// The estimate after one measured overshoot `sample`.
+    pub fn update(self, sample: Nanos) -> WakeEstimate {
+        WakeEstimate(if sample > self.0 {
+            (self.0 + WAKE_STEP * WAKE_UP_STEPS).min(WAKE_CAP)
+        } else {
+            self.0.saturating_sub(WAKE_STEP)
+        })
+    }
+
+    /// Where an OS sleep from `now` toward `deadline` should end:
+    /// `deadline − ô`, or `None` when that is not in the future and the
+    /// whole wait is better spun.
+    pub fn os_wake(self, now: Nanos, deadline: Nanos) -> Option<Nanos> {
+        Some(deadline.saturating_sub(self.0)).filter(|&wake| wake > now)
+    }
+}
+
+/// Hybrid sleep: OS sleep to the deadline minus the thread's learned wake
+/// overshoot ([`WakeEstimate`]), spin the rest, which buys wake precision
+/// with as little CPU as this host's timers allow. Not `Clone`: each
+/// worker and each pacer owns its sleeper, so each learns its own
+/// thread's overshoot.
 ///
 /// **Accounting semantic.** A `sleep()` call — including its spun tail,
-/// which for intervals of 120 µs or less is the *whole* interval — counts
-/// as sleep time in telemetry, not busy time. The sleeper stands in for
-/// the paper's kernel `hr_sleep()`, whose sleeps are genuinely CPU-free;
-/// charging its user-space spin to the worker would report the
+/// which for intervals shorter than the estimate is the *whole* interval
+/// — counts as sleep time in telemetry, not busy time. The sleeper stands
+/// in for the paper's kernel `hr_sleep()`, whose sleeps are genuinely
+/// CPU-free; charging its user-space spin to the worker would report the
 /// substitution artifact instead of the protocol's cost. Every retrieval
 /// discipline goes through the same sleeper, so cross-discipline
 /// duty-cycle comparisons stay apples-to-apples *under the `hr_sleep`
@@ -67,15 +126,18 @@ const SPIN_TAIL: Nanos = Nanos::from_micros(120);
 /// DESIGN.md §2 and shows in the process's own CPU time. The
 /// `nanosleep`-precision ablation (DESIGN.md §5) is a simulator run over
 /// `metronome_os::sleep::SleepService::Nanosleep`, not this sleeper.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PreciseSleeper;
+#[derive(Debug, Default)]
+pub struct PreciseSleeper {
+    wake: Cell<WakeEstimate>,
+}
 
 impl PreciseSleeper {
     /// Sleep for at least `dur`, waking within spin precision of the
-    /// deadline (sub-microsecond on an unloaded core). Returns the
-    /// measured oversleep — how far past the requested deadline the call
-    /// actually returned — so callers can feed telemetry's sleep-
-    /// precision counters.
+    /// deadline (sub-microsecond on an unloaded core, unless the OS sleep
+    /// overshot by more than the estimate). Returns the measured
+    /// oversleep — how far past the requested deadline the call actually
+    /// returned — so callers can feed telemetry's sleep-precision
+    /// counters.
     pub fn sleep(&self, dur: Duration) -> Duration {
         // A fresh clock's cache sits at its epoch: "now" for sleep_until.
         let dur = Nanos(dur.as_nanos() as u64);
@@ -83,19 +145,24 @@ impl PreciseSleeper {
         Duration::from_nanos((woke - dur).as_nanos())
     }
 
-    /// Sleep until `deadline` on `clock`'s timeline, waking within spin
-    /// precision of it, and return the stamp at which the wait ended: the
-    /// spin loop's own last read (≥ `deadline`), which is also what
-    /// `clock.cached()` holds afterwards. The caller's last tick —
-    /// `clock.cached()` on entry — is taken as the present, so a driver
-    /// pays no clock read to start a sleep and none to learn when it
-    /// ended: slept and overslept follow by subtraction.
+    /// Sleep until `deadline` on `clock`'s timeline and return the stamp
+    /// at which the wait ended: the spin loop's own last read
+    /// (≥ `deadline`), which is also what `clock.cached()` holds
+    /// afterwards. The caller's last tick — `clock.cached()` on entry — is
+    /// taken as the present, so a driver pays no clock read to start a
+    /// sleep and none to learn when it ended: slept and overslept follow
+    /// by subtraction. When `deadline − ô` is in the future the thread
+    /// OS-sleeps to it first, and the spin's first read is the overshoot
+    /// sample the estimate learns from; otherwise the whole wait is spun.
     pub fn sleep_until(&self, clock: &CoarseClock, deadline: Nanos) -> Nanos {
-        let coarse = deadline
-            .saturating_sub(clock.cached())
-            .saturating_sub(SPIN_TAIL);
-        if !coarse.is_zero() {
-            std::thread::sleep(Duration::from_nanos(coarse.as_nanos()));
+        let wake = self.wake.get();
+        if let Some(at) = wake.os_wake(clock.cached(), deadline) {
+            std::thread::sleep(Duration::from_nanos((at - clock.cached()).as_nanos()));
+            let now = clock.tick();
+            self.wake.set(wake.update(now.saturating_sub(at)));
+            if now >= deadline {
+                return now;
+            }
         }
         loop {
             let now = clock.tick();
@@ -105,6 +172,19 @@ impl PreciseSleeper {
             std::hint::spin_loop();
         }
     }
+}
+
+/// The process's timer slack, ns (`/proc/self/timerslack_ns`): how late
+/// the kernel may fire an OS sleep's timer to batch it with others, so the
+/// floor under the overshoot a [`WakeEstimate`] learns — ≈ 50 µs of it at
+/// the 50 µs default, a few µs at 1 ns. Read, never written. `None` where
+/// the file is missing or unreadable.
+pub fn timer_slack_ns() -> Option<u64> {
+    std::fs::read_to_string("/proc/self/timerslack_ns")
+        .ok()?
+        .trim()
+        .parse()
+        .ok()
 }
 
 /// Aggregated counters of a real-thread run.
@@ -641,7 +721,6 @@ where
     S: TelemetrySink + Send + 'static,
     R: TraceSink + Send + 'static,
 {
-    let sleeper = PreciseSleeper;
     workers
         .into_iter()
         .enumerate()
@@ -651,7 +730,10 @@ where
             let tracer = make_tracer(worker);
             std::thread::Builder::new()
                 .name(format!("{label}-{worker}"))
-                .spawn(move || run_worker(discipline, backend, sleeper, epoch, sink, tracer, &stop))
+                .spawn(move || {
+                    let sleeper = PreciseSleeper::default();
+                    run_worker(discipline, backend, &sleeper, epoch, sink, tracer, &stop)
+                })
                 .expect("spawn retrieval worker")
         })
         .collect()
@@ -697,7 +779,7 @@ where
 fn run_worker<B, D, S, R>(
     mut discipline: D,
     mut backend: B,
-    sleeper: PreciseSleeper,
+    sleeper: &PreciseSleeper,
     epoch: Instant,
     sink: S,
     tracer: R,
@@ -824,7 +906,7 @@ pub(crate) mod tests {
 
     #[test]
     fn precise_sleeper_hits_deadline() {
-        let s = PreciseSleeper;
+        let s = PreciseSleeper::default();
         for req_us in [50u64, 200, 1_000] {
             let req = Duration::from_micros(req_us);
             let t0 = Instant::now();
@@ -837,6 +919,94 @@ pub(crate) mod tests {
                 "woke far too late: {actual:?} for request {req:?}"
             );
         }
+    }
+
+    #[test]
+    fn wake_estimate_settles_near_the_overshoot_p90() {
+        // Overshoots spread uniformly over 40–80 µs, as the default 50 µs
+        // slack spreads them here: p90 is 76 µs. From its 120 µs start the
+        // estimate walks down and then hovers within a few steps of it.
+        let mut rng = metronome_sim::Rng::new(7);
+        let mut wake = WakeEstimate::default();
+        let mut tail = Vec::new();
+        for i in 0..20_000 {
+            wake = wake.update(Nanos(rng.range_inclusive(40_000, 80_000)));
+            if i >= 10_000 {
+                tail.push(wake.overshoot().as_micros_f64());
+            }
+        }
+        let mean = tail.iter().sum::<f64>() / tail.len() as f64;
+        assert!(
+            (73.0..=79.0).contains(&mean),
+            "settled at {mean} µs, not ≈ 76"
+        );
+        let (lo, hi) = tail
+            .iter()
+            .fold((f64::MAX, 0.0f64), |(lo, hi), &x| (lo.min(x), hi.max(x)));
+        assert!(lo > 64.0 && hi < 88.0, "wandered over {lo}–{hi} µs");
+    }
+
+    #[test]
+    fn a_host_stall_moves_the_wake_estimate_one_step() {
+        let mut wake = WakeEstimate::default();
+        for _ in 0..200 {
+            wake = wake.update(Nanos::from_micros(10));
+        }
+        let before = wake.overshoot();
+        assert_eq!(before, Nanos::from_micros(70));
+        let after = wake.update(Nanos::from_millis(13)).overshoot();
+        assert_eq!(after - before, WAKE_STEP * WAKE_UP_STEPS);
+        assert_eq!(after - before, Nanos(2_250));
+    }
+
+    #[test]
+    fn the_wake_estimate_never_rises_above_its_start() {
+        let start = WakeEstimate::default();
+        assert_eq!(start.overshoot(), Nanos::from_micros(120));
+        let mut wake = start;
+        for sample in [Nanos::from_micros(121), Nanos::from_millis(13), Nanos::MAX] {
+            for _ in 0..100 {
+                wake = wake.update(sample);
+                assert!(wake.overshoot() <= start.overshoot());
+            }
+            assert_eq!(wake, start);
+        }
+        // The floor is zero, and from it one late wake is one up-step.
+        for _ in 0..1_000 {
+            wake = wake.update(Nanos::ZERO);
+        }
+        assert_eq!(wake.overshoot(), Nanos::ZERO);
+        assert_eq!(wake.update(Nanos(1)).overshoot(), Nanos(2_250));
+        // An OS sleep ends `ô` before the deadline, if that is still ahead.
+        let (now, deadline) = (Nanos::from_micros(1_000), Nanos::from_micros(1_200));
+        assert_eq!(
+            start.os_wake(now, deadline),
+            Some(Nanos::from_micros(1_080))
+        );
+        assert_eq!(start.os_wake(now, now + Nanos::from_micros(120)), None);
+        assert_eq!(start.os_wake(Nanos::ZERO, Nanos::from_micros(50)), None);
+    }
+
+    #[test]
+    fn precise_sleeper_learns_the_overshoot_without_waking_early() {
+        // 200 sleeps of 1 ms: each OS-sleeps most of the way and spins the
+        // rest. Generous for shared hosts: the estimate has only to leave
+        // its 120 µs start, which one ordinary wake does.
+        let s = PreciseSleeper::default();
+        let clock = CoarseClock::new();
+        for _ in 0..200 {
+            let t0 = Instant::now();
+            let deadline = clock.tick() + Nanos::from_millis(1);
+            let woke = s.sleep_until(&clock, deadline);
+            assert!(woke >= deadline, "woke early: {woke} < {deadline}");
+            assert!(
+                t0.elapsed() >= Duration::from_millis(1),
+                "{:?}",
+                t0.elapsed()
+            );
+        }
+        let learned = s.wake.get().overshoot();
+        assert!(learned < Nanos::from_micros(120), "still at {learned}");
     }
 
     #[test]
@@ -922,7 +1092,7 @@ pub(crate) mod tests {
 
     #[test]
     fn precise_sleeper_reports_oversleep() {
-        let s = PreciseSleeper;
+        let s = PreciseSleeper::default();
         let req = Duration::from_micros(300);
         let t0 = Instant::now();
         let over = s.sleep(req);
@@ -938,7 +1108,7 @@ pub(crate) mod tests {
 
     #[test]
     fn sleep_until_returns_its_own_last_read() {
-        let s = PreciseSleeper;
+        let s = PreciseSleeper::default();
         let clock = CoarseClock::new();
         let from = clock.tick();
         let deadline = from + Nanos::from_micros(300);
@@ -1190,7 +1360,7 @@ pub(crate) mod tests {
             let policy = run_worker(
                 crate::engine::MetronomeEngine::new(0, 32),
                 backend,
-                PreciseSleeper,
+                &PreciseSleeper::default(),
                 harness.shared.epoch,
                 &sink,
                 metronome_telemetry::NullTrace,

@@ -29,7 +29,9 @@ use crate::discipline::{AnyDiscipline, DisciplineSpec, Doorbell};
 use crate::engine::Backend;
 use crate::executor::{spawn_shards, Injector, ShardHandle};
 use crate::policy::ThreadPolicy;
-use crate::realtime::{collect_stats, spawn_threads, RealtimeBackend, RealtimeStats, SharedState};
+use crate::realtime::{
+    collect_stats, spawn_threads, timer_slack_ns, RealtimeBackend, RealtimeStats, SharedState,
+};
 use crate::rxqueue::{Consume, RxQueue};
 use crossbeam::queue::ArrayQueue;
 use metronome_sim::Nanos;
@@ -167,7 +169,11 @@ impl<T: Send + 'static, Q: RxQueue<T>> WorkerSetBuilder<T, Q> {
         };
         WorkerSet {
             queues: self.queues,
-            books: WorkerBooks { shared, hub },
+            books: WorkerBooks {
+                shared,
+                hub,
+                timer_slack_ns: timer_slack_ns(),
+            },
             stop,
             joins,
             _item: PhantomData,
@@ -223,22 +229,26 @@ enum Joins {
 /// A worker set's books, readable while it runs and after it stopped
 /// (a handle over the set's shared state; cloning is two `Arc` bumps):
 /// the per-queue words the trylock orders — what each queue retrieved,
-/// its `TS` and its ρ̂ — and the set's hub of per-worker time blocks.
+/// its `TS` and its ρ̂ — the set's hub of per-worker time blocks, and the
+/// timer slack its sleepers learned their wake overshoot against.
 #[derive(Clone)]
 pub struct WorkerBooks {
     shared: Arc<SharedState>,
     hub: Arc<TelemetryHub>,
+    timer_slack_ns: Option<u64>,
 }
 
 impl WorkerBooks {
     /// Fill `snap` with what the set counts: the discipline label,
     /// `retrieved`, the per-queue `TS` (0 for a queue never released) and
-    /// ρ̂ gauges, and the workers' wakes and busy, sleep and oversleep
-    /// time. What the set does not count (offered load, losses,
-    /// occupancy, pool, latency) is left untouched for the caller to fill.
+    /// ρ̂ gauges, the workers' wakes and busy, sleep and oversleep time,
+    /// and the timer slack read when the set spawned. What the set does
+    /// not count (offered load, losses, occupancy, pool, latency) is left
+    /// untouched for the caller to fill.
     pub fn fill_snapshot(&self, snap: &mut CounterSnapshot) {
         self.hub.fill_snapshot(snap);
         self.shared.fill_snapshot(snap);
+        snap.timer_slack_ns = self.timer_slack_ns;
     }
 
     /// Workers in the set.
@@ -710,6 +720,7 @@ mod tests {
                 books: WorkerBooks {
                     shared: SharedState::new(&cfg()),
                     hub: TelemetryHub::new(2, "idle"),
+                    timer_slack_ns: None,
                 },
                 stop,
                 joins,

@@ -797,6 +797,7 @@ impl ServiceEngine {
             .with("pool_in_use", snap.pool_in_use)
             .with("pool_materialized", self.pool.stats().materialized)
             .with("pool_cached", snap.pool_cached)
+            .with("timer_slack_ns", snap.timer_slack_ns)
             .with(
                 "occupancy",
                 Json::Arr(snap.occupancy.iter().map(|&o| o.into()).collect()),

@@ -235,6 +235,13 @@ fn reconfigure_under_load_keeps_counters_monotone() {
     let live = c.send(r#"{"cmd":"stats"}"#);
     let made = live.get("pool_materialized").and_then(Json::as_u64);
     assert!(made.is_some_and(|n| n > 0), "stats: {}", live.render());
+    // The armed set reports the timer slack its sleepers learn against.
+    assert_eq!(
+        live.get("timer_slack_ns").and_then(Json::as_u64),
+        metronome_core::realtime::timer_slack_ns(),
+        "stats: {}",
+        live.render()
+    );
     let drain = c.send(r#"{"cmd":"drain"}"#);
     assert_ok(&drain);
     assert_eq!(drain.get("conserved").and_then(Json::as_bool), Some(true));

@@ -62,6 +62,9 @@ const FAULT_TICK: Duration = Duration::from_micros(500);
 /// How long a stalled consumer naps between looks at the stall flag.
 const STALL_NAP: Duration = Duration::from_micros(100);
 
+/// How often [`Pipeline::drain`] looks at the rings: a vacation's scale.
+const DRAIN_POLL: Duration = Duration::from_micros(50);
+
 /// The mbuf population that keeps a pipeline clear of pool exhaustion:
 /// every ring full twice over, plus each producer shard's and worker's
 /// cache at its high-water mark (a cache of size C holds at most 2C) —
@@ -528,10 +531,14 @@ impl Pipeline {
     /// going to be retrieved — [`Pipeline::sweep`] books it. (Not
     /// `processed ≥ accepted`: a set re-armed under load restarts its
     /// count while the port's carries on.)
+    ///
+    /// Polls at vacation scale (`DRAIN_POLL`, 50 µs): the workers empty
+    /// a ring within a vacation or two, so a coarser poll would only round
+    /// every tear-down up.
     pub fn drain(&self, grace: Duration) {
         let deadline = Instant::now() + grace;
         while self.port.occupancies().iter().any(|&o| o > 0) && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
+            std::thread::sleep(DRAIN_POLL);
         }
     }
 

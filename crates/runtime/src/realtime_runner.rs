@@ -328,9 +328,15 @@ pub fn try_run_realtime_with(
                     // flag reads true, every counter write the main thread
                     // made before raising it (worker counters settled by
                     // join, the sweep's books) is visible here — the
-                    // final snapshot must telescope exactly.
-                    while last.elapsed() < interval && !stop.load(Ordering::Acquire) {
-                        std::thread::sleep(Duration::from_millis(1));
+                    // final snapshot must telescope exactly. Parked until
+                    // the next window; the main thread unparks this thread
+                    // right after raising the flag, so the final snapshot
+                    // waits for no timer.
+                    while !stop.load(Ordering::Acquire) {
+                        let Some(left) = interval.checked_sub(last.elapsed()) else {
+                            break;
+                        };
+                        std::thread::park_timeout(left);
                     }
                     let stopping = stop.load(Ordering::Acquire);
                     let mut snap =
@@ -423,6 +429,7 @@ pub fn try_run_realtime_with(
     // snapshot, so the series totals match the report's counters exactly.
     let timeseries = sampler_thread.map(|handle| {
         sampler_stop.store(true, Ordering::Release);
+        handle.thread().unpark();
         handle.join().expect("sampler thread panicked")
     });
     // The books: the same final snapshot the series telescopes to.
@@ -457,6 +464,7 @@ pub fn try_run_realtime_with(
     report.dropped_pool = books.dropped_pool;
     report.dropped_fault = books.dropped_fault;
     report.mempool = Some(pool.stats());
+    report.timer_slack_ns = books.timer_slack_ns;
     report.timeseries = timeseries;
     report.queues = (0..sc.n_queues)
         .map(|q| {

@@ -80,6 +80,10 @@ pub struct RunReport {
     /// (`None` on the simulation backend): pool-sizing visibility —
     /// population, peak occupancy, alloc failures.
     pub mempool: Option<MempoolStats>,
+    /// The process's timer slack when the realtime worker set spawned, ns
+    /// (`None` on the simulation backend, or where it cannot be read):
+    /// the regime the sleepers learned their wake overshoot in.
+    pub timer_slack_ns: Option<u64>,
     /// Forwarding throughput in Mpps.
     pub throughput_mpps: f64,
     /// Loss fraction (0..1).
@@ -150,6 +154,7 @@ impl RunReport {
             dropped_pool: 0,
             dropped_fault: 0,
             mempool: None,
+            timer_slack_ns: None,
             throughput_mpps: if wall > 0.0 {
                 forwarded as f64 / wall / 1e6
             } else {
@@ -316,6 +321,7 @@ impl RunReport {
                         .with("materialized", m.materialized)
                 }),
             )
+            .with("timer_slack_ns", self.timer_slack_ns)
             .with(
                 "ferret_completion_s",
                 self.ferret_completion.map(|n| n.as_secs_f64()),

@@ -390,6 +390,14 @@ pub fn snapshot_metrics(snap: &CounterSnapshot) -> Vec<PromMetric> {
             snap.pool_cached as f64,
         ),
     ];
+    if let Some(ns) = snap.timer_slack_ns {
+        metrics.push(PromMetric::scalar(
+            "metronome_timer_slack_seconds",
+            "Process timer slack when the worker set spawned",
+            PromKind::Gauge,
+            ns as f64 / 1e9,
+        ));
+    }
     // Flight-recorder histogram series (only when tracing is on).
     if let Some(h) = &snap.wake_latency {
         metrics.extend(histogram_families(
@@ -478,11 +486,14 @@ mod tests {
         snap.rho = vec![0.83, 0.12];
         snap.occupancy = vec![3, 0];
         snap.pool_in_use = 64;
+        snap.timer_slack_ns = Some(50_000);
         let metrics = snapshot_metrics(&snap);
         let text = render(&metrics);
         let back = parse(&text).expect("valid exposition text");
         assert_eq!(back, metrics);
         // Spot-check the text itself.
+        assert!(text.contains("# TYPE metronome_timer_slack_seconds gauge"));
+        assert!(text.contains("metronome_timer_slack_seconds 5e-5"));
         assert!(text.contains("# TYPE metronome_retrieved_packets_total counter"));
         assert!(text.contains("metronome_retrieved_packets_total 1000000"));
         assert!(text.contains("metronome_ts_microseconds{queue=\"1\"} 28"));

@@ -5,10 +5,14 @@
 //! schedule against the machine's clock, the way MoonGen's rate control
 //! releases paced DMA batches. [`PacedArrivals`] is that adapter: it maps
 //! `Instant::now()` onto the process's virtual timeline via a
-//! [`WallClock`], sleeps until the next arrival is due through the same
-//! [`PreciseSleeper`] the Metronome workers use (the user-space stand-in
-//! for `hr_sleep()` — one hybrid-sleep implementation, not two), and
-//! hands the caller batches of due arrival timestamps.
+//! [`WallClock`], sleeps until the next arrival is due, and hands the
+//! caller batches of due arrival timestamps.
+//!
+//! It sleeps through a [`PreciseSleeper`] of its own, the user-space
+//! stand-in for `hr_sleep()` the Metronome workers use (one hybrid-sleep
+//! implementation, not two). The sleeper OS-sleeps to the arrival minus
+//! the wake overshoot it has learned on its thread and spins the rest, so
+//! a gap longer than that overshoot costs one wake, not a spun core.
 //!
 //! The schedule is authoritative: a generator that falls behind (slow
 //! frame building, scheduler preemption) catches up by emitting the
@@ -50,9 +54,10 @@ impl WallClock {
     }
 
     /// Sleep until virtual time `t` through `sleeper` (the same hybrid
-    /// OS-sleep + spin-tail primitive the Metronome workers use — see
-    /// DESIGN.md's `hr_sleep` substitution). Returns immediately if `t`
-    /// has already passed.
+    /// primitive the Metronome workers use: an OS sleep to `t` minus the
+    /// sleeper's learned wake overshoot, then a spin — see DESIGN.md's
+    /// `hr_sleep` substitution). Returns immediately if `t` has already
+    /// passed.
     pub fn sleep_until(&self, t: Nanos, sleeper: &PreciseSleeper) {
         let deadline = self.start + Duration::from_nanos(t.as_nanos());
         if let Some(remaining) = deadline.checked_duration_since(Instant::now()) {
@@ -95,7 +100,7 @@ impl PacedArrivals {
             clock,
             source,
             horizon,
-            sleeper: PreciseSleeper,
+            sleeper: PreciseSleeper::default(),
             buf: Vec::new(),
             cursor: 0,
             max_batch: 0,
@@ -119,7 +124,7 @@ impl PacedArrivals {
     /// for a source whose schedule can change under it (a live rate, a
     /// stop flag). While the next arrival is more than a period away the
     /// pacer naps with a plain OS sleep — nobody is waiting on that wake,
-    /// so it pays no spin tail — for up to one period, always keeping one
+    /// so it spins none of it — for up to one period, always keeping one
     /// period in hand to absorb the nap's overshoot; that last stretch
     /// before an arrival is slept precisely as always.
     pub fn with_poll(mut self, period: Nanos) -> Self {
@@ -174,7 +179,7 @@ mod tests {
     #[test]
     fn wall_clock_is_monotone_and_sleeps_to_deadline() {
         let clock = WallClock::start();
-        let sleeper = PreciseSleeper;
+        let sleeper = PreciseSleeper::default();
         let a = clock.now();
         clock.sleep_until(a + Nanos::from_micros(300), &sleeper);
         let b = clock.now();

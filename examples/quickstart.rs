@@ -4,14 +4,15 @@
 //! in-process lock-free queues: M = 3 threads share one Rx queue through a
 //! CMPXCHG trylock, the winner drains, everyone sleeps adaptive timeouts
 //! through the spin-assisted precise sleeper. A producer thread plays the
-//! NIC, pushing packets at a configurable rate.
+//! NIC, pushing packets at a configurable rate, paced by a precise sleeper
+//! of its own.
 //!
 //! ```text
 //! cargo run --release --example quickstart [pps] [seconds]
 //! ```
 
 use crossbeam::queue::ArrayQueue;
-use metronome_repro::core::{DisciplineSpec, MetronomeConfig, WorkerSet};
+use metronome_repro::core::{DisciplineSpec, MetronomeConfig, PreciseSleeper, WorkerSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -51,6 +52,7 @@ fn main() {
             let gap = Duration::from_nanos(1_000_000_000 * burst / pps.max(1));
             let mut seq = 0u64;
             let mut dropped = 0u64;
+            let sleeper = PreciseSleeper::default();
             let mut next = Instant::now();
             while !stop.load(Ordering::Relaxed) {
                 for _ in 0..burst {
@@ -60,8 +62,8 @@ fn main() {
                     seq += 1;
                 }
                 next += gap;
-                while Instant::now() < next {
-                    std::hint::spin_loop();
+                if let Some(gap) = next.checked_duration_since(Instant::now()) {
+                    sleeper.sleep(gap);
                 }
             }
             (seq, dropped)

@@ -142,6 +142,12 @@ fn l3fwd_cbr_end_to_end() {
     );
     assert!(pool.materialized < pool.population);
     assert_eq!(pool.allocs, pool.frees, "every buffer must come home");
+    // The report says which timer slack the sleepers learned against.
+    let slack = metronome_repro::core::realtime::timer_slack_ns();
+    assert_eq!(r.timer_slack_ns, slack);
+    if let Some(ns) = slack {
+        assert!(r.to_json().contains(&format!("\"timer_slack_ns\":{ns}")));
+    }
 }
 
 /// RSS spreads a multi-flow CBR stream over both queues and the per-queue

@@ -91,7 +91,7 @@ fn rho_tracks_offered_load_up_and_down() {
             }
         }
     });
-    let sleeper = metronome_repro::core::PreciseSleeper;
+    let sleeper = metronome_repro::core::PreciseSleeper::default();
 
     // Phase 1: ~25 kpps against ~50 kpps of capacity (ρ ≈ 0.5) for 1 s.
     let t0 = Instant::now();

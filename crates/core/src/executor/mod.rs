@@ -59,7 +59,7 @@ pub use wheel::{TimerEntry, TimerWheel};
 use crate::discipline::{AnyDiscipline, ParkToken, RetrievalDiscipline, Verdict};
 use crate::engine::Backend;
 use crate::policy::ThreadPolicy;
-use crate::realtime::{publish_sleep, span_end, WakeEstimate};
+use crate::realtime::{publish_sleep, span_end, SharedState, WakeEstimate};
 use crate::rxqueue::Lookahead;
 use metronome_sim::{CoarseClock, Nanos};
 use metronome_telemetry::{TelemetrySink, TraceSink, TraceVerdict, TracedSink};
@@ -69,7 +69,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::task::{Wake, Waker};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Wheel tick: ≈16 µs coalescing grain. Deadlines round **up** to a tick
 /// boundary, so a sleep of `d` lasts until the first boundary at or after
@@ -384,7 +384,7 @@ where
 /// issues them: they are on its busy span, like everything else a slice
 /// does between its two stamps.
 ///
-/// **The shard owns the clock** (counting from `epoch`), and a task wake
+/// **The shard owns the clock** (from the set's epoch), and a task wake
 /// costs two OS reads: one at the pick (closes the scheduler delay,
 /// starts the slice, is the backend's acquire stamp) and the backend's own
 /// at release, which also ends the slice (busy time and vruntime, the
@@ -404,7 +404,7 @@ fn run_shard<B, S, R>(
     mut tasks: Vec<Task<B, S>>,
     injector: Arc<Injector>,
     stop: Arc<AtomicBool>,
-    epoch: Instant,
+    shared: Arc<SharedState>,
     tracer: R,
 ) -> Vec<(usize, ThreadPolicy)>
 where
@@ -412,10 +412,11 @@ where
     S: TelemetrySink,
     R: TraceSink,
 {
-    let clock = CoarseClock::from_epoch(epoch);
+    let _slack = shared.lower_timer_slack();
+    let clock = CoarseClock::from_epoch(shared.epoch);
     let mut now = clock.tick();
     let mut wheel = TimerWheel::new(TICK_NS);
-    let mut wake = WakeEstimate::default();
+    let mut wake = WakeEstimate::for_this_thread();
     // Runnable tasks that are not running sit in exactly one of these.
     // Everyone starts due, in task order.
     let mut due: VecDeque<usize> = (0..tasks.len()).collect();
@@ -584,11 +585,11 @@ where
 /// default) and spin the final stretch for µs-class wake precision — the
 /// rule [`PreciseSleeper`] follows, from the shard's own `wake` estimate:
 /// block to `deadline − ô` when that is in the future, spin to the
-/// deadline otherwise (the spin breaks on a doorbell wake or stop). A
-/// block that ran its whole timeout is an overshoot sample for `wake`; one
-/// a notification cut short is not. `clock.cached()` is taken as the
-/// present; returns the stamp at which the wait ended (the wait's own
-/// last read).
+/// deadline otherwise (the spin breaks on a doorbell wake or stop; `wake`
+/// steps back toward its seed). A block that ran its whole timeout is an
+/// overshoot sample for `wake`; one a notification cut short is not.
+/// `clock.cached()` is taken as the present; returns the stamp at which
+/// the wait ended (the wait's own last read).
 ///
 /// [`PreciseSleeper`]: crate::realtime::PreciseSleeper
 fn idle_wait(
@@ -604,6 +605,7 @@ fn idle_wait(
         return clock.tick();
     };
     let Some(at) = wake.os_wake(now, deadline) else {
+        *wake = wake.spun();
         while clock.tick() < deadline {
             if injector.is_hot() || stop.load(Ordering::Relaxed) {
                 break;
@@ -639,9 +641,11 @@ pub(crate) type ShardHandle = JoinHandle<Vec<(usize, ThreadPolicy)>>;
 /// is per *shard*: each shard thread owns one flight-recorder ring and
 /// logs its scheduler events (slices, vruntime picks, wheel activity)
 /// alongside the per-task verdicts, with the global worker id carried in
-/// the event payloads. Every shard's clock counts from `epoch`, the
-/// worker set's own, so the pick stamps it hands its tasks' backends share
-/// the backends' timeline.
+/// the event payloads. Every shard's clock counts from `shared.epoch`,
+/// the worker set's own, so the pick stamps it hands its tasks' backends
+/// share the backends' timeline, and every shard thread lowers its own
+/// timer slack and books it in `shared` before its first round
+/// ([`SharedState::lower_timer_slack`]).
 ///
 /// Returns each shard's injector and join handle. To stop, raise `stop`,
 /// then [`Injector::notify`] every shard (one may be blocked idle), then
@@ -651,7 +655,7 @@ pub(crate) fn spawn_shards<B, S, R>(
     workers: Vec<(AnyDiscipline, B)>,
     shards: usize,
     stop: &Arc<AtomicBool>,
-    epoch: Instant,
+    shared: &Arc<SharedState>,
     make_sink: impl Fn(usize) -> S,
     make_tracer: impl Fn(usize) -> R,
 ) -> (Vec<Arc<Injector>>, Vec<ShardHandle>)
@@ -690,10 +694,11 @@ where
         .map(|(s, tasks)| {
             let injector = Arc::clone(&injectors[s]);
             let stop = Arc::clone(stop);
+            let shared = Arc::clone(shared);
             let tracer = make_tracer(s);
             std::thread::Builder::new()
                 .name(format!("{label}-exec-{s}"))
-                .spawn(move || run_shard(tasks, injector, stop, epoch, tracer))
+                .spawn(move || run_shard(tasks, injector, stop, shared, tracer))
                 .expect("spawn executor shard")
         })
         .collect();
@@ -712,6 +717,7 @@ mod tests {
     use crossbeam::queue::ArrayQueue;
     use metronome_sim::time::clock_reads;
     use metronome_telemetry::{NullSink, TraceDump, TraceHub};
+    use std::time::Instant;
 
     #[test]
     fn a_push_after_a_drain_leaves_the_injector_hot() {
@@ -853,7 +859,7 @@ mod tests {
             workers,
             1,
             &stop,
-            shared.epoch,
+            &shared,
             |_| NullSink,
             |_| log.clone(),
         );
@@ -1043,7 +1049,7 @@ mod tests {
             workers,
             1,
             &stop,
-            shared.epoch,
+            &shared,
             |_| NullSink,
             |slot| trace.recorder(slot),
         );
@@ -1186,7 +1192,7 @@ mod tests {
                 workers,
                 1,
                 &stop,
-                shared.epoch,
+                &shared,
                 |_| NullSink,
                 |_| log.clone(),
             );

@@ -40,6 +40,9 @@
 //!   cooperative tasks on a vruntime-ordered sharded executor with a
 //!   hierarchical [`executor::TimerWheel`] and waker-wired doorbells, so
 //!   1000+ queues run on a handful of OS threads;
+//! * [`slack`] — the calling thread's timer slack, lowered to the
+//!   paper's 1 µs by [`slack::LoweredSlack`] on every thread that owns a
+//!   sleeper (the crate's one FFI call, `prctl`);
 //! * [`config`] — tunables with the paper's evaluation defaults
 //!   (`M = 3`, `V̄ = 10 µs`, `TL = 500 µs`, burst 32).
 //!
@@ -66,7 +69,10 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+// Everything except `slack` is unsafe-free. `slack` declares and calls
+// `prctl` for the calling thread's timer slack; its safety argument is
+// documented inline and it carries `#![allow(unsafe_code)]`.
+#![deny(unsafe_code)]
 
 pub mod config;
 pub mod controller;
@@ -78,6 +84,7 @@ pub mod policy;
 pub mod predictor;
 pub mod realtime;
 pub mod rxqueue;
+pub mod slack;
 pub mod trylock;
 pub mod workers;
 

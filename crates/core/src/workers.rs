@@ -29,9 +29,7 @@ use crate::discipline::{AnyDiscipline, DisciplineSpec, Doorbell};
 use crate::engine::Backend;
 use crate::executor::{spawn_shards, Injector, ShardHandle};
 use crate::policy::ThreadPolicy;
-use crate::realtime::{
-    collect_stats, spawn_threads, timer_slack_ns, RealtimeBackend, RealtimeStats, SharedState,
-};
+use crate::realtime::{collect_stats, spawn_threads, RealtimeBackend, RealtimeStats, SharedState};
 use crate::rxqueue::{Consume, RxQueue};
 use crossbeam::queue::ArrayQueue;
 use metronome_sim::Nanos;
@@ -42,7 +40,6 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 /// Which execution backend a worker set runs on: one OS thread per
 /// worker (the paper's model) or cooperative tasks on a sharded async
@@ -141,7 +138,6 @@ impl<T: Send + 'static, Q: RxQueue<T>> WorkerSetBuilder<T, Q> {
             );
         }
         let shared = SharedState::new(&cfg);
-        let epoch = shared.epoch;
         let stop = Arc::new(AtomicBool::new(false));
         // Every worker drives the same RealtimeBackend the single-threaded
         // harness hands out (the parity tests drive exactly this
@@ -162,18 +158,14 @@ impl<T: Send + 'static, Q: RxQueue<T>> WorkerSetBuilder<T, Q> {
         let hub = TelemetryHub::new(n_workers, label);
         let sink = |worker| hub.worker_sink(worker);
         let joins = match self.trace {
-            None => start(exec, label, workers, &stop, epoch, sink, |_| NullTrace),
-            Some(trace) => start(exec, label, workers, &stop, epoch, sink, move |slot| {
+            None => start(exec, label, workers, &stop, &shared, sink, |_| NullTrace),
+            Some(trace) => start(exec, label, workers, &stop, &shared, sink, move |slot| {
                 trace.recorder(slot)
             }),
         };
         WorkerSet {
             queues: self.queues,
-            books: WorkerBooks {
-                shared,
-                hub,
-                timer_slack_ns: timer_slack_ns(),
-            },
+            books: WorkerBooks { shared, hub },
             stop,
             joins,
             _item: PhantomData,
@@ -182,14 +174,15 @@ impl<T: Send + 'static, Q: RxQueue<T>> WorkerSetBuilder<T, Q> {
 }
 
 /// Hand the prepared workers to `exec`'s spawn function, with the stop
-/// flag and the clock epoch their drivers share with their backends.
+/// flag and the state their drivers share with their backends (the clock
+/// epoch, and the book of the timer slack they sleep under).
 /// `make_sink` is called per worker, `make_tracer` per recorder slot.
 fn start<B, S, R>(
     exec: ExecBackend,
     label: &str,
     workers: Vec<(AnyDiscipline, B)>,
     stop: &Arc<AtomicBool>,
-    epoch: Instant,
+    shared: &Arc<SharedState>,
     make_sink: impl Fn(usize) -> S,
     make_tracer: impl Fn(usize) -> R,
 ) -> Joins
@@ -203,7 +196,7 @@ where
             label,
             workers,
             stop,
-            epoch,
+            shared,
             make_sink,
             make_tracer,
         )),
@@ -211,7 +204,7 @@ where
             // One recorder slot per shard thread: the clamped shard count.
             let shards = exec.trace_slots(workers.len());
             let (injectors, handles) =
-                spawn_shards(label, workers, shards, stop, epoch, make_sink, make_tracer);
+                spawn_shards(label, workers, shards, stop, shared, make_sink, make_tracer);
             Joins::Async { injectors, handles }
         }
     }
@@ -230,25 +223,24 @@ enum Joins {
 /// (a handle over the set's shared state; cloning is two `Arc` bumps):
 /// the per-queue words the trylock orders — what each queue retrieved,
 /// its `TS` and its ρ̂ — the set's hub of per-worker time blocks, and the
-/// timer slack its sleepers learned their wake overshoot against.
+/// timer slack its sleepers learn their wake overshoot against, as a
+/// worker or shard thread read it on itself.
 #[derive(Clone)]
 pub struct WorkerBooks {
     shared: Arc<SharedState>,
     hub: Arc<TelemetryHub>,
-    timer_slack_ns: Option<u64>,
 }
 
 impl WorkerBooks {
     /// Fill `snap` with what the set counts: the discipline label,
     /// `retrieved`, the per-queue `TS` (0 for a queue never released) and
     /// ρ̂ gauges, the workers' wakes and busy, sleep and oversleep time,
-    /// and the timer slack read when the set spawned. What the set does
+    /// and the timer slack the workers' threads run at. What the set does
     /// not count (offered load, losses, occupancy, pool, latency) is left
     /// untouched for the caller to fill.
     pub fn fill_snapshot(&self, snap: &mut CounterSnapshot) {
         self.hub.fill_snapshot(snap);
         self.shared.fill_snapshot(snap);
-        snap.timer_slack_ns = self.timer_slack_ns;
     }
 
     /// Workers in the set.
@@ -366,6 +358,7 @@ impl<T: Send + 'static, Q: RxQueue<T>> WorkerSet<T, Q> {
 mod tests {
     use super::*;
     use crate::discipline::ModerationConfig;
+    use crate::slack::{thread_timer_slack, LOWERED_SLACK_NS};
     use metronome_telemetry::{NullSink, TraceEventKind};
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::AtomicU64;
@@ -505,6 +498,10 @@ mod tests {
                     assert_eq!(snap.retrieved, stats.total_processed(), "{case}");
                     assert_eq!(snap.wakeups, wakes, "{case}");
                     assert_eq!(snap.rho, stats.rho, "{case}");
+                    // The slack a worker or shard thread runs at, as that
+                    // thread read it on itself.
+                    let lowered = thread_timer_slack().map(|_| LOWERED_SLACK_NS);
+                    assert_eq!(snap.timer_slack_ns, lowered, "{case}");
                     assert!(snap.busy_nanos > 0, "{case}: no busy span");
                     if !matches!(spec, DisciplineSpec::BusyPoll) {
                         assert!(snap.sleep_nanos > 0, "{case}: no sleep");
@@ -703,24 +700,24 @@ mod tests {
                 .map(|w| (DisciplineSpec::Metronome.build(w, 1, 32, &[]), IdleBackend))
                 .collect();
             let stop = Arc::new(AtomicBool::new(false));
-            let epoch = Instant::now();
+            // The scripted workers touch the set's own state only to book
+            // their threads' timer slack.
+            let shared = SharedState::new(&cfg());
             let joins = start(
                 exec,
                 "idle",
                 workers,
                 &stop,
-                epoch,
+                &shared,
                 |_| NullSink,
                 |_| log.clone(),
             );
             std::thread::sleep(Duration::from_millis(15));
-            // The scripted workers never touch the set's own state.
             let set = WorkerSet {
                 queues: queues(8),
                 books: WorkerBooks {
-                    shared: SharedState::new(&cfg()),
+                    shared,
                     hub: TelemetryHub::new(2, "idle"),
-                    timer_slack_ns: None,
                 },
                 stop,
                 joins,

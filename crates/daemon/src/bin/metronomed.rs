@@ -13,6 +13,8 @@
 //! printf '%s\n' '{"cmd":"shutdown"}' | nc -U /tmp/metronomed.sock
 //! ```
 
+#![forbid(unsafe_code)]
+
 use metronome_daemon::{ControlServer, DaemonConfig, MetricsServer, ServiceEngine};
 use metronome_dpdk::ring::valid_ring_size;
 use std::path::PathBuf;

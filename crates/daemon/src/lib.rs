@@ -31,6 +31,8 @@
 //!  TcpListener ──GET /metrics──▶ snapshot ─▶ Prometheus text
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod control;
 mod generator;
 pub mod http;

@@ -2,6 +2,7 @@
 //! real `UnixListener`, real connections, real worker threads behind
 //! every reply.
 
+use metronome_core::slack::{thread_timer_slack, LOWERED_SLACK_NS};
 use metronome_daemon::{ControlServer, DaemonConfig, MetricsServer, ServiceEngine};
 use metronome_telemetry::export::prometheus;
 use metronome_telemetry::Json;
@@ -182,6 +183,7 @@ fn commands_needing_a_run_fail_cleanly_when_idle() {
 
 #[test]
 fn reconfigure_under_load_keeps_counters_monotone() {
+    let own_slack = thread_timer_slack();
     let daemon = TestDaemon::start("reconf");
     let mut c = daemon.connect();
     assert_ok(&c.send(
@@ -235,10 +237,13 @@ fn reconfigure_under_load_keeps_counters_monotone() {
     let live = c.send(r#"{"cmd":"stats"}"#);
     let made = live.get("pool_materialized").and_then(Json::as_u64);
     assert!(made.is_some_and(|n| n > 0), "stats: {}", live.render());
-    // The armed set reports the timer slack its sleepers learn against.
+    // The armed set reports the timer slack its sleepers learn against:
+    // the one a worker thread read on itself after lowering it. The
+    // daemon runs in this process, and this thread keeps its own slack.
+    assert_eq!(thread_timer_slack(), own_slack);
     assert_eq!(
         live.get("timer_slack_ns").and_then(Json::as_u64),
-        metronome_core::realtime::timer_slack_ns(),
+        own_slack.map(|_| LOWERED_SLACK_NS),
         "stats: {}",
         live.render()
     );

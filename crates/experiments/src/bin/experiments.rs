@@ -17,6 +17,8 @@
 //! writer), including the windowed telemetry series when the experiment
 //! sampled one.
 
+#![forbid(unsafe_code)]
+
 use metronome_experiments::{run_experiment, ExpConfig, ALL_EXPERIMENTS};
 use std::collections::BTreeSet;
 use std::path::PathBuf;

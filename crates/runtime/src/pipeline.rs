@@ -30,6 +30,7 @@ use metronome_apps::processor::PacketProcessor;
 use metronome_apps::{FloWatcher, IpsecGateway, L3Fwd};
 use metronome_core::discipline::DisciplineSpec;
 use metronome_core::rxqueue::{Consume, Lookahead, RxQueue};
+use metronome_core::slack::LoweredSlack;
 use metronome_core::{ExecBackend, MetronomeConfig, RealtimeStats, WorkerSet};
 use metronome_dpdk::{Mbuf, Mempool, MempoolCache, RingConsumer, RssPort, SharedRing};
 use metronome_net::headers::{build_udp_frame, Mac, MIN_FRAME_NO_FCS};
@@ -226,8 +227,12 @@ impl Producer {
     }
 
     /// Pace and emit until the source runs dry or the horizon passes; the
-    /// shard's cache flushes as it drops.
+    /// shard's cache flushes as it drops. The calling thread runs at the
+    /// lowered timer slack meanwhile, so the pacer's gaps sleep instead of
+    /// spinning ([`LoweredSlack`]), and gets its own slack back on return:
+    /// the runner's inline generator runs on its caller's thread.
     pub fn run(mut self) {
+        let _slack = LoweredSlack::lower();
         while let Some(batch) = self.paced.next_batch() {
             self.shard.emit(batch, &self.port);
         }

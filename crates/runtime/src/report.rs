@@ -80,9 +80,10 @@ pub struct RunReport {
     /// (`None` on the simulation backend): pool-sizing visibility —
     /// population, peak occupancy, alloc failures.
     pub mempool: Option<MempoolStats>,
-    /// The process's timer slack when the realtime worker set spawned, ns
-    /// (`None` on the simulation backend, or where it cannot be read):
-    /// the regime the sleepers learned their wake overshoot in.
+    /// The timer slack the realtime worker set's sleeper threads ran at,
+    /// ns, as a worker or shard thread read it on itself (`None` on the
+    /// simulation backend, or where it cannot be read): the regime the
+    /// sleepers learned their wake overshoot in.
     pub timer_slack_ns: Option<u64>,
     /// Forwarding throughput in Mpps.
     pub throughput_mpps: f64,

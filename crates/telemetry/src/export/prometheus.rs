@@ -393,7 +393,7 @@ pub fn snapshot_metrics(snap: &CounterSnapshot) -> Vec<PromMetric> {
     if let Some(ns) = snap.timer_slack_ns {
         metrics.push(PromMetric::scalar(
             "metronome_timer_slack_seconds",
-            "Process timer slack when the worker set spawned",
+            "Timer slack the worker set's sleeper threads run at",
             PromKind::Gauge,
             ns as f64 / 1e9,
         ));

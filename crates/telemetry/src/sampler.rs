@@ -63,9 +63,10 @@ pub struct CounterSnapshot {
     /// Mempool buffers parked in per-worker caches (gauge; 0 when the
     /// backend allocates straight from the shared freelist).
     pub pool_cached: u64,
-    /// The process's timer slack when the worker set spawned, ns (gauge;
-    /// `None` on the simulation backend or where it cannot be read): what
-    /// the sleepers' learned wake overshoot sits on.
+    /// The timer slack the worker set's sleeper threads run at, ns, as a
+    /// worker or shard thread read it on itself (gauge; `None` on the
+    /// simulation backend, before a thread started, or where it cannot be
+    /// read): what the sleepers' learned wake overshoot sits on.
     pub timer_slack_ns: Option<u64>,
     /// Cumulative package energy, joules (simulation backend only).
     pub energy_joules: f64,

@@ -12,6 +12,7 @@ mod common;
 use common::serial;
 use metronome_repro::apps::processor::{PacketProcessor, Verdict};
 use metronome_repro::apps::L3Fwd;
+use metronome_repro::core::slack::{thread_timer_slack, LOWERED_SLACK_NS};
 use metronome_repro::core::MetronomeConfig;
 use metronome_repro::dpdk::Mbuf;
 use metronome_repro::runtime::ingest::GEN_BATCH;
@@ -91,6 +92,9 @@ fn l3fwd_cbr_end_to_end() {
 
     let app_forwarded = Arc::new(AtomicU64::new(0));
     let app_dropped = Arc::new(AtomicU64::new(0));
+    // The generator (G = 1) runs inline on this thread at the lowered
+    // slack, and gives this thread its own back when the run returns.
+    let own_slack = thread_timer_slack();
     let r = run_realtime_with(&sc, &|_q| {
         Box::new(Counting {
             inner: L3Fwd::with_sample_routes(4),
@@ -142,8 +146,11 @@ fn l3fwd_cbr_end_to_end() {
     );
     assert!(pool.materialized < pool.population);
     assert_eq!(pool.allocs, pool.frees, "every buffer must come home");
-    // The report says which timer slack the sleepers learned against.
-    let slack = metronome_repro::core::realtime::timer_slack_ns();
+    // The report says which timer slack the sleepers learn against: the
+    // one a worker thread read on itself after lowering it, not this
+    // thread's.
+    assert_eq!(thread_timer_slack(), own_slack);
+    let slack = own_slack.map(|_| LOWERED_SLACK_NS);
     assert_eq!(r.timer_slack_ns, slack);
     if let Some(ns) = slack {
         assert!(r.to_json().contains(&format!("\"timer_slack_ns\":{ns}")));
